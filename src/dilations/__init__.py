@@ -24,11 +24,11 @@ from .interpolation import (
     kappa,
     multilinear_compress,
     scaled_blend,
+    semigroup_suite,
 )
 from .linalg import (
     InputError,
     NumericalError,
-    Tolerance,
     kron,
     matrix_exp,
     matrix_from_json,

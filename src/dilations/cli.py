@@ -19,7 +19,6 @@ import numpy as np
 
 from . import fixtures
 from .dilation import (
-    DilationCandidate,
     MultiPolynomial,
     egervary_dilation,
     parrott_tuple,
@@ -31,9 +30,8 @@ from .interpolation import (
     ContractionTuple,
     DiscretizedSemigroup,
     approx_error_sweep,
-    compress_discretized,
     eval_discretized,
-    multilinear_compress,
+    semigroup_suite,
 )
 from .linalg import (
     InputError,
@@ -41,9 +39,8 @@ from .linalg import (
     default_tol,
     matrix_from_json,
     matrix_to_json,
-    op_norm,
 )
-from .structure import bimarkov_check, preservation_suite, structure_report
+from .structure import preservation_suite, structure_report
 from .torus import GridTime, bscr_check, bscr_trace, trace_to_csv_rows
 
 EXIT_OK = 0
@@ -143,67 +140,8 @@ def interp_check(tuple_path, n_grid, max_num, tol, out):
     def run():
         eps = tol if tol is not None else default_tol()
         tup = _load_tuple(tuple_path, eps)
-        semi = DiscretizedSemigroup(tup, n_grid)
         bound = max_num if max_num is not None else 2 * n_grid
-        d = tup.d
-        times = [
-            GridTime(n_grid, nums)
-            for nums in itertools.product(range(bound), repeat=d)
-        ]
-        evals = {t.nums: eval_discretized(semi, t) for t in times}
-
-        hom_dev = 0.0
-        for s in times:
-            for t in times:
-                st = s + t
-                target = evals.get(st.nums)
-                if target is None:
-                    target = eval_discretized(semi, st)
-                    evals[st.nums] = target
-                hom_dev = max(hom_dev, float(np.abs(evals[s.nums] @ evals[t.nums] - target).max()))
-
-        contraction_dev = max(
-            max(0.0, op_norm(evals[t.nums]) - 1.0) for t in times
-        )
-
-        interp_dev = 0.0
-        eye_grid = np.eye(n_grid**d, dtype=np.complex128)
-        for i in range(d):
-            for n in range(2 * n_grid + 1):
-                nums = tuple(n * n_grid if j == i else 0 for j in range(d))
-                lhs = eval_discretized(semi, GridTime(n_grid, nums))
-                rhs = np.kron(eye_grid, np.linalg.matrix_power(tup.mats[i], n))
-                interp_dev = max(interp_dev, op_norm(lhs - rhs))
-
-        comm_dev = 0.0
-        if d > 1:
-            for i in range(d):
-                for j in range(i + 1, d):
-                    for a in range(1, bound):
-                        for b in range(1, bound):
-                            e_i = GridTime(
-                                n_grid, tuple(a if k == i else 0 for k in range(d))
-                            )
-                            e_j = GridTime(
-                                n_grid, tuple(b if k == j else 0 for k in range(d))
-                            )
-                            lhs = evals[e_i.nums] @ evals[e_j.nums]
-                            rhs = evals[e_j.nums] @ evals[e_i.nums]
-                            comm_dev = max(comm_dev, float(np.abs(lhs - rhs).max()))
-
-        compress_dev = 0.0
-        for t in times:
-            lhs = compress_discretized(semi, t)
-            rhs = multilinear_compress(tup, t.values())
-            compress_dev = max(compress_dev, op_norm(lhs - rhs))
-
-        checks = {
-            "homomorphism": hom_dev <= 1e-10,
-            "contractivity": contraction_dev <= 1e-10,
-            "interpolation": interp_dev <= 1e-12,
-            "commutation": comm_dev <= 1e-10,
-            "compression_identity": compress_dev <= 1e-12,
-        }
+        suite = semigroup_suite(tup, n_grid, bound)
         payload = {
             "config": {
                 "command": "interp check",
@@ -212,15 +150,7 @@ def interp_check(tuple_path, n_grid, max_num, tol, out):
                 "max_num": bound,
                 "tol": eps,
             },
-            "deviations": {
-                "homomorphism": hom_dev,
-                "contractivity": contraction_dev,
-                "interpolation": interp_dev,
-                "commutation": comm_dev,
-                "compression_identity": compress_dev,
-            },
-            "checks": checks,
-            "passed": all(checks.values()),
+            **suite,
         }
         _write_json(out, payload)
         return EXIT_OK if payload["passed"] else EXIT_CHECK_FAILED
@@ -236,6 +166,8 @@ def bscr(n_grid, trace_text, out):
     """Exhaustive commutation-relation check on the grid; optional trace CSV."""
 
     def run():
+        if n_grid < 1:
+            raise InputError(f"N must be >= 1, got {n_grid}")
         worst = 0.0
         for s_num in range(2 * n_grid):
             for t_num in range(2 * n_grid):
@@ -421,6 +353,8 @@ def approx(gen_path, eps_text, tmax, steps, tol, out):
             raise InputError(f"bad --eps-list: {exc}") from exc
         if not eps_list:
             raise InputError("--eps-list is empty")
+        if steps < 1:
+            raise InputError(f"--steps must be >= 1, got {steps}")
         d = len(gens)
         axis = [tmax * k / steps for k in range(steps + 1)]
         grid = list(itertools.product(axis, repeat=d))
@@ -456,7 +390,7 @@ def structure(matrix_path, tol, out):
         a = matrix_from_json(_load_json(matrix_path))
         report = structure_report(a, tol=eps)
         payload = report.to_json()
-        payload["bimarkov"] = bimarkov_check(a, tol=eps)
+        payload["bimarkov"] = report.is_bimarkov
         payload["config"] = {
             "command": "structure",
             "matrix": str(matrix_path),

@@ -26,6 +26,9 @@ from .linalg import (
     DEFAULT_TOL,
     InputError,
     NumericalError,
+    _powers,
+    _require_commuting,
+    _unitarity_deviations,
     as_matrix,
     dagger,
     identity,
@@ -161,11 +164,7 @@ def parrott_tuple(
 
 
 def _require_unitary(m: np.ndarray, name: str, tol: float) -> None:
-    n = m.shape[0]
-    dev = max(
-        op_norm(dagger(m) @ m - identity(n)),
-        op_norm(m @ dagger(m) - identity(n)),
-    )
+    dev = max(_unitarity_deviations(m))
     if dev > tol:
         raise InputError(f"{name} is not unitary (deviation {dev:.3e})")
 
@@ -337,6 +336,8 @@ def vn_search(
         raise InputError(f"d must be >= 1, got {d}")
     if trials < 0:
         raise InputError("trials must be nonnegative")
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
     results = []
     for index in range(trials):
         rng = np.random.default_rng(seed + index)
@@ -400,14 +401,7 @@ class DilationCandidate:
             if v.shape != (big, big):
                 raise InputError(f"unitary {i + 1} has shape {v.shape}")
             _require_unitary(v, f"V_{i + 1}", self.tol)
-        for i in range(len(vs)):
-            for j in range(i + 1, len(vs)):
-                dev = op_norm(vs[i] @ vs[j] - vs[j] @ vs[i])
-                if dev > self.tol:
-                    raise InputError(
-                        f"unitaries {i + 1} and {j + 1} do not commute "
-                        f"(deviation {dev:.3e})"
-                    )
+        _require_commuting(vs, "unitaries", self.tol)
         if self.r.shape[0] != big:
             raise InputError(
                 f"embedding maps into dimension {self.r.shape[0]}, unitaries act on {big}"
@@ -454,13 +448,7 @@ def power_dilation_verify(
             f"embedding domain has dimension {cand.r.shape[1]}, tuple dim is {tup.dim}"
         )
     s_pows = [tup.powers(i, cand.n_max) for i in range(tup.d)]
-    big = cand.vs[0].shape[0]
-    v_pows = []
-    for v in cand.vs:
-        pows = [identity(big)]
-        for _ in range(cand.n_max):
-            pows.append(pows[-1] @ v)
-        v_pows.append(pows)
+    v_pows = [_powers(v, cand.n_max) for v in cand.vs]
     r_dag = dagger(cand.r)
     max_dev = 0.0
     worst = None

@@ -17,19 +17,21 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
     InputError,
+    _check_cap,
+    _powers,
+    _require_commuting,
     as_matrix,
     identity,
     matrix_exp,
     matrix_from_json,
     matrix_to_json,
-    max_entries,
     op_norm,
 )
 from .torus import GridTime
@@ -42,6 +44,7 @@ __all__ = [
     "eval_discretized",
     "compress_discretized",
     "multilinear_compress",
+    "semigroup_suite",
     "scaled_blend",
     "approx_error_sweep",
 ]
@@ -70,14 +73,7 @@ class ContractionTuple:
                 raise InputError(
                     f"operator {i + 1} has norm {norm:.12g} > 1 + tol"
                 )
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                dev = op_norm(mats[i] @ mats[j] - mats[j] @ mats[i])
-                if dev > self.tol:
-                    raise InputError(
-                        f"operators {i + 1} and {j + 1} do not commute "
-                        f"(deviation {dev:.3e})"
-                    )
+        _require_commuting(mats, "operators", self.tol)
 
     @property
     def d(self) -> int:
@@ -89,10 +85,7 @@ class ContractionTuple:
 
     def powers(self, axis: int, up_to: int) -> list[np.ndarray]:
         """[S_axis^0, ..., S_axis^up_to] by repeated multiplication."""
-        out = [identity(self.dim)]
-        for _ in range(up_to):
-            out.append(out[-1] @ self.mats[axis])
-        return out
+        return _powers(self.mats[axis], up_to)
 
     def to_json(self) -> dict:
         return {
@@ -139,21 +132,11 @@ class DiscretizedSemigroup:
     def __post_init__(self):
         if self.N < 1:
             raise InputError(f"N must be >= 1, got {self.N}")
-        total = self.total_dim
-        if total * total > max_entries():
-            raise InputError(
-                f"semigroup carrier dimension {total} exceeds the size cap"
-            )
+        _check_cap(self.total_dim, self.total_dim)
 
     @property
     def total_dim(self) -> int:
         return self.N**self.base.d * self.base.dim
-
-    def eval(self, t: GridTime) -> np.ndarray:
-        return eval_discretized(self, t)
-
-    def compress(self, t: GridTime) -> np.ndarray:
-        return compress_discretized(self, t)
 
 
 def _check_time(semi: DiscretizedSemigroup, t: GridTime) -> None:
@@ -174,28 +157,23 @@ def eval_discretized(semi: DiscretizedSemigroup, t: GridTime) -> np.ndarray:
     """
     _check_time(semi, t)
     N, d, dim = semi.N, semi.base.d, semi.base.dim
-    floors = t.floors
-    fracs = t.frac_nums
 
     # Per axis only two powers occur: floor(t_i) and floor(t_i)+1.
-    axis_powers = []
-    for i in range(d):
-        pows = semi.base.powers(i, floors[i] + 1)
-        axis_powers.append((pows[floors[i]], pows[floors[i] + 1]))
+    axis_powers = [semi.base.powers(i, fl + 1) for i, fl in enumerate(t.floors)]
     block_cache: dict[tuple[int, ...], np.ndarray] = {}
 
-    def block(carries: tuple[int, ...]) -> np.ndarray:
-        cached = block_cache.get(carries)
+    def block(exps: tuple[int, ...]) -> np.ndarray:
+        cached = block_cache.get(exps)
         if cached is None:
             cached = identity(dim)
-            for i, c in enumerate(carries):
-                cached = cached @ axis_powers[i][c]
-            block_cache[carries] = cached
+            for i, k in enumerate(exps):
+                cached = cached @ axis_powers[i][k]
+            block_cache[exps] = cached
         return cached
 
     out = np.zeros((semi.total_dim, semi.total_dim), dtype=np.complex128)
     for source in itertools.product(range(N), repeat=d):
-        carries = tuple(1 if fracs[i] + source[i] >= N else 0 for i in range(d))
+        exps = tuple(kappa(t.nums[i], source[i], N) for i in range(d))
         target = tuple((source[i] + t.nums[i]) % N for i in range(d))
         src_idx = 0
         tgt_idx = 0
@@ -205,7 +183,7 @@ def eval_discretized(semi: DiscretizedSemigroup, t: GridTime) -> np.ndarray:
         out[
             tgt_idx * dim : (tgt_idx + 1) * dim,
             src_idx * dim : (src_idx + 1) * dim,
-        ] = block(carries)
+        ] = block(exps)
     return out
 
 
@@ -243,13 +221,89 @@ def multilinear_compress(tup: ContractionTuple, t) -> np.ndarray:
     return out
 
 
+def semigroup_suite(tup: ContractionTuple, N: int, max_num: int) -> dict:
+    """Property suite of the grid semigroup of ``tup`` on the times
+    {0, ..., max_num - 1}^d / N.
+
+    Checks the homomorphism T(s)T(t) = T(s+t), contractivity, the
+    interpolation T(n e_i) = 1 (x) S_i^n for n = 0..2N, commutation of the
+    axis evaluations, and the compression identity against the closed
+    multilinear form.  Returns the worst deviation of each check, its
+    pass flag, and whether all passed.
+    """
+    semi = DiscretizedSemigroup(tup, N)
+    if max_num < 1:
+        raise InputError(f"max_num must be >= 1, got {max_num}")
+    d = tup.d
+    times = list(itertools.product(range(max_num), repeat=d))
+    # Every sum s + t of two suite times, so the homomorphism check finds
+    # both sides here.
+    evals = {
+        nums: eval_discretized(semi, GridTime(N, nums))
+        for nums in itertools.product(range(2 * max_num - 1), repeat=d)
+    }
+
+    hom_dev = 0.0
+    for s in times:
+        for t in times:
+            st = tuple(a + b for a, b in zip(s, t))
+            hom_dev = max(hom_dev, float(np.abs(evals[s] @ evals[t] - evals[st]).max()))
+
+    contraction_dev = max(max(0.0, op_norm(evals[t]) - 1.0) for t in times)
+
+    interp_dev = 0.0
+    eye_grid = identity(N**d)
+    for i in range(d):
+        for n in range(2 * N + 1):
+            nums = tuple(n * N if j == i else 0 for j in range(d))
+            lhs = evals.get(nums)
+            if lhs is None:
+                lhs = eval_discretized(semi, GridTime(N, nums))
+            rhs = np.kron(eye_grid, np.linalg.matrix_power(tup.mats[i], n))
+            interp_dev = max(interp_dev, op_norm(lhs - rhs))
+
+    comm_dev = 0.0
+    for i in range(d):
+        for j in range(i + 1, d):
+            for a in range(1, max_num):
+                for b in range(1, max_num):
+                    e_i = evals[tuple(a if k == i else 0 for k in range(d))]
+                    e_j = evals[tuple(b if k == j else 0 for k in range(d))]
+                    comm_dev = max(comm_dev, float(np.abs(e_i @ e_j - e_j @ e_i).max()))
+
+    compress_dev = 0.0
+    for nums in times:
+        t = GridTime(N, nums)
+        lhs = compress_discretized(semi, t)
+        rhs = multilinear_compress(tup, t.values())
+        compress_dev = max(compress_dev, op_norm(lhs - rhs))
+
+    checks = {
+        "homomorphism": hom_dev <= 1e-10,
+        "contractivity": contraction_dev <= 1e-10,
+        "interpolation": interp_dev <= 1e-12,
+        "commutation": comm_dev <= 1e-10,
+        "compression_identity": compress_dev <= 1e-12,
+    }
+    return {
+        "deviations": {
+            "homomorphism": hom_dev,
+            "contractivity": contraction_dev,
+            "interpolation": interp_dev,
+            "commutation": comm_dev,
+            "compression_identity": compress_dev,
+        },
+        "checks": checks,
+        "passed": all(checks.values()),
+    }
+
+
 @dataclass(frozen=True)
 class BlendWeights:
     """One corner of the blending lattice cell and its weight."""
 
     e: tuple[int, ...]
     weight: float
-    shifted: tuple[float, ...]
 
 
 def scaled_blend(samples, eps: float, t):
@@ -284,8 +338,7 @@ def scaled_blend(samples, eps: float, t):
         for i in range(d):
             weight *= fracs[i] if e[i] else 1 - fracs[i]
         corner = tuple(cells[i] + e[i] for i in range(d))
-        shifted = tuple(c * eps for c in corner)
-        weights.append(BlendWeights(e=e, weight=weight, shifted=shifted))
+        weights.append(BlendWeights(e=e, weight=weight))
         if weight == 0.0:
             continue
         sample = _lookup_sample(samples, corner)
@@ -320,13 +373,7 @@ def approx_error_sweep(generators, eps_list, time_grid, tol: float = DEFAULT_TOL
     for i, g in enumerate(gens):
         if g.shape != (dim, dim):
             raise InputError(f"generator {i + 1} has shape {g.shape}")
-    for i in range(d):
-        for j in range(i + 1, d):
-            dev = op_norm(gens[i] @ gens[j] - gens[j] @ gens[i])
-            if dev > tol:
-                raise InputError(
-                    f"generators {i + 1} and {j + 1} do not commute (deviation {dev:.3e})"
-                )
+    _require_commuting(gens, "generators", tol)
 
     grid = [tuple(float(x) for x in point) for point in time_grid]
     if not grid:

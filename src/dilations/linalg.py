@@ -16,14 +16,12 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "InputError",
     "NumericalError",
-    "Tolerance",
     "DEFAULT_TOL",
     "max_entries",
     "as_matrix",
@@ -79,17 +77,6 @@ def default_tol() -> float:
     return value
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Nonnegative comparison tolerance for approximate operator identities."""
-
-    eps: float = DEFAULT_TOL
-
-    def __post_init__(self):
-        if not (self.eps >= 0):
-            raise InputError(f"tolerance must be nonnegative, got {self.eps}")
-
-
 def _check_cap(rows: int, cols: int) -> None:
     if rows * cols > max_entries():
         raise InputError(
@@ -131,6 +118,31 @@ def op_norm(a) -> float:
         return float(np.linalg.norm(a, 2))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"singular value computation failed: {exc}") from exc
+
+
+def _require_commuting(mats, noun: str, tol: float) -> None:
+    """Raise unless every pair of ``mats`` commutes to within tol in operator norm."""
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            dev = op_norm(mats[i] @ mats[j] - mats[j] @ mats[i])
+            if dev > tol:
+                raise InputError(
+                    f"{noun} {i + 1} and {j + 1} do not commute (deviation {dev:.3e})"
+                )
+
+
+def _unitarity_deviations(a: np.ndarray) -> tuple[float, float]:
+    """(||A*A - 1||, ||AA* - 1||): the isometry and co-isometry deviations."""
+    eye = identity(a.shape[0])
+    return op_norm(dagger(a) @ a - eye), op_norm(a @ dagger(a) - eye)
+
+
+def _powers(a: np.ndarray, up_to: int) -> list[np.ndarray]:
+    """[A^0, ..., A^up_to] by repeated multiplication."""
+    out = [identity(a.shape[0])]
+    for _ in range(up_to):
+        out.append(out[-1] @ a)
+    return out
 
 
 def psd_sqrt(a, eps: float = DEFAULT_TOL) -> np.ndarray:

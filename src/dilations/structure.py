@@ -9,12 +9,20 @@ adjoint (a doubly stochastic matrix, complex-entry variant).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .interpolation import ContractionTuple, DiscretizedSemigroup, eval_discretized
-from .linalg import DEFAULT_TOL, InputError, as_matrix, dagger, identity, op_norm
+from .linalg import (
+    DEFAULT_TOL,
+    InputError,
+    _unitarity_deviations,
+    as_matrix,
+    dagger,
+    op_norm,
+)
 from .torus import GridTime
 
 __all__ = [
@@ -66,13 +74,10 @@ def structure_report(a, tol: float = DEFAULT_TOL) -> StructureReport:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise InputError("structure report requires a square matrix")
-    n = a.shape[0]
-    eye = identity(n)
-    ones = np.ones(n, dtype=np.complex128)
+    ones = np.ones(a.shape[0], dtype=np.complex128)
 
     norm = op_norm(a)
-    isometry_dev = op_norm(dagger(a) @ a - eye)
-    counitary_dev = op_norm(a @ dagger(a) - eye)
+    isometry_dev, counitary_dev = _unitarity_deviations(a)
     idempotent_dev = op_norm(a @ a - a)
     hermitian_dev = op_norm(a - dagger(a))
     min_real = float(a.real.min())
@@ -124,10 +129,7 @@ def preservation_suite(
     semi = DiscretizedSemigroup(tup, N)
     d = tup.d
     if times is None:
-        times = [
-            GridTime(N, nums)
-            for nums in _default_times(N, d)
-        ]
+        times = [GridTime(N, nums) for nums in itertools.product(range(2 * N), repeat=d)]
     base_reports = [structure_report(m, tol=tol) for m in tup.mats]
     classes = {
         "isometry": all(r.is_isometry for r in base_reports),
@@ -142,14 +144,19 @@ def preservation_suite(
     }
 
     results = {}
-    evals = [(t, eval_discretized(semi, t)) for t in times]
+    evals = [eval_discretized(semi, t) for t in times]
+    # One report per evaluation, shared by every held class.
+    reports = (
+        [structure_report(mat, tol=tol) for mat in evals]
+        if any(classes.values())
+        else []
+    )
     for name, held in classes.items():
         entry = {"base_holds": held, "preserved": None, "max_deviation": 0.0}
         if held:
             preserved = True
             max_dev = 0.0
-            for t, mat in evals:
-                report = structure_report(mat, tol=tol)
+            for report in reports:
                 if name == "bimarkov":
                     ok = report.is_bimarkov
                     dev = max(
@@ -196,8 +203,3 @@ def preservation_suite(
         "passed": passed,
     }
 
-
-def _default_times(N: int, d: int):
-    import itertools
-
-    return list(itertools.product(range(2 * N), repeat=d))

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import InputError, as_matrix, identity, max_entries
+from .linalg import InputError, _check_cap, identity
 
 __all__ = [
     "GridTime",
@@ -101,11 +101,7 @@ def _check_grid_size(N: int, d: int) -> None:
         raise InputError(f"N must be >= 1, got {N}")
     if d < 1:
         raise InputError(f"d must be >= 1, got {d}")
-    size = N**d
-    if size * size > max_entries():
-        raise InputError(
-            f"grid operator on N^d = {size} points exceeds the size cap"
-        )
+    _check_cap(N**d, N**d)
 
 
 def _axis_operator(N: int, d: int, axis: int, local: np.ndarray) -> np.ndarray:

@@ -2,8 +2,10 @@
 
 All generators are seeded by the caller so every test run is
 deterministic.  Commutativity is obtained by construction: tuple
-members are polynomials in one matrix, simultaneously diagonal, or
-circulant, never by numerical accident.
+members are simultaneously diagonal or circulant, never by numerical
+accident.  Tuples of polynomials in one contraction come from the
+library's ``dilations.dilation._random_commuting_tuple``, the generator
+``vn-search`` draws from.
 """
 
 import numpy as np
@@ -18,23 +20,6 @@ def random_contraction(rng, dim):
     if norm > 1:
         m = m / (norm * (1 + 1e-12))
     return m
-
-
-def random_commuting_contractions(rng, d, dim, tol=1e-9):
-    """Polynomials of one contraction, rescaled into the unit ball."""
-    z = random_contraction(rng, dim)
-    pows = [identity(dim)]
-    for _ in range(3):
-        pows.append(pows[-1] @ z)
-    mats = []
-    for _ in range(d):
-        coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        m = sum(c * p for c, p in zip(coeffs, pows))
-        norm = op_norm(m)
-        if norm > 1:
-            m = m / (norm * (1 + 1e-12))
-        mats.append(m)
-    return ContractionTuple(tuple(mats), tol=tol)
 
 
 def random_unitary(rng, dim):

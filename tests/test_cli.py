@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import random_commuting_contractions, random_unitary
+from conftest import random_unitary
 from dilations.cli import main
+from dilations.dilation import _random_commuting_tuple
 from dilations.linalg import matrix_to_json
 
 
@@ -56,7 +57,7 @@ class TestInterp:
 
     def test_check_passes(self, runner, tmp_path):
         rng = np.random.default_rng(70)
-        mats = random_commuting_contractions(rng, 2, 2).mats
+        mats = _random_commuting_tuple(rng, 2, 2).mats
         tup = write_tuple(tmp_path / "tup.json", mats)
         out = tmp_path / "report.json"
         result = runner.invoke(
@@ -142,7 +143,7 @@ class TestVn:
     def test_holds(self, runner, tmp_path):
         rng = np.random.default_rng(73)
         tup = write_tuple(
-            tmp_path / "tup.json", random_commuting_contractions(rng, 1, 3).mats
+            tmp_path / "tup.json", _random_commuting_tuple(rng, 1, 3).mats
         )
         poly = tmp_path / "p.json"
         poly.write_text(
@@ -313,3 +314,98 @@ class TestEnvironmentOverrides:
             env={"DILATIONS_TOL": "1e-3"},
         )
         assert loose.exit_code == 0
+
+
+def test_report_key_shape(runner, tmp_path):
+    """Every command's JSON report keeps its top-level and config keys, in order."""
+    pair = [np.diag([0.5, -0.5]).astype(complex), np.diag([0.25j, 1.0])]
+    tup = write_tuple(tmp_path / "tup.json", pair)
+    tup1 = write_tuple(tmp_path / "tup1.json", [shift_matrix(2)])
+    poly = tmp_path / "p.json"
+    poly.write_text(
+        json.dumps({"d": 2, "terms": [{"alpha": [1, 1], "coeff": [1.0, 0.0]}]})
+    )
+    rng = np.random.default_rng(74)
+    r1 = write_matrix(tmp_path / "r1.json", random_unitary(rng, 2))
+    r2 = write_matrix(tmp_path / "r2.json", random_unitary(rng, 2))
+    mat = write_matrix(tmp_path / "s.json", 0.5 * shift_matrix(2))
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps({"matrices": [matrix_to_json(np.diag([-1.0, -2.0]))]}))
+    cases = [
+        (
+            ["interp", "eval", "--tuple", tup, "--N", "2", "--t", "1/2,1"],
+            ["config", "result"],
+            ["command", "tuple", "N", "t", "tol"],
+        ),
+        (
+            ["interp", "check", "--tuple", tup, "--N", "2"],
+            ["config", "deviations", "checks", "passed"],
+            ["command", "tuple", "N", "max_num", "tol"],
+        ),
+        (["bscr", "--N", "2"], ["config", "max_deviation", "passed"], ["command", "N"]),
+        (
+            ["parrott", "--r1", r1, "--r2", r2],
+            ["d", "dim", "matrices", "config"],
+            ["command", "r1", "r2", "tol"],
+        ),
+        (
+            ["vn", "--tuple", tup, "--poly", str(poly), "--grid", "8"],
+            ["lhs", "grid_sup", "lipschitz_pad", "sup_upper", "verdict", "config"],
+            ["command", "tuple", "poly", "grid", "tol"],
+        ),
+        (
+            ["vn-search", "--d", "1", "--dim", "2", "--trials", "2", "--seed", "3",
+             "--grid", "8"],
+            ["d", "dim", "trials", "seed", "M", "cases", "max_ratio", "violations",
+             "config"],
+            ["command", "d", "dim", "trials", "seed", "grid", "include_fixture", "tol"],
+        ),
+        (
+            ["dilate", "--matrix", mat, "--m", "2", "--verify"],
+            ["unitaries", "embedding", "n_max", "config", "verification"],
+            ["command", "matrix", "m", "verify", "tol"],
+        ),
+        (
+            ["approx", "--generators", str(gens), "--eps-list", "0.5", "--steps", "4"],
+            ["config", "sweep"],
+            ["command", "generators", "eps_list", "tmax", "steps", "tol"],
+        ),
+        (
+            ["structure", "--matrix", mat],
+            ["flags", "deviations", "bimarkov", "config"],
+            ["command", "matrix", "tol"],
+        ),
+        (
+            ["preserve", "--tuple", tup1, "--N", "2"],
+            ["N", "times", "classes", "converse_unit_times", "passed", "config"],
+            ["command", "tuple", "N", "tol"],
+        ),
+    ]
+    for args, top_keys, config_keys in cases:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, (args, result.output)
+        payload = json.loads(result.output)
+        assert list(payload) == top_keys, args
+        assert list(payload["config"]) == config_keys, args
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["bscr", "--N", "0"],
+        ["bscr", "--N", "-3"],
+        ["interp", "check", "--tuple", "{tuple}", "--N", "2", "--max-num", "0"],
+        ["approx", "--generators", "{gens}", "--eps-list", "0.5", "--steps", "0"],
+        ["vn-search", "--d", "1", "--dim", "2", "--trials", "1", "--seed", "-1"],
+    ],
+)
+def test_bad_input_exits_2(runner, tmp_path, args):
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps({"matrices": [matrix_to_json(np.diag([-1.0]))]}))
+    paths = {
+        "tuple": write_tuple(tmp_path / "tup.json", [shift_matrix(2)]),
+        "gens": str(gens),
+    }
+    result = runner.invoke(main, [a.format(**paths) for a in args])
+    assert result.exit_code == 2
+    assert "input error:" in result.output

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_commuting_contractions
+from dilations.dilation import _random_commuting_tuple
 from dilations.interpolation import (
     ContractionTuple,
     DiscretizedSemigroup,
@@ -17,6 +17,7 @@ from dilations.interpolation import (
     kappa,
     multilinear_compress,
     scaled_blend,
+    semigroup_suite,
 )
 from dilations.linalg import InputError, identity, matrix_exp, op_norm
 from dilations.torus import GridTime
@@ -75,7 +76,7 @@ class TestContractionTuple:
 
     def test_json_roundtrip(self):
         rng = np.random.default_rng(31)
-        tup = random_commuting_contractions(rng, 2, 3)
+        tup = _random_commuting_tuple(rng, 2, 3)
         back = ContractionTuple.from_json(tup.to_json(), tol=1e-9)
         for a, b in zip(tup.mats, back.mats):
             np.testing.assert_array_equal(a, b)
@@ -100,7 +101,7 @@ class TestEvalDiscretized:
 
     def test_time_zero_is_identity(self):
         rng = np.random.default_rng(32)
-        tup = random_commuting_contractions(rng, 2, 2)
+        tup = _random_commuting_tuple(rng, 2, 2)
         semi = DiscretizedSemigroup(tup, 3)
         np.testing.assert_array_equal(
             eval_discretized(semi, GridTime(3, (0, 0))), identity(semi.total_dim)
@@ -108,7 +109,7 @@ class TestEvalDiscretized:
 
     def test_integer_time_is_tensor_power(self):
         rng = np.random.default_rng(33)
-        tup = random_commuting_contractions(rng, 1, 3)
+        tup = _random_commuting_tuple(rng, 1, 3)
         semi = DiscretizedSemigroup(tup, 3)
         for n in range(4):
             mat = eval_discretized(semi, GridTime(3, (3 * n,)))
@@ -119,7 +120,7 @@ class TestEvalDiscretized:
 
     def test_homomorphism(self):
         rng = np.random.default_rng(34)
-        tup = random_commuting_contractions(rng, 2, 2)
+        tup = _random_commuting_tuple(rng, 2, 2)
         semi = DiscretizedSemigroup(tup, 2)
         times = [GridTime(2, nums) for nums in itertools.product(range(4), repeat=2)]
         evals = {t.nums: eval_discretized(semi, t) for t in times}
@@ -134,7 +135,7 @@ class TestEvalDiscretized:
         # from scratch rather than via the torus module.
         rng = np.random.default_rng(35)
         N = 3
-        tup = random_commuting_contractions(rng, 1, 2)
+        tup = _random_commuting_tuple(rng, 1, 2)
         s = tup.mats[0]
         semi = DiscretizedSemigroup(tup, N)
         for t_num in range(2 * N):
@@ -151,7 +152,7 @@ class TestEvalDiscretized:
 
     def test_contractive(self):
         rng = np.random.default_rng(36)
-        tup = random_commuting_contractions(rng, 2, 2)
+        tup = _random_commuting_tuple(rng, 2, 2)
         semi = DiscretizedSemigroup(tup, 2)
         for nums in itertools.product(range(4), repeat=2):
             assert op_norm(eval_discretized(semi, GridTime(2, nums))) <= 1 + 1e-10
@@ -178,7 +179,7 @@ class TestCompression:
     def test_matches_multilinear_on_grid(self):
         rng = np.random.default_rng(37)
         for d, N in ((1, 4), (2, 3), (3, 2)):
-            tup = random_commuting_contractions(rng, d, 2)
+            tup = _random_commuting_tuple(rng, d, 2)
             semi = DiscretizedSemigroup(tup, N)
             for nums in itertools.product(range(2 * N), repeat=d):
                 t = GridTime(N, nums)
@@ -194,7 +195,7 @@ class TestCompression:
 
     def test_multilinear_integer_times(self):
         rng = np.random.default_rng(38)
-        tup = random_commuting_contractions(rng, 2, 2)
+        tup = _random_commuting_tuple(rng, 2, 2)
         out = multilinear_compress(tup, (2.0, 1.0))
         expected = np.linalg.matrix_power(tup.mats[0], 2) @ tup.mats[1]
         assert np.abs(out - expected).max() < 1e-13
@@ -205,6 +206,16 @@ class TestCompression:
             multilinear_compress(tup, (-0.5,))
         with pytest.raises(InputError):
             multilinear_compress(tup, (0.5, 0.5))
+
+
+class TestSemigroupSuite:
+    def test_flags_an_expansion(self):
+        # validated tuples are contractions; bypass the tolerance to see
+        # the contractivity check fail on its own
+        tup = ContractionTuple((np.array([[1.1]]),), tol=0.2)
+        out = semigroup_suite(tup, 2, 2)
+        assert not out["checks"]["contractivity"]
+        assert not out["passed"]
 
 
 class TestScaledBlend:

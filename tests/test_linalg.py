@@ -5,7 +5,6 @@ import pytest
 
 from dilations.linalg import (
     InputError,
-    Tolerance,
     dagger,
     identity,
     kron,
@@ -166,8 +165,3 @@ class TestJson:
             matrix_from_json(
                 {"rows": 1, "cols": 1, "data": [[float("nan"), 0.0]]}
             )
-
-
-def test_tolerance_rejects_negative():
-    with pytest.raises(InputError):
-        Tolerance(-1.0)

@@ -3,9 +3,9 @@ import pytest
 
 from conftest import (
     random_circulant_bistochastic,
-    random_commuting_contractions,
     random_commuting_unitaries,
 )
+from dilations.dilation import _random_commuting_tuple
 from dilations.linalg import InputError, identity
 from dilations.structure import bimarkov_check, preservation_suite, structure_report
 
@@ -111,11 +111,34 @@ class TestPreservationSuite:
 
     def test_generic_base_skips_classes(self):
         rng = np.random.default_rng(63)
-        tup = random_commuting_contractions(rng, 1, 2)
+        tup = _random_commuting_tuple(rng, 1, 2)
         out = preservation_suite(tup, 2, tol=1e-9)
         assert out["passed"]
         assert out["classes"]["unitary"]["base_holds"] is False
         assert out["classes"]["unitary"]["preserved"] is None
+
+    def test_one_report_per_evaluation(self, monkeypatch):
+        # base reports + one per evaluation (shared by every held class)
+        # + the converse unit times
+        import dilations.structure as structure
+
+        calls = []
+        original = structure.structure_report
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(structure, "structure_report", counting)
+        rng = np.random.default_rng(65)
+        cases = [
+            (random_commuting_unitaries(rng, 2, 2), 2 + 16 + 2),
+            (random_circulant_bistochastic(rng, 1, 2), 1 + 4 + 1),
+        ]
+        for tup, expected in cases:
+            calls.clear()
+            assert preservation_suite(tup, 2, tol=1e-9)["passed"]
+            assert len(calls) == expected
 
     def test_converse_unit_times(self):
         rng = np.random.default_rng(64)

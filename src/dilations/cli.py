@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import sys
 
 import click
@@ -36,6 +37,7 @@ from .interpolation import (
 from .linalg import (
     InputError,
     NumericalError,
+    _check_tol,
     default_tol,
     matrix_from_json,
     matrix_to_json,
@@ -66,6 +68,11 @@ def _write_json(path, payload):
     else:
         with open(path, "w") as handle:
             handle.write(text + "\n")
+
+
+def _tol(tol):
+    """The --tol value, checked like DILATIONS_TOL; DILATIONS_TOL or the default if unset."""
+    return default_tol() if tol is None else _check_tol(tol, "--tol")
 
 
 def _load_tuple(path, tol):
@@ -104,7 +111,7 @@ def interp_eval(tuple_path, n_grid, time_text, tol, out):
     """Evaluate the grid semigroup at one grid time."""
 
     def run():
-        eps = tol if tol is not None else default_tol()
+        eps = _tol(tol)
         tup = _load_tuple(tuple_path, eps)
         t = GridTime.parse(time_text, n_grid)
         semi = DiscretizedSemigroup(tup, n_grid)
@@ -138,7 +145,7 @@ def interp_check(tuple_path, n_grid, max_num, tol, out):
     commutation, and the compression identity."""
 
     def run():
-        eps = tol if tol is not None else default_tol()
+        eps = _tol(tol)
         tup = _load_tuple(tuple_path, eps)
         bound = max_num if max_num is not None else 2 * n_grid
         suite = semigroup_suite(tup, n_grid, bound)
@@ -211,7 +218,7 @@ def parrott(r1_path, r2_path, tol, allow_contraction_r2, out):
     """Build the commuting triple (R1 x E21, R2 x E21, I x E21)."""
 
     def run():
-        eps = tol if tol is not None else default_tol()
+        eps = _tol(tol)
         r1 = matrix_from_json(_load_json(r1_path))
         r2 = matrix_from_json(_load_json(r2_path))
         tup = parrott_tuple(
@@ -240,7 +247,7 @@ def vn(tuple_path, poly_path, grid_m, tol, out):
     """Check the polynomial inequality with a certified torus bound."""
 
     def run():
-        eps = tol if tol is not None else default_tol()
+        eps = _tol(tol)
         tup = _load_tuple(tuple_path, eps)
         poly = MultiPolynomial.from_json(_load_json(poly_path))
         report = vn_check(tup, poly, grid_m, tol=eps)
@@ -272,7 +279,7 @@ def vn_search_cmd(arity, dim, trials, seed, grid_m, include_fixture, tol, out):
     """Randomized violation search over commuting tuples (seeded)."""
 
     def run():
-        eps = tol if tol is not None else default_tol()
+        eps = _tol(tol)
         extra = []
         if include_fixture:
             extra.append(fixtures.load_crabb_davie())
@@ -306,7 +313,7 @@ def dilate(matrix_path, steps, verify, tol, out):
     """Unitary m-dilation of a single contraction, optionally re-verified."""
 
     def run():
-        eps = tol if tol is not None else default_tol()
+        eps = _tol(tol)
         s = matrix_from_json(_load_json(matrix_path))
         cand = egervary_dilation(s, steps, tol=eps)
         payload = cand.to_json()
@@ -341,7 +348,7 @@ def approx(gen_path, eps_text, tmax, steps, tol, out):
     """Blend-vs-true-semigroup error sweep on a uniform time grid."""
 
     def run():
-        eps_tol = tol if tol is not None else default_tol()
+        eps_tol = _tol(tol)
         obj = _load_json(gen_path)
         try:
             gens = [matrix_from_json(g) for g in obj["matrices"]]
@@ -355,6 +362,8 @@ def approx(gen_path, eps_text, tmax, steps, tol, out):
             raise InputError("--eps-list is empty")
         if steps < 1:
             raise InputError(f"--steps must be >= 1, got {steps}")
+        if not (math.isfinite(tmax) and tmax >= 0):
+            raise InputError(f"--tmax must be finite and nonnegative, got {tmax}")
         d = len(gens)
         axis = [tmax * k / steps for k in range(steps + 1)]
         grid = list(itertools.product(axis, repeat=d))
@@ -386,7 +395,7 @@ def structure(matrix_path, tol, out):
     """Operator class report for one matrix."""
 
     def run():
-        eps = tol if tol is not None else default_tol()
+        eps = _tol(tol)
         a = matrix_from_json(_load_json(matrix_path))
         report = structure_report(a, tol=eps)
         payload = report.to_json()
@@ -411,7 +420,7 @@ def preserve(tuple_path, n_grid, tol, out):
     """Preservation suite for the grid semigroup of a tuple."""
 
     def run():
-        eps = tol if tol is not None else default_tol()
+        eps = _tol(tol)
         tup = _load_tuple(tuple_path, eps)
         report = preservation_suite(tup, n_grid, tol=eps)
         report["config"] = {

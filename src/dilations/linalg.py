@@ -72,8 +72,13 @@ def default_tol() -> float:
         value = float(raw)
     except ValueError as exc:
         raise InputError(f"DILATIONS_TOL is not a number: {raw!r}") from exc
-    if value < 0:
-        raise InputError("DILATIONS_TOL must be nonnegative")
+    return _check_tol(value, "DILATIONS_TOL")
+
+
+def _check_tol(value: float, source: str) -> float:
+    """Return ``value`` if it is a usable tolerance: finite and nonnegative."""
+    if not (math.isfinite(value) and value >= 0):
+        raise InputError(f"{source} must be a finite nonnegative number, got {value!r}")
     return value
 
 
@@ -173,30 +178,57 @@ _EXP_NORM_CAP = 50.0
 
 
 def matrix_exp(a, t: float = 1.0) -> np.ndarray:
-    """exp(t*A) by scaling-and-squaring with a truncated Taylor series."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
+    """exp(t*A) by scaling-and-squaring with a truncated Taylor series.
+
+    ``a`` is one square matrix or a stack of shape (K, n, n).  Each member
+    of a stack gets its own squaring count and its own series stop, so it
+    comes out bit-identical to a call on that member alone.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    single = a.ndim == 2
+    stack = as_matrix(a)[None] if single else a
+    if stack.ndim != 3 or 0 in stack.shape:
+        raise InputError(f"expected a matrix or a stack of matrices, got shape {a.shape}")
+    if stack.shape[1] != stack.shape[2]:
         raise InputError("matrix_exp requires a square matrix")
-    ta = t * a
-    norm = op_norm(ta)
-    if norm > _EXP_NORM_CAP:
-        raise InputError(
-            f"norm of t*A is {norm:.3g}, beyond the cap {_EXP_NORM_CAP}"
-        )
+    ta = t * stack
+    if not np.isfinite(ta).all():
+        raise InputError("matrix contains non-finite entries")
+    norms = np.linalg.norm(ta, 2, axis=(-2, -1)).tolist()
+    for norm in norms:
+        if norm > _EXP_NORM_CAP:
+            raise InputError(
+                f"norm of t*A is {norm:.3g}, beyond the cap {_EXP_NORM_CAP}"
+            )
     # Scale so the series argument has norm <= 0.5, then square back up.
-    squarings = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
-    x = ta / (2**squarings)
-    n = a.shape[0]
-    result = identity(n)
-    term = identity(n)
+    squarings = np.array(
+        [max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0 for norm in norms]
+    )
+    x = ta / (2.0**squarings)[:, None, None]
+    out = np.empty_like(ta)
+    # The series runs on the members not yet converged: ``live`` indexes
+    # them in ``out``, and x, term and result hold only their rows.
+    live = np.arange(len(ta))
+    result = np.broadcast_to(identity(ta.shape[1]), ta.shape).copy()
+    term = result.copy()
     for k in range(1, 30):
         term = term @ x / k
         result = result + term
-        if np.abs(term).max() < 1e-18 * max(1.0, np.abs(result).max()):
+        done = np.abs(term).max(axis=(1, 2)) < 1e-18 * np.maximum(
+            1.0, np.abs(result).max(axis=(1, 2))
+        )
+        if done.all():
             break
-    for _ in range(squarings):
-        result = result @ result
-    return result
+        if done.any():
+            out[live[done]] = result[done]
+            keep = ~done
+            live, x, term, result = live[keep], x[keep], term[keep], result[keep]
+    out[live] = result
+    for s in range(int(squarings.max())):
+        grow = np.flatnonzero(squarings > s)
+        part = out[grow]
+        out[grow] = part @ part
+    return out[0] if single else out
 
 
 def matrix_to_json(a) -> dict:

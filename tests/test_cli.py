@@ -409,3 +409,80 @@ def test_bad_input_exits_2(runner, tmp_path, args):
     result = runner.invoke(main, [a.format(**paths) for a in args])
     assert result.exit_code == 2
     assert "input error:" in result.output
+
+
+TOL_COMMANDS = [
+    ["interp", "eval", "--tuple", "{tuple}", "--N", "2", "--t", "1/2"],
+    ["interp", "check", "--tuple", "{tuple}", "--N", "2"],
+    ["parrott", "--r1", "{unitary}", "--r2", "{unitary2}"],
+    ["vn", "--tuple", "{tuple}", "--poly", "{poly}", "--grid", "8"],
+    ["vn-search", "--d", "1", "--dim", "2", "--trials", "1", "--seed", "3", "--grid", "8"],
+    ["dilate", "--matrix", "{matrix}", "--m", "2"],
+    ["approx", "--generators", "{gens}", "--eps-list", "0.5", "--steps", "4"],
+    ["structure", "--matrix", "{matrix}"],
+    ["preserve", "--tuple", "{tuple}", "--N", "2"],
+]
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+@pytest.mark.parametrize(
+    "args", TOL_COMMANDS, ids=lambda a: " ".join(a[:2]) if a[0] == "interp" else a[0]
+)
+def test_bad_tol_exits_2(runner, tmp_path, args, tol):
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps({"matrices": [matrix_to_json(np.diag([-1.0]))]}))
+    poly = tmp_path / "p.json"
+    poly.write_text(json.dumps({"d": 1, "terms": [{"alpha": [1], "coeff": [1.0, 0.0]}]}))
+    paths = {
+        "tuple": write_tuple(tmp_path / "tup.json", [shift_matrix(2)]),
+        "matrix": write_matrix(tmp_path / "m.json", 0.5 * shift_matrix(2)),
+        "unitary": write_matrix(tmp_path / "u.json", shift_matrix(2)),
+        "unitary2": write_matrix(tmp_path / "u2.json", np.diag([1.0, -1.0])),
+        "poly": str(poly),
+        "gens": str(gens),
+    }
+    base = [a.format(**paths) for a in args]
+    assert runner.invoke(main, base).exit_code in (0, 1), base
+    result = runner.invoke(main, base + ["--tol", tol])
+    assert result.exit_code == 2
+    assert "input error: --tol must be a finite nonnegative number" in result.output
+
+
+def test_bad_tol_env_exits_2(runner, tmp_path):
+    tup = write_tuple(tmp_path / "tup.json", [shift_matrix(2)])
+    result = runner.invoke(
+        main,
+        ["interp", "eval", "--tuple", tup, "--N", "2", "--t", "0"],
+        env={"DILATIONS_TOL": "nan"},
+    )
+    assert result.exit_code == 2
+    assert "DILATIONS_TOL must be a finite nonnegative number" in result.output
+
+
+def test_nan_tol_no_longer_skips_commutation_check(runner, tmp_path):
+    e12 = np.array([[0, 1], [0, 0]], dtype=complex)
+    tup = write_tuple(tmp_path / "tup.json", [e12, e12.T])
+    args = ["interp", "eval", "--tuple", tup, "--N", "2", "--t", "0,0"]
+    assert "do not commute" in runner.invoke(main, args).output
+    result = runner.invoke(main, args + ["--tol", "nan"])
+    assert result.exit_code == 2
+    assert "--tol" in result.output
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--eps-list", "inf"], "eps values must be finite and positive, got inf"),
+        (["--eps-list", "0.5,nan"], "eps values must be finite and positive, got nan"),
+        (["--eps-list", "0.5", "--tmax", "nan"], "--tmax must be finite and nonnegative"),
+        (["--eps-list", "0.5", "--tmax", "inf"], "--tmax must be finite and nonnegative"),
+        (["--eps-list", "0.5", "--tmax", "-1"], "--tmax must be finite and nonnegative"),
+    ],
+)
+def test_approx_names_bad_eps_and_tmax(runner, tmp_path, extra, message):
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps({"matrices": [matrix_to_json(np.diag([-1.0, -2.0]))]}))
+    result = runner.invoke(main, ["approx", "--generators", str(gens), *extra])
+    assert result.exit_code == 2
+    assert f"input error: {message}" in result.output
+    assert "non-finite" not in result.output

@@ -1,5 +1,6 @@
 import itertools
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dilations.dilation import _random_commuting_tuple
+from dilations import interpolation
 from dilations.interpolation import (
     ContractionTuple,
     DiscretizedSemigroup,
@@ -21,6 +23,7 @@ from dilations.interpolation import (
 )
 from dilations.linalg import InputError, identity, matrix_exp, op_norm
 from dilations.torus import GridTime
+from unbatched_reference import reference_sweep
 
 
 def shift_matrix(n):
@@ -217,6 +220,32 @@ class TestSemigroupSuite:
         assert not out["checks"]["contractivity"]
         assert not out["passed"]
 
+    @pytest.mark.parametrize("d, N, max_num", [(1, 2, 6), (2, 2, 3)])
+    def test_streams_the_homomorphism_sums(self, monkeypatch, d, N, max_num):
+        # Each sum time and interpolation time is evaluated once, plus one
+        # evaluation per compression.  Besides the suite times, at most
+        # three evaluations are alive at once (the last sum time, the last
+        # interpolation time and the one being built), against every sum
+        # time when nothing is streamed.
+        live = []
+        most_alive = [0]
+        evaluate = interpolation.eval_discretized
+
+        def tracked(semi, t):
+            value = evaluate(semi, t)
+            live.append(weakref.ref(value))
+            most_alive[0] = max(most_alive[0], sum(r() is not None for r in live))
+            return value
+
+        monkeypatch.setattr(interpolation, "eval_discretized", tracked)
+        rng = np.random.default_rng(75)
+        out = semigroup_suite(_random_commuting_tuple(rng, d, 2), N, max_num)
+        assert out["passed"]
+        sums = (2 * max_num - 1) ** d
+        interp_beyond = d * sum(1 for n in range(2 * N + 1) if n * N > 2 * max_num - 2)
+        assert len(live) == sums + interp_beyond + max_num**d
+        assert most_alive[0] <= max_num**d + 3 < sums
+
 
 class TestScaledBlend:
     def test_recovers_lattice_points(self):
@@ -264,6 +293,31 @@ class TestScaledBlend:
         with pytest.raises(InputError):
             scaled_blend({(0,): identity(2)}, 0.0, (0.0,))
 
+    @pytest.mark.parametrize("eps, times", [(float("inf"), (0.5,)), (1e-300, (1e10,))])
+    def test_rejects_infinite_eps_and_overflowing_cells(self, eps, times):
+        with pytest.raises(InputError):
+            scaled_blend({(0,): identity(2)}, eps, times)
+
+    @given(
+        st.floats(1e-3, 10.0),
+        st.lists(st.floats(0.0, 20.0), min_size=1, max_size=3),
+    )
+    def test_weights_are_the_per_corner_products(self, eps, times):
+        d = len(times)
+        cells = [math.floor(x / eps) for x in times]
+        fracs = [x / eps - c for x, c in zip(times, cells)]
+        samples = {(0,) * d: identity(1)}
+        for e in itertools.product((0, 1), repeat=d):
+            samples[tuple(c + ei for c, ei in zip(cells, e))] = identity(1)
+        _, weights = scaled_blend(samples, eps, times)
+        expected = []
+        for e in itertools.product((0, 1), repeat=d):
+            weight = 1.0
+            for i in range(d):
+                weight *= fracs[i] if e[i] else 1 - fracs[i]
+            expected.append((e, weight))
+        assert [(w.e, w.weight) for w in weights] == expected
+
 
 class TestApproxSweep:
     def test_error_shrinks_with_eps(self):
@@ -292,3 +346,45 @@ class TestApproxSweep:
     def test_rejects_empty_grid(self):
         with pytest.raises(InputError):
             approx_error_sweep([-identity(2)], [0.5], [])
+
+    @pytest.mark.parametrize(
+        "d, dim, steps, eps_list",
+        [
+            (1, 4, 40, [0.5, 0.25, 0.1, 1 / 64]),
+            # 169 points: more than one stacked chunk.
+            (2, 2, 12, [0.5, 0.3, 0.125]),
+            (3, 2, 5, [0.4, 0.15]),
+            # eps above t_max, and eps so small that t/eps is near 1e300.
+            (2, 3, 6, [3.0, 1e-300]),
+            (1, 1, 7, [5.0, 0.3, 1e-300]),
+        ],
+    )
+    def test_matches_unbatched_reference(self, d, dim, steps, eps_list):
+        rng = np.random.default_rng(40 + 10 * d + dim)
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        gens = [q @ np.diag(-2 * rng.random(dim)) @ q.conj().T for _ in range(d)]
+        axis = [2.0 * k / steps for k in range(steps + 1)]
+        grid = list(itertools.product(axis, repeat=d))
+        assert approx_error_sweep(gens, eps_list, grid) == reference_sweep(gens, eps_list, grid)
+
+    @pytest.mark.parametrize(
+        "eps_list, grid, message",
+        [
+            ([float("inf")], [(0.5,)], "eps values must be finite and positive"),
+            ([float("nan")], [(0.5,)], "eps values must be finite and positive"),
+            ([0.5, -1.0], [(0.5,)], "eps values must be finite and positive"),
+            ([0.5], [(0.5,), (float("nan"),)], "times must be finite and nonnegative"),
+            ([0.5], [(float("inf"),)], "times must be finite and nonnegative"),
+            ([0.5], [(-0.5,)], "times must be finite and nonnegative"),
+            ([1e-300], [(1e10,)], "overflows"),
+        ],
+    )
+    def test_rejects_bad_eps_and_times_before_any_exponential(
+        self, monkeypatch, eps_list, grid, message
+    ):
+        def no_exp(*args, **kwargs):
+            raise AssertionError("matrix_exp called before validation")
+
+        monkeypatch.setattr(interpolation, "matrix_exp", no_exp)
+        with pytest.raises(InputError, match=message):
+            approx_error_sweep([-identity(2)], eps_list, grid)

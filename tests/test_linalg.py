@@ -14,6 +14,7 @@ from dilations.linalg import (
     op_norm,
     psd_sqrt,
 )
+from unbatched_reference import reference_matrix_exp
 
 
 def rand_matrix(rng, n, m=None):
@@ -146,6 +147,45 @@ class TestMatrixExp:
     def test_norm_cap(self):
         with pytest.raises(InputError):
             matrix_exp(100 * identity(2), 1.0)
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_stack_matches_per_matrix_route(self, dim):
+        # Norms straddle the 0.5 scaling threshold and reach the cap, so
+        # the members of one stack need different squaring counts and
+        # stop their series at different terms.
+        rng = np.random.default_rng(100 + dim)
+        norms = [0.0, 1e-3, 0.3, 0.5, 0.5 + 1e-9, 0.7, 2.0, 9.0, 33.0, 49.9]
+        stack = []
+        for norm in norms:
+            a = rand_matrix(rng, dim)
+            stack.append(a * (norm / op_norm(a)))
+        stack = np.array(stack)
+        for t in (1.0, 0.0, 0.37):
+            batched = matrix_exp(stack, t)
+            assert batched.shape == stack.shape
+            for k, a in enumerate(stack):
+                single = matrix_exp(a, t)
+                np.testing.assert_array_equal(batched[k], single)
+                np.testing.assert_array_equal(single, reference_matrix_exp(a, t))
+
+    def test_zero_matrix_and_time_zero_give_identity(self):
+        rng = np.random.default_rng(16)
+        stack = np.array([np.zeros((3, 3)), rand_matrix(rng, 3)])
+        np.testing.assert_array_equal(matrix_exp(stack)[0], identity(3))
+        np.testing.assert_array_equal(matrix_exp(stack, 0.0), [identity(3)] * 2)
+
+    def test_over_cap_stack_member_raises(self):
+        stack = np.array([-identity(2), 60 * identity(2), identity(2)])
+        with pytest.raises(InputError, match="beyond the cap"):
+            matrix_exp(stack)
+
+    @pytest.mark.parametrize(
+        "a", [np.full((2, 2, 2), np.nan), np.zeros((2, 2, 3)), np.zeros((0, 2, 2)),
+              np.zeros((1, 2, 2, 2))],
+    )
+    def test_rejects_bad_stacks(self, a):
+        with pytest.raises(InputError):
+            matrix_exp(a)
 
 
 class TestJson:

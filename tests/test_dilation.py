@@ -1,11 +1,19 @@
+import ast
 import json
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import dilations.dilation
 from conftest import random_contraction, random_unitary
 from dilations.dilation import (
+    _LATTICE_BLOCK,
+    DEGREE_CAP,
     DilationCandidate,
     MultiPolynomial,
     crabb_davie_polynomial,
@@ -21,6 +29,48 @@ from dilations.dilation import (
 from dilations.fixtures import load_crabb_davie
 from dilations.interpolation import ContractionTuple
 from dilations.linalg import InputError, identity, op_norm
+from unbatched_reference import reference_torus_sup
+
+U = 2.0**-53
+
+
+def rounding_bound(poly, powers=0):
+    """The bound torus_sup's docstring states for its lattice values.
+
+    ``powers`` adds that many table-entry errors per term: the reference
+    route raises entries to powers of up to poly.degree.
+    """
+    l1 = sum(abs(c) for c in poly.terms.values())
+    return 32 * (poly.d + len(poly.terms) + powers) * U * l1
+
+
+def traced_peak(fn, *args):
+    """(result, peak bytes numpy and Python allocated during the call)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@st.composite
+def lattice_cases(draw):
+    """A polynomial of arity 1-4, exponents up to DEGREE_CAP (so often
+    beyond M), and a lattice size small enough for the reference route."""
+    d = draw(st.integers(1, 4))
+    M = draw(st.sampled_from([m for m in (2, 3, 5, 7, 16, 64) if m**d <= 2**18]))
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        budget = DEGREE_CAP
+        alpha = []
+        for _ in range(d):
+            alpha.append(draw(st.integers(0, budget)))
+            budget -= alpha[-1]
+        terms[tuple(draw(st.permutations(alpha)))] = draw(
+            st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+        )
+    return MultiPolynomial(d=d, terms=terms), M
 
 
 class TestMultiPolynomial:
@@ -111,6 +161,58 @@ class TestTorusSup:
         with pytest.raises(InputError):
             torus_sup(p, 4096)
 
+    @given(lattice_cases())
+    @example((MultiPolynomial(d=2, terms={}), 7))
+    @example((MultiPolynomial(d=3, terms={(0, 0, 0): -0.5 + 2j}), 5))
+    @example((MultiPolynomial(d=1, terms={(0,): 1.0, (16,): -1.0}), 2))
+    def test_matches_reference(self, case):
+        poly, M = case
+        grid_sup, pad, upper = torus_sup(poly, M)
+        ref_grid_sup, ref_pad, _ = reference_torus_sup(poly, M)
+        assert abs(grid_sup - ref_grid_sup) <= rounding_bound(poly) + rounding_bound(
+            poly, powers=poly.degree
+        )
+        assert pad == ref_pad
+        assert upper == grid_sup + pad
+
+    @pytest.mark.parametrize(
+        "d, M, monomial",
+        [(20, 2, False), (8, 8, False), (16, 2, True), (8, 8, True)],
+    )
+    def test_memory_does_not_grow_with_arity(self, d, M, monomial):
+        # sum_i z_i peaks at d and z_1...z_d at 1, both at (1, ..., 1),
+        # where every table entry is exactly 1.  (The monomial stops at
+        # d = 16, the degree cap.)  The reference route is not run here:
+        # it would hold (d - 1) M^(d - 1) values.
+        if monomial:
+            poly, exact = MultiPolynomial(d=d, terms={(1,) * d: 1.0}), 1.0
+        else:
+            unit = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+            poly, exact = MultiPolynomial(d=d, terms=dict.fromkeys(unit, 1.0)), d
+        (grid_sup, _, _), peak = traced_peak(torus_sup, poly, M)
+        assert exact <= grid_sup <= exact + rounding_bound(poly)
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("d, M", [(1, 2**17), (2, 1024), (3, 64), (3, 256), (20, 2)])
+    def test_finds_the_maximiser_in_any_chunk(self, d, M):
+        # 1 + sum_i conj(w^j_i) z_i reaches its sup d + 1 only at the
+        # lattice point (w^j_1, ..., w^j_d); elsewhere it stays below
+        # |d + w|.
+        rng = np.random.default_rng(60)
+        for target in ([M - 1] * d, rng.integers(0, M, size=d)):
+            unit = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+            coeffs = np.exp(-2j * np.pi * np.asarray(target) / M)
+            terms = {(0,) * d: 1.0, **dict(zip(unit, coeffs))}
+            poly = MultiPolynomial(d=d, terms=terms)
+            grid_sup, _, _ = torus_sup(poly, M)
+            assert abs(grid_sup - (d + 1)) <= rounding_bound(poly)
+
+    def test_certify_memory(self):
+        # The per-term route peaked at 5.0 MiB on the fixture at M=256;
+        # the separable one may add at most one block of complex values.
+        _, peak = traced_peak(torus_sup, crabb_davie_polynomial(), 256)
+        assert peak <= 5 * 2**20 + 16 * _LATTICE_BLOCK
+
 
 class TestVnCheck:
     def test_holds_for_single_contraction(self):
@@ -170,6 +272,22 @@ class TestVnSearch:
         )
         assert len(out["violations"]) == 1
         assert out["violations"][0]["kind"] == "fixture"
+
+    def test_verdicts_match_reference_route(self, monkeypatch):
+        # Criterion 9's configuration on 200 trials.
+        def run():
+            return [
+                vn_search(d=d, dim=4, trials=200, seed=20_260_000 + d, M=64)["reports"]
+                for d in (1, 2)
+            ]
+
+        library = run()
+        monkeypatch.setattr(dilations.dilation, "torus_sup", reference_torus_sup)
+        reference = run()
+        for lib_reports, ref_reports in zip(library, reference):
+            lib = [(r["report"]["verdict"], r["report"]["lhs"]) for r in lib_reports]
+            ref = [(r["report"]["verdict"], r["report"]["lhs"]) for r in ref_reports]
+            assert lib == ref
 
     def test_rejects_bad_args(self):
         with pytest.raises(InputError):
@@ -280,6 +398,20 @@ class TestCrabbDavieFixture:
         for a in tup.mats:
             for b in tup.mats:
                 assert np.abs(a @ b - b @ a).max() == 0.0
+
+    def test_oracle_is_independent_of_the_library(self):
+        # Criterion 9 cross-checks torus_sup against the oracle's own
+        # per-term loop; importing the library would make that circular.
+        path = Path(__file__).resolve().parents[1] / "scripts" / "crabb_davie_oracle.py"
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+        assert imported and not any(
+            name == "dilations" or name.startswith("dilations.") for name in imported
+        )
 
     def test_lhs_is_four(self):
         lhs = op_norm(eval_poly(crabb_davie_tuple(), crabb_davie_polynomial()))

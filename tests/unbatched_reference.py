@@ -1,9 +1,14 @@
-"""The unbatched routes that the stacked approximation path replaces.
+"""The unbatched routes that the library's batched paths replace.
 
 ``reference_matrix_exp`` is the one-matrix scaling-and-squaring routine
 and ``reference_sweep`` the per-point, per-eps blend loop over
 ``scaled_blend``.  The tests require the library's batched
 ``matrix_exp`` and ``approx_error_sweep`` to agree with them bit for bit.
+
+``reference_torus_sup`` is the per-term lattice loop that complex
+powers every term on each slice of the first axis.  The separable
+``torus_sup`` sums in another order, so the tests require its lattice
+maximum to agree within the rounding bound its docstring states.
 """
 
 import itertools
@@ -61,3 +66,31 @@ def reference_sweep(gens, eps_list, grid):
             )
         report.append({"eps": eps, "sup_error": sup_error})
     return report
+
+
+def reference_torus_sup(poly, M):
+    """(grid_sup, lipschitz_pad, sup_upper), the first axis swept one slice
+    at a time and every term raised to its powers on the whole slice."""
+    z = np.exp(2j * np.pi * np.arange(M) / M)
+    if poly.d == 1:
+        values = np.zeros(M, dtype=np.complex128)
+        for alpha, coeff in poly.terms.items():
+            values += coeff * z ** alpha[0]
+        grid_sup = float(np.abs(values).max()) if poly.terms else 0.0
+    else:
+        rest = np.meshgrid(*([z] * (poly.d - 1)), indexing="ij")
+        grid_sup = 0.0
+        for z0 in z:
+            values = np.zeros(rest[0].shape, dtype=np.complex128)
+            for alpha, coeff in poly.terms.items():
+                term = coeff * z0 ** alpha[0]
+                for i in range(1, poly.d):
+                    term = term * rest[i - 1] ** alpha[i]
+                values += term
+            if poly.terms:
+                grid_sup = max(grid_sup, float(np.abs(values).max()))
+    gradient_bound = sum(
+        abs(coeff) * sum(alpha) for alpha, coeff in poly.terms.items()
+    )
+    pad = math.pi / M * gradient_bound
+    return grid_sup, pad, grid_sup + pad

@@ -15,7 +15,6 @@ from .dilation import (
     vn_search,
 )
 from .interpolation import (
-    BlendWeights,
     ContractionTuple,
     DiscretizedSemigroup,
     approx_error_sweep,

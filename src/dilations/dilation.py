@@ -51,8 +51,6 @@ __all__ = [
     "vn_search",
     "power_dilation_verify",
     "egervary_dilation",
-    "crabb_davie_tuple",
-    "crabb_davie_polynomial",
 ]
 
 DEGREE_CAP = 16
@@ -202,8 +200,9 @@ def torus_sup(poly: MultiPolynomial, M: int) -> tuple[float, float, float]:
     read from one table of the M-th roots at the exact integer index
     k_i alpha_i mod M, after terms whose exponents agree mod M are
     merged.  That costs M^d multiply-adds per group of terms sharing
-    their leading exponents; apart from the table of M roots, no array
-    outgrows a block of the lattice, so for d >= 2 none holds M^d values.
+    their leading exponents; apart from the table of M roots (capped at
+    ``max_entries()``), no array outgrows a block of the lattice, so for
+    d >= 2 none holds M^d values.
 
     Rounding: each table entry is within 28u of its root (u = 2^-53;
     its angle 2 pi j / M carries up to four roundings and exp one
@@ -221,6 +220,13 @@ def torus_sup(poly: MultiPolynomial, M: int) -> tuple[float, float, float]:
         raise InputError(
             f"lattice of M^d = {M**poly.d} points exceeds the size cap; "
             "reduce M or the polynomial arity"
+        )
+    # The table of M roots is held whole; at d = 1 the cap above allows
+    # 128 times more points than any matrix may have entries.
+    if M > max_entries():
+        raise InputError(
+            f"lattice size M = {M} exceeds the size cap of {max_entries()} "
+            "entries (set DILATIONS_MAX_ENTRIES to override)"
         )
     merged = {}
     for alpha, coeff in poly.terms.items():
@@ -569,42 +575,3 @@ def egervary_dilation(s, m: int, tol: float = DEFAULT_TOL) -> DilationCandidate:
             f"(deviation {check['max_deviation']:.3e} at {check['worst_index']})"
         )
     return cand
-
-
-def crabb_davie_tuple() -> ContractionTuple:
-    """Three commuting contractions on an 8-dimensional space that break
-    the polynomial inequality.
-
-    Basis: e; f1, f2, f3; g1, g2, g3; h.  Operator i maps e -> f_i,
-    f_i -> -g_i, f_j -> g_k ({i,j,k} = {1,2,3}), g_i -> h, everything
-    else to 0.  Each operator is a contraction (it is a signed partial
-    shift between orthogonal layers) and the tuple commutes exactly.
-    """
-    # Basis indices: 0=e, 1..3=f, 4..6=g, 7=h.
-    mats = []
-    for i in range(3):
-        m = np.zeros((8, 8), dtype=np.complex128)
-        m[1 + i, 0] = 1.0
-        for j in range(3):
-            if j == i:
-                m[4 + i, 1 + i] = -1.0
-            else:
-                k = 3 - i - j
-                m[4 + k, 1 + j] = 1.0
-        m[7, 4 + i] = 1.0
-        mats.append(m)
-    return ContractionTuple(tuple(mats), tol=1e-12)
-
-
-def crabb_davie_polynomial() -> MultiPolynomial:
-    """z1*z2*z3 - z1^3 - z2^3 - z3^3; its norm on the tuple above is 4,
-    while its supremum on the 3-torus is strictly below 4 (about 3.61)."""
-    return MultiPolynomial(
-        d=3,
-        terms={
-            (1, 1, 1): 1.0,
-            (3, 0, 0): -1.0,
-            (0, 3, 0): -1.0,
-            (0, 0, 3): -1.0,
-        },
-    )

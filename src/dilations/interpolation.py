@@ -39,7 +39,6 @@ from .torus import GridTime
 __all__ = [
     "ContractionTuple",
     "DiscretizedSemigroup",
-    "BlendWeights",
     "kappa",
     "eval_discretized",
     "compress_discretized",
@@ -315,22 +314,13 @@ def semigroup_suite(tup: ContractionTuple, N: int, max_num: int) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class BlendWeights:
-    """One corner of the blending lattice cell and its weight."""
-
-    e: tuple[int, ...]
-    weight: float
-
-
 def scaled_blend(samples, eps: float, t):
     """Blend lattice samples of a semigroup at the corners around t.
 
     ``samples`` maps integer lattice vectors n to the operator at time
-    n*eps; the sample at the origin must be the identity.  Returns
-    ``(matrix, weights)`` where the weights are the per-corner convex
-    coefficients prod_i w_i(e_i) with w_i(0) = 1 - frac(t_i/eps) and
-    w_i(1) = frac(t_i/eps); they sum to 1.
+    n*eps; the sample at the origin must be the identity.  Returns the
+    blend sum_e w(e) * sample(cell + e) with the convex corner weights
+    of ``_corner_weights``.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise InputError(f"eps must be finite and positive, got {eps}")
@@ -351,11 +341,9 @@ def scaled_blend(samples, eps: float, t):
     cells = [math.floor(x / eps) for x in times]
     fracs = np.array([[x / eps - c for x, c in zip(times, cells)]])
     out = np.zeros((dim, dim), dtype=np.complex128)
-    weights = []
     corner_weights = _corner_weights(fracs)[0].tolist()
     for e, weight in zip(itertools.product((0, 1), repeat=d), corner_weights):
         corner = tuple(cells[i] + e[i] for i in range(d))
-        weights.append(BlendWeights(e=e, weight=weight))
         if weight == 0.0:
             continue
         sample = _lookup_sample(samples, corner)
@@ -364,7 +352,7 @@ def scaled_blend(samples, eps: float, t):
                 f"sample at {corner} has shape {sample.shape}, expected ({dim}, {dim})"
             )
         out += weight * sample
-    return out, weights
+    return out
 
 
 def _corners(d: int) -> np.ndarray:
@@ -377,7 +365,8 @@ def _corner_weights(fracs: np.ndarray) -> np.ndarray:
 
     Row p holds the weights of the corners ``_corners(d)`` of the cell
     whose fractional offsets are ``fracs[p]``; the product runs over the
-    axes in order.
+    axes in order.  For offsets in [0, 1) each row is nonnegative and
+    sums to 1.
     """
     corners = _corners(fracs.shape[1])
     weights = np.ones((fracs.shape[0], len(corners)))

@@ -1,13 +1,16 @@
+import itertools
 import json
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from conftest import random_unitary
+from dilations import cli
 from dilations.cli import main
 from dilations.dilation import _random_commuting_tuple
-from dilations.linalg import matrix_to_json
+from dilations.linalg import InputError, NumericalError, matrix_to_json
 
 
 @pytest.fixture
@@ -316,72 +319,90 @@ class TestEnvironmentOverrides:
         assert loose.exit_code == 0
 
 
-def test_report_key_shape(runner, tmp_path):
-    """Every command's JSON report keeps its top-level and config keys, in order."""
+@pytest.fixture
+def inputs(tmp_path):
+    """Input files for one run of every command, by placeholder name."""
     pair = [np.diag([0.5, -0.5]).astype(complex), np.diag([0.25j, 1.0])]
-    tup = write_tuple(tmp_path / "tup.json", pair)
-    tup1 = write_tuple(tmp_path / "tup1.json", [shift_matrix(2)])
-    poly = tmp_path / "p.json"
-    poly.write_text(
-        json.dumps({"d": 2, "terms": [{"alpha": [1, 1], "coeff": [1.0, 0.0]}]})
-    )
-    rng = np.random.default_rng(74)
-    r1 = write_matrix(tmp_path / "r1.json", random_unitary(rng, 2))
-    r2 = write_matrix(tmp_path / "r2.json", random_unitary(rng, 2))
-    mat = write_matrix(tmp_path / "s.json", 0.5 * shift_matrix(2))
+    paths = {
+        "tuple": write_tuple(tmp_path / "tup.json", [shift_matrix(2)]),
+        "pair": write_tuple(tmp_path / "pair.json", pair),
+        "matrix": write_matrix(tmp_path / "m.json", 0.5 * shift_matrix(2)),
+        "unitary": write_matrix(tmp_path / "u.json", shift_matrix(2)),
+        "unitary2": write_matrix(tmp_path / "u2.json", np.diag([1.0, -1.0])),
+    }
+    for name, d, alpha in [("poly", 1, [1]), ("poly2", 2, [1, 1])]:
+        path = tmp_path / f"{name}.json"
+        term = {"alpha": alpha, "coeff": [1.0, 0.0]}
+        path.write_text(json.dumps({"d": d, "terms": [term]}))
+        paths[name] = str(path)
     gens = tmp_path / "gens.json"
     gens.write_text(json.dumps({"matrices": [matrix_to_json(np.diag([-1.0, -2.0]))]}))
-    cases = [
-        (
-            ["interp", "eval", "--tuple", tup, "--N", "2", "--t", "1/2,1"],
-            ["config", "result"],
-            ["command", "tuple", "N", "t", "tol"],
-        ),
-        (
-            ["interp", "check", "--tuple", tup, "--N", "2"],
-            ["config", "deviations", "checks", "passed"],
-            ["command", "tuple", "N", "max_num", "tol"],
-        ),
-        (["bscr", "--N", "2"], ["config", "max_deviation", "passed"], ["command", "N"]),
-        (
-            ["parrott", "--r1", r1, "--r2", r2],
-            ["d", "dim", "matrices", "config"],
-            ["command", "r1", "r2", "tol"],
-        ),
-        (
-            ["vn", "--tuple", tup, "--poly", str(poly), "--grid", "8"],
-            ["lhs", "grid_sup", "lipschitz_pad", "sup_upper", "verdict", "config"],
-            ["command", "tuple", "poly", "grid", "tol"],
-        ),
-        (
-            ["vn-search", "--d", "1", "--dim", "2", "--trials", "2", "--seed", "3",
-             "--grid", "8"],
-            ["d", "dim", "trials", "seed", "M", "cases", "max_ratio", "violations",
-             "config"],
-            ["command", "d", "dim", "trials", "seed", "grid", "include_fixture", "tol"],
-        ),
-        (
-            ["dilate", "--matrix", mat, "--m", "2", "--verify"],
-            ["unitaries", "embedding", "n_max", "config", "verification"],
-            ["command", "matrix", "m", "verify", "tol"],
-        ),
-        (
-            ["approx", "--generators", str(gens), "--eps-list", "0.5", "--steps", "4"],
-            ["config", "sweep"],
-            ["command", "generators", "eps_list", "tmax", "steps", "tol"],
-        ),
-        (
-            ["structure", "--matrix", mat],
-            ["flags", "deviations", "bimarkov", "config"],
-            ["command", "matrix", "tol"],
-        ),
-        (
-            ["preserve", "--tuple", tup1, "--N", "2"],
-            ["N", "times", "classes", "converse_unit_times", "passed", "config"],
-            ["command", "tuple", "N", "tol"],
-        ),
-    ]
-    for args, top_keys, config_keys in cases:
+    paths["gens"] = str(gens)
+    return paths
+
+
+def command_name(args):
+    """The command path of an argument list: the words before the first option."""
+    return " ".join(itertools.takewhile(lambda a: not a.startswith("--"), args))
+
+
+# (arguments, top-level keys, config keys) of one report of every command.
+REPORT_SHAPES = [
+    (
+        ["interp", "eval", "--tuple", "{pair}", "--N", "2", "--t", "1/2,1"],
+        ["config", "result"],
+        ["command", "tuple", "N", "t", "tol"],
+    ),
+    (
+        ["interp", "check", "--tuple", "{pair}", "--N", "2"],
+        ["config", "deviations", "checks", "passed"],
+        ["command", "tuple", "N", "max_num", "tol"],
+    ),
+    (["bscr", "--N", "2"], ["config", "max_deviation", "passed"], ["command", "N"]),
+    (
+        ["parrott", "--r1", "{unitary}", "--r2", "{unitary2}"],
+        ["d", "dim", "matrices", "config"],
+        ["command", "r1", "r2", "tol"],
+    ),
+    (
+        ["vn", "--tuple", "{pair}", "--poly", "{poly2}", "--grid", "8"],
+        ["lhs", "grid_sup", "lipschitz_pad", "sup_upper", "verdict", "config"],
+        ["command", "tuple", "poly", "grid", "tol"],
+    ),
+    (
+        ["vn-search", "--d", "1", "--dim", "2", "--trials", "2", "--seed", "3",
+         "--grid", "8"],
+        ["d", "dim", "trials", "seed", "M", "cases", "max_ratio", "violations",
+         "config"],
+        ["command", "d", "dim", "trials", "seed", "grid", "include_fixture", "tol"],
+    ),
+    (
+        ["dilate", "--matrix", "{matrix}", "--m", "2", "--verify"],
+        ["unitaries", "embedding", "n_max", "config", "verification"],
+        ["command", "matrix", "m", "verify", "tol"],
+    ),
+    (
+        ["approx", "--generators", "{gens}", "--eps-list", "0.5", "--steps", "4"],
+        ["config", "sweep"],
+        ["command", "generators", "eps_list", "tmax", "steps", "tol"],
+    ),
+    (
+        ["structure", "--matrix", "{matrix}"],
+        ["flags", "deviations", "bimarkov", "config"],
+        ["command", "matrix", "tol"],
+    ),
+    (
+        ["preserve", "--tuple", "{tuple}", "--N", "2"],
+        ["N", "times", "classes", "converse_unit_times", "passed", "config"],
+        ["command", "tuple", "N", "tol"],
+    ),
+]
+
+
+def test_report_key_shape(runner, inputs):
+    """Every command's JSON report keeps its top-level and config keys, in order."""
+    for args, top_keys, config_keys in REPORT_SHAPES:
+        args = [a.format(**inputs) for a in args]
         result = runner.invoke(main, args)
         assert result.exit_code == 0, (args, result.output)
         payload = json.loads(result.output)
@@ -428,24 +449,63 @@ TOL_COMMANDS = [
 @pytest.mark.parametrize(
     "args", TOL_COMMANDS, ids=lambda a: " ".join(a[:2]) if a[0] == "interp" else a[0]
 )
-def test_bad_tol_exits_2(runner, tmp_path, args, tol):
-    gens = tmp_path / "gens.json"
-    gens.write_text(json.dumps({"matrices": [matrix_to_json(np.diag([-1.0]))]}))
-    poly = tmp_path / "p.json"
-    poly.write_text(json.dumps({"d": 1, "terms": [{"alpha": [1], "coeff": [1.0, 0.0]}]}))
-    paths = {
-        "tuple": write_tuple(tmp_path / "tup.json", [shift_matrix(2)]),
-        "matrix": write_matrix(tmp_path / "m.json", 0.5 * shift_matrix(2)),
-        "unitary": write_matrix(tmp_path / "u.json", shift_matrix(2)),
-        "unitary2": write_matrix(tmp_path / "u2.json", np.diag([1.0, -1.0])),
-        "poly": str(poly),
-        "gens": str(gens),
-    }
-    base = [a.format(**paths) for a in args]
+def test_bad_tol_exits_2(runner, inputs, args, tol):
+    base = [a.format(**inputs) for a in args]
     assert runner.invoke(main, base).exit_code in (0, 1), base
     result = runner.invoke(main, base + ["--tol", tol])
     assert result.exit_code == 2
     assert "input error: --tol must be a finite nonnegative number" in result.output
+
+
+def test_every_command_uses_the_report_skeleton():
+    """Each leaf command takes --out, and --tol unless it is bscr, and is
+    covered by the report-shape and --tol tests."""
+    leaves = {}
+
+    def walk(command, path):
+        if isinstance(command, click.Group):
+            for name, sub in command.commands.items():
+                walk(sub, [*path, name])
+        else:
+            leaves[" ".join(path)] = {opt for p in command.params for opt in p.opts}
+
+    walk(main, [])
+    assert all("--out" in opts for opts in leaves.values())
+    with_tol = {name for name, opts in leaves.items() if "--tol" in opts}
+    assert with_tol == set(leaves) - {"bscr"}
+    assert set(leaves) == {command_name(args) for args, _, _ in REPORT_SHAPES}
+    assert set(leaves) - {"bscr"} == {command_name(args) for args in TOL_COMMANDS}
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [(NumericalError, 3, "numerical error:"), (InputError, 2, "input error:")],
+)
+@pytest.mark.parametrize("to_file", [False, True])
+def test_errors_map_to_exit_codes(runner, inputs, tmp_path, monkeypatch, error, code,
+                                  prefix, to_file):
+    def fail(*args, **kwargs):
+        raise error("forced")
+
+    monkeypatch.setattr(cli, "structure_report", fail)
+    out = tmp_path / "report.json"
+    args = ["structure", "--matrix", inputs["matrix"]]
+    result = runner.invoke(main, args + (["--out", str(out)] if to_file else []))
+    assert result.exit_code == code
+    assert result.stderr == f"{prefix} forced\n"
+    assert result.stdout == ""
+    assert not out.exists()
+
+
+def test_root_table_cap_exits_2(runner, inputs, monkeypatch):
+    # A d = 1 lattice of 2048 points is within the lattice cap (128 * 1024)
+    # but its root table is not.
+    monkeypatch.setenv("DILATIONS_MAX_ENTRIES", "1024")
+    args = ["vn", "--tuple", inputs["tuple"], "--poly", inputs["poly"]]
+    assert runner.invoke(main, args + ["--grid", "1024"]).exit_code == 0
+    result = runner.invoke(main, args + ["--grid", "2048"])
+    assert result.exit_code == 2
+    assert "input error: lattice size M = 2048 exceeds the size cap" in result.stderr
 
 
 def test_bad_tol_env_exits_2(runner, tmp_path):

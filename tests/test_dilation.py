@@ -16,8 +16,6 @@ from dilations.dilation import (
     DEGREE_CAP,
     DilationCandidate,
     MultiPolynomial,
-    crabb_davie_polynomial,
-    crabb_davie_tuple,
     egervary_dilation,
     eval_poly,
     parrott_tuple,
@@ -161,6 +159,15 @@ class TestTorusSup:
         with pytest.raises(InputError):
             torus_sup(p, 4096)
 
+    def test_root_table_cap(self, monkeypatch):
+        # At d = 1 the lattice cap allows 128 * max_entries() points, but
+        # the table of M roots may hold no more than max_entries().
+        monkeypatch.setenv("DILATIONS_MAX_ENTRIES", "1024")
+        p = MultiPolynomial(d=1, terms={(1,): 1.0})
+        assert torus_sup(p, 1024)[0] == pytest.approx(1.0)
+        with pytest.raises(InputError, match="lattice size M = 1025 exceeds"):
+            torus_sup(p, 1025)
+
     @given(lattice_cases())
     @example((MultiPolynomial(d=2, terms={}), 7))
     @example((MultiPolynomial(d=3, terms={(0, 0, 0): -0.5 + 2j}), 5))
@@ -210,7 +217,7 @@ class TestTorusSup:
     def test_certify_memory(self):
         # The per-term route peaked at 5.0 MiB on the fixture at M=256;
         # the separable one may add at most one block of complex values.
-        _, peak = traced_peak(torus_sup, crabb_davie_polynomial(), 256)
+        _, peak = traced_peak(torus_sup, load_crabb_davie()[1], 256)
         assert peak <= 5 * 2**20 + 16 * _LATTICE_BLOCK
 
 
@@ -244,7 +251,7 @@ class TestVnCheck:
         assert report.verdict == "HOLDS"
 
     def test_violated_for_fixture(self):
-        report = vn_check(crabb_davie_tuple(), crabb_davie_polynomial(), 256)
+        report = vn_check(*load_crabb_davie(), 256)
         assert report.verdict == "VIOLATED"
         assert report.lhs == pytest.approx(4.0, abs=1e-12)
         assert report.lhs - report.sup_upper > 1e-3
@@ -268,7 +275,7 @@ class TestVnSearch:
             trials=0,
             seed=0,
             M=256,
-            extra_cases=[(crabb_davie_tuple(), crabb_davie_polynomial())],
+            extra_cases=[load_crabb_davie()],
         )
         assert len(out["violations"]) == 1
         assert out["violations"][0]["kind"] == "fixture"
@@ -386,15 +393,8 @@ class TestDilation:
 
 
 class TestCrabbDavieFixture:
-    def test_constructors_match_shipped_json(self):
-        tup, poly = load_crabb_davie()
-        built = crabb_davie_tuple()
-        for a, b in zip(tup.mats, built.mats):
-            np.testing.assert_array_equal(a, b)
-        assert poly.terms == crabb_davie_polynomial().terms
-
     def test_exact_commutation(self):
-        tup = crabb_davie_tuple()
+        tup, _ = load_crabb_davie()
         for a in tup.mats:
             for b in tup.mats:
                 assert np.abs(a @ b - b @ a).max() == 0.0
@@ -414,5 +414,5 @@ class TestCrabbDavieFixture:
         )
 
     def test_lhs_is_four(self):
-        lhs = op_norm(eval_poly(crabb_davie_tuple(), crabb_davie_polynomial()))
+        lhs = op_norm(eval_poly(*load_crabb_davie()))
         assert lhs == pytest.approx(4.0, abs=1e-12)

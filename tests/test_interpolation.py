@@ -13,6 +13,8 @@ from dilations import interpolation
 from dilations.interpolation import (
     ContractionTuple,
     DiscretizedSemigroup,
+    _corner_weights,
+    _corners,
     approx_error_sweep,
     compress_discretized,
     eval_discretized,
@@ -254,31 +256,24 @@ class TestScaledBlend:
         samples = {
             (k,): matrix_exp(gen, k * eps) for k in range(5)
         }
-        out, weights = scaled_blend(samples, eps, (2 * eps,))
+        out = scaled_blend(samples, eps, (2 * eps,))
         np.testing.assert_allclose(out, samples[(2,)], atol=1e-13)
-        assert sum(w.weight for w in weights) == pytest.approx(1.0)
 
     def test_midpoint_average(self):
         samples = {(0,): identity(2), (1,): 0.5 * identity(2)}
-        out, weights = scaled_blend(samples, 1.0, (0.5,))
+        out = scaled_blend(samples, 1.0, (0.5,))
         np.testing.assert_allclose(out, 0.75 * identity(2), atol=1e-14)
-        assert {w.e: w.weight for w in weights} == {(0,): 0.5, (1,): 0.5}
+        assert _corner_weights(np.array([[0.5]])).tolist() == [[0.5, 0.5]]
 
     @given(
         st.floats(0.01, 10.0),
         st.lists(st.floats(0.0, 20.0), min_size=1, max_size=3),
     )
     def test_weights_sum_to_one(self, eps, times):
-        d = len(times)
-        # Provide every corner that could be touched.
-        cells = [math.floor(x / eps) for x in times]
-        samples = {(0,) * d: identity(1)}
-        for e in itertools.product((0, 1), repeat=d):
-            samples[tuple(c + ei for c, ei in zip(cells, e))] = identity(1)
-        _, weights = scaled_blend(samples, eps, times)
-        total = sum(w.weight for w in weights)
-        assert total == pytest.approx(1.0, abs=1e-9)
-        assert all(w.weight >= 0 for w in weights)
+        fracs = np.array([[x / eps - math.floor(x / eps) for x in times]])
+        weights = _corner_weights(fracs)[0]
+        assert weights.sum() == pytest.approx(1.0, abs=1e-9)
+        assert (weights >= 0).all()
 
     def test_missing_sample(self):
         with pytest.raises(InputError):
@@ -304,19 +299,16 @@ class TestScaledBlend:
     )
     def test_weights_are_the_per_corner_products(self, eps, times):
         d = len(times)
-        cells = [math.floor(x / eps) for x in times]
-        fracs = [x / eps - c for x, c in zip(times, cells)]
-        samples = {(0,) * d: identity(1)}
-        for e in itertools.product((0, 1), repeat=d):
-            samples[tuple(c + ei for c, ei in zip(cells, e))] = identity(1)
-        _, weights = scaled_blend(samples, eps, times)
+        fracs = [x / eps - math.floor(x / eps) for x in times]
         expected = []
         for e in itertools.product((0, 1), repeat=d):
             weight = 1.0
             for i in range(d):
                 weight *= fracs[i] if e[i] else 1 - fracs[i]
             expected.append((e, weight))
-        assert [(w.e, w.weight) for w in weights] == expected
+        corners = [tuple(e) for e in _corners(d).tolist()]
+        weights = _corner_weights(np.array([fracs]))[0].tolist()
+        assert list(zip(corners, weights)) == expected
 
 
 class TestApproxSweep:

@@ -60,7 +60,7 @@ def reference_sweep(gens, eps_list, grid):
                 corner = tuple(c + ei for c, ei in zip(cells, e))
                 if corner not in samples:
                     samples[corner] = true_value(tuple(c * eps for c in corner))
-            blend, _ = scaled_blend(samples, eps, point)
+            blend = scaled_blend(samples, eps, point)
             sup_error = max(
                 sup_error, float(np.linalg.norm(blend - true_value(point), 2))
             )

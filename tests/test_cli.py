@@ -418,16 +418,28 @@ def test_report_key_shape(runner, inputs):
         ["interp", "check", "--tuple", "{tuple}", "--N", "2", "--max-num", "0"],
         ["approx", "--generators", "{gens}", "--eps-list", "0.5", "--steps", "0"],
         ["vn-search", "--d", "1", "--dim", "2", "--trials", "1", "--seed", "-1"],
+        ["vn-search", "--d", "0", "--dim", "2", "--trials", "1", "--seed", "3"],
+        ["vn", "--tuple", "{tuple}", "--poly", "{poly17}", "--grid", "8"],
+        ["DILATIONS_MAX_ENTRIES=abc", "interp", "eval", "--tuple", "{tuple}", "--N", "2",
+         "--t", "0"],
+        ["approx", "--generators", "{gens}", "--eps-list", "0"],
+        ["interp", "check", "--tuple", "{empty}", "--N", "2"],
     ],
 )
 def test_bad_input_exits_2(runner, tmp_path, args):
-    gens = tmp_path / "gens.json"
-    gens.write_text(json.dumps({"matrices": [matrix_to_json(np.diag([-1.0]))]}))
-    paths = {
-        "tuple": write_tuple(tmp_path / "tup.json", [shift_matrix(2)]),
-        "gens": str(gens),
+    files = {
+        "gens": {"matrices": [matrix_to_json(np.diag([-1.0]))]},
+        "poly17": {"d": 1, "terms": [{"alpha": [17], "coeff": [1.0, 0.0]}]},
+        "empty": {"matrices": []},
     }
-    result = runner.invoke(main, [a.format(**paths) for a in args])
+    paths = {"tuple": write_tuple(tmp_path / "tup.json", [shift_matrix(2)])}
+    for name, obj in files.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    # Leading NAME=value words set the environment, as on a shell command line.
+    env = dict(a.split("=", 1) for a in itertools.takewhile(lambda a: "=" in a, args))
+    args = args[len(env):]
+    result = runner.invoke(main, [a.format(**paths) for a in args], env=env)
     assert result.exit_code == 2
     assert "input error:" in result.output
 

@@ -13,8 +13,6 @@ from dilations import interpolation
 from dilations.interpolation import (
     ContractionTuple,
     DiscretizedSemigroup,
-    _corner_weights,
-    _corners,
     approx_error_sweep,
     compress_discretized,
     eval_discretized,
@@ -249,6 +247,24 @@ class TestSemigroupSuite:
         assert most_alive[0] <= max_num**d + 3 < sums
 
 
+def corner_weights(eps, times):
+    """The weight ``scaled_blend`` gives each corner of the cell around
+    ``times``, read off by blending 1x1 samples that are 1 at that corner
+    and 0 at the others.  The cell must not have the origin as a corner."""
+    cells = [math.floor(x / eps) for x in times]
+    assert min(cells) >= 1
+    corners = [
+        tuple(c + e_i for c, e_i in zip(cells, e))
+        for e in itertools.product((0, 1), repeat=len(times))
+    ]
+    weights = {}
+    for corner in corners:
+        samples = {c: np.array([[float(c == corner)]]) for c in corners}
+        samples[(0,) * len(times)] = np.array([[1.0]])
+        weights[corner] = float(scaled_blend(samples, eps, times)[0, 0].real)
+    return weights
+
+
 class TestScaledBlend:
     def test_recovers_lattice_points(self):
         gen = np.diag([-1.0, -2.0]).astype(complex)
@@ -263,17 +279,16 @@ class TestScaledBlend:
         samples = {(0,): identity(2), (1,): 0.5 * identity(2)}
         out = scaled_blend(samples, 1.0, (0.5,))
         np.testing.assert_allclose(out, 0.75 * identity(2), atol=1e-14)
-        assert _corner_weights(np.array([[0.5]])).tolist() == [[0.5, 0.5]]
+        assert list(corner_weights(1.0, (1.5,)).values()) == [0.5, 0.5]
 
     @given(
         st.floats(0.01, 10.0),
         st.lists(st.floats(0.0, 20.0), min_size=1, max_size=3),
     )
     def test_weights_sum_to_one(self, eps, times):
-        fracs = np.array([[x / eps - math.floor(x / eps) for x in times]])
-        weights = _corner_weights(fracs)[0]
-        assert weights.sum() == pytest.approx(1.0, abs=1e-9)
-        assert (weights >= 0).all()
+        weights = list(corner_weights(eps, [x + eps for x in times]).values())
+        assert sum(weights) == pytest.approx(1.0, abs=1e-9)
+        assert min(weights) >= 0
 
     def test_missing_sample(self):
         with pytest.raises(InputError):
@@ -298,17 +313,48 @@ class TestScaledBlend:
         st.lists(st.floats(0.0, 20.0), min_size=1, max_size=3),
     )
     def test_weights_are_the_per_corner_products(self, eps, times):
+        times = [x + eps for x in times]  # cells >= 1, as corner_weights needs
         d = len(times)
-        fracs = [x / eps - math.floor(x / eps) for x in times]
-        expected = []
+        cells = [math.floor(x / eps) for x in times]
+        fracs = [x / eps - c for x, c in zip(times, cells)]
+        expected = {}
         for e in itertools.product((0, 1), repeat=d):
             weight = 1.0
             for i in range(d):
                 weight *= fracs[i] if e[i] else 1 - fracs[i]
-            expected.append((e, weight))
-        corners = [tuple(e) for e in _corners(d).tolist()]
-        weights = _corner_weights(np.array([fracs]))[0].tolist()
-        assert list(zip(corners, weights)) == expected
+            expected[tuple(c + e_i for c, e_i in zip(cells, e))] = weight
+        weights = corner_weights(eps, times)
+        assert list(weights.items()) == list(expected.items())
+
+
+def dissipative_generators(rng, d, dim):
+    """d commuting generators q diag(-2 r) q* with one seeded unitary q."""
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return [q @ np.diag(-2 * rng.random(dim)) @ q.conj().T for _ in range(d)]
+
+
+def uniform_grid(d, t_max, steps):
+    axis = [t_max * k / steps for k in range(steps + 1)]
+    return list(itertools.product(axis, repeat=d))
+
+
+def assert_within_stated_bound(gens, eps_list, grid):
+    """``approx_error_sweep`` agrees with the exp-of-the-sum reference route
+    to within the bound its docstring states, eps by eps."""
+    d, n = len(gens), gens[0].shape[0]
+    u = np.finfo(float).eps / 2
+    report = approx_error_sweep(gens, eps_list, grid)
+    reference = reference_sweep(gens, eps_list, grid)
+    for row, ref, eps in zip(report, reference, eps_list):
+        reach = np.array(grid).max(axis=0) + eps  # T_i
+        rho = 32 * (d + 1) * n * u * (1 + sum(r * op_norm(g) for r, g in zip(reach, gens)))
+        commutator = sum(
+            reach[i] * reach[j] * op_norm(gens[i] @ gens[j] - gens[j] @ gens[i])
+            for i in range(d)
+            for j in range(i + 1, d)
+        )
+        assert row["eps"] == ref["eps"] == eps
+        assert abs(row["sup_error"] - ref["sup_error"]) <= rho + commutator, (eps, row, ref)
 
 
 class TestApproxSweep:
@@ -343,7 +389,6 @@ class TestApproxSweep:
         "d, dim, steps, eps_list",
         [
             (1, 4, 40, [0.5, 0.25, 0.1, 1 / 64]),
-            # 169 points: more than one stacked chunk.
             (2, 2, 12, [0.5, 0.3, 0.125]),
             (3, 2, 5, [0.4, 0.15]),
             # eps above t_max, and eps so small that t/eps is near 1e300.
@@ -352,12 +397,42 @@ class TestApproxSweep:
         ],
     )
     def test_matches_unbatched_reference(self, d, dim, steps, eps_list):
-        rng = np.random.default_rng(40 + 10 * d + dim)
-        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-        gens = [q @ np.diag(-2 * rng.random(dim)) @ q.conj().T for _ in range(d)]
-        axis = [2.0 * k / steps for k in range(steps + 1)]
-        grid = list(itertools.product(axis, repeat=d))
-        assert approx_error_sweep(gens, eps_list, grid) == reference_sweep(gens, eps_list, grid)
+        gens = dissipative_generators(np.random.default_rng(40 + 10 * d + dim), d, dim)
+        assert_within_stated_bound(gens, eps_list, uniform_grid(d, 2.0, steps))
+
+    def test_near_commuting_generators_match_within_the_commutator_term(self):
+        rng = np.random.default_rng(7)
+        dim = 3
+        a, b = dissipative_generators(rng, 2, dim)
+        # A skew-Hermitian nudge keeps b dissipative and breaks commutation.
+        k = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        k = k - k.conj().T
+        k = k / op_norm(a @ k - k @ a)
+        gens = [a, b + 1e-11 * k]
+        assert 5e-12 < op_norm(gens[0] @ gens[1] - gens[1] @ gens[0]) < 2e-11
+        assert_within_stated_bound(gens, [0.5, 0.3, 0.125], uniform_grid(2, 2.0, 12))
+
+    def test_norm_cap_applies_to_each_axis(self):
+        # ||t_max A_i|| = 30 on each axis, but ||t_max (A_1 + A_2)|| = 60 > 50.
+        gens = [np.diag([-30.0, -1.0]).astype(complex), np.diag([-30.0, -2.0]).astype(complex)]
+        grid = uniform_grid(2, 1.0, 4)
+        eps_list = [0.5, 0.3]
+        with pytest.raises(ValueError, match="beyond the cap"):
+            reference_sweep(gens, eps_list, grid)
+        report = approx_error_sweep(gens, eps_list, grid)
+        diags = np.array([np.diag(g).real for g in gens])  # (axis, entry)
+        for row, eps in zip(report, eps_list):
+            expected = 0.0
+            for t in grid:
+                exact = np.exp(np.array(t) @ diags)
+                blend = np.ones(2)
+                for t_i, a_i in zip(t, diags):
+                    c = math.floor(t_i / eps)
+                    f = t_i / eps - c
+                    blend *= (1 - f) * np.exp(c * eps * a_i) + f * np.exp((c + 1) * eps * a_i)
+                expected = max(expected, float(np.abs(blend - exact).max()))
+            assert row["eps"] == eps
+            assert row["sup_error"] == pytest.approx(expected, abs=1e-14)
 
     @pytest.mark.parametrize(
         "eps_list, grid, message",

@@ -1,9 +1,15 @@
-"""The unbatched routes that the library's batched paths replace.
+"""Independent routes that the library's fast paths are checked against.
 
-``reference_matrix_exp`` is the one-matrix scaling-and-squaring routine
-and ``reference_sweep`` the per-point, per-eps blend loop over
-``scaled_blend``.  The tests require the library's batched
-``matrix_exp`` and ``approx_error_sweep`` to agree with them bit for bit.
+``reference_matrix_exp`` is the one-matrix scaling-and-squaring routine;
+the tests require the library's stacked ``matrix_exp`` to agree with it
+bit for bit.
+
+``reference_sweep`` is the per-point, per-eps blend loop: for every grid
+point it blends the 2^d lattice-corner samples with ``scaled_blend``,
+each sample and the true value being the exponential of a sum
+exp(sum_i t_i A_i).  The library's ``approx_error_sweep`` multiplies
+per-axis factors instead, so the tests require agreement within the
+rounding and commutator bound its docstring states.
 
 ``reference_torus_sup`` is the per-term lattice loop that complex
 powers every term on each slice of the first axis.  The separable

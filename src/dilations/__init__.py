@@ -37,7 +37,6 @@ from .linalg import (
 )
 from .structure import (
     StructureReport,
-    bimarkov_check,
     preservation_suite,
     structure_report,
 )

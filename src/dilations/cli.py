@@ -46,6 +46,7 @@ from .interpolation import (
 from .linalg import (
     InputError,
     NumericalError,
+    _check_cap,
     _check_tol,
     default_tol,
     matrix_from_json,
@@ -308,6 +309,10 @@ def approx(gen_path, eps_text, tmax, steps, tol):
         raise InputError(f"--steps must be >= 1, got {steps}")
     if not (math.isfinite(tmax) and tmax >= 0):
         raise InputError(f"--tmax must be finite and nonnegative, got {tmax}")
+    if gens:
+        # The sweep holds (steps+1)^d stacked dim x dim values at once.
+        dim = gens[0].shape[0]
+        _check_cap((steps + 1) ** len(gens) * dim, dim)
     axis = [tmax * k / steps for k in range(steps + 1)]
     grid = list(itertools.product(axis, repeat=len(gens)))
     sweep = approx_error_sweep(gens, eps_list, grid, tol=tol)
@@ -328,7 +333,7 @@ def structure(matrix_path, tol):
     """Operator class report for one matrix."""
     report = structure_report(_load_matrix(matrix_path), tol=tol)
     payload = report.to_json()
-    payload["bimarkov"] = report.is_bimarkov
+    payload["bimarkov"] = report.holds("bimarkov")
     payload["config"] = {"command": "structure", "matrix": str(matrix_path), "tol": tol}
     return payload, EXIT_OK
 

@@ -352,9 +352,7 @@ def _random_commuting_tuple(rng: np.random.Generator, d: int, dim: int) -> Contr
     """Commuting by construction: each member is a polynomial in one contraction."""
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     z = z / max(1.0, op_norm(z) * (1 + 1e-12))
-    z_pows = [identity(dim)]
-    for _ in range(3):
-        z_pows.append(z_pows[-1] @ z)
+    z_pows = _powers(z, 3)
     mats = []
     for _ in range(d):
         coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)

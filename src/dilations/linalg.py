@@ -236,7 +236,7 @@ def matrix_to_json(a) -> dict:
     return {
         "rows": int(a.shape[0]),
         "cols": int(a.shape[1]),
-        "data": [[float(z.real), float(z.imag)] for z in a.ravel()],
+        "data": np.stack((a.real, a.imag), axis=-1).reshape(-1, 2).tolist(),
     }
 
 

@@ -25,52 +25,38 @@ from .linalg import (
 )
 from .torus import GridTime
 
-__all__ = [
-    "StructureReport",
-    "structure_report",
-    "bimarkov_check",
-    "preservation_suite",
-]
+__all__ = ["StructureReport", "structure_report", "preservation_suite"]
 
-_FLAGS = (
-    "is_contraction",
-    "is_isometry",
-    "is_unitary",
-    "is_projection",
-    "is_entrywise_nonneg",
-    "preserves_unity",
-    "adjoint_preserves_unity",
-)
+# The operator classes a preservation suite tracks, each with the flags
+# an operator needs to be in it.
+_CLASSES = {
+    "isometry": ("is_isometry",),
+    "unitary": ("is_unitary",),
+    "entrywise_nonneg": ("is_entrywise_nonneg",),
+    "bimarkov": ("is_entrywise_nonneg", "preserves_unity", "adjoint_preserves_unity"),
+}
 
 
 @dataclass(frozen=True)
 class StructureReport:
-    is_contraction: bool
-    is_isometry: bool
-    is_unitary: bool
-    is_projection: bool
-    is_entrywise_nonneg: bool
-    preserves_unity: bool
-    adjoint_preserves_unity: bool
+    flags: dict
     deviations: dict
 
-    @property
-    def is_bimarkov(self) -> bool:
-        return (
-            self.is_entrywise_nonneg
-            and self.preserves_unity
-            and self.adjoint_preserves_unity
-        )
+    def holds(self, cls: str) -> bool:
+        """Whether the operator is in class ``cls`` of ``_CLASSES``."""
+        return all(self.flags[flag] for flag in _CLASSES[cls])
 
     def to_json(self) -> dict:
-        return {
-            "flags": {name: bool(getattr(self, name)) for name in _FLAGS},
-            "deviations": dict(self.deviations),
-        }
+        return {"flags": dict(self.flags), "deviations": dict(self.deviations)}
 
 
 def structure_report(a, tol: float = DEFAULT_TOL) -> StructureReport:
-    """Measure operator class membership of a square matrix at tolerance tol."""
+    """Measure operator class membership of a square matrix at tolerance tol.
+
+    Each flag is its deviation <= tol, except ``is_contraction``, which is
+    ||A|| <= 1 + tol as in ``ContractionTuple``: ``max(0, ||A|| - 1) <= tol``
+    rounds differently near the boundary.
+    """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise InputError("structure report requires a square matrix")
@@ -78,39 +64,20 @@ def structure_report(a, tol: float = DEFAULT_TOL) -> StructureReport:
 
     norm = op_norm(a)
     isometry_dev, counitary_dev = _unitarity_deviations(a)
-    idempotent_dev = op_norm(a @ a - a)
-    hermitian_dev = op_norm(a - dagger(a))
-    min_real = float(a.real.min())
-    max_imag = float(np.abs(a.imag).max())
-    unity_dev = float(np.linalg.norm(a @ ones - ones))
-    co_unity_dev = float(np.linalg.norm(dagger(a) @ ones - ones))
-
     deviations = {
         "is_contraction": max(0.0, norm - 1.0),
         "is_isometry": isometry_dev,
         "is_unitary": max(isometry_dev, counitary_dev),
-        "is_projection": max(idempotent_dev, hermitian_dev),
-        "is_entrywise_nonneg": max(0.0, -min_real, max_imag),
-        "preserves_unity": unity_dev,
-        "adjoint_preserves_unity": co_unity_dev,
+        "is_projection": max(op_norm(a @ a - a), op_norm(a - dagger(a))),
+        "is_entrywise_nonneg": max(
+            0.0, -float(a.real.min()), float(np.abs(a.imag).max())
+        ),
+        "preserves_unity": float(np.linalg.norm(a @ ones - ones)),
+        "adjoint_preserves_unity": float(np.linalg.norm(dagger(a) @ ones - ones)),
     }
-    is_isometry = isometry_dev <= tol
-    return StructureReport(
-        is_contraction=norm <= 1 + tol,
-        is_isometry=is_isometry,
-        is_unitary=is_isometry and counitary_dev <= tol,
-        is_projection=idempotent_dev <= tol and hermitian_dev <= tol,
-        is_entrywise_nonneg=min_real >= -tol and max_imag <= tol,
-        preserves_unity=unity_dev <= tol,
-        adjoint_preserves_unity=co_unity_dev <= tol,
-        deviations=deviations,
-    )
-
-
-def bimarkov_check(a, tol: float = DEFAULT_TOL) -> bool:
-    """Entrywise nonnegative and unity-preserving in both directions."""
-    report = structure_report(a, tol=tol)
-    return report.is_bimarkov
+    flags = {name: bool(dev <= tol) for name, dev in deviations.items()}
+    flags["is_contraction"] = bool(norm <= 1 + tol)
+    return StructureReport(flags=flags, deviations=deviations)
 
 
 def preservation_suite(
@@ -131,63 +98,39 @@ def preservation_suite(
     if times is None:
         times = [GridTime(N, nums) for nums in itertools.product(range(2 * N), repeat=d)]
     base_reports = [structure_report(m, tol=tol) for m in tup.mats]
-    classes = {
-        "isometry": all(r.is_isometry for r in base_reports),
-        "unitary": all(r.is_unitary for r in base_reports),
-        "entrywise_nonneg": all(r.is_entrywise_nonneg for r in base_reports),
-        "bimarkov": all(r.is_bimarkov for r in base_reports),
-    }
-    flag_of = {
-        "isometry": "is_isometry",
-        "unitary": "is_unitary",
-        "entrywise_nonneg": "is_entrywise_nonneg",
-    }
+    base_holds = {cls: all(r.holds(cls) for r in base_reports) for cls in _CLASSES}
 
-    results = {}
     evals = [eval_discretized(semi, t) for t in times]
     # One report per evaluation, shared by every held class.
     reports = (
         [structure_report(mat, tol=tol) for mat in evals]
-        if any(classes.values())
+        if any(base_holds.values())
         else []
     )
-    for name, held in classes.items():
+    results = {}
+    for cls, held in base_holds.items():
         entry = {"base_holds": held, "preserved": None, "max_deviation": 0.0}
         if held:
-            preserved = True
-            max_dev = 0.0
-            for report in reports:
-                if name == "bimarkov":
-                    ok = report.is_bimarkov
-                    dev = max(
-                        report.deviations["is_entrywise_nonneg"],
-                        report.deviations["preserves_unity"],
-                        report.deviations["adjoint_preserves_unity"],
-                    )
-                else:
-                    flag = flag_of[name]
-                    ok = getattr(report, flag)
-                    dev = report.deviations[flag]
-                preserved = preserved and ok
-                max_dev = max(max_dev, dev)
-            entry["preserved"] = preserved
-            entry["max_deviation"] = max_dev
-        results[name] = entry
+            entry["preserved"] = all(r.holds(cls) for r in reports)
+            entry["max_deviation"] = max(
+                (r.deviations[flag] for r in reports for flag in _CLASSES[cls]),
+                default=0.0,
+            )
+        results[cls] = entry
 
     # Converse spot-check: evaluation at the i-th unit time is I tensor S_i,
-    # which must carry exactly the classes of S_i.
+    # which must carry exactly the isometry, unitary and nonnegativity
+    # classes of S_i.
     converse = []
     for i in range(d):
         nums = tuple(N if j == i else 0 for j in range(d))
-        mat = eval_discretized(semi, GridTime(N, nums))
-        lifted = structure_report(mat, tol=tol)
-        base = base_reports[i]
+        lifted = structure_report(eval_discretized(semi, GridTime(N, nums)), tol=tol)
         converse.append(
             {
                 "axis": i + 1,
                 "matches": all(
-                    getattr(lifted, flag) == getattr(base, flag)
-                    for flag in ("is_isometry", "is_unitary", "is_entrywise_nonneg")
+                    lifted.holds(cls) == base_reports[i].holds(cls)
+                    for cls in ("isometry", "unitary", "entrywise_nonneg")
                 ),
             }
         )
@@ -202,4 +145,3 @@ def preservation_suite(
         "converse_unit_times": converse,
         "passed": passed,
     }
-

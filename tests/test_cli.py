@@ -424,6 +424,9 @@ def test_report_key_shape(runner, inputs):
          "--t", "0"],
         ["approx", "--generators", "{gens}", "--eps-list", "0"],
         ["interp", "check", "--tuple", "{empty}", "--N", "2"],
+        # (40+1)^2 grid points x 2x2 = 6724 entries > 1000
+        ["DILATIONS_MAX_ENTRIES=1000", "approx", "--generators", "{gens2}",
+         "--eps-list", "0.5"],
     ],
 )
 def test_bad_input_exits_2(runner, tmp_path, args):
@@ -431,6 +434,8 @@ def test_bad_input_exits_2(runner, tmp_path, args):
         "gens": {"matrices": [matrix_to_json(np.diag([-1.0]))]},
         "poly17": {"d": 1, "terms": [{"alpha": [17], "coeff": [1.0, 0.0]}]},
         "empty": {"matrices": []},
+        "gens2": {"matrices": [matrix_to_json(np.diag([-1.0, -2.0])),
+                               matrix_to_json(np.diag([-0.5, 0.0]))]},
     }
     paths = {"tuple": write_tuple(tmp_path / "tup.json", [shift_matrix(2)])}
     for name, obj in files.items():

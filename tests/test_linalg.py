@@ -196,6 +196,15 @@ class TestJson:
         back = matrix_from_json(json.loads(blob))
         np.testing.assert_array_equal(back, a)
 
+    def test_data_matches_per_entry_form(self):
+        # The stacked (re, im) list dumps to the same bytes as the per-entry
+        # comprehension it replaced, signed zeros, subnormals and transposes included.
+        a = np.array([[complex(-0.0, -0.0), complex(5e-324, 1.0)],
+                      [complex(0.0, 1e308), complex(-1e308, -5e-324)]])
+        for m in (a, a.T, rand_matrix(np.random.default_rng(16), 3, 5).T):
+            per_entry = [[float(z.real), float(z.imag)] for z in m.ravel()]
+            assert json.dumps(matrix_to_json(m)["data"]) == json.dumps(per_entry)
+
     def test_rejects_bad_length(self):
         with pytest.raises(InputError):
             matrix_from_json({"rows": 2, "cols": 2, "data": [[0.0, 0.0]]})

@@ -7,7 +7,7 @@ from conftest import (
 )
 from dilations.dilation import _random_commuting_tuple
 from dilations.linalg import InputError, identity
-from dilations.structure import bimarkov_check, preservation_suite, structure_report
+from dilations.structure import preservation_suite, structure_report
 
 
 def shift_matrix(n):
@@ -20,46 +20,58 @@ def shift_matrix(n):
 class TestStructureReport:
     def test_identity_is_everything(self):
         report = structure_report(identity(3))
-        assert report.is_contraction
-        assert report.is_isometry
-        assert report.is_unitary
-        assert report.is_projection
-        assert report.is_entrywise_nonneg
-        assert report.is_bimarkov
+        assert all(report.flags.values())
+        assert report.holds("bimarkov")
 
     def test_permutation(self):
         report = structure_report(shift_matrix(4))
-        assert report.is_unitary
-        assert report.is_bimarkov
-        assert not report.is_projection
+        assert report.flags["is_unitary"]
+        assert report.holds("bimarkov")
+        assert not report.flags["is_projection"]
 
     def test_nilpotent(self):
         e21 = np.zeros((2, 2), dtype=complex)
         e21[1, 0] = 1.0
         report = structure_report(e21)
-        assert report.is_contraction
-        assert not report.is_isometry
-        assert not report.preserves_unity
+        assert report.flags["is_contraction"]
+        assert not report.flags["is_isometry"]
+        assert not report.flags["preserves_unity"]
 
     def test_projection_flags(self):
         report = structure_report(np.diag([1.0, 0.0]))
-        assert report.is_projection
-        assert report.is_contraction
-        assert not report.is_isometry
+        assert report.flags["is_projection"]
+        assert report.flags["is_contraction"]
+        assert not report.flags["is_isometry"]
 
     def test_isometry_vs_unitary_square(self):
         # A square isometry is unitary; report flags agree.
         report = structure_report(shift_matrix(3))
-        assert report.is_isometry == report.is_unitary
+        assert report.flags["is_isometry"] == report.flags["is_unitary"]
 
     def test_deviation_values(self):
         report = structure_report(1.5 * identity(2))
         assert report.deviations["is_contraction"] == pytest.approx(0.5)
-        assert not report.is_contraction
+        assert not report.flags["is_contraction"]
+
+    def test_contraction_flag_is_the_norm_test(self):
+        # ||A|| <= 1 + tol, as in ContractionTuple: the deviation (1 + 1e-10) - 1
+        # rounds to just above 1e-10, so this flag is not "deviation <= tol".
+        report = structure_report((1 + 1e-10) * identity(2), tol=1e-10)
+        assert report.flags["is_contraction"]
+
+    def test_flags_are_deviation_within_tol(self):
+        rng = np.random.default_rng(66)
+        for a in (identity(3), shift_matrix(4), 1.5 * identity(2),
+                  rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))):
+            report = structure_report(a)
+            assert list(report.flags) == list(report.deviations)
+            for name, dev in report.deviations.items():
+                if name != "is_contraction":
+                    assert report.flags[name] == (dev <= 1e-10), name
 
     def test_complex_entries_break_nonnegativity(self):
         report = structure_report(np.array([[1j, 0], [0, 1]]))
-        assert not report.is_entrywise_nonneg
+        assert not report.flags["is_entrywise_nonneg"]
 
     def test_rejects_non_square(self):
         with pytest.raises(InputError):
@@ -74,21 +86,21 @@ class TestStructureReport:
 class TestBimarkov:
     def test_doubly_stochastic(self):
         a = np.array([[0.5, 0.5], [0.5, 0.5]])
-        assert bimarkov_check(a)
+        assert structure_report(a).holds("bimarkov")
 
     def test_row_stochastic_only(self):
         a = np.array([[0.5, 0.5], [0.0, 1.0]])
-        assert not bimarkov_check(a)
+        assert not structure_report(a).holds("bimarkov")
 
     def test_negative_entry(self):
         a = np.array([[1.5, -0.5], [-0.5, 1.5]])
-        assert not bimarkov_check(a)
+        assert not structure_report(a).holds("bimarkov")
 
     def test_random_circulant_family(self):
         rng = np.random.default_rng(60)
         tup = random_circulant_bistochastic(rng, 2, 4)
         for m in tup.mats:
-            assert bimarkov_check(m, tol=1e-12)
+            assert structure_report(m, tol=1e-12).holds("bimarkov")
 
 
 class TestPreservationSuite:
@@ -116,6 +128,14 @@ class TestPreservationSuite:
         assert out["passed"]
         assert out["classes"]["unitary"]["base_holds"] is False
         assert out["classes"]["unitary"]["preserved"] is None
+
+    def test_bad_time_raises_when_no_class_holds(self):
+        from dilations.torus import GridTime
+
+        rng = np.random.default_rng(63)
+        tup = _random_commuting_tuple(rng, 1, 2)
+        with pytest.raises(InputError):
+            preservation_suite(tup, 2, times=[GridTime(3, (1,))], tol=1e-9)
 
     def test_one_report_per_evaluation(self, monkeypatch):
         # base reports + one per evaluation (shared by every held class)

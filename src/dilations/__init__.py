@@ -20,7 +20,6 @@ from .interpolation import (
     approx_error_sweep,
     compress_discretized,
     eval_discretized,
-    kappa,
     multilinear_compress,
     scaled_blend,
     semigroup_suite,

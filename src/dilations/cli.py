@@ -269,7 +269,7 @@ def vn_search_cmd(arity, dim, trials, seed, grid_m, include_fixture, tol):
 @click.option("--m", "steps", required=True, type=int)
 @click.option("--verify", is_flag=True, default=False)
 def dilate(matrix_path, steps, verify, tol):
-    """Unitary m-dilation of a single contraction, optionally re-verified."""
+    """Unitary m-dilation of a single contraction, optionally verified."""
     s = _load_matrix(matrix_path)
     cand = egervary_dilation(s, steps, tol=tol)
     report = cand.to_json()

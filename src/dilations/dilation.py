@@ -25,7 +25,6 @@ from .interpolation import ContractionTuple
 from .linalg import (
     DEFAULT_TOL,
     InputError,
-    NumericalError,
     _powers,
     _require_commuting,
     _unitarity_deviations,
@@ -539,7 +538,7 @@ def egervary_dilation(s, m: int, tol: float = DEFAULT_TOL) -> DilationCandidate:
     applies S and feeds the defect of S* back from the last block, the
     second row collects the defect of S, and the remaining rows shift.
     Correctness is defined by the power dilation verification up to
-    n_max = m, which runs as part of construction.
+    n_max = m; construction does not run it, ``dilate --verify`` does.
     """
     s = as_matrix(s)
     if s.shape[0] != s.shape[1]:
@@ -565,11 +564,4 @@ def egervary_dilation(s, m: int, tol: float = DEFAULT_TOL) -> DilationCandidate:
         put(row, row - 1, identity(n))
     r = np.zeros((big, n), dtype=np.complex128)
     r[:n, :] = identity(n)
-    cand = DilationCandidate(vs=(v,), r=r, n_max=m, tol=max(tol, 1e-8))
-    check = power_dilation_verify(ContractionTuple((s,), tol=tol), cand, tol=tol)
-    if not check["passed"]:
-        raise NumericalError(
-            f"dilation construction failed verification "
-            f"(deviation {check['max_deviation']:.3e} at {check['worst_index']})"
-        )
-    return cand
+    return DilationCandidate(vs=(v,), r=r, n_max=m, tol=max(tol, 1e-8))

@@ -3,9 +3,11 @@
 A validated commuting tuple {S_i} of contractions on a dim-n space,
 together with a grid denominator N, defines an exact discrete semigroup
 on the N^d-point torus grid tensored with the base space.  Evaluation at
-a grid time t sends the basis vector at grid point t' to the basis
-vector at t+t' (mod 1), applying the product of S_i raised to the power
-selector kappa(t_i, t'_i) on the base factor.
+a grid time t moves grid point m to m + t (mod 1) and acts there on the
+base factor by the block prod_i S_i^(floor(t_i) + carry_i), carry_i = 1
+when frac(t_i) + m_i/N >= 1.  Only the carry pattern depends on m, so
+T(t) is one target index per grid point plus at most 2^d distinct
+blocks; every routine here works on that form.
 
 Also here: the averaged compression of that evaluation, its closed
 multilinear form, the lattice-sample blending operator, and the
@@ -39,7 +41,6 @@ from .torus import GridTime
 __all__ = [
     "ContractionTuple",
     "DiscretizedSemigroup",
-    "kappa",
     "eval_discretized",
     "compress_discretized",
     "multilinear_compress",
@@ -109,18 +110,6 @@ class ContractionTuple:
         return tup
 
 
-def kappa(num: int, num_prime: int, N: int) -> int:
-    """Power selector floor(t) + [frac(t) + frac(t') >= 1] for t=num/N, t'=num_prime/N.
-
-    Pure integer arithmetic; the tie frac(t)+frac(t') == 1 takes the +1 branch.
-    """
-    if N < 1:
-        raise InputError(f"N must be >= 1, got {N}")
-    if num < 0 or num_prime < 0:
-        raise InputError("kappa requires nonnegative numerators")
-    return num // N + (1 if (num % N) + (num_prime % N) >= N else 0)
-
-
 @dataclass(frozen=True)
 class DiscretizedSemigroup:
     """The exact discrete semigroup of a contraction tuple on the 1/N grid."""
@@ -147,58 +136,53 @@ def _check_time(semi: DiscretizedSemigroup, t: GridTime) -> None:
         raise InputError(f"grid time has arity {t.d}, tuple has d={semi.base.d}")
 
 
-def eval_discretized(semi: DiscretizedSemigroup, t: GridTime) -> np.ndarray:
-    """Matrix of the semigroup at grid time t.
+def _grid_form(semi: DiscretizedSemigroup, t: GridTime) -> tuple[np.ndarray, np.ndarray]:
+    """(targets, blocks) of the semigroup at grid time t.
 
-    Built structurally: a torus permutation of grid points with one
-    dim x dim operator block per source point.  The block for source
-    point m is the product over axes of S_i^kappa(t_i, m_i/N).
+    Grid points are indexed lexicographically, axis 1 slowest.  Point m
+    goes to targets[m], the index of m + t (mod 1), and carries the block
+    blocks[m] = prod_i S_i^(floor(t_i) + carry_i(m)).  Each distinct carry
+    pattern is multiplied once, in axis order from the identity.
     """
     _check_time(semi, t)
-    N, d, dim = semi.N, semi.base.d, semi.base.dim
-
+    N, d = semi.N, semi.base.d
+    strides = N ** np.arange(d - 1, -1, -1)
+    points = np.arange(N**d)[:, None] // strides % N  # (N^d, d) coordinates
+    moved = points + np.array([num % N for num in t.nums])
+    # Only axes with frac(t_i) > 0 can carry, at most log2(N^d) of them, so
+    # the bits of a carry pattern fit one integer code.
+    active = [i for i, num in enumerate(t.nums) if num % N]
+    codes = (moved[:, active] >= N) @ (1 << np.arange(len(active) - 1, -1, -1))
     # Per axis only two powers occur: floor(t_i) and floor(t_i)+1.
     axis_powers = [semi.base.powers(i, fl + 1) for i, fl in enumerate(t.floors)]
-    block_cache: dict[tuple[int, ...], np.ndarray] = {}
+    blocks = []
+    for pattern in itertools.product((0, 1), repeat=len(active)):
+        carries = dict(zip(active, pattern))
+        block = identity(semi.base.dim)
+        for i, fl in enumerate(t.floors):
+            block = block @ axis_powers[i][fl + carries.get(i, 0)]
+        blocks.append(block)
+    return moved % N @ strides, np.stack(blocks)[codes]
 
-    def block(exps: tuple[int, ...]) -> np.ndarray:
-        cached = block_cache.get(exps)
-        if cached is None:
-            cached = identity(dim)
-            for i, k in enumerate(exps):
-                cached = cached @ axis_powers[i][k]
-            block_cache[exps] = cached
-        return cached
 
-    out = np.zeros((semi.total_dim, semi.total_dim), dtype=np.complex128)
-    for source in itertools.product(range(N), repeat=d):
-        exps = tuple(kappa(t.nums[i], source[i], N) for i in range(d))
-        target = tuple((source[i] + t.nums[i]) % N for i in range(d))
-        src_idx = 0
-        tgt_idx = 0
-        for i in range(d):
-            src_idx = src_idx * N + source[i]
-            tgt_idx = tgt_idx * N + target[i]
-        out[
-            tgt_idx * dim : (tgt_idx + 1) * dim,
-            src_idx * dim : (src_idx + 1) * dim,
-        ] = block(exps)
-    return out
+def eval_discretized(semi: DiscretizedSemigroup, t: GridTime) -> np.ndarray:
+    """Dense matrix of the semigroup at grid time t: the blocks of its
+    grid form scattered to (target, source) block positions."""
+    targets, blocks = _grid_form(semi, t)
+    grid, dim = len(targets), semi.base.dim
+    out = np.zeros((grid, dim, grid, dim), dtype=np.complex128)
+    out[targets, :, np.arange(grid), :] = blocks
+    return out.reshape(semi.total_dim, semi.total_dim)
 
 
 def compress_discretized(semi: DiscretizedSemigroup, t: GridTime) -> np.ndarray:
     """Compression of the evaluation by the normalised all-ones embedding.
 
-    Computed as the average of all dim x dim blocks of the assembled
-    evaluation matrix; the closed multilinear form is deliberately not
-    used here so the two routes stay independent.
+    Computed as the mean of the N^d blocks of the grid form; the closed
+    multilinear form is deliberately not used here so the two routes stay
+    independent.
     """
-    _check_time(semi, t)
-    N, d, dim = semi.N, semi.base.d, semi.base.dim
-    grid = N**d
-    full = eval_discretized(semi, t)
-    blocks = full.reshape(grid, dim, grid, dim)
-    return blocks.sum(axis=(0, 2)) / grid
+    return _grid_form(semi, t)[1].mean(axis=0)
 
 
 def multilinear_compress(tup: ContractionTuple, t) -> np.ndarray:
@@ -229,70 +213,67 @@ def semigroup_suite(tup: ContractionTuple, N: int, max_num: int) -> dict:
     axis evaluations, and the compression identity against the closed
     multilinear form.  Returns the worst deviation of each check, its
     pass flag, and whether all passed.
+
+    Every check runs on the grid form of ``_grid_form``.  Targets compose
+    by integer arithmetic, so products are compared block by block:
+    T(s)T(t) has the block B_s[targets_t[m]] B_t[m] at point m, and since
+    T(t) is a permutation times a block diagonal, ||T(t)|| = max_m ||B_m||.
     """
     semi = DiscretizedSemigroup(tup, N)
     if max_num < 1:
         raise InputError(f"max_num must be >= 1, got {max_num}")
-    d = tup.d
+    d, dim = tup.d, tup.dim
+    span = 2 * max_num - 1
+    # The grid forms of every sum time, span^d stacks of N^d dim x dim blocks.
+    _check_cap(span**d * N**d * dim, dim)
+    sums = list(itertools.product(range(span), repeat=d))
+    forms = [_grid_form(semi, GridTime(N, u)) for u in sums]
+    targets = np.stack([f[0] for f in forms])
+    blocks = np.stack([f[1] for f in forms])
+    row = {u: k for k, u in enumerate(sums)}
     times = list(itertools.product(range(max_num), repeat=d))
-    evals = {nums: eval_discretized(semi, GridTime(N, nums)) for nums in times}
+    # Rows of the suite times; the row of s + t is row(s) + row(t), as no
+    # coordinate of s + t reaches span.
+    rows = np.array([row[t] for t in times])
 
-    # The interpolation times n N e_i, each with the (axis, n) pairs it
-    # checks (the origin checks every axis).
-    eye_grid = identity(N**d)
-    interp_times: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for i in range(d):
+    hom_dev = 0.0
+    for s in rows:
+        products = blocks[s, targets[rows]] @ blocks[rows]
+        hom_dev = max(hom_dev, float(np.abs(products - blocks[s + rows]).max()))
+
+    norms = np.linalg.norm(blocks[rows], 2, axis=(-2, -1))
+    contraction_dev = max(0.0, float(norms.max()) - 1.0)
+
+    # n N e_i fixes every grid point, so T - 1 (x) S_i^n is block diagonal.
+    interp_dev = 0.0
+    for i, s_i in enumerate(tup.mats):
         for n in range(2 * N + 1):
             nums = tuple(n * N if j == i else 0 for j in range(d))
-            interp_times.setdefault(nums, []).append((i, n))
+            diff = _grid_form(semi, GridTime(N, nums))[1] - np.linalg.matrix_power(s_i, n)
+            interp_dev = max(interp_dev, float(np.linalg.norm(diff, 2, axis=(-2, -1)).max()))
 
-    def interp_deviation(nums, value) -> float:
-        """Worst ||T(nums) - 1 (x) S_i^n|| over the checks at nums; marks them done."""
-        return max(
-            (
-                op_norm(value - np.kron(eye_grid, np.linalg.matrix_power(tup.mats[i], n)))
-                for i, n in interp_times.pop(nums, ())
-            ),
-            default=0.0,
-        )
-
-    # The homomorphism check streams over the sums u = s + t: T(u) is
-    # evaluated once (or read from the suite times), compared with every
-    # pair of suite times summing to u, and dropped, so only the suite
-    # times stay alive.  Interpolation times met on the way are checked
-    # against T(u) there.
-    hom_dev = 0.0
-    interp_dev = 0.0
-    for u in itertools.product(range(2 * max_num - 1), repeat=d):
-        t_u = evals.get(u)
-        if t_u is None:
-            t_u = eval_discretized(semi, GridTime(N, u))
-        summands = (range(max(0, x - max_num + 1), min(x, max_num - 1) + 1) for x in u)
-        for s in itertools.product(*summands):
-            t = tuple(x - y for x, y in zip(u, s))
-            hom_dev = max(hom_dev, float(np.abs(evals[s] @ evals[t] - t_u).max()))
-        interp_dev = max(interp_dev, interp_deviation(u, t_u))
-    for nums in list(interp_times):
-        lhs = eval_discretized(semi, GridTime(N, nums))
-        interp_dev = max(interp_dev, interp_deviation(nums, lhs))
-
-    contraction_dev = max(max(0.0, op_norm(evals[t]) - 1.0) for t in times)
-
+    axis_rows = [
+        [row[tuple(a if k == i else 0 for k in range(d))] for a in range(1, max_num)]
+        for i in range(d)
+    ]
+    pairs = [
+        (x, y)
+        for i in range(d)
+        for j in range(i + 1, d)
+        for x in axis_rows[i]
+        for y in axis_rows[j]
+    ]
     comm_dev = 0.0
-    for i in range(d):
-        for j in range(i + 1, d):
-            for a in range(1, max_num):
-                for b in range(1, max_num):
-                    e_i = evals[tuple(a if k == i else 0 for k in range(d))]
-                    e_j = evals[tuple(b if k == j else 0 for k in range(d))]
-                    comm_dev = max(comm_dev, float(np.abs(e_i @ e_j - e_j @ e_i).max()))
+    if pairs:
+        xs, ys = np.array(pairs).T
+        xy = blocks[xs[:, None], targets[ys]] @ blocks[ys]
+        yx = blocks[ys[:, None], targets[xs]] @ blocks[xs]
+        comm_dev = float(np.abs(xy - yx).max())
 
-    compress_dev = 0.0
-    for nums in times:
-        t = GridTime(N, nums)
-        lhs = compress_discretized(semi, t)
-        rhs = multilinear_compress(tup, t.values())
-        compress_dev = max(compress_dev, op_norm(lhs - rhs))
+    closed = np.stack([multilinear_compress(tup, GridTime(N, t).values()) for t in times])
+    compress_dev = float(
+        np.linalg.norm(blocks[rows].mean(axis=1) - closed, 2, axis=(-2, -1)).max()
+    )
 
     checks = {
         "homomorphism": hom_dev <= 1e-10,

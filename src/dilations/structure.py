@@ -14,7 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interpolation import ContractionTuple, DiscretizedSemigroup, eval_discretized
+from .interpolation import (
+    ContractionTuple,
+    DiscretizedSemigroup,
+    _check_time,
+    eval_discretized,
+)
 from .linalg import (
     DEFAULT_TOL,
     InputError,
@@ -100,23 +105,22 @@ def preservation_suite(
     base_reports = [structure_report(m, tol=tol) for m in tup.mats]
     base_holds = {cls: all(r.holds(cls) for r in base_reports) for cls in _CLASSES}
 
-    evals = [eval_discretized(semi, t) for t in times]
-    # One report per evaluation, shared by every held class.
-    reports = (
-        [structure_report(mat, tol=tol) for mat in evals]
-        if any(base_holds.values())
-        else []
-    )
-    results = {}
-    for cls, held in base_holds.items():
-        entry = {"base_holds": held, "preserved": None, "max_deviation": 0.0}
+    held = [cls for cls, holds in base_holds.items() if holds]
+    results = {
+        cls: {"base_holds": holds, "preserved": True if holds else None, "max_deviation": 0.0}
+        for cls, holds in base_holds.items()
+    }
+    # One evaluation and one report at a time, folded into every held class.
+    for t in times:
+        _check_time(semi, t)  # the report lists every time, held class or not
         if held:
-            entry["preserved"] = all(r.holds(cls) for r in reports)
-            entry["max_deviation"] = max(
-                (r.deviations[flag] for r in reports for flag in _CLASSES[cls]),
-                default=0.0,
-            )
-        results[cls] = entry
+            report = structure_report(eval_discretized(semi, t), tol=tol)
+            for cls in held:
+                entry = results[cls]
+                entry["preserved"] = entry["preserved"] and report.holds(cls)
+                entry["max_deviation"] = max(
+                    entry["max_deviation"], *(report.deviations[flag] for flag in _CLASSES[cls])
+                )
 
     # Converse spot-check: evaluation at the i-th unit time is I tensor S_i,
     # which must carry exactly the isometry, unitary and nonnegativity

@@ -236,6 +236,20 @@ class TestDilate:
         result = runner.invoke(main, ["dilate", "--matrix", mat, "--m", "3"])
         assert result.exit_code == 2
 
+    def test_failed_verification_exits_1(self, runner, tmp_path, monkeypatch):
+        # A valid dilation, but of another contraction: only --verify sees it.
+        construct = cli.egervary_dilation
+        monkeypatch.setattr(
+            cli, "egervary_dilation", lambda s, m, tol: construct(0.5 * np.eye(2), m, tol=tol)
+        )
+        mat = write_matrix(tmp_path / "s.json", 0.5 * shift_matrix(2))
+        out = tmp_path / "report.json"
+        result = runner.invoke(
+            main, ["dilate", "--matrix", mat, "--m", "3", "--verify", "--out", str(out)]
+        )
+        assert result.exit_code == 1
+        assert json.loads(out.read_text())["verification"]["passed"] is False
+
 
 class TestApprox:
     def test_sweep(self, runner, tmp_path):
@@ -427,6 +441,9 @@ def test_report_key_shape(runner, inputs):
         # (40+1)^2 grid points x 2x2 = 6724 entries > 1000
         ["DILATIONS_MAX_ENTRIES=1000", "approx", "--generators", "{gens2}",
          "--eps-list", "0.5"],
+        # (2*4-1)^1 sum times x 2 grid points x 2x2 = 56 block entries > 50,
+        # while the 4x4 evaluations stay under the cap
+        ["DILATIONS_MAX_ENTRIES=50", "interp", "check", "--tuple", "{tuple}", "--N", "2"],
     ],
 )
 def test_bad_input_exits_2(runner, tmp_path, args):

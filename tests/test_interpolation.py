@@ -1,6 +1,5 @@
 import itertools
 import math
-import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -16,14 +15,17 @@ from dilations.interpolation import (
     approx_error_sweep,
     compress_discretized,
     eval_discretized,
-    kappa,
     multilinear_compress,
     scaled_blend,
     semigroup_suite,
 )
 from dilations.linalg import InputError, identity, matrix_exp, op_norm
 from dilations.torus import GridTime
-from unbatched_reference import reference_sweep
+from unbatched_reference import (
+    reference_eval_discretized,
+    reference_semigroup_suite,
+    reference_sweep,
+)
 
 
 def shift_matrix(n):
@@ -33,23 +35,35 @@ def shift_matrix(n):
     return s
 
 
+def halving_semigroup(N):
+    """d=1, dim 1, S = (1/2): the block of source point m at time t is
+    exactly 2^-kappa, kappa = floor(t) + [frac(t) + m/N >= 1]."""
+    return DiscretizedSemigroup(ContractionTuple((np.array([[0.5]]),)), N)
+
+
 class TestKappa:
+    """The power selector kappa, read off the evaluation of ``halving_semigroup``."""
+
     @given(st.integers(0, 200), st.integers(0, 200), st.integers(1, 12))
     def test_fraction_oracle(self, num, num_prime, N):
         t = Fraction(num, N)
         t_prime = Fraction(num_prime, N)
         frac_sum = (t - math.floor(t)) + (t_prime - math.floor(t_prime))
         expected = math.floor(t) + (1 if frac_sum >= 1 else 0)
-        assert kappa(num, num_prime, N) == expected
+        source = num_prime % N
+        mat = eval_discretized(halving_semigroup(N), GridTime(N, (num,)))
+        assert mat[(source + num) % N, source] == 2.0**-expected
 
     def test_tie_goes_up(self):
-        assert kappa(1, 3, 4) == 1
+        # t = 1/4 at source point 3/4: frac(t) + frac(t') == 1 carries.
+        mat = eval_discretized(halving_semigroup(4), GridTime(4, (1,)))
+        assert mat[0, 3] == 0.5
 
     def test_rejects_bad_input(self):
         with pytest.raises(InputError):
-            kappa(-1, 0, 4)
+            GridTime(4, (-1,))
         with pytest.raises(InputError):
-            kappa(0, 0, 0)
+            halving_semigroup(0)
 
 
 class TestContractionTuple:
@@ -171,6 +185,27 @@ class TestEvalDiscretized:
         with pytest.raises(InputError):
             DiscretizedSemigroup(ContractionTuple((shift_matrix(2),)), 1024)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    def test_matches_unbatched_reference(self, d, N):
+        rng = np.random.default_rng(100 + 10 * d + N)
+        semi = DiscretizedSemigroup(_random_commuting_tuple(rng, d, 2), N)
+        for nums in itertools.product(range(2 * N + 1), repeat=d):
+            t = GridTime(N, nums)
+            mat = eval_discretized(semi, t)
+            assert mat.tobytes() == reference_eval_discretized(semi, t).tobytes(), nums
+
+    def test_large_d(self):
+        # d = 70 exceeds numpy's limit on array dimensions; N = 1 keeps one point.
+        rng = np.random.default_rng(41)
+        tup = ContractionTuple(tuple(rng.uniform(0.5, 1.0, (70, 1, 1))))
+        semi = DiscretizedSemigroup(tup, 1)
+        for nums in [(0,) * 70, (1,) * 70, tuple(rng.integers(0, 3, 70))]:
+            t = GridTime(1, nums)
+            mat = eval_discretized(semi, t)
+            assert mat.shape == (1, 1)
+            assert mat.tobytes() == reference_eval_discretized(semi, t).tobytes()
+
 
 class TestCompression:
     def test_hand_case(self):
@@ -211,6 +246,16 @@ class TestCompression:
             multilinear_compress(tup, (0.5, 0.5))
 
 
+def assert_suite_matches_reference(tup, N, max_num):
+    """Same checks as the dense reference suite, each deviation within 1e-14."""
+    out = semigroup_suite(tup, N, max_num)
+    ref = reference_semigroup_suite(tup, N, max_num)
+    assert out["checks"] == ref["checks"]
+    assert out["passed"] == ref["passed"]
+    for name, dev in out["deviations"].items():
+        assert abs(dev - ref["deviations"][name]) <= 1e-14, name
+
+
 class TestSemigroupSuite:
     def test_flags_an_expansion(self):
         # validated tuples are contractions; bypass the tolerance to see
@@ -220,31 +265,36 @@ class TestSemigroupSuite:
         assert not out["checks"]["contractivity"]
         assert not out["passed"]
 
-    @pytest.mark.parametrize("d, N, max_num", [(1, 2, 6), (2, 2, 3)])
-    def test_streams_the_homomorphism_sums(self, monkeypatch, d, N, max_num):
-        # Each sum time and interpolation time is evaluated once, plus one
-        # evaluation per compression.  Besides the suite times, at most
-        # three evaluations are alive at once (the last sum time, the last
-        # interpolation time and the one being built), against every sum
-        # time when nothing is streamed.
-        live = []
-        most_alive = [0]
-        evaluate = interpolation.eval_discretized
+    @pytest.mark.parametrize(
+        "d, N, max_num, dim, seed",
+        [(1, 3, 6, 2, 80), (1, 1, 3, 3, 81), (2, 2, 4, 2, 82), (2, 3, 2, 1, 83), (3, 2, 2, 2, 84)],
+    )
+    def test_matches_dense_reference(self, d, N, max_num, dim, seed):
+        tup = _random_commuting_tuple(np.random.default_rng(seed), d, dim)
+        assert_suite_matches_reference(tup, N, max_num)
 
-        def tracked(semi, t):
-            value = evaluate(semi, t)
-            live.append(weakref.ref(value))
-            most_alive[0] = max(most_alive[0], sum(r() is not None for r in live))
-            return value
+    def test_expansion_matches_dense_reference(self):
+        tup = ContractionTuple((np.array([[1.1]]), np.array([[0.9]])), tol=0.2)
+        assert_suite_matches_reference(tup, 2, 3)
 
-        monkeypatch.setattr(interpolation, "eval_discretized", tracked)
-        rng = np.random.default_rng(75)
-        out = semigroup_suite(_random_commuting_tuple(rng, d, 2), N, max_num)
-        assert out["passed"]
-        sums = (2 * max_num - 1) ** d
-        interp_beyond = d * sum(1 for n in range(2 * N + 1) if n * N > 2 * max_num - 2)
-        assert len(live) == sums + interp_beyond + max_num**d
-        assert most_alive[0] <= max_num**d + 3 < sums
+    def test_perturbed_sum_block_breaks_homomorphism(self, monkeypatch):
+        # (2, 1) is a sum of suite times but neither a suite time nor an
+        # interpolation time, so only the homomorphism check reads it.
+        grid_form = interpolation._grid_form
+
+        def perturbed(semi, t):
+            targets, blocks = grid_form(semi, t)
+            if t.nums == (2, 1):
+                blocks = blocks.copy()
+                blocks[1] += 1e-6
+            return targets, blocks
+
+        monkeypatch.setattr(interpolation, "_grid_form", perturbed)
+        tup = _random_commuting_tuple(np.random.default_rng(85), 2, 2)
+        out = semigroup_suite(tup, 2, 2)
+        assert not out["checks"]["homomorphism"]
+        assert out["deviations"]["homomorphism"] > 1e-7
+        assert all(ok for name, ok in out["checks"].items() if name != "homomorphism")
 
 
 def corner_weights(eps, times):

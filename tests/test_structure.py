@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,26 @@ class TestPreservationSuite:
             calls.clear()
             assert preservation_suite(tup, 2, tol=1e-9)["passed"]
             assert len(calls) == expected
+
+    def test_holds_one_evaluation_at_a_time(self, monkeypatch):
+        import dilations.structure as structure
+
+        live = []
+        most_alive = 0
+        evaluate = structure.eval_discretized
+
+        def tracked(semi, t):
+            nonlocal most_alive
+            value = evaluate(semi, t)
+            live.append(weakref.ref(value))
+            most_alive = max(most_alive, sum(r() is not None for r in live))
+            return value
+
+        monkeypatch.setattr(structure, "eval_discretized", tracked)
+        tup = random_commuting_unitaries(np.random.default_rng(66), 2, 2)
+        assert preservation_suite(tup, 2, tol=1e-9)["passed"]
+        assert len(live) == 16 + 2  # every time, then the converse unit times
+        assert most_alive == 1
 
     def test_converse_unit_times(self):
         rng = np.random.default_rng(64)

@@ -15,6 +15,14 @@ rounding and commutator bound its docstring states.
 powers every term on each slice of the first axis.  The separable
 ``torus_sup`` sums in another order, so the tests require its lattice
 maximum to agree within the rounding bound its docstring states.
+
+``reference_eval_discretized`` assembles the grid semigroup one source
+point at a time, with the power selector
+kappa(t, t') = floor(t) + [frac(t) + frac(t') >= 1] per axis, and
+``reference_semigroup_suite`` runs the property suite on those dense
+matrices.  The library builds the same evaluation from its grid form of
+targets and carry-pattern blocks, so the tests require the dense matrix
+to agree bit for bit and the suite's deviations within 1e-14.
 """
 
 import itertools
@@ -22,8 +30,9 @@ import math
 
 import numpy as np
 
-from dilations.interpolation import scaled_blend
-from dilations.linalg import identity
+from dilations.interpolation import DiscretizedSemigroup, multilinear_compress, scaled_blend
+from dilations.linalg import identity, op_norm
+from dilations.torus import GridTime
 
 
 def reference_matrix_exp(a, t=1.0):
@@ -100,3 +109,95 @@ def reference_torus_sup(poly, M):
     )
     pad = math.pi / M * gradient_bound
     return grid_sup, pad, grid_sup + pad
+
+
+def reference_eval_discretized(semi, t):
+    """Dense T(t): the block prod_i S_i^kappa(t_i, m_i/N) of each source
+    point m, placed at the target m + t (mod 1)."""
+    N, d, dim = semi.N, semi.base.d, semi.base.dim
+    axis_powers = [semi.base.powers(i, fl + 1) for i, fl in enumerate(t.floors)]
+    block_cache = {}
+
+    def block(exps):
+        cached = block_cache.get(exps)
+        if cached is None:
+            cached = identity(dim)
+            for i, k in enumerate(exps):
+                cached = cached @ axis_powers[i][k]
+            block_cache[exps] = cached
+        return cached
+
+    out = np.zeros((semi.total_dim, semi.total_dim), dtype=np.complex128)
+    for source in itertools.product(range(N), repeat=d):
+        exps = tuple(
+            t.nums[i] // N + (1 if t.nums[i] % N + source[i] >= N else 0) for i in range(d)
+        )
+        target = tuple((source[i] + t.nums[i]) % N for i in range(d))
+        src_idx = 0
+        tgt_idx = 0
+        for i in range(d):
+            src_idx = src_idx * N + source[i]
+            tgt_idx = tgt_idx * N + target[i]
+        out[
+            tgt_idx * dim : (tgt_idx + 1) * dim,
+            src_idx * dim : (src_idx + 1) * dim,
+        ] = block(exps)
+    return out
+
+
+def reference_semigroup_suite(tup, N, max_num):
+    """The property suite on dense evaluations: every pair product T(s)T(t)
+    is compared with T(s+t), norms and interpolation deviations are SVDs of
+    the full matrices, and the compression averages all blocks of T(t)."""
+    semi = DiscretizedSemigroup(tup, N)
+    d = tup.d
+    grid = N**d
+
+    def evaluate(nums):
+        return reference_eval_discretized(semi, GridTime(N, nums))
+
+    times = list(itertools.product(range(max_num), repeat=d))
+    evals = {nums: evaluate(nums) for nums in times}
+
+    hom_dev = 0.0
+    for s in times:
+        for t in times:
+            u = tuple(x + y for x, y in zip(s, t))
+            hom_dev = max(hom_dev, float(np.abs(evals[s] @ evals[t] - evaluate(u)).max()))
+
+    contraction_dev = max(max(0.0, op_norm(evals[t]) - 1.0) for t in times)
+
+    interp_dev = 0.0
+    for i in range(d):
+        for n in range(2 * N + 1):
+            lhs = evaluate(tuple(n * N if j == i else 0 for j in range(d)))
+            rhs = np.kron(identity(grid), np.linalg.matrix_power(tup.mats[i], n))
+            interp_dev = max(interp_dev, op_norm(lhs - rhs))
+
+    comm_dev = 0.0
+    for i in range(d):
+        for j in range(i + 1, d):
+            for a in range(1, max_num):
+                for b in range(1, max_num):
+                    e_i = evals[tuple(a if k == i else 0 for k in range(d))]
+                    e_j = evals[tuple(b if k == j else 0 for k in range(d))]
+                    comm_dev = max(comm_dev, float(np.abs(e_i @ e_j - e_j @ e_i).max()))
+
+    compress_dev = 0.0
+    for nums in times:
+        blocks = evals[nums].reshape(grid, tup.dim, grid, tup.dim)
+        lhs = blocks.sum(axis=(0, 2)) / grid
+        rhs = multilinear_compress(tup, GridTime(N, nums).values())
+        compress_dev = max(compress_dev, op_norm(lhs - rhs))
+
+    deviations = {
+        "homomorphism": hom_dev,
+        "contractivity": contraction_dev,
+        "interpolation": interp_dev,
+        "commutation": comm_dev,
+        "compression_identity": compress_dev,
+    }
+    limits = {"homomorphism": 1e-10, "contractivity": 1e-10, "interpolation": 1e-12,
+              "commutation": 1e-10, "compression_identity": 1e-12}
+    checks = {name: dev <= limits[name] for name, dev in deviations.items()}
+    return {"deviations": deviations, "checks": checks, "passed": all(checks.values())}

@@ -8,6 +8,11 @@ stderr; writing the report to stdout or ``--out``; and exiting with the
 code the command returns.  A command body only loads its inputs, calls
 the library and returns ``(report, exit_code)``.
 
+Reports are written byte-identically to ``json.dumps(report, indent=2)``
+plus a newline.  Matrix payloads (``rows``/``cols``/``data`` with finite
+float pairs) are rendered by string joins and streamed to the output in
+chunks; the rest of the report goes through ``json.dumps`` itself.
+
 Exit codes: 0 all checks passed / inequality HOLDS; 1 a check failed or
 a violation was found (report still written); 2 input or format error;
 3 numerical error.
@@ -79,13 +84,110 @@ def _load_tuple(path, tol):
     return ContractionTuple.from_json(_load_json(path), tol=tol)
 
 
+# Matrix data pairs rendered per piece of a streamed report.
+_CHUNK_PAIRS = 4096
+# Stands in for a matrix's data list in the report skeleton; no report
+# string holds a NUL, and the split in _report_pieces checks that anyway.
+_HOLE = "\x00matrix data"
+
+
+def _flat_chunks(data):
+    """The entries of the pairs in ``data``, flattened, a chunk at a time."""
+    for start in range(0, len(data), _CHUNK_PAIRS):
+        yield tuple(itertools.chain.from_iterable(data[start : start + _CHUNK_PAIRS]))
+
+
+def _finite_pairs(data):
+    """Whether ``data`` is a non-empty list of [re, im] lists of finite floats."""
+    if type(data) is not list or not data:
+        return False
+    if set(map(type, data)) != {list} or set(map(len, data)) != {2}:
+        return False
+    return all(
+        set(map(type, flat)) == {float} and all(map(math.isfinite, flat))
+        for flat in _flat_chunks(data)
+    )
+
+
+def _with_holes(obj, held):
+    """A copy of ``obj`` with each matrix's data list replaced by ``_HOLE``.
+
+    The replaced lists are appended to ``held`` in the order ``json.dumps``
+    writes them.
+    """
+    if isinstance(obj, list):
+        return [_with_holes(v, held) for v in obj]
+    if not isinstance(obj, dict):
+        return obj
+    matrix = "rows" in obj and "cols" in obj and _finite_pairs(obj.get("data"))
+    copy = {}
+    for key, value in obj.items():
+        if matrix and key == "data":
+            held.append(value)
+            value = _HOLE
+        copy[key] = _with_holes(value, held)
+    return copy
+
+
+def _pair_template(indent):
+    """One [re, im] pair of a data list whose key line is indented by ``indent``."""
+    inner = indent + "  "
+    return f"{inner}[\n{inner}  %r,\n{inner}  %r\n{inner}]"
+
+
+def _data_pieces(data, indent):
+    """``json.dumps(data, indent=2)`` for finite float pairs, in chunks.
+
+    ``%r`` is ``float.__repr__``, which is what ``json`` writes for a
+    finite float.
+    """
+    pair = _pair_template(indent)
+    separator = "[\n"
+    for flat in _flat_chunks(data):
+        yield separator
+        yield ",\n".join([pair] * (len(flat) // 2)) % flat
+        separator = ",\n"
+    yield f"\n{indent}]"
+
+
+def _spliced(parts, held):
+    yield parts[0]
+    for before, data, after in zip(parts, held, parts[1:]):
+        line = before[before.rfind("\n") + 1 :]
+        yield from _data_pieces(data, line[: len(line) - len(line.lstrip(" "))])
+        yield after
+    yield "\n"
+
+
+def _report_pieces(report):
+    """The text of a report, as pieces to write in order.
+
+    A list report is its lines.  Any other report is exactly
+    ``json.dumps(report, indent=2) + "\n"``: the report with its matrix data
+    lists cut out goes through ``json.dumps``, and each data list is
+    rendered into its hole, with the indentation of the line it sits on.
+    ``json.dumps`` runs before this returns, so a report it cannot encode
+    fails before the output is opened.
+    """
+    if isinstance(report, list):
+        return ["\n".join(report), "\n"]
+    held = []
+    parts = json.dumps(_with_holes(report, held), indent=2).split(json.dumps(_HOLE))
+    if len(parts) != len(held) + 1:
+        return [json.dumps(report, indent=2), "\n"]
+    return _spliced(parts, held)
+
+
 def _report_command(group, name=None, tol=True):
     """Register the decorated body as command ``name`` of ``group``.
 
     The body receives its own options, and the resolved ``tol`` unless
     ``tol`` is false, and returns ``(report, exit_code)``.  A dict report
-    is written as indented JSON, a list as text lines.  ``--help`` lists
-    the options in the order of the body's parameters, then ``--out``.
+    is written as indented JSON, byte-identical to
+    ``json.dumps(report, indent=2)`` plus a newline, with its matrix
+    payloads streamed in chunks (see ``_report_pieces``); a list report is
+    written as text lines.  ``--help`` lists the options in the order of
+    the body's parameters, then ``--out``.
     """
 
     def register(body):
@@ -111,15 +213,13 @@ def _report_command(group, name=None, tol=True):
             except NumericalError as exc:
                 click.echo(f"numerical error: {exc}", err=True)
                 sys.exit(EXIT_NUMERICAL_ERROR)
-            if isinstance(report, list):
-                text = "\n".join(report)
-            else:
-                text = json.dumps(report, indent=2)
+            pieces = _report_pieces(report)
             if out is None:
-                click.echo(text)
+                sys.stdout.writelines(pieces)
+                sys.stdout.flush()
             else:
                 with open(out, "w") as handle:
-                    handle.write(text + "\n")
+                    handle.writelines(pieces)
             sys.exit(code)
 
         return group.command(name or body.__name__, params=params, help=body.__doc__)(

@@ -108,9 +108,11 @@ def _axis_operator(N: int, d: int, axis: int, local: np.ndarray) -> np.ndarray:
     if not 1 <= axis <= d:
         raise InputError(f"axis must be in [1, {d}], got {axis}")
     # Lexicographic basis, axis 1 slowest: operator = I ⊗ ... ⊗ local ⊗ ... ⊗ I.
-    left = identity(N ** (axis - 1))
-    right = identity(N ** (d - axis))
-    return np.kron(np.kron(left, local), right)
+    # A 1x1 identity factor is skipped: np.kron's overhead dominates at d=1.
+    left = N ** (axis - 1)
+    right = N ** (d - axis)
+    op = local if left == 1 else np.kron(identity(left), local)
+    return op if right == 1 else np.kron(op, identity(right))
 
 
 def koopman_u(N: int, d: int, axis: int, k: int) -> np.ndarray:

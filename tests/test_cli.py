@@ -1,5 +1,7 @@
 import itertools
 import json
+import math
+import tracemalloc
 
 import click
 import numpy as np
@@ -11,6 +13,7 @@ from dilations import cli
 from dilations.cli import main
 from dilations.dilation import _random_commuting_tuple
 from dilations.linalg import InputError, NumericalError, matrix_to_json
+from dilations.torus import bscr_trace, trace_to_csv_rows
 
 
 @pytest.fixture
@@ -422,6 +425,101 @@ def test_report_key_shape(runner, inputs):
         payload = json.loads(result.output)
         assert list(payload) == top_keys, args
         assert list(payload["config"]) == config_keys, args
+
+
+@pytest.mark.parametrize(
+    "args", [args for args, _, _ in REPORT_SHAPES], ids=lambda a: command_name(a)
+)
+def test_report_bytes_are_indented_json(runner, inputs, tmp_path, args):
+    """stdout and --out both hold exactly json.dumps(report, indent=2) + newline."""
+    args = [a.format(**inputs) for a in args]
+    result = runner.invoke(main, args)
+    out = tmp_path / "report.json"
+    written = runner.invoke(main, args + ["--out", str(out)])
+    assert result.exit_code == written.exit_code == 0, (args, result.output)
+    expected = json.dumps(json.loads(result.stdout), indent=2) + "\n"
+    assert result.stdout == expected
+    assert written.stdout == ""
+    assert out.read_text() == expected
+
+
+def _matrix(rows, cols, pairs):
+    return {"rows": rows, "cols": cols, "data": [list(p) for p in pairs]}
+
+
+# Reports the writer must render exactly as json.dumps(report, indent=2).
+WRITER_CASES = {
+    "float extremes": {
+        "config": {"command": "x", "tol": 1e-9},
+        "result": _matrix(1, 3, [(-0.0, 5e-324), (1e308, 1e16), (1e-7, -1.5)]),
+    },
+    "1x1": {"result": _matrix(1, 1, [(0.0, 1.0)])},
+    "nested like dilate": {
+        "unitaries": [_matrix(1, 1, [(1.0, 0.0)]), _matrix(2, 1, [(0.5, -0.5), (0.0, 2.0)])],
+        "embedding": _matrix(2, 1, [(1.0, 0.0), (0.0, 0.0)]),
+        "n_max": 1,
+        "config": {"nested": [[{"deeper": _matrix(1, 1, [(3.0, 4.0)])}]]},
+    },
+    "eight pairs": {"result": _matrix(2, 4, [(k / 7, -k * 1e-300) for k in range(8)])},
+    "data without rows and cols": {"data": [[1.0, 2.0]], "cols": 1},
+    "ints and bools in data": {
+        "a": _matrix(1, 1, [(1, 2.0)]),
+        "b": _matrix(1, 1, [(True, 0.0)]),
+        "c": _matrix(1, 1, [(1.0, 2.0, 3.0)]),
+        "d": _matrix(0, 0, []),
+    },
+    "non-finite": {"result": _matrix(1, 3, [(math.nan, math.inf), (-math.inf, 0.0), (1.0, 2.0)])},
+    "report string equal to the hole": {"note": cli._HOLE, "result": _matrix(1, 1, [(1.0, 2.0)])},
+}
+
+
+def _written(report):
+    return "".join(cli._report_pieces(report))
+
+
+@pytest.mark.parametrize("chunk", [3, cli._CHUNK_PAIRS])
+@pytest.mark.parametrize("name", list(WRITER_CASES))
+def test_writer_matches_json_dumps(monkeypatch, name, chunk):
+    monkeypatch.setattr(cli, "_CHUNK_PAIRS", chunk)
+    report = WRITER_CASES[name]
+    assert _written(report) == json.dumps(report, indent=2) + "\n"
+
+
+def test_writer_keeps_json_non_finite_spelling():
+    text = _written(WRITER_CASES["non-finite"])
+    assert "NaN" in text and "Infinity" in text and "-Infinity" in text
+
+
+def test_writer_list_report_is_text_lines():
+    lines = trace_to_csv_rows(bscr_trace(4, 1, 2, np.ones(4)))
+    assert _written(lines) == "\n".join(lines) + "\n"
+
+
+def test_wrong_pair_indent_is_caught(monkeypatch):
+    """Mutant check: a pair template indented one level too deep fails the byte test."""
+    template = cli._pair_template
+    monkeypatch.setattr(cli, "_pair_template", lambda indent: template(indent + "  "))
+    for name in ("float extremes", "1x1", "nested like dilate", "eight pairs"):
+        report = WRITER_CASES[name]
+        assert _written(report) != json.dumps(report, indent=2) + "\n", name
+
+
+def test_writer_streams_matrix_payloads(tmp_path):
+    """Writing a 256x256 matrix report allocates at most twice the bytes written."""
+    rng = np.random.default_rng(5)
+    report = {"config": {"command": "interp eval"},
+              "result": matrix_to_json(rng.standard_normal((256, 256)) + 1j)}
+    path = tmp_path / "report.json"
+    with open(path, "w") as handle:
+        tracemalloc.start()
+        try:
+            handle.writelines(cli._report_pieces(report))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 3_000_000
+    assert peak <= 2 * size, (peak, size)
 
 
 @pytest.mark.parametrize(

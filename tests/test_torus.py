@@ -97,6 +97,20 @@ class TestKoopman:
                     expected[t1 * N + t2, m1 * N + m2] = 1.0
             np.testing.assert_array_equal(u, expected)
 
+    @pytest.mark.parametrize("op", [koopman_u, projector_p])
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_matches_two_kron_route(self, op, N):
+        # Skipping 1x1 Kronecker factors leaves every byte as I ⊗ local ⊗ I gives it.
+        for d in (1, 2, 3):
+            for axis in range(1, d + 1):
+                for k in range(6):
+                    local = op(N, 1, 1, k)
+                    left, right = identity(N ** (axis - 1)), identity(N ** (d - axis))
+                    expected = np.kron(np.kron(left, local), right)
+                    got = op(N, d, axis, k)
+                    assert got.dtype == expected.dtype and got.shape == expected.shape
+                    assert got.tobytes() == expected.tobytes(), (d, axis, k)
+
     def test_bad_axis(self):
         with pytest.raises(InputError):
             koopman_u(3, 2, 3, 1)

@@ -136,13 +136,17 @@ def _check_time(semi: DiscretizedSemigroup, t: GridTime) -> None:
         raise InputError(f"grid time has arity {t.d}, tuple has d={semi.base.d}")
 
 
-def _grid_form(semi: DiscretizedSemigroup, t: GridTime) -> tuple[np.ndarray, np.ndarray]:
-    """(targets, blocks) of the semigroup at grid time t.
+def _grid_form(
+    semi: DiscretizedSemigroup, t: GridTime
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(targets, codes, patterns) of the semigroup at grid time t.
 
     Grid points are indexed lexicographically, axis 1 slowest.  Point m
     goes to targets[m], the index of m + t (mod 1), and carries the block
-    blocks[m] = prod_i S_i^(floor(t_i) + carry_i(m)).  Each distinct carry
-    pattern is multiplied once, in axis order from the identity.
+    patterns[codes[m]] = prod_i S_i^(floor(t_i) + carry_i(m)).  With a the
+    number of axes where frac(t_i) > 0, ``patterns`` holds the 2^a carry
+    pattern blocks, each multiplied once in axis order from the identity,
+    and every pattern occurs at some grid point.
     """
     _check_time(semi, t)
     N, d = semi.N, semi.base.d
@@ -162,16 +166,16 @@ def _grid_form(semi: DiscretizedSemigroup, t: GridTime) -> tuple[np.ndarray, np.
         for i, fl in enumerate(t.floors):
             block = block @ axis_powers[i][fl + carries.get(i, 0)]
         blocks.append(block)
-    return moved % N @ strides, np.stack(blocks)[codes]
+    return moved % N @ strides, codes, np.stack(blocks)
 
 
 def eval_discretized(semi: DiscretizedSemigroup, t: GridTime) -> np.ndarray:
     """Dense matrix of the semigroup at grid time t: the blocks of its
     grid form scattered to (target, source) block positions."""
-    targets, blocks = _grid_form(semi, t)
+    targets, codes, patterns = _grid_form(semi, t)
     grid, dim = len(targets), semi.base.dim
     out = np.zeros((grid, dim, grid, dim), dtype=np.complex128)
-    out[targets, :, np.arange(grid), :] = blocks
+    out[targets, :, np.arange(grid), :] = patterns[codes]
     return out.reshape(semi.total_dim, semi.total_dim)
 
 
@@ -182,7 +186,8 @@ def compress_discretized(semi: DiscretizedSemigroup, t: GridTime) -> np.ndarray:
     multilinear form is deliberately not used here so the two routes stay
     independent.
     """
-    return _grid_form(semi, t)[1].mean(axis=0)
+    _, codes, patterns = _grid_form(semi, t)
+    return patterns[codes].mean(axis=0)
 
 
 def multilinear_compress(tup: ContractionTuple, t) -> np.ndarray:
@@ -228,8 +233,10 @@ def semigroup_suite(tup: ContractionTuple, N: int, max_num: int) -> dict:
     _check_cap(span**d * N**d * dim, dim)
     sums = list(itertools.product(range(span), repeat=d))
     forms = [_grid_form(semi, GridTime(N, u)) for u in sums]
-    targets = np.stack([f[0] for f in forms])
-    blocks = np.stack([f[1] for f in forms])
+    targets = np.stack([form[0] for form in forms])
+    blocks = np.empty((len(sums), N**d, dim, dim), dtype=np.complex128)
+    for k, (_, codes, patterns) in enumerate(forms):
+        np.take(patterns, codes, axis=0, out=blocks[k])
     row = {u: k for k, u in enumerate(sums)}
     times = list(itertools.product(range(max_num), repeat=d))
     # Rows of the suite times; the row of s + t is row(s) + row(t), as no
@@ -249,7 +256,8 @@ def semigroup_suite(tup: ContractionTuple, N: int, max_num: int) -> dict:
     for i, s_i in enumerate(tup.mats):
         for n in range(2 * N + 1):
             nums = tuple(n * N if j == i else 0 for j in range(d))
-            diff = _grid_form(semi, GridTime(N, nums))[1] - np.linalg.matrix_power(s_i, n)
+            # One carry pattern: every grid point holds the same block.
+            diff = _grid_form(semi, GridTime(N, nums))[2] - np.linalg.matrix_power(s_i, n)
             interp_dev = max(interp_dev, float(np.linalg.norm(diff, 2, axis=(-2, -1)).max()))
 
     axis_rows = [

@@ -5,6 +5,25 @@ finite stand-in for almost-everywhere positivity of functions; the
 "unity" vector is the all-ones vector.  A bi-Markov operator is
 entrywise nonnegative and fixes unity under both itself and its
 adjoint (a doubly stochastic matrix, complex-entry variant).
+
+The grid semigroup T(t) is a permutation P of the grid points (tensored
+with the identity of the base space) times the block diagonal D =
+diag(B_m), one base-space block per source point m.  Every tracked class
+is therefore a property of the blocks alone:
+
+- T*T = diag(B_m* B_m), as P*P = 1;
+- TT* = P diag(B_m B_m*) P*;
+- T 1 = P (B_m 1)_m;
+- T* 1 = (B_m* 1)_m, as P* 1 = 1.
+
+So ||T*T - 1|| and ||TT* - 1|| are the largest block deviations (unitary
+conjugation by P keeps norms and block diagonals have the largest block
+norm); the entries of T are those of the blocks plus zeros, which change
+neither the most negative real part (clamped at 0) nor the largest
+imaginary part; and ||T 1 - 1|| and ||T* 1 - 1|| are the 2-norms of the
+stacked block residuals, P being an isometry.  ``preservation_suite``
+measures every class this way on the at most 2^d carry pattern blocks of
+the grid form and their multiplicities, without assembling T(t).
 """
 
 from __future__ import annotations
@@ -18,14 +37,15 @@ from .interpolation import (
     ContractionTuple,
     DiscretizedSemigroup,
     _check_time,
-    eval_discretized,
+    _grid_form,
 )
 from .linalg import (
     DEFAULT_TOL,
     InputError,
-    _unitarity_deviations,
+    _check_cap,
     as_matrix,
     dagger,
+    identity,
     op_norm,
 )
 from .torus import GridTime
@@ -55,33 +75,70 @@ class StructureReport:
         return {"flags": dict(self.flags), "deviations": dict(self.deviations)}
 
 
+def _class_deviations(blocks: np.ndarray, counts: np.ndarray) -> dict:
+    """Deviations of the class flags of T = P diag(B), the diagonal holding
+    blocks[k] counts[k] times and P a permutation of the block positions.
+
+    The flags are those of ``_CLASSES``: isometry max ||B*B - 1||, unitary
+    that or max ||BB* - 1|| if larger, entrywise nonnegativity
+    max(0, -min Re B, max |Im B|), and the unity deviations
+    ||(sqrt(counts_k) (B_k 1 - 1))_k||_2 and the same with B*.  These are
+    exact, by the identities of the module docstring, because P is a
+    permutation: for the grid semigroup m -> m + t (mod 1) is a bijection
+    of the grid, so the targets of every grid form are a permutation of
+    the grid points.
+    """
+    eye = identity(blocks.shape[-1])
+    ones = np.ones(blocks.shape[-1], dtype=np.complex128)
+    adjoints = blocks.conj().swapaxes(-1, -2)
+    isometry = float(np.linalg.norm(adjoints @ blocks - eye, 2, axis=(-2, -1)).max())
+    counitary = float(np.linalg.norm(blocks @ adjoints - eye, 2, axis=(-2, -1)).max())
+    weights = np.sqrt(counts)[:, None]
+    return {
+        "is_isometry": isometry,
+        "is_unitary": max(isometry, counitary),
+        "is_entrywise_nonneg": max(
+            0.0, -float(blocks.real.min()), float(np.abs(blocks.imag).max())
+        ),
+        "preserves_unity": float(np.linalg.norm(weights * (blocks @ ones - ones))),
+        "adjoint_preserves_unity": float(np.linalg.norm(weights * (adjoints @ ones - ones))),
+    }
+
+
 def structure_report(a, tol: float = DEFAULT_TOL) -> StructureReport:
     """Measure operator class membership of a square matrix at tolerance tol.
 
-    Each flag is its deviation <= tol, except ``is_contraction``, which is
+    The class deviations are ``_class_deviations`` of the one block a, with
+    count 1; this adds ``is_contraction`` and ``is_projection``.  Each flag
+    is its deviation <= tol, except ``is_contraction``, which is
     ||A|| <= 1 + tol as in ``ContractionTuple``: ``max(0, ||A|| - 1) <= tol``
     rounds differently near the boundary.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise InputError("structure report requires a square matrix")
-    ones = np.ones(a.shape[0], dtype=np.complex128)
 
     norm = op_norm(a)
-    isometry_dev, counitary_dev = _unitarity_deviations(a)
+    classes = _class_deviations(a[None], np.ones(1))
     deviations = {
         "is_contraction": max(0.0, norm - 1.0),
-        "is_isometry": isometry_dev,
-        "is_unitary": max(isometry_dev, counitary_dev),
+        "is_isometry": classes["is_isometry"],
+        "is_unitary": classes["is_unitary"],
         "is_projection": max(op_norm(a @ a - a), op_norm(a - dagger(a))),
-        "is_entrywise_nonneg": max(
-            0.0, -float(a.real.min()), float(np.abs(a.imag).max())
-        ),
-        "preserves_unity": float(np.linalg.norm(a @ ones - ones)),
-        "adjoint_preserves_unity": float(np.linalg.norm(dagger(a) @ ones - ones)),
+        "is_entrywise_nonneg": classes["is_entrywise_nonneg"],
+        "preserves_unity": classes["preserves_unity"],
+        "adjoint_preserves_unity": classes["adjoint_preserves_unity"],
     }
     flags = {name: bool(dev <= tol) for name, dev in deviations.items()}
     flags["is_contraction"] = bool(norm <= 1 + tol)
+    return StructureReport(flags=flags, deviations=deviations)
+
+
+def _grid_report(semi: DiscretizedSemigroup, t: GridTime, tol: float) -> StructureReport:
+    """The class flags of the evaluation at t, from its grid form."""
+    _, codes, patterns = _grid_form(semi, t)
+    deviations = _class_deviations(patterns, np.bincount(codes, minlength=len(patterns)))
+    flags = {name: bool(dev <= tol) for name, dev in deviations.items()}
     return StructureReport(flags=flags, deviations=deviations)
 
 
@@ -97,9 +154,18 @@ def preservation_suite(
     For each class held by every base operator, every evaluation must be
     in the class; the converse spot-check inspects t = e_i, whose
     evaluation is the identity tensor S_i.
+
+    No evaluation is assembled: each report comes from the grid form's at
+    most 2^d carry pattern blocks and their multiplicities, by
+    T*T = diag(B_m* B_m), TT* = P diag(B_m B_m*) P*, T 1 = P (B_m 1)_m and
+    T* 1 = (B_m* 1)_m (see the module docstring), so a time holds at most
+    2^d dim x dim blocks and N^d indices.  The time list, and the grid forms
+    it stands for, are capped at len(times) N^d dim^2 block entries.
     """
     semi = DiscretizedSemigroup(tup, N)
-    d = tup.d
+    d, dim = tup.d, tup.dim
+    count = (2 * N) ** d if times is None else len(times)
+    _check_cap(count * N**d * dim, dim)
     if times is None:
         times = [GridTime(N, nums) for nums in itertools.product(range(2 * N), repeat=d)]
     base_reports = [structure_report(m, tol=tol) for m in tup.mats]
@@ -110,11 +176,11 @@ def preservation_suite(
         cls: {"base_holds": holds, "preserved": True if holds else None, "max_deviation": 0.0}
         for cls, holds in base_holds.items()
     }
-    # One evaluation and one report at a time, folded into every held class.
+    # One report per time, folded into every held class.
     for t in times:
         _check_time(semi, t)  # the report lists every time, held class or not
         if held:
-            report = structure_report(eval_discretized(semi, t), tol=tol)
+            report = _grid_report(semi, t, tol)
             for cls in held:
                 entry = results[cls]
                 entry["preserved"] = entry["preserved"] and report.holds(cls)
@@ -128,7 +194,7 @@ def preservation_suite(
     converse = []
     for i in range(d):
         nums = tuple(N if j == i else 0 for j in range(d))
-        lifted = structure_report(eval_discretized(semi, GridTime(N, nums)), tol=tol)
+        lifted = _grid_report(semi, GridTime(N, nums), tol)
         converse.append(
             {
                 "axis": i + 1,

@@ -542,6 +542,11 @@ def test_writer_streams_matrix_payloads(tmp_path):
         # (2*4-1)^1 sum times x 2 grid points x 2x2 = 56 block entries > 50,
         # while the 4x4 evaluations stay under the cap
         ["DILATIONS_MAX_ENTRIES=50", "interp", "check", "--tuple", "{tuple}", "--N", "2"],
+        # (2*1)^40 times: refused before the time list is built
+        ["preserve", "--tuple", "{d40}", "--N", "1"],
+        # (2*2)^1 times x 2 grid points x 2x2 = 32 block entries > 20,
+        # while the 4x4 semigroup stays under the cap
+        ["DILATIONS_MAX_ENTRIES=20", "preserve", "--tuple", "{tuple}", "--N", "2"],
     ],
 )
 def test_bad_input_exits_2(runner, tmp_path, args):
@@ -551,6 +556,7 @@ def test_bad_input_exits_2(runner, tmp_path, args):
         "empty": {"matrices": []},
         "gens2": {"matrices": [matrix_to_json(np.diag([-1.0, -2.0])),
                                matrix_to_json(np.diag([-0.5, 0.0]))]},
+        "d40": {"matrices": [matrix_to_json(np.diag([0.5]))] * 40},
     }
     paths = {"tuple": write_tuple(tmp_path / "tup.json", [shift_matrix(2)])}
     for name, obj in files.items():

@@ -106,6 +106,21 @@ class TestContractionTuple:
             ContractionTuple.from_json(obj)
 
 
+class TestGridForm:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    def test_targets_permute_the_grid(self, d, N):
+        # The premise of every block-form result: m -> m + t (mod 1) is a
+        # bijection of the grid, so T(t) is a permutation times a block
+        # diagonal.  Each of the 2^a carry patterns occurs at some point.
+        semi = DiscretizedSemigroup(ContractionTuple((np.array([[0.5]]),) * d), N)
+        for nums in itertools.product(range(2 * N + 1), repeat=d):
+            targets, codes, patterns = interpolation._grid_form(semi, GridTime(N, nums))
+            assert sorted(targets.tolist()) == list(range(N**d)), nums
+            assert len(patterns) == 2 ** sum(num % N > 0 for num in nums), nums
+            assert np.bincount(codes, minlength=len(patterns)).min() >= 1, nums
+
+
 class TestEvalDiscretized:
     def test_scalar_hand_case(self):
         # dim 1, S = (1/2): blocks are plain numbers, target indices shift.
@@ -283,11 +298,13 @@ class TestSemigroupSuite:
         grid_form = interpolation._grid_form
 
         def perturbed(semi, t):
-            targets, blocks = grid_form(semi, t)
+            targets, codes, patterns = grid_form(semi, t)
             if t.nums == (2, 1):
-                blocks = blocks.copy()
-                blocks[1] += 1e-6
-            return targets, blocks
+                # grid point 1 alone gets a perturbed copy of its block
+                patterns = np.concatenate([patterns, patterns[codes[1]][None] + 1e-6])
+                codes = codes.copy()
+                codes[1] = len(patterns) - 1
+            return targets, codes, patterns
 
         monkeypatch.setattr(interpolation, "_grid_form", perturbed)
         tup = _random_commuting_tuple(np.random.default_rng(85), 2, 2)

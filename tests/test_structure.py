@@ -1,3 +1,5 @@
+import itertools
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -8,8 +10,11 @@ from conftest import (
     random_commuting_unitaries,
 )
 from dilations.dilation import _random_commuting_tuple
+from dilations.interpolation import DiscretizedSemigroup, _grid_form, eval_discretized
 from dilations.linalg import InputError, identity
-from dilations.structure import preservation_suite, structure_report
+from dilations.structure import _class_deviations, preservation_suite, structure_report
+from dilations.torus import GridTime
+from unbatched_reference import reference_preservation_suite
 
 
 def shift_matrix(n):
@@ -132,55 +137,75 @@ class TestPreservationSuite:
         assert out["classes"]["unitary"]["preserved"] is None
 
     def test_bad_time_raises_when_no_class_holds(self):
-        from dilations.torus import GridTime
-
         rng = np.random.default_rng(63)
         tup = _random_commuting_tuple(rng, 1, 2)
         with pytest.raises(InputError):
             preservation_suite(tup, 2, times=[GridTime(3, (1,))], tol=1e-9)
 
-    def test_one_report_per_evaluation(self, monkeypatch):
-        # base reports + one per evaluation (shared by every held class)
-        # + the converse unit times
+    def test_makes_no_dense_evaluation(self, monkeypatch):
         import dilations.structure as structure
+        from dilations import interpolation
 
         calls = []
-        original = structure.structure_report
+        original = interpolation.eval_discretized
 
         def counting(*args, **kwargs):
             calls.append(None)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(structure, "structure_report", counting)
+        monkeypatch.setattr(interpolation, "eval_discretized", counting)
+        monkeypatch.setattr(structure, "eval_discretized", counting, raising=False)
         rng = np.random.default_rng(65)
-        cases = [
-            (random_commuting_unitaries(rng, 2, 2), 2 + 16 + 2),
-            (random_circulant_bistochastic(rng, 1, 2), 1 + 4 + 1),
-        ]
-        for tup, expected in cases:
-            calls.clear()
+        for tup in (random_commuting_unitaries(rng, 2, 2),
+                    random_circulant_bistochastic(rng, 1, 2)):
             assert preservation_suite(tup, 2, tol=1e-9)["passed"]
-            assert len(calls) == expected
+        assert calls == []
 
-    def test_holds_one_evaluation_at_a_time(self, monkeypatch):
+    def test_one_grid_form_at_a_time(self, monkeypatch):
+        # one grid form per time, then one per converse unit time, each
+        # dropped before the next is built
         import dilations.structure as structure
 
+        calls = []
         live = []
         most_alive = 0
-        evaluate = structure.eval_discretized
+        grid_form = structure._grid_form
 
         def tracked(semi, t):
             nonlocal most_alive
-            value = evaluate(semi, t)
-            live.append(weakref.ref(value))
+            form = grid_form(semi, t)
+            calls.append(t.nums)
+            live.append(weakref.ref(form[2]))
             most_alive = max(most_alive, sum(r() is not None for r in live))
-            return value
+            return form
 
-        monkeypatch.setattr(structure, "eval_discretized", tracked)
-        tup = random_commuting_unitaries(np.random.default_rng(66), 2, 2)
-        assert preservation_suite(tup, 2, tol=1e-9)["passed"]
-        assert len(live) == 16 + 2  # every time, then the converse unit times
-        assert most_alive == 1
+        monkeypatch.setattr(structure, "_grid_form", tracked)
+        rng = np.random.default_rng(66)
+        cases = [
+            (random_commuting_unitaries(rng, 2, 2), 16 + 2),
+            (random_circulant_bistochastic(rng, 1, 2), 4 + 1),
+        ]
+        for tup, expected in cases:
+            calls.clear()
+            live.clear()
+            most_alive = 0
+            assert preservation_suite(tup, 2, tol=1e-9)["passed"]
+            assert len(calls) == expected
+            assert most_alive == 1
+
+    def test_holds_blocks_not_dense_evaluations(self):
+        # total_dim 1024: one dense evaluation is 16 MiB, a grid form two
+        # 4x4 blocks and 256 indices.
+        tup = random_circulant_bistochastic(np.random.default_rng(67), 1, 4)
+        times = [GridTime(256, (num,)) for num in (1, 255, 300)]
+        tracemalloc.start()
+        try:
+            out = preservation_suite(tup, 256, times=times, tol=1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out["passed"]
+        assert peak < 1 << 20, peak
 
     def test_converse_unit_times(self):
         rng = np.random.default_rng(64)
@@ -190,7 +215,6 @@ class TestPreservationSuite:
 
     def test_explicit_times(self):
         from dilations.interpolation import ContractionTuple
-        from dilations.torus import GridTime
 
         tup = ContractionTuple((shift_matrix(3),))
         out = preservation_suite(
@@ -198,3 +222,49 @@ class TestPreservationSuite:
         )
         assert out["times"] == ["1/2", "3/2"]
         assert out["passed"]
+
+
+FAMILIES = {
+    "unitary": random_commuting_unitaries,
+    "circulant": random_circulant_bistochastic,
+    "generic": _random_commuting_tuple,
+}
+# (d, N, dim): d 1-3, N 1-3, dim 1-4
+SHAPES = [(1, 1, 1), (1, 3, 4), (2, 1, 3), (2, 2, 2), (2, 3, 1), (3, 1, 4), (3, 2, 3), (3, 3, 1)]
+
+
+class TestBlockRouteMatchesDense:
+    """The suite on carry pattern blocks against the dense loop of
+    ``reference_preservation_suite``, within the bound its docstring states."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("d, N, dim", SHAPES)
+    def test_suite(self, family, d, N, dim):
+        tup = FAMILIES[family](np.random.default_rng(1000 * d + 100 * N + dim), d, dim)
+        out = preservation_suite(tup, N, tol=1e-9)
+        ref = reference_preservation_suite(tup, N, tol=1e-9)
+        assert out["passed"] == ref["passed"]
+        assert out["times"] == ref["times"]
+        assert out["converse_unit_times"] == ref["converse_unit_times"]
+        assert list(out["classes"]) == list(ref["classes"])
+        for cls, entry in out["classes"].items():
+            expected = ref["classes"][cls]
+            assert entry["base_holds"] == expected["base_holds"], cls
+            assert entry["preserved"] == expected["preserved"], cls
+            assert abs(entry["max_deviation"] - expected["max_deviation"]) <= 1e-13, cls
+        if family != "generic":
+            assert out["passed"]
+
+    @pytest.mark.parametrize("d, N, dim", SHAPES)
+    def test_class_deviations_per_time(self, d, N, dim):
+        # Generic tuples: the unity deviations are O(1), so the weight of each
+        # pattern's multiplicity shows in them.
+        tup = _random_commuting_tuple(np.random.default_rng(2000 + 100 * d + 10 * N + dim), d, dim)
+        semi = DiscretizedSemigroup(tup, N)
+        for nums in itertools.product(range(2 * N + 1), repeat=d):
+            t = GridTime(N, nums)
+            _, codes, patterns = _grid_form(semi, t)
+            got = _class_deviations(patterns, np.bincount(codes, minlength=len(patterns)))
+            dense = structure_report(eval_discretized(semi, t)).deviations
+            for flag, value in got.items():
+                assert abs(value - dense[flag]) <= 1e-13 * max(1.0, dense[flag]), (nums, flag)

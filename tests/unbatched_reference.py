@@ -23,6 +23,16 @@ kappa(t, t') = floor(t) + [frac(t) + frac(t') >= 1] per axis, and
 matrices.  The library builds the same evaluation from its grid form of
 targets and carry-pattern blocks, so the tests require the dense matrix
 to agree bit for bit and the suite's deviations within 1e-14.
+
+``reference_preservation_suite`` is the preservation suite on dense
+evaluations: one ``structure_report(eval_discretized(...))`` per time and
+per converse unit time.  The library measures the same class deviations
+on the carry pattern blocks of the grid form and their multiplicities,
+never assembling T(t), so the tests require every verdict to be equal and
+each ``max_deviation`` to agree within 1e-13: both routes compute the
+same quantities by the identities of the ``structure`` docstring, and the
+deviations of a held class are rounding-sized, so only rounding of a few
+total_dim units in the last place separates them.
 """
 
 import itertools
@@ -30,8 +40,14 @@ import math
 
 import numpy as np
 
-from dilations.interpolation import DiscretizedSemigroup, multilinear_compress, scaled_blend
+from dilations.interpolation import (
+    DiscretizedSemigroup,
+    eval_discretized,
+    multilinear_compress,
+    scaled_blend,
+)
 from dilations.linalg import identity, op_norm
+from dilations.structure import _CLASSES, structure_report
 from dilations.torus import GridTime
 
 
@@ -201,3 +217,53 @@ def reference_semigroup_suite(tup, N, max_num):
               "commutation": 1e-10, "compression_identity": 1e-12}
     checks = {name: dev <= limits[name] for name, dev in deviations.items()}
     return {"deviations": deviations, "checks": checks, "passed": all(checks.values())}
+
+
+def reference_preservation_suite(tup, N, times=None, tol=1e-10):
+    """The preservation suite with one dense evaluation and one
+    ``structure_report`` per time, then per converse unit time e_i."""
+    semi = DiscretizedSemigroup(tup, N)
+    d = tup.d
+    if times is None:
+        times = [GridTime(N, nums) for nums in itertools.product(range(2 * N), repeat=d)]
+    base_reports = [structure_report(m, tol=tol) for m in tup.mats]
+    base_holds = {cls: all(r.holds(cls) for r in base_reports) for cls in _CLASSES}
+    held = [cls for cls, holds in base_holds.items() if holds]
+    results = {
+        cls: {"base_holds": holds, "preserved": True if holds else None, "max_deviation": 0.0}
+        for cls, holds in base_holds.items()
+    }
+    for t in times:
+        if held:
+            report = structure_report(eval_discretized(semi, t), tol=tol)
+            for cls in held:
+                entry = results[cls]
+                entry["preserved"] = entry["preserved"] and report.holds(cls)
+                entry["max_deviation"] = max(
+                    entry["max_deviation"], *(report.deviations[flag] for flag in _CLASSES[cls])
+                )
+
+    converse = []
+    for i in range(d):
+        nums = tuple(N if j == i else 0 for j in range(d))
+        lifted = structure_report(eval_discretized(semi, GridTime(N, nums)), tol=tol)
+        converse.append(
+            {
+                "axis": i + 1,
+                "matches": all(
+                    lifted.holds(cls) == base_reports[i].holds(cls)
+                    for cls in ("isometry", "unitary", "entrywise_nonneg")
+                ),
+            }
+        )
+
+    passed = all(
+        entry["preserved"] is not False for entry in results.values()
+    ) and all(item["matches"] for item in converse)
+    return {
+        "N": N,
+        "times": [str(t) for t in times],
+        "classes": results,
+        "converse_unit_times": converse,
+        "passed": passed,
+    }

@@ -39,6 +39,6 @@ from .structure import (
     preservation_suite,
     structure_report,
 )
-from .torus import GridTime, bscr_check, bscr_trace, koopman_u, projector_p
+from .torus import GridTime, bscr_check, bscr_trace
 
 __version__ = "0.1.0"

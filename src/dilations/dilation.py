@@ -25,6 +25,7 @@ from .interpolation import ContractionTuple
 from .linalg import (
     DEFAULT_TOL,
     InputError,
+    _check_cap,
     _powers,
     _require_commuting,
     _unitarity_deviations,
@@ -67,7 +68,13 @@ class MultiPolynomial:
             raise InputError(f"polynomial arity must be >= 1, got {self.d}")
         cleaned = {}
         for alpha, coeff in self.terms.items():
-            alpha = tuple(int(a) for a in alpha)
+            try:
+                exps = tuple(int(a) for a in alpha)
+            except (TypeError, ValueError, OverflowError):
+                exps = None
+            if exps != tuple(alpha):
+                raise InputError(f"exponent vector {alpha} must hold integers")
+            alpha = exps
             if len(alpha) != self.d:
                 raise InputError(
                     f"exponent vector {alpha} has length {len(alpha)}, expected {self.d}"
@@ -539,6 +546,7 @@ def egervary_dilation(s, m: int, tol: float = DEFAULT_TOL) -> DilationCandidate:
     second row collects the defect of S, and the remaining rows shift.
     Correctness is defined by the power dilation verification up to
     n_max = m; construction does not run it, ``dilate --verify`` does.
+    The (n(m+1))^2 entries of the unitary are capped.
     """
     s = as_matrix(s)
     if s.shape[0] != s.shape[1]:
@@ -546,11 +554,12 @@ def egervary_dilation(s, m: int, tol: float = DEFAULT_TOL) -> DilationCandidate:
     if m < 1:
         raise InputError(f"m must be >= 1, got {m}")
     n = s.shape[0]
+    big = n * (m + 1)
+    _check_cap(big, big)
     if op_norm(s) > 1 + tol:
         raise InputError("dilation input must be a contraction")
     defect = psd_sqrt(identity(n) - dagger(s) @ s, eps=max(tol, 1e-9))
     defect_adj = psd_sqrt(identity(n) - s @ dagger(s), eps=max(tol, 1e-9))
-    big = n * (m + 1)
     v = np.zeros((big, big), dtype=np.complex128)
 
     def put(bi, bj, block):

@@ -27,6 +27,7 @@ from .linalg import (
     DEFAULT_TOL,
     InputError,
     _check_cap,
+    _power_pair,
     _powers,
     _require_commuting,
     as_matrix,
@@ -120,7 +121,6 @@ class DiscretizedSemigroup:
     def __post_init__(self):
         if self.N < 1:
             raise InputError(f"N must be >= 1, got {self.N}")
-        _check_cap(self.total_dim, self.total_dim)
 
     @property
     def total_dim(self) -> int:
@@ -143,35 +143,35 @@ def _grid_form(
 
     Grid points are indexed lexicographically, axis 1 slowest.  Point m
     goes to targets[m], the index of m + t (mod 1), and carries the block
-    patterns[codes[m]] = prod_i S_i^(floor(t_i) + carry_i(m)).  With a the
+    patterns[codes[m]] = prod_i S_i^(floor(t_i) + carry_i(m)); targets and
+    carries are the grid motion ``t.motion()``.  With a the
     number of axes where frac(t_i) > 0, ``patterns`` holds the 2^a carry
     pattern blocks, each multiplied once in axis order from the identity,
     and every pattern occurs at some grid point.
     """
     _check_time(semi, t)
-    N, d = semi.N, semi.base.d
-    strides = N ** np.arange(d - 1, -1, -1)
-    points = np.arange(N**d)[:, None] // strides % N  # (N^d, d) coordinates
-    moved = points + np.array([num % N for num in t.nums])
+    targets, carries = t.motion()
     # Only axes with frac(t_i) > 0 can carry, at most log2(N^d) of them, so
     # the bits of a carry pattern fit one integer code.
-    active = [i for i, num in enumerate(t.nums) if num % N]
-    codes = (moved[:, active] >= N) @ (1 << np.arange(len(active) - 1, -1, -1))
+    active = [i for i, num in enumerate(t.frac_nums) if num]
+    codes = carries[:, active] @ (1 << np.arange(len(active) - 1, -1, -1))
     # Per axis only two powers occur: floor(t_i) and floor(t_i)+1.
-    axis_powers = [semi.base.powers(i, fl + 1) for i, fl in enumerate(t.floors)]
+    axis_powers = [_power_pair(s_i, fl) for s_i, fl in zip(semi.base.mats, t.floors)]
     blocks = []
     for pattern in itertools.product((0, 1), repeat=len(active)):
-        carries = dict(zip(active, pattern))
+        carried = dict(zip(active, pattern))
         block = identity(semi.base.dim)
-        for i, fl in enumerate(t.floors):
-            block = block @ axis_powers[i][fl + carries.get(i, 0)]
+        for i, pair in enumerate(axis_powers):
+            block = block @ pair[carried.get(i, 0)]
         blocks.append(block)
-    return moved % N @ strides, codes, np.stack(blocks)
+    return targets, codes, np.stack(blocks)
 
 
 def eval_discretized(semi: DiscretizedSemigroup, t: GridTime) -> np.ndarray:
     """Dense matrix of the semigroup at grid time t: the blocks of its
-    grid form scattered to (target, source) block positions."""
+    grid form scattered to (target, source) block positions, capped at its
+    total_dim^2 entries."""
+    _check_cap(semi.total_dim, semi.total_dim)
     targets, codes, patterns = _grid_form(semi, t)
     grid, dim = len(targets), semi.base.dim
     out = np.zeros((grid, dim, grid, dim), dtype=np.complex128)
@@ -184,8 +184,9 @@ def compress_discretized(semi: DiscretizedSemigroup, t: GridTime) -> np.ndarray:
 
     Computed as the mean of the N^d blocks of the grid form; the closed
     multilinear form is deliberately not used here so the two routes stay
-    independent.
+    independent.  The gather is capped at N^d dim^2 entries.
     """
+    _check_cap(semi.N**semi.base.d * semi.base.dim, semi.base.dim)
     _, codes, patterns = _grid_form(semi, t)
     return patterns[codes].mean(axis=0)
 
@@ -204,8 +205,8 @@ def multilinear_compress(tup: ContractionTuple, t) -> np.ndarray:
     for i, x in enumerate(times):
         fl = math.floor(x)
         fr = x - fl
-        pows = tup.powers(i, fl + 1)
-        out = out @ ((1 - fr) * pows[fl] + fr * pows[fl + 1])
+        low, high = _power_pair(tup.mats[i], fl)
+        out = out @ ((1 - fr) * low + fr * high)
     return out
 
 

@@ -142,6 +142,14 @@ def _unitarity_deviations(a: np.ndarray) -> tuple[float, float]:
     return op_norm(dagger(a) @ a - eye), op_norm(a @ dagger(a) - eye)
 
 
+def _power_pair(a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(A^n, A^(n+1)) by the repeated multiplication of ``_powers``, holding one power."""
+    low = identity(a.shape[0])
+    for _ in range(n):
+        low = low @ a
+    return low, low @ a
+
+
 def _powers(a: np.ndarray, up_to: int) -> list[np.ndarray]:
     """[A^0, ..., A^up_to] by repeated multiplication."""
     out = [identity(a.shape[0])]
@@ -245,14 +253,13 @@ def matrix_from_json(obj) -> np.ndarray:
         rows = int(obj["rows"])
         cols = int(obj["cols"])
         data = obj["data"]
+        count = len(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed matrix JSON: {exc}") from exc
     if rows < 1 or cols < 1:
         raise InputError("matrix dimensions must be positive")
-    if len(data) != rows * cols:
-        raise InputError(
-            f"matrix JSON has {len(data)} entries, expected {rows * cols}"
-        )
+    if count != rows * cols:
+        raise InputError(f"matrix JSON has {count} entries, expected {rows * cols}")
     _check_cap(rows, cols)
     try:
         flat = [complex(float(re), float(im)) for re, im in data]

@@ -1,10 +1,14 @@
-"""Exact operators on the discretised torus.
+"""Exact grid motion on the discretised torus.
 
-The grid with denominator ``N`` in ``d`` coordinates carries the
-Koopman rotation unitaries (axis-wise cyclic shifts), the indicator
-projections, and the commutation relation between them.  Every matrix
-built here has entries in {0, 1} and all identities are exact, so
-checks in this module use tolerance zero.
+On the grid with denominator ``N`` in ``d`` coordinates, the Koopman
+rotation U(t) is the point map m -> m + t (mod 1) and the indicator
+projection P(t) keeps the points that do not carry, those with
+m_i/N + frac(t_i) < 1.  ``GridTime.motion`` gives both as index arithmetic,
+one target index and one carry bit per axis for each grid point; the
+grid semigroup of ``interpolation`` and the commutation relation
+P(s)U(t) = U(t)Q(s,t) checked here both read it.  No matrix is built:
+every operator here is a permutation or a 0/1 diagonal, so the relation
+is compared entry for entry at tolerance zero.
 
 Basis enumeration of the grid is lexicographic with axis 1 slowest;
 this fixes the Kronecker factor order everywhere downstream.
@@ -12,18 +16,17 @@ this fixes the Kronecker factor order everywhere downstream.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .linalg import InputError, _check_cap, identity
+from .linalg import InputError, _check_cap
 
 __all__ = [
     "GridTime",
-    "koopman_u",
-    "projector_p",
     "bscr_check",
     "bscr_trace",
 ]
@@ -44,10 +47,10 @@ class GridTime:
     def __post_init__(self):
         if self.N < 1:
             raise InputError(f"grid denominator must be >= 1, got {self.N}")
-        object.__setattr__(self, "nums", tuple(int(k) for k in self.nums))
-        if len(self.nums) < 1:
+        object.__setattr__(self, "nums", tuple(map(int, self.nums)))
+        if not self.nums:
             raise InputError("grid time needs at least one coordinate")
-        if any(k < 0 for k in self.nums):
+        if min(self.nums) < 0:
             raise InputError(f"grid time numerators must be nonnegative: {self.nums}")
 
     @property
@@ -64,6 +67,20 @@ class GridTime:
 
     def values(self) -> tuple[float, ...]:
         return tuple(k / self.N for k in self.nums)
+
+    def motion(self) -> tuple[np.ndarray, np.ndarray]:
+        """(targets, carries) of the rotation m -> m + t (mod 1) of the grid.
+
+        Grid points are indexed lexicographically, axis 1 slowest.  Point m
+        goes to targets[m], the index of m + t (mod 1), and carries[m, i] is
+        m_i + frac_num_i >= N: whether axis i wraps around.  ``~carries[:, i]``
+        is the diagonal of the indicator projection P(t_i) on axis i.
+        """
+        N, d = self.N, self.d
+        strides = N ** np.arange(d - 1, -1, -1)
+        # (N^d, d) coordinates of every point, then moved by frac(t).
+        moved = np.arange(N**d)[:, None] // strides % N + self.frac_nums
+        return moved % N @ strides, moved >= N
 
     def __add__(self, other: "GridTime") -> "GridTime":
         if not isinstance(other, GridTime):
@@ -96,69 +113,34 @@ class GridTime:
         return ",".join(f"{k}/{self.N}" for k in self.nums)
 
 
-def _check_grid_size(N: int, d: int) -> None:
-    if N < 1:
-        raise InputError(f"N must be >= 1, got {N}")
-    if d < 1:
-        raise InputError(f"d must be >= 1, got {d}")
-    _check_cap(N**d, N**d)
+@functools.lru_cache(maxsize=1024)
+def _keep(N: int, frac_num: int) -> np.ndarray:
+    """Diagonal of P(frac_num/N) as a read-only mask: the points that do not
+    carry.  Memoised: the exhaustive ``bscr`` check reads each mask ~4N times."""
+    keep = ~GridTime(N, (frac_num,)).motion()[1][:, 0]
+    keep.flags.writeable = False
+    return keep
 
 
-def _axis_operator(N: int, d: int, axis: int, local: np.ndarray) -> np.ndarray:
-    if not 1 <= axis <= d:
-        raise InputError(f"axis must be in [1, {d}], got {axis}")
-    # Lexicographic basis, axis 1 slowest: operator = I ⊗ ... ⊗ local ⊗ ... ⊗ I.
-    # A 1x1 identity factor is skipped: np.kron's overhead dominates at d=1.
-    left = N ** (axis - 1)
-    right = N ** (d - axis)
-    op = local if left == 1 else np.kron(identity(left), local)
-    return op if right == 1 else np.kron(op, identity(right))
-
-
-def koopman_u(N: int, d: int, axis: int, k: int) -> np.ndarray:
-    """Permutation unitary shifting coordinate `axis` by k grid steps.
-
-    Sends basis vector with axis-coordinate m to coordinate (m+k) mod N.
-    """
-    _check_grid_size(N, d)
-    shift = np.zeros((N, N), dtype=np.complex128)
-    for m in range(N):
-        shift[(m + k) % N, m] = 1.0
-    return _axis_operator(N, d, axis, shift)
-
-
-def projector_p(N: int, d: int, axis: int, k: int) -> np.ndarray:
-    """Diagonal 0/1 projection keeping axis-coordinates m < N - (k mod N).
-
-    For k a multiple of N this is the identity.
-    """
-    _check_grid_size(N, d)
-    keep = N - (k % N)
-    diag = np.zeros((N, N), dtype=np.complex128)
-    for m in range(N):
-        if m < keep:
-            diag[m, m] = 1.0
-    return _axis_operator(N, d, axis, diag)
-
-
-def _bscr_q(N: int, s_num: int, t_num: int) -> np.ndarray:
-    """Right-hand branch operator of the commutation relation (d=1)."""
-    p_t = projector_p(N, 1, 1, t_num)
-    p_st = projector_p(N, 1, 1, s_num + t_num)
-    if (s_num % N) + (t_num % N) < N:
-        return identity(N) - (p_t - p_st)
-    return p_st - p_t
+def _q_diagonal(N: int, s_num: int, t_num: int, keep_t: np.ndarray) -> np.ndarray:
+    """Diagonal of Q(s,t), the right-hand branch operator of the relation (d=1):
+    1 - (P(t) - P(s+t)) where frac(s) + frac(t) < 1, else P(s+t) - P(t)."""
+    return int((s_num % N) + (t_num % N) < N) - keep_t + _keep(N, (s_num + t_num) % N)
 
 
 def bscr_check(N: int, s_num: int, t_num: int) -> float:
-    """Max-entry deviation of P(s)U(t) from U(t)Q(s,t); exactly 0 on the grid."""
+    """Max-entry deviation of P(s)U(t) from U(t)Q(s,t); exactly 0 on the grid.
+
+    U(t) sends basis vector m to targets[m] and P(s), Q(s,t) are
+    diagonal, so both sides hold one entry per column, at row targets[m]:
+    keep_s[targets[m]] on the left and Q(s,t)[m, m] on the right.
+    """
     if s_num < 0 or t_num < 0:
         raise InputError("grid numerators must be nonnegative")
-    u_t = koopman_u(N, 1, 1, t_num)
-    p_s = projector_p(N, 1, 1, s_num)
-    lhs = p_s @ u_t
-    rhs = u_t @ _bscr_q(N, s_num, t_num)
-    return float(np.abs(lhs - rhs).max())
+    _check_cap(N, N)  # admitted as the dense N x N relation; N entries are held
+    targets, carries_t = GridTime(N, (t_num,)).motion()
+    q = _q_diagonal(N, s_num, t_num, ~carries_t[:, 0])
+    return float(np.abs(_keep(N, s_num % N)[targets] - q).max())
 
 
 def bscr_trace(N: int, s_num: int, t_num: int, f) -> list[tuple[float, complex]]:
@@ -170,9 +152,8 @@ def bscr_trace(N: int, s_num: int, t_num: int, f) -> list[tuple[float, complex]]
     vec = np.asarray(f, dtype=np.complex128).ravel()
     if vec.shape[0] != N:
         raise InputError(f"trace vector has length {vec.shape[0]}, expected {N}")
-    u_t = koopman_u(N, 1, 1, t_num)
-    p_s = projector_p(N, 1, 1, s_num)
-    out = u_t.conj().T @ (p_s @ (u_t @ vec))
+    targets, _ = GridTime(N, (t_num,)).motion()
+    out = np.where(_keep(N, s_num % N)[targets], vec, 0.0)
     return [(2 * math.pi * m / N, complex(out[m])) for m in range(N)]
 
 

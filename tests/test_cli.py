@@ -321,6 +321,19 @@ class TestEnvironmentOverrides:
         assert result.exit_code == 2
         assert "input error" in result.output
 
+    def test_dense_cap_only_where_dense(self, runner, tmp_path):
+        # A 2x2 shift at N=8: interp check holds 1 x 8 grid points x 2x2 = 32
+        # block entries, interp eval writes a 16x16 matrix of 256 entries.
+        tup = write_tuple(tmp_path / "tup.json", [shift_matrix(2)])
+        env = {"DILATIONS_MAX_ENTRIES": "100"}
+        check = ["interp", "check", "--tuple", tup, "--N", "8", "--max-num", "1"]
+        assert runner.invoke(main, check, env=env).exit_code == 0
+        dense = runner.invoke(
+            main, ["interp", "eval", "--tuple", tup, "--N", "8", "--t", "1/8"], env=env
+        )
+        assert dense.exit_code == 2
+        assert "matrix of shape 16x16 exceeds the size cap" in dense.output
+
     def test_tol_override_loosens_validation(self, runner, tmp_path):
         mat = (1 + 1e-6) * shift_matrix(2)
         tup = write_tuple(tmp_path / "tup.json", [mat])
@@ -547,6 +560,12 @@ def test_writer_streams_matrix_payloads(tmp_path):
         # (2*2)^1 times x 2 grid points x 2x2 = 32 block entries > 20,
         # while the 4x4 semigroup stays under the cap
         ["DILATIONS_MAX_ENTRIES=20", "preserve", "--tuple", "{tuple}", "--N", "2"],
+        # N^2 = 10^10 entries: refused before the (2N)^2 checks start
+        ["bscr", "--N", "100000"],
+        # (2 x 100001)^2 entries, refused before the allocation
+        ["dilate", "--matrix", "{half}", "--m", "100000"],
+        ["structure", "--matrix", "{scalar_data}"],
+        ["vn", "--tuple", "{tuple}", "--poly", "{poly_frac}"],
     ],
 )
 def test_bad_input_exits_2(runner, tmp_path, args):
@@ -557,6 +576,9 @@ def test_bad_input_exits_2(runner, tmp_path, args):
         "gens2": {"matrices": [matrix_to_json(np.diag([-1.0, -2.0])),
                                matrix_to_json(np.diag([-0.5, 0.0]))]},
         "d40": {"matrices": [matrix_to_json(np.diag([0.5]))] * 40},
+        "half": matrix_to_json(np.diag([0.5, 0.5])),
+        "scalar_data": {"rows": 1, "cols": 1, "data": 5},
+        "poly_frac": {"d": 1, "terms": [{"alpha": [1.5], "coeff": [1.0, 0.0]}]},
     }
     paths = {"tuple": write_tuple(tmp_path / "tup.json", [shift_matrix(2)])}
     for name, obj in files.items():

@@ -1,0 +1,57 @@
+"""Nothing is exported unless something calls it.
+
+A public name of the ``dilations`` package must appear somewhere in the
+library, the benchmark or the scripts other than at its own definition
+and in an ``__all__`` list; the package's ``__init__`` does not count.
+"""
+
+import inspect
+import re
+from pathlib import Path
+
+import pytest
+
+import dilations
+
+ROOT = Path(__file__).resolve().parent.parent
+CALLERS = [
+    path
+    for pattern in ("src/dilations/*.py", "perfbench/*.py", "scripts/*.py")
+    for path in sorted(ROOT.glob(pattern))
+    if path.name != "__init__.py"
+]
+EXPORTS = sorted(
+    name
+    for name, value in vars(dilations).items()
+    if not name.startswith("_") and not inspect.ismodule(value)
+)
+
+
+def uses(name, text):
+    """Lines of ``text`` naming ``name`` other than its definition or an
+    ``__all__`` entry."""
+    word = re.compile(rf"\b{re.escape(name)}\b")
+    definition = re.compile(rf"^\s*(def|class)\s+{re.escape(name)}\b")
+    entry = re.compile(rf'^\s*"{re.escape(name)}",?\s*$')
+    return [
+        line
+        for line in text.splitlines()
+        if word.search(line) and not definition.match(line) and not entry.match(line)
+    ]
+
+
+def test_callers_found():
+    assert len(CALLERS) >= 8 and len(EXPORTS) >= 20
+
+
+@pytest.mark.parametrize("name", EXPORTS)
+def test_export_has_a_caller(name):
+    texts = [path.read_text() for path in CALLERS]
+    assert any(uses(name, text) for text in texts), f"{name} is exported but never used"
+
+
+def test_unused_export_is_caught():
+    """Mutant check: a name found only at its definition and in ``__all__`` fails."""
+    text = '__all__ = [\n    "orphan",\n]\n\n\ndef orphan():\n    return 1\n'
+    assert uses("orphan", text) == []
+    assert uses("orphan", text + "\nvalue = orphan()\n") == ["value = orphan()"]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import random_unitary
 from dilations.dilation import _random_commuting_tuple
 from dilations import interpolation
 from dilations.interpolation import (
@@ -196,9 +198,35 @@ class TestEvalDiscretized:
         with pytest.raises(InputError):
             eval_discretized(semi, GridTime(2, (1, 1)))
 
-    def test_size_cap(self):
-        with pytest.raises(InputError):
-            DiscretizedSemigroup(ContractionTuple((shift_matrix(2),)), 1024)
+    def test_size_cap(self, monkeypatch):
+        # The dense 2048x2048 evaluation is refused; the semigroup itself and
+        # the N^d dim^2 = 4096-entry gather of its compression are not.
+        semi = DiscretizedSemigroup(ContractionTuple((shift_matrix(2),)), 1024)
+        t = GridTime(1024, (1,))
+        with pytest.raises(InputError, match="matrix of shape 2048x2048"):
+            eval_discretized(semi, t)
+        compress_discretized(semi, t)
+        monkeypatch.setenv("DILATIONS_MAX_ENTRIES", "4095")
+        with pytest.raises(InputError, match="matrix of shape 2048x2"):
+            compress_discretized(semi, t)
+
+    def test_holds_two_powers_per_axis(self):
+        # S^floor(t) and S^(floor(t)+1) are formed without the list of all
+        # lower powers, so the peak does not grow with floor(t).
+        rng = np.random.default_rng(43)
+        tup = ContractionTuple((random_unitary(rng, 16),))
+        semi = DiscretizedSemigroup(tup, 2)
+        peaks = []
+        for num in (3, 4001):
+            tracemalloc.start()
+            try:
+                eval_discretized(semi, GridTime(2, (num,)))
+                multilinear_compress(tup, (num / 2,))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # The list S^0..S^2001 alone would hold 2001 x 4 KiB.
+        assert peaks[1] <= peaks[0] + 64 * 1024, peaks
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("N", [1, 2, 3, 4])

@@ -1,16 +1,19 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dilations import torus
 from dilations.linalg import InputError, identity
-from dilations.torus import (
-    GridTime,
-    bscr_check,
-    bscr_trace,
-    koopman_u,
-    projector_p,
-    trace_to_csv_rows,
+from dilations.torus import GridTime, bscr_check, bscr_trace, trace_to_csv_rows
+from unbatched_reference import (
+    reference_bscr_check,
+    reference_bscr_trace,
+    reference_koopman_u,
+    reference_projector_p,
 )
 
 
@@ -60,87 +63,120 @@ class TestGridTime:
 
 
 class TestKoopman:
+    """U(t) as the grid motion's targets: basis vector m goes to targets[m]."""
+
     def test_basis_action(self):
         N = 5
-        u = koopman_u(N, 1, 1, 2)
+        targets, _ = GridTime(N, (2,)).motion()
+        u = reference_koopman_u(N, 2)
         for m in range(N):
             e = np.zeros(N)
             e[m] = 1.0
             out = u @ e
-            assert out[(m + 2) % N] == 1.0
+            assert targets[m] == (m + 2) % N
+            assert out[targets[m]] == 1.0
             assert np.count_nonzero(out) == 1
 
     def test_unitary_exact(self):
-        u = koopman_u(4, 1, 1, 3)
-        np.testing.assert_array_equal(u.conj().T @ u, identity(4))
+        # A permutation of the grid: U(t)* U(t) = 1 exactly.
+        targets, _ = GridTime(4, (3,)).motion()
+        np.testing.assert_array_equal(np.sort(targets), np.arange(4))
 
     def test_composition(self):
         N = 6
-        np.testing.assert_array_equal(
-            koopman_u(N, 1, 1, 2) @ koopman_u(N, 1, 1, 5),
-            koopman_u(N, 1, 1, 7),
-        )
+        two, five, seven = (GridTime(N, (k,)).motion()[0] for k in (2, 5, 7))
+        np.testing.assert_array_equal(two[five], seven)
 
     def test_full_turn_is_identity(self):
-        np.testing.assert_array_equal(koopman_u(3, 1, 1, 3), identity(3))
+        targets, carries = GridTime(3, (3,)).motion()
+        np.testing.assert_array_equal(targets, np.arange(3))
+        assert not carries.any()
 
     def test_axis_embedding_oracle(self):
-        # Independent index-arithmetic oracle for the d=2 embedding.
+        # Independent index-arithmetic oracle for a unit shift of one axis, d=2.
         N = 3
         for axis in (1, 2):
-            u = koopman_u(N, 2, axis, 1)
-            expected = np.zeros((N * N, N * N), dtype=complex)
+            targets, carries = GridTime(N, (1, 0) if axis == 1 else (0, 1)).motion()
             for m1 in range(N):
                 for m2 in range(N):
                     t1 = (m1 + 1) % N if axis == 1 else m1
                     t2 = (m2 + 1) % N if axis == 2 else m2
-                    expected[t1 * N + t2, m1 * N + m2] = 1.0
-            np.testing.assert_array_equal(u, expected)
+                    assert targets[m1 * N + m2] == t1 * N + t2
+                    moved = m1 if axis == 1 else m2
+                    assert carries[m1 * N + m2].tolist() == [
+                        axis == 1 and moved == N - 1, axis == 2 and moved == N - 1
+                    ]
 
-    @pytest.mark.parametrize("op", [koopman_u, projector_p])
+    @pytest.mark.parametrize("op", ["koopman_u", "projector_p"])
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_matches_two_kron_route(self, op, N):
-        # Skipping 1x1 Kronecker factors leaves every byte as I ⊗ local ⊗ I gives it.
+        # The motion of k steps on one axis is I ⊗ local ⊗ I of the dense
+        # 1-D operator, axis 1 slowest.
+        local_of = {"koopman_u": reference_koopman_u, "projector_p": reference_projector_p}[op]
         for d in (1, 2, 3):
             for axis in range(1, d + 1):
                 for k in range(6):
-                    local = op(N, 1, 1, k)
+                    nums = tuple(k if i == axis else 0 for i in range(1, d + 1))
+                    targets, carries = GridTime(N, nums).motion()
+                    if op == "koopman_u":
+                        got = np.zeros((N**d, N**d), dtype=np.complex128)
+                        got[targets, np.arange(N**d)] = 1.0
+                    else:
+                        got = np.diag((~carries[:, axis - 1]).astype(np.complex128))
                     left, right = identity(N ** (axis - 1)), identity(N ** (d - axis))
-                    expected = np.kron(np.kron(left, local), right)
-                    got = op(N, d, axis, k)
-                    assert got.dtype == expected.dtype and got.shape == expected.shape
-                    assert got.tobytes() == expected.tobytes(), (d, axis, k)
+                    expected = np.kron(np.kron(left, local_of(N, k)), right)
+                    np.testing.assert_array_equal(got, expected, err_msg=str((d, axis, k)))
 
-    def test_bad_axis(self):
-        with pytest.raises(InputError):
-            koopman_u(3, 2, 3, 1)
-        with pytest.raises(InputError):
-            koopman_u(3, 2, 0, 1)
+    def test_motion_oracle(self):
+        # Per-point index arithmetic for general times, d up to 3.
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            N, d = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+            nums = tuple(int(k) for k in rng.integers(0, 3 * N, size=d))
+            targets, carries = GridTime(N, nums).motion()
+            for index, point in enumerate(itertools.product(range(N), repeat=d)):
+                moved = [(m + k) % N for m, k in zip(point, nums)]
+                assert targets[index] == sum(c * N ** (d - 1 - i) for i, c in enumerate(moved))
+                assert carries[index].tolist() == [m + k % N >= N for m, k in zip(point, nums)]
 
 
 class TestProjector:
+    """P(t) as the grid motion's non-carrying points."""
+
+    @staticmethod
+    def keep(N, k):
+        return ~GridTime(N, (k,)).motion()[1][:, 0]
+
     def test_diagonal_pattern(self):
-        p = projector_p(4, 1, 1, 1)
-        np.testing.assert_array_equal(p, np.diag([1.0, 1.0, 1.0, 0.0]))
+        np.testing.assert_array_equal(self.keep(4, 1), [True, True, True, False])
 
     def test_idempotent_exact(self):
-        p = projector_p(5, 1, 1, 3)
+        p = np.diag(self.keep(5, 3)).astype(np.complex128)
         np.testing.assert_array_equal(p @ p, p)
+        np.testing.assert_array_equal(p, reference_projector_p(5, 3))
 
     def test_multiple_of_n_is_identity(self):
-        np.testing.assert_array_equal(projector_p(4, 1, 1, 8), identity(4))
+        assert self.keep(4, 8).all()
 
     def test_rank(self):
         for k in range(1, 4):
-            p = projector_p(4, 1, 1, k)
-            assert int(p.real.trace()) == 4 - k
+            assert int(self.keep(4, k).sum()) == 4 - k
+
+
+    def test_memoised_mask_is_read_only(self):
+        # bscr shares one memoised mask per (N, frac) between its checks.
+        keep = torus._keep(4, 1)
+        assert torus._keep(4, 1) is keep
+        np.testing.assert_array_equal(keep, self.keep(4, 1))
+        with pytest.raises(ValueError):
+            keep[0] = False
 
 
 class TestBscr:
     def test_hand_case(self):
         # N=2, s=t=1/2: both sides equal the single off-diagonal matrix unit.
-        u = koopman_u(2, 1, 1, 1)
-        p = projector_p(2, 1, 1, 1)
+        u = reference_koopman_u(2, 1)
+        p = reference_projector_p(2, 1)
         np.testing.assert_array_equal(p @ u, [[0, 1], [0, 0]])
         assert bscr_check(2, 1, 1) == 0.0
 
@@ -153,6 +189,36 @@ class TestBscr:
     def test_rejects_negative(self):
         with pytest.raises(InputError):
             bscr_check(4, -1, 0)
+
+    def test_matches_dense_reference(self):
+        for N in range(1, 9):
+            for s_num in range(2 * N):
+                for t_num in range(2 * N):
+                    got = bscr_check(N, s_num, t_num)
+                    assert got == reference_bscr_check(N, s_num, t_num), (N, s_num, t_num)
+
+    def test_wrong_branch_is_caught(self, monkeypatch):
+        """Mutant check: Q(s,t) with the branch taken at frac(s)+frac(t) <= 1
+        instead of < 1 gives a nonzero deviation on some pair."""
+
+        def mutant(N, s_num, t_num, keep_t):
+            branch = (s_num % N) + (t_num % N) <= N
+            return int(branch) - keep_t + torus._keep(N, (s_num + t_num) % N)
+
+        monkeypatch.setattr(torus, "_q_diagonal", mutant)
+        worst = max(
+            bscr_check(N, s_num, t_num)
+            for N in range(1, 9)
+            for s_num in range(2 * N)
+            for t_num in range(2 * N)
+        )
+        assert worst == 1.0
+
+    def test_cap_admits_the_dense_relation_size(self, monkeypatch):
+        monkeypatch.setenv("DILATIONS_MAX_ENTRIES", "64")
+        assert bscr_check(8, 3, 5) == 0.0
+        with pytest.raises(InputError, match="size cap"):
+            bscr_check(9, 3, 5)
 
 
 class TestTrace:
@@ -172,6 +238,20 @@ class TestTrace:
                 assert theta == pytest.approx(2 * np.pi * m / N)
                 expected = f[m] if (m + t_num) % N < keep else 0.0
                 assert value == pytest.approx(expected)
+
+    def test_matches_dense_reference(self):
+        rng = np.random.default_rng(23)
+        for N in range(1, 9):
+            for s_num in range(2 * N):
+                for t_num in range(2 * N):
+                    f = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+                    values = [value for _, value in bscr_trace(N, s_num, t_num, f)]
+                    expected = reference_bscr_trace(N, s_num, t_num, f)
+                    assert values == expected.tolist(), (N, s_num, t_num)
+                    # Zeroed points are +0.0 in both parts, as the CSV prints them.
+                    for value in values:
+                        if value == 0:
+                            assert math.copysign(1, value.real) == math.copysign(1, value.imag) == 1
 
     def test_length_mismatch(self):
         with pytest.raises(InputError):

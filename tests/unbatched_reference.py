@@ -33,6 +33,17 @@ each ``max_deviation`` to agree within 1e-13: both routes compute the
 same quantities by the identities of the ``structure`` docstring, and the
 deviations of a held class are rounding-sized, so only rounding of a few
 total_dim units in the last place separates them.
+
+``reference_koopman_u`` and ``reference_projector_p`` build the dense
+N x N rotation unitary U(k/N) and indicator projection P(k/N) on the 1-D
+grid with Python loops, and ``reference_bscr_check`` and
+``reference_bscr_trace`` evaluate the commutation relation
+P(s)U(t) = U(t)Q(s,t) and the trace U(t)* P(s) U(t) f by dense matrix
+products.  The library reads the same operators from the grid motion of
+``GridTime.motion``, one target index and one carry bit per point, so the
+tests require both routes to agree exactly: every operator is a
+permutation or a 0/1 diagonal, and every entry either route computes is
+an exact small integer or an entry of f.
 """
 
 import itertools
@@ -267,3 +278,42 @@ def reference_preservation_suite(tup, N, times=None, tol=1e-10):
         "converse_unit_times": converse,
         "passed": passed,
     }
+
+
+def reference_koopman_u(N, k):
+    """Dense permutation unitary U(k/N): basis vector m goes to (m + k) mod N."""
+    u = np.zeros((N, N), dtype=np.complex128)
+    for m in range(N):
+        u[(m + k) % N, m] = 1.0
+    return u
+
+
+def reference_projector_p(N, k):
+    """Dense 0/1 diagonal P(k/N), keeping the points m < N - (k mod N)."""
+    p = np.zeros((N, N), dtype=np.complex128)
+    for m in range(N - k % N):
+        p[m, m] = 1.0
+    return p
+
+
+def reference_bscr_q(N, s_num, t_num):
+    """Dense Q(s,t), the right-hand branch operator of the relation."""
+    p_t = reference_projector_p(N, t_num)
+    p_st = reference_projector_p(N, s_num + t_num)
+    if (s_num % N) + (t_num % N) < N:
+        return identity(N) - (p_t - p_st)
+    return p_st - p_t
+
+
+def reference_bscr_check(N, s_num, t_num):
+    """Max-entry deviation of the dense P(s)U(t) from U(t)Q(s,t)."""
+    u_t = reference_koopman_u(N, t_num)
+    lhs = reference_projector_p(N, s_num) @ u_t
+    return float(np.abs(lhs - u_t @ reference_bscr_q(N, s_num, t_num)).max())
+
+
+def reference_bscr_trace(N, s_num, t_num, f):
+    """The values U(t)* P(s) U(t) f as dense matrix-vector products."""
+    u_t = reference_koopman_u(N, t_num)
+    p_s = reference_projector_p(N, s_num)
+    return u_t.conj().T @ (p_s @ (u_t @ np.asarray(f, dtype=np.complex128)))

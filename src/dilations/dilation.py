@@ -27,8 +27,8 @@ from .linalg import (
     InputError,
     _check_cap,
     _powers,
+    _isometry_deviations,
     _require_commuting,
-    _unitarity_deviations,
     as_matrix,
     dagger,
     identity,
@@ -168,7 +168,7 @@ def parrott_tuple(
 
 
 def _require_unitary(m: np.ndarray, name: str, tol: float) -> None:
-    dev = max(_unitarity_deviations(m))
+    dev = max(float(_isometry_deviations(a[None])[0]) for a in (m, dagger(m)))
     if dev > tol:
         raise InputError(f"{name} is not unitary (deviation {dev:.3e})")
 
@@ -179,11 +179,8 @@ def eval_poly(tup: ContractionTuple, poly: MultiPolynomial) -> np.ndarray:
         raise InputError(
             f"polynomial arity {poly.d} does not match tuple d={tup.d}"
         )
-    max_pow = [0] * tup.d
-    for alpha in poly.terms:
-        for i, a in enumerate(alpha):
-            max_pow[i] = max(max_pow[i], a)
-    powers = [tup.powers(i, max_pow[i]) for i in range(tup.d)]
+    tops = [max((alpha[i] for alpha in poly.terms), default=0) for i in range(tup.d)]
+    powers = [_powers(s_i, range(top + 1)) for s_i, top in zip(tup.mats, tops)]
     out = np.zeros((tup.dim, tup.dim), dtype=np.complex128)
     for alpha, coeff in poly.terms.items():
         term = powers[0][alpha[0]]
@@ -358,7 +355,7 @@ def _random_commuting_tuple(rng: np.random.Generator, d: int, dim: int) -> Contr
     """Commuting by construction: each member is a polynomial in one contraction."""
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     z = z / max(1.0, op_norm(z) * (1 + 1e-12))
-    z_pows = _powers(z, 3)
+    z_pows = _powers(z, range(4))
     mats = []
     for _ in range(d):
         coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -473,8 +470,7 @@ class DilationCandidate:
             raise InputError(
                 f"embedding maps into dimension {self.r.shape[0]}, unitaries act on {big}"
             )
-        small = self.r.shape[1]
-        dev = op_norm(dagger(self.r) @ self.r - identity(small))
+        dev = float(_isometry_deviations(self.r[None])[0])
         if dev > self.tol:
             raise InputError(f"r is not an isometry (deviation {dev:.3e})")
 
@@ -514,8 +510,8 @@ def power_dilation_verify(
         raise InputError(
             f"embedding domain has dimension {cand.r.shape[1]}, tuple dim is {tup.dim}"
         )
-    s_pows = [tup.powers(i, cand.n_max) for i in range(tup.d)]
-    v_pows = [_powers(v, cand.n_max) for v in cand.vs]
+    s_pows = [_powers(s_i, range(cand.n_max + 1)) for s_i in tup.mats]
+    v_pows = [_powers(v, range(cand.n_max + 1)) for v in cand.vs]
     r_dag = dagger(cand.r)
     max_dev = 0.0
     worst = None

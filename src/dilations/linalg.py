@@ -136,25 +136,25 @@ def _require_commuting(mats, noun: str, tol: float) -> None:
                 )
 
 
-def _unitarity_deviations(a: np.ndarray) -> tuple[float, float]:
-    """(||A*A - 1||, ||AA* - 1||): the isometry and co-isometry deviations."""
-    eye = identity(a.shape[0])
-    return op_norm(dagger(a) @ a - eye), op_norm(a @ dagger(a) - eye)
+def _isometry_deviations(a: np.ndarray) -> np.ndarray:
+    """||A*A - 1|| of every member of a stack (K, r, c), the identity of
+    size c.  The co-isometry deviation ||AA* - 1|| is that of the adjoints;
+    A is unitary when both vanish."""
+    return np.linalg.norm(
+        a.conj().swapaxes(-1, -2) @ a - identity(a.shape[-1]), 2, axis=(-2, -1)
+    )
 
 
-def _power_pair(a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(A^n, A^(n+1)) by the repeated multiplication of ``_powers``, holding one power."""
-    low = identity(a.shape[0])
-    for _ in range(n):
-        low = low @ a
-    return low, low @ a
-
-
-def _powers(a: np.ndarray, up_to: int) -> list[np.ndarray]:
-    """[A^0, ..., A^up_to] by repeated multiplication."""
-    out = [identity(a.shape[0])]
-    for _ in range(up_to):
-        out.append(out[-1] @ a)
+def _powers(a: np.ndarray, exponents) -> np.ndarray:
+    """Stack of A^k for the nondecreasing exponents k, by repeated
+    multiplication from the identity, holding only the powers asked for."""
+    out = np.empty((len(exponents), *a.shape), dtype=np.complex128)
+    power, reached = identity(a.shape[0]), 0
+    for j, k in enumerate(exponents):
+        for _ in range(k - reached):
+            power = power @ a
+        reached = k
+        out[j] = power
     return out
 
 

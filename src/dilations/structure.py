@@ -22,8 +22,9 @@ norm); the entries of T are those of the blocks plus zeros, which change
 neither the most negative real part (clamped at 0) nor the largest
 imaginary part; and ||T 1 - 1|| and ||T* 1 - 1|| are the 2-norms of the
 stacked block residuals, P being an isometry.  ``preservation_suite``
-measures every class this way on the at most 2^d carry pattern blocks of
-the grid form and their multiplicities, without assembling T(t).
+measures every class this way once per distinct block of the grid forms
+(at most 2^d per time), and folds the measures of each time by their
+multiplicities, without assembling T(t).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import numpy as np
 from .interpolation import (
     ContractionTuple,
     DiscretizedSemigroup,
+    _blocks,
     _check_time,
     _grid_form,
 )
@@ -43,9 +45,9 @@ from .linalg import (
     DEFAULT_TOL,
     InputError,
     _check_cap,
+    _isometry_deviations,
     as_matrix,
     dagger,
-    identity,
     op_norm,
 )
 from .torus import GridTime
@@ -75,42 +77,51 @@ class StructureReport:
         return {"flags": dict(self.flags), "deviations": dict(self.deviations)}
 
 
-def _class_deviations(blocks: np.ndarray, counts: np.ndarray) -> dict:
+def _block_measures(blocks: np.ndarray) -> dict:
+    """Per block of a stack, what ``_class_deviations`` folds: ||B*B - 1||,
+    the larger of that and ||BB* - 1||, max(-min Re B, max |Im B|), and
+    the unity residuals B 1 - 1 and B* 1 - 1, keyed by flag."""
+    ones = np.ones(blocks.shape[-1], dtype=np.complex128)
+    adjoints = blocks.conj().swapaxes(-1, -2)
+    isometry = _isometry_deviations(blocks)
+    return {
+        "is_isometry": isometry,
+        "is_unitary": np.maximum(isometry, _isometry_deviations(adjoints)),
+        "is_entrywise_nonneg": np.maximum(
+            -blocks.real.min(axis=(-2, -1)), np.abs(blocks.imag).max(axis=(-2, -1))
+        ),
+        "preserves_unity": blocks @ ones - ones,
+        "adjoint_preserves_unity": adjoints @ ones - ones,
+    }
+
+
+def _class_deviations(measures: dict, picks: np.ndarray) -> dict:
     """Deviations of the class flags of T = P diag(B), the diagonal holding
-    blocks[k] counts[k] times and P a permutation of the block positions.
+    block picks[m] of ``measures`` (``_block_measures``) at position m and
+    P a permutation of the block positions.
 
     The flags are those of ``_CLASSES``: isometry max ||B*B - 1||, unitary
     that or max ||BB* - 1|| if larger, entrywise nonnegativity
     max(0, -min Re B, max |Im B|), and the unity deviations
-    ||(sqrt(counts_k) (B_k 1 - 1))_k||_2 and the same with B*.  These are
-    exact, by the identities of the module docstring, because P is a
-    permutation: for the grid semigroup m -> m + t (mod 1) is a bijection
-    of the grid, so the targets of every grid form are a permutation of
-    the grid points.
+    ||(sqrt(c_k) (B_k 1 - 1))_k||_2 and the same with B*, c_k the
+    multiplicity of block k.  These are exact, by the identities of the
+    module docstring, as the grid motion m -> m + t (mod 1) is a bijection.
     """
-    eye = identity(blocks.shape[-1])
-    ones = np.ones(blocks.shape[-1], dtype=np.complex128)
-    adjoints = blocks.conj().swapaxes(-1, -2)
-    isometry = float(np.linalg.norm(adjoints @ blocks - eye, 2, axis=(-2, -1)).max())
-    counitary = float(np.linalg.norm(blocks @ adjoints - eye, 2, axis=(-2, -1)).max())
+    held, counts = np.unique(picks, return_counts=True)
     weights = np.sqrt(counts)[:, None]
-    return {
-        "is_isometry": isometry,
-        "is_unitary": max(isometry, counitary),
-        "is_entrywise_nonneg": max(
-            0.0, -float(blocks.real.min()), float(np.abs(blocks.imag).max())
-        ),
-        "preserves_unity": float(np.linalg.norm(weights * (blocks @ ones - ones))),
-        "adjoint_preserves_unity": float(np.linalg.norm(weights * (adjoints @ ones - ones))),
-    }
+    out = {flag: float(measures[flag][held].max()) for flag in ("is_isometry", "is_unitary")}
+    out["is_entrywise_nonneg"] = max(0.0, float(measures["is_entrywise_nonneg"][held].max()))
+    for flag in ("preserves_unity", "adjoint_preserves_unity"):
+        out[flag] = float(np.linalg.norm(weights * measures[flag][held]))
+    return out
 
 
 def structure_report(a, tol: float = DEFAULT_TOL) -> StructureReport:
     """Measure operator class membership of a square matrix at tolerance tol.
 
-    The class deviations are ``_class_deviations`` of the one block a, with
-    count 1; this adds ``is_contraction`` and ``is_projection``.  Each flag
-    is its deviation <= tol, except ``is_contraction``, which is
+    The class deviations are ``_class_deviations`` of the one block a; this
+    adds ``is_contraction`` and ``is_projection``.  Each flag is its
+    deviation <= tol, except ``is_contraction``, which is
     ||A|| <= 1 + tol as in ``ContractionTuple``: ``max(0, ||A|| - 1) <= tol``
     rounds differently near the boundary.
     """
@@ -119,7 +130,7 @@ def structure_report(a, tol: float = DEFAULT_TOL) -> StructureReport:
         raise InputError("structure report requires a square matrix")
 
     norm = op_norm(a)
-    classes = _class_deviations(a[None], np.ones(1))
+    classes = _class_deviations(_block_measures(a[None]), np.zeros(1, dtype=int))
     deviations = {
         "is_contraction": max(0.0, norm - 1.0),
         "is_isometry": classes["is_isometry"],
@@ -131,14 +142,6 @@ def structure_report(a, tol: float = DEFAULT_TOL) -> StructureReport:
     }
     flags = {name: bool(dev <= tol) for name, dev in deviations.items()}
     flags["is_contraction"] = bool(norm <= 1 + tol)
-    return StructureReport(flags=flags, deviations=deviations)
-
-
-def _grid_report(semi: DiscretizedSemigroup, t: GridTime, tol: float) -> StructureReport:
-    """The class flags of the evaluation at t, from its grid form."""
-    _, codes, patterns = _grid_form(semi, t)
-    deviations = _class_deviations(patterns, np.bincount(codes, minlength=len(patterns)))
-    flags = {name: bool(dev <= tol) for name, dev in deviations.items()}
     return StructureReport(flags=flags, deviations=deviations)
 
 
@@ -155,12 +158,11 @@ def preservation_suite(
     in the class; the converse spot-check inspects t = e_i, whose
     evaluation is the identity tensor S_i.
 
-    No evaluation is assembled: each report comes from the grid form's at
-    most 2^d carry pattern blocks and their multiplicities, by
-    T*T = diag(B_m* B_m), TT* = P diag(B_m B_m*) P*, T 1 = P (B_m 1)_m and
-    T* 1 = (B_m* 1)_m (see the module docstring), so a time holds at most
-    2^d dim x dim blocks and N^d indices.  The time list, and the grid forms
-    it stands for, are capped at len(times) N^d dim^2 block entries.
+    No evaluation is assembled: the exponent rows of every time and unit
+    time are deduplicated once, each distinct block is built and measured
+    once, and each time folds its blocks' measures by their multiplicities,
+    as the module docstring shows.  The time list, and the grid forms it
+    stands for, are capped at len(times) N^d dim^2 block entries.
     """
     semi = DiscretizedSemigroup(tup, N)
     d, dim = tup.d, tup.dim
@@ -176,34 +178,43 @@ def preservation_suite(
         cls: {"base_holds": holds, "preserved": True if holds else None, "max_deviation": 0.0}
         for cls, holds in base_holds.items()
     }
-    # One report per time, folded into every held class.
+    # The converse spot-check reads the unit times e_i, whose evaluation is
+    # 1 tensor S_i; the other times are measured only for a held class.
     for t in times:
         _check_time(semi, t)  # the report lists every time, held class or not
-        if held:
-            report = _grid_report(semi, t, tol)
-            for cls in held:
-                entry = results[cls]
-                entry["preserved"] = entry["preserved"] and report.holds(cls)
-                entry["max_deviation"] = max(
-                    entry["max_deviation"], *(report.deviations[flag] for flag in _CLASSES[cls])
-                )
+    units = [GridTime(N, tuple(N if j == i else 0 for j in range(d))) for i in range(d)]
+    measured = (list(times) if held else []) + units
+    exponents = np.empty((len(measured), N**d, d), dtype=np.int64)
+    for k, t in enumerate(measured):
+        exponents[k] = _grid_form(semi, t)[1]
+    rows, picks = np.unique(exponents.reshape(-1, d), axis=0, return_inverse=True)
+    picks = picks.reshape(len(measured), N**d)
+    measures = _block_measures(_blocks(tup.mats, rows))
 
-    # Converse spot-check: evaluation at the i-th unit time is I tensor S_i,
-    # which must carry exactly the isometry, unitary and nonnegativity
-    # classes of S_i.
-    converse = []
-    for i in range(d):
-        nums = tuple(N if j == i else 0 for j in range(d))
-        lifted = _grid_report(semi, GridTime(N, nums), tol)
-        converse.append(
-            {
-                "axis": i + 1,
-                "matches": all(
-                    lifted.holds(cls) == base_reports[i].holds(cls)
-                    for cls in ("isometry", "unitary", "entrywise_nonneg")
-                ),
-            }
-        )
+    def holds(deviations: dict, cls: str) -> bool:
+        return all(deviations[flag] <= tol for flag in _CLASSES[cls])
+
+    for time_picks in picks[:-d]:
+        deviations = _class_deviations(measures, time_picks)
+        for cls in held:
+            entry = results[cls]
+            entry["preserved"] = entry["preserved"] and holds(deviations, cls)
+            entry["max_deviation"] = max(
+                entry["max_deviation"], *(deviations[flag] for flag in _CLASSES[cls])
+            )
+
+    # The unit time's evaluation must carry exactly the isometry, unitary
+    # and nonnegativity classes of S_i.
+    converse = [
+        {
+            "axis": i + 1,
+            "matches": all(
+                holds(lifted, cls) == base_reports[i].holds(cls)
+                for cls in ("isometry", "unitary", "entrywise_nonneg")
+            ),
+        }
+        for i, lifted in enumerate(_class_deviations(measures, row) for row in picks[-d:])
+    ]
 
     passed = all(
         entry["preserved"] is not False for entry in results.values()

@@ -566,6 +566,11 @@ def test_writer_streams_matrix_payloads(tmp_path):
         ["dilate", "--matrix", "{half}", "--m", "100000"],
         ["structure", "--matrix", "{scalar_data}"],
         ["vn", "--tuple", "{tuple}", "--poly", "{poly_frac}"],
+        # floor(t) = 5 * 10^10 powers of a 2x2 matrix, refused before the walk
+        ["interp", "eval", "--tuple", "{tuple}", "--N", "2", "--t", "100000000000/2"],
+        # a 24-digit numerator, past int64
+        ["interp", "eval", "--tuple", "{tuple}", "--N", "2",
+         "--t", "123456789012345678901234/2"],
     ],
 )
 def test_bad_input_exits_2(runner, tmp_path, args):

@@ -1,8 +1,10 @@
-"""Nothing is exported unless something calls it.
+"""Nothing is exported, or kept, unless something calls it.
 
 A public name of the ``dilations`` package must appear somewhere in the
 library, the benchmark or the scripts other than at its own definition
 and in an ``__all__`` list; the package's ``__init__`` does not count.
+Likewise every top-level private function of a library module: a helper
+only the tests call is dead library code.
 """
 
 import inspect
@@ -27,6 +29,18 @@ EXPORTS = sorted(
 )
 
 
+def private_functions(text):
+    """Names of the top-level private (single underscore) functions of a module."""
+    return re.findall(r"^def (_[^_]\w*)\(", text, re.MULTILINE)
+
+
+PRIVATE = sorted(
+    (path.name, name)
+    for path in ROOT.glob("src/dilations/*.py")
+    for name in private_functions(path.read_text())
+)
+
+
 def uses(name, text):
     """Lines of ``text`` naming ``name`` other than its definition or an
     ``__all__`` entry."""
@@ -41,7 +55,7 @@ def uses(name, text):
 
 
 def test_callers_found():
-    assert len(CALLERS) >= 8 and len(EXPORTS) >= 20
+    assert len(CALLERS) >= 8 and len(EXPORTS) >= 20 and len(PRIVATE) >= 20
 
 
 @pytest.mark.parametrize("name", EXPORTS)
@@ -55,3 +69,19 @@ def test_unused_export_is_caught():
     text = '__all__ = [\n    "orphan",\n]\n\n\ndef orphan():\n    return 1\n'
     assert uses("orphan", text) == []
     assert uses("orphan", text + "\nvalue = orphan()\n") == ["value = orphan()"]
+
+
+@pytest.mark.parametrize("module, name", PRIVATE)
+def test_private_function_has_a_caller(module, name):
+    texts = [path.read_text() for path in CALLERS]
+    assert any(uses(name, text) for text in texts), f"{module}: {name} is never called"
+
+
+def test_uncalled_private_function_is_caught():
+    """Mutant check: a private helper found only at its definition fails;
+    methods and dunders are not top-level private functions."""
+    text = "def _orphan(x):\n    return x\n\n\nclass A:\n    def _method(self):\n        pass\n"
+    text += "\n\ndef __getattr__(name):\n    raise AttributeError(name)\n"
+    assert private_functions(text) == ["_orphan"]
+    assert uses("_orphan", text) == []
+    assert uses("_orphan", text + "\nvalue = _orphan(1)\n") == ["value = _orphan(1)"]

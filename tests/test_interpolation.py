@@ -87,12 +87,6 @@ class TestContractionTuple:
         with pytest.raises(InputError):
             ContractionTuple((identity(2), identity(3)))
 
-    def test_powers(self):
-        s = shift_matrix(3)
-        pows = ContractionTuple((s,)).powers(0, 3)
-        np.testing.assert_array_equal(pows[0], identity(3))
-        np.testing.assert_array_equal(pows[2], s @ s)
-
     def test_json_roundtrip(self):
         rng = np.random.default_rng(31)
         tup = _random_commuting_tuple(rng, 2, 3)
@@ -114,13 +108,38 @@ class TestGridForm:
     def test_targets_permute_the_grid(self, d, N):
         # The premise of every block-form result: m -> m + t (mod 1) is a
         # bijection of the grid, so T(t) is a permutation times a block
-        # diagonal.  Each of the 2^a carry patterns occurs at some point.
+        # diagonal.  Each row is floor(t) + carry(m), and each of the 2^a
+        # carry patterns occurs at some point.
         semi = DiscretizedSemigroup(ContractionTuple((np.array([[0.5]]),) * d), N)
         for nums in itertools.product(range(2 * N + 1), repeat=d):
-            targets, codes, patterns = interpolation._grid_form(semi, GridTime(N, nums))
+            t = GridTime(N, nums)
+            targets, exponents = interpolation._grid_form(semi, t)
             assert sorted(targets.tolist()) == list(range(N**d)), nums
-            assert len(patterns) == 2 ** sum(num % N > 0 for num in nums), nums
-            assert np.bincount(codes, minlength=len(patterns)).min() >= 1, nums
+            np.testing.assert_array_equal(exponents, np.add(t.floors, t.motion()[1]))
+            distinct = np.unique(exponents, axis=0)
+            assert len(distinct) == 2 ** sum(num % N > 0 for num in nums), nums
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("d, dim, seed", [(1, 3, 1), (2, 2, 2), (3, 4, 3), (4, 1, 4)])
+    def test_matches_per_row_multiplication(self, d, dim, seed):
+        # Bit for bit the block of each row multiplied from the identity in
+        # axis order, each power by its own repeated multiplication; rows
+        # repeat and exponents skip.
+        rng = np.random.default_rng(seed)
+        tup = _random_commuting_tuple(rng, d, dim)
+        exponents = rng.integers(0, 6, (20, d))
+        exponents = np.concatenate([exponents, exponents[:5], np.zeros((1, d), int)])
+        got = interpolation._blocks(tup.mats, exponents)
+        assert got.shape == (len(exponents), dim, dim)
+        for row, block in zip(exponents, got):
+            expected = identity(dim)
+            for s_i, k in zip(tup.mats, row):
+                power = identity(dim)
+                for _ in range(k):
+                    power = power @ s_i
+                expected = expected @ power
+            assert block.tobytes() == expected.tobytes(), row
 
 
 class TestEvalDiscretized:
@@ -228,6 +247,22 @@ class TestEvalDiscretized:
         # The list S^0..S^2001 alone would hold 2001 x 4 KiB.
         assert peaks[1] <= peaks[0] + 64 * 1024, peaks
 
+    def test_floor_bound(self, monkeypatch):
+        # (floor(t) + 1) dim^2 within the cap, for the grid form and the
+        # closed form alike: at a cap of 40, floor 9 of a 2x2 tuple passes
+        # and floor 10 is refused.
+        tup = ContractionTuple((shift_matrix(2),))
+        semi = DiscretizedSemigroup(tup, 2)
+        monkeypatch.setenv("DILATIONS_MAX_ENTRIES", "40")
+        eval_discretized(semi, GridTime(2, (19,)))
+        multilinear_compress(tup, (9.5,))
+        with pytest.raises(InputError, match="floor 10 needs powers up to 11"):
+            eval_discretized(semi, GridTime(2, (20,)))
+        with pytest.raises(InputError, match="floor 10 needs powers up to 11"):
+            multilinear_compress(tup, (10.0,))
+        with pytest.raises(InputError, match="floor 10"):
+            compress_discretized(semi, GridTime(2, (21,)))
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("N", [1, 2, 3, 4])
     def test_matches_unbatched_reference(self, d, N):
@@ -326,13 +361,12 @@ class TestSemigroupSuite:
         grid_form = interpolation._grid_form
 
         def perturbed(semi, t):
-            targets, codes, patterns = grid_form(semi, t)
+            targets, exponents = grid_form(semi, t)
             if t.nums == (2, 1):
-                # grid point 1 alone gets a perturbed copy of its block
-                patterns = np.concatenate([patterns, patterns[codes[1]][None] + 1e-6])
-                codes = codes.copy()
-                codes[1] = len(patterns) - 1
-            return targets, codes, patterns
+                # grid point 1 alone gets one more power of S_1
+                exponents = exponents.copy()
+                exponents[1, 0] += 1
+            return targets, exponents
 
         monkeypatch.setattr(interpolation, "_grid_form", perturbed)
         tup = _random_commuting_tuple(np.random.default_rng(85), 2, 2)

@@ -5,6 +5,8 @@ import pytest
 
 from dilations.linalg import (
     InputError,
+    _isometry_deviations,
+    _powers,
     dagger,
     identity,
     kron,
@@ -75,6 +77,44 @@ class TestOpNorm:
 
     def test_scaled_nilpotent(self):
         assert op_norm([[0, 2], [0, 0]]) == pytest.approx(2.0, abs=1e-12)
+
+
+class TestPowers:
+    def test_powers(self):
+        s = np.roll(identity(3), 1, axis=0)  # the cyclic shift
+        pows = _powers(s, range(4))
+        np.testing.assert_array_equal(pows[0], identity(3))
+        np.testing.assert_array_equal(pows[2], s @ s)
+        np.testing.assert_array_equal(pows[3], identity(3))
+
+    def test_asked_exponents_by_repeated_multiplication(self):
+        # Repeated and skipped exponents give the bits of the full walk.
+        a = rand_matrix(np.random.default_rng(17), 4) / 4
+        walk = [identity(4)]
+        for _ in range(9):
+            walk.append(walk[-1] @ a)
+        ks = [0, 0, 3, 4, 4, 9]
+        got = _powers(a, ks)
+        assert got.shape == (len(ks), 4, 4)
+        for k, power in zip(ks, got):
+            assert power.tobytes() == walk[k].tobytes(), k
+        assert _powers(a, []).shape == (0, 4, 4)
+
+
+class TestIsometryDeviations:
+    def test_stack_matches_per_matrix_norms(self):
+        rng = np.random.default_rng(18)
+        stack = np.array([rand_matrix(rng, 3) for _ in range(4)])
+        got = _isometry_deviations(stack)
+        for a, dev in zip(stack, got):
+            assert dev == op_norm(dagger(a) @ a - identity(3))
+
+    def test_rectangular_sides(self):
+        # An isometry r: r*r = 1 on the small side, while rr* is a
+        # projection of rank 3 on the large side, at distance 1 from 1.
+        q, _ = np.linalg.qr(rand_matrix(np.random.default_rng(19), 5, 3))
+        assert _isometry_deviations(q[None])[0] < 1e-14
+        assert abs(_isometry_deviations(dagger(q)[None])[0] - 1) < 1e-14
 
 
 class TestPsdSqrt:

@@ -1,6 +1,5 @@
 import itertools
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -10,9 +9,14 @@ from conftest import (
     random_commuting_unitaries,
 )
 from dilations.dilation import _random_commuting_tuple
-from dilations.interpolation import DiscretizedSemigroup, _grid_form, eval_discretized
+from dilations.interpolation import DiscretizedSemigroup, _blocks, _grid_form, eval_discretized
 from dilations.linalg import InputError, identity
-from dilations.structure import _class_deviations, preservation_suite, structure_report
+from dilations.structure import (
+    _block_measures,
+    _class_deviations,
+    preservation_suite,
+    structure_report,
+)
 from dilations.torus import GridTime
 from unbatched_reference import reference_preservation_suite
 
@@ -161,37 +165,41 @@ class TestPreservationSuite:
             assert preservation_suite(tup, 2, tol=1e-9)["passed"]
         assert calls == []
 
-    def test_one_grid_form_at_a_time(self, monkeypatch):
-        # one grid form per time, then one per converse unit time, each
-        # dropped before the next is built
+    def test_measures_each_distinct_block_once(self, monkeypatch):
+        # One _blocks call per run, on the distinct exponent rows of every
+        # time and converse unit time; those blocks are measured in one
+        # stack, next to one single-block stack per base report.
         import dilations.structure as structure
 
-        calls = []
-        live = []
-        most_alive = 0
-        grid_form = structure._grid_form
+        built, measured = [], []
+        blocks, block_measures = structure._blocks, structure._block_measures
 
-        def tracked(semi, t):
-            nonlocal most_alive
-            form = grid_form(semi, t)
-            calls.append(t.nums)
-            live.append(weakref.ref(form[2]))
-            most_alive = max(most_alive, sum(r() is not None for r in live))
-            return form
+        def tracked_blocks(mats, exponents):
+            built.append(exponents.copy())
+            return blocks(mats, exponents)
 
-        monkeypatch.setattr(structure, "_grid_form", tracked)
+        def tracked_measures(stack):
+            measured.append(len(stack))
+            return block_measures(stack)
+
+        monkeypatch.setattr(structure, "_blocks", tracked_blocks)
+        monkeypatch.setattr(structure, "_block_measures", tracked_measures)
         rng = np.random.default_rng(66)
-        cases = [
-            (random_commuting_unitaries(rng, 2, 2), 16 + 2),
-            (random_circulant_bistochastic(rng, 1, 2), 4 + 1),
-        ]
-        for tup, expected in cases:
-            calls.clear()
-            live.clear()
-            most_alive = 0
+        for tup in (random_commuting_unitaries(rng, 2, 2),
+                    random_circulant_bistochastic(rng, 1, 2)):
+            built.clear()
+            measured.clear()
             assert preservation_suite(tup, 2, tol=1e-9)["passed"]
-            assert len(calls) == expected
-            assert most_alive == 1
+            semi = DiscretizedSemigroup(tup, 2)
+            times = [GridTime(2, nums) for nums in itertools.product(range(4), repeat=tup.d)]
+            units = [GridTime(2, tuple(2 * (j == i) for j in range(tup.d)))
+                     for i in range(tup.d)]
+            rows = np.concatenate([_grid_form(semi, t)[1] for t in times + units])
+            distinct = np.unique(rows, axis=0)
+            assert len(built) == 1
+            np.testing.assert_array_equal(built[0], distinct)
+            assert len(distinct) < len(rows)
+            assert measured == [1] * tup.d + [len(distinct)]
 
     def test_holds_blocks_not_dense_evaluations(self):
         # total_dim 1024: one dense evaluation is 16 MiB, a grid form two
@@ -234,7 +242,7 @@ SHAPES = [(1, 1, 1), (1, 3, 4), (2, 1, 3), (2, 2, 2), (2, 3, 1), (3, 1, 4), (3, 
 
 
 class TestBlockRouteMatchesDense:
-    """The suite on carry pattern blocks against the dense loop of
+    """The suite on distinct blocks against the dense loop of
     ``reference_preservation_suite``, within the bound its docstring states."""
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -263,8 +271,9 @@ class TestBlockRouteMatchesDense:
         semi = DiscretizedSemigroup(tup, N)
         for nums in itertools.product(range(2 * N + 1), repeat=d):
             t = GridTime(N, nums)
-            _, codes, patterns = _grid_form(semi, t)
-            got = _class_deviations(patterns, np.bincount(codes, minlength=len(patterns)))
+            _, exponents = _grid_form(semi, t)
+            rows, picks = np.unique(exponents, axis=0, return_inverse=True)
+            got = _class_deviations(_block_measures(_blocks(tup.mats, rows)), picks.reshape(-1))
             dense = structure_report(eval_discretized(semi, t)).deviations
             for flag, value in got.items():
                 assert abs(value - dense[flag]) <= 1e-13 * max(1.0, dense[flag]), (nums, flag)

@@ -18,16 +18,17 @@ maximum to agree within the rounding bound its docstring states.
 
 ``reference_eval_discretized`` assembles the grid semigroup one source
 point at a time, with the power selector
-kappa(t, t') = floor(t) + [frac(t) + frac(t') >= 1] per axis, and
+kappa(t, t') = floor(t) + [frac(t) + frac(t') >= 1] per axis and its own
+list of powers of each S_i by repeated multiplication, and
 ``reference_semigroup_suite`` runs the property suite on those dense
 matrices.  The library builds the same evaluation from its grid form of
-targets and carry-pattern blocks, so the tests require the dense matrix
-to agree bit for bit and the suite's deviations within 1e-14.
+targets and exponent rows, so the tests require the dense matrix to agree
+bit for bit and the suite's deviations within 1e-14.
 
 ``reference_preservation_suite`` is the preservation suite on dense
 evaluations: one ``structure_report(eval_discretized(...))`` per time and
 per converse unit time.  The library measures the same class deviations
-on the carry pattern blocks of the grid form and their multiplicities,
+on the distinct blocks of the grid forms and their multiplicities,
 never assembling T(t), so the tests require every verdict to be equal and
 each ``max_deviation`` to agree within 1e-13: both routes compute the
 same quantities by the identities of the ``structure`` docstring, and the
@@ -142,7 +143,12 @@ def reference_eval_discretized(semi, t):
     """Dense T(t): the block prod_i S_i^kappa(t_i, m_i/N) of each source
     point m, placed at the target m + t (mod 1)."""
     N, d, dim = semi.N, semi.base.d, semi.base.dim
-    axis_powers = [semi.base.powers(i, fl + 1) for i, fl in enumerate(t.floors)]
+    axis_powers = []
+    for s_i, fl in zip(semi.base.mats, t.floors):
+        powers = [identity(dim)]
+        for _ in range(fl + 1):
+            powers.append(powers[-1] @ s_i)
+        axis_powers.append(powers)
     block_cache = {}
 
     def block(exps):

@@ -1,0 +1,50 @@
+#!/usr/bin/env python3
+"""Print the sha256 of every report a benchmark workload writes.
+
+    python scripts/report_digests.py --workload semigroup --seed 1 --dir /tmp/digests
+
+Writes the inputs of ``perfbench/jobs.build`` for the workload and seed
+into ``--dir``, runs every job through ``dilations.cli.main`` in-process
+with the benchmark's environment (one BLAS thread, no DILATIONS_TOL or
+DILATIONS_MAX_ENTRIES), and prints one ``<sha256>  <label>`` line per
+report, in job order.  Reports echo their input paths in ``config``, so
+two source trees write comparable reports only when both runs get the
+same ``--dir``; comparing the printed lines then shows whether a change
+keeps every report byte-identical.  The ``dilations`` sources are those
+next to this script; ``perfbench`` is only read.
+"""
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True, choices=("certify", "semigroup", "approx"))
+    parser.add_argument("--seed", required=True, type=int)
+    parser.add_argument("--dir", required=True, type=Path)
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, str(PERFBENCH))
+    import run
+
+    run.prepare_environment()  # before numpy is imported
+
+    import jobs as jobs_mod
+    from dilations import cli
+
+    for job in jobs_mod.build(args.workload, args.seed, args.dir.resolve()):
+        try:
+            cli.main(job.argv + ["--out", str(job.out)], standalone_mode=False)
+        except SystemExit:
+            pass  # the exit code is the verdict; the report is what is compared
+        print(f"{hashlib.sha256(job.out.read_bytes()).hexdigest()}  {job.label}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

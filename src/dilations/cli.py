@@ -9,9 +9,13 @@ code the command returns.  A command body only loads its inputs, calls
 the library and returns ``(report, exit_code)``.
 
 Reports are written byte-identically to ``json.dumps(report, indent=2)``
-plus a newline.  Matrix payloads (``rows``/``cols``/``data`` with finite
-float pairs) are rendered by string joins and streamed to the output in
-chunks; the rest of the report goes through ``json.dumps`` itself.
+plus a newline, for the report with every array replaced by its
+``tolist()``.  The matrix payloads of ``interp eval``, ``dilate`` and
+``parrott`` hold their data as float64 arrays of (re, im) pairs until the
+writer renders them: a finite array is rendered from its floats by
+string joins and streamed to the output in chunks, and the rest of the
+report, including payloads that are still lists, goes through
+``json.dumps`` itself.
 
 Exit codes: 0 all checks passed / inequality HOLDS; 1 a check failed or
 a violation was found (report still written); 2 input or format error;
@@ -53,9 +57,10 @@ from .linalg import (
     NumericalError,
     _check_cap,
     _check_tol,
+    _listed,
+    _matrix_payload,
     default_tol,
     matrix_from_json,
-    matrix_to_json,
 )
 from .structure import preservation_suite, structure_report
 from .torus import GridTime, bscr_check, bscr_trace, trace_to_csv_rows
@@ -86,47 +91,21 @@ def _load_tuple(path, tol):
 
 # Matrix data pairs rendered per piece of a streamed report.
 _CHUNK_PAIRS = 4096
-# Stands in for a matrix's data list in the report skeleton; no report
+# Stands in for a matrix's data array in the report skeleton; no report
 # string holds a NUL, and the split in _report_pieces checks that anyway.
 _HOLE = "\x00matrix data"
 
 
-def _flat_chunks(data):
-    """The entries of the pairs in ``data``, flattened, a chunk at a time."""
-    for start in range(0, len(data), _CHUNK_PAIRS):
-        yield tuple(itertools.chain.from_iterable(data[start : start + _CHUNK_PAIRS]))
-
-
-def _finite_pairs(data):
-    """Whether ``data`` is a non-empty list of [re, im] lists of finite floats."""
-    if type(data) is not list or not data:
-        return False
-    if set(map(type, data)) != {list} or set(map(len, data)) != {2}:
-        return False
-    return all(
-        set(map(type, flat)) == {float} and all(map(math.isfinite, flat))
-        for flat in _flat_chunks(data)
+def _renderable(data) -> bool:
+    """Whether ``data`` is a non-empty float64 array of finite (re, im) pairs."""
+    return (
+        isinstance(data, np.ndarray)
+        and data.dtype == np.float64
+        and data.ndim == 2
+        and data.shape[1] == 2
+        and len(data) > 0
+        and bool(np.isfinite(data).all())
     )
-
-
-def _with_holes(obj, held):
-    """A copy of ``obj`` with each matrix's data list replaced by ``_HOLE``.
-
-    The replaced lists are appended to ``held`` in the order ``json.dumps``
-    writes them.
-    """
-    if isinstance(obj, list):
-        return [_with_holes(v, held) for v in obj]
-    if not isinstance(obj, dict):
-        return obj
-    matrix = "rows" in obj and "cols" in obj and _finite_pairs(obj.get("data"))
-    copy = {}
-    for key, value in obj.items():
-        if matrix and key == "data":
-            held.append(value)
-            value = _HOLE
-        copy[key] = _with_holes(value, held)
-    return copy
 
 
 def _pair_template(indent):
@@ -136,16 +115,18 @@ def _pair_template(indent):
 
 
 def _data_pieces(data, indent):
-    """``json.dumps(data, indent=2)`` for finite float pairs, in chunks.
+    """``json.dumps(data.tolist(), indent=2)`` for an array of finite
+    float pairs, in chunks.
 
     ``%r`` is ``float.__repr__``, which is what ``json`` writes for a
     finite float.
     """
     pair = _pair_template(indent)
     separator = "[\n"
-    for flat in _flat_chunks(data):
+    for start in range(0, len(data), _CHUNK_PAIRS):
+        flat = data[start : start + _CHUNK_PAIRS].ravel().tolist()
         yield separator
-        yield ",\n".join([pair] * (len(flat) // 2)) % flat
+        yield ",\n".join([pair] * (len(flat) // 2)) % tuple(flat)
         separator = ",\n"
     yield f"\n{indent}]"
 
@@ -163,18 +144,32 @@ def _report_pieces(report):
     """The text of a report, as pieces to write in order.
 
     A list report is its lines.  Any other report is exactly
-    ``json.dumps(report, indent=2) + "\n"``: the report with its matrix data
-    lists cut out goes through ``json.dumps``, and each data list is
-    rendered into its hole, with the indentation of the line it sits on.
-    ``json.dumps`` runs before this returns, so a report it cannot encode
-    fails before the output is opened.
+    ``json.dumps(listed, indent=2) + "\n"``, where ``listed`` is the report
+    with every array replaced by its ``tolist()``.  Matrix payloads hold
+    their data as float64 arrays of (re, im) pairs (``_matrix_payload``).
+    ``json.dumps`` writes the report with each finite pair array cut out:
+    its ``default`` hook, called in write order, holds the array and
+    leaves ``_HOLE`` in its place, and each held array is rendered into
+    its hole with the indentation of the line it sits on.  Any other array
+    is written by ``json`` as its ``tolist()``, so non-finite entries keep
+    the spelling ``NaN`` / ``Infinity``.  ``json.dumps`` runs before this
+    returns, so a report it cannot encode fails before the output is opened.
     """
     if isinstance(report, list):
         return ["\n".join(report), "\n"]
     held = []
-    parts = json.dumps(_with_holes(report, held), indent=2).split(json.dumps(_HOLE))
+
+    def hold(obj):
+        if _renderable(obj):
+            held.append(obj)
+            return _HOLE
+        if isinstance(obj, np.ndarray):
+            return obj.tolist()
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+    parts = json.dumps(report, indent=2, default=hold).split(json.dumps(_HOLE))
     if len(parts) != len(held) + 1:
-        return [json.dumps(report, indent=2), "\n"]
+        return [json.dumps(_listed(report), indent=2), "\n"]
     return _spliced(parts, held)
 
 
@@ -256,7 +251,7 @@ def interp_eval(tuple_path, n_grid, time_text, tol):
         "t": str(t),
         "tol": tol,
     }
-    return {"config": config, "result": matrix_to_json(mat)}, EXIT_OK
+    return {"config": config, "result": _matrix_payload(mat)}, EXIT_OK
 
 
 @_report_command(interp, "check")
@@ -315,7 +310,7 @@ def parrott(r1_path, r2_path, tol, allow_contraction_r2):
         r1, r2, tol=tol, allow_contraction_r2=allow_contraction_r2
     )
     config = {"command": "parrott", "r1": str(r1_path), "r2": str(r2_path), "tol": tol}
-    return {**tup.to_json(), "config": config}, EXIT_OK
+    return {**tup._payload(), "config": config}, EXIT_OK
 
 
 @_report_command(main)
@@ -372,7 +367,7 @@ def dilate(matrix_path, steps, verify, tol):
     """Unitary m-dilation of a single contraction, optionally verified."""
     s = _load_matrix(matrix_path)
     cand = egervary_dilation(s, steps, tol=tol)
-    report = cand.to_json()
+    report = cand._payload()
     report["config"] = {
         "command": "dilate",
         "matrix": str(matrix_path),

@@ -26,15 +26,16 @@ from .linalg import (
     DEFAULT_TOL,
     InputError,
     _check_cap,
-    _powers,
     _isometry_deviations,
+    _listed,
+    _matrix_payload,
+    _powers,
     _require_commuting,
     as_matrix,
     dagger,
     identity,
     kron,
     matrix_from_json,
-    matrix_to_json,
     max_entries,
     op_norm,
     psd_sqrt,
@@ -478,12 +479,16 @@ class DilationCandidate:
     def d(self) -> int:
         return len(self.vs)
 
-    def to_json(self) -> dict:
+    def _payload(self) -> dict:
+        """The JSON form with each matrix's data as an array (see ``_matrix_payload``)."""
         return {
-            "unitaries": [matrix_to_json(v) for v in self.vs],
-            "embedding": matrix_to_json(self.r),
+            "unitaries": [_matrix_payload(v) for v in self.vs],
+            "embedding": _matrix_payload(self.r),
             "n_max": self.n_max,
         }
+
+    def to_json(self) -> dict:
+        return _listed(self._payload())
 
     @classmethod
     def from_json(cls, obj, tol: float = DEFAULT_TOL) -> "DilationCandidate":

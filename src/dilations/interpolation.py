@@ -28,13 +28,14 @@ from .linalg import (
     DEFAULT_TOL,
     InputError,
     _check_cap,
+    _listed,
+    _matrix_payload,
     _powers,
     _require_commuting,
     as_matrix,
     identity,
     matrix_exp,
     matrix_from_json,
-    matrix_to_json,
     max_entries,
     op_norm,
 )
@@ -85,12 +86,16 @@ class ContractionTuple:
     def dim(self) -> int:
         return self.mats[0].shape[0]
 
-    def to_json(self) -> dict:
+    def _payload(self) -> dict:
+        """The JSON form with each matrix's data as an array (see ``_matrix_payload``)."""
         return {
             "d": self.d,
             "dim": self.dim,
-            "matrices": [matrix_to_json(m) for m in self.mats],
+            "matrices": [_matrix_payload(m) for m in self.mats],
         }
+
+    def to_json(self) -> dict:
+        return _listed(self._payload())
 
     @classmethod
     def from_json(cls, obj, tol: float = DEFAULT_TOL) -> "ContractionTuple":
@@ -159,16 +164,33 @@ def _grid_form(semi: DiscretizedSemigroup, t: GridTime) -> tuple[np.ndarray, np.
     return targets, carries + np.array(t.floors)
 
 
+def _distinct_rows(exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, picks): the distinct rows of a 2-d integer array in
+    lexicographic order, and the index in ``rows`` of each input row, as
+    ``np.unique(exponents, axis=0, return_inverse=True)`` gives them.
+
+    One ``lexsort`` over the columns and a comparison of neighbouring
+    sorted rows, without ``np.unique``'s structured-dtype sort.
+    """
+    order = np.lexsort(exponents.T[::-1])
+    ordered = exponents[order]
+    starts = np.ones(len(ordered), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    picks = np.empty(len(ordered), dtype=np.intp)
+    picks[order] = np.cumsum(starts) - 1
+    return ordered[starts], picks
+
+
 def _blocks(mats, exponents: np.ndarray) -> np.ndarray:
     """prod_i mats[i]^exponents[m, i] for every row m, multiplied in axis
     order from the identity.  Each distinct row is multiplied once, from
     each axis's distinct powers formed once, and gathered at the end."""
-    rows, picks = np.unique(exponents, axis=0, return_inverse=True)
+    rows, picks = _distinct_rows(exponents)
     out = identity(mats[0].shape[0])
     for s_i, column in zip(mats, rows.T):
         ks, which = np.unique(column, return_inverse=True)
         out = out @ _powers(s_i, ks)[which]
-    return out[picks.reshape(-1)]
+    return out[picks]
 
 
 def eval_discretized(semi: DiscretizedSemigroup, t: GridTime) -> np.ndarray:
@@ -259,7 +281,7 @@ def semigroup_suite(tup: ContractionTuple, N: int, max_num: int) -> dict:
         for n in range(2 * N + 1):
             nums = tuple(n * N if j == i else 0 for j in range(d))
             # One carry pattern: every grid point holds the same block.
-            distinct = np.unique(_grid_form(semi, GridTime(N, nums))[1], axis=0)
+            distinct = _distinct_rows(_grid_form(semi, GridTime(N, nums))[1])[0]
             diff = _blocks(tup.mats, distinct) - np.linalg.matrix_power(s_i, n)
             interp_dev = max(interp_dev, float(np.linalg.norm(diff, 2, axis=(-2, -1)).max()))
 

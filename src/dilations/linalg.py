@@ -239,13 +239,33 @@ def matrix_exp(a, t: float = 1.0) -> np.ndarray:
     return out[0] if single else out
 
 
-def matrix_to_json(a) -> dict:
+def _matrix_payload(a) -> dict:
+    """The wire format of ``a`` with ``data`` held as a float64 array of
+    shape (rows*cols, 2): the interleaved (re, im) view of its entries in
+    row-major order, sharing memory with ``a`` when ``a`` is a C-ordered
+    complex128 array.  The CLI writer renders such arrays without listing
+    them; ``_listed`` turns a payload into stdlib-JSON values."""
     a = as_matrix(a)
     return {
         "rows": int(a.shape[0]),
         "cols": int(a.shape[1]),
-        "data": np.stack((a.real, a.imag), axis=-1).reshape(-1, 2).tolist(),
+        "data": np.ascontiguousarray(a).view(np.float64).reshape(-1, 2),
     }
+
+
+def _listed(payload):
+    """``payload`` with every array in it replaced by its ``tolist()``."""
+    if isinstance(payload, np.ndarray):
+        return payload.tolist()
+    if isinstance(payload, dict):
+        return {key: _listed(value) for key, value in payload.items()}
+    if isinstance(payload, list):
+        return [_listed(value) for value in payload]
+    return payload
+
+
+def matrix_to_json(a) -> dict:
+    return _listed(_matrix_payload(a))
 
 
 def matrix_from_json(obj) -> np.ndarray:

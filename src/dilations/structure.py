@@ -39,6 +39,7 @@ from .interpolation import (
     DiscretizedSemigroup,
     _blocks,
     _check_time,
+    _distinct_rows,
     _grid_form,
 )
 from .linalg import (
@@ -187,7 +188,7 @@ def preservation_suite(
     exponents = np.empty((len(measured), N**d, d), dtype=np.int64)
     for k, t in enumerate(measured):
         exponents[k] = _grid_form(semi, t)[1]
-    rows, picks = np.unique(exponents.reshape(-1, d), axis=0, return_inverse=True)
+    rows, picks = _distinct_rows(exponents.reshape(-1, d))
     picks = picks.reshape(len(measured), N**d)
     measures = _block_measures(_blocks(tup.mats, rows))
 

@@ -12,7 +12,7 @@ from conftest import random_unitary
 from dilations import cli
 from dilations.cli import main
 from dilations.dilation import _random_commuting_tuple
-from dilations.linalg import InputError, NumericalError, matrix_to_json
+from dilations.linalg import InputError, NumericalError, _listed, _matrix_payload, matrix_to_json
 from dilations.torus import bscr_trace, trace_to_csv_rows
 
 
@@ -486,21 +486,69 @@ WRITER_CASES = {
 }
 
 
+def _pairs(rows, cols, pairs):
+    """A matrix payload holding ``pairs`` as a float64 array, as the commands emit it."""
+    return {"rows": rows, "cols": cols, "data": np.array(pairs, dtype=np.float64).reshape(-1, 2)}
+
+
+# Reports with array payloads; each must be written exactly as json.dumps
+# of the same report with every array replaced by its tolist().
+ARRAY_CASES = {
+    "float extremes": {
+        "config": {"command": "x", "tol": 1e-9},
+        "result": _matrix_payload(
+            np.array([[complex(-0.0, 5e-324), complex(1e308, 1e16), complex(1e-7, -1.5)]])
+        ),
+    },
+    "signed zero imaginary parts": {"result": _matrix_payload(np.array([[complex(1.0, -0.0)]]))},
+    "1x1": {"result": _matrix_payload(np.array([[1j]]))},
+    "nested like dilate": {
+        "unitaries": [_matrix_payload(np.array([[1.0]])),
+                      _matrix_payload(np.array([[0.5 - 0.5j], [2j]]))],
+        "embedding": _matrix_payload(np.array([[1.0], [0.0]])),
+        "n_max": 1,
+        "config": {"nested": [[{"deeper": _matrix_payload(np.array([[3 + 4j]]))}]]},
+    },
+    "eight pairs": {"result": _pairs(2, 4, [(k / 7, -k * 1e-300) for k in range(8)])},
+    "transposed input": {
+        "result": _matrix_payload((np.arange(12.0).reshape(3, 4) * (1 - 0.5j) + 1e-300j).T)
+    },
+    "array in a list": {"arrays": [_pairs(1, 1, [(1.0, 2.0)]), 7]},
+    "list and array payloads": {
+        "tuple": {"matrices": [_matrix(1, 1, [(0.5, 0.0)])]},
+        "result": _pairs(1, 1, [(0.25, 0.0)]),
+    },
+    "empty array": {"result": _pairs(0, 0, [])},
+    "non-finite": {"result": _pairs(1, 3, [(math.nan, math.inf), (-math.inf, 0.0), (1.0, 2.0)])},
+    "report string equal to the hole": {"note": cli._HOLE, "result": _pairs(1, 1, [(1.0, 2.0)])},
+}
+
+
 def _written(report):
     return "".join(cli._report_pieces(report))
 
 
+ALL_CASES = {**WRITER_CASES, **{f"array {name}": r for name, r in ARRAY_CASES.items()}}
+
+
 @pytest.mark.parametrize("chunk", [3, cli._CHUNK_PAIRS])
-@pytest.mark.parametrize("name", list(WRITER_CASES))
+@pytest.mark.parametrize("name", list(ALL_CASES))
 def test_writer_matches_json_dumps(monkeypatch, name, chunk):
     monkeypatch.setattr(cli, "_CHUNK_PAIRS", chunk)
-    report = WRITER_CASES[name]
-    assert _written(report) == json.dumps(report, indent=2) + "\n"
+    report = ALL_CASES[name]
+    assert _written(report) == json.dumps(_listed(report), indent=2) + "\n"
 
 
 def test_writer_keeps_json_non_finite_spelling():
     text = _written(WRITER_CASES["non-finite"])
     assert "NaN" in text and "Infinity" in text and "-Infinity" in text
+
+
+def test_writer_refuses_what_json_refuses():
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli._report_pieces({"result": {"data": 1j}})
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli._report_pieces({"result": np.array([1j])})
 
 
 def test_writer_list_report_is_text_lines():
@@ -512,16 +560,16 @@ def test_wrong_pair_indent_is_caught(monkeypatch):
     """Mutant check: a pair template indented one level too deep fails the byte test."""
     template = cli._pair_template
     monkeypatch.setattr(cli, "_pair_template", lambda indent: template(indent + "  "))
-    for name in ("float extremes", "1x1", "nested like dilate", "eight pairs"):
-        report = WRITER_CASES[name]
-        assert _written(report) != json.dumps(report, indent=2) + "\n", name
+    for name in ("float extremes", "1x1", "nested like dilate", "eight pairs", "array in a list"):
+        report = ARRAY_CASES[name]
+        assert _written(report) != json.dumps(_listed(report), indent=2) + "\n", name
 
 
 def test_writer_streams_matrix_payloads(tmp_path):
     """Writing a 256x256 matrix report allocates at most twice the bytes written."""
     rng = np.random.default_rng(5)
     report = {"config": {"command": "interp eval"},
-              "result": matrix_to_json(rng.standard_normal((256, 256)) + 1j)}
+              "result": _matrix_payload(rng.standard_normal((256, 256)) + 1j)}
     path = tmp_path / "report.json"
     with open(path, "w") as handle:
         tracemalloc.start()
@@ -533,6 +581,24 @@ def test_writer_streams_matrix_payloads(tmp_path):
     size = path.stat().st_size
     assert size > 3_000_000
     assert peak <= 2 * size, (peak, size)
+
+
+def test_interp_eval_memory_stays_near_the_dense_matrix(tmp_path):
+    """``interp eval`` at total_dim 512 peaks at most at twice its 4 MiB dense matrix."""
+    mats = [np.diag([0.5, -0.25j]), np.diag([0.75, 0.5])]
+    args = ["interp", "eval", "--tuple", write_tuple(tmp_path / "tup.json", mats),
+            "--N", "16", "--t", "3/16,21/16", "--out", str(tmp_path / "out.json")]
+    dense = (16**2 * 2) ** 2 * 16
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as exit_info:
+            main(args, standalone_mode=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exit_info.value.code == 0
+    assert json.loads((tmp_path / "out.json").read_text())["result"]["rows"] == 512
+    assert peak <= 2 * dense, (peak, dense)
 
 
 @pytest.mark.parametrize(

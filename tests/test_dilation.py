@@ -26,7 +26,7 @@ from dilations.dilation import (
 )
 from dilations.fixtures import load_crabb_davie
 from dilations.interpolation import ContractionTuple
-from dilations.linalg import InputError, identity, op_norm
+from dilations.linalg import InputError, _listed, identity, matrix_to_json, op_norm
 from unbatched_reference import reference_torus_sup
 
 U = 2.0**-53
@@ -390,6 +390,15 @@ class TestDilation:
         )
         np.testing.assert_array_equal(back.vs[0], cand.vs[0])
         np.testing.assert_array_equal(back.r, cand.r)
+
+
+    def test_candidate_json_is_the_array_form_listed(self):
+        cand = egervary_dilation(random_contraction(np.random.default_rng(60), 2), 2)
+        obj = cand.to_json()
+        assert list(obj) == ["unitaries", "embedding", "n_max"]
+        assert obj == _listed(cand._payload())
+        assert obj["embedding"] == matrix_to_json(cand.r)
+        assert json.loads(json.dumps(obj)) == obj
 
 
 class TestCrabbDavieFixture:

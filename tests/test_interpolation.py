@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -21,7 +22,14 @@ from dilations.interpolation import (
     scaled_blend,
     semigroup_suite,
 )
-from dilations.linalg import InputError, identity, matrix_exp, op_norm
+from dilations.linalg import (
+    InputError,
+    _listed,
+    identity,
+    matrix_exp,
+    matrix_to_json,
+    op_norm,
+)
 from dilations.torus import GridTime
 from unbatched_reference import (
     reference_eval_discretized,
@@ -94,6 +102,15 @@ class TestContractionTuple:
         for a, b in zip(tup.mats, back.mats):
             np.testing.assert_array_equal(a, b)
 
+    def test_json_is_the_array_form_listed(self):
+        # to_json keeps stdlib-JSON lists; the CLI writes the array form.
+        tup = _random_commuting_tuple(np.random.default_rng(32), 2, 3)
+        obj = tup.to_json()
+        assert list(obj) == ["d", "dim", "matrices"]
+        assert obj == _listed(tup._payload())
+        assert obj["matrices"] == [matrix_to_json(m) for m in tup.mats]
+        assert json.loads(json.dumps(obj)) == obj
+
     def test_json_declared_mismatch(self):
         tup = ContractionTuple((shift_matrix(2),))
         obj = tup.to_json()
@@ -140,6 +157,27 @@ class TestBlocks:
                     power = power @ s_i
                 expected = expected @ power
             assert block.tobytes() == expected.tobytes(), row
+
+
+class TestDistinctRows:
+    @pytest.mark.parametrize(
+        "exponents",
+        [
+            np.random.default_rng(7).integers(0, 3, (200, 3)),
+            np.random.default_rng(8).integers(0, 40, (50, 2)),
+            np.random.default_rng(9).integers(0, 5, (30, 1)),
+            np.array([[4, 1, 7]]),
+            np.full((9, 2), 3),
+            np.array([[2**62, 0], [0, 2**62], [2**62, 0]]),
+        ],
+        ids=["random d=3", "random d=2", "d=1", "single row", "all equal", "large"],
+    )
+    def test_matches_np_unique(self, exponents):
+        rows, picks = interpolation._distinct_rows(exponents)
+        want_rows, want_picks = np.unique(exponents, axis=0, return_inverse=True)
+        np.testing.assert_array_equal(rows, want_rows)
+        np.testing.assert_array_equal(picks, want_picks.reshape(-1))
+        np.testing.assert_array_equal(rows[picks], exponents)
 
 
 class TestEvalDiscretized:

@@ -6,6 +6,8 @@ import pytest
 from dilations.linalg import (
     InputError,
     _isometry_deviations,
+    _listed,
+    _matrix_payload,
     _powers,
     dagger,
     identity,
@@ -244,6 +246,22 @@ class TestJson:
         for m in (a, a.T, rand_matrix(np.random.default_rng(16), 3, 5).T):
             per_entry = [[float(z.real), float(z.imag)] for z in m.ravel()]
             assert json.dumps(matrix_to_json(m)["data"]) == json.dumps(per_entry)
+
+    def test_list_form_is_the_array_payload_listed(self):
+        # matrix_to_json is _matrix_payload with data.tolist(), bit for bit:
+        # signed zeros (a -0.0 imaginary part too), subnormals, transposes.
+        a = np.array([[complex(1.0, -0.0), complex(-0.0, 5e-324)],
+                      [complex(1e308, 0.0), complex(-1e-7, -1e16)]])
+        for m in (a, a.T, rand_matrix(np.random.default_rng(17), 3, 5).T):
+            payload = _matrix_payload(m)
+            listed = matrix_to_json(m)
+            assert payload["data"].dtype == np.float64
+            assert payload["data"].shape == (m.size, 2)
+            assert listed == {**payload, "data": payload["data"].tolist()}
+            assert _listed(payload) == listed
+            bits = np.array(listed["data"]).view(np.uint64)
+            np.testing.assert_array_equal(bits, payload["data"].view(np.uint64))
+        assert np.signbit(matrix_to_json(a)["data"][0][1])
 
     def test_rejects_bad_length(self):
         with pytest.raises(InputError):

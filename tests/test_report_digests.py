@@ -1,0 +1,28 @@
+"""``scripts/report_digests.py`` prints the sha256 of each benchmark report."""
+
+import hashlib
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "report_digests.py"
+
+
+def test_digests_name_each_report_and_repeat(tmp_path):
+    def digests():
+        done = subprocess.run(
+            [sys.executable, str(SCRIPT), "--workload", "approx", "--seed", "1",
+             "--dir", str(tmp_path)],
+            capture_output=True, text=True, check=True,
+        )
+        return done.stdout.splitlines()
+
+    first = digests()
+    assert first and all(re.fullmatch(r"[0-9a-f]{64}  approx .+", line) for line in first)
+    written = sorted(tmp_path.glob("*-out.json"))
+    assert len(written) == len(first)
+    assert sorted(hashlib.sha256(p.read_bytes()).hexdigest() for p in written) == sorted(
+        line.split()[0] for line in first
+    )
+    assert digests() == first

@@ -21,14 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interpolation import ContractionTuple
+from .interpolation import ContractionTuple, _require_contractions
 from .linalg import (
     DEFAULT_TOL,
     InputError,
+    _batches,
     _check_cap,
     _isometry_deviations,
     _listed,
     _matrix_payload,
+    _op_norms,
     _powers,
     _require_commuting,
     as_matrix,
@@ -169,7 +171,7 @@ def parrott_tuple(
 
 
 def _require_unitary(m: np.ndarray, name: str, tol: float) -> None:
-    dev = max(float(_isometry_deviations(a[None])[0]) for a in (m, dagger(m)))
+    dev = float(_isometry_deviations(np.stack([m, dagger(m)])).max())
     if dev > tol:
         raise InputError(f"{name} is not unitary (deviation {dev:.3e})")
 
@@ -181,11 +183,17 @@ def eval_poly(tup: ContractionTuple, poly: MultiPolynomial) -> np.ndarray:
             f"polynomial arity {poly.d} does not match tuple d={tup.d}"
         )
     tops = [max((alpha[i] for alpha in poly.terms), default=0) for i in range(tup.d)]
-    powers = [_powers(s_i, range(top + 1)) for s_i, top in zip(tup.mats, tops)]
-    out = np.zeros((tup.dim, tup.dim), dtype=np.complex128)
+    return _poly_matrix([_powers(s_i, range(top + 1)) for s_i, top in zip(tup.mats, tops)], poly)
+
+
+def _poly_matrix(powers, poly: MultiPolynomial) -> np.ndarray:
+    """p(S) from the powers of each S_i, powers[i][k] = S_i^k, arity
+    unchecked: each term's product of powers, multiplied in axis order,
+    added to a zero matrix in the order of the polynomial's terms."""
+    out = np.zeros(powers[0][0].shape, dtype=np.complex128)
     for alpha, coeff in poly.terms.items():
         term = powers[0][alpha[0]]
-        for i in range(1, tup.d):
+        for i in range(1, len(powers)):
             term = term @ powers[i][alpha[i]]
         out += coeff * term
     return out
@@ -329,6 +337,18 @@ def vn_check(
     """
     lhs = op_norm(eval_poly(tup, poly))
     grid_sup, pad, sup_upper = torus_sup(poly, M)
+    return VnReport(
+        lhs=lhs,
+        grid_sup=grid_sup,
+        lipschitz_pad=pad,
+        sup_upper=sup_upper,
+        verdict=_verdict(lhs, grid_sup, sup_upper, tol),
+    )
+
+
+def _verdict(lhs: float, grid_sup: float, sup_upper: float, tol: float) -> str:
+    """VIOLATED when lhs beats the certified bound sup_upper, HOLDS when it
+    is at most the lattice maximum grid_sup, INCONCLUSIVE in between."""
     # The relative slack and tol absorb rounding.  grid_sup is within
     # 32 (d + n) u sum|c_alpha| of the exact lattice maximum (u = 2^-53,
     # n terms; see torus_sup), which is covered while that bound stays
@@ -338,34 +358,43 @@ def vn_check(
     # the same number computed two ways).  It only makes VIOLATED harder
     # to reach, so the verdict stays sound.
     if lhs > sup_upper * (1 + 1e-12) + tol:
-        verdict = "VIOLATED"
-    elif lhs <= grid_sup * (1 + 1e-12) + tol:
-        verdict = "HOLDS"
-    else:
-        verdict = "INCONCLUSIVE"
-    return VnReport(
-        lhs=lhs,
-        grid_sup=grid_sup,
-        lipschitz_pad=pad,
-        sup_upper=sup_upper,
-        verdict=verdict,
-    )
+        return "VIOLATED"
+    if lhs <= grid_sup * (1 + 1e-12) + tol:
+        return "HOLDS"
+    return "INCONCLUSIVE"
+
+
+def _commuting_stack(rngs, d: int, dim: int) -> np.ndarray:
+    """Stack (K, d, dim, dim) of commuting contraction tuples, tuple k drawn
+    from rngs[k]: each member is a cubic polynomial in one random
+    contraction z, rescaled into the unit ball when its norm exceeds 1.
+
+    Each generator draws z, then the d coefficient vectors.  Norms,
+    powers and members are then formed for the whole stack, by the same
+    per-member operations in the same order as for a stack of one: each
+    norm by the stacked SVD, powers from the identity, the sum
+    0 + c_0 z^0 + ... + c_3 z^3, and one division per rescaled matrix.
+    So tuple k is bit-identical to the one rngs[k] alone would give.
+    """
+    z = np.empty((len(rngs), dim, dim), dtype=np.complex128)
+    coeffs = np.empty((len(rngs), d, 4), dtype=np.complex128)
+    for k, rng in enumerate(rngs):
+        z[k] = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        for i in range(d):
+            coeffs[k, i] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    z = z / np.maximum(1.0, _op_norms(z) * (1 + 1e-12))[:, None, None]
+    z_pows = _powers(z, range(4))
+    mats = sum(coeffs[:, :, j, None, None] * z_pows[j][:, None] for j in range(4))
+    norms = _op_norms(mats)
+    over = norms > 1
+    mats[over] = mats[over] / (norms[over] * (1 + 1e-12))[:, None, None]
+    return mats
 
 
 def _random_commuting_tuple(rng: np.random.Generator, d: int, dim: int) -> ContractionTuple:
-    """Commuting by construction: each member is a polynomial in one contraction."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    z = z / max(1.0, op_norm(z) * (1 + 1e-12))
-    z_pows = _powers(z, range(4))
-    mats = []
-    for _ in range(d):
-        coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        m = sum(c * p for c, p in zip(coeffs, z_pows))
-        norm = op_norm(m)
-        if norm > 1:
-            m = m / (norm * (1 + 1e-12))
-        mats.append(m)
-    return ContractionTuple(tuple(mats), tol=1e-9)
+    """Commuting by construction: each member is a polynomial in one
+    contraction (the stack of one from ``_commuting_stack``)."""
+    return ContractionTuple(tuple(_commuting_stack([rng], d, dim)[0]), tol=1e-9)
 
 
 def _random_polynomial(rng: np.random.Generator, d: int) -> MultiPolynomial:
@@ -396,32 +425,64 @@ def vn_search(
     then runs the checker.  ``extra_cases`` are (tuple, polynomial)
     pairs appended to the pool, e.g. known literature counterexamples.
     Deterministic for a fixed seed; trial i uses seed + i.
+
+    Trials run in chunks whose stacks stay within the size cap: a chunk
+    draws its tuples and polynomials, checks its tuples as
+    ``ContractionTuple`` would and takes every ||p(S)|| in one stacked
+    SVD; then each case gets its ``torus_sup`` and ``vn_check``'s
+    verdict rule.  The result equals the one-trial-at-a-time route's
+    (``vn_check`` per case) bit for bit.
     """
     if d < 1:
         raise InputError(f"d must be >= 1, got {d}")
+    if dim < 1:
+        raise InputError(f"dim must be >= 1, got {dim}")
     if trials < 0:
         raise InputError("trials must be nonnegative")
     if seed < 0:
         raise InputError(f"seed must be nonnegative, got {seed}")
-    results = []
-    for index in range(trials):
-        rng = np.random.default_rng(seed + index)
-        tup = _random_commuting_tuple(rng, d, dim)
-        poly = _random_polynomial(rng, d)
-        results.append(("random", index, tup, poly))
-    for index, (tup, poly) in enumerate(extra_cases):
-        results.append(("fixture", index, tup, poly))
+    if M < 2:
+        raise InputError(f"lattice size M must be >= 2, got {M}")
+    extra_cases = list(extra_cases)
+
+    def cases():
+        """(kind, index, lhs, poly) of every case, in order."""
+        # A trial's largest share of a chunk is its d members' four powers.
+        for part in _batches(trials, 4 * d * dim * dim):
+            indices = range(trials)[part]
+            rngs = [np.random.default_rng(seed + index) for index in indices]
+            stack = _commuting_stack(rngs, d, dim)
+            polys = [_random_polynomial(rng, d) for rng in rngs]
+            _require_contractions(stack, 1e-9)
+            # Every member's powers at once: a trial's own route forms the
+            # same products, and the powers it would not form go unused.
+            top = max((max(alpha) for poly in polys for alpha in poly.terms), default=0)
+            powers = [_powers(stack[:, i], range(top + 1)) for i in range(d)]
+            values = _op_norms(
+                np.stack(
+                    [_poly_matrix([p[:, k] for p in powers], poly) for k, poly in enumerate(polys)]
+                )
+            )
+            for index, lhs, poly in zip(indices, values.tolist(), polys):
+                yield "random", index, lhs, poly
+        for index, (tup, poly) in enumerate(extra_cases):
+            yield "fixture", index, op_norm(eval_poly(tup, poly)), poly
 
     max_ratio = 0.0
     violations = []
     reports = []
-    for kind, index, tup, poly in results:
-        report = vn_check(tup, poly, M, tol=tol)
-        if report.grid_sup > 0:
-            max_ratio = max(max_ratio, report.lhs / report.grid_sup)
-        entry = {"kind": kind, "index": index, "report": report.to_json()}
-        reports.append(entry)
+    for kind, index, lhs, poly in cases():
+        grid_sup, pad, sup_upper = torus_sup(poly, M)
+        report = VnReport(lhs, grid_sup, pad, sup_upper, _verdict(lhs, grid_sup, sup_upper, tol))
+        if grid_sup > 0:
+            max_ratio = max(max_ratio, lhs / grid_sup)
+        reports.append({"kind": kind, "index": index, "report": report.to_json()})
         if report.verdict == "VIOLATED":
+            if kind == "fixture":
+                tup = extra_cases[index][0]
+            else:
+                # Drawn again from its seed: bit-identical to its stack member.
+                tup = _random_commuting_tuple(np.random.default_rng(seed + index), d, dim)
             violations.append(
                 {
                     "kind": kind,
@@ -437,7 +498,7 @@ def vn_search(
         "trials": trials,
         "seed": seed,
         "M": M,
-        "cases": len(results),
+        "cases": len(reports),
         "max_ratio": max_ratio,
         "violations": violations,
         "reports": reports,
@@ -466,7 +527,7 @@ class DilationCandidate:
             if v.shape != (big, big):
                 raise InputError(f"unitary {i + 1} has shape {v.shape}")
             _require_unitary(v, f"V_{i + 1}", self.tol)
-        _require_commuting(vs, "unitaries", self.tol)
+        _require_commuting(np.stack(vs), "unitaries", self.tol)
         if self.r.shape[0] != big:
             raise InputError(
                 f"embedding maps into dimension {self.r.shape[0]}, unitaries act on {big}"

@@ -30,6 +30,7 @@ from .linalg import (
     _check_cap,
     _listed,
     _matrix_payload,
+    _op_norms,
     _powers,
     _require_commuting,
     as_matrix,
@@ -71,12 +72,7 @@ class ContractionTuple:
                 raise InputError(
                     f"operator {i + 1} has shape {m.shape}, expected ({dim}, {dim})"
                 )
-            norm = op_norm(m)
-            if norm > 1 + self.tol:
-                raise InputError(
-                    f"operator {i + 1} has norm {norm:.12g} > 1 + tol"
-                )
-        _require_commuting(mats, "operators", self.tol)
+        _require_contractions(np.stack(mats)[None], self.tol)
 
     @property
     def d(self) -> int:
@@ -111,6 +107,20 @@ class ContractionTuple:
                 f"tuple JSON declares dim={obj['dim']} but matrices are {tup.dim}x{tup.dim}"
             )
         return tup
+
+
+def _require_contractions(stack: np.ndarray, tol: float) -> None:
+    """Raise unless every tuple of the stack (K, d, n, n) is a commuting
+    tuple of contractions to within tol: each member's norm at most
+    1 + tol, from one stacked SVD, then ``_require_commuting``.  This is
+    the check ``ContractionTuple`` runs on itself (K = 1); ``vn_search``
+    runs it on its random tuples without building one per trial."""
+    norms = _op_norms(stack)
+    failing = np.argwhere(norms > 1 + tol)
+    if len(failing):
+        k, i = failing[0]
+        raise InputError(f"operator {i + 1} has norm {norms[k, i]:.12g} > 1 + tol")
+    _require_commuting(stack, "operators", tol)
 
 
 @dataclass(frozen=True)
@@ -407,7 +417,7 @@ def approx_error_sweep(generators, eps_list, time_grid, tol: float = DEFAULT_TOL
     for i, g in enumerate(gens):
         if g.shape != (dim, dim):
             raise InputError(f"generator {i + 1} has shape {g.shape}")
-    _require_commuting(gens, "generators", tol)
+    _require_commuting(np.stack(gens), "generators", tol)
 
     grid = [tuple(float(x) for x in point) for point in time_grid]
     if not grid:

@@ -125,15 +125,46 @@ def op_norm(a) -> float:
         raise NumericalError(f"singular value computation failed: {exc}") from exc
 
 
-def _require_commuting(mats, noun: str, tol: float) -> None:
-    """Raise unless every pair of ``mats`` commutes to within tol in operator norm."""
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            dev = op_norm(mats[i] @ mats[j] - mats[j] @ mats[i])
-            if dev > tol:
-                raise InputError(
-                    f"{noun} {i + 1} and {j + 1} do not commute (deviation {dev:.3e})"
-                )
+def _op_norms(a: np.ndarray) -> np.ndarray:
+    """Largest singular value of every member of a stack (..., r, c), in
+    one stacked SVD call that runs the one-matrix LAPACK routine on each
+    member, so each value equals ``op_norm`` of that member."""
+    if not np.isfinite(a).all():
+        raise InputError("matrix contains non-finite entries")
+    try:
+        return np.linalg.norm(a, 2, axis=(-2, -1))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"singular value computation failed: {exc}") from exc
+
+
+def _batches(count: int, entries_each: int) -> list[slice]:
+    """Consecutive slices covering range(count), each of as many items of
+    ``entries_each`` entries as fit in the size cap, and at least one."""
+    step = max(1, max_entries() // max(1, entries_each))
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
+def _require_commuting(mats: np.ndarray, noun: str, tol: float) -> None:
+    """Raise unless, in every tuple of the stack ``mats`` (..., d, n, n),
+    each pair of members commutes to within tol in operator norm.
+
+    The commutators of all pairs are normed in one stacked SVD, or in
+    batches of pairs within the size cap when they would not fit.  The
+    message names the first failing pair of the first failing tuple.
+    """
+    tuples = mats.reshape(-1, *mats.shape[-3:])
+    order = np.arange(tuples.shape[1])
+    first, second = np.nonzero(order[:, None] < order)  # pairs i < j, i slowest
+    for part in _batches(len(first), tuples.shape[0] * mats.shape[-1] ** 2):
+        a, b = tuples[:, first[part]], tuples[:, second[part]]
+        devs = _op_norms(a @ b - b @ a)
+        failing = np.argwhere(devs > tol)
+        if len(failing):
+            k, pair = failing[0]
+            i, j = first[part][pair], second[part][pair]
+            raise InputError(
+                f"{noun} {i + 1} and {j + 1} do not commute (deviation {devs[k, pair]:.3e})"
+            )
 
 
 def _isometry_deviations(a: np.ndarray) -> np.ndarray:
@@ -147,9 +178,11 @@ def _isometry_deviations(a: np.ndarray) -> np.ndarray:
 
 def _powers(a: np.ndarray, exponents) -> np.ndarray:
     """Stack of A^k for the nondecreasing exponents k, by repeated
-    multiplication from the identity, holding only the powers asked for."""
+    multiplication from the identity, holding only the powers asked for.
+    For a stack of matrices (K, n, n) the result is (len(exponents), K, n, n),
+    each member's powers formed by the same products as its own."""
     out = np.empty((len(exponents), *a.shape), dtype=np.complex128)
-    power, reached = identity(a.shape[0]), 0
+    power, reached = identity(a.shape[-1]), 0
     for j, k in enumerate(exponents):
         for _ in range(k - reached):
             power = power @ a
@@ -200,9 +233,7 @@ def matrix_exp(a, t: float = 1.0) -> np.ndarray:
     if stack.shape[1] != stack.shape[2]:
         raise InputError("matrix_exp requires a square matrix")
     ta = t * stack
-    if not np.isfinite(ta).all():
-        raise InputError("matrix contains non-finite entries")
-    norms = np.linalg.norm(ta, 2, axis=(-2, -1)).tolist()
+    norms = _op_norms(ta).tolist()
     for norm in norms:
         if norm > _EXP_NORM_CAP:
             raise InputError(

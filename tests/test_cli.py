@@ -610,6 +610,9 @@ def test_interp_eval_memory_stays_near_the_dense_matrix(tmp_path):
         ["approx", "--generators", "{gens}", "--eps-list", "0.5", "--steps", "0"],
         ["vn-search", "--d", "1", "--dim", "2", "--trials", "1", "--seed", "-1"],
         ["vn-search", "--d", "0", "--dim", "2", "--trials", "1", "--seed", "3"],
+        ["vn-search", "--d", "2", "--dim", "-1", "--trials", "3", "--seed", "1"],
+        ["vn-search", "--d", "2", "--dim", "0", "--trials", "0", "--seed", "1"],
+        ["vn-search", "--d", "2", "--dim", "4", "--trials", "0", "--seed", "1", "--grid", "1"],
         ["vn", "--tuple", "{tuple}", "--poly", "{poly17}", "--grid", "8"],
         ["DILATIONS_MAX_ENTRIES=abc", "interp", "eval", "--tuple", "{tuple}", "--N", "2",
          "--t", "0"],
@@ -661,6 +664,7 @@ def test_bad_input_exits_2(runner, tmp_path, args):
     result = runner.invoke(main, [a.format(**paths) for a in args], env=env)
     assert result.exit_code == 2
     assert "input error:" in result.output
+    assert "Traceback" not in result.output
 
 
 TOL_COMMANDS = [

@@ -16,6 +16,7 @@ from dilations.dilation import (
     DEGREE_CAP,
     DilationCandidate,
     MultiPolynomial,
+    _random_commuting_tuple,
     egervary_dilation,
     eval_poly,
     parrott_tuple,
@@ -26,8 +27,19 @@ from dilations.dilation import (
 )
 from dilations.fixtures import load_crabb_davie
 from dilations.interpolation import ContractionTuple
-from dilations.linalg import InputError, _listed, identity, matrix_to_json, op_norm
-from unbatched_reference import reference_torus_sup
+from dilations.linalg import (
+    InputError,
+    _batches,
+    _listed,
+    identity,
+    matrix_to_json,
+    op_norm,
+)
+from unbatched_reference import (
+    reference_commuting_tuple,
+    reference_torus_sup,
+    reference_vn_search,
+)
 
 U = 2.0**-53
 
@@ -296,14 +308,66 @@ class TestVnSearch:
             ref = [(r["report"]["verdict"], r["report"]["lhs"]) for r in ref_reports]
             assert lib == ref
 
+    @pytest.mark.parametrize("trials", [0, 1, 37])
+    @pytest.mark.parametrize("d, dim", [(1, 1), (1, 4), (2, 4), (3, 2)])
+    def test_matches_reference_route(self, d, dim, trials):
+        args = dict(d=d, dim=dim, trials=trials, seed=1000 * d + dim, M=16)
+        assert json.dumps(vn_search(**args)) == json.dumps(reference_vn_search(**args))
+
+    def test_matches_reference_route_with_fixture(self):
+        args = dict(d=3, dim=2, trials=1, seed=5, M=256, extra_cases=[load_crabb_davie()])
+        out = vn_search(**args)
+        assert [v["kind"] for v in out["violations"]] == ["fixture"]
+        assert json.dumps(out) == json.dumps(reference_vn_search(**args))
+
+    @pytest.mark.parametrize("d, dim", [(1, 1), (2, 4), (3, 2)])
+    def test_violating_trials_match_reference_route(self, d, dim):
+        # A negative tol makes every case VIOLATED, so each random trial's
+        # tuple is written out and compared too.
+        args = dict(d=d, dim=dim, trials=37, seed=77, M=16, tol=-100.0)
+        out = vn_search(**args)
+        assert len(out["violations"]) == 37
+        assert json.dumps(out) == json.dumps(reference_vn_search(**args))
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123, 20_260_002])
+    @pytest.mark.parametrize("d, dim", [(1, 1), (2, 4), (3, 3)])
+    def test_generator_matches_reference(self, seed, d, dim):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _random_commuting_tuple(rng, d, dim).mats
+        want = reference_commuting_tuple(ref_rng, d, dim).mats
+        assert [m.tobytes() for m in got] == [m.tobytes() for m in want]
+        # Both leave their generator at the same point of its stream.
+        assert rng.standard_normal() == ref_rng.standard_normal()
+
+    def test_chunks_give_the_unchunked_result(self, monkeypatch):
+        # tol=-1 makes cases VIOLATED, so violating tuples are drawn again too.
+        args = dict(d=2, dim=4, trials=37, seed=11, M=16, tol=-1.0)
+        whole = json.dumps(vn_search(**args))
+        assert json.loads(whole)["violations"]
+        # Each trial's chunk share is 4 d dim^2 = 128 entries: chunks of 10.
+        monkeypatch.setenv("DILATIONS_MAX_ENTRIES", "1280")
+        assert len(_batches(37, 4 * 2 * 4 * 4)) == 4
+        assert json.dumps(vn_search(**args)) == whole
+
     def test_rejects_bad_args(self):
         with pytest.raises(InputError):
             vn_search(d=0, dim=2, trials=1, seed=0, M=16)
         with pytest.raises(InputError):
             vn_search(d=1, dim=2, trials=-1, seed=0, M=16)
+        with pytest.raises(InputError, match="dim must be >= 1"):
+            vn_search(d=1, dim=0, trials=0, seed=0, M=16)
+        with pytest.raises(InputError, match="lattice size M must be >= 2"):
+            vn_search(d=1, dim=2, trials=0, seed=0, M=1)
 
 
 class TestParrott:
+    def test_names_the_factor_that_is_not_unitary(self):
+        u = random_unitary(np.random.default_rng(52), 2)
+        with pytest.raises(InputError, match=r"^R1 is not unitary \(deviation 7\.500e-01\)$"):
+            parrott_tuple(np.diag([1.0, 0.5]), u)
+        with pytest.raises(InputError, match=r"^R2 is not unitary"):
+            parrott_tuple(u, np.diag([1.0, 0.5]))
+
     def test_pairwise_products_exactly_zero(self):
         rng = np.random.default_rng(53)
         tup = parrott_tuple(random_unitary(rng, 3), random_unitary(rng, 3))

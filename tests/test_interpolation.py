@@ -15,6 +15,7 @@ from dilations import interpolation
 from dilations.interpolation import (
     ContractionTuple,
     DiscretizedSemigroup,
+    _require_contractions,
     approx_error_sweep,
     compress_discretized,
     eval_discretized,
@@ -25,6 +26,7 @@ from dilations.interpolation import (
 from dilations.linalg import (
     InputError,
     _listed,
+    _require_commuting,
     identity,
     matrix_exp,
     matrix_to_json,
@@ -94,6 +96,30 @@ class TestContractionTuple:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(InputError):
             ContractionTuple((identity(2), identity(3)))
+
+    def test_names_the_pair_that_fails_to_commute(self):
+        e12 = np.array([[0, 0.5], [0, 0]], dtype=complex)
+        message = r"^operators 2 and 3 do not commute \(deviation 2\.500e-01\)$"
+        with pytest.raises(InputError, match=message):
+            ContractionTuple((0.5 * identity(2), e12, e12.conj().T))
+
+    def test_names_the_operator_with_norm_above_one(self):
+        with pytest.raises(InputError, match=r"^operator 2 has norm 2 > 1 \+ tol$"):
+            ContractionTuple((0.5 * identity(2), 2 * identity(2), identity(2)))
+
+    def test_stack_names_the_failing_pair_of_the_failing_tuple(self):
+        e12 = np.array([[0, 0.5], [0, 0]], dtype=complex)
+        stack = np.stack([[e12, e12, e12], [e12, identity(2), e12.conj().T]])
+        with pytest.raises(InputError, match=r"^operators 1 and 3 do not commute"):
+            _require_contractions(stack, 1e-9)
+
+    def test_non_finite_stack_is_an_input_error(self):
+        stack = np.zeros((3, 2, 2, 2), dtype=complex)
+        stack[1, 0, 0, 0] = np.nan
+        with pytest.raises(InputError, match="non-finite"):
+            _require_contractions(stack, 1e-9)
+        with pytest.raises(InputError, match="non-finite"):
+            _require_commuting(stack, "operators", 1e-9)
 
     def test_json_roundtrip(self):
         rng = np.random.default_rng(31)

@@ -16,6 +16,15 @@ powers every term on each slice of the first axis.  The separable
 ``torus_sup`` sums in another order, so the tests require its lattice
 maximum to agree within the rounding bound its docstring states.
 
+``reference_vn_search`` is the one-trial-at-a-time search: for each
+trial its own generator ``reference_commuting_tuple`` draws the tuple
+with one-matrix norms, a ``ContractionTuple`` validates it, the
+library's ``_random_polynomial`` draws the polynomial and ``vn_check``
+decides the case.  The library draws every trial first and validates and
+norms them as stacks, by the same per-member LAPACK and BLAS calls in the
+same order, so the tests require both routes' results to be equal byte
+for byte as JSON.
+
 ``reference_eval_discretized`` assembles the grid semigroup one source
 point at a time, with the power selector
 kappa(t, t') = floor(t) + [frac(t) + frac(t') >= 1] per axis and its own
@@ -52,7 +61,9 @@ import math
 
 import numpy as np
 
+from dilations.dilation import _random_polynomial, vn_check
 from dilations.interpolation import (
+    ContractionTuple,
     DiscretizedSemigroup,
     eval_discretized,
     multilinear_compress,
@@ -137,6 +148,66 @@ def reference_torus_sup(poly, M):
     )
     pad = math.pi / M * gradient_bound
     return grid_sup, pad, grid_sup + pad
+
+
+def reference_commuting_tuple(rng, d, dim):
+    """Commuting contractions: d cubic polynomials in one random contraction z,
+    each drawn, formed, normed and rescaled one matrix at a time."""
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    z = z / max(1.0, op_norm(z) * (1 + 1e-12))
+    z_pows = [identity(dim)]
+    for _ in range(3):
+        z_pows.append(z_pows[-1] @ z)
+    mats = []
+    for _ in range(d):
+        coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        m = sum(c * p for c, p in zip(coeffs, z_pows))
+        norm = op_norm(m)
+        if norm > 1:
+            m = m / (norm * (1 + 1e-12))
+        mats.append(m)
+    return ContractionTuple(tuple(mats), tol=1e-9)
+
+
+def reference_vn_search(d, dim, trials, seed, M, extra_cases=(), tol=1e-10):
+    """The search with one tuple, one polynomial and one ``vn_check`` per trial."""
+    cases = []
+    for index in range(trials):
+        rng = np.random.default_rng(seed + index)
+        tup = reference_commuting_tuple(rng, d, dim)
+        cases.append(("random", index, tup, _random_polynomial(rng, d)))
+    for index, (tup, poly) in enumerate(extra_cases):
+        cases.append(("fixture", index, tup, poly))
+
+    max_ratio = 0.0
+    violations = []
+    reports = []
+    for kind, index, tup, poly in cases:
+        report = vn_check(tup, poly, M, tol=tol)
+        if report.grid_sup > 0:
+            max_ratio = max(max_ratio, report.lhs / report.grid_sup)
+        reports.append({"kind": kind, "index": index, "report": report.to_json()})
+        if report.verdict == "VIOLATED":
+            violations.append(
+                {
+                    "kind": kind,
+                    "index": index,
+                    "tuple": tup.to_json(),
+                    "polynomial": poly.to_json(),
+                    "report": report.to_json(),
+                }
+            )
+    return {
+        "d": d,
+        "dim": dim,
+        "trials": trials,
+        "seed": seed,
+        "M": M,
+        "cases": len(cases),
+        "max_ratio": max_ratio,
+        "violations": violations,
+        "reports": reports,
+    }
 
 
 def reference_eval_discretized(semi, t):

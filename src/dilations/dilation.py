@@ -437,6 +437,7 @@ def vn_search(
         raise InputError(f"d must be >= 1, got {d}")
     if dim < 1:
         raise InputError(f"dim must be >= 1, got {dim}")
+    _check_cap(dim, dim)
     if trials < 0:
         raise InputError("trials must be nonnegative")
     if seed < 0:

@@ -137,6 +137,46 @@ def _op_norms(a: np.ndarray) -> np.ndarray:
         raise NumericalError(f"singular value computation failed: {exc}") from exc
 
 
+def _max_op_norm(a: np.ndarray) -> np.floating:
+    """``_op_norms(a).max()`` for a nonempty stack (..., r, c), taking the
+    SVD only of the members whose norm can be the largest.
+
+    For every member ||A|| <= ||A||_F, and every column 2-norm of every
+    member is at most the largest norm; so with L the largest column
+    norm over the stack, a member with ||A||_F < L cannot hold the max.
+    The SVD runs on the members with F (1 + delta) >= L (1 - delta), F
+    and L computed from the entry moduli divided by the largest one, and
+    the max of those members' ``_op_norms`` is returned: the same
+    per-member LAPACK values, so the same max bit for bit.
+
+    The margin delta = 1e-10 + 8 (r + c)^2 u, u the unit roundoff, covers
+    the rounding of the three computed quantities.  F and L are square
+    roots of sums of at most r c squared, divided moduli: each is within
+    (r c + 4) u of its exact value, in relative terms, and moduli below
+    2^-500 of the largest, whose squares may underflow, move them by far
+    less, as L >= 1 after the division.  A computed singular value
+    is within p u ||A|| of the exact one, p a modest function of r and c
+    (backward-stable bidiagonalisation), taken here at most 6 (r + c)^2.
+    Then the member attaining L is a candidate, and an excluded member's
+    computed norm stays strictly below that member's computed norm, when
+    2 delta exceeds the sum of the three relative errors plus the SVD's,
+    which it does by at least 1e-10.
+    """
+    a = a.reshape(-1, *a.shape[-2:])
+    if not np.isfinite(a).all():
+        raise InputError("matrix contains non-finite entries")
+    squares = np.abs(a)
+    peak = squares.max()
+    if peak > 0:
+        squares /= peak
+    squares *= squares
+    frobenius = np.sqrt(squares.sum(axis=(-2, -1)))
+    lower = np.sqrt(squares.sum(axis=-2)).max()
+    rows, cols = a.shape[-2:]
+    delta = 1e-10 + 8 * (rows + cols) ** 2 * np.finfo(float).eps / 2
+    return _op_norms(a[frobenius * (1 + delta) >= lower * (1 - delta)]).max()
+
+
 def _batches(count: int, entries_each: int) -> list[slice]:
     """Consecutive slices covering range(count), each of as many items of
     ``entries_each`` entries as fit in the size cap, and at least one."""

@@ -640,6 +640,9 @@ def test_interp_eval_memory_stays_near_the_dense_matrix(tmp_path):
         # a 24-digit numerator, past int64
         ["interp", "eval", "--tuple", "{tuple}", "--N", "2",
          "--t", "123456789012345678901234/2"],
+        # 20x20 matrices = 400 entries > 100
+        ["DILATIONS_MAX_ENTRIES=100", "vn-search", "--d", "1", "--dim", "20", "--trials", "2",
+         "--seed", "1", "--grid", "8"],
     ],
 )
 def test_bad_input_exits_2(runner, tmp_path, args):

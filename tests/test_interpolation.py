@@ -30,11 +30,13 @@ from dilations.linalg import (
     identity,
     matrix_exp,
     matrix_to_json,
+    max_entries,
     op_norm,
 )
 from dilations.torus import GridTime
 from unbatched_reference import (
     reference_eval_discretized,
+    reference_product_sweep,
     reference_semigroup_suite,
     reference_sweep,
 )
@@ -550,6 +552,13 @@ def assert_within_stated_bound(gens, eps_list, grid):
         assert abs(row["sup_error"] - ref["sup_error"]) <= rho + commutator, (eps, row, ref)
 
 
+def assert_same_as_product_route(gens, eps_list, grid):
+    """``approx_error_sweep`` gives the product-form route's report byte for byte."""
+    report = approx_error_sweep(gens, eps_list, grid)
+    assert json.dumps(report) == json.dumps(reference_product_sweep(gens, eps_list, grid))
+    return report
+
+
 class TestApproxSweep:
     def test_error_shrinks_with_eps(self):
         gens = [np.diag([-1.0, -3.0]).astype(complex), np.diag([-2.0, -1.0]).astype(complex)]
@@ -626,6 +635,93 @@ class TestApproxSweep:
                 expected = max(expected, float(np.abs(blend - exact).max()))
             assert row["eps"] == eps
             assert row["sup_error"] == pytest.approx(expected, abs=1e-14)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    def test_matches_product_route_bit_for_bit(self, d, dim):
+        gens = dissipative_generators(np.random.default_rng(70 + 10 * d + dim), d, dim)
+        grid = uniform_grid(d, 2.0, {1: 40, 2: 12, 3: 5}[d])
+        assert_same_as_product_route(gens, [0.5, 0.3, 0.125, 1 / 64, 3.0], grid)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_eps_on_every_grid_point(self, d):
+        # The grid k/4: eps 1/4, 1/8, 1/16 put every coordinate on a lattice
+        # point, where blend and true value are the same exponentials.
+        gens = dissipative_generators(np.random.default_rng(80 + d), d, 3)
+        eps_list = [0.25, 0.125, 1 / 16, 0.3]
+        report = assert_same_as_product_route(gens, eps_list, uniform_grid(d, 2.0, 8))
+        assert [row["sup_error"] for row in report[:3]] == [0.0] * 3
+        assert report[3]["sup_error"] > 0
+
+    def test_identity_multiple_generators_tie(self):
+        # Every error matrix is a multiple of the identity: all its columns,
+        # and its norm, are equal.
+        gens = [-0.7 * identity(3), -1.9 * identity(3)]
+        assert_same_as_product_route(gens, [0.5, 0.3, 0.125], uniform_grid(2, 2.0, 12))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_rank_one_errors(self, d):
+        # Generators diag(-a, 0, 0): every error matrix is diag(c, 0, 0), its
+        # Frobenius norm equal to its norm and to its one column's.
+        gens = [np.diag([-a, 0.0, 0.0]).astype(complex) for a in (1.3, 0.4)[:d]]
+        assert_same_as_product_route(gens, [0.5, 0.3, 1 / 64], uniform_grid(d, 2.0, 16))
+
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            [0.1 * identity(2), -identity(2)],  # generator 1 expands
+            [-identity(2), 0.1 * identity(2)],  # generator 2 expands
+            [0.1 * identity(2), -30 * identity(2)],  # 1 expands, 2 beyond the norm cap
+            [-identity(2), -30 * identity(2)],  # 2 beyond the norm cap
+            [-24 * identity(2)],  # the sample at t = 2.5 beyond the norm cap
+        ],
+    )
+    def test_refuses_as_the_product_route(self, gens):
+        grid, eps_list = uniform_grid(len(gens), 2.0, 4), [0.5, 1.25]
+        with pytest.raises(InputError) as expected:
+            reference_product_sweep(gens, eps_list, grid)
+        with pytest.raises(InputError) as got:
+            approx_error_sweep(gens, eps_list, grid)
+        assert str(got.value) == str(expected.value)
+
+    def test_batches_within_the_size_cap(self, monkeypatch):
+        gens = dissipative_generators(np.random.default_rng(90), 2, 2)
+        eps_list, grid = [0.5, 0.3, 0.125, 0.1, 1 / 64], uniform_grid(2, 2.0, 6)
+        sizes = []
+
+        def spy(a, *args):
+            sizes.append(np.size(a))
+            return matrix_exp(a, *args)
+
+        monkeypatch.setattr(interpolation, "matrix_exp", spy)
+        whole = approx_error_sweep(gens, eps_list, grid)
+        # One contractivity check per generator, the exact values, each eps.
+        assert len(sizes) == 2 + 1 + len(eps_list)
+        assert json.dumps(whole) == json.dumps(reference_product_sweep(gens, eps_list, grid))
+        sizes.clear()
+        # 16 members of 2x2 per call: an eps's samples, up to 28, are split.
+        monkeypatch.setenv("DILATIONS_MAX_ENTRIES", "64")
+        batched = approx_error_sweep(gens, eps_list, grid)
+        assert json.dumps(batched) == json.dumps(whole)
+        assert len(sizes) > 2 + 1 + len(eps_list)
+        assert max(sizes) <= max_entries() == 64
+
+    def test_long_eps_list_holds_one_eps(self):
+        # Each eps's samples are dropped before the next eps's are made, so
+        # an eps adds its report row to what the sweep holds, not its
+        # samples: 2 x 41 exponentials of 4x4, 21 KiB.
+        gens = dissipative_generators(np.random.default_rng(91), 1, 4)
+        grid = uniform_grid(1, 2.0, 40)
+        peaks = []
+        for count in (2, 200):
+            eps_list = [0.01 / (1 + k / count) for k in range(count)]
+            tracemalloc.start()
+            try:
+                approx_error_sweep(gens, eps_list, grid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 198 * 1024, peaks
 
     @pytest.mark.parametrize(
         "eps_list, grid, message",

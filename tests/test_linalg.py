@@ -3,11 +3,15 @@ import json
 import numpy as np
 import pytest
 
+from dilations import linalg
 from dilations.linalg import (
     InputError,
+    NumericalError,
     _isometry_deviations,
     _listed,
     _matrix_payload,
+    _max_op_norm,
+    _op_norms,
     _powers,
     dagger,
     identity,
@@ -24,6 +28,10 @@ from unbatched_reference import reference_matrix_exp
 def rand_matrix(rng, n, m=None):
     m = n if m is None else m
     return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+
+
+def rand_matrix_stack(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 class TestKron:
@@ -79,6 +87,108 @@ class TestOpNorm:
 
     def test_scaled_nilpotent(self):
         assert op_norm([[0, 2], [0, 0]]) == pytest.approx(2.0, abs=1e-12)
+
+
+def svd_counts(monkeypatch):
+    """Record the number of members of every ``_op_norms`` call."""
+    counts = []
+
+    def spy(a):
+        counts.append(len(a))
+        return _op_norms(a)
+
+    monkeypatch.setattr(linalg, "_op_norms", spy)
+    return counts
+
+
+class TestMaxOpNorm:
+    """``_max_op_norm`` equals ``_op_norms(stack).max()`` bit for bit."""
+
+    @staticmethod
+    def assert_same_max(stack):
+        expected = _op_norms(stack).max()
+        got = _max_op_norm(stack)
+        assert got.tobytes() == expected.tobytes(), (got, expected)
+
+    @pytest.mark.parametrize("shape", [(1, 3, 3), (7, 4, 4), (50, 2, 2), (9, 3, 5), (9, 6, 2),
+                                       (12, 1, 1), (3, 2, 4, 4)])
+    def test_random_stacks(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(20):
+            scales = 10.0 ** rng.uniform(-3, 3, shape[:-2])[..., None, None]
+            self.assert_same_max(scales * rand_matrix(rng, 1, 1) * rand_matrix_stack(rng, shape))
+
+    def test_tied_stacks(self):
+        rng = np.random.default_rng(3)
+        a = rand_matrix(rng, 4)
+        self.assert_same_max(np.array([a] * 6))
+        # Every member a unit-modulus multiple of the identity: all tie.
+        phases = np.exp(2j * np.pi * rng.random(8))
+        self.assert_same_max(phases[:, None, None] * identity(3))
+        # Unitaries: every norm 1 up to rounding.
+        q = np.linalg.qr(rand_matrix_stack(rng, (10, 4, 4)))[0]
+        self.assert_same_max(q)
+
+    def test_all_zero_and_tiny_stacks(self):
+        self.assert_same_max(np.zeros((5, 3, 3), dtype=complex))
+        rng = np.random.default_rng(4)
+        self.assert_same_max(1e-300 * rand_matrix_stack(rng, (6, 3, 3)))
+        self.assert_same_max(1e300 * rand_matrix_stack(rng, (6, 3, 3)))
+        stack = rand_matrix_stack(rng, (6, 3, 3))
+        stack[2] *= 1e-200
+        self.assert_same_max(stack)
+
+    def test_one_column_maximiser(self):
+        # The largest member is one nonzero column, so its Frobenius norm
+        # equals the largest column norm; computed, it is sometimes an
+        # ulp below it, and only the margin keeps the member a candidate.
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            stack = rand_matrix_stack(rng, (3, 4, 4))
+            column = stack[0, :, 0].copy()
+            stack[0] = 0
+            stack[0, :, rng.integers(4)] = column
+            stack[1:] *= 0.5 * np.linalg.norm(column) / _op_norms(stack[1:])[:, None, None]
+            self.assert_same_max(stack)
+
+    def test_column_bound_not_frobenius(self):
+        # diag(1.2, 0) has the largest norm but the smaller Frobenius norm.
+        stack = np.array([identity(2), np.diag([1.2, 0.0]).astype(complex)])
+        assert _max_op_norm(stack) == 1.2
+
+    def test_svd_only_on_candidates(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        stack = rand_matrix_stack(rng, (100, 4, 4))
+        stack[1:] *= 1e-2
+        counts = svd_counts(monkeypatch)
+        assert _max_op_norm(stack) == _op_norms(stack).max()
+        assert counts == [1]
+
+    def test_candidate_rule_at_its_margin(self, monkeypatch):
+        # Member 0 sets L = 1; member 1 = x I has Frobenius norm x sqrt(2),
+        # a candidate iff x sqrt(2) (1 + delta) >= 1 - delta, roughly
+        # x sqrt(2) >= 1 - 2 delta.
+        delta = 1e-10 + 8 * 4**2 * np.finfo(float).eps / 2
+        counts = svd_counts(monkeypatch)
+        for frobenius, expected in ((1 - 1.5 * delta, 2), (1 - 2.5 * delta, 1)):
+            stack = np.array([np.diag([1.0, 0.0]), frobenius / np.sqrt(2) * np.eye(2)])
+            assert _max_op_norm(stack.astype(complex)) == 1.0
+            assert counts.pop() == expected
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_member_is_input_error(self, bad):
+        stack = np.zeros((3, 2, 2), dtype=complex)
+        stack[1, 0, 1] = bad
+        with pytest.raises(InputError, match="non-finite"):
+            _max_op_norm(stack)
+
+    def test_svd_failure_is_numerical_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "norm", fail)
+        with pytest.raises(NumericalError, match="did not converge"):
+            _max_op_norm(np.ones((2, 2, 2), dtype=complex))
 
 
 class TestPowers:

@@ -11,6 +11,18 @@ exp(sum_i t_i A_i).  The library's ``approx_error_sweep`` multiplies
 per-axis factors instead, so the tests require agreement within the
 rounding and commutator bound its docstring states.
 
+``reference_product_sweep`` is the product-form sweep with one stacked
+``matrix_exp`` call per axis for the exact values and one per axis and
+eps for the samples, the contractivity of each generator checked by its
+own call, and every error matrix normed by one stacked SVD.  The
+library's ``approx_error_sweep`` stacks the axes, one call for the exact
+values and one per eps (split within the size cap), and takes the SVD
+only of the error matrices whose norm can be the largest; ``matrix_exp``
+gives each member of a stack the value of a call on it alone, and the
+SVD of a member does not depend on the others, so the tests require
+both routes' ``sup_error`` to be equal bit for bit, and their refusals
+to carry the same message.
+
 ``reference_torus_sup`` is the per-term lattice loop that complex
 powers every term on each slice of the first axis.  The separable
 ``torus_sup`` sums in another order, so the tests require its lattice
@@ -69,7 +81,7 @@ from dilations.interpolation import (
     multilinear_compress,
     scaled_blend,
 )
-from dilations.linalg import identity, op_norm
+from dilations.linalg import InputError, identity, matrix_exp, op_norm
 from dilations.structure import _CLASSES, structure_report
 from dilations.torus import GridTime
 
@@ -119,6 +131,44 @@ def reference_sweep(gens, eps_list, grid):
                 sup_error, float(np.linalg.norm(blend - true_value(point), 2))
             )
         report.append({"eps": eps, "sup_error": sup_error})
+    return report
+
+
+def reference_product_sweep(gens, eps_list, grid, tol=1e-10):
+    """Sup-error of each eps's blends in product form, a stacked
+    ``matrix_exp`` call per axis (and per eps), all norms taken."""
+    d = len(gens)
+    times = np.array(grid, dtype=float)
+    t_max = float(times.max())
+    for i, g in enumerate(gens):
+        norm = op_norm(matrix_exp(g, t_max))
+        if norm > 1 + tol:
+            raise InputError(
+                f"generator {i + 1} is not contractive on the grid "
+                f"(norm of exp(t_max*A) is {norm:.6g})"
+            )
+    coords, picks = zip(*(np.unique(times[:, i], return_inverse=True) for i in range(d)))
+
+    def across_axes(tables):
+        out = tables[0][picks[0]]
+        for table, pick in zip(tables[1:], picks[1:]):
+            out = out @ table[pick]
+        return out
+
+    exact = across_axes([matrix_exp(tau[:, None, None] * g) for tau, g in zip(coords, gens)])
+    report = []
+    for eps in eps_list:
+        blends = []
+        for tau, g in zip(coords, gens):
+            scaled = tau / eps
+            cells = np.floor(scaled)
+            fracs = (scaled - cells)[:, None, None]
+            ends, which = np.unique(np.concatenate([cells, cells + 1]), return_inverse=True)
+            samples = matrix_exp((ends * eps)[:, None, None] * g)
+            low, high = samples[which[: len(tau)]], samples[which[len(tau) :]]
+            blends.append((1 - fracs) * low + fracs * high)
+        errors = np.linalg.norm(across_axes(blends) - exact, 2, axis=(-2, -1))
+        report.append({"eps": eps, "sup_error": float(errors.max())})
     return report
 
 

@@ -28,7 +28,6 @@ DILATIONS_MAX_ENTRIES (matrix size cap).
 from __future__ import annotations
 
 import inspect
-import itertools
 import json
 import math
 import sys
@@ -55,7 +54,6 @@ from .interpolation import (
 from .linalg import (
     InputError,
     NumericalError,
-    _check_cap,
     _check_tol,
     _listed,
     _matrix_payload,
@@ -404,13 +402,8 @@ def approx(gen_path, eps_text, tmax, steps, tol):
         raise InputError(f"--steps must be >= 1, got {steps}")
     if not (math.isfinite(tmax) and tmax >= 0):
         raise InputError(f"--tmax must be finite and nonnegative, got {tmax}")
-    if gens:
-        # The sweep holds (steps+1)^d stacked dim x dim values at once.
-        dim = gens[0].shape[0]
-        _check_cap((steps + 1) ** len(gens) * dim, dim)
     axis = [tmax * k / steps for k in range(steps + 1)]
-    grid = list(itertools.product(axis, repeat=len(gens)))
-    sweep = approx_error_sweep(gens, eps_list, grid, tol=tol)
+    sweep = approx_error_sweep(gens, eps_list, [axis] * len(gens), tol=tol)
     config = {
         "command": "approx",
         "generators": str(gen_path),

@@ -14,6 +14,7 @@ dilation verifier, and a seeded randomized search over commuting tuples.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import warnings
@@ -28,7 +29,6 @@ from .linalg import (
     _batches,
     _check_cap,
     _isometry_deviations,
-    _listed,
     _matrix_payload,
     _op_norms,
     _powers,
@@ -37,7 +37,6 @@ from .linalg import (
     dagger,
     identity,
     kron,
-    matrix_from_json,
     max_entries,
     op_norm,
     psd_sqrt,
@@ -89,23 +88,11 @@ class MultiPolynomial:
                     f"total degree of {alpha} exceeds the cap {DEGREE_CAP}"
                 )
             coeff = complex(coeff)
+            if not cmath.isfinite(coeff):
+                raise InputError(f"coefficient of {alpha} must be finite, got {coeff}")
             if coeff != 0:
                 cleaned[alpha] = coeff
         object.__setattr__(self, "terms", cleaned)
-
-    @property
-    def degree(self) -> int:
-        return max((sum(a) for a in self.terms), default=0)
-
-    def __call__(self, point) -> complex:
-        z = tuple(complex(x) for x in point)
-        total = 0j
-        for alpha, coeff in self.terms.items():
-            value = coeff
-            for zi, ai in zip(z, alpha):
-                value *= zi**ai
-            total += value
-        return total
 
     def to_json(self) -> dict:
         return {
@@ -548,19 +535,6 @@ class DilationCandidate:
             "embedding": _matrix_payload(self.r),
             "n_max": self.n_max,
         }
-
-    def to_json(self) -> dict:
-        return _listed(self._payload())
-
-    @classmethod
-    def from_json(cls, obj, tol: float = DEFAULT_TOL) -> "DilationCandidate":
-        try:
-            vs = tuple(matrix_from_json(v) for v in obj["unitaries"])
-            r = matrix_from_json(obj["embedding"])
-            n_max = int(obj["n_max"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed dilation candidate JSON: {exc}") from exc
-        return cls(vs=vs, r=r, n_max=n_max, tol=tol)
 
 
 def power_dilation_verify(

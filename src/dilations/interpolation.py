@@ -40,7 +40,6 @@ from .linalg import (
     matrix_exp,
     matrix_from_json,
     max_entries,
-    op_norm,
 )
 from .torus import GridTime
 
@@ -386,29 +385,38 @@ def _lookup_sample(samples, key: tuple[int, ...]) -> np.ndarray:
     return as_matrix(value)
 
 
-def approx_error_sweep(generators, eps_list, time_grid, tol: float = DEFAULT_TOL):
+def approx_error_sweep(generators, eps_list, axes, tol: float = DEFAULT_TOL):
     """Sup-error of lattice blends against the true semigroup exp(sum t_i A_i).
 
-    ``generators`` are commuting matrices A_i whose semigroup stays
-    contractive on the swept time range; ``time_grid`` is an iterable of
-    d-vectors t.  Returns [{"eps": e, "sup_error": err}, ...] in the order
-    of eps_list, err being the largest 2-norm of blend(t) - exp(sum t_i A_i)
-    over the grid, with blend(t) as in ``scaled_blend``.
+    ``generators`` are commuting dissipative matrices A_i, and ``axes``
+    holds one sequence of times per generator; the sweep runs over the
+    product grid axes[0] x ... x axes[d-1].  Returns
+    [{"eps": e, "sup_error": err}, ...] in the order of eps_list, err being
+    the largest 2-norm of blend(t) - exp(sum t_i A_i) over the grid, with
+    blend(t) as in ``scaled_blend``.
+
+    Contract: every exp(s A_i), s >= 0, is a contraction.  By the
+    Lumer-Phillips theorem that holds exactly when the Hermitian part
+    (A_i + A_i*) / 2 has no eigenvalue above 0, so one stacked ``eigvalsh``
+    checks it, and a generator whose largest eigenvalue exceeds tol is
+    refused, whatever the axes.  The grid's prod_i len(axes[i]) dim x dim
+    values, which the sweep holds at once, are capped by ``max_entries()``.
 
     Product form: with c_i, f_i the cell and offset of t_i / eps, blend(t)
     = prod_i [(1 - f_i) exp(c_i eps A_i) + f_i exp((c_i + 1) eps A_i)] and
     exp(sum t_i A_i) = prod_i exp(t_i A_i) for commuting A_i.  Each axis's
-    factors are exponentiated once per distinct coordinate and once per
-    distinct cell end of each eps, so ``matrix_exp``'s norm cap applies to
-    each t_i A_i, not to the sum.  The exact values of all axes are one
-    stacked ``matrix_exp`` call, and so are the samples of all axes for
-    each eps, split into calls within the size cap where they exceed it.
-    A stack member comes out as a call on it alone, so the report does not
-    depend on the stacking.  The sweep holds one eps's samples at a time,
-    as many as two per coordinate of each axis.  sup_error is
-    ``_max_op_norm`` of the error matrices, which takes the SVD only of
-    those whose Frobenius norm, within a rounding margin, reaches the
-    largest column norm among them; the others cannot hold the sup.
+    factors are exponentiated once per coordinate and once per distinct
+    cell end of each eps, so ``matrix_exp``'s norm cap applies to each
+    t_i A_i, not to the sum, and the factors are multiplied across the
+    axes by broadcasting.  The exact values of all axes are one stacked
+    ``matrix_exp`` call, and so are the samples of all axes for each eps,
+    split into calls within the size cap where they exceed it.  A stack
+    member comes out as a call on it alone, so the report does not depend
+    on the stacking.  The sweep holds one eps's samples at a time, as many
+    as two per coordinate of each axis.  sup_error is ``_max_op_norm`` of
+    the error matrices, which takes the SVD only of those whose Frobenius
+    norm, within a rounding margin, reaches the largest column norm among
+    them; the others cannot hold the sup.
 
     Against the 2^d-corner route that exponentiates sums, each sup_error
     agrees within rho + sum_{i<j} T_i T_j ||[A_i, A_j]||, T_i = max t_i + eps:
@@ -428,41 +436,39 @@ def approx_error_sweep(generators, eps_list, time_grid, tol: float = DEFAULT_TOL
     for i, g in enumerate(gens):
         if g.shape != (dim, dim):
             raise InputError(f"generator {i + 1} has shape {g.shape}")
+    coords = [np.asarray(axis, dtype=float) for axis in axes]
+    if len(coords) != d:
+        raise InputError(f"{len(coords)} time axes for {d} generators")
+    for i, tau in enumerate(coords):
+        if tau.ndim != 1 or len(tau) == 0:
+            raise InputError(f"time axis {i + 1} must be a nonempty sequence of times")
+        bad = tau[~(np.isfinite(tau) & (tau >= 0))]
+        if len(bad):
+            raise InputError(f"times must be finite and nonnegative: axis {i + 1} has {bad[0]}")
+    _check_cap(math.prod(len(tau) for tau in coords) * dim, dim)
     stack = np.stack(gens)
     _require_commuting(stack, "generators", tol)
-
-    grid = [tuple(float(x) for x in point) for point in time_grid]
-    if not grid:
-        raise InputError("time grid is empty")
-    if any(len(p) != d for p in grid):
-        raise InputError("time grid arity does not match the generators")
-    times = np.array(grid)
-    bad = np.flatnonzero(~(np.isfinite(times) & (times >= 0)).all(axis=1))
-    if len(bad):
-        raise InputError(f"times must be finite and nonnegative: {list(grid[bad[0]])}")
-    t_max = float(times.max())
+    t_max = max(float(tau.max()) for tau in coords)
     eps_values = [float(eps) for eps in eps_list]
     for eps in eps_values:
         if not (math.isfinite(eps) and eps > 0):
             raise InputError(f"eps values must be finite and positive, got {eps}")
         if not math.isfinite(t_max / eps):
             raise InputError(f"t_max / eps overflows for eps={eps}")
-    for i, g in enumerate(gens):
-        norm = op_norm(matrix_exp(g, t_max))
-        if norm > 1 + tol:
-            raise InputError(
-                f"generator {i + 1} is not contractive on the grid "
-                f"(norm of exp(t_max*A) is {norm:.6g})"
-            )
-
-    # Per axis: its distinct coordinates, and which one each grid point has.
-    coords, picks = zip(*(np.unique(times[:, i], return_inverse=True) for i in range(d)))
+    tops = np.linalg.eigvalsh((stack + stack.conj().transpose(0, 2, 1)) / 2)[:, -1]
+    failing = np.flatnonzero(tops > tol)
+    if len(failing):
+        i = failing[0]
+        raise InputError(
+            f"generator {i + 1} is not dissipative "
+            f"(largest eigenvalue of (A + A*)/2 is {tops[i]:.6g})"
+        )
 
     def across_axes(tables) -> np.ndarray:
-        """tables[0][t_0] @ ... @ tables[d-1][t_{d-1}] for every grid point t."""
-        out = tables[0][picks[0]]
-        for table, pick in zip(tables[1:], picks[1:]):
-            out = out @ table[pick]
+        """tables[0][k_0] @ ... @ tables[d-1][k_{d-1}] at every grid index k."""
+        out = tables[0]
+        for table in tables[1:]:
+            out = out[..., None, :, :] @ table
         return out
 
     def exponentials(times) -> list[np.ndarray]:

@@ -251,9 +251,8 @@ def test_criterion_7_approximation_convergence(capsys):
         np.diag([-2.0, -1.0]).astype(complex),
     ]
     axis = [2.0 * k / 40 for k in range(41)]
-    grid = list(itertools.product(axis, repeat=2))
     eps_list = [1 / 2, 1 / 4, 1 / 8, 1 / 16, 1 / 32, 1 / 64]
-    sweep = approx_error_sweep(gens, eps_list, grid)
+    sweep = approx_error_sweep(gens, eps_list, [axis, axis])
     errors = [row["sup_error"] for row in sweep]
     elapsed = time.perf_counter() - start
     decreasing = all(

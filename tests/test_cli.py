@@ -186,6 +186,17 @@ class TestVn:
         )
         assert result.exit_code == 2
 
+    def test_non_finite_coefficient_exits_2(self, runner, tmp_path):
+        tup = write_tuple(tmp_path / "tup.json", [shift_matrix(2)])
+        poly = tmp_path / "p.json"
+        poly.write_text(
+            json.dumps({"d": 1, "terms": [{"alpha": [1], "coeff": [float("nan"), 0.0]}]})
+        )
+        result = runner.invoke(main, ["vn", "--tuple", tup, "--poly", str(poly)])
+        assert result.exit_code == 2
+        assert "input error: coefficient of (1,) must be finite" in result.output
+        assert "Warning" not in result.output
+
 
 class TestVnSearch:
     def test_deterministic_output(self, runner):
@@ -292,6 +303,30 @@ class TestApprox:
             ["approx", "--generators", str(gens), "--eps-list", "abc"],
         )
         assert result.exit_code == 2
+
+    def _sweep(self, runner, tmp_path, generator, tmax):
+        gens = tmp_path / "gens.json"
+        gens.write_text(json.dumps({"matrices": [matrix_to_json(np.array(generator))]}))
+        return runner.invoke(
+            main,
+            ["approx", "--generators", str(gens), "--eps-list", "0.5,0.1", "--tmax", tmax],
+        )
+
+    def test_refuses_a_humped_generator(self, runner, tmp_path):
+        # ||exp(0.5 A)|| = 1.46 although ||exp(5 A)|| < 1.
+        result = self._sweep(runner, tmp_path, [[-1.0, 4.0], [0.0, -1.0]], "5")
+        assert result.exit_code == 2
+        assert "input error: generator 1 is not dissipative" in result.output
+
+    def test_sweeps_a_dissipative_non_normal_generator(self, runner, tmp_path):
+        result = self._sweep(runner, tmp_path, [[-1.0, 1.0], [0.0, -1.0]], "5")
+        assert result.exit_code == 0
+        assert all(row["sup_error"] > 0 for row in json.loads(result.output)["sweep"])
+
+    def test_zero_tmax_has_no_error(self, runner, tmp_path):
+        result = self._sweep(runner, tmp_path, [[-1.0, 1.0], [0.0, -1.0]], "0")
+        assert result.exit_code == 0
+        assert [row["sup_error"] for row in json.loads(result.output)["sweep"]] == [0.0, 0.0]
 
 
 class TestStructureCmd:

@@ -4,9 +4,12 @@ A public name of the ``dilations`` package must appear somewhere in the
 library, the benchmark or the scripts other than at its own definition
 and in an ``__all__`` list; the package's ``__init__`` does not count.
 Likewise every top-level private function of a library module: a helper
-only the tests call is dead library code.
+only the tests call is dead library code.  And every name a library
+module imports must be used in that module; the package's ``__init__``,
+which imports only to re-export, is exempt.
 """
 
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -34,6 +37,26 @@ def private_functions(text):
     return re.findall(r"^def (_[^_]\w*)\(", text, re.MULTILINE)
 
 
+MODULES = sorted(
+    path.relative_to(ROOT).as_posix()
+    for path in ROOT.glob("src/dilations/**/*.py")
+    if path != ROOT / "src/dilations/__init__.py"
+)
+
+
+def unused_imports(text):
+    """Names bound by an import in ``text`` and never read as a name in it."""
+    tree = ast.parse(text)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
 PRIVATE = sorted(
     (path.name, name)
     for path in ROOT.glob("src/dilations/*.py")
@@ -56,6 +79,7 @@ def uses(name, text):
 
 def test_callers_found():
     assert len(CALLERS) >= 8 and len(EXPORTS) >= 20 and len(PRIVATE) >= 20
+    assert len(MODULES) >= 7
 
 
 @pytest.mark.parametrize("name", EXPORTS)
@@ -85,3 +109,22 @@ def test_uncalled_private_function_is_caught():
     assert private_functions(text) == ["_orphan"]
     assert uses("_orphan", text) == []
     assert uses("_orphan", text + "\nvalue = _orphan(1)\n") == ["value = _orphan(1)"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_imports_are_used(module):
+    unused = unused_imports((ROOT / module).read_text())
+    assert not unused, f"{module} imports {unused} and never uses them"
+
+
+def test_unused_import_is_caught():
+    """Mutant check: imports left behind when their last use goes fail;
+    a name read anywhere in the module, or a dotted module used through
+    its attributes, passes."""
+    text = (
+        "from __future__ import annotations\n\nimport itertools\nimport os.path\n"
+        "from .linalg import _check_cap, op_norm as norm\n\n\n"
+        "def size(a):\n    return os.path.sep, norm(a)\n"
+    )
+    assert unused_imports(text) == ["itertools", "_check_cap"]
+    assert unused_imports(text + "\n\nCAP = _check_cap\n") == ["itertools"]

@@ -528,20 +528,25 @@ def dissipative_generators(rng, d, dim):
     return [q @ np.diag(-2 * rng.random(dim)) @ q.conj().T for _ in range(d)]
 
 
-def uniform_grid(d, t_max, steps):
-    axis = [t_max * k / steps for k in range(steps + 1)]
-    return list(itertools.product(axis, repeat=d))
+def uniform_axes(d, t_max, steps):
+    """d copies of the axis {0, t_max/steps, ..., t_max}, as ``approx`` sweeps."""
+    return [[t_max * k / steps for k in range(steps + 1)]] * d
 
 
-def assert_within_stated_bound(gens, eps_list, grid):
+def points(axes):
+    """The product grid of ``axes`` as the list of points the reference routes take."""
+    return list(itertools.product(*axes))
+
+
+def assert_within_stated_bound(gens, eps_list, axes):
     """``approx_error_sweep`` agrees with the exp-of-the-sum reference route
     to within the bound its docstring states, eps by eps."""
     d, n = len(gens), gens[0].shape[0]
     u = np.finfo(float).eps / 2
-    report = approx_error_sweep(gens, eps_list, grid)
-    reference = reference_sweep(gens, eps_list, grid)
+    report = approx_error_sweep(gens, eps_list, axes)
+    reference = reference_sweep(gens, eps_list, points(axes))
     for row, ref, eps in zip(report, reference, eps_list):
-        reach = np.array(grid).max(axis=0) + eps  # T_i
+        reach = [max(axis) + eps for axis in axes]  # T_i
         rho = 32 * (d + 1) * n * u * (1 + sum(r * op_norm(g) for r, g in zip(reach, gens)))
         commutator = sum(
             reach[i] * reach[j] * op_norm(gens[i] @ gens[j] - gens[j] @ gens[i])
@@ -552,40 +557,83 @@ def assert_within_stated_bound(gens, eps_list, grid):
         assert abs(row["sup_error"] - ref["sup_error"]) <= rho + commutator, (eps, row, ref)
 
 
-def assert_same_as_product_route(gens, eps_list, grid):
+def assert_same_as_product_route(gens, eps_list, axes):
     """``approx_error_sweep`` gives the product-form route's report byte for byte."""
-    report = approx_error_sweep(gens, eps_list, grid)
-    assert json.dumps(report) == json.dumps(reference_product_sweep(gens, eps_list, grid))
+    report = approx_error_sweep(gens, eps_list, axes)
+    expected = reference_product_sweep(gens, eps_list, points(axes))
+    assert json.dumps(report) == json.dumps(expected)
     return report
 
 
 class TestApproxSweep:
     def test_error_shrinks_with_eps(self):
         gens = [np.diag([-1.0, -3.0]).astype(complex), np.diag([-2.0, -1.0]).astype(complex)]
-        grid = [(a / 5, b / 5) for a in range(11) for b in range(11)]
-        report = approx_error_sweep(gens, [0.5, 0.25, 0.125], grid)
+        axis = [a / 5 for a in range(11)]
+        report = approx_error_sweep(gens, [0.5, 0.25, 0.125], [axis, axis])
         errors = [row["sup_error"] for row in report]
         assert errors[0] >= errors[1] >= errors[2]
         assert errors[2] < errors[0]
 
     def test_exact_on_lattice_only_grid(self):
         gens = [np.diag([-1.0]).astype(complex)]
-        grid = [(0.5,), (1.0,), (1.5,)]
-        report = approx_error_sweep(gens, [0.5], grid)
+        report = approx_error_sweep(gens, [0.5], [[0.5, 1.0, 1.5]])
         assert report[0]["sup_error"] < 1e-12
 
     def test_rejects_non_commuting_generators(self):
         a = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(InputError):
-            approx_error_sweep([a, a.T], [0.5], [(0.1, 0.1)])
+            approx_error_sweep([a, a.T], [0.5], [[0.1], [0.1]])
 
     def test_rejects_expanding_semigroup(self):
         with pytest.raises(InputError):
-            approx_error_sweep([identity(2)], [0.5], [(1.0,)])
+            approx_error_sweep([identity(2)], [0.5], [[1.0]])
 
     def test_rejects_empty_grid(self):
-        with pytest.raises(InputError):
-            approx_error_sweep([-identity(2)], [0.5], [])
+        with pytest.raises(InputError, match="time axis 1 must be a nonempty"):
+            approx_error_sweep([-identity(2)], [0.5], [[]])
+
+    @pytest.mark.parametrize("axes", [[], [[0.5], [0.5]], [[[0.5]]]])
+    def test_rejects_axes_not_one_per_generator(self, axes):
+        with pytest.raises(InputError, match="time ax"):
+            approx_error_sweep([-identity(2)], [0.5], axes)
+
+    @pytest.mark.parametrize("t_max", [0.0, 0.5, 5.0])
+    def test_refuses_a_humped_generator_at_any_time(self, monkeypatch, t_max):
+        # ||exp(s A)|| = e^-s (1 + 4 s) is 1.46 at s = 0.5: A is not
+        # dissipative, its Hermitian part having eigenvalues 1 and -3.
+        humped = np.array([[-1.0, 4.0], [0.0, -1.0]], dtype=complex)
+        assert op_norm(matrix_exp(humped, 0.5)) > 1.4
+        monkeypatch.setattr(interpolation, "matrix_exp", None)  # refused before any call
+        with pytest.raises(InputError, match=r"generator 1 is not dissipative \(.* is 1\)"):
+            approx_error_sweep([humped], [0.5], [[0.0, t_max]])
+        with pytest.raises(InputError, match="generator 2 is not dissipative"):
+            approx_error_sweep([-identity(2), humped], [0.5], uniform_axes(2, t_max, 2))
+
+    def test_sweeps_a_dissipative_non_normal_generator(self):
+        # Hermitian part eigenvalues -1/2 and -3/2: every exp(s A) contracts,
+        # although A is not normal.
+        shear = np.array([[-1.0, 1.0], [0.0, -1.0]], dtype=complex)
+        assert op_norm(shear @ shear.conj().T - shear.conj().T @ shear) > 0.5
+        eps_list = [0.5, 0.3, 0.07]
+        report = assert_same_as_product_route([shear], eps_list, uniform_axes(1, 5.0, 40))
+        assert all(row["sup_error"] > 0 for row in report)
+        assert_within_stated_bound([shear], eps_list, uniform_axes(1, 5.0, 40))
+
+    def test_unequal_axes_match_product_route(self):
+        # Axes of different lengths, unsorted, with a repeated time.
+        gens = dissipative_generators(np.random.default_rng(42), 3, 2)
+        axes = [[1.7, 0.0, 0.3, 0.3], [2.0, 0.2], [0.9, 0.05, 1.3]]
+        assert_same_as_product_route(gens, [0.5, 0.3, 1 / 64], axes)
+
+    def test_grid_cap_is_checked_before_any_exponential(self, monkeypatch):
+        gens = dissipative_generators(np.random.default_rng(43), 2, 2)
+        axes = uniform_axes(2, 1.0, 4)  # 5 x 5 grid points of 2x2: 100 entries
+        monkeypatch.setenv("DILATIONS_MAX_ENTRIES", "100")
+        approx_error_sweep(gens, [0.5], axes)
+        monkeypatch.setattr(interpolation, "matrix_exp", None)
+        monkeypatch.setenv("DILATIONS_MAX_ENTRIES", "99")
+        with pytest.raises(InputError, match="matrix of shape 50x2 exceeds the size cap of 99"):
+            approx_error_sweep(gens, [0.5], axes)
 
     @pytest.mark.parametrize(
         "d, dim, steps, eps_list",
@@ -600,7 +648,7 @@ class TestApproxSweep:
     )
     def test_matches_unbatched_reference(self, d, dim, steps, eps_list):
         gens = dissipative_generators(np.random.default_rng(40 + 10 * d + dim), d, dim)
-        assert_within_stated_bound(gens, eps_list, uniform_grid(d, 2.0, steps))
+        assert_within_stated_bound(gens, eps_list, uniform_axes(d, 2.0, steps))
 
     def test_near_commuting_generators_match_within_the_commutator_term(self):
         rng = np.random.default_rng(7)
@@ -612,20 +660,20 @@ class TestApproxSweep:
         k = k / op_norm(a @ k - k @ a)
         gens = [a, b + 1e-11 * k]
         assert 5e-12 < op_norm(gens[0] @ gens[1] - gens[1] @ gens[0]) < 2e-11
-        assert_within_stated_bound(gens, [0.5, 0.3, 0.125], uniform_grid(2, 2.0, 12))
+        assert_within_stated_bound(gens, [0.5, 0.3, 0.125], uniform_axes(2, 2.0, 12))
 
     def test_norm_cap_applies_to_each_axis(self):
         # ||t_max A_i|| = 30 on each axis, but ||t_max (A_1 + A_2)|| = 60 > 50.
         gens = [np.diag([-30.0, -1.0]).astype(complex), np.diag([-30.0, -2.0]).astype(complex)]
-        grid = uniform_grid(2, 1.0, 4)
+        axes = uniform_axes(2, 1.0, 4)
         eps_list = [0.5, 0.3]
         with pytest.raises(ValueError, match="beyond the cap"):
-            reference_sweep(gens, eps_list, grid)
-        report = approx_error_sweep(gens, eps_list, grid)
+            reference_sweep(gens, eps_list, points(axes))
+        report = approx_error_sweep(gens, eps_list, axes)
         diags = np.array([np.diag(g).real for g in gens])  # (axis, entry)
         for row, eps in zip(report, eps_list):
             expected = 0.0
-            for t in grid:
+            for t in points(axes):
                 exact = np.exp(np.array(t) @ diags)
                 blend = np.ones(2)
                 for t_i, a_i in zip(t, diags):
@@ -640,8 +688,8 @@ class TestApproxSweep:
     @pytest.mark.parametrize("dim", [1, 2, 4])
     def test_matches_product_route_bit_for_bit(self, d, dim):
         gens = dissipative_generators(np.random.default_rng(70 + 10 * d + dim), d, dim)
-        grid = uniform_grid(d, 2.0, {1: 40, 2: 12, 3: 5}[d])
-        assert_same_as_product_route(gens, [0.5, 0.3, 0.125, 1 / 64, 3.0], grid)
+        axes = uniform_axes(d, 2.0, {1: 40, 2: 12, 3: 5}[d])
+        assert_same_as_product_route(gens, [0.5, 0.3, 0.125, 1 / 64, 3.0], axes)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_eps_on_every_grid_point(self, d):
@@ -649,7 +697,7 @@ class TestApproxSweep:
         # point, where blend and true value are the same exponentials.
         gens = dissipative_generators(np.random.default_rng(80 + d), d, 3)
         eps_list = [0.25, 0.125, 1 / 16, 0.3]
-        report = assert_same_as_product_route(gens, eps_list, uniform_grid(d, 2.0, 8))
+        report = assert_same_as_product_route(gens, eps_list, uniform_axes(d, 2.0, 8))
         assert [row["sup_error"] for row in report[:3]] == [0.0] * 3
         assert report[3]["sup_error"] > 0
 
@@ -657,14 +705,14 @@ class TestApproxSweep:
         # Every error matrix is a multiple of the identity: all its columns,
         # and its norm, are equal.
         gens = [-0.7 * identity(3), -1.9 * identity(3)]
-        assert_same_as_product_route(gens, [0.5, 0.3, 0.125], uniform_grid(2, 2.0, 12))
+        assert_same_as_product_route(gens, [0.5, 0.3, 0.125], uniform_axes(2, 2.0, 12))
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_rank_one_errors(self, d):
         # Generators diag(-a, 0, 0): every error matrix is diag(c, 0, 0), its
         # Frobenius norm equal to its norm and to its one column's.
         gens = [np.diag([-a, 0.0, 0.0]).astype(complex) for a in (1.3, 0.4)[:d]]
-        assert_same_as_product_route(gens, [0.5, 0.3, 1 / 64], uniform_grid(d, 2.0, 16))
+        assert_same_as_product_route(gens, [0.5, 0.3, 1 / 64], uniform_axes(d, 2.0, 16))
 
     @pytest.mark.parametrize(
         "gens",
@@ -677,16 +725,16 @@ class TestApproxSweep:
         ],
     )
     def test_refuses_as_the_product_route(self, gens):
-        grid, eps_list = uniform_grid(len(gens), 2.0, 4), [0.5, 1.25]
+        axes, eps_list = uniform_axes(len(gens), 2.0, 4), [0.5, 1.25]
         with pytest.raises(InputError) as expected:
-            reference_product_sweep(gens, eps_list, grid)
+            reference_product_sweep(gens, eps_list, points(axes))
         with pytest.raises(InputError) as got:
-            approx_error_sweep(gens, eps_list, grid)
+            approx_error_sweep(gens, eps_list, axes)
         assert str(got.value) == str(expected.value)
 
     def test_batches_within_the_size_cap(self, monkeypatch):
         gens = dissipative_generators(np.random.default_rng(90), 2, 2)
-        eps_list, grid = [0.5, 0.3, 0.125, 0.1, 1 / 64], uniform_grid(2, 2.0, 6)
+        eps_list, axes = [0.5, 0.3, 0.125, 0.1, 1 / 64], uniform_axes(2, 2.0, 6)
         sizes = []
 
         def spy(a, *args):
@@ -694,53 +742,58 @@ class TestApproxSweep:
             return matrix_exp(a, *args)
 
         monkeypatch.setattr(interpolation, "matrix_exp", spy)
-        whole = approx_error_sweep(gens, eps_list, grid)
-        # One contractivity check per generator, the exact values, each eps.
-        assert len(sizes) == 2 + 1 + len(eps_list)
-        assert json.dumps(whole) == json.dumps(reference_product_sweep(gens, eps_list, grid))
+        whole = approx_error_sweep(gens, eps_list, axes)
+        # The exact values, then each eps.
+        assert len(sizes) == 1 + len(eps_list)
+        expected = reference_product_sweep(gens, eps_list, points(axes))
+        assert json.dumps(whole) == json.dumps(expected)
+        # A 2 x 9 grid of 2x2, 72 entries, within a cap of 72: the exact
+        # values, 11 members, fit in one call, and an eps's samples, up to
+        # 22 members, are split into calls of at most 18.
+        axes = [[0.0, 1.3], uniform_axes(1, 2.0, 8)[0]]
+        expected = reference_product_sweep(gens, eps_list, points(axes))
         sizes.clear()
-        # 16 members of 2x2 per call: an eps's samples, up to 28, are split.
-        monkeypatch.setenv("DILATIONS_MAX_ENTRIES", "64")
-        batched = approx_error_sweep(gens, eps_list, grid)
-        assert json.dumps(batched) == json.dumps(whole)
-        assert len(sizes) > 2 + 1 + len(eps_list)
-        assert max(sizes) <= max_entries() == 64
+        monkeypatch.setenv("DILATIONS_MAX_ENTRIES", "72")
+        batched = approx_error_sweep(gens, eps_list, axes)
+        assert json.dumps(batched) == json.dumps(expected)
+        assert len(sizes) > 1 + len(eps_list)
+        assert max(sizes) <= max_entries() == 72
 
     def test_long_eps_list_holds_one_eps(self):
         # Each eps's samples are dropped before the next eps's are made, so
         # an eps adds its report row to what the sweep holds, not its
         # samples: 2 x 41 exponentials of 4x4, 21 KiB.
         gens = dissipative_generators(np.random.default_rng(91), 1, 4)
-        grid = uniform_grid(1, 2.0, 40)
+        axes = uniform_axes(1, 2.0, 40)
         peaks = []
         for count in (2, 200):
             eps_list = [0.01 / (1 + k / count) for k in range(count)]
             tracemalloc.start()
             try:
-                approx_error_sweep(gens, eps_list, grid)
+                approx_error_sweep(gens, eps_list, axes)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] <= 198 * 1024, peaks
 
     @pytest.mark.parametrize(
-        "eps_list, grid, message",
+        "eps_list, axis, message",
         [
-            ([float("inf")], [(0.5,)], "eps values must be finite and positive"),
-            ([float("nan")], [(0.5,)], "eps values must be finite and positive"),
-            ([0.5, -1.0], [(0.5,)], "eps values must be finite and positive"),
-            ([0.5], [(0.5,), (float("nan"),)], "times must be finite and nonnegative"),
-            ([0.5], [(float("inf"),)], "times must be finite and nonnegative"),
-            ([0.5], [(-0.5,)], "times must be finite and nonnegative"),
-            ([1e-300], [(1e10,)], "overflows"),
+            ([float("inf")], [0.5], "eps values must be finite and positive"),
+            ([float("nan")], [0.5], "eps values must be finite and positive"),
+            ([0.5, -1.0], [0.5], "eps values must be finite and positive"),
+            ([0.5], [0.5, float("nan")], "times must be finite and nonnegative: axis 1 has nan"),
+            ([0.5], [float("inf")], "times must be finite and nonnegative: axis 1 has inf"),
+            ([0.5], [-0.5], "times must be finite and nonnegative: axis 1 has -0.5"),
+            ([1e-300], [1e10], "overflows"),
         ],
     )
     def test_rejects_bad_eps_and_times_before_any_exponential(
-        self, monkeypatch, eps_list, grid, message
+        self, monkeypatch, eps_list, axis, message
     ):
         def no_exp(*args, **kwargs):
             raise AssertionError("matrix_exp called before validation")
 
         monkeypatch.setattr(interpolation, "matrix_exp", no_exp)
         with pytest.raises(InputError, match=message):
-            approx_error_sweep([-identity(2)], eps_list, grid)
+            approx_error_sweep([-identity(2)], eps_list, [axis])

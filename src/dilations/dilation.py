@@ -186,6 +186,27 @@ def _poly_matrix(powers, poly: MultiPolynomial) -> np.ndarray:
     return out
 
 
+def _check_lattice(M: int, d: int) -> None:
+    """Refuse a lattice size M below 2, or one whose M^d points or table
+    of M roots exceed the size caps of ``torus_sup``."""
+    if M < 2:
+        raise InputError(f"lattice size M must be >= 2, got {M}")
+    # Only block-sized temporaries are held, so the cap on total points
+    # can sit well above the dense-matrix entry cap.
+    if M**d > 128 * max_entries():
+        raise InputError(
+            f"lattice of M^d = {M**d} points exceeds the size cap; "
+            "reduce M or the polynomial arity"
+        )
+    # The table of M roots is held whole; at d = 1 the cap above allows
+    # 128 times more points than any matrix may have entries.
+    if M > max_entries():
+        raise InputError(
+            f"lattice size M = {M} exceeds the size cap of {max_entries()} "
+            "entries (set DILATIONS_MAX_ENTRIES to override)"
+        )
+
+
 def torus_sup(poly: MultiPolynomial, M: int) -> tuple[float, float, float]:
     """Certified upper bound for sup |p| on the d-torus.
 
@@ -198,35 +219,26 @@ def torus_sup(poly: MultiPolynomial, M: int) -> tuple[float, float, float]:
     prod_i w^(k_i alpha_i) with w = exp(2 pi i / M): each factor is
     read from one table of the M-th roots at the exact integer index
     k_i alpha_i mod M, after terms whose exponents agree mod M are
-    merged.  That costs M^d multiply-adds per group of terms sharing
-    their leading exponents; apart from the table of M roots (capped at
-    ``max_entries()``), no array outgrows a block of the lattice, so for
-    d >= 2 none holds M^d values.
+    merged.  Only one point per rotation orbit is evaluated: with h =
+    gcd(M, |alpha| - |alpha_0| over the merged terms), which is M for a
+    homogeneous p, adding M/h to every k_i multiplies every term by the
+    same unimodular factor, so |p| is constant on the orbits of that
+    shift, and each orbit meets the slab k_0 < M/h.  That costs (M/h)
+    M^(d-1) multiply-adds per group of terms sharing their leading
+    exponents, M^(d-1) for a homogeneous p; apart from the table of M
+    roots (capped at ``max_entries()``), no array outgrows a block of
+    the lattice, so for d >= 2 none holds M^d values.
 
     Rounding: each table entry is within 28u of its root (u = 2^-53;
     its angle 2 pi j / M carries up to four roundings and exp one
     more), and each lattice value is a sum over the merged terms of a
     coefficient times d table entries, with one rounding per product
-    and per addition.  So every computed lattice value, and grid_sup,
-    is within 32 (d + n) u sum_alpha |c_alpha| of the exact one, where
-    n is the number of terms of p.
+    and per addition.  So every computed lattice value is within
+    32 (d + n) u sum_alpha |c_alpha| of the exact one, where n is the
+    number of terms of p; the exact values are constant on each orbit,
+    so grid_sup is within that bound of the exact M^d lattice maximum.
     """
-    if M < 2:
-        raise InputError(f"lattice size M must be >= 2, got {M}")
-    # Only block-sized temporaries are held, so the cap on total points
-    # can sit well above the dense-matrix entry cap.
-    if M**poly.d > 128 * max_entries():
-        raise InputError(
-            f"lattice of M^d = {M**poly.d} points exceeds the size cap; "
-            "reduce M or the polynomial arity"
-        )
-    # The table of M roots is held whole; at d = 1 the cap above allows
-    # 128 times more points than any matrix may have entries.
-    if M > max_entries():
-        raise InputError(
-            f"lattice size M = {M} exceeds the size cap of {max_entries()} "
-            "entries (set DILATIONS_MAX_ENTRIES to override)"
-        )
+    _check_lattice(M, poly.d)
     merged = {}
     for alpha, coeff in poly.terms.items():
         key = tuple(a % M for a in alpha)
@@ -253,6 +265,10 @@ def _lattice_max(terms: dict, d: int, M: int) -> float:
     block once, as one row of Q.  The leading axes are then streamed in
     chunks of rows: the values on a chunk are W[rows, groups] @
     Q[groups, block], where W holds the leading factors of each group.
+    Only the rows with k_0 < M/h are streamed, (M/h) M^(s-1) of them,
+    where h = gcd(M, |alpha| - |alpha_0| over the terms): adding M/h to
+    every k_i multiplies each term by w^((M/h) |alpha_0|), so each
+    lattice point has a streamed one of equal |p| (see ``torus_sup``).
     Whatever d, each product and W hold at most max(_LATTICE_BLOCK, M,
     groups) values, and Q one row of at most max(M, sqrt(_LATTICE_BLOCK))
     values per group.
@@ -278,7 +294,9 @@ def _lattice_max(terms: dict, d: int, M: int) -> float:
         q[groups[alpha[:s]]] += row
 
     beta = np.array(list(groups), dtype=np.int64)
-    streamed = M**s
+    degrees = [sum(alpha) for alpha in terms]
+    h = math.gcd(M, *(degree - degrees[0] for degree in degrees))
+    streamed = M // h * M ** (s - 1)
     rows = max(1, _LATTICE_BLOCK // max(q.shape))
     best = 0.0
     for start in range(0, streamed, rows):
@@ -418,10 +436,18 @@ def vn_search(
     ``ContractionTuple`` would and takes every ||p(S)|| in one stacked
     SVD; then each case gets its ``torus_sup`` and ``vn_check``'s
     verdict rule.  The result equals the one-trial-at-a-time route's
-    (``vn_check`` per case) bit for bit.
+    (``vn_check`` per case) bit for bit.  An arity past DEGREE_CAP // 3
+    and a lattice past the caps of ``torus_sup`` are refused before any
+    trial is drawn.
     """
     if d < 1:
         raise InputError(f"d must be >= 1, got {d}")
+    # A random polynomial has exponents up to 3 per axis.
+    if d > DEGREE_CAP // 3:
+        raise InputError(
+            f"d = {d} exceeds DEGREE_CAP // 3 = {DEGREE_CAP // 3}: a random "
+            f"polynomial's total degree could pass the cap {DEGREE_CAP}"
+        )
     if dim < 1:
         raise InputError(f"dim must be >= 1, got {dim}")
     _check_cap(dim, dim)
@@ -429,8 +455,7 @@ def vn_search(
         raise InputError("trials must be nonnegative")
     if seed < 0:
         raise InputError(f"seed must be nonnegative, got {seed}")
-    if M < 2:
-        raise InputError(f"lattice size M must be >= 2, got {M}")
+    _check_lattice(M, d)
     extra_cases = list(extra_cases)
 
     def cases():

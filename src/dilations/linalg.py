@@ -291,8 +291,9 @@ def matrix_exp(a, t: float = 1.0) -> np.ndarray:
     result = np.broadcast_to(identity(ta.shape[1]), ta.shape).copy()
     term = result.copy()
     for k in range(1, 30):
-        term = term @ x / k
-        result = result + term
+        term = term @ x
+        term /= k
+        result += term
         done = np.abs(term).max(axis=(1, 2)) < 1e-18 * np.maximum(
             1.0, np.abs(result).max(axis=(1, 2))
         )

@@ -678,6 +678,15 @@ def test_interp_eval_memory_stays_near_the_dense_matrix(tmp_path):
         # 20x20 matrices = 400 entries > 100
         ["DILATIONS_MAX_ENTRIES=100", "vn-search", "--d", "1", "--dim", "20", "--trials", "2",
          "--seed", "1", "--grid", "8"],
+        # exponents up to 3 on 6 axes may pass the degree cap 16: refused at
+        # any --trials, not only once a trial draws such a term
+        ["vn-search", "--d", "6", "--dim", "2", "--trials", "50", "--seed", "1", "--grid", "4"],
+        # 10^10 lattice points: refused before any trial is drawn
+        ["vn-search", "--d", "2", "--dim", "4", "--trials", "500", "--seed", "1",
+         "--grid", "100000"],
+        # a table of 101 roots > 100 entries
+        ["DILATIONS_MAX_ENTRIES=100", "vn-search", "--d", "1", "--dim", "2", "--trials", "1",
+         "--seed", "1", "--grid", "101"],
     ],
 )
 def test_bad_input_exits_2(runner, tmp_path, args):

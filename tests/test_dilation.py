@@ -62,6 +62,42 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def aligned_poly(M, target, exponents):
+    """sum_alpha w^(-target . alpha) z^alpha with w = exp(2 pi i / M): |p|
+    reaches its number of terms exactly at the lattice points k where
+    every w^((k - target) . alpha) is the same."""
+    terms = {
+        alpha: np.exp(-2j * np.pi * (sum(int(t) * a for t, a in zip(target, alpha)) % M) / M)
+        for alpha in exponents
+    }
+    return MultiPolynomial(d=len(target), terms=terms)
+
+
+def orbit_exponents(d, M, shape):
+    """(exponents for ``aligned_poly``, h = gcd(M, |alpha| - |alpha_0|)).
+
+    "affine": 0 and every e_i.  h = 1; the one maximiser is the target.
+    "homogeneous": every e_i.  h = M; the maximisers are the target's
+    diagonal orbit target + c (1, ..., 1).
+    2 or 4, for 8 | M: 8 e_0, (8 + h) e_0, 7 e_0 + e_i for 0 < i < d - 1
+    and 8 e_(d-1).  The degrees differ by 0 and h, and the maximisers are
+    target + (M/h) c (1, ..., 1), plus (M/8) m e_(d-1) when d >= 2.  They
+    meet the slab k_0 < M/h only at k_0 = target_0 mod M/h, so they miss
+    k_0 < M/8 (the slab of an h read from axis d - 1 alone) when that
+    exceeds M/8, and k_0 = 0 (the slab of h = M) unless it is 0.
+    """
+    eye = np.eye(d, dtype=int)
+    if shape == "affine":
+        rows, h = [np.zeros(d, dtype=int), *eye], 1
+    elif shape == "homogeneous":
+        rows, h = eye, M
+    else:
+        h = shape
+        rows = [8 * eye[0], (8 + h) * eye[0], *(7 * eye[0] + eye[i] for i in range(1, d - 1))]
+        rows.append(8 * eye[d - 1])
+    return sorted({tuple(int(a) for a in row) for row in rows}), h
+
+
 @st.composite
 def lattice_cases(draw):
     """A polynomial of arity 1-4, exponents up to DEGREE_CAP (so often
@@ -180,6 +216,17 @@ class TestTorusSup:
     @example((MultiPolynomial(d=2, terms={}), 7))
     @example((MultiPolynomial(d=3, terms={(0, 0, 0): -0.5 + 2j}), 5))
     @example((MultiPolynomial(d=1, terms={(0,): 1.0, (16,): -1.0}), 2))
+    # Homogeneous, so one point per diagonal orbit is evaluated.
+    @example((load_crabb_davie()[1], 8))
+    @example((load_crabb_davie()[1], 16))
+    @example((load_crabb_davie()[1], 32))
+    # One term: h = M, and a single lattice row is streamed.
+    @example((MultiPolynomial(d=3, terms={(2, 5, 1): 0.3 - 1j}), 7))
+    # Exponents 8 apart at M = 16: h = 8, and |p| = 1.5 only at odd k.
+    @example((MultiPolynomial(d=1, terms={(1,): 1.0, (9,): -0.5}), 16))
+    # h = 2 while axis 1's exponents are all multiples of 8: the maximum
+    # sits only off k_0 < 2 (see orbit_exponents).
+    @example((aligned_poly(16, [15, 15], orbit_exponents(2, 16, 2)[0]), 16))
     def test_matches_reference(self, case):
         poly, M = case
         grid_sup, pad, upper = torus_sup(poly, M)
@@ -210,17 +257,19 @@ class TestTorusSup:
 
     @pytest.mark.parametrize("d, M", [(1, 2**17), (2, 1024), (3, 64), (3, 256), (20, 2)])
     def test_finds_the_maximiser_in_any_chunk(self, d, M):
-        # 1 + sum_i conj(w^j_i) z_i reaches its sup d + 1 only at the
-        # lattice point (w^j_1, ..., w^j_d); elsewhere it stays below
-        # |d + w|.
+        # Each polynomial reaches its sup, its number of terms, only on the
+        # lattice points orbit_exponents lists; elsewhere it stays below
+        # |n - 1 + w|.  Past the affine case, h > 1 and the targets have
+        # k_0 >= M/h, outside the streamed slab: only their orbits reach it.
         rng = np.random.default_rng(60)
-        for target in ([M - 1] * d, rng.integers(0, M, size=d)):
-            unit = [tuple(int(i == j) for j in range(d)) for i in range(d)]
-            coeffs = np.exp(-2j * np.pi * np.asarray(target) / M)
-            terms = {(0,) * d: 1.0, **dict(zip(unit, coeffs))}
-            poly = MultiPolynomial(d=d, terms=terms)
-            grid_sup, _, _ = torus_sup(poly, M)
-            assert abs(grid_sup - (d + 1)) <= rounding_bound(poly)
+        for shape in ["affine", "homogeneous"] + ([2, 4] if d <= 3 else []):
+            exponents, h = orbit_exponents(d, M, shape)
+            for target in ([M - 1] * d, rng.integers(0, M, size=d)):
+                if h > 1:
+                    target[0] = rng.integers(M // h, M)
+                poly = aligned_poly(M, target, exponents)
+                grid_sup, _, _ = torus_sup(poly, M)
+                assert abs(grid_sup - len(exponents)) <= rounding_bound(poly)
 
     def test_certify_memory(self):
         # The per-term route peaked at 5.0 MiB on the fixture at M=256;
@@ -354,6 +403,31 @@ class TestVnSearch:
             vn_search(d=1, dim=0, trials=0, seed=0, M=16)
         with pytest.raises(InputError, match="lattice size M must be >= 2"):
             vn_search(d=1, dim=2, trials=0, seed=0, M=1)
+
+    @pytest.mark.parametrize(
+        "d, M, entries, message",
+        [
+            (6, 4, None, r"d = 6 exceeds DEGREE_CAP // 3 = 5: .* the cap 16"),
+            (2, 100_000, None, r"lattice of M\^d = 10000000000 points exceeds the size cap"),
+            (1, 101, "100", "lattice size M = 101 exceeds the size cap of 100"),
+        ],
+        ids=["degree", "points", "roots"],
+    )
+    def test_refuses_before_drawing_a_trial(self, monkeypatch, d, M, entries, message):
+        # A random polynomial's exponents go up to 3 per axis, so at d = 6
+        # a refusal used to depend on whether some trial drew a degree past
+        # the cap; the lattice caps were met only after a chunk was drawn.
+        def draw(*args):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(dilations.dilation, "_commuting_stack", draw)
+        if entries is not None:
+            monkeypatch.setenv("DILATIONS_MAX_ENTRIES", entries)
+        with pytest.raises(InputError, match=message):
+            vn_search(d=d, dim=2, trials=500, seed=1, M=M)
+
+    def test_largest_arity_stays_within_the_degree_cap(self):
+        assert vn_search(d=DEGREE_CAP // 3, dim=1, trials=300, seed=1, M=2)["cases"] == 300
 
 
 class TestParrott:

@@ -117,14 +117,24 @@ def _data_pieces(data, indent):
     float pairs, in chunks.
 
     ``%r`` is ``float.__repr__``, which is what ``json`` writes for a
-    finite float.
+    finite float.  Only the nonzero pairs go through it, in one ``%`` per
+    chunk; a (+0.0, +0.0) pair, found by all its bits being 0 (so a -0.0
+    keeps the ``%r`` route), is one string rendered once.
     """
     pair = _pair_template(indent)
+    zero_pair = pair % (0.0, 0.0)
     separator = "[\n"
     for start in range(0, len(data), _CHUNK_PAIRS):
-        flat = data[start : start + _CHUNK_PAIRS].ravel().tolist()
+        chunk = data[start : start + _CHUNK_PAIRS]
+        bits = chunk.view(np.uint64)
+        nonzero = np.flatnonzero(bits[:, 0] | bits[:, 1]).tolist()
+        texts = [zero_pair] * len(chunk)
+        # NUL, which no pair text holds, separates the rendered nonzero pairs.
+        rendered = "\0".join([pair] * len(nonzero)) % tuple(chunk[nonzero].ravel().tolist())
+        for k, text in zip(nonzero, rendered.split("\0")):
+            texts[k] = text
         yield separator
-        yield ",\n".join([pair] * (len(flat) // 2)) % tuple(flat)
+        yield ",\n".join(texts)
         separator = ",\n"
     yield f"\n{indent}]"
 

@@ -41,7 +41,7 @@ from .linalg import (
     matrix_from_json,
     max_entries,
 )
-from .torus import GridTime
+from .torus import GridTime, _grid_motion
 
 __all__ = [
     "ContractionTuple",
@@ -159,20 +159,31 @@ def _check_floor(floor: int, dim: int) -> None:
         )
 
 
-def _grid_form(semi: DiscretizedSemigroup, t: GridTime) -> tuple[np.ndarray, np.ndarray]:
-    """(targets, exponents) of the semigroup at grid time t.
+def _grid_forms(semi: DiscretizedSemigroup, nums) -> tuple[np.ndarray, np.ndarray]:
+    """(targets, exponents) of the semigroup at K grid times, given as rows
+    of Python-int numerators of arity d: arrays (K, N^d) and (K, N^d, d).
 
-    Grid points are indexed lexicographically, axis 1 slowest.  Point m
-    goes to targets[m], the index of m + t (mod 1), and carries the block
-    prod_i S_i^exponents[m, i], exponents[m] = floor(t) + carry(m); targets
-    and carries are the grid motion ``t.motion()``.  With a the number of
-    axes where frac(t_i) > 0, the rows take 2^a distinct values, each at
-    some grid point.  ``_check_floor`` bounds max floor(t_i) first.
+    Grid points are indexed lexicographically, axis 1 slowest.  At time t,
+    point m goes to targets[m], the index of m + t (mod 1), and carries
+    the block prod_i S_i^exponents[m, i], exponents[m] = floor(t) +
+    carry(m); targets and carries are the grid motion of
+    ``torus._grid_motion``.  With a the number of axes where
+    frac(t_i) > 0, a time's rows take 2^a distinct values, each at some
+    grid point.  ``_check_floor`` bounds the largest floor first, on the
+    Python ints, before the numerators meet numpy.
     """
+    _check_floor(max(map(max, nums)) // semi.N, semi.base.dim)
+    nums = np.array(nums, dtype=np.int64)
+    targets, carries = _grid_motion(semi.N, nums % semi.N)
+    return targets, carries + (nums // semi.N)[:, None, :]
+
+
+def _grid_form(semi: DiscretizedSemigroup, t: GridTime) -> tuple[np.ndarray, np.ndarray]:
+    """(targets, exponents) of the semigroup at grid time t: the one-time
+    case of ``_grid_forms``."""
     _check_time(semi, t)
-    _check_floor(max(t.floors), semi.base.dim)
-    targets, carries = t.motion()
-    return targets, carries + np.array(t.floors)
+    targets, exponents = _grid_forms(semi, [t.nums])
+    return targets[0], exponents[0]
 
 
 def _distinct_rows(exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -247,6 +258,24 @@ def multilinear_compress(tup: ContractionTuple, t) -> np.ndarray:
     return out
 
 
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of an integer array, sorted (``np.unique``'s
+    values, by one sort and a comparison of neighbours)."""
+    keys = np.sort(keys, axis=None)
+    return keys[np.append(True, keys[1:] != keys[:-1])]
+
+
+def _misfit(left: np.ndarray, right: np.ndarray, apart: np.ndarray) -> float:
+    """Largest entry modulus of the dense difference of two grid operators
+    whose k-th compared columns hold the blocks left[k] and right[k]: at
+    one point where apart[k] is false, so the difference holds their
+    difference, and at two points where it is true, so it holds both."""
+    gaps = np.where(
+        apart[:, None, None], np.maximum(np.abs(left), np.abs(right)), np.abs(left - right)
+    )
+    return float(gaps.max(initial=0.0))
+
+
 def semigroup_suite(tup: ContractionTuple, N: int, max_num: int) -> dict:
     """Property suite of the grid semigroup of ``tup`` on the times
     {0, ..., max_num - 1}^d / N.
@@ -255,12 +284,24 @@ def semigroup_suite(tup: ContractionTuple, N: int, max_num: int) -> dict:
     interpolation T(n e_i) = 1 (x) S_i^n for n = 0..2N, commutation of the
     axis evaluations, and the compression identity against the closed
     multilinear form.  Returns the worst deviation of each check, its
-    pass flag, and whether all passed.
+    pass flag, and whether all passed; the limits are 1e-12 for
+    interpolation and compression and 1e-10 for the others.
 
-    Every check runs on the grid form of ``_grid_form``.  Targets compose
-    by integer arithmetic, so products are compared block by block:
-    T(s)T(t) has the block B_s[targets_t[m]] B_t[m] at point m, and since
-    T(t) is a permutation times a block diagonal, ||T(t)|| = max_m ||B_m||.
+    The grid forms of all sum times s + t come from one ``_grid_forms``
+    call; their exponent rows and the interpolation rows n e_i are
+    deduplicated once, and ``_blocks`` builds the table B of the R
+    distinct rows.  T(s)T(t) moves point m to targets_s[targets_t[m]] with
+    the block B[a] B[b] (a the row of s at targets_t[m], b that of t at
+    m), and T(s+t) moves it to targets_{s+t}[m] with B[c].  For each s the
+    targets are compared exactly, in integers, and the row triples are
+    collected as keys (a R + b) R + c, so B[a] B[b] - B[c] is formed once
+    per distinct triple, in batches of at most twice one s's (t, m) pairs.
+    Where the targets differ, the dense difference holds both blocks, and
+    the deviation there is the larger entry modulus of the two.
+    Commutation reads the row quadruples and targets of its axis pairs
+    the same way.  As T(t) is a permutation times a block diagonal,
+    ||T(t)|| = max_m ||B_m||: contractivity takes SVDs of the distinct
+    blocks of the suite times.
     """
     semi = DiscretizedSemigroup(tup, N)
     if max_num < 1:
@@ -269,48 +310,65 @@ def semigroup_suite(tup: ContractionTuple, N: int, max_num: int) -> dict:
     span = 2 * max_num - 1
     # The grid forms of every sum time, span^d stacks of N^d dim x dim blocks.
     _check_cap(span**d * N**d * dim, dim)
-    sums = list(itertools.product(range(span), repeat=d))
-    targets, exponents = map(np.stack, zip(*(_grid_form(semi, GridTime(N, u)) for u in sums)))
-    blocks = _blocks(tup.mats, exponents.reshape(-1, d)).reshape(len(sums), N**d, dim, dim)
-    row = {u: k for k, u in enumerate(sums)}
-    times = list(itertools.product(range(max_num), repeat=d))
-    # Rows of the suite times; the row of s + t is row(s) + row(t), as no
-    # coordinate of s + t reaches span.
-    rows = np.array([row[t] for t in times])
+    targets, exponents = _grid_forms(semi, list(itertools.product(range(span), repeat=d)))
+    # n N e_i fixes every grid point and holds the row n e_i at each.
+    _check_floor(2 * N, dim)
+    lifts = np.eye(d, dtype=np.int64)[:, None, :] * np.arange(2 * N + 1)[:, None]
+    table, picks = _distinct_rows(np.concatenate([exponents.reshape(-1, d), lifts.reshape(-1, d)]))
+    R = len(table)
+    if R**3 > np.iinfo(np.int64).max:
+        raise InputError(f"{R} distinct exponent rows: their triples overflow 64-bit keys")
+    blocks = _blocks(tup.mats, table)
+    picks, lift_picks = picks[: targets.size].reshape(targets.shape), picks[targets.size :]
+    # The index of a suite time t among the sum times; the index of s + t
+    # is that of s plus that of t, as no coordinate of s + t reaches span.
+    strides = span ** np.arange(d - 1, -1, -1)
+    rows = np.indices((max_num,) * d).reshape(d, -1).T @ strides
 
-    hom_dev = 0.0
+    def triples(keys, apart: bool) -> float:
+        """``_misfit`` of B[a] B[b] against B[c] over the triple keys."""
+        a, rest = np.divmod(keys, R * R)
+        b, c = np.divmod(rest, R)
+        return _misfit(blocks[a] @ blocks[b], blocks[c], np.full(len(keys), apart))
+
+    # Per s, the (t, m) pairs: t's targets and rows, and s + t's.
+    sources, b_keys = targets[rows], picks[rows] * R
+    hom_dev, pending = 0.0, np.empty(0, dtype=np.int64)
     for s in rows:
-        products = blocks[s, targets[rows]] @ blocks[rows]
-        hom_dev = max(hom_dev, float(np.abs(products - blocks[s + rows]).max()))
+        keys = picks[s][sources] * (R * R) + b_keys + picks[s + rows]
+        apart = targets[s][sources] != targets[s + rows]
+        if apart.any():
+            hom_dev = max(hom_dev, triples(_distinct(keys[apart]), True))
+            keys = keys[~apart]
+        pending = _distinct(np.concatenate([pending, keys], axis=None))
+        if len(pending) >= sources.size:
+            hom_dev, pending = max(hom_dev, triples(pending, False)), pending[:0]
+    hom_dev = max(hom_dev, triples(pending, False))
 
-    norms = np.linalg.norm(blocks[rows], 2, axis=(-2, -1))
-    contraction_dev = max(0.0, float(norms.max()) - 1.0)
+    held = _distinct(picks[rows])
+    contraction_dev = max(0.0, float(_op_norms(blocks[held]).max()) - 1.0)
 
-    # n N e_i fixes every grid point, so T - 1 (x) S_i^n is block diagonal.
-    interp_dev = 0.0
-    for i, s_i in enumerate(tup.mats):
-        for n in range(2 * N + 1):
-            nums = tuple(n * N if j == i else 0 for j in range(d))
-            # One carry pattern: every grid point holds the same block.
-            distinct = _distinct_rows(_grid_form(semi, GridTime(N, nums))[1])[0]
-            diff = _blocks(tup.mats, distinct) - np.linalg.matrix_power(s_i, n)
-            interp_dev = max(interp_dev, float(np.linalg.norm(diff, 2, axis=(-2, -1)).max()))
+    powers = [np.linalg.matrix_power(s_i, n) for s_i in tup.mats for n in range(2 * N + 1)]
+    interp_dev = float(_op_norms(blocks[lift_picks] - np.stack(powers)).max())
 
-    axis_rows = [
-        [row[tuple(a if k == i else 0 for k in range(d))] for a in range(1, max_num)]
-        for i in range(d)
-    ]
+    axis_rows = [[a * stride for a in range(1, max_num)] for stride in strides]
     pairs = [(x, y) for xs, ys in itertools.combinations(axis_rows, 2) for x in xs for y in ys]
     comm_dev = 0.0
     if pairs:
         xs, ys = np.array(pairs).T
-        xy = blocks[xs[:, None], targets[ys]] @ blocks[ys]
-        yx = blocks[ys[:, None], targets[xs]] @ blocks[xs]
-        comm_dev = float(np.abs(xy - yx).max())
+        tx, ty = targets[xs], targets[ys]
+        sides = [
+            picks[xs[:, None], ty], picks[ys],  # T(x)T(y): B_x at T(y)'s target, then B_y
+            picks[ys[:, None], tx], picks[xs],  # T(y)T(x)
+            np.take_along_axis(tx, ty, 1) != np.take_along_axis(ty, tx, 1),
+        ]
+        p, q, r, u, apart = _distinct_rows(np.stack(sides, axis=-1).reshape(-1, 5))[0].T
+        comm_dev = _misfit(blocks[p] @ blocks[q], blocks[r] @ blocks[u], apart.astype(bool))
 
+    times = list(itertools.product(range(max_num), repeat=d))
     closed = np.stack([multilinear_compress(tup, GridTime(N, t).values()) for t in times])
     compress_dev = float(
-        np.linalg.norm(blocks[rows].mean(axis=1) - closed, 2, axis=(-2, -1)).max()
+        np.linalg.norm(blocks[picks[rows]].mean(axis=1) - closed, 2, axis=(-2, -1)).max()
     )
 
     deviations = {

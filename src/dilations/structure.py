@@ -40,7 +40,7 @@ from .interpolation import (
     _blocks,
     _check_time,
     _distinct_rows,
-    _grid_form,
+    _grid_forms,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -160,9 +160,10 @@ def preservation_suite(
     evaluation is the identity tensor S_i.
 
     No evaluation is assembled: the exponent rows of every time and unit
-    time are deduplicated once, each distinct block is built and measured
-    once, and each time folds its blocks' measures by their multiplicities,
-    as the module docstring shows.  The time list, and the grid forms it
+    time come from one ``_grid_forms`` call and are deduplicated once,
+    each distinct block is built and measured once, and each time folds
+    its blocks' measures by their multiplicities, as the module docstring
+    shows.  The time list, and the grid forms it
     stands for, are capped at len(times) N^d dim^2 block entries.
     """
     semi = DiscretizedSemigroup(tup, N)
@@ -185,9 +186,7 @@ def preservation_suite(
         _check_time(semi, t)  # the report lists every time, held class or not
     units = [GridTime(N, tuple(N if j == i else 0 for j in range(d))) for i in range(d)]
     measured = (list(times) if held else []) + units
-    exponents = np.empty((len(measured), N**d, d), dtype=np.int64)
-    for k, t in enumerate(measured):
-        exponents[k] = _grid_form(semi, t)[1]
+    exponents = _grid_forms(semi, [t.nums for t in measured])[1]
     rows, picks = _distinct_rows(exponents.reshape(-1, d))
     picks = picks.reshape(len(measured), N**d)
     measures = _block_measures(_blocks(tup.mats, rows))

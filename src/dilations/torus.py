@@ -76,11 +76,8 @@ class GridTime:
         m_i + frac_num_i >= N: whether axis i wraps around.  ``~carries[:, i]``
         is the diagonal of the indicator projection P(t_i) on axis i.
         """
-        N, d = self.N, self.d
-        strides = N ** np.arange(d - 1, -1, -1)
-        # (N^d, d) coordinates of every point, then moved by frac(t).
-        moved = np.arange(N**d)[:, None] // strides % N + self.frac_nums
-        return moved % N @ strides, moved >= N
+        targets, carries = _grid_motion(self.N, np.array([self.frac_nums]))
+        return targets[0], carries[0]
 
     def __add__(self, other: "GridTime") -> "GridTime":
         if not isinstance(other, GridTime):
@@ -111,6 +108,17 @@ class GridTime:
 
     def __str__(self) -> str:
         return ",".join(f"{k}/{self.N}" for k in self.nums)
+
+
+def _grid_motion(N: int, frac_nums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(targets, carries) of ``GridTime.motion`` for K times at once, given
+    by their fractional numerators ``frac_nums`` (K, d): arrays (K, N^d)
+    and (K, N^d, d)."""
+    d = frac_nums.shape[-1]
+    strides = N ** np.arange(d - 1, -1, -1)
+    # (K, N^d, d) coordinates of every point, each moved by its frac(t).
+    moved = np.arange(N**d)[:, None] // strides % N + frac_nums[:, None, :]
+    return moved % N @ strides, moved >= N
 
 
 @functools.lru_cache(maxsize=1024)

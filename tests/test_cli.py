@@ -556,6 +556,24 @@ ARRAY_CASES = {
     "empty array": {"result": _pairs(0, 0, [])},
     "non-finite": {"result": _pairs(1, 3, [(math.nan, math.inf), (-math.inf, 0.0), (1.0, 2.0)])},
     "report string equal to the hole": {"note": cli._HOLE, "result": _pairs(1, 1, [(1.0, 2.0)])},
+    # Zero pairs take the one precomputed string; runs of them cross the
+    # chunk boundaries of both chunk sizes.
+    "zero run across a chunk boundary": {
+        "result": _pairs(
+            1,
+            4100,
+            [(k + 1.0, -k / 3) if k < 4093 or k == 4099 else (0.0, 0.0) for k in range(4100)],
+        ),
+    },
+    "signed zeros inside a zero run": {
+        "result": _pairs(2, 4, [(0.0, 0.0), (0.0, 0.0), (-0.0, -0.0), (0.0, 0.0),
+                                (0.0, -0.0), (0.0, 0.0), (-0.0, 0.0), (0.0, 0.0)]),
+    },
+    "all-zero matrix": {"result": _matrix_payload(np.zeros((3, 4)))},
+    "1x1 zero": {"result": _matrix_payload(np.zeros((1, 1)))},
+    "subnormal next to zeros": {
+        "result": _pairs(1, 4, [(0.0, 0.0), (5e-324, 0.0), (0.0, 5e-324), (0.0, 0.0)]),
+    },
 }
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_unitary
@@ -34,7 +34,9 @@ from dilations.linalg import (
     op_norm,
 )
 from dilations.torus import GridTime
+import unbatched_reference
 from unbatched_reference import (
+    reference_blockwise_suite,
     reference_eval_discretized,
     reference_product_sweep,
     reference_semigroup_suite,
@@ -424,22 +426,94 @@ class TestSemigroupSuite:
     def test_perturbed_sum_block_breaks_homomorphism(self, monkeypatch):
         # (2, 1) is a sum of suite times but neither a suite time nor an
         # interpolation time, so only the homomorphism check reads it.
-        grid_form = interpolation._grid_form
+        grid_forms = interpolation._grid_forms
 
-        def perturbed(semi, t):
-            targets, exponents = grid_form(semi, t)
-            if t.nums == (2, 1):
+        def perturbed(semi, nums):
+            targets, exponents = grid_forms(semi, nums)
+            if (2, 1) in nums:
                 # grid point 1 alone gets one more power of S_1
                 exponents = exponents.copy()
-                exponents[1, 0] += 1
+                exponents[nums.index((2, 1)), 1, 0] += 1
             return targets, exponents
 
-        monkeypatch.setattr(interpolation, "_grid_form", perturbed)
+        monkeypatch.setattr(interpolation, "_grid_forms", perturbed)
         tup = _random_commuting_tuple(np.random.default_rng(85), 2, 2)
         out = semigroup_suite(tup, 2, 2)
         assert not out["checks"]["homomorphism"]
         assert out["deviations"]["homomorphism"] > 1e-7
         assert all(ok for name, ok in out["checks"].items() if name != "homomorphism")
+
+    def test_permuted_sum_targets_break_homomorphism(self, monkeypatch):
+        # The targets of grid points 0 and 1 at the sum time (2, 1) trade
+        # places and every exponent row stays: only the composition of
+        # targets can see it.  The dense reference gets the same operator,
+        # its block rows at those two targets swapped.
+        N, u = 2, (2, 1)
+        grid_forms = interpolation._grid_forms
+
+        def permuted(semi, nums):
+            targets, exponents = grid_forms(semi, nums)
+            if u in nums:
+                targets = targets.copy()
+                targets[nums.index(u), [0, 1]] = targets[nums.index(u), [1, 0]]
+            return targets, exponents
+
+        dense = unbatched_reference.reference_eval_discretized
+
+        def swapped(semi, t):
+            out = dense(semi, t)
+            if t.nums == u:
+                first, second = t.motion()[0][:2]
+                grid, dim = N**t.d, semi.base.dim
+                blocks = out.reshape(grid, dim, grid, dim).copy()
+                blocks[[first, second]] = blocks[[second, first]]
+                out = blocks.reshape(out.shape)
+            return out
+
+        monkeypatch.setattr(interpolation, "_grid_forms", permuted)
+        monkeypatch.setattr(unbatched_reference, "reference_eval_discretized", swapped)
+        tup = _random_commuting_tuple(np.random.default_rng(86), 2, 2)
+        out = semigroup_suite(tup, N, 2)
+        assert not out["checks"]["homomorphism"]
+        assert all(ok for name, ok in out["checks"].items() if name != "homomorphism")
+        assert_suite_matches_reference(tup, N, 2)
+
+    # The semigroup workload's interp check shapes (d, N, dim), max_num 2N.
+    @pytest.mark.parametrize(
+        "d, N, dim",
+        [(1, 8, 2), (2, 2, 4), (3, 2, 2), (1, 16, 4), (2, 4, 4), (3, 2, 8), (1, 16, 8)],
+    )
+    def test_equals_blockwise_route_on_benchmark_shapes(self, d, N, dim):
+        tup = _random_commuting_tuple(np.random.default_rng([d, N, dim]), d, dim)
+        assert semigroup_suite(tup, N, 2 * N) == reference_blockwise_suite(tup, N, 2 * N)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equals_blockwise_route(self, d, N, max_num, dim, seed):
+        tup = _random_commuting_tuple(np.random.default_rng(seed), d, dim)
+        assert semigroup_suite(tup, N, max_num) == reference_blockwise_suite(tup, N, max_num)
+
+    def test_equals_blockwise_route_on_an_expansion(self):
+        tup = ContractionTuple((np.array([[1.1]]), np.array([[0.9]])), tol=0.2)
+        assert semigroup_suite(tup, 2, 3) == reference_blockwise_suite(tup, 2, 3)
+
+    def test_holds_less_than_all_pairs(self):
+        # d=2, N=4, dim 8, max_num 8: the suite's sum times fit the size
+        # cap, but all 64 x 64 pairs of N^d blocks would not.  The loop
+        # over s holds a quarter of a cap-sized array at most.
+        d, N, max_num, dim = 2, 4, 8, 8
+        assert max_num ** (2 * d) * N**d * dim * dim > max_entries()
+        tup = _random_commuting_tuple(np.random.default_rng(87), d, dim)
+        tracemalloc.start()
+        try:
+            semigroup_suite(tup, N, max_num)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * max_entries() / 4
 
 
 def corner_weights(eps, times):

@@ -48,6 +48,16 @@ matrices.  The library builds the same evaluation from its grid form of
 targets and exponent rows, so the tests require the dense matrix to agree
 bit for bit and the suite's deviations within 1e-14.
 
+``reference_blockwise_suite`` is the property suite block by block: the
+grid form of each sum time from its own ``_grid_form`` call, and for
+every pair (s, t) the N^d block products compared with the blocks of
+s + t, targets never composed.  The library's ``semigroup_suite`` takes
+the grid forms in one call, forms each distinct product of a row triple
+once and compares targets in integers; where the targets compose, as
+they do in every unmutated grid form, it computes the same per-member
+LAPACK and BLAS values and takes the same maxima, so the tests require
+both routes' deviations to be equal.
+
 ``reference_preservation_suite`` is the preservation suite on dense
 evaluations: one ``structure_report(eval_discretized(...))`` per time and
 per converse unit time.  The library measures the same class deviations
@@ -79,11 +89,14 @@ from dilations.dilation import _random_polynomial, vn_check
 from dilations.interpolation import (
     ContractionTuple,
     DiscretizedSemigroup,
+    _blocks,
+    _distinct_rows,
+    _grid_form,
     eval_discretized,
     multilinear_compress,
     scaled_blend,
 )
-from dilations.linalg import InputError, identity, matrix_exp, op_norm
+from dilations.linalg import InputError, _check_cap, identity, matrix_exp, op_norm
 from dilations.structure import _CLASSES, structure_report
 from dilations.torus import GridTime
 
@@ -355,6 +368,70 @@ def reference_semigroup_suite(tup, N, max_num):
     limits = {"homomorphism": 1e-10, "contractivity": 1e-10, "interpolation": 1e-12,
               "commutation": 1e-10, "compression_identity": 1e-12}
     checks = {name: dev <= limits[name] for name, dev in deviations.items()}
+    return {"deviations": deviations, "checks": checks, "passed": all(checks.values())}
+
+
+def reference_blockwise_suite(tup, N, max_num):
+    """The property suite block by block: the grid form of every sum time
+    from its own ``_grid_form`` call, the blocks of all of them gathered,
+    and for every pair (s, t) the N^d products B_s[targets_t[m]] B_t[m]
+    compared with B_{s+t}[m]; the interpolation times from their own grid
+    forms, and every suite block normed.  Targets are not composed."""
+    semi = DiscretizedSemigroup(tup, N)
+    if max_num < 1:
+        raise InputError(f"max_num must be >= 1, got {max_num}")
+    d, dim = tup.d, tup.dim
+    span = 2 * max_num - 1
+    _check_cap(span**d * N**d * dim, dim)
+    sums = list(itertools.product(range(span), repeat=d))
+    targets, exponents = map(np.stack, zip(*(_grid_form(semi, GridTime(N, u)) for u in sums)))
+    blocks = _blocks(tup.mats, exponents.reshape(-1, d)).reshape(len(sums), N**d, dim, dim)
+    row = {u: k for k, u in enumerate(sums)}
+    times = list(itertools.product(range(max_num), repeat=d))
+    rows = np.array([row[t] for t in times])
+
+    hom_dev = 0.0
+    for s in rows:
+        products = blocks[s, targets[rows]] @ blocks[rows]
+        hom_dev = max(hom_dev, float(np.abs(products - blocks[s + rows]).max()))
+
+    norms = np.linalg.norm(blocks[rows], 2, axis=(-2, -1))
+    contraction_dev = max(0.0, float(norms.max()) - 1.0)
+
+    interp_dev = 0.0
+    for i, s_i in enumerate(tup.mats):
+        for n in range(2 * N + 1):
+            nums = tuple(n * N if j == i else 0 for j in range(d))
+            distinct = _distinct_rows(_grid_form(semi, GridTime(N, nums))[1])[0]
+            diff = _blocks(tup.mats, distinct) - np.linalg.matrix_power(s_i, n)
+            interp_dev = max(interp_dev, float(np.linalg.norm(diff, 2, axis=(-2, -1)).max()))
+
+    axis_rows = [
+        [row[tuple(a if k == i else 0 for k in range(d))] for a in range(1, max_num)]
+        for i in range(d)
+    ]
+    pairs = [(x, y) for xs, ys in itertools.combinations(axis_rows, 2) for x in xs for y in ys]
+    comm_dev = 0.0
+    if pairs:
+        xs, ys = np.array(pairs).T
+        xy = blocks[xs[:, None], targets[ys]] @ blocks[ys]
+        yx = blocks[ys[:, None], targets[xs]] @ blocks[xs]
+        comm_dev = float(np.abs(xy - yx).max())
+
+    closed = np.stack([multilinear_compress(tup, GridTime(N, t).values()) for t in times])
+    compress_dev = float(
+        np.linalg.norm(blocks[rows].mean(axis=1) - closed, 2, axis=(-2, -1)).max()
+    )
+
+    deviations = {
+        "homomorphism": hom_dev,
+        "contractivity": contraction_dev,
+        "interpolation": interp_dev,
+        "commutation": comm_dev,
+        "compression_identity": compress_dev,
+    }
+    limits = {"interpolation": 1e-12, "compression_identity": 1e-12}
+    checks = {name: dev <= limits.get(name, 1e-10) for name, dev in deviations.items()}
     return {"deviations": deviations, "checks": checks, "passed": all(checks.values())}
 
 

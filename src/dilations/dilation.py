@@ -234,11 +234,9 @@ def torus_sup(poly: MultiPolynomial, M: int) -> tuple[float, float, float]:
     more), and each lattice value is a sum over the merged terms of a
     coefficient times d table entries, with one rounding per product
     and per addition.  So every computed lattice value is within
-    32 (d + n) (u sum_alpha |c_alpha| + eta) of the exact one, where n is
-    the number of terms of p and eta = 2^-1074 bounds the absolute error
-    of a rounding that underflows; the exact values are constant on each
-    orbit, so grid_sup is within that bound of the exact M^d lattice
-    maximum.
+    32 (d + n) u sum_alpha |c_alpha| of the exact one, where n is the
+    number of terms of p; the exact values are constant on each orbit,
+    so grid_sup is within that bound of the exact M^d lattice maximum.
     """
     _check_lattice(M, poly.d)
     merged = {}
@@ -357,9 +355,9 @@ def _verdict(lhs: float, grid_sup: float, sup_upper: float, tol: float) -> str:
     """VIOLATED when lhs beats the certified bound sup_upper, HOLDS when it
     is at most the lattice maximum grid_sup, INCONCLUSIVE in between."""
     # The relative slack and tol absorb rounding.  grid_sup is within
-    # 32 (d + n) (u sum|c_alpha| + 2^-1074) of the exact lattice maximum
-    # (u = 2^-53, n terms; see torus_sup), which is covered while that
-    # bound stays below 1e-12 * sup_upper + tol: with the default tol, whenever
+    # 32 (d + n) u sum|c_alpha| of the exact lattice maximum (u = 2^-53,
+    # n terms; see torus_sup), which is covered while that bound stays
+    # below 1e-12 * sup_upper + tol: with the default tol, whenever
     # (d + n) sum|c_alpha| < 2.8e4.  The slack also absorbs the last-ulp
     # rounding of lhs (for a constant polynomial, lhs and grid_sup are
     # the same number computed two ways).  It only makes VIOLATED harder

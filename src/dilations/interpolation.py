@@ -258,13 +258,6 @@ def multilinear_compress(tup: ContractionTuple, t) -> np.ndarray:
     return out
 
 
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The distinct values of an integer array, sorted (``np.unique``'s
-    values, by one sort and a comparison of neighbours)."""
-    keys = np.sort(keys, axis=None)
-    return keys[np.append(True, keys[1:] != keys[:-1])]
-
-
 def _misfit(left: np.ndarray, right: np.ndarray, apart: np.ndarray) -> float:
     """Largest entry modulus of the dense difference of two grid operators
     whose k-th compared columns hold the blocks left[k] and right[k]: at
@@ -338,14 +331,14 @@ def semigroup_suite(tup: ContractionTuple, N: int, max_num: int) -> dict:
         keys = picks[s][sources] * (R * R) + b_keys + picks[s + rows]
         apart = targets[s][sources] != targets[s + rows]
         if apart.any():
-            hom_dev = max(hom_dev, triples(_distinct(keys[apart]), True))
+            hom_dev = max(hom_dev, triples(np.unique(keys[apart]), True))
             keys = keys[~apart]
-        pending = _distinct(np.concatenate([pending, keys], axis=None))
+        pending = np.union1d(pending, keys)
         if len(pending) >= sources.size:
             hom_dev, pending = max(hom_dev, triples(pending, False)), pending[:0]
     hom_dev = max(hom_dev, triples(pending, False))
 
-    held = _distinct(picks[rows])
+    held = np.unique(picks[rows])
     contraction_dev = max(0.0, float(_op_norms(blocks[held]).max()) - 1.0)
 
     powers = [np.linalg.matrix_power(s_i, n) for s_i in tup.mats for n in range(2 * N + 1)]

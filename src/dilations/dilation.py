@@ -225,18 +225,24 @@ def torus_sup(poly: MultiPolynomial, M: int) -> tuple[float, float, float]:
     same unimodular factor, so |p| is constant on the orbits of that
     shift, and each orbit meets the slab k_0 < M/h.  That costs (M/h)
     M^(d-1) multiply-adds per group of terms sharing their leading
-    exponents, M^(d-1) for a homogeneous p; apart from the table of M
-    roots (capped at ``max_entries()``), no array outgrows a block of
-    the lattice, so for d >= 2 none holds M^d values.
+    exponents, M^(d-1) for a homogeneous p.  When the slab spans more
+    than one block, a real screen of |p|^2 first picks the blocks that
+    can hold the maximum, and only those are evaluated (see
+    ``_lattice_max``).  Apart from the table of M roots (capped at
+    ``max_entries()``), no array outgrows a block of the lattice, so
+    for d >= 2 none holds M^d values.
 
     Rounding: each table entry is within 28u of its root (u = 2^-53;
     its angle 2 pi j / M carries up to four roundings and exp one
     more), and each lattice value is a sum over the merged terms of a
     coefficient times d table entries, with one rounding per product
-    and per addition.  So every computed lattice value is within
-    32 (d + n) u sum_alpha |c_alpha| of the exact one, where n is the
-    number of terms of p; the exact values are constant on each orbit,
-    so grid_sup is within that bound of the exact M^d lattice maximum.
+    and per addition.  A rounding errs by at most u times its result,
+    plus 2^-1075 where it underflows.  So every computed lattice value
+    is within rho = 32 (d + n) (u sum_alpha |c_alpha| + 2^-1074) of the
+    exact one, where n is the number of terms of p; the exact values
+    are constant on each orbit, so grid_sup is within rho of the exact
+    M^d lattice maximum.  ``_lattice_max`` relies on this bound to skip
+    the blocks that cannot hold that maximum.
     """
     _check_lattice(M, poly.d)
     merged = {}
@@ -261,17 +267,68 @@ def _lattice_max(terms: dict, d: int, M: int) -> float:
     """max |p| over the M^d lattice; exponents already reduced mod M.
 
     The trailing t axes form a block of M^t points.  Each group of
-    terms that share their leading s = d - t exponents is summed on the
-    block once, as one row of Q.  The leading axes are then streamed in
-    chunks of rows: the values on a chunk are W[rows, groups] @
-    Q[groups, block], where W holds the leading factors of each group.
-    Only the rows with k_0 < M/h are streamed, (M/h) M^(s-1) of them,
-    where h = gcd(M, |alpha| - |alpha_0| over the terms): adding M/h to
-    every k_i multiplies each term by w^((M/h) |alpha_0|), so each
-    lattice point has a streamed one of equal |p| (see ``torus_sup``).
-    Whatever d, each product and W hold at most max(_LATTICE_BLOCK, M,
-    groups) values, and Q one row of at most max(M, sqrt(_LATTICE_BLOCK))
-    values per group.
+    terms that share their leading s = d - t exponents beta_g is summed
+    on the block once, as one row q_g of Q.  The leading axes are then
+    streamed in chunks of rows: the values on a chunk are W[rows,
+    groups] @ Q[groups, block], where W holds the leading factors
+    w^(k . beta_g) of each group (``_chunk_max``).  Only the rows with
+    k_0 < M/h are streamed, (M/h) M^(s-1) of them, where h = gcd(M,
+    |alpha| - |alpha_0| over the terms): adding M/h to every k_i
+    multiplies each term by w^((M/h) |alpha_0|), so each lattice point
+    has a streamed one of equal |p| (see ``torus_sup``).
+
+    With more than one chunk, the chunks are screened first by |p|^2 =
+    sum_g |q_g|^2 + sum_(g<h) 2 Re(w^(k . (beta_g - beta_h)) q_g q_h*):
+    one real product A @ B per chunk.  A's rows hold 1 and the real and
+    imaginary parts of the table entries at k . (beta_g - beta_h) mod M,
+    gathered by exact integer index; B, built once, holds the rows
+    sum_g |q_g|^2, 2 Re(q_g q_h*) and -2 Im(q_g q_h*).  That costs m =
+    1 + G(G - 1) real multiply-adds per point for G groups, (M/h)
+    M^(d-1) screened points in all, with no complex product and no
+    modulus.  |p| is then evaluated exactly, by ``_chunk_max`` as the
+    plain stream does, only on the chunks whose screened maximum lies
+    within the margin below of the largest, chunk boundaries unchanged;
+    so the result is the float the plain stream returns.
+
+    Why the margin suffices.  Scale Q by 2^e, exactly, so that the
+    merged sum S = sum_alpha |c_alpha| lies in [1/2, 1): no square in B
+    overflows, and what underflows is below 2^-1074.  Let V(k) = |sum_g
+    w^(k . beta_g) q_g| with exact roots and the computed Q, so sum_g
+    |q_g| <= S + rho with rho = 32 (d + n) (u S + 2^-1074) (u = 2^-53, n
+    merged terms; the rounding term of ``torus_sup``, which also bounds
+    the stream's value E(k) within rho of V(k)).  With P = sum_g |q_g|^2
+    and X = sum_(g<h) |q_g| |q_h|, so P + 2X = (sum_g |q_g|)^2 <= (S +
+    rho)^2, the screened value Y(k) errs from V(k)^2 by at most: (G + 2)
+    u P in the row sum_g |q_g|^2; 8u |q_g| |q_h| per pair in B's two
+    rows, each within 4u |q_g| |q_h| and met by table entries of modulus
+    at most 1 + 28u; 56u |q_g| |q_h| per pair from the table entries,
+    each within 28u of its root; and m u (P + 3X) in the sum of the m
+    products.  As m >= G, that is at most gamma (S + rho)^2 with gamma =
+    (2m + 64) u, less a spare of 32u (S + rho)^2, which covers the
+    second-order terms, the scaling's underflow, and the roundings of S,
+    the margin and the comparison.  Let chunk b hold the stream's
+    largest value E*.  Any chunk c screens at most (E* + rho)^2 + gamma
+    (S + rho)^2, and b at least max(E* - rho, 0)^2 - gamma (S + rho)^2,
+    so b's screened maximum lies within the margin 4 rho (S + 2 rho) + 2
+    gamma (S + rho)^2 of the largest (E* <= S + 2 rho), and b is
+    evaluated.  The code takes the margin in the scaled units, where S,
+    rho and E are 2^e times larger, so rho's 2^-1074 there reads 2^(e -
+    1074).
+
+    The screen runs only when the exponent differences alpha - alpha_0
+    have rank d: below it, |p| is constant along an integer direction,
+    its maximum lies on lines that cross most chunks, and the screen
+    would select most of them at extra cost.  The rule picks the route,
+    never the result, so a float rank is enough.  Nor does it run when
+    A or B would outgrow a block, or when 2 S overflows.  Its worst
+    case is a tie mod M (say every exponent difference on axis 0 even,
+    so chunks k_0 and k_0 + M/2 hold equal exact values): it selects
+    each tied chunk, and the result is still the stream's.
+
+    Whatever d, each product, W, A and B hold at most max(_LATTICE_BLOCK,
+    M, groups) values, and Q one row of at most max(M,
+    sqrt(_LATTICE_BLOCK)) values per group; the screen's product is
+    one chunk of reals.
     """
     roots = np.exp(2j * np.pi * np.arange(M) / M)
     # The block takes the last axis (none when d = 1), then more trailing
@@ -298,14 +355,58 @@ def _lattice_max(terms: dict, d: int, M: int) -> float:
     h = math.gcd(M, *(degree - degrees[0] for degree in degrees))
     streamed = M // h * M ** (s - 1)
     rows = max(1, _LATTICE_BLOCK // max(q.shape))
+    chunks = [(start, min(start + rows, streamed)) for start in range(0, streamed, rows)]
+    width = 1 + len(groups) * (len(groups) - 1)
+    total = math.fsum(abs(coeff) for coeff in terms.values())
+    if (
+        len(chunks) > 1
+        and width * max(rows, q.shape[1]) <= _LATTICE_BLOCK
+        and math.isfinite(2 * total)
+        and np.linalg.matrix_rank(np.subtract(list(terms), next(iter(terms)))) == d
+    ):
+        chunks = _screen(roots, beta, q, chunks, total, d + len(terms))
     best = 0.0
-    for start in range(0, streamed, rows):
-        ks = np.unravel_index(np.arange(start, min(start + rows, streamed)), (M,) * s)
-        w = roots[np.outer(ks[0], beta[:, 0]) % M]
-        for i in range(1, s):
-            w = w * roots[np.outer(ks[i], beta[:, i]) % M]
-        best = max(best, float(np.abs(w @ q).max()))
+    for start, stop in chunks:
+        best = max(best, _chunk_max(roots, beta, q, start, stop))
     return best
+
+
+def _chunk_max(roots: np.ndarray, beta: np.ndarray, q: np.ndarray, start: int, stop: int) -> float:
+    """max |p| over the streamed rows start..stop - 1 of ``_lattice_max``."""
+    M = len(roots)
+    ks = np.unravel_index(np.arange(start, stop), (M,) * beta.shape[1])
+    w = roots[np.outer(ks[0], beta[:, 0]) % M]
+    for i in range(1, beta.shape[1]):
+        w = w * roots[np.outer(ks[i], beta[:, i]) % M]
+    return float(np.abs(w @ q).max())
+
+
+def _screen(roots, beta, q, chunks, total: float, count: int) -> list:
+    """The chunks of ``_lattice_max`` whose screened maximum of |p|^2 lies
+    within the margin of the largest; ``count`` is d + n."""
+    M, s = len(roots), beta.shape[1]
+    e = -math.frexp(total)[1]
+    qr, qi = np.ldexp(q.real, e), np.ldexp(q.imag, e)
+    g, h = np.triu_indices(len(q), 1)
+    # B's rows: sum_g |q_g|^2, then per pair 2 Re(q_g q_h*) and -2 Im(q_g q_h*).
+    b = np.empty((1 + 2 * len(g), q.shape[1]))
+    b[0] = (qr * qr + qi * qi).sum(axis=0)
+    b[1::2] = 2 * (qr[g] * qr[h] + qi[g] * qi[h])
+    b[2::2] = 2 * (qr[g] * qi[h] - qi[g] * qr[h])
+    steps = (beta[g] - beta[h]).T
+    tops = []
+    for start, stop in chunks:
+        ks = np.stack(np.unravel_index(np.arange(start, stop), (M,) * s), axis=1)
+        a = np.empty((stop - start, len(b)))
+        a[:, 0] = 1.0
+        a[:, 1:] = roots[ks @ steps % M].view(np.float64)
+        tops.append(float((a @ b).max()))
+    u = 2.0**-53
+    scaled = math.ldexp(total, e)
+    rho = 32 * count * (u * scaled + math.ldexp(1.0, e - 1074))
+    gamma = (2 * len(b) + 64) * u
+    floor = max(tops) - (4 * rho * (scaled + 2 * rho) + 2 * gamma * (scaled + rho) ** 2)
+    return [chunk for chunk, top in zip(chunks, tops) if top >= floor]
 
 
 @dataclass(frozen=True)
@@ -355,10 +456,11 @@ def _verdict(lhs: float, grid_sup: float, sup_upper: float, tol: float) -> str:
     """VIOLATED when lhs beats the certified bound sup_upper, HOLDS when it
     is at most the lattice maximum grid_sup, INCONCLUSIVE in between."""
     # The relative slack and tol absorb rounding.  grid_sup is within
-    # 32 (d + n) u sum|c_alpha| of the exact lattice maximum (u = 2^-53,
-    # n terms; see torus_sup), which is covered while that bound stays
-    # below 1e-12 * sup_upper + tol: with the default tol, whenever
-    # (d + n) sum|c_alpha| < 2.8e4.  The slack also absorbs the last-ulp
+    # 32 (d + n) (u sum|c_alpha| + 2^-1074) of the exact lattice maximum
+    # (u = 2^-53, n terms; see torus_sup), which is covered while that
+    # bound stays below 1e-12 * sup_upper + tol: with the default tol,
+    # whenever (d + n) sum|c_alpha| < 2.8e4 (the 2^-1074 part is far
+    # below tol).  The slack also absorbs the last-ulp
     # rounding of lhs (for a constant polynomial, lhs and grid_sup are
     # the same number computed two ways).  It only makes VIOLATED harder
     # to reach, so the verdict stays sound.

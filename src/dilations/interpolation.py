@@ -248,12 +248,12 @@ def multilinear_compress(tup: ContractionTuple, t) -> np.ndarray:
         raise InputError(f"time vector has arity {len(times)}, tuple has d={tup.d}")
     if any(not math.isfinite(x) or x < 0 for x in times):
         raise InputError(f"times must be finite and nonnegative: {times}")
+    floors = [math.floor(x) for x in times]
+    _check_floor(max(floors), tup.dim)
     out = identity(tup.dim)
-    for i, x in enumerate(times):
-        fl = math.floor(x)
+    for s_i, x, fl in zip(tup.mats, times, floors):
         fr = x - fl
-        _check_floor(fl, tup.dim)
-        low, high = _powers(tup.mats[i], (fl, fl + 1))
+        low, high = _powers(s_i, (fl, fl + 1))
         out = out @ ((1 - fr) * low + fr * high)
     return out
 

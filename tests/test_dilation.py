@@ -16,6 +16,7 @@ from dilations.dilation import (
     DEGREE_CAP,
     DilationCandidate,
     MultiPolynomial,
+    _lattice_max,
     _random_commuting_tuple,
     egervary_dilation,
     eval_poly,
@@ -35,6 +36,7 @@ from dilations.linalg import (
 )
 from unbatched_reference import (
     reference_commuting_tuple,
+    reference_lattice_max,
     reference_torus_sup,
     reference_vn_search,
 )
@@ -49,7 +51,7 @@ def rounding_bound(poly, powers=0):
     route raises entries to powers of up to the total degree.
     """
     l1 = sum(abs(c) for c in poly.terms.values())
-    return 32 * (poly.d + len(poly.terms) + powers) * U * l1
+    return 32 * (poly.d + len(poly.terms) + powers) * (U * l1 + 2.0**-1074)
 
 
 def traced_peak(fn, *args):
@@ -227,6 +229,9 @@ class TestTorusSup:
     # h = 2 while axis 1's exponents are all multiples of 8: the maximum
     # sits only off k_0 < 2 (see orbit_exponents).
     @example((aligned_poly(16, [15, 15], orbit_exponents(2, 16, 2)[0]), 16))
+    # Subnormal: the roundings underflow, so only the 2^-1074 part of the
+    # bound covers them (|p| = sqrt(2) 2^-1074 reads 5e-324 and 1e-323).
+    @example((MultiPolynomial(d=1, terms={(1,): 5e-324 + 5e-324j}), 3))
     def test_matches_reference(self, case):
         poly, M = case
         grid_sup, pad, upper = torus_sup(poly, M)
@@ -276,6 +281,80 @@ class TestTorusSup:
         # the separable one may add at most one block of complex values.
         _, peak = traced_peak(torus_sup, load_crabb_davie()[1], 256)
         assert peak <= 5 * 2**20 + 16 * _LATTICE_BLOCK
+
+
+# The certify benchmark's d=3 exponents: full rank, and h = 1 at M = 256.
+BENCH_ALPHAS = [(1, 1, 1), (2, 0, 1), (0, 3, 0), (1, 2, 3)]
+
+
+def chunk_calls(monkeypatch):
+    """The list of (start, stop) chunks ``_lattice_max`` evaluates exactly."""
+    calls = []
+    chunk_max = dilations.dilation._chunk_max
+
+    def counting(roots, beta, q, start, stop):
+        calls.append((start, stop))
+        return chunk_max(roots, beta, q, start, stop)
+
+    monkeypatch.setattr(dilations.dilation, "_chunk_max", counting)
+    return calls
+
+
+@st.composite
+def merged_cases(draw):
+    """(terms, d, M, block): a polynomial with exponents reduced mod M, as
+    ``torus_sup`` merges them, and a lattice block small enough that an
+    M <= 32 lattice spans many chunks."""
+    d = draw(st.integers(1, 3))
+    M = draw(st.sampled_from([2, 3, 4, 6, 8, 16, 32]))
+    exponent = st.tuples(*[st.integers(0, M - 1)] * d)
+    coeff = st.complex_numbers(max_magnitude=1e300, allow_nan=False, allow_infinity=False)
+    terms = draw(st.dictionaries(exponent, coeff, min_size=1, max_size=5))
+    return terms, d, M, 2 ** draw(st.integers(6, 8))
+
+
+class TestLatticeScreen:
+    @given(merged_cases())
+    # A tie mod M: full rank, every exponent difference on axis 0 even, so
+    # chunks k_0 and k_0 + M/2 hold equal exact values.  With no margin the
+    # screen keeps the one whose computed maximum is an ulp lower.
+    @example(({(0, 1): -1 - 1j, (4, 1): -2 + 2j, (6, 2): -1}, 2, 32, 2**8))
+    # Rank 2 < d: the plain stream.
+    @example(({(0, 0, 0): 1.5, (1, 1, 0): -1j, (2, 0, 1): 0.5 + 0.5j}, 3, 16, 2**8))
+    # Coefficients near 1e300, whose squares would overflow unscaled.
+    @example(({(0, 1): 1e300, (2, 0): -3e300j, (1, 3): 2e300 + 1e300j}, 2, 32, 2**8))
+    # Subnormal coefficients, whose squares would underflow unscaled.
+    @example(({(0, 1): 5e-324, (2, 0): -1.5e-323j, (1, 3): 1e-322 + 5e-324j}, 2, 32, 2**8))
+    @example((dict(zip(BENCH_ALPHAS, [1 - 0.5j, 0.3 + 1j, -0.8, 0.6 - 0.2j])), 3, 16, 2**8))
+    def test_matches_the_plain_stream(self, case):
+        terms, d, M, block = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dilations.dilation, "_LATTICE_BLOCK", block)
+            assert _lattice_max(terms, d, M) == reference_lattice_max(terms, d, M, block)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_screen_skips_most_chunks(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        terms = {a: complex(*rng.standard_normal(2)) for a in BENCH_ALPHAS}
+        calls = chunk_calls(monkeypatch)
+        grid_sup = _lattice_max(terms, 3, 256)
+        # 256^3 points in chunks of 2^16: 256 chunks, of which a few are evaluated.
+        assert 1 <= len(calls) <= 4
+        assert grid_sup == reference_lattice_max(terms, 3, 256, _LATTICE_BLOCK)
+
+    def test_rank_deficient_streams_every_chunk(self, monkeypatch):
+        # Differences (1, 1, 0) and (2, 0, 1) have rank 2: |p| is constant
+        # along (1, -1, -2), so no screen runs.  Degrees 0, 2, 3 give h = 1.
+        terms = {(0, 0, 0): 1.0, (1, 1, 0): 0.5j, (2, 0, 1): -0.75}
+        calls = chunk_calls(monkeypatch)
+
+        def no_screen(*args):
+            raise AssertionError("screened a rank-deficient polynomial")
+
+        monkeypatch.setattr(dilations.dilation, "_screen", no_screen)
+        grid_sup = _lattice_max(terms, 3, 128)
+        assert len(calls) == 128**3 // _LATTICE_BLOCK
+        assert grid_sup == reference_lattice_max(terms, 3, 128, _LATTICE_BLOCK)
 
 
 class TestVnCheck:

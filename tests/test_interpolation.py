@@ -331,6 +331,20 @@ class TestEvalDiscretized:
         with pytest.raises(InputError, match="floor 10"):
             compress_discretized(semi, GridTime(2, (21,)))
 
+    def test_closed_form_checks_the_largest_floor_once(self, monkeypatch):
+        # One cap check per call, on the largest floor, whichever axis holds it.
+        tup = ContractionTuple((shift_matrix(2),) * 3)
+        floors = []
+        check = interpolation._check_floor
+        monkeypatch.setattr(
+            interpolation, "_check_floor", lambda fl, dim: floors.append(fl) or check(fl, dim)
+        )
+        multilinear_compress(tup, (0.5, 9.25, 3.0))
+        assert floors == [9]
+        monkeypatch.setenv("DILATIONS_MAX_ENTRIES", "40")
+        with pytest.raises(InputError, match="floor 10 needs powers up to 11"):
+            multilinear_compress(tup, (0.5, 10.0, 3.0))
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("N", [1, 2, 3, 4])
     def test_matches_unbatched_reference(self, d, N):

@@ -227,10 +227,12 @@ def torus_sup(poly: MultiPolynomial, M: int) -> tuple[float, float, float]:
     M^(d-1) multiply-adds per group of terms sharing their leading
     exponents, M^(d-1) for a homogeneous p.  When the slab spans more
     than one block, a real screen of |p|^2 first picks the blocks that
-    can hold the maximum, and only those are evaluated (see
-    ``_lattice_max``).  Apart from the table of M roots (capped at
-    ``max_entries()``), no array outgrows a block of the lattice, so
-    for d >= 2 none holds M^d values.
+    can hold the maximum, and only those are evaluated.  This is the
+    one-polynomial call of ``_lattice_max``, which ``vn_search`` calls
+    on a batch of polynomials and which returns each the same float.
+    Apart from the table of M roots (capped at ``max_entries()``), no
+    array outgrows a block of the lattice, so for d >= 2 none holds M^d
+    values.
 
     Rounding: each table entry is within 28u of its root (u = 2^-53;
     its angle 2 pi j / M carries up to four roundings and exp one
@@ -245,26 +247,40 @@ def torus_sup(poly: MultiPolynomial, M: int) -> tuple[float, float, float]:
     the blocks that cannot hold that maximum.
     """
     _check_lattice(M, poly.d)
-    merged = {}
-    for alpha, coeff in poly.terms.items():
-        key = tuple(a % M for a in alpha)
-        merged[key] = merged.get(key, 0) + coeff
-    grid_sup = _lattice_max(merged, poly.d, M) if merged else 0.0
-    gradient_bound = sum(
-        abs(coeff) * sum(alpha) for alpha, coeff in poly.terms.items()
-    )
-    pad = math.pi / M * gradient_bound
-    return grid_sup, pad, grid_sup + pad
+    return _torus_sups([poly], M)[0]
 
 
-# Most lattice points one product in ``_lattice_max`` evaluates (1 MiB
-# of complex values), which bounds the memory of ``torus_sup``.  A
-# larger block raises the peak; a smaller one adds per-product overhead.
+def _torus_sups(polys: list, M: int) -> list:
+    """``torus_sup`` of each polynomial, lattice caps unchecked, from one
+    ``_lattice_max`` call."""
+    batch = []
+    for poly in polys:
+        merged = {}
+        for alpha, coeff in poly.terms.items():
+            key = tuple(a % M for a in alpha)
+            merged[key] = merged.get(key, 0) + coeff
+        batch.append(merged)
+    sups = []
+    for poly, grid_sup in zip(polys, _lattice_max(batch, M)):
+        gradient_bound = sum(
+            abs(coeff) * sum(alpha) for alpha, coeff in poly.terms.items()
+        )
+        pad = math.pi / M * gradient_bound
+        sups.append((grid_sup, pad, grid_sup + pad))
+    return sups
+
+
+# Most lattice points one product in ``_lattice_max`` evaluates, for one
+# polynomial or a stack of them (1 MiB of complex values), which bounds
+# the memory of ``torus_sup`` and of ``vn_search``'s lattices.  A larger
+# block raises the peak; a smaller one adds per-product overhead.
 _LATTICE_BLOCK = 2**16
 
 
-def _lattice_max(terms: dict, d: int, M: int) -> float:
-    """max |p| over the M^d lattice; exponents already reduced mod M.
+def _lattice_max(polys: list, M: int) -> list:
+    """max |p| over the M^d lattice of each polynomial of a batch, each a
+    dict from exponents already reduced mod M to coefficients (0.0 for
+    an empty one); arities may differ.
 
     The trailing t axes form a block of M^t points.  Each group of
     terms that share their leading s = d - t exponents beta_g is summed
@@ -277,18 +293,28 @@ def _lattice_max(terms: dict, d: int, M: int) -> float:
     multiplies each term by w^((M/h) |alpha_0|), so each lattice point
     has a streamed one of equal |p| (see ``torus_sup``).
 
-    With more than one chunk, the chunks are screened first by |p|^2 =
-    sum_g |q_g|^2 + sum_(g<h) 2 Re(w^(k . (beta_g - beta_h)) q_g q_h*):
-    one real product A @ B per chunk.  A's rows hold 1 and the real and
-    imaginary parts of the table entries at k . (beta_g - beta_h) mod M,
-    gathered by exact integer index; B, built once, holds the rows
-    sum_g |q_g|^2, 2 Re(q_g q_h*) and -2 Im(q_g q_h*).  That costs m =
-    1 + G(G - 1) real multiply-adds per point for G groups, (M/h)
-    M^(d-1) screened points in all, with no complex product and no
-    modulus.  |p| is then evaluated exactly, by ``_chunk_max`` as the
-    plain stream does, only on the chunks whose screened maximum lies
-    within the margin below of the largest, chunk boundaries unchanged;
-    so the result is the float the plain stream returns.
+    One table of M roots serves the batch.  A polynomial whose streamed
+    rows fit in one chunk is evaluated together with the others of the
+    same arity, number of groups and streamed rows: their Q and W are
+    gathered as stacks, each polynomial's Q rows summed in its own term
+    order, and one stacked product W @ Q runs per sub-batch of at most
+    _LATTICE_BLOCK values.  A stacked product makes the same BLAS call
+    per member, of the same shape, as the member's own product would,
+    so each polynomial gets the float it gets in a batch of one.
+
+    A polynomial with more than one chunk runs on its own, and is
+    screened first by |p|^2 = sum_g |q_g|^2 + sum_(g<h) 2 Re(w^(k .
+    (beta_g - beta_h)) q_g q_h*): one real product A @ B per chunk.
+    A's rows hold 1 and the real and imaginary parts of the table
+    entries at k . (beta_g - beta_h) mod M, gathered by exact integer
+    index; B, built once, holds the rows sum_g |q_g|^2, 2 Re(q_g q_h*)
+    and -2 Im(q_g q_h*).  That costs m = 1 + G(G - 1) real multiply-adds
+    per point for G groups, (M/h) M^(d-1) screened points in all, with
+    no complex product and no modulus.  |p| is then evaluated exactly,
+    by ``_chunk_max`` as the plain stream does, only on the chunks
+    whose screened maximum lies within the margin below of the largest,
+    chunk boundaries unchanged; so the result is the float the plain
+    stream returns.
 
     Why the margin suffices.  Scale Q by 2^e, exactly, so that the
     merged sum S = sum_alpha |c_alpha| lies in [1/2, 1): no square in B
@@ -325,65 +351,118 @@ def _lattice_max(terms: dict, d: int, M: int) -> float:
     so chunks k_0 and k_0 + M/2 hold equal exact values): it selects
     each tied chunk, and the result is still the stream's.
 
-    Whatever d, each product, W, A and B hold at most max(_LATTICE_BLOCK,
-    M, groups) values, and Q one row of at most max(M,
-    sqrt(_LATTICE_BLOCK)) values per group; the screen's product is
-    one chunk of reals.
+    Memory, whatever d: for one polynomial, each product, W, A and B
+    hold at most max(_LATTICE_BLOCK, M, groups) values, Q one row of at
+    most max(M, sqrt(_LATTICE_BLOCK)) values per group, and the screen's
+    A and product at most one block of reals, however many chunks A
+    spans.  A sub-batch of several polynomials holds at most
+    _LATTICE_BLOCK values in each of its stacked W, Q and product: a
+    batch of one-chunk polynomials stays within the block that one
+    polynomial of many chunks uses.
     """
     roots = np.exp(2j * np.pi * np.arange(M) / M)
-    # The block takes the last axis (none when d = 1), then more trailing
-    # axes while it stays within sqrt(_LATTICE_BLOCK) points: W and Q
-    # then stay small next to the product, which runs fastest that way.
-    t = min(d - 1, 1)
-    while t < d - 1 and M ** (t + 1) <= math.isqrt(_LATTICE_BLOCK):
-        t += 1
-    s = d - t
-    groups = {}
-    for alpha in terms:
-        groups.setdefault(alpha[:s], len(groups))
+    best = [0.0] * len(polys)
+    stacks = {}
+    for index, terms in enumerate(polys):
+        if not terms:
+            continue
+        d = len(next(iter(terms)))
+        # The block takes the last axis (none when d = 1), then more trailing
+        # axes while it stays within sqrt(_LATTICE_BLOCK) points: W and Q
+        # then stay small next to the product, which runs fastest that way.
+        t = min(d - 1, 1)
+        while t < d - 1 and M ** (t + 1) <= math.isqrt(_LATTICE_BLOCK):
+            t += 1
+        s = d - t
+        groups = {}
+        for alpha in terms:
+            groups.setdefault(alpha[:s], len(groups))
+        degrees = [sum(alpha) for alpha in terms]
+        h = math.gcd(M, *(degree - degrees[0] for degree in degrees))
+        streamed = M // h * M ** (s - 1)
+        rows = max(1, _LATTICE_BLOCK // max(len(groups), M**t))
+        if streamed <= rows:
+            stacks.setdefault((s, t, len(groups), streamed), []).append((index, terms, groups))
+        else:
+            best[index] = _stream(roots, terms, groups, s, streamed, rows)
+    for (s, t, G, streamed), members in stacks.items():
+        # A member's W, Q and product each hold at most this many values.
+        size = max(streamed, G) * max(G, M**t)
+        step = max(1, _LATTICE_BLOCK // size)
+        for first in range(0, len(members), step):
+            part = members[first : first + step]
+            q = _q_rows(roots, [(terms, groups) for _, terms, groups in part], s)
+            beta = np.array([list(groups) for _, _, groups in part], dtype=np.int64)
+            tops = _chunk_max(roots, beta, q, 0, streamed).tolist()
+            for (index, _, _), top in zip(part, tops):
+                best[index] = max(0.0, top)
+    return best
 
+
+def _q_rows(roots: np.ndarray, members: list, s: int) -> np.ndarray:
+    """Q of each (terms, groups) member of one arity d and G groups,
+    stacked (members, G, M^t) with t = d - s: row g adds, to zeros and in
+    term order, each term of group g as its coefficient times w^(k_s
+    alpha_s) ... w^(k_(d-1) alpha_(d-1)) on the block, multiplied in axis
+    order.  Terms are taken in parts of at most _LATTICE_BLOCK values."""
+    M, G = len(roots), len(members[0][1])
+    t = len(next(iter(members[0][0]))) - s
+    coeffs = np.array([c for terms, _ in members for c in terms.values()], dtype=np.complex128)
+    alphas = np.array([a[s:] for terms, _ in members for a in terms], dtype=np.int64)
+    alphas = alphas.reshape(len(coeffs), t)
+    owner = np.repeat(np.arange(len(members)), [len(terms) for terms, _ in members])
+    group = np.array([groups[a[:s]] for terms, groups in members for a in terms])
+    q = np.zeros((len(members), G, M**t), dtype=np.complex128)
     k = np.arange(M)
-    q = np.zeros((len(groups), M**t), dtype=np.complex128)
-    for alpha, coeff in terms.items():
-        row = np.array([coeff])
-        for a in alpha[s:]:
-            row = np.multiply.outer(row, roots[k * a % M]).ravel()
-        q[groups[alpha[:s]]] += row
+    step = max(1, _LATTICE_BLOCK // M**t)
+    for first in range(0, len(coeffs), step):
+        part = slice(first, first + step)
+        row = coeffs[part, None]
+        for a in alphas[part].T:
+            row = (row[:, :, None] * roots[a[:, None] * k % M][:, None, :]).reshape(len(row), -1)
+        # Unbuffered and in index order, so a group's terms add in term order.
+        np.add.at(q, (owner[part], group[part]), row)
+    return q
 
+
+def _stream(roots, terms: dict, groups: dict, s: int, streamed: int, rows: int) -> float:
+    """max |p| of one polynomial of ``_lattice_max`` whose streamed rows
+    span more than one chunk: screened when it can be, then streamed."""
+    d = len(next(iter(terms)))
+    q = _q_rows(roots, [(terms, groups)], s)[0]
     beta = np.array(list(groups), dtype=np.int64)
-    degrees = [sum(alpha) for alpha in terms]
-    h = math.gcd(M, *(degree - degrees[0] for degree in degrees))
-    streamed = M // h * M ** (s - 1)
-    rows = max(1, _LATTICE_BLOCK // max(q.shape))
     chunks = [(start, min(start + rows, streamed)) for start in range(0, streamed, rows)]
     width = 1 + len(groups) * (len(groups) - 1)
     total = math.fsum(abs(coeff) for coeff in terms.values())
     if (
-        len(chunks) > 1
-        and width * max(rows, q.shape[1]) <= _LATTICE_BLOCK
+        width * max(rows, q.shape[1]) <= _LATTICE_BLOCK
         and math.isfinite(2 * total)
         and np.linalg.matrix_rank(np.subtract(list(terms), next(iter(terms)))) == d
     ):
         chunks = _screen(roots, beta, q, chunks, total, d + len(terms))
     best = 0.0
     for start, stop in chunks:
-        best = max(best, _chunk_max(roots, beta, q, start, stop))
+        best = max(best, float(_chunk_max(roots, beta, q, start, stop)))
     return best
 
 
-def _chunk_max(roots: np.ndarray, beta: np.ndarray, q: np.ndarray, start: int, stop: int) -> float:
-    """max |p| over the streamed rows start..stop - 1 of ``_lattice_max``."""
+def _chunk_max(roots: np.ndarray, beta: np.ndarray, q: np.ndarray, start: int, stop: int):
+    """max |p| over the streamed rows start..stop - 1 of ``_lattice_max``:
+    a scalar for one polynomial (beta (G, s), q (G, M^t)), an array for
+    a stack of them (beta (K, G, s), q (K, G, M^t))."""
     M = len(roots)
-    ks = np.unravel_index(np.arange(start, stop), (M,) * beta.shape[1])
-    w = roots[np.outer(ks[0], beta[:, 0]) % M]
-    for i in range(1, beta.shape[1]):
-        w = w * roots[np.outer(ks[i], beta[:, i]) % M]
-    return float(np.abs(w @ q).max())
+    ks = np.unravel_index(np.arange(start, stop), (M,) * beta.shape[-1])
+    w = roots[ks[0][:, None] * beta[..., None, :, 0] % M]
+    for i in range(1, beta.shape[-1]):
+        w = w * roots[ks[i][:, None] * beta[..., None, :, i] % M]
+    return np.abs(w @ q).max(axis=(-2, -1))
 
 
 def _screen(roots, beta, q, chunks, total: float, count: int) -> list:
     """The chunks of ``_lattice_max`` whose screened maximum of |p|^2 lies
-    within the margin of the largest; ``count`` is d + n."""
+    within the margin of the largest; ``count`` is d + n.  A is gathered
+    for as many consecutive chunks as fit in one block and sliced per
+    chunk, so each product is one chunk of reals."""
     M, s = len(roots), beta.shape[1]
     e = -math.frexp(total)[1]
     qr, qi = np.ldexp(q.real, e), np.ldexp(q.imag, e)
@@ -394,13 +473,16 @@ def _screen(roots, beta, q, chunks, total: float, count: int) -> list:
     b[1::2] = 2 * (qr[g] * qr[h] + qi[g] * qi[h])
     b[2::2] = 2 * (qr[g] * qi[h] - qi[g] * qr[h])
     steps = (beta[g] - beta[h]).T
+    per = max(1, _LATTICE_BLOCK // ((chunks[0][1] - chunks[0][0]) * len(b)))
     tops = []
-    for start, stop in chunks:
-        ks = np.stack(np.unravel_index(np.arange(start, stop), (M,) * s), axis=1)
-        a = np.empty((stop - start, len(b)))
+    for first in range(0, len(chunks), per):
+        run = chunks[first : first + per]
+        base = run[0][0]
+        ks = np.stack(np.unravel_index(np.arange(base, run[-1][1]), (M,) * s), axis=1)
+        a = np.empty((len(ks), len(b)))
         a[:, 0] = 1.0
         a[:, 1:] = roots[ks @ steps % M].view(np.float64)
-        tops.append(float((a @ b).max()))
+        tops += [float((a[start - base : stop - base] @ b).max()) for start, stop in run]
     u = 2.0**-53
     scaled = math.ldexp(total, e)
     rho = 32 * count * (u * scaled + math.ldexp(1.0, e - 1074))
@@ -536,11 +618,13 @@ def vn_search(
     Trials run in chunks whose stacks stay within the size cap: a chunk
     draws its tuples and polynomials, checks its tuples as
     ``ContractionTuple`` would and takes every ||p(S)|| in one stacked
-    SVD; then each case gets its ``torus_sup`` and ``vn_check``'s
-    verdict rule.  The result equals the one-trial-at-a-time route's
-    (``vn_check`` per case) bit for bit.  An arity past DEGREE_CAP // 3
-    and a lattice past the caps of ``torus_sup`` are refused before any
-    trial is drawn.
+    SVD; then one ``_lattice_max`` call evaluates the lattices of all
+    its polynomials, and each case gets ``vn_check``'s verdict rule.
+    The extra cases, whatever their arity, join the last chunk's call.
+    The result equals the one-trial-at-a-time route's (``vn_check`` per
+    case) bit for bit.  An arity past DEGREE_CAP // 3 and a lattice
+    past the caps of ``torus_sup`` are refused before any trial is
+    drawn, each extra case's lattice after its ||p(S)||.
     """
     if d < 1:
         raise InputError(f"d must be >= 1, got {d}")
@@ -559,54 +643,66 @@ def vn_search(
         raise InputError(f"seed must be nonnegative, got {seed}")
     _check_lattice(M, d)
     extra_cases = list(extra_cases)
+    extras = []
+    for index, (tup, poly) in enumerate(extra_cases):
+        extras.append(("fixture", index, op_norm(eval_poly(tup, poly)), poly))
+        _check_lattice(M, poly.d)
 
-    def cases():
-        """(kind, index, lhs, poly) of every case, in order."""
-        # A trial's largest share of a chunk is its d members' four powers.
-        for part in _batches(trials, 4 * d * dim * dim):
-            indices = range(trials)[part]
-            rngs = [np.random.default_rng(seed + index) for index in indices]
-            stack = _commuting_stack(rngs, d, dim)
-            polys = [_random_polynomial(rng, d) for rng in rngs]
-            _require_contractions(stack, 1e-9)
-            # Every member's powers at once: a trial's own route forms the
-            # same products, and the powers it would not form go unused.
-            top = max((max(alpha) for poly in polys for alpha in poly.terms), default=0)
-            powers = [_powers(stack[:, i], range(top + 1)) for i in range(d)]
-            values = _op_norms(
-                np.stack(
-                    [_poly_matrix([p[:, k] for p in powers], poly) for k, poly in enumerate(polys)]
-                )
+    def drawn(indices):
+        """(kind, index, lhs, poly) of the trials ``indices``; their stacks
+        are freed before their lattices are evaluated."""
+        rngs = [np.random.default_rng(seed + index) for index in indices]
+        stack = _commuting_stack(rngs, d, dim)
+        polys = [_random_polynomial(rng, d) for rng in rngs]
+        _require_contractions(stack, 1e-9)
+        # Every member's powers at once: a trial's own route forms the
+        # same products, and the powers it would not form go unused.
+        top = max((max(alpha) for poly in polys for alpha in poly.terms), default=0)
+        powers = [_powers(stack[:, i], range(top + 1)) for i in range(d)]
+        values = _op_norms(
+            np.stack(
+                [_poly_matrix([p[:, k] for p in powers], poly) for k, poly in enumerate(polys)]
             )
-            for index, lhs, poly in zip(indices, values.tolist(), polys):
-                yield "random", index, lhs, poly
-        for index, (tup, poly) in enumerate(extra_cases):
-            yield "fixture", index, op_norm(eval_poly(tup, poly)), poly
+        )
+        return [("random", *case) for case in zip(indices, values.tolist(), polys)]
+
+    def calls():
+        """The cases of each lattice call, in order: a chunk of trials
+        each, the extra cases joining the last."""
+        # A trial's largest share of a chunk is its d members' four powers.
+        parts = _batches(trials, 4 * d * dim * dim)
+        for part in parts:
+            cases = drawn(range(trials)[part])
+            yield cases + extras if part is parts[-1] else cases
+        if not parts:
+            yield extras
 
     max_ratio = 0.0
     violations = []
     reports = []
-    for kind, index, lhs, poly in cases():
-        grid_sup, pad, sup_upper = torus_sup(poly, M)
-        report = VnReport(lhs, grid_sup, pad, sup_upper, _verdict(lhs, grid_sup, sup_upper, tol))
-        if grid_sup > 0:
-            max_ratio = max(max_ratio, lhs / grid_sup)
-        reports.append({"kind": kind, "index": index, "report": report.to_json()})
-        if report.verdict == "VIOLATED":
-            if kind == "fixture":
-                tup = extra_cases[index][0]
-            else:
-                # Drawn again from its seed: bit-identical to its stack member.
-                tup = _random_commuting_tuple(np.random.default_rng(seed + index), d, dim)
-            violations.append(
-                {
-                    "kind": kind,
-                    "index": index,
-                    "tuple": tup.to_json(),
-                    "polynomial": poly.to_json(),
-                    "report": report.to_json(),
-                }
-            )
+    for cases in calls():
+        sups = _torus_sups([poly for *_, poly in cases], M)
+        for (kind, index, lhs, poly), (grid_sup, pad, sup_upper) in zip(cases, sups):
+            verdict = _verdict(lhs, grid_sup, sup_upper, tol)
+            report = VnReport(lhs, grid_sup, pad, sup_upper, verdict)
+            if grid_sup > 0:
+                max_ratio = max(max_ratio, lhs / grid_sup)
+            reports.append({"kind": kind, "index": index, "report": report.to_json()})
+            if report.verdict == "VIOLATED":
+                if kind == "fixture":
+                    tup = extra_cases[index][0]
+                else:
+                    # Drawn again from its seed: bit-identical to its stack member.
+                    tup = _random_commuting_tuple(np.random.default_rng(seed + index), d, dim)
+                violations.append(
+                    {
+                        "kind": kind,
+                        "index": index,
+                        "tuple": tup.to_json(),
+                        "polynomial": poly.to_json(),
+                        "report": report.to_json(),
+                    }
+                )
     return {
         "d": d,
         "dim": dim,

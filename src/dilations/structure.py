@@ -108,8 +108,9 @@ def _class_deviations(measures: dict, picks: np.ndarray) -> dict:
     multiplicity of block k.  These are exact, by the identities of the
     module docstring, as the grid motion m -> m + t (mod 1) is a bijection.
     """
-    held, counts = np.unique(picks, return_counts=True)
-    weights = np.sqrt(counts)[:, None]
+    counts = np.bincount(picks, minlength=len(measures["is_isometry"]))
+    held = np.flatnonzero(counts)
+    weights = np.sqrt(counts[held])[:, None]
     out = {flag: float(measures[flag][held].max()) for flag in ("is_isometry", "is_unitary")}
     out["is_entrywise_nonneg"] = max(0.0, float(measures["is_entrywise_nonneg"][held].max()))
     for flag in ("preserves_unity", "adjoint_preserves_unity"):

@@ -313,6 +313,69 @@ def merged_cases(draw):
     return terms, d, M, 2 ** draw(st.integers(6, 8))
 
 
+@st.composite
+def merged_batches(draw):
+    """(batch, M, block): 0-7 polynomials of arity 1-3 with exponents
+    reduced mod M, as ``torus_sup`` merges them, plus one empty one (a
+    polynomial merged to nothing) at a drawn place, and a lattice block
+    small enough that some of them span many chunks."""
+    M = draw(st.sampled_from([2, 3, 4, 6, 8, 16, 32]))
+    coeff = st.complex_numbers(max_magnitude=1e300, allow_nan=False, allow_infinity=False)
+    batch = []
+    for _ in range(draw(st.integers(0, 7))):
+        exponent = st.tuples(*[st.integers(0, M - 1)] * draw(st.integers(1, 3)))
+        batch.append(draw(st.dictionaries(exponent, coeff, min_size=1, max_size=5)))
+    batch.insert(draw(st.integers(0, len(batch))), {})
+    return batch, M, 2 ** draw(st.integers(6, 12))
+
+
+# At M = 16: two homogeneous pairs (2 groups, one streamed row), two
+# pairs of degrees 0 and 3 (2 groups, h = 1), a one-term polynomial, a
+# d = 1 and a d = 3 one, the empty one, and three terms in one group
+# whose sum at k = 0 is 1 in term order and 1 + 2u in reverse order.
+MIXED_BATCH = [
+    {(0, 0): 1.0, (0, 1): 1e-16, (0, 2): 1e-16},
+    {(0, 1): 1 - 1j, (1, 0): 0.5},
+    {(0, 0): 2j, (1, 2): -1.0},
+    {(3, 2): 0.25 + 1j, (2, 3): -0.75},
+    {},
+    {(4, 4): 1.5},
+    {(0, 0): -0.3, (2, 1): 0.8 + 0.1j},
+    {(1,): 1.0, (9,): -0.5},
+    {(1, 1, 1): 1 - 0.5j, (2, 0, 1): 0.3 + 1j, (0, 3, 0): -0.8},
+]
+
+
+class TestLatticeBatch:
+    @given(merged_batches())
+    @example((MIXED_BATCH, 16, 2**6))
+    @example((MIXED_BATCH, 16, 2**12))
+    def test_matches_the_plain_stream(self, case):
+        batch, M, block = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dilations.dilation, "_LATTICE_BLOCK", block)
+            got = _lattice_max(batch, M)
+        want = [
+            reference_lattice_max(terms, len(next(iter(terms))), M, block) if terms else 0.0
+            for terms in batch
+        ]
+        assert got == want
+
+    @pytest.mark.parametrize("block, products", [(2**16, 1), (2**10, 4)])
+    def test_stacks_polynomials_of_one_shape(self, monkeypatch, block, products):
+        # Thirteen d = 2 polynomials of 2 groups at M = 16, degrees 0 and 3
+        # or 5 (h = 1): 16 x 16 values each, all in one product, or in
+        # products of 4, 4, 4 and 1 within a block of 2^10 values.
+        rng = np.random.default_rng(5)
+        coeffs = rng.standard_normal((13, 2)) + 1j * rng.standard_normal((13, 2))
+        batch = [{(0, 0): a, (k % 2 * 2 + 1, 2): b} for k, (a, b) in enumerate(coeffs.tolist())]
+        monkeypatch.setattr(dilations.dilation, "_LATTICE_BLOCK", block)
+        calls = chunk_calls(monkeypatch)
+        got = _lattice_max(batch, 16)
+        assert len(calls) == products
+        assert got == [reference_lattice_max(terms, 2, 16, block) for terms in batch]
+
+
 class TestLatticeScreen:
     @given(merged_cases())
     # A tie mod M: full rank, every exponent difference on axis 0 even, so
@@ -330,14 +393,14 @@ class TestLatticeScreen:
         terms, d, M, block = case
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dilations.dilation, "_LATTICE_BLOCK", block)
-            assert _lattice_max(terms, d, M) == reference_lattice_max(terms, d, M, block)
+            assert _lattice_max([terms], M) == [reference_lattice_max(terms, d, M, block)]
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_screen_skips_most_chunks(self, monkeypatch, seed):
         rng = np.random.default_rng(seed)
         terms = {a: complex(*rng.standard_normal(2)) for a in BENCH_ALPHAS}
         calls = chunk_calls(monkeypatch)
-        grid_sup = _lattice_max(terms, 3, 256)
+        grid_sup = _lattice_max([terms], 256)[0]
         # 256^3 points in chunks of 2^16: 256 chunks, of which a few are evaluated.
         assert 1 <= len(calls) <= 4
         assert grid_sup == reference_lattice_max(terms, 3, 256, _LATTICE_BLOCK)
@@ -352,7 +415,7 @@ class TestLatticeScreen:
             raise AssertionError("screened a rank-deficient polynomial")
 
         monkeypatch.setattr(dilations.dilation, "_screen", no_screen)
-        grid_sup = _lattice_max(terms, 3, 128)
+        grid_sup = _lattice_max([terms], 128)[0]
         assert len(calls) == 128**3 // _LATTICE_BLOCK
         assert grid_sup == reference_lattice_max(terms, 3, 128, _LATTICE_BLOCK)
 
@@ -417,16 +480,23 @@ class TestVnSearch:
         assert out["violations"][0]["kind"] == "fixture"
 
     def test_verdicts_match_reference_route(self, monkeypatch):
-        # Criterion 9's configuration on 200 trials.
-        def run():
-            return [
-                vn_search(d=d, dim=4, trials=200, seed=20_260_000 + d, M=64)["reports"]
-                for d in (1, 2)
-            ]
+        # Criterion 9's configuration on 200 trials.  The reference search
+        # checks each case with vn_check, whose torus_sup is replaced here
+        # by the per-term lattice loop.
+        configs = [dict(d=d, dim=4, trials=200, seed=20_260_000 + d, M=64) for d in (1, 2)]
+        library = [vn_search(**args)["reports"] for args in configs]
+        calls = []
 
-        library = run()
-        monkeypatch.setattr(dilations.dilation, "torus_sup", reference_torus_sup)
-        reference = run()
+        def per_case(poly, M):
+            calls.append(poly)
+            return reference_torus_sup(poly, M)
+
+        monkeypatch.setattr(dilations.dilation, "torus_sup", per_case)
+        reference = []
+        for args in configs:
+            calls.clear()
+            reference.append(reference_vn_search(**args)["reports"])
+            assert len(calls) == args["trials"]
         for lib_reports, ref_reports in zip(library, reference):
             lib = [(r["report"]["verdict"], r["report"]["lhs"]) for r in lib_reports]
             ref = [(r["report"]["verdict"], r["report"]["lhs"]) for r in ref_reports]
@@ -443,6 +513,28 @@ class TestVnSearch:
         out = vn_search(**args)
         assert [v["kind"] for v in out["violations"]] == ["fixture"]
         assert json.dumps(out) == json.dumps(reference_vn_search(**args))
+
+    def test_extra_case_of_another_arity_matches_reference_route(self):
+        # The fixture has arity 3 in a d = 2 search, and joins the last
+        # chunk's lattice call.  At M = 32 its lattice streams 32 rows of 4
+        # groups in one chunk, as do those of trials 2 and 18, but over
+        # two leading axes instead of one: a stack keyed without the
+        # arity would mix them.
+        args = dict(d=2, dim=4, trials=20, seed=70, M=32, extra_cases=[load_crabb_davie()])
+        out = vn_search(**args)
+        assert out["reports"][-1]["kind"] == "fixture"
+        assert json.dumps(out) == json.dumps(reference_vn_search(**args))
+
+    def test_search_memory(self):
+        # The per-case route (one torus_sup per case) peaked at 2 373 424
+        # bytes on a second run of this search, after one untraced run;
+        # batching the lattices may add one block of complex values at most.
+        def search():
+            return vn_search(d=2, dim=4, trials=500, seed=1, M=64)
+
+        search()
+        _, peak = traced_peak(search)
+        assert peak <= 2_373_424 + 16 * _LATTICE_BLOCK
 
     @pytest.mark.parametrize("d, dim", [(1, 1), (2, 4), (3, 2)])
     def test_violating_trials_match_reference_route(self, d, dim):

@@ -290,10 +290,8 @@ def bscr(n_grid, trace_text):
     """Exhaustive commutation-relation check on the grid; optional trace CSV."""
     if n_grid < 1:
         raise InputError(f"N must be >= 1, got {n_grid}")
-    worst = 0.0
-    for s_num in range(2 * n_grid):
-        for t_num in range(2 * n_grid):
-            worst = max(worst, bscr_check(n_grid, s_num, t_num))
+    nums = np.arange(2 * n_grid)
+    worst = bscr_check(n_grid, nums[:, None], nums)
     code = EXIT_OK if worst == 0.0 else EXIT_CHECK_FAILED
     if trace_text is None:
         report = {"config": {"command": "bscr", "N": n_grid}, "max_deviation": worst}

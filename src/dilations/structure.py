@@ -22,9 +22,9 @@ norm); the entries of T are those of the blocks plus zeros, which change
 neither the most negative real part (clamped at 0) nor the largest
 imaginary part; and ||T 1 - 1|| and ||T* 1 - 1|| are the 2-norms of the
 stacked block residuals, P being an isometry.  ``preservation_suite``
-measures every class this way once per distinct block of the grid forms
-(at most 2^d per time), and folds the measures of each time by their
-multiplicities, without assembling T(t).
+measures the flags of the classes the base holds this way, once per
+distinct block of the grid forms (at most 2^d per time), and folds the
+measures of each time by their multiplicities, without assembling T(t).
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ _CLASSES = {
     "entrywise_nonneg": ("is_entrywise_nonneg",),
     "bimarkov": ("is_entrywise_nonneg", "preserves_unity", "adjoint_preserves_unity"),
 }
+_FLAGS = frozenset(flag for flags in _CLASSES.values() for flag in flags)
 
 
 @dataclass(frozen=True)
@@ -78,28 +79,35 @@ class StructureReport:
         return {"flags": dict(self.flags), "deviations": dict(self.deviations)}
 
 
-def _block_measures(blocks: np.ndarray) -> dict:
-    """Per block of a stack, what ``_class_deviations`` folds: ||B*B - 1||,
-    the larger of that and ||BB* - 1||, max(-min Re B, max |Im B|), and
-    the unity residuals B 1 - 1 and B* 1 - 1, keyed by flag."""
+def _block_measures(blocks: np.ndarray, flags=_FLAGS) -> dict:
+    """Per block of a stack, what ``_class_deviations`` folds for the flags
+    in ``flags`` (by default every flag of ``_CLASSES``), keyed by flag:
+    ||B*B - 1||, the larger of that and ||BB* - 1||, max(-min Re B,
+    max |Im B|), and the unity residuals B 1 - 1 and B* 1 - 1.  A flag not
+    asked for is not measured; the unitary flag also keeps ||B*B - 1||.
+    """
     ones = np.ones(blocks.shape[-1], dtype=np.complex128)
     adjoints = blocks.conj().swapaxes(-1, -2)
-    isometry = _isometry_deviations(blocks)
-    return {
-        "is_isometry": isometry,
-        "is_unitary": np.maximum(isometry, _isometry_deviations(adjoints)),
-        "is_entrywise_nonneg": np.maximum(
+    out = {}
+    if "is_isometry" in flags or "is_unitary" in flags:
+        out["is_isometry"] = _isometry_deviations(blocks)
+    if "is_entrywise_nonneg" in flags:
+        out["is_entrywise_nonneg"] = np.maximum(
             -blocks.real.min(axis=(-2, -1)), np.abs(blocks.imag).max(axis=(-2, -1))
-        ),
-        "preserves_unity": blocks @ ones - ones,
-        "adjoint_preserves_unity": adjoints @ ones - ones,
-    }
+        )
+    if "preserves_unity" in flags:
+        out["preserves_unity"] = blocks @ ones - ones
+    if "is_unitary" in flags:
+        out["is_unitary"] = np.maximum(out["is_isometry"], _isometry_deviations(adjoints))
+    if "adjoint_preserves_unity" in flags:
+        out["adjoint_preserves_unity"] = adjoints @ ones - ones
+    return out
 
 
 def _class_deviations(measures: dict, picks: np.ndarray) -> dict:
     """Deviations of the class flags of T = P diag(B), the diagonal holding
     block picks[m] of ``measures`` (``_block_measures``) at position m and
-    P a permutation of the block positions.
+    P a permutation of the block positions; one per flag of ``measures``.
 
     The flags are those of ``_CLASSES``: isometry max ||B*B - 1||, unitary
     that or max ||BB* - 1|| if larger, entrywise nonnegativity
@@ -108,13 +116,17 @@ def _class_deviations(measures: dict, picks: np.ndarray) -> dict:
     multiplicity of block k.  These are exact, by the identities of the
     module docstring, as the grid motion m -> m + t (mod 1) is a bijection.
     """
-    counts = np.bincount(picks, minlength=len(measures["is_isometry"]))
+    counts = np.bincount(picks)
     held = np.flatnonzero(counts)
     weights = np.sqrt(counts[held])[:, None]
-    out = {flag: float(measures[flag][held].max()) for flag in ("is_isometry", "is_unitary")}
-    out["is_entrywise_nonneg"] = max(0.0, float(measures["is_entrywise_nonneg"][held].max()))
-    for flag in ("preserves_unity", "adjoint_preserves_unity"):
-        out[flag] = float(np.linalg.norm(weights * measures[flag][held]))
+    out = {}
+    for flag, values in measures.items():
+        if flag in ("preserves_unity", "adjoint_preserves_unity"):
+            out[flag] = float(np.linalg.norm(weights * values[held]))
+        else:
+            out[flag] = float(values[held].max())
+    if "is_entrywise_nonneg" in out:
+        out["is_entrywise_nonneg"] = max(0.0, out["is_entrywise_nonneg"])
     return out
 
 
@@ -158,14 +170,17 @@ def preservation_suite(
 
     For each class held by every base operator, every evaluation must be
     in the class; the converse spot-check inspects t = e_i, whose
-    evaluation is the identity tensor S_i.
+    evaluation must be the identity tensor S_i, and so carry its classes.
 
-    No evaluation is assembled: the exponent rows of every time and unit
-    time come from one ``_grid_forms`` call and are deduplicated once,
-    each distinct block is built and measured once, and each time folds
-    its blocks' measures by their multiplicities, as the module docstring
-    shows.  The time list, and the grid forms it
-    stands for, are capped at len(times) N^d dim^2 block entries.
+    The base is classified by one ``_block_measures`` of the stacked S_i.
+    No evaluation is assembled: the grid forms of every time and unit time
+    come from one ``_grid_forms`` call.  When a class is held, the rows of
+    the times are deduplicated once, each distinct block is built and
+    measured once for the held classes' flags, and each time folds its
+    blocks' measures by their multiplicities, as the module docstring
+    shows.  The converse is checked in integers.  The time list, and the
+    grid forms it stands for, are capped at len(times) N^d dim^2 block
+    entries.
     """
     semi = DiscretizedSemigroup(tup, N)
     d, dim = tup.d, tup.dim
@@ -173,49 +188,42 @@ def preservation_suite(
     _check_cap(count * N**d * dim, dim)
     if times is None:
         times = [GridTime(N, nums) for nums in itertools.product(range(2 * N), repeat=d)]
-    base_reports = [structure_report(m, tol=tol) for m in tup.mats]
-    base_holds = {cls: all(r.holds(cls) for r in base_reports) for cls in _CLASSES}
-
-    held = [cls for cls, holds in base_holds.items() if holds]
-    results = {
-        cls: {"base_holds": holds, "preserved": True if holds else None, "max_deviation": 0.0}
-        for cls, holds in base_holds.items()
-    }
-    # The converse spot-check reads the unit times e_i, whose evaluation is
-    # 1 tensor S_i; the other times are measured only for a held class.
     for t in times:
         _check_time(semi, t)  # the report lists every time, held class or not
-    units = [GridTime(N, tuple(N if j == i else 0 for j in range(d))) for i in range(d)]
-    measured = (list(times) if held else []) + units
-    exponents = _grid_forms(semi, [t.nums for t in measured])[1]
-    rows, picks = _distinct_rows(exponents.reshape(-1, d))
-    picks = picks.reshape(len(measured), N**d)
-    measures = _block_measures(_blocks(tup.mats, rows))
 
     def holds(deviations: dict, cls: str) -> bool:
         return all(deviations[flag] <= tol for flag in _CLASSES[cls])
 
-    for time_picks in picks[:-d]:
-        deviations = _class_deviations(measures, time_picks)
-        for cls in held:
-            entry = results[cls]
-            entry["preserved"] = entry["preserved"] and holds(deviations, cls)
-            entry["max_deviation"] = max(
-                entry["max_deviation"], *(deviations[flag] for flag in _CLASSES[cls])
-            )
+    base = _block_measures(np.stack(tup.mats))
+    axes = [_class_deviations(base, np.array([i])) for i in range(d)]
+    held = [cls for cls in _CLASSES if all(holds(axis, cls) for axis in axes)]
+    results = {
+        cls: {"base_holds": cls in held, "preserved": True if cls in held else None,
+              "max_deviation": 0.0}
+        for cls in _CLASSES
+    }
 
-    # The unit time's evaluation must carry exactly the isometry, unitary
-    # and nonnegativity classes of S_i.
-    converse = [
-        {
-            "axis": i + 1,
-            "matches": all(
-                holds(lifted, cls) == base_reports[i].holds(cls)
-                for cls in ("isometry", "unitary", "entrywise_nonneg")
-            ),
-        }
-        for i, lifted in enumerate(_class_deviations(measures, row) for row in picks[-d:])
-    ]
+    units = [tuple(N * (j == i) for j in range(d)) for i in range(d)]
+    targets, exponents = _grid_forms(semi, ([t.nums for t in times] if held else []) + units)
+    if held:
+        rows, picks = _distinct_rows(exponents[:-d].reshape(-1, d))
+        flags = {flag for cls in held for flag in _CLASSES[cls]}
+        measures = _block_measures(_blocks(tup.mats, rows), flags)
+        for time_picks in picks.reshape(len(times), N**d):
+            deviations = _class_deviations(measures, time_picks)
+            for cls in held:
+                entry = results[cls]
+                entry["preserved"] = entry["preserved"] and holds(deviations, cls)
+                entry["max_deviation"] = max(
+                    entry["max_deviation"], *(deviations[flag] for flag in _CLASSES[cls])
+                )
+
+    # T(e_i) is 1 tensor S_i exactly when its grid motion is the identity
+    # and every exponent row is e_i.
+    exact = (targets[-d:] == np.arange(N**d)).all(axis=1) & (
+        exponents[-d:] == np.eye(d, dtype=np.int64)[:, None, :]
+    ).all(axis=(1, 2))
+    converse = [{"axis": i + 1, "matches": bool(ok)} for i, ok in enumerate(exact)]
 
     passed = all(
         entry["preserved"] is not False for entry in results.values()

@@ -16,14 +16,13 @@ this fixes the Kronecker factor order everywhere downstream.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .linalg import InputError, _check_cap
+from .linalg import InputError, _batches, _check_cap
 
 __all__ = [
     "GridTime",
@@ -121,34 +120,47 @@ def _grid_motion(N: int, frac_nums: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return moved % N @ strides, moved >= N
 
 
-@functools.lru_cache(maxsize=1024)
 def _keep(N: int, frac_num: int) -> np.ndarray:
-    """Diagonal of P(frac_num/N) as a read-only mask: the points that do not
-    carry.  Memoised: the exhaustive ``bscr`` check reads each mask ~4N times."""
-    keep = ~GridTime(N, (frac_num,)).motion()[1][:, 0]
-    keep.flags.writeable = False
-    return keep
+    """Diagonal of P(frac_num/N) as a mask: the points that do not carry."""
+    return ~GridTime(N, (frac_num,)).motion()[1][:, 0]
 
 
-def _q_diagonal(N: int, s_num: int, t_num: int, keep_t: np.ndarray) -> np.ndarray:
-    """Diagonal of Q(s,t), the right-hand branch operator of the relation (d=1):
-    1 - (P(t) - P(s+t)) where frac(s) + frac(t) < 1, else P(s+t) - P(t)."""
-    return int((s_num % N) + (t_num % N) < N) - keep_t + _keep(N, (s_num + t_num) % N)
+def _q_diagonal(keep: np.ndarray, s_frac: np.ndarray, t_frac: np.ndarray) -> np.ndarray:
+    """Diagonals of Q(s,t), the right-hand branch operator of the relation
+    (d=1), for pairs of fractional numerators, keep[k] the diagonal of
+    P(k/N): 1 - (P(t) - P(s+t)) where frac(s) + frac(t) < 1, else P(s+t) - P(t)."""
+    N = len(keep)
+    branch = (s_frac + t_frac < N).astype(np.int8)[:, None]
+    return branch - keep[t_frac] + keep[(s_frac + t_frac) % N]
 
 
-def bscr_check(N: int, s_num: int, t_num: int) -> float:
+def bscr_check(N: int, s_num, t_num) -> float:
     """Max-entry deviation of P(s)U(t) from U(t)Q(s,t); exactly 0 on the grid.
 
     U(t) sends basis vector m to targets[m] and P(s), Q(s,t) are
     diagonal, so both sides hold one entry per column, at row targets[m]:
     keep_s[targets[m]] on the left and Q(s,t)[m, m] on the right.
+
+    ``s_num`` and ``t_num`` broadcast as integer arrays; the result is the
+    largest deviation over their pairs.  The relation reads s and t only
+    mod N, so each distinct pair (s mod N, t mod N) is compared once, from
+    one grid motion of the N fractional times, in chunks within the cap.
     """
-    if s_num < 0 or t_num < 0:
+    s_num, t_num = np.asarray(s_num), np.asarray(t_num)
+    if (s_num < 0).any() or (t_num < 0).any():
         raise InputError("grid numerators must be nonnegative")
-    _check_cap(N, N)  # admitted as the dense N x N relation; N entries are held
-    targets, carries_t = GridTime(N, (t_num,)).motion()
-    q = _q_diagonal(N, s_num, t_num, ~carries_t[:, 0])
-    return float(np.abs(_keep(N, s_num % N)[targets] - q).max())
+    _check_cap(N, N)  # admitted as the dense N x N relation; the motion table is N x N
+    pairs = np.zeros((N, N), dtype=bool)
+    pairs[s_num % N, t_num % N] = True
+    s_frac, t_frac = np.nonzero(pairs)
+    targets, carries = _grid_motion(N, np.arange(N)[:, None])
+    keep = ~carries[..., 0]
+    worst = 0
+    for part in _batches(len(s_frac), N):
+        s, t = s_frac[part], t_frac[part]
+        deviation = keep[s[:, None], targets[t]] - _q_diagonal(keep, s, t)
+        worst = max(worst, np.abs(deviation).max())
+    return float(worst)
 
 
 def bscr_trace(N: int, s_num: int, t_num: int, f) -> list[tuple[float, complex]]:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import time
 import tracemalloc
 
 import click
@@ -99,6 +100,17 @@ class TestBscr:
         payload = json.loads(out.read_text())
         assert payload["max_deviation"] == 0.0
         assert payload["passed"] is True
+
+    def test_large_grid_is_one_batched_check(self, runner, tmp_path):
+        # N=256 is 262 144 pairs of 256 points, compared as its 65 536
+        # fractional pairs in chunks within the default cap.
+        out = tmp_path / "bscr.json"
+        start = time.perf_counter()
+        result = runner.invoke(main, ["bscr", "--N", "256", "--out", str(out)])
+        elapsed = time.perf_counter() - start
+        assert result.exit_code == 0
+        assert json.loads(out.read_text())["max_deviation"] == 0.0
+        assert elapsed < 5.0, elapsed
 
     def test_trace_csv(self, runner, tmp_path):
         out = tmp_path / "trace.csv"

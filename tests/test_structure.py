@@ -12,6 +12,7 @@ from dilations.dilation import _random_commuting_tuple
 from dilations.interpolation import DiscretizedSemigroup, _blocks, _grid_form, eval_discretized
 from dilations.linalg import InputError, identity
 from dilations.structure import (
+    _CLASSES,
     _block_measures,
     _class_deviations,
     preservation_suite,
@@ -167,8 +168,8 @@ class TestPreservationSuite:
 
     def test_measures_each_distinct_block_once(self, monkeypatch):
         # One _blocks call per run, on the distinct exponent rows of every
-        # time and converse unit time; those blocks are measured in one
-        # stack, next to one single-block stack per base report.
+        # time, measured in one stack next to the one stack of the base.
+        # The converse unit times are checked in integers and build no block.
         import dilations.structure as structure
 
         built, measured = [], []
@@ -178,9 +179,9 @@ class TestPreservationSuite:
             built.append(exponents.copy())
             return blocks(mats, exponents)
 
-        def tracked_measures(stack):
+        def tracked_measures(stack, *flags):
             measured.append(len(stack))
-            return block_measures(stack)
+            return block_measures(stack, *flags)
 
         monkeypatch.setattr(structure, "_blocks", tracked_blocks)
         monkeypatch.setattr(structure, "_block_measures", tracked_measures)
@@ -192,14 +193,107 @@ class TestPreservationSuite:
             assert preservation_suite(tup, 2, tol=1e-9)["passed"]
             semi = DiscretizedSemigroup(tup, 2)
             times = [GridTime(2, nums) for nums in itertools.product(range(4), repeat=tup.d)]
-            units = [GridTime(2, tuple(2 * (j == i) for j in range(tup.d)))
-                     for i in range(tup.d)]
-            rows = np.concatenate([_grid_form(semi, t)[1] for t in times + units])
+            rows = np.concatenate([_grid_form(semi, t)[1] for t in times])
             distinct = np.unique(rows, axis=0)
             assert len(built) == 1
             np.testing.assert_array_equal(built[0], distinct)
             assert len(distinct) < len(rows)
-            assert measured == [1] * tup.d + [len(distinct)]
+            assert measured == [tup.d, len(distinct)]
+
+    def test_no_held_class_builds_no_block(self, monkeypatch):
+        import dilations.structure as structure
+
+        measured = []
+        block_measures = structure._block_measures
+
+        def tracked_measures(stack, *flags):
+            measured.append(len(stack))
+            return block_measures(stack, *flags)
+
+        monkeypatch.setattr(structure, "_blocks", None)
+        monkeypatch.setattr(structure, "_block_measures", tracked_measures)
+        tup = _random_commuting_tuple(np.random.default_rng(63), 2, 3)
+        out = preservation_suite(tup, 2, tol=1e-9)
+        assert not any(entry["base_holds"] for entry in out["classes"].values())
+        assert out["passed"]
+        assert measured == [2]
+
+    def test_bimarkov_runs_no_unitarity_svd_on_blocks(self, monkeypatch):
+        # Circulant tuples hold bi-Markov but not isometry: the SVDs of
+        # the unitarity flags run on the base stack and its adjoints only.
+        import dilations.structure as structure
+
+        seen = []
+        deviations = structure._isometry_deviations
+
+        def tracked(stack):
+            seen.append(stack.copy())
+            return deviations(stack)
+
+        monkeypatch.setattr(structure, "_isometry_deviations", tracked)
+        rng = np.random.default_rng(68)
+        for d, N, dim in ((1, 3, 4), (2, 2, 3)):
+            tup = random_circulant_bistochastic(rng, d, dim)
+            seen.clear()
+            out = preservation_suite(tup, N, tol=1e-9)
+            assert out["passed"]
+            assert out["classes"]["bimarkov"]["base_holds"]
+            assert not out["classes"]["isometry"]["base_holds"]
+            base = np.stack(tup.mats)
+            assert len(seen) == 2
+            np.testing.assert_array_equal(seen[0], base)
+            np.testing.assert_array_equal(seen[1], base.conj().swapaxes(-1, -2))
+
+    def test_block_measures_takes_only_the_asked_flags(self):
+        rng = np.random.default_rng(69)
+        stack = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        every = _block_measures(stack)
+        assert _block_measures(stack, ()) == {}
+        for cls, flags in _CLASSES.items():
+            some = _block_measures(stack, set(flags))
+            assert set(flags) <= set(some) <= set(flags) | {"is_isometry"}, cls
+            for flag, values in some.items():
+                np.testing.assert_array_equal(values, every[flag])
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_corrupted_unit_time_row_fails_its_converse(self, monkeypatch, axis):
+        # A mutant grid form at the unit time e_i, one row off by one on
+        # axis i: S_i^2 at one point, which a unitary base would still
+        # classify as unitary.  The integer converse catches it on axis i only.
+        import dilations.structure as structure
+
+        grid_forms = structure._grid_forms
+
+        def mutant(semi, nums):
+            targets, exponents = grid_forms(semi, nums)
+            unit = tuple(semi.N * (j == axis) for j in range(semi.base.d))
+            for k, row in enumerate(nums):
+                if tuple(row) == unit:
+                    exponents[k, 0, axis] += 1
+            return targets, exponents
+
+        monkeypatch.setattr(structure, "_grid_forms", mutant)
+        tup = random_commuting_unitaries(np.random.default_rng(70), 2, 2)
+        out = preservation_suite(tup, 2, tol=1e-9)
+        assert [item["matches"] for item in out["converse_unit_times"]] == [
+            i != axis for i in range(2)
+        ]
+        assert not out["passed"]
+
+    def test_shuffled_unit_time_targets_fail_their_converse(self, monkeypatch):
+        import dilations.structure as structure
+
+        grid_forms = structure._grid_forms
+
+        def mutant(semi, nums):
+            targets, exponents = grid_forms(semi, nums)
+            targets[-1] = np.roll(targets[-1], 1)
+            return targets, exponents
+
+        monkeypatch.setattr(structure, "_grid_forms", mutant)
+        tup = random_commuting_unitaries(np.random.default_rng(71), 2, 2)
+        out = preservation_suite(tup, 2, tol=1e-9)
+        assert [item["matches"] for item in out["converse_unit_times"]] == [True, False]
 
     def test_holds_blocks_not_dense_evaluations(self):
         # total_dim 1024: one dense evaluation is 16 MiB, a grid form two

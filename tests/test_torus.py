@@ -1,12 +1,15 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given
+from click.testing import CliRunner
 from hypothesis import strategies as st
 
 from dilations import torus
+from dilations.cli import main
 from dilations.linalg import InputError, identity
 from dilations.torus import GridTime, bscr_check, bscr_trace, trace_to_csv_rows
 from unbatched_reference import (
@@ -162,14 +165,12 @@ class TestProjector:
         for k in range(1, 4):
             assert int(self.keep(4, k).sum()) == 4 - k
 
-
-    def test_memoised_mask_is_read_only(self):
-        # bscr shares one memoised mask per (N, frac) between its checks.
-        keep = torus._keep(4, 1)
-        assert torus._keep(4, 1) is keep
-        np.testing.assert_array_equal(keep, self.keep(4, 1))
-        with pytest.raises(ValueError):
-            keep[0] = False
+    def test_keep_is_the_projector_diagonal(self):
+        for N in (1, 2, 5):
+            for k in range(3 * N):
+                keep = torus._keep(N, k)
+                np.testing.assert_array_equal(keep, np.arange(N) < N - k % N)
+                np.testing.assert_array_equal(np.diag(keep), reference_projector_p(N, k).real)
 
 
 class TestBscr:
@@ -197,13 +198,46 @@ class TestBscr:
                     got = bscr_check(N, s_num, t_num)
                     assert got == reference_bscr_check(N, s_num, t_num), (N, s_num, t_num)
 
+    @pytest.mark.parametrize("N", range(1, 9))
+    def test_array_call_matches_dense_reference(self, N):
+        nums = np.arange(2 * N)
+        expected = max(reference_bscr_check(N, s, t) for s in nums for t in nums)
+        assert bscr_check(N, nums[:, None], nums) == expected == 0.0
+
+    def test_reads_times_mod_n(self):
+        # Numerators past 2N, and repeated pairs, reduce to the same
+        # fractional pairs.
+        s_num = np.array([0, 3, 7, 40, 41, 1000])
+        t_num = np.array([[5], [13], [99]])
+        assert bscr_check(4, s_num, t_num) == 0.0
+        with pytest.raises(InputError):
+            bscr_check(4, s_num, -t_num)
+
+    def test_chunks_within_the_cap(self, monkeypatch):
+        # At a cap of N^2 entries each chunk holds N pairs of N entries, so
+        # all N^2 fractional pairs take N chunks and give the same 0.0.
+        chunks = []
+        q_diagonal = torus._q_diagonal
+
+        def tracked(keep, s_frac, t_frac):
+            chunks.append(len(s_frac))
+            return q_diagonal(keep, s_frac, t_frac)
+
+        monkeypatch.setattr(torus, "_q_diagonal", tracked)
+        monkeypatch.setenv("DILATIONS_MAX_ENTRIES", "64")
+        nums = np.arange(16)
+        assert bscr_check(8, nums[:, None], nums) == 0.0
+        assert chunks == [8] * 8
+
     def test_wrong_branch_is_caught(self, monkeypatch):
         """Mutant check: Q(s,t) with the branch taken at frac(s)+frac(t) <= 1
-        instead of < 1 gives a nonzero deviation on some pair."""
+        instead of < 1 gives a nonzero deviation on some pair, through the
+        one-pair call, the array call, chunked or not, and ``bscr``."""
 
-        def mutant(N, s_num, t_num, keep_t):
-            branch = (s_num % N) + (t_num % N) <= N
-            return int(branch) - keep_t + torus._keep(N, (s_num + t_num) % N)
+        def mutant(keep, s_frac, t_frac):
+            N = len(keep)
+            branch = (s_frac + t_frac <= N).astype(np.int8)[:, None]
+            return branch - keep[t_frac] + keep[(s_frac + t_frac) % N]
 
         monkeypatch.setattr(torus, "_q_diagonal", mutant)
         worst = max(
@@ -213,6 +247,14 @@ class TestBscr:
             for t_num in range(2 * N)
         )
         assert worst == 1.0
+        nums = np.arange(8)
+        assert bscr_check(4, nums[:, None], nums) == 1.0
+        monkeypatch.setenv("DILATIONS_MAX_ENTRIES", "16")
+        assert bscr_check(4, nums[:, None], nums) == 1.0
+        monkeypatch.delenv("DILATIONS_MAX_ENTRIES")
+        result = CliRunner().invoke(main, ["bscr", "--N", "4"])
+        assert result.exit_code == 1
+        assert json.loads(result.output)["max_deviation"] == 1.0
 
     def test_cap_admits_the_dense_relation_size(self, monkeypatch):
         monkeypatch.setenv("DILATIONS_MAX_ENTRIES", "64")

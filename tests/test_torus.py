@@ -249,8 +249,10 @@ class TestBscr:
         assert worst == 1.0
         nums = np.arange(8)
         assert bscr_check(4, nums[:, None], nums) == 1.0
+        # At a cap of 16 the pairs run 4 to a chunk, and the one wrong
+        # pair (1, 3) sits in the first of two.
         monkeypatch.setenv("DILATIONS_MAX_ENTRIES", "16")
-        assert bscr_check(4, nums[:, None], nums) == 1.0
+        assert bscr_check(4, np.array([[1], [2], [3]]), np.array([0, 3])) == 1.0
         monkeypatch.delenv("DILATIONS_MAX_ENTRIES")
         result = CliRunner().invoke(main, ["bscr", "--N", "4"])
         assert result.exit_code == 1

@@ -215,36 +215,22 @@ def torus_sup(poly: MultiPolynomial, M: int) -> tuple[float, float, float]:
     pad bounds the modulus change over half a grid step per axis via
     the angular gradient bound sum_j sum_alpha |c_alpha| alpha_j.
 
-    The lattice is evaluated separably, p(w^k) = sum_alpha c_alpha
-    prod_i w^(k_i alpha_i) with w = exp(2 pi i / M): each factor is
-    read from one table of the M-th roots at the exact integer index
-    k_i alpha_i mod M, after terms whose exponents agree mod M are
-    merged.  Only one point per rotation orbit is evaluated: with h =
-    gcd(M, |alpha| - |alpha_0| over the merged terms), which is M for a
-    homogeneous p, adding M/h to every k_i multiplies every term by the
-    same unimodular factor, so |p| is constant on the orbits of that
-    shift, and each orbit meets the slab k_0 < M/h.  That costs (M/h)
-    M^(d-1) multiply-adds per group of terms sharing their leading
-    exponents, M^(d-1) for a homogeneous p.  When the slab spans more
-    than one block, a real screen of |p|^2 first picks the blocks that
-    can hold the maximum, and only those are evaluated.  This is the
-    one-polynomial call of ``_lattice_max``, which ``vn_search`` calls
-    on a batch of polynomials and which returns each the same float.
-    Apart from the table of M roots (capped at ``max_entries()``), no
-    array outgrows a block of the lattice, so for d >= 2 none holds M^d
-    values.
+    |p(w^k)|, w = exp(2 pi i / M), depends on k only through D k mod M,
+    where D holds the rows alpha - alpha_0: ``_image`` lists that image
+    exactly, as prod_i M/g_i points on r <= rank(D) axes, and
+    ``_lattice_max`` evaluates it separably from one table of M-th roots
+    at exact integer indices, here and in ``vn_search``'s batches alike.
 
     Rounding: each table entry is within 28u of its root (u = 2^-53;
     its angle 2 pi j / M carries up to four roundings and exp one
-    more), and each lattice value is a sum over the merged terms of a
-    coefficient times d table entries, with one rounding per product
+    more), and each image value is a sum over the merged terms of a
+    coefficient times r table entries, with one rounding per product
     and per addition.  A rounding errs by at most u times its result,
-    plus 2^-1075 where it underflows.  So every computed lattice value
-    is within rho = 32 (d + n) (u sum_alpha |c_alpha| + 2^-1074) of the
-    exact one, where n is the number of terms of p; the exact values
-    are constant on each orbit, so grid_sup is within rho of the exact
-    M^d lattice maximum.  ``_lattice_max`` relies on this bound to skip
-    the blocks that cannot hold that maximum.
+    plus 2^-1075 where it underflows.  So every computed value is within
+    32 (r + n) (u S + 2^-1074) <= rho = 32 (d + n) (u S + 2^-1074) of
+    the exact one, with S = sum_alpha |c_alpha| and n terms of p; the
+    exact image values are those of the M^d lattice, so grid_sup is
+    within rho of the exact M^d lattice maximum.
     """
     _check_lattice(M, poly.d)
     return _torus_sups([poly], M)[0]
@@ -253,21 +239,58 @@ def torus_sup(poly: MultiPolynomial, M: int) -> tuple[float, float, float]:
 def _torus_sups(polys: list, M: int) -> list:
     """``torus_sup`` of each polynomial, lattice caps unchecked, from one
     ``_lattice_max`` call."""
-    batch = []
-    for poly in polys:
-        merged = {}
-        for alpha, coeff in poly.terms.items():
-            key = tuple(a % M for a in alpha)
-            merged[key] = merged.get(key, 0) + coeff
-        batch.append(merged)
     sups = []
-    for poly, grid_sup in zip(polys, _lattice_max(batch, M)):
+    for poly, grid_sup in zip(polys, _lattice_max([_image(p.terms, M) for p in polys], M)):
         gradient_bound = sum(
             abs(coeff) * sum(alpha) for alpha, coeff in poly.terms.items()
         )
         pad = math.pi / M * gradient_bound
         sups.append((grid_sup, pad, grid_sup + pad))
     return sups
+
+
+def _image(terms: dict, M: int) -> tuple:
+    """(sizes, reduced): the values of p on the M^d lattice, up to a
+    common unimodular factor, as a polynomial on prod sizes points.
+
+    Unimodular row and column operations on Python ints bring D to a
+    diagonal form R D C = diag(s_i); column i of D C is s_i times column
+    i of R^-1.  With k = C j, D k = sum_i (D C)[:, i] j_i, and s_i j_i
+    mod M runs over the multiples g_i l_i of g_i = gcd(s_i, M), l_i <
+    M/g_i, each l a distinct point as R^-1 is invertible mod M.  So axis
+    i has size M/g_i (dropped at 1), term a gets exponent (D C)[a, i]
+    g_i / s_i mod M on it, and terms equal mod M merge in term order.
+    """
+    first = next(iter(terms), ())
+    dc = [[a - b for a, b in zip(alpha, first)] for alpha in terms]
+    diag = [row[:] for row in dc]
+    n, d, p = len(dc), len(first), 0
+    while p < min(n, d):
+        nonzero = [(abs(x), i, j) for i in range(p, n) for j in range(p, d) if (x := diag[i][j])]
+        if not nonzero:
+            break
+        # Move the smallest entry to (p, p), then reduce its row and column by it.
+        _, i, j = min(nonzero)
+        diag[p], diag[i] = diag[i], diag[p]
+        for row in diag + dc:
+            row[p], row[j] = row[j], row[p]
+        pivot = diag[p][p]
+        for row in diag[p + 1 :]:
+            quotient = row[p] // pivot
+            row[p:] = [x - quotient * y for x, y in zip(row[p:], diag[p][p:])]
+        for j in range(p + 1, d):
+            quotient = diag[p][j] // pivot
+            for row in diag + dc:
+                row[j] -= quotient * row[p]
+        # A nonzero remainder is smaller than the pivot and becomes the next one.
+        if not any(diag[p][p + 1 :]) and not any(row[p] for row in diag[p + 1 :]):
+            p += 1
+    axes = [(i, g) for i in range(p) if (g := math.gcd(diag[i][i], M)) < M]
+    reduced = {}
+    for row, coeff in zip(dc, terms.values()):
+        key = tuple(row[i] // diag[i][i] * g % M for i, g in axes)
+        reduced[key] = reduced.get(key, 0) + coeff
+    return tuple(M // g for _, g in axes), reduced
 
 
 # Most lattice points one product in ``_lattice_max`` evaluates, for one
@@ -278,53 +301,50 @@ _LATTICE_BLOCK = 2**16
 
 
 def _lattice_max(polys: list, M: int) -> list:
-    """max |p| over the M^d lattice of each polynomial of a batch, each a
-    dict from exponents already reduced mod M to coefficients (0.0 for
-    an empty one); arities may differ.
+    """max |p| over the lattice of each (sizes, terms) of a batch, as
+    ``_image`` gives them: the value at l, l_i < sizes_i, is sum_a c_a
+    prod_i w^(a_i l_i) with w = exp(2 pi i / M), and an empty lattice is
+    its one value (0.0 with no terms).  Arities and sizes may differ.
 
-    The trailing t axes form a block of M^t points.  Each group of
-    terms that share their leading s = d - t exponents beta_g is summed
-    on the block once, as one row q_g of Q.  The leading axes are then
-    streamed in chunks of rows: the values on a chunk are W[rows,
-    groups] @ Q[groups, block], where W holds the leading factors
-    w^(k . beta_g) of each group (``_chunk_max``).  Only the rows with
-    k_0 < M/h are streamed, (M/h) M^(s-1) of them, where h = gcd(M,
-    |alpha| - |alpha_0| over the terms): adding M/h to every k_i
-    multiplies each term by w^((M/h) |alpha_0|), so each lattice point
-    has a streamed one of equal |p| (see ``torus_sup``).
+    The trailing t axes form a block.  Each group of terms that share
+    their leading s = r - t exponents beta_g is summed on the block once,
+    as one row q_g of Q.  The leading axes are then streamed in chunks of
+    rows: the values on a chunk are W[rows, groups] @ Q[groups, block],
+    where W holds the leading factors w^(l . beta_g) of each group
+    (``_chunk_max``).
 
-    One table of M roots serves the batch.  A polynomial whose streamed
-    rows fit in one chunk is evaluated together with the others of the
-    same arity, number of groups and streamed rows: their Q and W are
-    gathered as stacks, each polynomial's Q rows summed in its own term
-    order, and one stacked product W @ Q runs per sub-batch of at most
+    One table of M roots serves the batch.  A polynomial whose rows fit
+    in one chunk is evaluated together with the others of the same
+    sizes, split and number of groups: their Q and W are gathered as
+    stacks, each polynomial's Q rows summed in its own term order, and
+    one stacked product W @ Q runs per sub-batch of at most
     _LATTICE_BLOCK values.  A stacked product makes the same BLAS call
     per member, of the same shape, as the member's own product would,
     so each polynomial gets the float it gets in a batch of one.
 
     A polynomial with more than one chunk runs on its own, and is
-    screened first by |p|^2 = sum_g |q_g|^2 + sum_(g<h) 2 Re(w^(k .
+    screened first by |p|^2 = sum_g |q_g|^2 + sum_(g<h) 2 Re(w^(l .
     (beta_g - beta_h)) q_g q_h*): one real product A @ B per chunk.
     A's rows hold 1 and the real and imaginary parts of the table
-    entries at k . (beta_g - beta_h) mod M, gathered by exact integer
+    entries at l . (beta_g - beta_h) mod M, gathered by exact integer
     index; B, built once, holds the rows sum_g |q_g|^2, 2 Re(q_g q_h*)
     and -2 Im(q_g q_h*).  That costs m = 1 + G(G - 1) real multiply-adds
-    per point for G groups, (M/h) M^(d-1) screened points in all, with
-    no complex product and no modulus.  |p| is then evaluated exactly,
-    by ``_chunk_max`` as the plain stream does, only on the chunks
-    whose screened maximum lies within the margin below of the largest,
-    chunk boundaries unchanged; so the result is the float the plain
-    stream returns.
+    per point for G groups, with no complex product and no modulus.  |p|
+    is then evaluated exactly, by ``_chunk_max`` as the plain stream
+    does, only on the chunks whose screened maximum lies within the
+    margin below of the largest, chunk boundaries unchanged; so the
+    result is the float the plain stream returns.  The screen is left
+    out only when A or B would outgrow a block, or when 2 S overflows.
 
     Why the margin suffices.  Scale Q by 2^e, exactly, so that the
-    merged sum S = sum_alpha |c_alpha| lies in [1/2, 1): no square in B
-    overflows, and what underflows is below 2^-1074.  Let V(k) = |sum_g
-    w^(k . beta_g) q_g| with exact roots and the computed Q, so sum_g
-    |q_g| <= S + rho with rho = 32 (d + n) (u S + 2^-1074) (u = 2^-53, n
-    merged terms; the rounding term of ``torus_sup``, which also bounds
-    the stream's value E(k) within rho of V(k)).  With P = sum_g |q_g|^2
+    merged sum S = sum_a |c_a| lies in [1/2, 1): no square in B
+    overflows, and what underflows is below 2^-1074.  Let V(l) = |sum_g
+    w^(l . beta_g) q_g| with exact roots and the computed Q, so sum_g
+    |q_g| <= S + rho with rho = 32 (r + n) (u S + 2^-1074) (u = 2^-53,
+    n terms; the rounding term of ``torus_sup``, which also bounds the
+    stream's value E(l) within rho of V(l)).  With P = sum_g |q_g|^2
     and X = sum_(g<h) |q_g| |q_h|, so P + 2X = (sum_g |q_g|)^2 <= (S +
-    rho)^2, the screened value Y(k) errs from V(k)^2 by at most: (G + 2)
+    rho)^2, the screened value Y(l) errs from V(l)^2 by at most: (G + 2)
     u P in the row sum_g |q_g|^2; 8u |q_g| |q_h| per pair in B's two
     rows, each within 4u |q_g| |q_h| and met by table entries of modulus
     at most 1 + 28u; 56u |q_g| |q_h| per pair from the table entries,
@@ -341,129 +361,111 @@ def _lattice_max(polys: list, M: int) -> list:
     rho and E are 2^e times larger, so rho's 2^-1074 there reads 2^(e -
     1074).
 
-    The screen runs only when the exponent differences alpha - alpha_0
-    have rank d: below it, |p| is constant along an integer direction,
-    its maximum lies on lines that cross most chunks, and the screen
-    would select most of them at extra cost.  The rule picks the route,
-    never the result, so a float rank is enough.  Nor does it run when
-    A or B would outgrow a block, or when 2 S overflows.  Its worst
-    case is a tie mod M (say every exponent difference on axis 0 even,
-    so chunks k_0 and k_0 + M/2 hold equal exact values): it selects
-    each tied chunk, and the result is still the stream's.
-
-    Memory, whatever d: for one polynomial, each product, W, A and B
-    hold at most max(_LATTICE_BLOCK, M, groups) values, Q one row of at
-    most max(M, sqrt(_LATTICE_BLOCK)) values per group, and the screen's
-    A and product at most one block of reals, however many chunks A
-    spans.  A sub-batch of several polynomials holds at most
-    _LATTICE_BLOCK values in each of its stacked W, Q and product: a
-    batch of one-chunk polynomials stays within the block that one
-    polynomial of many chunks uses.
+    Memory, whatever the arity: for one polynomial, each product, W, A
+    and B hold at most max(_LATTICE_BLOCK, M, groups) values, Q one row
+    of at most max(M, sqrt(_LATTICE_BLOCK)) values per group, and the
+    screen's A and product at most one block of reals, however many
+    chunks A spans; a stacked sub-batch holds no more.
     """
     roots = np.exp(2j * np.pi * np.arange(M) / M)
     best = [0.0] * len(polys)
     stacks = {}
-    for index, terms in enumerate(polys):
-        if not terms:
+    for index, (sizes, terms) in enumerate(polys):
+        if not sizes:
+            best[index] = abs(terms.get((), 0.0))
             continue
-        d = len(next(iter(terms)))
-        # The block takes the last axis (none when d = 1), then more trailing
+        # The block takes the last axis (none when r = 1), then more trailing
         # axes while it stays within sqrt(_LATTICE_BLOCK) points: W and Q
         # then stay small next to the product, which runs fastest that way.
-        t = min(d - 1, 1)
-        while t < d - 1 and M ** (t + 1) <= math.isqrt(_LATTICE_BLOCK):
+        r = len(sizes)
+        t = min(r - 1, 1)
+        while t < r - 1 and math.prod(sizes[r - t - 1 :]) <= math.isqrt(_LATTICE_BLOCK):
             t += 1
-        s = d - t
+        s = r - t
         groups = {}
         for alpha in terms:
             groups.setdefault(alpha[:s], len(groups))
-        degrees = [sum(alpha) for alpha in terms]
-        h = math.gcd(M, *(degree - degrees[0] for degree in degrees))
-        streamed = M // h * M ** (s - 1)
-        rows = max(1, _LATTICE_BLOCK // max(len(groups), M**t))
-        if streamed <= rows:
-            stacks.setdefault((s, t, len(groups), streamed), []).append((index, terms, groups))
+        rows = max(1, _LATTICE_BLOCK // max(len(groups), math.prod(sizes[s:])))
+        if math.prod(sizes[:s]) <= rows:
+            stacks.setdefault((sizes, s, len(groups)), []).append((index, terms, groups))
         else:
-            best[index] = _stream(roots, terms, groups, s, streamed, rows)
-    for (s, t, G, streamed), members in stacks.items():
+            best[index] = _stream(roots, sizes, s, terms, groups, rows)
+    for (sizes, s, G), members in stacks.items():
+        streamed = math.prod(sizes[:s])
         # A member's W, Q and product each hold at most this many values.
-        size = max(streamed, G) * max(G, M**t)
+        size = max(streamed, G) * max(G, math.prod(sizes[s:]))
         step = max(1, _LATTICE_BLOCK // size)
         for first in range(0, len(members), step):
             part = members[first : first + step]
-            q = _q_rows(roots, [(terms, groups) for _, terms, groups in part], s)
+            q = _q_rows(roots, sizes, s, [(terms, groups) for _, terms, groups in part])
             beta = np.array([list(groups) for _, _, groups in part], dtype=np.int64)
-            tops = _chunk_max(roots, beta, q, 0, streamed).tolist()
+            tops = _chunk_max(roots, sizes[:s], beta, q, 0, streamed).tolist()
             for (index, _, _), top in zip(part, tops):
                 best[index] = max(0.0, top)
     return best
 
 
-def _q_rows(roots: np.ndarray, members: list, s: int) -> np.ndarray:
-    """Q of each (terms, groups) member of one arity d and G groups,
-    stacked (members, G, M^t) with t = d - s: row g adds, to zeros and in
-    term order, each term of group g as its coefficient times w^(k_s
-    alpha_s) ... w^(k_(d-1) alpha_(d-1)) on the block, multiplied in axis
-    order.  Terms are taken in parts of at most _LATTICE_BLOCK values."""
+def _q_rows(roots: np.ndarray, sizes: tuple, s: int, members: list) -> np.ndarray:
+    """Q of each (terms, groups) member of one sizes and G groups,
+    stacked (members, G, prod sizes[s:]): row g adds, to zeros and in
+    term order, each term of group g as its coefficient times w^(l_s
+    a_s) ... w^(l_(r-1) a_(r-1)) on the block, multiplied in axis order.
+    Terms are taken in parts of at most _LATTICE_BLOCK values."""
     M, G = len(roots), len(members[0][1])
-    t = len(next(iter(members[0][0]))) - s
     coeffs = np.array([c for terms, _ in members for c in terms.values()], dtype=np.complex128)
     alphas = np.array([a[s:] for terms, _ in members for a in terms], dtype=np.int64)
-    alphas = alphas.reshape(len(coeffs), t)
     owner = np.repeat(np.arange(len(members)), [len(terms) for terms, _ in members])
     group = np.array([groups[a[:s]] for terms, groups in members for a in terms])
-    q = np.zeros((len(members), G, M**t), dtype=np.complex128)
-    k = np.arange(M)
-    step = max(1, _LATTICE_BLOCK // M**t)
+    q = np.zeros((len(members), G, math.prod(sizes[s:])), dtype=np.complex128)
+    step = max(1, _LATTICE_BLOCK // q.shape[2])
     for first in range(0, len(coeffs), step):
         part = slice(first, first + step)
         row = coeffs[part, None]
-        for a in alphas[part].T:
-            row = (row[:, :, None] * roots[a[:, None] * k % M][:, None, :]).reshape(len(row), -1)
+        for a, size in zip(alphas[part].T, sizes[s:]):
+            factors = roots[a[:, None] * np.arange(size) % M]
+            row = (row[:, :, None] * factors[:, None, :]).reshape(len(row), -1)
         # Unbuffered and in index order, so a group's terms add in term order.
         np.add.at(q, (owner[part], group[part]), row)
     return q
 
 
-def _stream(roots, terms: dict, groups: dict, s: int, streamed: int, rows: int) -> float:
+def _stream(roots, sizes: tuple, s: int, terms: dict, groups: dict, rows: int) -> float:
     """max |p| of one polynomial of ``_lattice_max`` whose streamed rows
     span more than one chunk: screened when it can be, then streamed."""
-    d = len(next(iter(terms)))
-    q = _q_rows(roots, [(terms, groups)], s)[0]
+    q = _q_rows(roots, sizes, s, [(terms, groups)])[0]
     beta = np.array(list(groups), dtype=np.int64)
+    streamed = math.prod(sizes[:s])
     chunks = [(start, min(start + rows, streamed)) for start in range(0, streamed, rows)]
     width = 1 + len(groups) * (len(groups) - 1)
     total = math.fsum(abs(coeff) for coeff in terms.values())
-    if (
-        width * max(rows, q.shape[1]) <= _LATTICE_BLOCK
-        and math.isfinite(2 * total)
-        and np.linalg.matrix_rank(np.subtract(list(terms), next(iter(terms)))) == d
-    ):
-        chunks = _screen(roots, beta, q, chunks, total, d + len(terms))
+    if width * max(rows, q.shape[1]) <= _LATTICE_BLOCK and math.isfinite(2 * total):
+        chunks = _screen(roots, sizes[:s], beta, q, chunks, total, len(sizes) + len(terms))
     best = 0.0
     for start, stop in chunks:
-        best = max(best, float(_chunk_max(roots, beta, q, start, stop)))
+        best = max(best, float(_chunk_max(roots, sizes[:s], beta, q, start, stop)))
     return best
 
 
-def _chunk_max(roots: np.ndarray, beta: np.ndarray, q: np.ndarray, start: int, stop: int):
-    """max |p| over the streamed rows start..stop - 1 of ``_lattice_max``:
-    a scalar for one polynomial (beta (G, s), q (G, M^t)), an array for
-    a stack of them (beta (K, G, s), q (K, G, M^t))."""
+def _chunk_max(roots: np.ndarray, shape: tuple, beta, q, start: int, stop: int):
+    """max |p| over the streamed rows start..stop - 1 of ``_lattice_max``,
+    rows indexing the leading axes of sizes ``shape``: a scalar for one
+    polynomial (beta (G, s), q (G, block)), an array for a stack of them
+    (beta (K, G, s), q (K, G, block))."""
     M = len(roots)
-    ks = np.unravel_index(np.arange(start, stop), (M,) * beta.shape[-1])
+    ks = np.unravel_index(np.arange(start, stop), shape)
     w = roots[ks[0][:, None] * beta[..., None, :, 0] % M]
     for i in range(1, beta.shape[-1]):
         w = w * roots[ks[i][:, None] * beta[..., None, :, i] % M]
     return np.abs(w @ q).max(axis=(-2, -1))
 
 
-def _screen(roots, beta, q, chunks, total: float, count: int) -> list:
+def _screen(roots, shape: tuple, beta, q, chunks, total: float, count: int) -> list:
     """The chunks of ``_lattice_max`` whose screened maximum of |p|^2 lies
-    within the margin of the largest; ``count`` is d + n.  A is gathered
-    for as many consecutive chunks as fit in one block and sliced per
-    chunk, so each product is one chunk of reals."""
-    M, s = len(roots), beta.shape[1]
+    within the margin of the largest; ``shape`` holds the leading sizes
+    and ``count`` is r + n.  A is gathered for as many consecutive
+    chunks as fit in one block and sliced per chunk, so each product is
+    one chunk of reals."""
+    M = len(roots)
     e = -math.frexp(total)[1]
     qr, qi = np.ldexp(q.real, e), np.ldexp(q.imag, e)
     g, h = np.triu_indices(len(q), 1)
@@ -478,7 +480,7 @@ def _screen(roots, beta, q, chunks, total: float, count: int) -> list:
     for first in range(0, len(chunks), per):
         run = chunks[first : first + per]
         base = run[0][0]
-        ks = np.stack(np.unravel_index(np.arange(base, run[-1][1]), (M,) * s), axis=1)
+        ks = np.stack(np.unravel_index(np.arange(base, run[-1][1]), shape), axis=1)
         a = np.empty((len(ks), len(b)))
         a[:, 0] = 1.0
         a[:, 1:] = roots[ks @ steps % M].view(np.float64)

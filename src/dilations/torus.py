@@ -120,11 +120,6 @@ def _grid_motion(N: int, frac_nums: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return moved % N @ strides, moved >= N
 
 
-def _keep(N: int, frac_num: int) -> np.ndarray:
-    """Diagonal of P(frac_num/N) as a mask: the points that do not carry."""
-    return ~GridTime(N, (frac_num,)).motion()[1][:, 0]
-
-
 def _q_diagonal(keep: np.ndarray, s_frac: np.ndarray, t_frac: np.ndarray) -> np.ndarray:
     """Diagonals of Q(s,t), the right-hand branch operator of the relation
     (d=1), for pairs of fractional numerators, keep[k] the diagonal of
@@ -172,8 +167,9 @@ def bscr_trace(N: int, s_num: int, t_num: int, f) -> list[tuple[float, complex]]
     vec = np.asarray(f, dtype=np.complex128).ravel()
     if vec.shape[0] != N:
         raise InputError(f"trace vector has length {vec.shape[0]}, expected {N}")
-    targets, _ = GridTime(N, (t_num,)).motion()
-    out = np.where(_keep(N, s_num % N)[targets], vec, 0.0)
+    # Row 0 moves by t; row 1's non-carrying points are the diagonal of P(s).
+    targets, carries = _grid_motion(N, np.array([[t_num % N], [s_num % N]]))
+    out = np.where(~carries[1, targets[0], 0], vec, 0.0)
     return [(2 * math.pi * m / N, complex(out[m])) for m in range(N)]
 
 

@@ -16,6 +16,7 @@ from dilations.dilation import (
     DEGREE_CAP,
     DilationCandidate,
     MultiPolynomial,
+    _image,
     _lattice_max,
     _random_commuting_tuple,
     egervary_dilation,
@@ -84,9 +85,8 @@ def orbit_exponents(d, M, shape):
     2 or 4, for 8 | M: 8 e_0, (8 + h) e_0, 7 e_0 + e_i for 0 < i < d - 1
     and 8 e_(d-1).  The degrees differ by 0 and h, and the maximisers are
     target + (M/h) c (1, ..., 1), plus (M/8) m e_(d-1) when d >= 2.  They
-    meet the slab k_0 < M/h only at k_0 = target_0 mod M/h, so they miss
-    k_0 < M/8 (the slab of an h read from axis d - 1 alone) when that
-    exceeds M/8, and k_0 = 0 (the slab of h = M) unless it is 0.
+    meet k_0 < M/h only at k_0 = target_0 mod M/h, so a lattice cut to
+    k_0 < M/8 or to k_0 = 0 misses them unless target_0 mod M/h is there.
     """
     eye = np.eye(d, dtype=int)
     if shape == "affine":
@@ -215,20 +215,32 @@ class TestTorusSup:
             torus_sup(p, 1025)
 
     @given(lattice_cases())
+    # Empty: ``_image`` has no term to take differences from.
     @example((MultiPolynomial(d=2, terms={}), 7))
+    # One term: no differences, so the image is one point.
     @example((MultiPolynomial(d=3, terms={(0, 0, 0): -0.5 + 2j}), 5))
+    @example((MultiPolynomial(d=3, terms={(2, 5, 1): 0.3 - 1j}), 7))
+    # Differences that all vanish mod M: arity 0, the terms merged into
+    # one coefficient (0 in the first case).
     @example((MultiPolynomial(d=1, terms={(0,): 1.0, (16,): -1.0}), 2))
-    # Homogeneous, so one point per diagonal orbit is evaluated.
+    @example((MultiPolynomial(d=1, terms={(1,): 1, (3,): 2}), 2))
+    # Homogeneous, so the differences have rank 2: M^2 image points.
     @example((load_crabb_davie()[1], 8))
     @example((load_crabb_davie()[1], 16))
     @example((load_crabb_davie()[1], 32))
-    # One term: h = M, and a single lattice row is streamed.
-    @example((MultiPolynomial(d=3, terms={(2, 5, 1): 0.3 - 1j}), 7))
-    # Exponents 8 apart at M = 16: h = 8, and |p| = 1.5 only at odd k.
+    # Exponents 8 apart at M = 16: one axis of size 2, and |p| = 1.5
+    # only at odd k.
     @example((MultiPolynomial(d=1, terms={(1,): 1.0, (9,): -0.5}), 16))
-    # h = 2 while axis 1's exponents are all multiples of 8: the maximum
-    # sits only off k_0 < 2 (see orbit_exponents).
+    # Full rank with a non-coprime invariant factor: s = (1, 2), so the
+    # 16^2 lattice takes its values on 16 x 8 = 128 image points.
+    @example((MultiPolynomial(d=2, terms={(0, 0): 1, (2, 0): 1, (1, 1): 1}), 16))
+    # Invariant factors 2 and 8: an 8 x 2 image, whose maximum sits only
+    # off k_0 < 2 (see orbit_exponents).
     @example((aligned_poly(16, [15, 15], orbit_exponents(2, 16, 2)[0]), 16))
+    # d = 3 at M = 12: rank 1 (one axis of 12), and rank 2 with
+    # invariant factors 1 and 6 (axes of 12 and 2).
+    @example((MultiPolynomial(d=3, terms={(0, 0, 0): 1, (1, 2, 3): -0.5j, (2, 4, 6): 0.25}), 12))
+    @example((MultiPolynomial(d=3, terms={(0, 0, 0): 1, (2, 2, 0): 0.5j, (3, 0, 3): -0.75}), 12))
     # Subnormal: the roundings underflow, so only the 2^-1074 part of the
     # bound covers them (|p| = sqrt(2) 2^-1074 reads 5e-324 and 1e-323).
     @example((MultiPolynomial(d=1, terms={(1,): 5e-324 + 5e-324j}), 3))
@@ -265,7 +277,7 @@ class TestTorusSup:
         # Each polynomial reaches its sup, its number of terms, only on the
         # lattice points orbit_exponents lists; elsewhere it stays below
         # |n - 1 + w|.  Past the affine case, h > 1 and the targets have
-        # k_0 >= M/h, outside the streamed slab: only their orbits reach it.
+        # k_0 >= M/h: a lattice cut to k_0 < M/h meets only their orbits.
         rng = np.random.default_rng(60)
         for shape in ["affine", "homogeneous"] + ([2, 4] if d <= 3 else []):
             exponents, h = orbit_exponents(d, M, shape)
@@ -283,7 +295,8 @@ class TestTorusSup:
         assert peak <= 5 * 2**20 + 16 * _LATTICE_BLOCK
 
 
-# The certify benchmark's d=3 exponents: full rank, and h = 1 at M = 256.
+# The certify benchmark's d=3 exponents: differences of full rank with
+# invariant factors 1, 1, 3, so their image at M = 256 is all 256^3 points.
 BENCH_ALPHAS = [(1, 1, 1), (2, 0, 1), (0, 3, 0), (1, 2, 3)]
 
 
@@ -292,57 +305,64 @@ def chunk_calls(monkeypatch):
     calls = []
     chunk_max = dilations.dilation._chunk_max
 
-    def counting(roots, beta, q, start, stop):
+    def counting(roots, shape, beta, q, start, stop):
         calls.append((start, stop))
-        return chunk_max(roots, beta, q, start, stop)
+        return chunk_max(roots, shape, beta, q, start, stop)
 
     monkeypatch.setattr(dilations.dilation, "_chunk_max", counting)
     return calls
 
 
 @st.composite
-def merged_cases(draw):
-    """(terms, d, M, block): a polynomial with exponents reduced mod M, as
-    ``torus_sup`` merges them, and a lattice block small enough that an
-    M <= 32 lattice spans many chunks."""
-    d = draw(st.integers(1, 3))
-    M = draw(st.sampled_from([2, 3, 4, 6, 8, 16, 32]))
-    exponent = st.tuples(*[st.integers(0, M - 1)] * d)
+def image_polys(draw, M, arities):
+    """(sizes, terms) in the form ``_image`` gives: per-axis sizes that
+    divide M, unequal ones included, and 1-5 terms whose exponent on an
+    axis of size m is a multiple of M/m below M."""
+    sizes = tuple(
+        draw(st.sampled_from([m for m in range(2, M + 1) if M % m == 0]))
+        for _ in range(draw(arities))
+    )
+    exponent = st.tuples(*[st.integers(0, m - 1).map(lambda x, m=m: x * (M // m)) for m in sizes])
     coeff = st.complex_numbers(max_magnitude=1e300, allow_nan=False, allow_infinity=False)
-    terms = draw(st.dictionaries(exponent, coeff, min_size=1, max_size=5))
-    return terms, d, M, 2 ** draw(st.integers(6, 8))
+    return sizes, draw(st.dictionaries(exponent, coeff, min_size=1, max_size=5))
+
+
+@st.composite
+def merged_cases(draw):
+    """(sizes, terms, M, block): a reduced polynomial of arity 1-3 and a
+    lattice block small enough that an M <= 32 lattice spans many chunks."""
+    M = draw(st.sampled_from([2, 3, 4, 6, 8, 16, 32]))
+    sizes, terms = draw(image_polys(M, st.integers(1, 3)))
+    return sizes, terms, M, 2 ** draw(st.integers(6, 8))
 
 
 @st.composite
 def merged_batches(draw):
-    """(batch, M, block): 0-7 polynomials of arity 1-3 with exponents
-    reduced mod M, as ``torus_sup`` merges them, plus one empty one (a
-    polynomial merged to nothing) at a drawn place, and a lattice block
-    small enough that some of them span many chunks."""
+    """(batch, M, block): 0-7 reduced polynomials of arity 0-3, plus one
+    empty one (a polynomial merged to nothing) at a drawn place, and a
+    lattice block small enough that some of them span many chunks."""
     M = draw(st.sampled_from([2, 3, 4, 6, 8, 16, 32]))
-    coeff = st.complex_numbers(max_magnitude=1e300, allow_nan=False, allow_infinity=False)
-    batch = []
-    for _ in range(draw(st.integers(0, 7))):
-        exponent = st.tuples(*[st.integers(0, M - 1)] * draw(st.integers(1, 3)))
-        batch.append(draw(st.dictionaries(exponent, coeff, min_size=1, max_size=5)))
-    batch.insert(draw(st.integers(0, len(batch))), {})
+    batch = [draw(image_polys(M, st.integers(0, 3))) for _ in range(draw(st.integers(0, 7)))]
+    batch.insert(draw(st.integers(0, len(batch))), ((), {}))
     return batch, M, 2 ** draw(st.integers(6, 12))
 
 
-# At M = 16: two homogeneous pairs (2 groups, one streamed row), two
-# pairs of degrees 0 and 3 (2 groups, h = 1), a one-term polynomial, a
-# d = 1 and a d = 3 one, the empty one, and three terms in one group
-# whose sum at k = 0 is 1 in term order and 1 + 2u in reverse order.
+# At M = 16: two pairs on a 16 x 16 lattice (2 groups, 16 streamed
+# rows), the same shape on 8 x 16 and 16 x 4 lattices, a one-term
+# polynomial, one of arity 0, a d = 1 and a d = 3 one, the empty one,
+# and three terms in one group whose sum at l = 0 is 1 in term order and
+# 1 + 2u in reverse order.
 MIXED_BATCH = [
-    {(0, 0): 1.0, (0, 1): 1e-16, (0, 2): 1e-16},
-    {(0, 1): 1 - 1j, (1, 0): 0.5},
-    {(0, 0): 2j, (1, 2): -1.0},
-    {(3, 2): 0.25 + 1j, (2, 3): -0.75},
-    {},
-    {(4, 4): 1.5},
-    {(0, 0): -0.3, (2, 1): 0.8 + 0.1j},
-    {(1,): 1.0, (9,): -0.5},
-    {(1, 1, 1): 1 - 0.5j, (2, 0, 1): 0.3 + 1j, (0, 3, 0): -0.8},
+    ((16, 16), {(0, 0): 1.0, (0, 1): 1e-16, (0, 2): 1e-16}),
+    ((16, 16), {(0, 1): 1 - 1j, (1, 0): 0.5}),
+    ((16, 16), {(0, 0): 2j, (1, 2): -1.0}),
+    ((8, 16), {(6, 2): 0.25 + 1j, (2, 3): -0.75}),
+    ((16, 4), {(0, 0): -0.3, (2, 4): 0.8 + 0.1j}),
+    ((), {}),
+    ((16, 16), {(4, 4): 1.5}),
+    ((), {(): -0.5 + 2j}),
+    ((2,), {(0,): 1.0, (8,): -0.5}),
+    ((16, 16, 16), {(1, 1, 1): 1 - 0.5j, (2, 0, 1): 0.3 + 1j, (0, 3, 0): -0.8}),
 ]
 
 
@@ -355,69 +375,70 @@ class TestLatticeBatch:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dilations.dilation, "_LATTICE_BLOCK", block)
             got = _lattice_max(batch, M)
-        want = [
-            reference_lattice_max(terms, len(next(iter(terms))), M, block) if terms else 0.0
-            for terms in batch
-        ]
-        assert got == want
+        assert got == [reference_lattice_max(sizes, terms, M, block) for sizes, terms in batch]
 
     @pytest.mark.parametrize("block, products", [(2**16, 1), (2**10, 4)])
     def test_stacks_polynomials_of_one_shape(self, monkeypatch, block, products):
-        # Thirteen d = 2 polynomials of 2 groups at M = 16, degrees 0 and 3
-        # or 5 (h = 1): 16 x 16 values each, all in one product, or in
-        # products of 4, 4, 4 and 1 within a block of 2^10 values.
+        # Thirteen polynomials of 2 groups on the 16 x 16 lattice: 16 x 16
+        # values each, all in one product, or in products of 4, 4, 4 and 1
+        # within a block of 2^10 values.
         rng = np.random.default_rng(5)
         coeffs = rng.standard_normal((13, 2)) + 1j * rng.standard_normal((13, 2))
-        batch = [{(0, 0): a, (k % 2 * 2 + 1, 2): b} for k, (a, b) in enumerate(coeffs.tolist())]
+        batch = [
+            ((16, 16), {(0, 0): a, (k % 2 * 2 + 1, 2): b})
+            for k, (a, b) in enumerate(coeffs.tolist())
+        ]
         monkeypatch.setattr(dilations.dilation, "_LATTICE_BLOCK", block)
         calls = chunk_calls(monkeypatch)
         got = _lattice_max(batch, 16)
         assert len(calls) == products
-        assert got == [reference_lattice_max(terms, 2, 16, block) for terms in batch]
+        assert got == [reference_lattice_max(*poly, 16, block) for poly in batch]
 
 
 class TestLatticeScreen:
     @given(merged_cases())
-    # A tie mod M: full rank, every exponent difference on axis 0 even, so
-    # chunks k_0 and k_0 + M/2 hold equal exact values.  With no margin the
-    # screen keeps the one whose computed maximum is an ulp lower.
-    @example(({(0, 1): -1 - 1j, (4, 1): -2 + 2j, (6, 2): -1}, 2, 32, 2**8))
-    # Rank 2 < d: the plain stream.
-    @example(({(0, 0, 0): 1.5, (1, 1, 0): -1j, (2, 0, 1): 0.5 + 0.5j}, 3, 16, 2**8))
+    # A tie: every exponent on axis 0 even on a full 32 x 32 lattice, so
+    # chunks l_0 and l_0 + 16 hold equal exact values (``_image`` would
+    # halve that axis).  With no margin the screen keeps the one whose
+    # computed maximum is an ulp lower.
+    @example(((32, 32), {(0, 1): -1 - 1j, (4, 1): -2 + 2j, (6, 2): -1}, 32, 2**8))
+    # Unequal sizes, the leading one streamed in chunks.
+    @example(((16, 4, 8), {(0, 0, 0): 1.5, (1, 4, 0): -1j, (2, 0, 2): 0.5 + 0.5j}, 16, 2**6))
     # Coefficients near 1e300, whose squares would overflow unscaled.
-    @example(({(0, 1): 1e300, (2, 0): -3e300j, (1, 3): 2e300 + 1e300j}, 2, 32, 2**8))
+    @example(((32, 32), {(0, 1): 1e300, (2, 0): -3e300j, (1, 3): 2e300 + 1e300j}, 32, 2**8))
     # Subnormal coefficients, whose squares would underflow unscaled.
-    @example(({(0, 1): 5e-324, (2, 0): -1.5e-323j, (1, 3): 1e-322 + 5e-324j}, 2, 32, 2**8))
-    @example((dict(zip(BENCH_ALPHAS, [1 - 0.5j, 0.3 + 1j, -0.8, 0.6 - 0.2j])), 3, 16, 2**8))
+    @example(((32, 32), {(0, 1): 5e-324, (2, 0): -1.5e-323j, (1, 3): 1e-322 + 5e-324j}, 32, 2**8))
+    @example(
+        ((16, 16, 16), dict(zip(BENCH_ALPHAS, [1 - 0.5j, 0.3 + 1j, -0.8, 0.6 - 0.2j])), 16, 2**8)
+    )
     def test_matches_the_plain_stream(self, case):
-        terms, d, M, block = case
+        sizes, terms, M, block = case
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dilations.dilation, "_LATTICE_BLOCK", block)
-            assert _lattice_max([terms], M) == [reference_lattice_max(terms, d, M, block)]
+            got = _lattice_max([(sizes, terms)], M)
+        assert got == [reference_lattice_max(sizes, terms, M, block)]
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_screen_skips_most_chunks(self, monkeypatch, seed):
         rng = np.random.default_rng(seed)
-        terms = {a: complex(*rng.standard_normal(2)) for a in BENCH_ALPHAS}
+        image = _image({a: complex(*rng.standard_normal(2)) for a in BENCH_ALPHAS}, 256)
+        assert image[0] == (256, 256, 256)
         calls = chunk_calls(monkeypatch)
-        grid_sup = _lattice_max([terms], 256)[0]
+        grid_sup = _lattice_max([image], 256)[0]
         # 256^3 points in chunks of 2^16: 256 chunks, of which a few are evaluated.
         assert 1 <= len(calls) <= 4
-        assert grid_sup == reference_lattice_max(terms, 3, 256, _LATTICE_BLOCK)
+        assert grid_sup == reference_lattice_max(*image, 256, _LATTICE_BLOCK)
 
-    def test_rank_deficient_streams_every_chunk(self, monkeypatch):
-        # Differences (1, 1, 0) and (2, 0, 1) have rank 2: |p| is constant
-        # along (1, -1, -2), so no screen runs.  Degrees 0, 2, 3 give h = 1.
-        terms = {(0, 0, 0): 1.0, (1, 1, 0): 0.5j, (2, 0, 1): -0.75}
+    def test_rank_deficient_lattice_is_its_image(self, monkeypatch):
+        # Differences (1, 1, 0) and (2, 0, 1) have rank 2 and invariant
+        # factors 1 and 1: the 128^3 lattice takes its values on 128^2
+        # image points, which one product evaluates.
+        poly = MultiPolynomial(d=3, terms={(0, 0, 0): 1.0, (1, 1, 0): 0.5j, (2, 0, 1): -0.75})
+        assert _image(poly.terms, 128)[0] == (128, 128)
         calls = chunk_calls(monkeypatch)
-
-        def no_screen(*args):
-            raise AssertionError("screened a rank-deficient polynomial")
-
-        monkeypatch.setattr(dilations.dilation, "_screen", no_screen)
-        grid_sup = _lattice_max([terms], 128)[0]
-        assert len(calls) == 128**3 // _LATTICE_BLOCK
-        assert grid_sup == reference_lattice_max(terms, 3, 128, _LATTICE_BLOCK)
+        grid_sup = torus_sup(poly, 128)[0]
+        assert calls == [(0, 128)]
+        assert abs(grid_sup - reference_torus_sup(poly, 128)[0]) <= 2 * rounding_bound(poly)
 
 
 class TestVnCheck:

@@ -1,0 +1,184 @@
+"""Checks that hold whatever route the lattice takes.
+
+``_image`` is checked by brute force: over every k of the M^d lattice,
+the vectors (k . (alpha - alpha_0) mod M)_alpha are exactly the vectors
+its reduced exponents take on its prod sizes points.  The verdict tests
+rest on facts of the mathematics, not on a reference route: a VIOLATED
+at one lattice size never meets a HOLDS at another, the lattice maximum
+does not depend on the order of the axes or on a rotation by M-th
+roots, and a doubly commuting tuple (Sz.-Nagy-Foias, *Harmonic Analysis
+of Operators on Hilbert Space*, ch. I 9) satisfies the inequality at any
+d.  Each of these changes the exponent differences, and so the reduced
+coordinates the lattice is evaluated in.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import random_contraction, random_unitary
+from dilations.dilation import (
+    DEGREE_CAP,
+    MultiPolynomial,
+    _image,
+    _random_commuting_tuple,
+    _random_polynomial,
+    torus_sup,
+    vn_check,
+)
+from dilations.fixtures import load_crabb_davie
+from dilations.interpolation import ContractionTuple
+from dilations.linalg import identity, kron
+from test_dilation import rounding_bound
+
+
+def lattice_codes(exponents, shape, M):
+    """The set of vectors (e . l mod M)_e over the rows e of ``exponents``
+    and the points l of a lattice of ``shape``, each vector as one int."""
+    points = np.indices(shape).reshape(len(shape), math.prod(shape)).T
+    rows = np.asarray(exponents, dtype=np.int64).reshape(len(exponents), len(shape))
+    values = points @ rows.T % M
+    return set((values @ M ** np.arange(values.shape[1], dtype=np.int64)).tolist())
+
+
+@st.composite
+def image_cases(draw):
+    """(terms, M): 0-6 terms of arity 1-3, exponents up to DEGREE_CAP."""
+    d = draw(st.integers(1, 3))
+    M = draw(st.sampled_from([2, 3, 4, 6, 8, 12, 16, 32]))
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        alpha, budget = [], DEGREE_CAP
+        for _ in range(d):
+            alpha.append(draw(st.integers(0, budget)))
+            budget -= alpha[-1]
+        terms[tuple(draw(st.permutations(alpha)))] = complex(draw(st.integers(-3, 3)), 1)
+    return terms, M
+
+
+@settings(max_examples=300, deadline=None)
+@given(image_cases())
+@example(({}, 4))
+# Arity 0: the differences vanish mod M.
+@example(({(1,): 1, (3,): 2}, 2))
+# Invariant factors 1 and 2: 16 x 8 = 128 points.
+@example(({(0, 0): 1, (2, 0): 1, (1, 1): 1}, 16))
+# Rank 1, and rank 2 with invariant factors 1 and 6 (12 x 2 points).
+@example(({(0, 0, 0): 1, (1, 2, 3): -0.5j, (2, 4, 6): 0.25}, 12))
+@example(({(0, 0, 0): 1, (2, 2, 0): 0.5j, (3, 0, 3): -0.75}, 12))
+# Full rank, determinant 275, prime to 32: all of the 32^3 lattice.
+@example(({(5, 0, 0): 1, (0, 5, 0): 1, (0, 0, 5): 1, (16, 0, 0): 1}, 32))
+def test_image_is_the_lattice_image(case):
+    terms, M = case
+    sizes, reduced = _image(terms, M)
+    if not terms:
+        assert (sizes, reduced) == ((), {})
+        return
+    classes = {}
+    for alpha, coeff in terms.items():
+        classes.setdefault(tuple(a % M for a in alpha), []).append(coeff)
+    differences = np.array(list(classes)) - np.array(next(iter(classes)))
+    full = lattice_codes(differences, (M,) * differences.shape[1], M)
+    assert math.prod(sizes) == len(full)
+    assert lattice_codes(list(reduced), sizes, M) == full
+    assert all(m > 1 and M % m == 0 for m in sizes)
+    assert len(sizes) <= np.linalg.matrix_rank(differences)
+    # Merged per class of alpha mod M, in term order.
+    assert list(reduced.values()) == [sum(coeffs) for coeffs in classes.values()]
+
+
+def diagonal_maximiser_case(rng, d, M0):
+    """(tuple, polynomial): diagonal unitaries whose joint eigenvalues are
+    three M0-lattice points, one of them the M0-lattice argmax of |p|, so
+    ||p(S)|| is a lattice value at M0 and close to sup |p| elsewhere."""
+    poly = _random_polynomial(rng, d)
+    ks = np.indices((M0,) * d).reshape(d, -1).T
+    values = sum(c * np.exp(2j * np.pi * (ks @ np.array(a)) / M0) for a, c in poly.terms.items())
+    points = [ks[np.argmax(np.abs(values))], *rng.integers(0, M0, size=(2, d))]
+    mats = tuple(np.diag(np.exp(2j * np.pi * np.array(axis) / M0)) for axis in zip(*points))
+    return ContractionTuple(mats, tol=1e-9), poly
+
+
+def test_violated_never_meets_holds_at_another_lattice():
+    rng = np.random.default_rng(80)
+    cases = [load_crabb_davie()]
+    for d in (1, 2, 3):
+        for _ in range(4):
+            cases.append((_random_commuting_tuple(rng, d, 3), _random_polynomial(rng, d)))
+            cases.append(diagonal_maximiser_case(rng, d, 24 if d < 3 else 12))
+    moving = 0
+    for tup, poly in cases:
+        lattices = (2, 3, 4, 5, 6, 8, 12, 16, 24) + ((256,) if poly.d == 3 else (64,))
+        verdicts = {vn_check(tup, poly, M).verdict for M in lattices}
+        assert not {"VIOLATED", "HOLDS"} <= verdicts, (poly, verdicts)
+        moving += len(verdicts) > 1
+    # 12 of the 25 change verdict as M grows, so the check bites.
+    assert moving >= len(cases) // 3
+
+
+def rotated_and_permuted(poly, M, shift, perm):
+    """p(w^shift_0 z_0, ...) with w = exp(2 pi i / M), then its axes
+    permuted: exponent alpha moves to alpha[perm]."""
+    roots = np.exp(2j * np.pi * np.arange(M) / M)
+    terms = {
+        tuple(alpha[i] for i in perm): coeff * complex(roots[np.dot(shift, alpha) % M])
+        for alpha, coeff in poly.terms.items()
+    }
+    return MultiPolynomial(d=poly.d, terms=terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(image_cases(), st.data())
+def test_grid_sup_moves_within_rounding_under_symmetries(case, data):
+    # A permutation of the axes maps the lattice onto itself, and so does a
+    # rotation by M-th roots; either leaves the exact lattice maximum
+    # unchanged.  The rotated coefficients carry one more table entry and
+    # product each (under 30u |c_alpha|), inside what rho leaves above the
+    # stream's own error on each side.
+    terms, M = case
+    d = len(next(iter(terms), (0,)))
+    poly = MultiPolynomial(d=d, terms=terms)
+    perm = data.draw(st.permutations(range(d)))
+    shift = data.draw(st.tuples(*[st.integers(0, M - 1)] * d))
+    grid_sup, pad, _ = torus_sup(poly, M)
+    permuted = torus_sup(rotated_and_permuted(poly, M, (0,) * d, perm), M)
+    rotated = torus_sup(rotated_and_permuted(poly, M, shift, range(d)), M)
+    assert abs(permuted[0] - grid_sup) <= 2 * rounding_bound(poly)
+    assert abs(rotated[0] - grid_sup) <= 2 * rounding_bound(poly)
+    assert permuted[1] == pad
+
+
+def test_permuting_tuple_and_polynomial_together_keeps_the_verdict():
+    tup, poly = load_crabb_davie()
+    for perm in [(1, 0, 2), (2, 0, 1), (2, 1, 0)]:
+        moved_tup = ContractionTuple(tuple(tup.mats[i] for i in perm), tol=1e-9)
+        moved_poly = rotated_and_permuted(poly, 256, (0, 0, 0), perm)
+        report, moved = vn_check(tup, poly, 256), vn_check(moved_tup, moved_poly, 256)
+        assert moved.verdict == report.verdict == "VIOLATED"
+        assert abs(moved.grid_sup - report.grid_sup) <= 2 * rounding_bound(poly)
+
+
+def test_doubly_commuting_tensor_tuples_are_never_violated():
+    # S_1 x 1 x 1, 1 x S_2 x 1, 1 x 1 x S_3 has a regular unitary dilation,
+    # so von Neumann's inequality holds for it whatever d.
+    rng = np.random.default_rng(81)
+    one = identity(2)
+    verdicts = []
+    for case in range(12):
+        factors = [
+            random_unitary(rng, 2) if (case + i) % 3 == 0 else random_contraction(rng, 2)
+            for i in range(3)
+        ]
+        mats = (
+            kron(kron(factors[0], one), one),
+            kron(kron(one, factors[1]), one),
+            kron(kron(one, one), factors[2]),
+        )
+        tup = ContractionTuple(mats, tol=1e-9)
+        poly = _random_polynomial(rng, 3)
+        for M in (4, 8, 16):
+            verdicts.append(vn_check(tup, poly, M).verdict)
+    assert "VIOLATED" not in verdicts
+    assert "HOLDS" in verdicts

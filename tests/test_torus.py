@@ -168,7 +168,7 @@ class TestProjector:
     def test_keep_is_the_projector_diagonal(self):
         for N in (1, 2, 5):
             for k in range(3 * N):
-                keep = torus._keep(N, k)
+                keep = self.keep(N, k)
                 np.testing.assert_array_equal(keep, np.arange(N) < N - k % N)
                 np.testing.assert_array_equal(np.diag(keep), reference_projector_p(N, k).real)
 

@@ -30,12 +30,13 @@ powers every term on each slice of the first axis.  The separable
 ``torus_sup`` sums in another order, so the tests require its lattice
 maximum to agree within the rounding bound its docstring states.
 
-``reference_lattice_max`` is the plain stream of the separable lattice:
-every chunk of leading rows evaluated as W @ Q and its modulus maximum
-taken.  The library's ``_lattice_max`` screens the chunks by |p|^2 first
-and evaluates exactly, by the same products on the same chunks, only
-those that can hold the maximum, so the tests require both to return
-the same float.
+``reference_lattice_max`` is the plain stream of the separable lattice
+that ``_image`` reduces p to: every chunk of leading rows of its prod
+sizes points evaluated as W @ Q and its modulus maximum taken.  The
+library's ``_lattice_max`` stacks one-chunk polynomials and screens the
+chunks of the others by |p|^2 first, and evaluates exactly, by the same
+products on the same chunks, only those that can hold the maximum, so
+the tests require both to return the same float.
 
 ``reference_vn_search`` is the one-trial-at-a-time search: for each
 trial its own generator ``reference_commuting_tuple`` draws the tuple
@@ -221,32 +222,33 @@ def reference_torus_sup(poly, M):
     return grid_sup, pad, grid_sup + pad
 
 
-def reference_lattice_max(terms, d, M, block):
-    """max |p| over the M^d lattice, exponents reduced mod M: every chunk
-    of at most ``block`` points of the slab k_0 < M/h evaluated."""
+def reference_lattice_max(sizes, terms, M, block):
+    """max |p| over the lattice of prod ``sizes`` points that ``_image``
+    gives, exponents taken mod M: every chunk of at most ``block``
+    points evaluated, an empty lattice its one value."""
+    if not sizes:
+        return abs(terms.get((), 0.0))
     roots = np.exp(2j * np.pi * np.arange(M) / M)
-    t = min(d - 1, 1)
-    while t < d - 1 and M ** (t + 1) <= math.isqrt(block):
+    r = len(sizes)
+    t = min(r - 1, 1)
+    while t < r - 1 and math.prod(sizes[r - t - 1 :]) <= math.isqrt(block):
         t += 1
-    s = d - t
+    s = r - t
     groups = {}
     for alpha in terms:
         groups.setdefault(alpha[:s], len(groups))
-    k = np.arange(M)
-    q = np.zeros((len(groups), M**t), dtype=np.complex128)
+    q = np.zeros((len(groups), math.prod(sizes[s:])), dtype=np.complex128)
     for alpha, coeff in terms.items():
         row = np.array([coeff])
-        for a in alpha[s:]:
-            row = np.multiply.outer(row, roots[k * a % M]).ravel()
+        for a, size in zip(alpha[s:], sizes[s:]):
+            row = np.multiply.outer(row, roots[np.arange(size) * a % M]).ravel()
         q[groups[alpha[:s]]] += row
     beta = np.array(list(groups), dtype=np.int64)
-    degrees = [sum(alpha) for alpha in terms]
-    h = math.gcd(M, *(degree - degrees[0] for degree in degrees))
-    streamed = M // h * M ** (s - 1)
+    streamed = math.prod(sizes[:s])
     rows = max(1, block // max(q.shape))
     best = 0.0
     for start in range(0, streamed, rows):
-        ks = np.unravel_index(np.arange(start, min(start + rows, streamed)), (M,) * s)
+        ks = np.unravel_index(np.arange(start, min(start + rows, streamed)), sizes[:s])
         w = roots[np.outer(ks[0], beta[:, 0]) % M]
         for i in range(1, s):
             w = w * roots[np.outer(ks[i], beta[:, i]) % M]

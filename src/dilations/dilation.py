@@ -186,24 +186,31 @@ def _poly_matrix(powers, poly: MultiPolynomial) -> np.ndarray:
     return out
 
 
-def _check_lattice(M: int, d: int) -> None:
-    """Refuse a lattice size M below 2, or one whose M^d points or table
-    of M roots exceed the size caps of ``torus_sup``."""
+def _check_lattice(M: int, d: int = 0) -> None:
+    """Refuse a lattice size M below 2 or a table of M roots beyond the
+    size cap, then, given an arity d, a lattice of M^d points beyond the
+    point cap (``_check_points``)."""
     if M < 2:
         raise InputError(f"lattice size M must be >= 2, got {M}")
-    # Only block-sized temporaries are held, so the cap on total points
-    # can sit well above the dense-matrix entry cap.
-    if M**d > 128 * max_entries():
-        raise InputError(
-            f"lattice of M^d = {M**d} points exceeds the size cap; "
-            "reduce M or the polynomial arity"
-        )
-    # The table of M roots is held whole; at d = 1 the cap above allows
+    # The table of M roots is held whole; at d = 1 the point cap allows
     # 128 times more points than any matrix may have entries.
     if M > max_entries():
         raise InputError(
             f"lattice size M = {M} exceeds the size cap of {max_entries()} "
             "entries (set DILATIONS_MAX_ENTRIES to override)"
+        )
+    if d:
+        _check_points("M^d", M**d)
+
+
+def _check_points(name: str, points: int) -> None:
+    """Refuse a lattice of more points than 128 times the size cap."""
+    # Only block-sized temporaries are held, so the cap on total points
+    # can sit well above the dense-matrix entry cap.
+    if points > 128 * max_entries():
+        raise InputError(
+            f"lattice of {name} = {points} points exceeds the size cap; "
+            "reduce M or the polynomial arity"
         )
 
 
@@ -220,6 +227,7 @@ def torus_sup(poly: MultiPolynomial, M: int) -> tuple[float, float, float]:
     exactly, as prod_i M/g_i points on r <= rank(D) axes, and
     ``_lattice_max`` evaluates it separably from one table of M-th roots
     at exact integer indices, here and in ``vn_search``'s batches alike.
+    The point cap applies to those prod_i M/g_i points, not to M^d.
 
     Rounding: each table entry is within 28u of its root (u = 2^-53;
     its angle 2 pi j / M carries up to four roundings and exp one
@@ -232,15 +240,18 @@ def torus_sup(poly: MultiPolynomial, M: int) -> tuple[float, float, float]:
     exact image values are those of the M^d lattice, so grid_sup is
     within rho of the exact M^d lattice maximum.
     """
-    _check_lattice(M, poly.d)
+    _check_lattice(M)
     return _torus_sups([poly], M)[0]
 
 
 def _torus_sups(polys: list, M: int) -> list:
-    """``torus_sup`` of each polynomial, lattice caps unchecked, from one
-    ``_lattice_max`` call."""
+    """``torus_sup`` of each polynomial, M unchecked, from one
+    ``_lattice_max`` call; each image's prod M/g_i points are capped."""
+    images = [_image(p.terms, M) for p in polys]
+    for sizes, _ in images:
+        _check_points("prod M/g_i", math.prod(sizes))
     sups = []
-    for poly, grid_sup in zip(polys, _lattice_max([_image(p.terms, M) for p in polys], M)):
+    for poly, grid_sup in zip(polys, _lattice_max(images, M)):
         gradient_bound = sum(
             abs(coeff) * sum(alpha) for alpha, coeff in poly.terms.items()
         )
@@ -624,9 +635,9 @@ def vn_search(
     its polynomials, and each case gets ``vn_check``'s verdict rule.
     The extra cases, whatever their arity, join the last chunk's call.
     The result equals the one-trial-at-a-time route's (``vn_check`` per
-    case) bit for bit.  An arity past DEGREE_CAP // 3 and a lattice
-    past the caps of ``torus_sup`` are refused before any trial is
-    drawn, each extra case's lattice after its ||p(S)||.
+    case) bit for bit.  An arity past DEGREE_CAP // 3, a lattice size
+    past the root-table cap and M^d past the point cap are refused before
+    any trial is drawn, each extra case's lattice after its ||p(S)||.
     """
     if d < 1:
         raise InputError(f"d must be >= 1, got {d}")

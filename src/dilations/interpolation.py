@@ -456,15 +456,19 @@ def approx_error_sweep(generators, eps_list, axes, tol: float = DEFAULT_TOL):
     Product form: with c_i, f_i the cell and offset of t_i / eps, blend(t)
     = prod_i [(1 - f_i) exp(c_i eps A_i) + f_i exp((c_i + 1) eps A_i)] and
     exp(sum t_i A_i) = prod_i exp(t_i A_i) for commuting A_i.  Each axis's
-    factors are exponentiated once per coordinate and once per distinct
-    cell end of each eps, so ``matrix_exp``'s norm cap applies to each
-    t_i A_i, not to the sum, and the factors are multiplied across the
-    axes by broadcasting.  The exact values of all axes are one stacked
-    ``matrix_exp`` call, and so are the samples of all axes for each eps,
-    split into calls within the size cap where they exceed it.  A stack
-    member comes out as a call on it alone, so the report does not depend
-    on the stacking.  The sweep holds one eps's samples at a time, as many
-    as two per coordinate of each axis.  sup_error is ``_max_op_norm`` of
+    factors are exponentiated per time s, so ``matrix_exp``'s norm cap
+    applies to each s A_i, not to the sum, and the factors are multiplied
+    across the axes by broadcasting.  The exact values of all axes are one
+    stacked ``matrix_exp`` call.  An eps's distinct cell ends that are the
+    same floats as a time of the step before (the coordinates, for the
+    first eps) reuse that exponential; the rest of all axes are one more
+    call, or none, split into calls within the size cap where they exceed
+    it.  So each distinct time is exponentiated once per sweep while it
+    recurs from step to step, as the cell ends of a halving eps list do,
+    and at most two eps's samples are held, as many as two per coordinate
+    of each axis for each.  A stack member comes out as a call on it alone,
+    and a reused one is the same member, so the report does not depend on
+    the stacking or the reuse.  sup_error is ``_max_op_norm`` of
     the error matrices, which takes the SVD only of those whose Frobenius
     norm, within a rounding margin, reaches the largest column norm among
     them; the others cannot hold the sup.
@@ -522,16 +526,31 @@ def approx_error_sweep(generators, eps_list, axes, tol: float = DEFAULT_TOL):
             out = out[..., None, :, :] @ table
         return out
 
-    def exponentials(times) -> list[np.ndarray]:
-        """exp(s A_i) for s in times[i], every axis i in one stacked
-        ``matrix_exp`` call per size-cap batch of members."""
-        sizes = [len(s) for s in times]
-        members = np.concatenate(times)[:, None, None] * np.repeat(stack, sizes, axis=0)
+    def exponentials(times, held) -> list[np.ndarray]:
+        """exp(s A_i) for s in times[i]: from axis i's ``held`` sorted times
+        and values where s is one of those floats, the rest of every axis in
+        one stacked ``matrix_exp`` call per size-cap batch of members."""
+        looked = []
+        for s, (known, _) in zip(times, held):
+            at = np.searchsorted(known, s)
+            hit = at < len(known)
+            hit[hit] = known[at[hit]] == s[hit]
+            looked.append((at, hit))
+        sizes = [int((~hit).sum()) for _, hit in looked]
+        fresh = np.concatenate([s[~hit] for s, (_, hit) in zip(times, looked)])
+        members = fresh[:, None, None] * np.repeat(stack, sizes, axis=0)
         for part in _batches(len(members), dim * dim):
             members[part] = matrix_exp(members[part])
-        return np.split(members, np.cumsum(sizes)[:-1])
+        out = [np.empty((len(s), dim, dim), dtype=members.dtype) for s in times]
+        news = np.split(members, np.cumsum(sizes)[:-1])
+        for samples, (at, hit), (_, values), new in zip(out, looked, held, news):
+            samples[hit], samples[~hit] = values[at[hit]], new
+        return out
 
-    exact = across_axes(exponentials(coords))
+    values = exponentials(coords, [(np.empty(0), np.empty((0, dim, dim)))] * d)
+    exact = across_axes(values)
+    orders = [np.argsort(tau) for tau in coords]
+    held = [(tau[order], v[order]) for tau, v, order in zip(coords, values, orders)]
     report = []
     for eps in eps_values:
         times, halves, fracs = [], [], []
@@ -542,9 +561,10 @@ def approx_error_sweep(generators, eps_list, axes, tol: float = DEFAULT_TOL):
             times.append(ends * eps)
             halves.append(which.reshape(2, -1))  # each coordinate's cell start, end
             fracs.append((scaled - cells)[:, None, None])
+        held = list(zip(times, exponentials(times, held)))
         blends = [
             (1 - frac) * samples[low] + frac * samples[high]
-            for samples, (low, high), frac in zip(exponentials(times), halves, fracs)
+            for (_, samples), (low, high), frac in zip(held, halves, fracs)
         ]
         errors = across_axes(blends) - exact
         report.append({"eps": eps, "sup_error": float(_max_op_norm(errors))})

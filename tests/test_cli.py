@@ -820,6 +820,20 @@ def test_root_table_cap_exits_2(runner, inputs, monkeypatch):
     assert "input error: lattice size M = 2048 exceeds the size cap" in result.stderr
 
 
+def test_lattice_image_cap_exits_2(runner, tmp_path):
+    # At M = 4096 a full-rank d = 3 polynomial's image has 2^36 points,
+    # beyond the point cap of 128 * 2^20.
+    tup = write_tuple(tmp_path / "tup.json", [0.5 * np.eye(2, dtype=complex)] * 3)
+    alphas = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    terms = [{"alpha": alpha, "coeff": [1.0, 0.0]} for alpha in alphas]
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps({"d": 3, "terms": terms}))
+    result = runner.invoke(main, ["vn", "--tuple", tup, "--poly", str(poly), "--grid", "4096"])
+    assert result.exit_code == 2
+    message = "input error: lattice of prod M/g_i = 68719476736 points exceeds the size cap"
+    assert message in result.stderr
+
+
 def test_bad_tol_env_exits_2(runner, tmp_path):
     tup = write_tuple(tmp_path / "tup.json", [shift_matrix(2)])
     result = runner.invoke(

@@ -201,8 +201,13 @@ class TestTorusSup:
             torus_sup(MultiPolynomial(d=1, terms={(1,): 1.0}), 1)
 
     def test_lattice_cap(self):
-        p = MultiPolynomial(d=3, terms={(1, 1, 1): 1.0})
-        with pytest.raises(InputError):
+        # The cap applies to the image's prod M/g_i points, not to M^d: one
+        # term has an image of one point, while a full-rank d = 3
+        # polynomial at M = 4096 has 2^36 > 128 * 2^20.
+        assert torus_sup(MultiPolynomial(d=3, terms={(1, 1, 1): 1.0}), 4096)[0] == 1.0
+        alphas = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        p = MultiPolynomial(d=3, terms={alpha: 1.0 for alpha in alphas})
+        with pytest.raises(InputError, match=r"lattice of prod M/g_i = 68719476736 points"):
             torus_sup(p, 4096)
 
     def test_root_table_cap(self, monkeypatch):

@@ -864,6 +864,59 @@ class TestApproxSweep:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] <= 198 * 1024, peaks
 
+    @staticmethod
+    def member_counts(monkeypatch, gens, eps_list, axes):
+        """The sweep's report and the number of members of each ``matrix_exp``
+        call it makes, checked byte for byte against the product route."""
+        counts = []
+
+        def spy(a, *args):
+            counts.append(len(a))
+            return matrix_exp(a, *args)
+
+        monkeypatch.setattr(interpolation, "matrix_exp", spy)
+        report = approx_error_sweep(gens, eps_list, axes)
+        monkeypatch.undo()
+        expected = reference_product_sweep(gens, eps_list, points(axes))
+        assert json.dumps(report) == json.dumps(expected)
+        return counts
+
+    def test_reuses_the_times_of_the_step_before(self, monkeypatch):
+        # Criterion 7's sweep.  Each eps's cell ends that are cell ends of
+        # the eps before (coordinates, for eps = 1/2) are not exponentiated
+        # again: of the 2 x 6 ends at eps = 1/2 only t = 2.5 is new, and
+        # halving eps keeps every second end.  The sweep without reuse
+        # exponentiated 82, 12, 20, 36, 68, 132 and 164 members.
+        gens = [np.diag([-1.0, -3.0]).astype(complex), np.diag([-2.0, -1.0]).astype(complex)]
+        axis = [2.0 * k / 40 for k in range(41)]
+        eps_list = [1 / 2, 1 / 4, 1 / 8, 1 / 16, 1 / 32, 1 / 64]
+        counts = self.member_counts(monkeypatch, gens, eps_list, [axis, axis])
+        assert counts == [82, 2, 10, 18, 34, 66, 82]
+        assert sum(counts) == 294
+
+    def test_unsorted_axis_with_repeated_coordinates(self, monkeypatch):
+        gens = dissipative_generators(np.random.default_rng(92), 2, 3)
+        axes = [[1.5, 0.25, 1.5, 0.0, 0.7, 0.25, 2.0], [0.5, 0.5, 0.1]]
+        counts = self.member_counts(monkeypatch, gens, [0.5, 0.25, 0.125, 0.3], axes)
+        # At eps = 1/2 axis 1's ends 0, 1.5 and 2 and axis 2's end 0.5 are
+        # coordinates: 3 + 2 of the 6 + 3 ends are new.
+        assert counts[:2] == [10, 3 + 2]
+
+    @pytest.mark.parametrize(
+        "eps_list, counts",
+        [
+            # The second 1/64 finds only its ends 0, 1/2 and 1 held, by 1/2.
+            ([1 / 64, 1 / 2, 1 / 64], [5, 6, 3, 7]),
+            # The second of two 1/64 in a row finds every end held, so it
+            # makes no call and raises no empty-stack error.
+            ([1 / 2, 1 / 64, 1 / 64, 1 / 2], [5, 3, 7, 3]),
+        ],
+    )
+    def test_repeated_eps(self, monkeypatch, eps_list, counts):
+        gens = dissipative_generators(np.random.default_rng(93), 2, 2)
+        axes = [[0.0, 0.3, 1.0], [0.75, 0.5]]
+        assert self.member_counts(monkeypatch, gens, eps_list, axes) == counts
+
     @pytest.mark.parametrize(
         "eps_list, axis, message",
         [

@@ -10,6 +10,13 @@ roots, and a doubly commuting tuple (Sz.-Nagy-Foias, *Harmonic Analysis
 of Operators on Hilbert Space*, ch. I 9) satisfies the inequality at any
 d.  Each of these changes the exponent differences, and so the reduced
 coordinates the lattice is evaluated in.
+
+A common unitary conjugation A -> U A U* changes no exact quantity the
+semigroup checks read: exp(s U A U*) = U exp(s A) U*, products and sums
+conjugate termwise, and the 2-norm is unitarily invariant.  So the
+``approx`` errors move only by rounding, and the pass flags of the
+``interp check`` suite and of ``preserve``'s isometry and unitary classes
+stay put.  Entrywise classes depend on the basis and are left out.
 """
 
 import math
@@ -18,7 +25,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_contraction, random_unitary
+from conftest import random_commuting_unitaries, random_contraction, random_unitary
 from dilations.dilation import (
     DEGREE_CAP,
     MultiPolynomial,
@@ -29,9 +36,11 @@ from dilations.dilation import (
     vn_check,
 )
 from dilations.fixtures import load_crabb_davie
-from dilations.interpolation import ContractionTuple
-from dilations.linalg import identity, kron
+from dilations.interpolation import ContractionTuple, approx_error_sweep, semigroup_suite
+from dilations.linalg import DEFAULT_TOL, identity, kron, op_norm
+from dilations.structure import preservation_suite
 from test_dilation import rounding_bound
+from test_interpolation import dissipative_generators, uniform_axes
 
 
 def lattice_codes(exponents, shape, M):
@@ -182,3 +191,57 @@ def test_doubly_commuting_tensor_tuples_are_never_violated():
             verdicts.append(vn_check(tup, poly, M).verdict)
     assert "VIOLATED" not in verdicts
     assert "HOLDS" in verdicts
+
+
+def conjugated(mats, u):
+    """U S U* of each matrix of ``mats``."""
+    return [u @ m @ u.conj().T for m in mats]
+
+
+def test_approx_errors_move_within_rounding_under_unitary_conjugation():
+    # Each sup_error moves by at most the rounding term rho that
+    # ``approx_error_sweep``'s docstring states, 32 (d + 1) n u (1 +
+    # sum_i T_i ||A_i||) with T_i = max t_i + eps.
+    rng = np.random.default_rng(83)
+    u_round = np.finfo(float).eps / 2
+    eps_list = [0.5, 0.3, 0.125, 1 / 64]
+    moved_any = False
+    for d, dim, steps in [(1, 4, 40), (2, 3, 12), (3, 2, 5)]:
+        gens = dissipative_generators(rng, d, dim)
+        axes = uniform_axes(d, 2.0, steps)
+        report = approx_error_sweep(gens, eps_list, axes)
+        moved = approx_error_sweep(conjugated(gens, random_unitary(rng, dim)), eps_list, axes)
+        for row, other, eps in zip(report, moved, eps_list):
+            reach = 2.0 + eps
+            rho = 32 * (d + 1) * dim * u_round * (1 + sum(reach * op_norm(g) for g in gens))
+            assert other["eps"] == row["eps"] == eps
+            assert abs(other["sup_error"] - row["sup_error"]) <= rho, (d, dim, eps)
+            moved_any = moved_any or other["sup_error"] != row["sup_error"]
+    # The conjugated sweeps round differently, so the bound is what holds.
+    assert moved_any
+
+
+def test_interp_check_passes_under_unitary_conjugation():
+    rng = np.random.default_rng(84)
+    for d, dim, N, max_num in [(1, 3, 3, 3), (2, 3, 2, 2), (3, 2, 2, 2)]:
+        tup = _random_commuting_tuple(rng, d, dim)
+        moved = ContractionTuple(conjugated(tup.mats, random_unitary(rng, dim)), tol=1e-9)
+        suite, other = semigroup_suite(tup, N, max_num), semigroup_suite(moved, N, max_num)
+        assert suite["passed"] and other["passed"], (d, other["deviations"])
+        assert other["checks"] == suite["checks"]
+
+
+def test_preserve_keeps_the_unitary_classes_under_unitary_conjugation():
+    rng = np.random.default_rng(85)
+    for d, dim, N in [(1, 4, 3), (2, 3, 2), (3, 2, 2)]:
+        tup = random_commuting_unitaries(rng, d, dim)
+        moved = ContractionTuple(conjugated(tup.mats, random_unitary(rng, dim)), tol=1e-9)
+        report, other = preservation_suite(tup, N), preservation_suite(moved, N)
+        assert report["passed"] and other["passed"]
+        assert other["converse_unit_times"] == report["converse_unit_times"]
+        for cls in ("isometry", "unitary"):
+            entry, moved_entry = report["classes"][cls], other["classes"][cls]
+            assert entry["base_holds"] and moved_entry["base_holds"], cls
+            assert entry["preserved"] and moved_entry["preserved"], cls
+            # Both deviations are rounding, far inside the tolerance.
+            assert max(entry["max_deviation"], moved_entry["max_deviation"]) <= DEFAULT_TOL / 100

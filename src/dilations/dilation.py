@@ -186,10 +186,9 @@ def _poly_matrix(powers, poly: MultiPolynomial) -> np.ndarray:
     return out
 
 
-def _check_lattice(M: int, d: int = 0) -> None:
+def _check_lattice(M: int) -> None:
     """Refuse a lattice size M below 2 or a table of M roots beyond the
-    size cap, then, given an arity d, a lattice of M^d points beyond the
-    point cap (``_check_points``)."""
+    size cap."""
     if M < 2:
         raise InputError(f"lattice size M must be >= 2, got {M}")
     # The table of M roots is held whole; at d = 1 the point cap allows
@@ -199,8 +198,6 @@ def _check_lattice(M: int, d: int = 0) -> None:
             f"lattice size M = {M} exceeds the size cap of {max_entries()} "
             "entries (set DILATIONS_MAX_ENTRIES to override)"
         )
-    if d:
-        _check_points("M^d", M**d)
 
 
 def _check_points(name: str, points: int) -> None:
@@ -654,12 +651,13 @@ def vn_search(
         raise InputError("trials must be nonnegative")
     if seed < 0:
         raise InputError(f"seed must be nonnegative, got {seed}")
-    _check_lattice(M, d)
+    _check_lattice(M)
+    _check_points("M^d", M**d)
     extra_cases = list(extra_cases)
     extras = []
     for index, (tup, poly) in enumerate(extra_cases):
         extras.append(("fixture", index, op_norm(eval_poly(tup, poly)), poly))
-        _check_lattice(M, poly.d)
+        _check_points("M^d", M**poly.d)
 
     def drawn(indices):
         """(kind, index, lhs, poly) of the trials ``indices``; their stacks

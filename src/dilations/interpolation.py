@@ -140,15 +140,6 @@ class DiscretizedSemigroup:
         return self.N**self.base.d * self.base.dim
 
 
-def _check_time(semi: DiscretizedSemigroup, t: GridTime) -> None:
-    if t.N != semi.N:
-        raise InputError(
-            f"grid time has denominator {t.N}, semigroup uses {semi.N}"
-        )
-    if t.d != semi.base.d:
-        raise InputError(f"grid time has arity {t.d}, tuple has d={semi.base.d}")
-
-
 def _check_floor(floor: int, dim: int) -> None:
     """Refuse walking to S^(floor + 1) of a dim x dim S when (floor + 1) dim^2
     exceeds the size cap; checked on the Python int, before it meets numpy."""
@@ -181,7 +172,10 @@ def _grid_forms(semi: DiscretizedSemigroup, nums) -> tuple[np.ndarray, np.ndarra
 def _grid_form(semi: DiscretizedSemigroup, t: GridTime) -> tuple[np.ndarray, np.ndarray]:
     """(targets, exponents) of the semigroup at grid time t: the one-time
     case of ``_grid_forms``."""
-    _check_time(semi, t)
+    if t.N != semi.N:
+        raise InputError(f"grid time has denominator {t.N}, semigroup uses {semi.N}")
+    if t.d != semi.base.d:
+        raise InputError(f"grid time has arity {t.d}, tuple has d={semi.base.d}")
     targets, exponents = _grid_forms(semi, [t.nums])
     return targets[0], exponents[0]
 

@@ -24,7 +24,8 @@ imaginary part; and ||T 1 - 1|| and ||T* 1 - 1|| are the 2-norms of the
 stacked block residuals, P being an isometry.  ``preservation_suite``
 measures the flags of the classes the base holds this way, once per
 distinct block of the grid forms (at most 2^d per time), and folds the
-measures of each time by their multiplicities, without assembling T(t).
+measures of all times in one ``_class_deviations`` call over their
+(times, grid points) block picks, without assembling T(t).
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .interpolation import (
     ContractionTuple,
     DiscretizedSemigroup,
     _blocks,
-    _check_time,
     _distinct_rows,
     _grid_forms,
 )
@@ -51,7 +51,6 @@ from .linalg import (
     dagger,
     op_norm,
 )
-from .torus import GridTime
 
 __all__ = ["StructureReport", "structure_report", "preservation_suite"]
 
@@ -82,9 +81,10 @@ class StructureReport:
 def _block_measures(blocks: np.ndarray, flags=_FLAGS) -> dict:
     """Per block of a stack, what ``_class_deviations`` folds for the flags
     in ``flags`` (by default every flag of ``_CLASSES``), keyed by flag:
-    ||B*B - 1||, the larger of that and ||BB* - 1||, max(-min Re B,
-    max |Im B|), and the unity residuals B 1 - 1 and B* 1 - 1.  A flag not
-    asked for is not measured; the unitary flag also keeps ||B*B - 1||.
+    ||B*B - 1||, the larger of that and ||BB* - 1||, max(0, -min Re B,
+    max |Im B|), and the unity residual norms ||B 1 - 1|| and ||B* 1 - 1||.
+    A flag not asked for is not measured; the unitary flag also keeps
+    ||B*B - 1||.
     """
     ones = np.ones(blocks.shape[-1], dtype=np.complex128)
     adjoints = blocks.conj().swapaxes(-1, -2)
@@ -92,50 +92,47 @@ def _block_measures(blocks: np.ndarray, flags=_FLAGS) -> dict:
     if "is_isometry" in flags or "is_unitary" in flags:
         out["is_isometry"] = _isometry_deviations(blocks)
     if "is_entrywise_nonneg" in flags:
-        out["is_entrywise_nonneg"] = np.maximum(
+        worst = np.maximum(
             -blocks.real.min(axis=(-2, -1)), np.abs(blocks.imag).max(axis=(-2, -1))
         )
+        # +0.0, never -0.0, where nothing is negative: reports print the sign.
+        out["is_entrywise_nonneg"] = np.where(worst > 0.0, worst, 0.0)
     if "preserves_unity" in flags:
-        out["preserves_unity"] = blocks @ ones - ones
+        out["preserves_unity"] = np.linalg.norm(blocks @ ones - ones, axis=-1)
     if "is_unitary" in flags:
         out["is_unitary"] = np.maximum(out["is_isometry"], _isometry_deviations(adjoints))
     if "adjoint_preserves_unity" in flags:
-        out["adjoint_preserves_unity"] = adjoints @ ones - ones
+        out["adjoint_preserves_unity"] = np.linalg.norm(adjoints @ ones - ones, axis=-1)
     return out
 
 
 def _class_deviations(measures: dict, picks: np.ndarray) -> dict:
-    """Deviations of the class flags of T = P diag(B), the diagonal holding
-    block picks[m] of ``measures`` (``_block_measures``) at position m and
-    P a permutation of the block positions; one per flag of ``measures``.
+    """Deviations of the class flags of K operators T_k = P_k diag(B), the
+    diagonal holding block picks[k, m] of ``measures`` (``_block_measures``)
+    at position m and P_k a permutation of the block positions: per flag
+    of ``measures``, an array of length K for picks of shape (K, M).
 
-    The flags are those of ``_CLASSES``: isometry max ||B*B - 1||, unitary
-    that or max ||BB* - 1|| if larger, entrywise nonnegativity
-    max(0, -min Re B, max |Im B|), and the unity deviations
-    ||(sqrt(c_k) (B_k 1 - 1))_k||_2 and the same with B*, c_k the
-    multiplicity of block k.  These are exact, by the identities of the
-    module docstring, as the grid motion m -> m + t (mod 1) is a bijection.
+    The isometry, unitary and entrywise flags take the largest measure of
+    a row's blocks; the unity flags take the root of the summed squared
+    residual norms, ||(B_m 1 - 1)_m||_2 and the same with B*.  These are
+    exact, by the identities of the module docstring, as the grid motion
+    m -> m + t (mod 1) is a bijection.
     """
-    counts = np.bincount(picks)
-    held = np.flatnonzero(counts)
-    weights = np.sqrt(counts[held])[:, None]
     out = {}
     for flag, values in measures.items():
         if flag in ("preserves_unity", "adjoint_preserves_unity"):
-            out[flag] = float(np.linalg.norm(weights * values[held]))
+            out[flag] = np.linalg.norm(values[picks], axis=-1)
         else:
-            out[flag] = float(values[held].max())
-    if "is_entrywise_nonneg" in out:
-        out["is_entrywise_nonneg"] = max(0.0, out["is_entrywise_nonneg"])
+            out[flag] = values[picks].max(axis=-1)
     return out
 
 
 def structure_report(a, tol: float = DEFAULT_TOL) -> StructureReport:
     """Measure operator class membership of a square matrix at tolerance tol.
 
-    The class deviations are ``_class_deviations`` of the one block a; this
-    adds ``is_contraction`` and ``is_projection``.  Each flag is its
-    deviation <= tol, except ``is_contraction``, which is
+    The class deviations are ``_class_deviations`` of the one block a,
+    picked once; this adds ``is_contraction`` and ``is_projection``.  Each
+    flag is its deviation <= tol, except ``is_contraction``, which is
     ||A|| <= 1 + tol as in ``ContractionTuple``: ``max(0, ||A|| - 1) <= tol``
     rounds differently near the boundary.
     """
@@ -144,7 +141,8 @@ def structure_report(a, tol: float = DEFAULT_TOL) -> StructureReport:
         raise InputError("structure report requires a square matrix")
 
     norm = op_norm(a)
-    classes = _class_deviations(_block_measures(a[None]), np.zeros(1, dtype=int))
+    picked = _class_deviations(_block_measures(a[None]), np.zeros((1, 1), dtype=int))
+    classes = {flag: float(values[0]) for flag, values in picked.items()}
     deviations = {
         "is_contraction": max(0.0, norm - 1.0),
         "is_isometry": classes["is_isometry"],
@@ -159,64 +157,47 @@ def structure_report(a, tol: float = DEFAULT_TOL) -> StructureReport:
     return StructureReport(flags=flags, deviations=deviations)
 
 
-def preservation_suite(
-    tup: ContractionTuple,
-    N: int,
-    times=None,
-    tol: float = DEFAULT_TOL,
-) -> dict:
+def preservation_suite(tup: ContractionTuple, N: int, tol: float = DEFAULT_TOL) -> dict:
     """Check that operator classes of the base tuple carry over to the grid
-    semigroup, and that unit-time evaluations recover the base classes.
+    semigroup at every time of {0, ..., 2N-1}^d / N, and that unit-time
+    evaluations recover the base classes.
 
     For each class held by every base operator, every evaluation must be
     in the class; the converse spot-check inspects t = e_i, whose
     evaluation must be the identity tensor S_i, and so carry its classes.
 
-    The base is classified by one ``_block_measures`` of the stacked S_i.
-    No evaluation is assembled: the grid forms of every time and unit time
-    come from one ``_grid_forms`` call.  When a class is held, the rows of
-    the times are deduplicated once, each distinct block is built and
-    measured once for the held classes' flags, and each time folds its
-    blocks' measures by their multiplicities, as the module docstring
-    shows.  The converse is checked in integers.  The time list, and the
-    grid forms it stands for, are capped at len(times) N^d dim^2 block
-    entries.
+    The base is classified by one ``_block_measures`` of the stacked S_i,
+    folded one axis per row.  No evaluation is assembled: the grid forms
+    of every time and unit time come from one ``_grid_forms`` call.  When
+    a class is held, the exponent rows of all times are deduplicated once,
+    each distinct block is built and measured once for the held classes'
+    flags, and one ``_class_deviations`` call folds them into every time's
+    deviations, as the module docstring shows.  The converse is checked in
+    integers.  The (2N)^d times, and the grid forms they stand for, are
+    capped at (2N)^d N^d dim^2 block entries.
     """
     semi = DiscretizedSemigroup(tup, N)
     d, dim = tup.d, tup.dim
-    count = (2 * N) ** d if times is None else len(times)
-    _check_cap(count * N**d * dim, dim)
-    if times is None:
-        times = [GridTime(N, nums) for nums in itertools.product(range(2 * N), repeat=d)]
-    for t in times:
-        _check_time(semi, t)  # the report lists every time, held class or not
+    _check_cap((2 * N) ** d * N**d * dim, dim)
 
-    def holds(deviations: dict, cls: str) -> bool:
-        return all(deviations[flag] <= tol for flag in _CLASSES[cls])
-
-    base = _block_measures(np.stack(tup.mats))
-    axes = [_class_deviations(base, np.array([i])) for i in range(d)]
-    held = [cls for cls in _CLASSES if all(holds(axis, cls) for axis in axes)]
+    base = _class_deviations(_block_measures(np.stack(tup.mats)), np.arange(d)[:, None])
+    held = [cls for cls in _CLASSES if all((base[flag] <= tol).all() for flag in _CLASSES[cls])]
     results = {
-        cls: {"base_holds": cls in held, "preserved": True if cls in held else None,
-              "max_deviation": 0.0}
-        for cls in _CLASSES
+        cls: {"base_holds": False, "preserved": None, "max_deviation": 0.0} for cls in _CLASSES
     }
 
+    times = list(itertools.product(range(2 * N), repeat=d)) if held else []
     units = [tuple(N * (j == i) for j in range(d)) for i in range(d)]
-    targets, exponents = _grid_forms(semi, ([t.nums for t in times] if held else []) + units)
+    targets, exponents = _grid_forms(semi, times + units)
     if held:
         rows, picks = _distinct_rows(exponents[:-d].reshape(-1, d))
         flags = {flag for cls in held for flag in _CLASSES[cls]}
         measures = _block_measures(_blocks(tup.mats, rows), flags)
-        for time_picks in picks.reshape(len(times), N**d):
-            deviations = _class_deviations(measures, time_picks)
-            for cls in held:
-                entry = results[cls]
-                entry["preserved"] = entry["preserved"] and holds(deviations, cls)
-                entry["max_deviation"] = max(
-                    entry["max_deviation"], *(deviations[flag] for flag in _CLASSES[cls])
-                )
+        deviations = _class_deviations(measures, picks.reshape(len(times), N**d))
+        for cls in held:
+            values = np.stack([deviations[flag] for flag in _CLASSES[cls]])
+            results[cls] = {"base_holds": True, "preserved": bool((values <= tol).all()),
+                            "max_deviation": float(values.max())}
 
     # T(e_i) is 1 tensor S_i exactly when its grid motion is the identity
     # and every exponent row is e_i.
@@ -228,9 +209,10 @@ def preservation_suite(
     passed = all(
         entry["preserved"] is not False for entry in results.values()
     ) and all(item["matches"] for item in converse)
+    labels = [f"{k}/{N}" for k in range(2 * N)]
     return {
         "N": N,
-        "times": [str(t) for t in times],
+        "times": [",".join(t) for t in itertools.product(labels, repeat=d)],
         "classes": results,
         "converse_unit_times": converse,
         "passed": passed,

@@ -356,6 +356,18 @@ class TestStructureCmd:
         assert result.exit_code == 0
         assert json.loads(result.output)["passed"] is True
 
+    def test_preserve_on_every_time_of_a_wide_tuple(self, runner, tmp_path):
+        # 2^12 times, each one grid point: the unit phases multiply exactly.
+        phases = [1j, -1, -1j, 1] * 3
+        tup = write_tuple(tmp_path / "tup.json", [np.array([[z]], dtype=complex) for z in phases])
+        result = runner.invoke(main, ["preserve", "--tuple", tup, "--N", "1"])
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert payload["passed"] is True
+        assert len(payload["times"]) == 4096
+        assert payload["times"][1] == ",".join(["0/1"] * 11 + ["1/1"])
+        assert payload["classes"]["unitary"]["max_deviation"] == 0.0
+
 
 class TestEnvironmentOverrides:
     def test_max_entries_cap(self, runner, tmp_path):

@@ -141,12 +141,6 @@ class TestPreservationSuite:
         assert out["classes"]["unitary"]["base_holds"] is False
         assert out["classes"]["unitary"]["preserved"] is None
 
-    def test_bad_time_raises_when_no_class_holds(self):
-        rng = np.random.default_rng(63)
-        tup = _random_commuting_tuple(rng, 1, 2)
-        with pytest.raises(InputError):
-            preservation_suite(tup, 2, times=[GridTime(3, (1,))], tol=1e-9)
-
     def test_makes_no_dense_evaluation(self, monkeypatch):
         import dilations.structure as structure
         from dilations import interpolation
@@ -296,18 +290,18 @@ class TestPreservationSuite:
         assert [item["matches"] for item in out["converse_unit_times"]] == [True, False]
 
     def test_holds_blocks_not_dense_evaluations(self):
-        # total_dim 1024: one dense evaluation is 16 MiB, a grid form two
-        # 4x4 blocks and 256 indices.
+        # total_dim 512: one dense evaluation is 4 MiB, while the 256 grid
+        # forms are 128 exponent rows each over 2 distinct 4x4 blocks.
         tup = random_circulant_bistochastic(np.random.default_rng(67), 1, 4)
-        times = [GridTime(256, (num,)) for num in (1, 255, 300)]
         tracemalloc.start()
         try:
-            out = preservation_suite(tup, 256, times=times, tol=1e-9)
+            out = preservation_suite(tup, 128, tol=1e-9)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert out["passed"]
-        assert peak < 1 << 20, peak
+        assert len(out["times"]) == 256
+        assert peak < 4 << 20, peak
 
     def test_converse_unit_times(self):
         rng = np.random.default_rng(64)
@@ -315,15 +309,33 @@ class TestPreservationSuite:
         out = preservation_suite(tup, 2, tol=1e-9)
         assert all(item["matches"] for item in out["converse_unit_times"])
 
-    def test_explicit_times(self):
+    def test_time_labels(self):
         from dilations.interpolation import ContractionTuple
 
-        tup = ContractionTuple((shift_matrix(3),))
-        out = preservation_suite(
-            tup, 2, times=[GridTime(2, (1,)), GridTime(2, (3,))], tol=1e-10
-        )
-        assert out["times"] == ["1/2", "3/2"]
+        out = preservation_suite(ContractionTuple((shift_matrix(3),)), 2, tol=1e-10)
+        assert out["times"] == ["0/2", "1/2", "2/2", "3/2"]
         assert out["passed"]
+        tup = random_commuting_unitaries(np.random.default_rng(72), 3, 1)
+        out = preservation_suite(tup, 2, tol=1e-9)
+        assert out["times"] == [
+            str(GridTime(2, nums)) for nums in itertools.product(range(4), repeat=3)
+        ]
+
+    @pytest.mark.parametrize("d, N", [(1, 1), (1, 4), (2, 2), (4, 1), (3, 3)])
+    def test_one_fold_for_the_base_and_one_for_every_time(self, monkeypatch, d, N):
+        import dilations.structure as structure
+
+        calls = []
+        class_deviations = structure._class_deviations
+
+        def tracked(measures, picks):
+            calls.append(picks.shape)
+            return class_deviations(measures, picks)
+
+        monkeypatch.setattr(structure, "_class_deviations", tracked)
+        tup = random_commuting_unitaries(np.random.default_rng(73), d, 2)
+        assert preservation_suite(tup, N, tol=1e-9)["passed"]
+        assert calls == [(d, 1), ((2 * N) ** d, N**d)]
 
 
 FAMILIES = {
@@ -361,13 +373,28 @@ class TestBlockRouteMatchesDense:
     def test_class_deviations_per_time(self, d, N, dim):
         # Generic tuples: the unity deviations are O(1), so the weight of each
         # pattern's multiplicity shows in them.
+        # Each time is folded on its own, then all times in one (T, N^d) call.
         tup = _random_commuting_tuple(np.random.default_rng(2000 + 100 * d + 10 * N + dim), d, dim)
         semi = DiscretizedSemigroup(tup, N)
-        for nums in itertools.product(range(2 * N + 1), repeat=d):
-            t = GridTime(N, nums)
-            _, exponents = _grid_form(semi, t)
+        times = list(itertools.product(range(2 * N + 1), repeat=d))
+        dense = [structure_report(eval_discretized(semi, GridTime(N, nums))).deviations
+                 for nums in times]
+
+        def close(got, expected, where):
+            for flag, values in got.items():
+                assert values.shape == (1,), where
+                assert abs(values[0] - expected[flag]) <= 1e-13 * max(1.0, expected[flag]), (
+                    where, flag)
+
+        for nums, expected in zip(times, dense):
+            _, exponents = _grid_form(semi, GridTime(N, nums))
             rows, picks = np.unique(exponents, axis=0, return_inverse=True)
-            got = _class_deviations(_block_measures(_blocks(tup.mats, rows)), picks.reshape(-1))
-            dense = structure_report(eval_discretized(semi, t)).deviations
-            for flag, value in got.items():
-                assert abs(value - dense[flag]) <= 1e-13 * max(1.0, dense[flag]), (nums, flag)
+            got = _class_deviations(_block_measures(_blocks(tup.mats, rows)), picks.reshape(1, -1))
+            close(got, expected, nums)
+        exponents = np.stack([_grid_form(semi, GridTime(N, nums))[1] for nums in times])
+        rows, picks = np.unique(exponents.reshape(-1, d), axis=0, return_inverse=True)
+        folded = _class_deviations(
+            _block_measures(_blocks(tup.mats, rows)), picks.reshape(len(times), N**d)
+        )
+        for k, (nums, expected) in enumerate(zip(times, dense)):
+            close({flag: values[k : k + 1] for flag, values in folded.items()}, expected, nums)

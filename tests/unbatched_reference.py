@@ -69,8 +69,8 @@ both routes' deviations to be equal.
 ``reference_preservation_suite`` is the preservation suite on dense
 evaluations: one ``structure_report(eval_discretized(...))`` per time and
 per converse unit time.  The library measures the same class deviations
-on the distinct blocks of the grid forms and their multiplicities,
-never assembling T(t), so the tests require every verdict to be equal and
+on the distinct blocks of the grid forms and folds them over each time's
+block picks, never assembling T(t), so the tests require every verdict to be equal and
 each ``max_deviation`` to agree within 1e-13: both routes compute the
 same quantities by the identities of the ``structure`` docstring, and the
 deviations of a held class are rounding-sized, so only rounding of a few
@@ -477,13 +477,13 @@ def reference_blockwise_suite(tup, N, max_num):
     return {"deviations": deviations, "checks": checks, "passed": all(checks.values())}
 
 
-def reference_preservation_suite(tup, N, times=None, tol=1e-10):
+def reference_preservation_suite(tup, N, tol=1e-10):
     """The preservation suite with one dense evaluation and one
-    ``structure_report`` per time, then per converse unit time e_i."""
+    ``structure_report`` per time of {0, ..., 2N-1}^d / N, then per
+    converse unit time e_i."""
     semi = DiscretizedSemigroup(tup, N)
     d = tup.d
-    if times is None:
-        times = [GridTime(N, nums) for nums in itertools.product(range(2 * N), repeat=d)]
+    times = [GridTime(N, nums) for nums in itertools.product(range(2 * N), repeat=d)]
     base_reports = [structure_report(m, tol=tol) for m in tup.mats]
     base_holds = {cls: all(r.holds(cls) for r in base_reports) for cls in _CLASSES}
     held = [cls for cls, holds in base_holds.items() if holds]

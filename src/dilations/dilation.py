@@ -321,28 +321,29 @@ def _lattice_max(polys: list, M: int) -> list:
     where W holds the leading factors w^(l . beta_g) of each group
     (``_chunk_max``).
 
-    One table of M roots serves the batch.  A polynomial whose rows fit
-    in one chunk is evaluated together with the others of the same
-    sizes, split and number of groups: their Q and W are gathered as
-    stacks, each polynomial's Q rows summed in its own term order, and
-    one stacked product W @ Q runs per sub-batch of at most
-    _LATTICE_BLOCK values.  A stacked product makes the same BLAS call
-    per member, of the same shape, as the member's own product would,
-    so each polynomial gets the float it gets in a batch of one.
+    One table of M roots serves the batch, and one loop runs over stacks
+    of polynomials of the same sizes, split and number of groups G: their
+    Q and W are gathered as stacks, each polynomial's Q rows summed in its
+    own term order, and one stacked product W @ Q runs per chunk and
+    sub-batch of _LATTICE_BLOCK // (max(R, G) max(G, B)) members, at least
+    one, for R streamed rows and B block points.  It makes the same BLAS
+    call per member as the member's own product would, so each polynomial
+    gets the float it gets alone; its chunk maxima fold by a Python max
+    from 0.0.  Chunks hold _LATTICE_BLOCK // max(G, B) rows, so R rows in
+    more than one chunk make max(R, G) max(G, B) exceed _LATTICE_BLOCK:
+    each sub-batch is then one polynomial, screened by ``_screen`` first.
 
-    A polynomial with more than one chunk runs on its own, and is
-    screened first by |p|^2 = sum_g |q_g|^2 + sum_(g<h) 2 Re(w^(l .
+    The screen uses |p|^2 = sum_g |q_g|^2 + sum_(g<h) 2 Re(w^(l .
     (beta_g - beta_h)) q_g q_h*): one real product A @ B per chunk.
     A's rows hold 1 and the real and imaginary parts of the table
     entries at l . (beta_g - beta_h) mod M, gathered by exact integer
     index; B, built once, holds the rows sum_g |q_g|^2, 2 Re(q_g q_h*)
     and -2 Im(q_g q_h*).  That costs m = 1 + G(G - 1) real multiply-adds
     per point for G groups, with no complex product and no modulus.  |p|
-    is then evaluated exactly, by ``_chunk_max`` as the plain stream
-    does, only on the chunks whose screened maximum lies within the
-    margin below of the largest, chunk boundaries unchanged; so the
-    result is the float the plain stream returns.  The screen is left
-    out only when A or B would outgrow a block, or when 2 S overflows.
+    is then evaluated exactly, by ``_chunk_max`` as without the screen,
+    only on the chunks whose screened maximum lies within the margin
+    below of the largest, chunk boundaries unchanged; so the result is
+    the float the plain stream returns.
 
     Why the margin suffices.  Scale Q by 2^e, exactly, so that the
     merged sum S = sum_a |c_a| lies in [1/2, 1): no square in B
@@ -369,11 +370,11 @@ def _lattice_max(polys: list, M: int) -> list:
     rho and E are 2^e times larger, so rho's 2^-1074 there reads 2^(e -
     1074).
 
-    Memory, whatever the arity: for one polynomial, each product, W, A
-    and B hold at most max(_LATTICE_BLOCK, M, groups) values, Q one row
-    of at most max(M, sqrt(_LATTICE_BLOCK)) values per group, and the
-    screen's A and product at most one block of reals, however many
-    chunks A spans; a stacked sub-batch holds no more.
+    Memory, whatever the arity: each product, W, A and B hold at most
+    max(_LATTICE_BLOCK, M, groups) values per member and a sub-batch no
+    more, Q one row of at most max(M, sqrt(_LATTICE_BLOCK)) values per
+    group, and the screen's A and product at most one block of reals,
+    however many chunks A spans.
     """
     roots = np.exp(2j * np.pi * np.arange(M) / M)
     best = [0.0] * len(polys)
@@ -393,23 +394,22 @@ def _lattice_max(polys: list, M: int) -> list:
         groups = {}
         for alpha in terms:
             groups.setdefault(alpha[:s], len(groups))
-        rows = max(1, _LATTICE_BLOCK // max(len(groups), math.prod(sizes[s:])))
-        if math.prod(sizes[:s]) <= rows:
-            stacks.setdefault((sizes, s, len(groups)), []).append((index, terms, groups))
-        else:
-            best[index] = _stream(roots, sizes, s, terms, groups, rows)
+        stacks.setdefault((sizes, s, len(groups)), []).append((index, terms, groups))
     for (sizes, s, G), members in stacks.items():
-        streamed = math.prod(sizes[:s])
-        # A member's W, Q and product each hold at most this many values.
-        size = max(streamed, G) * max(G, math.prod(sizes[s:]))
-        step = max(1, _LATTICE_BLOCK // size)
+        streamed, width = math.prod(sizes[:s]), math.prod(sizes[s:])
+        rows = max(1, _LATTICE_BLOCK // max(G, width))
+        chunks = [(start, min(start + rows, streamed)) for start in range(0, streamed, rows)]
+        step = max(1, _LATTICE_BLOCK // (max(streamed, G) * max(G, width)))
         for first in range(0, len(members), step):
             part = members[first : first + step]
             q = _q_rows(roots, sizes, s, [(terms, groups) for _, terms, groups in part])
             beta = np.array([list(groups) for _, _, groups in part], dtype=np.int64)
-            tops = _chunk_max(roots, sizes[:s], beta, q, 0, streamed).tolist()
-            for (index, _, _), top in zip(part, tops):
-                best[index] = max(0.0, top)
+            run = chunks
+            if len(chunks) > 1:  # so part is one member
+                run = _screen(roots, sizes, beta[0], q[0], chunks, part[0][1])
+            tops = [_chunk_max(roots, sizes[:s], beta, q, *chunk).tolist() for chunk in run]
+            for (index, _, _), column in zip(part, zip(*tops)):
+                best[index] = max(0.0, *column)
     return best
 
 
@@ -437,66 +437,52 @@ def _q_rows(roots: np.ndarray, sizes: tuple, s: int, members: list) -> np.ndarra
     return q
 
 
-def _stream(roots, sizes: tuple, s: int, terms: dict, groups: dict, rows: int) -> float:
-    """max |p| of one polynomial of ``_lattice_max`` whose streamed rows
-    span more than one chunk: screened when it can be, then streamed."""
-    q = _q_rows(roots, sizes, s, [(terms, groups)])[0]
-    beta = np.array(list(groups), dtype=np.int64)
-    streamed = math.prod(sizes[:s])
-    chunks = [(start, min(start + rows, streamed)) for start in range(0, streamed, rows)]
-    width = 1 + len(groups) * (len(groups) - 1)
-    total = math.fsum(abs(coeff) for coeff in terms.values())
-    if width * max(rows, q.shape[1]) <= _LATTICE_BLOCK and math.isfinite(2 * total):
-        chunks = _screen(roots, sizes[:s], beta, q, chunks, total, len(sizes) + len(terms))
-    best = 0.0
-    for start, stop in chunks:
-        best = max(best, float(_chunk_max(roots, sizes[:s], beta, q, start, stop)))
-    return best
-
-
-def _chunk_max(roots: np.ndarray, shape: tuple, beta, q, start: int, stop: int):
-    """max |p| over the streamed rows start..stop - 1 of ``_lattice_max``,
-    rows indexing the leading axes of sizes ``shape``: a scalar for one
-    polynomial (beta (G, s), q (G, block)), an array for a stack of them
-    (beta (K, G, s), q (K, G, block))."""
+def _chunk_max(roots: np.ndarray, shape: tuple, beta, q, start: int, stop: int) -> np.ndarray:
+    """max |p| of each member of a stack (beta (K, G, s), q (K, G, block))
+    over the streamed rows start..stop - 1 of ``_lattice_max``, rows
+    indexing the leading axes of sizes ``shape``: an array (K,)."""
     M = len(roots)
     ks = np.unravel_index(np.arange(start, stop), shape)
-    w = roots[ks[0][:, None] * beta[..., None, :, 0] % M]
-    for i in range(1, beta.shape[-1]):
-        w = w * roots[ks[i][:, None] * beta[..., None, :, i] % M]
-    return np.abs(w @ q).max(axis=(-2, -1))
+    w = roots[ks[0][:, None] * beta[:, None, :, 0] % M]
+    for i in range(1, beta.shape[2]):
+        w = w * roots[ks[i][:, None] * beta[:, None, :, i] % M]
+    return np.abs(w @ q).max(axis=(1, 2))
 
 
-def _screen(roots, shape: tuple, beta, q, chunks, total: float, count: int) -> list:
+def _screen(roots, sizes: tuple, beta, q, chunks: list, terms: dict) -> list:
     """The chunks of ``_lattice_max`` whose screened maximum of |p|^2 lies
-    within the margin of the largest; ``shape`` holds the leading sizes
-    and ``count`` is r + n.  A is gathered for as many consecutive
-    chunks as fit in one block and sliced per chunk, so each product is
-    one chunk of reals."""
-    M = len(roots)
+    within the margin of the largest, for one polynomial ``terms`` on
+    ``sizes`` (beta (G, s), q (G, block)); all of them when A for one
+    chunk or B would outgrow a block, or 2 S overflows.  A is gathered for
+    as many consecutive chunks as fit in one block and sliced per chunk."""
+    M, G, rows = len(roots), len(q), chunks[0][1] - chunks[0][0]
+    m = 1 + G * (G - 1)
+    total = math.fsum(abs(coeff) for coeff in terms.values())
+    if m * max(rows, q.shape[1]) > _LATTICE_BLOCK or not math.isfinite(2 * total):
+        return chunks
     e = -math.frexp(total)[1]
     qr, qi = np.ldexp(q.real, e), np.ldexp(q.imag, e)
-    g, h = np.triu_indices(len(q), 1)
+    g, h = np.triu_indices(G, 1)
     # B's rows: sum_g |q_g|^2, then per pair 2 Re(q_g q_h*) and -2 Im(q_g q_h*).
-    b = np.empty((1 + 2 * len(g), q.shape[1]))
+    b = np.empty((m, q.shape[1]))
     b[0] = (qr * qr + qi * qi).sum(axis=0)
     b[1::2] = 2 * (qr[g] * qr[h] + qi[g] * qi[h])
     b[2::2] = 2 * (qr[g] * qi[h] - qi[g] * qr[h])
     steps = (beta[g] - beta[h]).T
-    per = max(1, _LATTICE_BLOCK // ((chunks[0][1] - chunks[0][0]) * len(b)))
+    per = max(1, _LATTICE_BLOCK // (rows * m))
     tops = []
     for first in range(0, len(chunks), per):
         run = chunks[first : first + per]
         base = run[0][0]
-        ks = np.stack(np.unravel_index(np.arange(base, run[-1][1]), shape), axis=1)
-        a = np.empty((len(ks), len(b)))
+        ks = np.stack(np.unravel_index(np.arange(base, run[-1][1]), sizes[: beta.shape[1]]), axis=1)
+        a = np.empty((len(ks), m))
         a[:, 0] = 1.0
         a[:, 1:] = roots[ks @ steps % M].view(np.float64)
         tops += [float((a[start - base : stop - base] @ b).max()) for start, stop in run]
     u = 2.0**-53
     scaled = math.ldexp(total, e)
-    rho = 32 * count * (u * scaled + math.ldexp(1.0, e - 1074))
-    gamma = (2 * len(b) + 64) * u
+    rho = 32 * (len(sizes) + len(terms)) * (u * scaled + math.ldexp(1.0, e - 1074))
+    gamma = (2 * m + 64) * u
     floor = max(tops) - (4 * rho * (scaled + 2 * rho) + 2 * gamma * (scaled + rho) ** 2)
     return [chunk for chunk, top in zip(chunks, tops) if top >= floor]
 

@@ -197,16 +197,15 @@ def _distinct_rows(exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[starts], picks
 
 
-def _blocks(mats, exponents: np.ndarray) -> np.ndarray:
-    """prod_i mats[i]^exponents[m, i] for every row m, multiplied in axis
-    order from the identity.  Each distinct row is multiplied once, from
-    each axis's distinct powers formed once, and gathered at the end."""
-    rows, picks = _distinct_rows(exponents)
+def _blocks(mats, rows: np.ndarray) -> np.ndarray:
+    """prod_i mats[i]^rows[m, i] for every row m given, multiplied in axis
+    order from the identity, from each axis's distinct powers formed once.
+    Callers pass the distinct rows of ``_distinct_rows`` and gather."""
     out = identity(mats[0].shape[0])
     for s_i, column in zip(mats, rows.T):
         ks, which = np.unique(column, return_inverse=True)
         out = out @ _powers(s_i, ks)[which]
-    return out[picks]
+    return out
 
 
 def eval_discretized(semi: DiscretizedSemigroup, t: GridTime) -> np.ndarray:
@@ -215,9 +214,10 @@ def eval_discretized(semi: DiscretizedSemigroup, t: GridTime) -> np.ndarray:
     total_dim^2 entries."""
     _check_cap(semi.total_dim, semi.total_dim)
     targets, exponents = _grid_form(semi, t)
+    rows, picks = _distinct_rows(exponents)
     grid, dim = len(targets), semi.base.dim
     out = np.zeros((grid, dim, grid, dim), dtype=np.complex128)
-    out[targets, :, np.arange(grid), :] = _blocks(semi.base.mats, exponents)
+    out[targets, :, np.arange(grid), :] = _blocks(semi.base.mats, rows)[picks]
     return out.reshape(semi.total_dim, semi.total_dim)
 
 
@@ -229,7 +229,8 @@ def compress_discretized(semi: DiscretizedSemigroup, t: GridTime) -> np.ndarray:
     independent.  The blocks are capped at N^d dim^2 entries.
     """
     _check_cap(semi.N**semi.base.d * semi.base.dim, semi.base.dim)
-    return _blocks(semi.base.mats, _grid_form(semi, t)[1]).mean(axis=0)
+    rows, picks = _distinct_rows(_grid_form(semi, t)[1])
+    return _blocks(semi.base.mats, rows)[picks].mean(axis=0)
 
 
 def multilinear_compress(tup: ContractionTuple, t) -> np.ndarray:
@@ -279,10 +280,10 @@ def semigroup_suite(tup: ContractionTuple, N: int, max_num: int) -> dict:
     deduplicated once, and ``_blocks`` builds the table B of the R
     distinct rows.  T(s)T(t) moves point m to targets_s[targets_t[m]] with
     the block B[a] B[b] (a the row of s at targets_t[m], b that of t at
-    m), and T(s+t) moves it to targets_{s+t}[m] with B[c].  For each s the
-    targets are compared exactly, in integers, and the row triples are
-    collected as keys (a R + b) R + c, so B[a] B[b] - B[c] is formed once
-    per distinct triple, in batches of at most twice one s's (t, m) pairs.
+    m), and T(s+t) moves it to targets_{s+t}[m] with B[c].  Per
+    ``_batches`` slice of s, within the size cap, the targets are compared
+    exactly, in integers, and the row triples are keyed (a R + b) R + c,
+    so B[a] B[b] - B[c] is formed once per distinct triple of the slice.
     Where the targets differ, the dense difference holds both blocks, and
     the deviation there is the larger entry modulus of the two.
     Commutation reads the row quadruples and targets of its axis pairs
@@ -318,19 +319,14 @@ def semigroup_suite(tup: ContractionTuple, N: int, max_num: int) -> dict:
         b, c = np.divmod(rest, R)
         return _misfit(blocks[a] @ blocks[b], blocks[c], np.full(len(keys), apart))
 
-    # Per s, the (t, m) pairs: t's targets and rows, and s + t's.
-    sources, b_keys = targets[rows], picks[rows] * R
-    hom_dev, pending = 0.0, np.empty(0, dtype=np.int64)
-    for s in rows:
-        keys = picks[s][sources] * (R * R) + b_keys + picks[s + rows]
-        apart = targets[s][sources] != targets[s + rows]
-        if apart.any():
-            hom_dev = max(hom_dev, triples(np.unique(keys[apart]), True))
-            keys = keys[~apart]
-        pending = np.union1d(pending, keys)
-        if len(pending) >= sources.size:
-            hom_dev, pending = max(hom_dev, triples(pending, False)), pending[:0]
-    hom_dev = max(hom_dev, triples(pending, False))
+    # Per slice of s, every (s, t, m): t's targets and rows, and s + t's.
+    sources, hom_dev = targets[rows], 0.0
+    for part in _batches(len(rows), sources.size * dim * dim):
+        s, sums = rows[part, None, None], rows[part, None] + rows
+        keys = (picks[s, sources] * R + picks[rows]) * R + picks[sums]
+        apart = targets[s, sources] != targets[sums]
+        hom_dev = max(hom_dev, triples(np.unique(keys[apart]), True))
+        hom_dev = max(hom_dev, triples(np.unique(keys[~apart]), False))
 
     held = np.unique(picks[rows])
     contraction_dev = max(0.0, float(_op_norms(blocks[held]).max()) - 1.0)

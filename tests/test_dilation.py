@@ -399,6 +399,37 @@ class TestLatticeBatch:
         assert len(calls) == products
         assert got == [reference_lattice_max(*poly, 16, block) for poly in batch]
 
+    def test_multi_chunk_members_are_screened_one_at_a_time(self, monkeypatch):
+        # Block 2^8 at M = 32: two polynomials of 2 groups on 32 x 32 (one
+        # key, 32 leading rows in 4 chunks of 8) between three of 2 groups
+        # on 8 x 8 (another key, one chunk, one stacked product).  Each
+        # multi-chunk member is screened once and evaluated on its own.
+        rng = np.random.default_rng(9)
+        coeffs = (rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))).tolist()
+        wide = [((32, 32), {(0, 0): a, (0, 5): b, (3, 7): c}) for a, b, c in coeffs[:2]]
+        small = [((8, 8), {(0, 0): a, (4, 4): b, (12, 20): c}) for a, b, c in coeffs[2:]]
+        batch = [small[0], wide[0], small[1], wide[1], small[2]]
+        monkeypatch.setattr(dilations.dilation, "_LATTICE_BLOCK", 2**8)
+        screen, screened = dilations.dilation._screen, []
+
+        def counting_screen(roots, sizes, beta, q, chunks, terms):
+            screened.append(terms)
+            return screen(roots, sizes, beta, q, chunks, terms)
+
+        monkeypatch.setattr(dilations.dilation, "_screen", counting_screen)
+        chunk_max, members = dilations.dilation._chunk_max, []
+
+        def counting_chunks(roots, shape, beta, q, start, stop):
+            members.append((shape, len(beta)))
+            return chunk_max(roots, shape, beta, q, start, stop)
+
+        monkeypatch.setattr(dilations.dilation, "_chunk_max", counting_chunks)
+        got = _lattice_max(batch, 32)
+        assert screened == [wide[0][1], wide[1][1]]
+        assert members.count(((8,), 3)) == 1
+        assert {call for call in members if call != ((8,), 3)} == {((32,), 1)}
+        assert got == [reference_lattice_max(*poly, 32, 2**8) for poly in batch]
+
 
 class TestLatticeScreen:
     @given(merged_cases())

@@ -514,6 +514,24 @@ class TestSemigroupSuite:
         tup = ContractionTuple((np.array([[1.1]]), np.array([[0.9]])), tol=0.2)
         assert semigroup_suite(tup, 2, 3) == reference_blockwise_suite(tup, 2, 3)
 
+    def test_size_cap_slices_match_default_cap(self, monkeypatch):
+        # At a cap of 1000 entries the 16 suite times of d=2, N=2, dim 2,
+        # max_num 4 take 256 entries of keys and products each: 6 slices
+        # of at most 3, against one at the default cap.
+        tup = _random_commuting_tuple(np.random.default_rng(88), 2, 2)
+        expected = semigroup_suite(tup, 2, 4)
+        batches, slices = interpolation._batches, []
+
+        def counting(count, entries_each):
+            slices.append(batches(count, entries_each))
+            return slices[-1]
+
+        monkeypatch.setattr(interpolation, "_batches", counting)
+        monkeypatch.setenv("DILATIONS_MAX_ENTRIES", "1000")
+        got = semigroup_suite(tup, 2, 4)
+        assert [len(parts) for parts in slices] == [6]
+        assert got == expected
+
     def test_holds_less_than_all_pairs(self):
         # d=2, N=4, dim 8, max_num 8: the suite's sum times fit the size
         # cap, but all 64 x 64 pairs of N^d blocks would not.  The loop

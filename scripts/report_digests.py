@@ -2,6 +2,7 @@
 """Print the sha256 of every report a benchmark workload writes.
 
     python scripts/report_digests.py --workload semigroup --seed 1 --dir /tmp/digests
+    python scripts/report_digests.py --workload certify --seed 1 --dir /tmp/digests --fields
 
 Writes the inputs of ``perfbench/jobs.build`` for the workload and seed
 into ``--dir``, runs every job through ``dilations.cli.main`` in-process
@@ -10,16 +11,24 @@ DILATIONS_MAX_ENTRIES), and prints one ``<sha256>  <label>`` line per
 report, in job order.  Reports echo their input paths in ``config``, so
 two source trees write comparable reports only when both runs get the
 same ``--dir``; comparing the printed lines then shows whether a change
-keeps every report byte-identical.  The ``dilations`` sources are those
-next to this script; ``perfbench`` is only read.
+keeps every report byte-identical.  With ``--fields`` it prints instead
+one ``<sha256>  <label> [<field>]`` line per top-level field of each
+report, the sha256 of that field's value as sorted-key JSON, so the same
+comparison names the fields that moved.  The ``dilations`` sources are
+those next to this script; ``perfbench`` is only read.
 """
 
 import argparse
 import hashlib
+import json
 import sys
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def main(argv=None) -> int:
@@ -27,6 +36,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, choices=("certify", "semigroup", "approx"))
     parser.add_argument("--seed", required=True, type=int)
     parser.add_argument("--dir", required=True, type=Path)
+    parser.add_argument("--fields", action="store_true", help="one digest per top-level field")
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(PERFBENCH))
@@ -42,7 +52,11 @@ def main(argv=None) -> int:
             cli.main(job.argv + ["--out", str(job.out)], standalone_mode=False)
         except SystemExit:
             pass  # the exit code is the verdict; the report is what is compared
-        print(f"{hashlib.sha256(job.out.read_bytes()).hexdigest()}  {job.label}")
+        if not args.fields:
+            print(f"{digest(job.out.read_bytes())}  {job.label}")
+            continue
+        for field, value in json.loads(job.out.read_bytes()).items():
+            print(f"{digest(json.dumps(value, sort_keys=True).encode())}  {job.label} [{field}]")
     return 0
 
 

@@ -3,8 +3,9 @@
 The checker compares the operator norm of a polynomial in a commuting
 contraction tuple against a certified upper bound for the supremum of
 the polynomial's modulus on the d-torus.  The bound is a lattice
-maximum plus an angular Lipschitz pad, so a VIOLATED verdict is sound:
-the left side genuinely exceeds the true supremum.
+maximum plus an angular Lipschitz pad, or the exact supremum sum
+|c_alpha| where the exponent differences are independent, so a VIOLATED
+verdict is sound: the left side genuinely exceeds the true supremum.
 
 Also here: the Parrott tuple generator (commuting contractions built
 from a pair of unitaries and a nilpotent 2x2 factor), a block-companion
@@ -211,20 +212,21 @@ def _check_points(name: str, points: int) -> None:
         )
 
 
-def torus_sup(poly: MultiPolynomial, M: int) -> tuple[float, float, float]:
+def torus_sup(poly: MultiPolynomial, M: int, *, image=None) -> tuple[float, float, float]:
     """Certified upper bound for sup |p| on the d-torus.
 
     Returns (grid_sup, lipschitz_pad, sup_upper) where grid_sup is the
     maximum of |p| over the M^d lattice of M-th roots of unity and the
     pad bounds the modulus change over half a grid step per axis via
     the angular gradient bound sum_j sum_alpha |c_alpha| alpha_j.
+    ``image``, when given, is ``_image(poly.terms, M)`` already computed.
 
     |p(w^k)|, w = exp(2 pi i / M), depends on k only through D k mod M,
     where D holds the rows alpha - alpha_0: ``_image`` lists that image
     exactly, as prod_i M/g_i points on r <= rank(D) axes, and
     ``_lattice_max`` evaluates it separably from one table of M-th roots
-    at exact integer indices, here and in ``vn_search``'s batches alike.
-    The point cap applies to those prod_i M/g_i points, not to M^d.
+    at exact integer indices.  The point cap applies to those prod_i M/g_i
+    points, not to M^d.
 
     Rounding: each table entry is within 28u of its root (u = 2^-53;
     its angle 2 pi j / M carries up to four roundings and exp one
@@ -238,28 +240,60 @@ def torus_sup(poly: MultiPolynomial, M: int) -> tuple[float, float, float]:
     within rho of the exact M^d lattice maximum.
     """
     _check_lattice(M)
-    return _torus_sups([poly], M)[0]
+    if image is None:
+        image = _capped_image(poly, M)
+    return _torus_sups([poly], M, [image])[0]
 
 
-def _torus_sups(polys: list, M: int) -> list:
-    """``torus_sup`` of each polynomial, M unchecked, from one
-    ``_lattice_max`` call; each image's prod M/g_i points are capped."""
-    images = [_image(p.terms, M) for p in polys]
-    for sizes, _ in images:
-        _check_points("prod M/g_i", math.prod(sizes))
+def _capped_image(poly: MultiPolynomial, M: int) -> tuple:
+    """``_image`` of ``poly``, refused past the point cap on its prod M/g_i points."""
+    image = _image(poly.terms, M)
+    _check_points("prod M/g_i", math.prod(image[0]))
+    return image
+
+
+def _lipschitz_pad(poly: MultiPolynomial, M: int) -> float:
+    return math.pi / M * sum(abs(coeff) * sum(alpha) for alpha, coeff in poly.terms.items())
+
+
+def _torus_sups(polys: list, M: int, images: list) -> list:
+    """``torus_sup`` of each polynomial from its ``_image``, M unchecked,
+    from one ``_lattice_max`` call."""
+    maxima = _lattice_max([(sizes, reduced) for sizes, reduced, _ in images], M)
+    pads = [_lipschitz_pad(poly, M) for poly in polys]
+    return [(grid_sup, pad, grid_sup + pad) for grid_sup, pad in zip(maxima, pads)]
+
+
+def _sups(polys: list, M: int, lattice) -> list:
+    """(grid_sup, lipschitz_pad, sup_upper, exact_sup) of each polynomial,
+    M unchecked, the rule ``vn_check`` and ``vn_search`` share.
+
+    Each image is computed and capped once.  Where D has full row rank,
+    (alpha - alpha_0) . theta = arg c_alpha_0 - arg c_alpha has a real
+    solution theta*, at which every term has the argument of c_alpha_0:
+    so sup |p| = |p(e^(i theta*))| = S = sum_alpha |c_alpha| exactly, at
+    any M, and grid_sup = sup_upper = S with no lattice.  The pad keeps
+    its formula.  The other polynomials take the lattice route, in one
+    call ``lattice(polys, M, images)`` with the signature of
+    ``_torus_sups``.
+    """
+    images = [_capped_image(poly, M) for poly in polys]
+    rest = [(poly, image) for poly, image in zip(polys, images) if not image[2]]
+    on_lattice = iter(lattice([p for p, _ in rest], M, [i for _, i in rest]) if rest else ())
     sups = []
-    for poly, grid_sup in zip(polys, _lattice_max(images, M)):
-        gradient_bound = sum(
-            abs(coeff) * sum(alpha) for alpha, coeff in poly.terms.items()
-        )
-        pad = math.pi / M * gradient_bound
-        sups.append((grid_sup, pad, grid_sup + pad))
+    for poly, (_, _, full) in zip(polys, images):
+        if full:
+            exact = math.fsum(abs(coeff) for coeff in poly.terms.values())
+            sups.append((exact, _lipschitz_pad(poly, M), exact, True))
+        else:
+            sups.append((*next(on_lattice), False))
     return sups
 
 
 def _image(terms: dict, M: int) -> tuple:
-    """(sizes, reduced): the values of p on the M^d lattice, up to a
-    common unimodular factor, as a polynomial on prod sizes points.
+    """(sizes, reduced, full): the values of p on the M^d lattice, up to
+    a common unimodular factor, as a polynomial on prod sizes points,
+    and whether D, the rows alpha - alpha_0, has full row rank.
 
     Unimodular row and column operations on Python ints bring D to a
     diagonal form R D C = diag(s_i); column i of D C is s_i times column
@@ -268,6 +302,8 @@ def _image(terms: dict, M: int) -> tuple:
     M/g_i, each l a distinct point as R^-1 is invertible mod M.  So axis
     i has size M/g_i (dropped at 1), term a gets exponent (D C)[a, i]
     g_i / s_i mod M on it, and terms equal mod M merge in term order.
+    The elimination ends with p = rank(D) pivots, so D has full row rank
+    exactly when p = n - 1 for n terms (row alpha_0 of D is zero).
     """
     first = next(iter(terms), ())
     dc = [[a - b for a, b in zip(alpha, first)] for alpha in terms]
@@ -298,7 +334,7 @@ def _image(terms: dict, M: int) -> tuple:
     for row, coeff in zip(dc, terms.values()):
         key = tuple(row[i] // diag[i][i] * g % M for i, g in axes)
         reduced[key] = reduced.get(key, 0) + coeff
-    return tuple(M // g for _, g in axes), reduced
+    return tuple(M // g for _, g in axes), reduced, p == n - 1
 
 
 # Most lattice points one product in ``_lattice_max`` evaluates, for one
@@ -489,12 +525,15 @@ def _screen(roots, sizes: tuple, beta, q, chunks: list, terms: dict) -> list:
 
 @dataclass(frozen=True)
 class VnReport:
-    """Outcome of one inequality check."""
+    """Outcome of one inequality check.  ``exact_sup`` says that
+    grid_sup = sup_upper is sum |c_alpha|, the exact supremum, and that
+    no lattice was evaluated."""
 
     lhs: float
     grid_sup: float
     lipschitz_pad: float
     sup_upper: float
+    exact_sup: bool
     verdict: str
 
     def to_json(self) -> dict:
@@ -503,6 +542,7 @@ class VnReport:
             "grid_sup": self.grid_sup,
             "lipschitz_pad": self.lipschitz_pad,
             "sup_upper": self.sup_upper,
+            "exact_sup": self.exact_sup,
             "verdict": self.verdict,
         }
 
@@ -518,30 +558,43 @@ def vn_check(
     VIOLATED only when the left side beats grid maximum plus pad, so the
     verdict is sound; HOLDS when it is below the grid maximum itself;
     INCONCLUSIVE in between (a larger lattice will separate the two).
+    Where the rows alpha - alpha_0 have full row rank, both bounds are
+    the exact supremum sum |c_alpha| and no lattice is evaluated
+    (``_sups``); every other polynomial goes through ``torus_sup``.  The
+    caps on M and on the image's points apply to both.
     """
     lhs = op_norm(eval_poly(tup, poly))
-    grid_sup, pad, sup_upper = torus_sup(poly, M)
+    _check_lattice(M)
+    [(grid_sup, pad, sup_upper, exact)] = _sups(
+        [poly], M, lambda polys, M, images: [torus_sup(*polys, M, image=images[0])]
+    )
     return VnReport(
         lhs=lhs,
         grid_sup=grid_sup,
         lipschitz_pad=pad,
         sup_upper=sup_upper,
+        exact_sup=exact,
         verdict=_verdict(lhs, grid_sup, sup_upper, tol),
     )
 
 
 def _verdict(lhs: float, grid_sup: float, sup_upper: float, tol: float) -> str:
     """VIOLATED when lhs beats the certified bound sup_upper, HOLDS when it
-    is at most the lattice maximum grid_sup, INCONCLUSIVE in between."""
+    is at most grid_sup, a value |p| attains (the lattice maximum, or the
+    exact supremum, then equal to sup_upper), INCONCLUSIVE in between."""
     # The relative slack and tol absorb rounding.  grid_sup is within
     # 32 (d + n) (u sum|c_alpha| + 2^-1074) of the exact lattice maximum
     # (u = 2^-53, n terms; see torus_sup), which is covered while that
     # bound stays below 1e-12 * sup_upper + tol: with the default tol,
     # whenever (d + n) sum|c_alpha| < 2.8e4 (the 2^-1074 part is far
-    # below tol).  The slack also absorbs the last-ulp
-    # rounding of lhs (for a constant polynomial, lhs and grid_sup are
-    # the same number computed two ways).  It only makes VIOLATED harder
-    # to reach, so the verdict stays sound.
+    # below tol).  The exact supremum S = fsum(|c_alpha|) of ``_sups``
+    # takes each |c_alpha| within 1 ulp and rounds once more in fsum, so
+    # it is within (n + 1) u S of sum|c_alpha|, with n <= d + 1 terms on
+    # that path: inside the relative slack while n < 9000.  The slack
+    # also absorbs the last-ulp rounding of lhs (for a constant
+    # polynomial, lhs and grid_sup are the same number computed two
+    # ways).  It only makes VIOLATED harder to reach, so the verdict
+    # stays sound.
     if lhs > sup_upper * (1 + 1e-12) + tol:
         return "VIOLATED"
     if lhs <= grid_sup * (1 + 1e-12) + tol:
@@ -614,13 +667,16 @@ def vn_search(
     Trials run in chunks whose stacks stay within the size cap: a chunk
     draws its tuples and polynomials, checks its tuples as
     ``ContractionTuple`` would and takes every ||p(S)|| in one stacked
-    SVD; then one ``_lattice_max`` call evaluates the lattices of all
-    its polynomials, and each case gets ``vn_check``'s verdict rule.
-    The extra cases, whatever their arity, join the last chunk's call.
-    The result equals the one-trial-at-a-time route's (``vn_check`` per
-    case) bit for bit.  An arity past DEGREE_CAP // 3, a lattice size
-    past the root-table cap and M^d past the point cap are refused before
-    any trial is drawn, each extra case's lattice after its ||p(S)||.
+    SVD; then each polynomial gets ``vn_check``'s bound from ``_sups``,
+    which computes its image once and gives the exact supremum where the
+    rows alpha - alpha_0 have full row rank, and one ``_lattice_max``
+    call evaluates the lattices of all the others.  Each case gets
+    ``vn_check``'s verdict rule.  The extra cases, whatever their arity,
+    join the last chunk's call.  The result equals the
+    one-trial-at-a-time route's (``vn_check`` per case) bit for bit.  An
+    arity past DEGREE_CAP // 3, a lattice size past the root-table cap
+    and M^d past the point cap are refused before any trial is drawn,
+    each extra case's lattice after its ||p(S)||.
     """
     if d < 1:
         raise InputError(f"d must be >= 1, got {d}")
@@ -678,10 +734,10 @@ def vn_search(
     violations = []
     reports = []
     for cases in calls():
-        sups = _torus_sups([poly for *_, poly in cases], M)
-        for (kind, index, lhs, poly), (grid_sup, pad, sup_upper) in zip(cases, sups):
+        sups = _sups([poly for *_, poly in cases], M, _torus_sups)
+        for (kind, index, lhs, poly), (grid_sup, pad, sup_upper, exact) in zip(cases, sups):
             verdict = _verdict(lhs, grid_sup, sup_upper, tol)
-            report = VnReport(lhs, grid_sup, pad, sup_upper, verdict)
+            report = VnReport(lhs, grid_sup, pad, sup_upper, exact, verdict)
             if grid_sup > 0:
                 max_ratio = max(max_ratio, lhs / grid_sup)
             reports.append({"kind": kind, "index": index, "report": report.to_json()})

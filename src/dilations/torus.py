@@ -3,12 +3,12 @@
 On the grid with denominator ``N`` in ``d`` coordinates, the Koopman
 rotation U(t) is the point map m -> m + t (mod 1) and the indicator
 projection P(t) keeps the points that do not carry, those with
-m_i/N + frac(t_i) < 1.  ``GridTime.motion`` gives both as index arithmetic,
-one target index and one carry bit per axis for each grid point; the
-grid semigroup of ``interpolation`` and the commutation relation
-P(s)U(t) = U(t)Q(s,t) checked here both read it.  No matrix is built:
-every operator here is a permutation or a 0/1 diagonal, so the relation
-is compared entry for entry at tolerance zero.
+m_i/N + frac(t_i) < 1.  ``_grid_motion`` gives both as index arithmetic,
+one target index and one carry bit per axis for each grid point, for a
+stack of times at once; the grid semigroup of ``interpolation`` and the
+commutation relation P(s)U(t) = U(t)Q(s,t) checked here both read it.
+No matrix is built: every operator here is a permutation or a 0/1
+diagonal, so the relation is compared entry for entry at tolerance zero.
 
 Basis enumeration of the grid is lexicographic with axis 1 slowest;
 this fixes the Kronecker factor order everywhere downstream.
@@ -57,26 +57,11 @@ class GridTime:
         return len(self.nums)
 
     @property
-    def floors(self) -> tuple[int, ...]:
-        return tuple(k // self.N for k in self.nums)
-
-    @property
     def frac_nums(self) -> tuple[int, ...]:
         return tuple(k % self.N for k in self.nums)
 
     def values(self) -> tuple[float, ...]:
         return tuple(k / self.N for k in self.nums)
-
-    def motion(self) -> tuple[np.ndarray, np.ndarray]:
-        """(targets, carries) of the rotation m -> m + t (mod 1) of the grid.
-
-        Grid points are indexed lexicographically, axis 1 slowest.  Point m
-        goes to targets[m], the index of m + t (mod 1), and carries[m, i] is
-        m_i + frac_num_i >= N: whether axis i wraps around.  ``~carries[:, i]``
-        is the diagonal of the indicator projection P(t_i) on axis i.
-        """
-        targets, carries = _grid_motion(self.N, np.array([self.frac_nums]))
-        return targets[0], carries[0]
 
     def __add__(self, other: "GridTime") -> "GridTime":
         if not isinstance(other, GridTime):
@@ -110,9 +95,16 @@ class GridTime:
 
 
 def _grid_motion(N: int, frac_nums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(targets, carries) of ``GridTime.motion`` for K times at once, given
-    by their fractional numerators ``frac_nums`` (K, d): arrays (K, N^d)
-    and (K, N^d, d)."""
+    """(targets, carries) of the rotations m -> m + t (mod 1) of the grid
+    for K times at once, given by their fractional numerators
+    ``frac_nums`` (K, d): arrays (K, N^d) and (K, N^d, d).
+
+    Grid points are indexed lexicographically, axis 1 slowest.  Under
+    time k, point m goes to targets[k, m], the index of m + t (mod 1), and
+    carries[k, m, i] is m_i + frac_nums[k, i] >= N: whether axis i wraps
+    around.  ``~carries[k, :, i]`` is the diagonal of the indicator
+    projection P(t_i) on axis i.
+    """
     d = frac_nums.shape[-1]
     strides = N ** np.arange(d - 1, -1, -1)
     # (K, N^d, d) coordinates of every point, each moved by its frac(t).

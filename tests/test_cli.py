@@ -455,7 +455,7 @@ REPORT_SHAPES = [
     ),
     (
         ["vn", "--tuple", "{pair}", "--poly", "{poly2}", "--grid", "8"],
-        ["lhs", "grid_sup", "lipschitz_pad", "sup_upper", "verdict", "config"],
+        ["lhs", "grid_sup", "lipschitz_pad", "sup_upper", "exact_sup", "verdict", "config"],
         ["command", "tuple", "poly", "grid", "tol"],
     ),
     (

@@ -345,9 +345,26 @@ def merged_cases(draw):
 def merged_batches(draw):
     """(batch, M, block): 0-7 reduced polynomials of arity 0-3, plus one
     empty one (a polynomial merged to nothing) at a drawn place, and a
-    lattice block small enough that some of them span many chunks."""
-    M = draw(st.sampled_from([2, 3, 4, 6, 8, 16, 32]))
+    lattice block small enough that some of them span many chunks.
+
+    Most batches also hold twins at M = 16 or 32: a polynomial of 2-3
+    axes and 3 terms of unit-sized coefficients, so of few groups, and
+    the same moved by half its leading axis, p(l_0 + sizes_0 / 2, ...).
+    Both have one (sizes, s, G) stack key.  Where they span many chunks
+    and are screened, the twin's maximum mostly lies in other chunks than
+    the first's, so each must be screened and evaluated on its own."""
+    twins = draw(st.integers(0, 3)) > 0
+    M = draw(st.sampled_from([16, 32] if twins else [2, 3, 4, 6, 8, 16, 32]))
     batch = [draw(image_polys(M, st.integers(0, 3))) for _ in range(draw(st.integers(0, 7)))]
+    if twins:
+        sizes = draw(st.tuples(*[st.sampled_from([M // 2, M])] * draw(st.integers(2, 3))))
+        exponent = st.tuples(*[st.integers(0, m - 1).map(lambda x, m=m: x * M // m) for m in sizes])
+        coeff = st.complex_numbers(min_magnitude=0.5, max_magnitude=2)
+        terms = draw(st.dictionaries(exponent, coeff, min_size=3, max_size=3))
+        roots = np.exp(2j * np.pi * np.arange(M) / M)
+        twin = {a: c * roots[a[0] * (sizes[0] // 2) % M] for a, c in terms.items()}
+        for poly in (sizes, terms), (sizes, twin):
+            batch.insert(draw(st.integers(0, len(batch))), poly)
     batch.insert(draw(st.integers(0, len(batch))), ((), {}))
     return batch, M, 2 ** draw(st.integers(6, 12))
 
@@ -457,13 +474,15 @@ class TestLatticeScreen:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_screen_skips_most_chunks(self, monkeypatch, seed):
         rng = np.random.default_rng(seed)
-        image = _image({a: complex(*rng.standard_normal(2)) for a in BENCH_ALPHAS}, 256)
-        assert image[0] == (256, 256, 256)
+        terms = {a: complex(*rng.standard_normal(2)) for a in BENCH_ALPHAS}
+        sizes, terms, full = _image(terms, 256)
+        # Full row rank: ``vn_check`` takes the exact sup and skips this lattice.
+        assert sizes == (256, 256, 256) and full
         calls = chunk_calls(monkeypatch)
-        grid_sup = _lattice_max([image], 256)[0]
+        grid_sup = _lattice_max([(sizes, terms)], 256)[0]
         # 256^3 points in chunks of 2^16: 256 chunks, of which a few are evaluated.
         assert 1 <= len(calls) <= 4
-        assert grid_sup == reference_lattice_max(*image, 256, _LATTICE_BLOCK)
+        assert grid_sup == reference_lattice_max(sizes, terms, 256, _LATTICE_BLOCK)
 
     def test_rank_deficient_lattice_is_its_image(self, monkeypatch):
         # Differences (1, 1, 0) and (2, 0, 1) have rank 2 and invariant
@@ -488,15 +507,30 @@ class TestVnCheck:
         assert report.lhs <= report.sup_upper
 
     def test_inconclusive_band(self):
-        # Coarse lattice misses the maximiser; the pad keeps the verdict
-        # sound instead of declaring a false violation.
+        # Coarse lattice misses the maximiser z = -i; the pad keeps the
+        # verdict sound instead of declaring a false violation.  The rows
+        # (1) and (2) are dependent, so the lattice decides.
         tup = ContractionTuple((np.array([[-1j]]),))
-        p = MultiPolynomial(d=1, terms={(0,): 1.0, (1,): 1j})
+        p = MultiPolynomial(d=1, terms={(0,): 1.0, (1,): 1j, (2,): -0.1})
         report = vn_check(tup, p, 2)
-        assert report.grid_sup == pytest.approx(np.sqrt(2))
-        assert report.lhs == pytest.approx(2.0)
+        assert report.lhs == pytest.approx(2.1)
+        assert report.grid_sup == pytest.approx(abs(0.9 + 1j))
+        assert report.sup_upper == pytest.approx(abs(0.9 + 1j) + np.pi / 2 * 1.2)
+        assert not report.exact_sup
         assert report.verdict == "INCONCLUSIVE"
         assert vn_check(tup, p, 64).verdict == "HOLDS"
+
+    def test_independent_rows_take_the_exact_sup(self):
+        # 1 + iz has one row, (1): sup |p| = 2 at z = -i, off the M = 2
+        # lattice, whose maximum is sqrt(2).  The bound is exact at any M.
+        tup = ContractionTuple((np.array([[-1j]]),))
+        p = MultiPolynomial(d=1, terms={(0,): 1.0, (1,): 1j})
+        for M in (2, 64):
+            report = vn_check(tup, p, M)
+            assert report.grid_sup == report.sup_upper == 2.0
+            assert report.lipschitz_pad == np.pi / M
+            assert report.exact_sup
+            assert report.verdict == "HOLDS"
 
     def test_constant_polynomial_is_not_a_violation(self):
         # lhs and grid_sup are the same number computed two ways; a
@@ -539,21 +573,28 @@ class TestVnSearch:
     def test_verdicts_match_reference_route(self, monkeypatch):
         # Criterion 9's configuration on 200 trials.  The reference search
         # checks each case with vn_check, whose torus_sup is replaced here
-        # by the per-term lattice loop.
+        # by the per-term lattice loop; it is reached by the trials whose
+        # rows alpha - alpha_0 are dependent, and only by them.
         configs = [dict(d=d, dim=4, trials=200, seed=20_260_000 + d, M=64) for d in (1, 2)]
         library = [vn_search(**args)["reports"] for args in configs]
         calls = []
 
-        def per_case(poly, M):
+        def per_case(poly, M, image):
             calls.append(poly)
             return reference_torus_sup(poly, M)
+
+        def dependent(poly):
+            rows = np.array(list(poly.terms)) - np.array(next(iter(poly.terms)))
+            return np.linalg.matrix_rank(rows) < len(rows) - 1
 
         monkeypatch.setattr(dilations.dilation, "torus_sup", per_case)
         reference = []
         for args in configs:
             calls.clear()
             reference.append(reference_vn_search(**args)["reports"])
-            assert len(calls) == args["trials"]
+            exact = [r["report"]["exact_sup"] for r in reference[-1]]
+            assert 0 < len(calls) == exact.count(False)
+            assert all(dependent(poly) for poly in calls)
         for lib_reports, ref_reports in zip(library, reference):
             lib = [(r["report"]["verdict"], r["report"]["lhs"]) for r in lib_reports]
             ref = [(r["report"]["verdict"], r["report"]["lhs"]) for r in ref_reports]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import random_unitary
 from dilations.dilation import _random_commuting_tuple
-from dilations import interpolation
+from dilations import interpolation, torus
 from dilations.interpolation import (
     ContractionTuple,
     DiscretizedSemigroup,
@@ -162,7 +162,8 @@ class TestGridForm:
             t = GridTime(N, nums)
             targets, exponents = interpolation._grid_form(semi, t)
             assert sorted(targets.tolist()) == list(range(N**d)), nums
-            np.testing.assert_array_equal(exponents, np.add(t.floors, t.motion()[1]))
+            carries = torus._grid_motion(N, np.array([nums]) % N)[1][0]
+            np.testing.assert_array_equal(exponents, np.add(np.array(nums) // N, carries))
             distinct = np.unique(exponents, axis=0)
             assert len(distinct) == 2 ** sum(num % N > 0 for num in nums), nums
 
@@ -477,7 +478,7 @@ class TestSemigroupSuite:
         def swapped(semi, t):
             out = dense(semi, t)
             if t.nums == u:
-                first, second = t.motion()[0][:2]
+                first, second = torus._grid_motion(N, np.array([u]) % N)[0][0, :2]
                 grid, dim = N**t.d, semi.base.dim
                 blocks = out.reshape(grid, dim, grid, dim).copy()
                 blocks[[first, second]] = blocks[[second, first]]

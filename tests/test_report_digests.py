@@ -1,6 +1,7 @@
 """``scripts/report_digests.py`` prints the sha256 of each benchmark report."""
 
 import hashlib
+import json
 import re
 import subprocess
 import sys
@@ -26,3 +27,21 @@ def test_digests_name_each_report_and_repeat(tmp_path):
         line.split()[0] for line in first
     )
     assert digests() == first
+
+
+def test_fields_digest_each_top_level_field(tmp_path):
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), "--workload", "approx", "--seed", "1",
+         "--dir", str(tmp_path), "--fields"],
+        capture_output=True, text=True, check=True,
+    )
+    lines = done.stdout.splitlines()
+    assert lines and all(re.fullmatch(r"[0-9a-f]{64}  approx .+ \[\w+\]", line) for line in lines)
+    want = []
+    for path in sorted(tmp_path.glob("*-out.json")):
+        for value in json.loads(path.read_text()).values():
+            want.append(hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest())
+    assert sorted(line.split()[0] for line in lines) == sorted(want)
+    # Every report has a config field.
+    reports = len(list(tmp_path.glob("*-out.json")))
+    assert sum(line.endswith(" [config]") for line in lines) == reports

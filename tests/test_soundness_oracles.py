@@ -22,9 +22,10 @@ stay put.  Entrywise classes depend on the basis and are left out.
 import math
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import dilations.dilation
 from conftest import random_commuting_unitaries, random_contraction, random_unitary
 from dilations.dilation import (
     DEGREE_CAP,
@@ -32,6 +33,9 @@ from dilations.dilation import (
     _image,
     _random_commuting_tuple,
     _random_polynomial,
+    _sups,
+    _torus_sups,
+    _verdict,
     torus_sup,
     vn_check,
 )
@@ -39,8 +43,9 @@ from dilations.fixtures import load_crabb_davie
 from dilations.interpolation import ContractionTuple, approx_error_sweep, semigroup_suite
 from dilations.linalg import DEFAULT_TOL, identity, kron, op_norm
 from dilations.structure import preservation_suite
-from test_dilation import rounding_bound
+from test_dilation import BENCH_ALPHAS, rounding_bound
 from test_interpolation import dissipative_generators, uniform_axes
+from unbatched_reference import reference_torus_sup
 
 
 def lattice_codes(exponents, shape, M):
@@ -81,10 +86,13 @@ def image_cases(draw):
 @example(({(5, 0, 0): 1, (0, 5, 0): 1, (0, 0, 5): 1, (16, 0, 0): 1}, 32))
 def test_image_is_the_lattice_image(case):
     terms, M = case
-    sizes, reduced = _image(terms, M)
+    sizes, reduced, full = _image(terms, M)
     if not terms:
-        assert (sizes, reduced) == ((), {})
+        assert (sizes, reduced, full) == ((), {}, False)
         return
+    # Full row rank of the rows alpha - alpha_0 themselves, not mod M.
+    rows = np.array(list(terms)) - np.array(next(iter(terms)))
+    assert full == (np.linalg.matrix_rank(rows) == len(terms) - 1)
     classes = {}
     for alpha, coeff in terms.items():
         classes.setdefault(tuple(a % M for a in alpha), []).append(coeff)
@@ -98,16 +106,27 @@ def test_image_is_the_lattice_image(case):
     assert list(reduced.values()) == [sum(coeffs) for coeffs in classes.values()]
 
 
-def diagonal_maximiser_case(rng, d, M0):
-    """(tuple, polynomial): diagonal unitaries whose joint eigenvalues are
-    three M0-lattice points, one of them the M0-lattice argmax of |p|, so
+def diagonal_maximiser_case(rng, poly, M0):
+    """(tuple, poly): diagonal unitaries whose joint eigenvalues are three
+    M0-lattice points, one of them the M0-lattice argmax of |p|, so
     ||p(S)|| is a lattice value at M0 and close to sup |p| elsewhere."""
-    poly = _random_polynomial(rng, d)
+    d = poly.d
     ks = np.indices((M0,) * d).reshape(d, -1).T
     values = sum(c * np.exp(2j * np.pi * (ks @ np.array(a)) / M0) for a, c in poly.terms.items())
     points = [ks[np.argmax(np.abs(values))], *rng.integers(0, M0, size=(2, d))]
     mats = tuple(np.diag(np.exp(2j * np.pi * np.array(axis) / M0)) for axis in zip(*points))
     return ContractionTuple(mats, tol=1e-9), poly
+
+
+def rank_deficient_polynomial(rng, d):
+    """d + 2 terms of distinct exponents up to 3 per axis: more rows
+    alpha - alpha_0 than axes, so they are dependent and the lattice
+    decides."""
+    alphas = set()
+    while len(alphas) < d + 2:
+        alphas.add(tuple(int(a) for a in rng.integers(0, 4, size=d)))
+    terms = {alpha: complex(*rng.standard_normal(2)) for alpha in sorted(alphas)}
+    return MultiPolynomial(d=d, terms=terms)
 
 
 def test_violated_never_meets_holds_at_another_lattice():
@@ -116,15 +135,110 @@ def test_violated_never_meets_holds_at_another_lattice():
     for d in (1, 2, 3):
         for _ in range(4):
             cases.append((_random_commuting_tuple(rng, d, 3), _random_polynomial(rng, d)))
-            cases.append(diagonal_maximiser_case(rng, d, 24 if d < 3 else 12))
+            poly = _random_polynomial(rng, d)
+            cases.append(diagonal_maximiser_case(rng, poly, 24 if d < 3 else 12))
+    # Most of the random polynomials above have independent rows, so their
+    # bound is exact and their verdict cannot move; these can.
+    for d in (1, 2, 3):
+        for _ in range(3):
+            poly = rank_deficient_polynomial(rng, d)
+            cases.append(diagonal_maximiser_case(rng, poly, 24 if d < 3 else 12))
     moving = 0
     for tup, poly in cases:
         lattices = (2, 3, 4, 5, 6, 8, 12, 16, 24) + ((256,) if poly.d == 3 else (64,))
         verdicts = {vn_check(tup, poly, M).verdict for M in lattices}
         assert not {"VIOLATED", "HOLDS"} <= verdicts, (poly, verdicts)
         moving += len(verdicts) > 1
-    # 12 of the 25 change verdict as M grows, so the check bites.
+    # 12 of the 34 change verdict as M grows, so the check bites.
     assert moving >= len(cases) // 3
+
+
+def exact_sup(poly, M):
+    """(grid_sup, lipschitz_pad, sup_upper, exact_sup) of ``vn_check``'s rule."""
+    return _sups([poly], M, _torus_sups)[0]
+
+
+def test_exact_sup_is_attained_where_the_terms_align():
+    # Independent rows alpha - alpha_0 let (alpha - alpha_0) . theta =
+    # arg c_0 - arg c_alpha be solved; at that theta every term points the
+    # same way, so |p| = sum |c_alpha|, and no point of the torus does
+    # better.  Brute force: theta by least squares, then |p| directly.
+    rng = np.random.default_rng(86)
+    checked = 0
+    while checked < 200:
+        d = int(rng.integers(1, 4))
+        alphas = rng.integers(0, 5, size=(int(rng.integers(1, d + 2)), d))
+        rows = alphas - alphas[0]
+        if len(set(map(tuple, alphas.tolist()))) < len(alphas):
+            continue
+        if np.linalg.matrix_rank(rows) < len(rows) - 1:
+            continue
+        coeffs = rng.standard_normal(len(alphas)) + 1j * rng.standard_normal(len(alphas))
+        poly = MultiPolynomial(d=d, terms=dict(zip(map(tuple, alphas.tolist()), coeffs)))
+        grid_sup, _, sup_upper, exact = exact_sup(poly, 8)
+        assert exact and grid_sup == sup_upper
+        phases = np.angle(coeffs[0]) - np.angle(coeffs[1:])
+        theta = np.linalg.lstsq(rows[1:], phases, rcond=None)[0]
+        value = abs(sum(c * np.exp(1j * (a @ theta)) for a, c in zip(alphas, coeffs)))
+        assert abs(value - sup_upper) <= rounding_bound(poly)
+        lattice = reference_torus_sup(poly, 8)[0]
+        assert lattice <= sup_upper + rounding_bound(poly, powers=int(alphas.sum(axis=1).max()))
+        checked += 1
+
+
+@st.composite
+def independent_cases(draw):
+    """(poly, M): 1 to d + 1 terms of arity 1-3 whose rows alpha - alpha_0
+    are independent, and a lattice size."""
+    d = draw(st.integers(1, 3))
+    alphas = draw(st.lists(st.tuples(*[st.integers(0, 4)] * d), min_size=1, max_size=d + 1,
+                           unique=True))
+    assume(np.linalg.matrix_rank(np.array(alphas) - np.array(alphas[0])) == len(alphas) - 1)
+    coeff = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False)
+    poly = MultiPolynomial(d=d, terms={alpha: draw(coeff) for alpha in alphas})
+    return poly, draw(st.sampled_from([2, 3, 4, 8, 16]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(independent_cases(), st.floats(0, 2))
+def test_lattice_verdict_never_contradicts_the_exact_sup(case, ratio):
+    # The lattice maximum is a value |p| attains, so at most S, and the
+    # lattice bound is at least sup |p| = S: where the lattice decides,
+    # it decides as S does, and S always decides.
+    poly, M = case
+    grid_sup, _, sup_upper, exact = exact_sup(poly, M)
+    assert exact
+    lhs = ratio * sup_upper
+    decided = _verdict(lhs, grid_sup, sup_upper, DEFAULT_TOL)
+    ref_grid_sup, _, ref_sup_upper = reference_torus_sup(poly, M)
+    assert decided in ("HOLDS", "VIOLATED")
+    assert _verdict(lhs, ref_grid_sup, ref_sup_upper, DEFAULT_TOL) in ("INCONCLUSIVE", decided)
+
+
+def test_exact_sup_for_dependent_rows_is_caught(monkeypatch):
+    """Mutant check: the exact sup taken for every polynomial turns the
+    fixture, whose rows are dependent and whose sum |c_alpha| = 4 is its
+    lhs, from VIOLATED into HOLDS."""
+    image = dilations.dilation._image
+    def mutant(terms, M):
+        return (*image(terms, M)[:2], True)
+
+    monkeypatch.setattr(dilations.dilation, "_image", mutant)
+    report = vn_check(*load_crabb_davie(), 256)
+    assert report.exact_sup and report.sup_upper == 4.0
+    assert report.verdict == "HOLDS"
+
+
+def test_independent_rows_evaluate_no_lattice(monkeypatch):
+    # The certify benchmark's d = 3 shape: its image at M = 256 is all
+    # 256^3 points, and none of them is evaluated.
+    calls = []
+    monkeypatch.setattr(dilations.dilation, "_lattice_max", lambda *args: calls.append(args))
+    rng = np.random.default_rng(87)
+    poly = MultiPolynomial(d=3, terms={a: complex(*rng.standard_normal(2)) for a in BENCH_ALPHAS})
+    report = vn_check(_random_commuting_tuple(rng, 3, 4), poly, 256)
+    assert calls == []
+    assert report.exact_sup and report.verdict == "HOLDS"
 
 
 def rotated_and_permuted(poly, M, shift, perm):

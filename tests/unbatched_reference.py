@@ -42,7 +42,8 @@ the tests require both to return the same float.
 trial its own generator ``reference_commuting_tuple`` draws the tuple
 with one-matrix norms, a ``ContractionTuple`` validates it, the
 library's ``_random_polynomial`` draws the polynomial and ``vn_check``
-decides the case.  The library draws every trial first and validates and
+decides the case, by the exact supremum where the rows alpha - alpha_0
+are independent and by ``torus_sup`` elsewhere.  The library draws every trial first and validates and
 norms them as stacks, by the same per-member LAPACK and BLAS calls in the
 same order, so the tests require both routes' results to be equal byte
 for byte as JSON.
@@ -82,7 +83,7 @@ grid with Python loops, and ``reference_bscr_check`` and
 ``reference_bscr_trace`` evaluate the commutation relation
 P(s)U(t) = U(t)Q(s,t) and the trace U(t)* P(s) U(t) f by dense matrix
 products.  The library reads the same operators from the grid motion of
-``GridTime.motion``, one target index and one carry bit per point, so the
+``torus._grid_motion``, one target index and one carry bit per point, so the
 tests require both routes to agree exactly: every operator is a
 permutation or a 0/1 diagonal, and every entry either route computes is
 an exact small integer or an entry of f.
@@ -321,7 +322,7 @@ def reference_eval_discretized(semi, t):
     point m, placed at the target m + t (mod 1)."""
     N, d, dim = semi.N, semi.base.d, semi.base.dim
     axis_powers = []
-    for s_i, fl in zip(semi.base.mats, t.floors):
+    for s_i, fl in zip(semi.base.mats, (k // N for k in t.nums)):
         powers = [identity(dim)]
         for _ in range(fl + 1):
             powers.append(powers[-1] @ s_i)

@@ -29,6 +29,7 @@ from .linalg import (
     InputError,
     _batches,
     _check_cap,
+    _integer,
     _isometry_deviations,
     _matrix_payload,
     _op_norms,
@@ -107,7 +108,7 @@ class MultiPolynomial:
     @classmethod
     def from_json(cls, obj) -> "MultiPolynomial":
         try:
-            d = int(obj["d"])
+            d = _integer(obj["d"], "polynomial d")
             terms = {
                 tuple(item["alpha"]): complex(item["coeff"][0], item["coeff"][1])
                 for item in obj["terms"]
@@ -240,9 +241,10 @@ def torus_sup(poly: MultiPolynomial, M: int, *, image=None) -> tuple[float, floa
     within rho of the exact M^d lattice maximum.
     """
     _check_lattice(M)
-    if image is None:
-        image = _capped_image(poly, M)
-    return _torus_sups([poly], M, [image])[0]
+    sizes, reduced, _ = _capped_image(poly, M) if image is None else image
+    grid_sup = _lattice_max([(sizes, reduced)], M)[0]
+    pad = _lipschitz_pad(poly, M)
+    return grid_sup, pad, grid_sup + pad
 
 
 def _capped_image(poly: MultiPolynomial, M: int) -> tuple:
@@ -256,38 +258,29 @@ def _lipschitz_pad(poly: MultiPolynomial, M: int) -> float:
     return math.pi / M * sum(abs(coeff) * sum(alpha) for alpha, coeff in poly.terms.items())
 
 
-def _torus_sups(polys: list, M: int, images: list) -> list:
-    """``torus_sup`` of each polynomial from its ``_image``, M unchecked,
-    from one ``_lattice_max`` call."""
-    maxima = _lattice_max([(sizes, reduced) for sizes, reduced, _ in images], M)
-    pads = [_lipschitz_pad(poly, M) for poly in polys]
-    return [(grid_sup, pad, grid_sup + pad) for grid_sup, pad in zip(maxima, pads)]
-
-
-def _sups(polys: list, M: int, lattice) -> list:
-    """(grid_sup, lipschitz_pad, sup_upper, exact_sup) of each polynomial,
-    M unchecked, the rule ``vn_check`` and ``vn_search`` share.
+def _decide(lhs: list, polys: list, M: int, tol: float, lattice) -> list:
+    """The ``VnReport`` of lhs[k] against polys[k] for each k, M
+    unchecked: the rule ``vn_check`` and ``vn_search`` share.
 
     Each image is computed and capped once.  Where D has full row rank,
     (alpha - alpha_0) . theta = arg c_alpha_0 - arg c_alpha has a real
     solution theta*, at which every term has the argument of c_alpha_0:
     so sup |p| = |p(e^(i theta*))| = S = sum_alpha |c_alpha| exactly, at
-    any M, and grid_sup = sup_upper = S with no lattice.  The pad keeps
-    its formula.  The other polynomials take the lattice route, in one
-    call ``lattice(polys, M, images)`` with the signature of
-    ``_torus_sups``.
+    any M, and grid_sup = sup_upper = S with no lattice.  The other
+    polynomials get their grid_sup from one call ``lattice(polys,
+    images)`` and add the pad, whose formula is the same for all.
     """
     images = [_capped_image(poly, M) for poly in polys]
     rest = [(poly, image) for poly, image in zip(polys, images) if not image[2]]
-    on_lattice = iter(lattice([p for p, _ in rest], M, [i for _, i in rest]) if rest else ())
-    sups = []
-    for poly, (_, _, full) in zip(polys, images):
-        if full:
-            exact = math.fsum(abs(coeff) for coeff in poly.terms.values())
-            sups.append((exact, _lipschitz_pad(poly, M), exact, True))
-        else:
-            sups.append((*next(on_lattice), False))
-    return sups
+    maxima = iter(lattice(*zip(*rest)) if rest else ())
+    reports = []
+    for value, poly, (_, _, full) in zip(lhs, polys, images):
+        pad = _lipschitz_pad(poly, M)
+        grid_sup = math.fsum(abs(coeff) for coeff in poly.terms.values()) if full else next(maxima)
+        sup_upper = grid_sup if full else grid_sup + pad
+        verdict = _verdict(value, grid_sup, sup_upper, tol)
+        reports.append(VnReport(value, grid_sup, pad, sup_upper, full, verdict))
+    return reports
 
 
 def _image(terms: dict, M: int) -> tuple:
@@ -537,14 +530,8 @@ class VnReport:
     verdict: str
 
     def to_json(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "grid_sup": self.grid_sup,
-            "lipschitz_pad": self.lipschitz_pad,
-            "sup_upper": self.sup_upper,
-            "exact_sup": self.exact_sup,
-            "verdict": self.verdict,
-        }
+        # The fields in their order; a twentieth of the cost of asdict's deep copy.
+        return dict(vars(self))
 
 
 def vn_check(
@@ -558,24 +545,17 @@ def vn_check(
     VIOLATED only when the left side beats grid maximum plus pad, so the
     verdict is sound; HOLDS when it is below the grid maximum itself;
     INCONCLUSIVE in between (a larger lattice will separate the two).
-    Where the rows alpha - alpha_0 have full row rank, both bounds are
-    the exact supremum sum |c_alpha| and no lattice is evaluated
-    (``_sups``); every other polynomial goes through ``torus_sup``.  The
-    caps on M and on the image's points apply to both.
+    ``_decide`` builds the report: where the rows alpha - alpha_0 have
+    full row rank, both bounds are the exact supremum sum |c_alpha| with
+    no lattice; every other polynomial takes grid_sup from ``torus_sup``,
+    looked up when called.  The caps on M and image points apply to both.
     """
     lhs = op_norm(eval_poly(tup, poly))
     _check_lattice(M)
-    [(grid_sup, pad, sup_upper, exact)] = _sups(
-        [poly], M, lambda polys, M, images: [torus_sup(*polys, M, image=images[0])]
+    [report] = _decide(
+        [lhs], [poly], M, tol, lambda polys, images: [torus_sup(*polys, M, image=images[0])[0]]
     )
-    return VnReport(
-        lhs=lhs,
-        grid_sup=grid_sup,
-        lipschitz_pad=pad,
-        sup_upper=sup_upper,
-        exact_sup=exact,
-        verdict=_verdict(lhs, grid_sup, sup_upper, tol),
-    )
+    return report
 
 
 def _verdict(lhs: float, grid_sup: float, sup_upper: float, tol: float) -> str:
@@ -587,7 +567,7 @@ def _verdict(lhs: float, grid_sup: float, sup_upper: float, tol: float) -> str:
     # (u = 2^-53, n terms; see torus_sup), which is covered while that
     # bound stays below 1e-12 * sup_upper + tol: with the default tol,
     # whenever (d + n) sum|c_alpha| < 2.8e4 (the 2^-1074 part is far
-    # below tol).  The exact supremum S = fsum(|c_alpha|) of ``_sups``
+    # below tol).  The exact supremum S = fsum(|c_alpha|) of ``_decide``
     # takes each |c_alpha| within 1 ulp and rounds once more in fsum, so
     # it is within (n + 1) u S of sum|c_alpha|, with n <= d + 1 terms on
     # that path: inside the relative slack while n < 9000.  The slack
@@ -667,12 +647,10 @@ def vn_search(
     Trials run in chunks whose stacks stay within the size cap: a chunk
     draws its tuples and polynomials, checks its tuples as
     ``ContractionTuple`` would and takes every ||p(S)|| in one stacked
-    SVD; then each polynomial gets ``vn_check``'s bound from ``_sups``,
-    which computes its image once and gives the exact supremum where the
-    rows alpha - alpha_0 have full row rank, and one ``_lattice_max``
-    call evaluates the lattices of all the others.  Each case gets
-    ``vn_check``'s verdict rule.  The extra cases, whatever their arity,
-    join the last chunk's call.  The result equals the
+    SVD; then ``_decide`` gives every case of the chunk ``vn_check``'s
+    report, the lattices it needs evaluated by one ``_lattice_max`` call.
+    The extra cases, whatever their arity, join the last chunk, which is
+    their own when there are no trials.  The result equals the
     one-trial-at-a-time route's (``vn_check`` per case) bit for bit.  An
     arity past DEGREE_CAP // 3, a lattice size past the root-table cap
     and M^d past the point cap are refused before any trial is drawn,
@@ -719,27 +697,22 @@ def vn_search(
         )
         return [("random", *case) for case in zip(indices, values.tolist(), polys)]
 
-    def calls():
-        """The cases of each lattice call, in order: a chunk of trials
-        each, the extra cases joining the last."""
-        # A trial's largest share of a chunk is its d members' four powers.
-        parts = _batches(trials, 4 * d * dim * dim)
-        for part in parts:
-            cases = drawn(range(trials)[part])
-            yield cases + extras if part is parts[-1] else cases
-        if not parts:
-            yield extras
+    def lattice(polys, images):
+        return _lattice_max([(sizes, reduced) for sizes, reduced, _ in images], M)
 
     max_ratio = 0.0
     violations = []
     reports = []
-    for cases in calls():
-        sups = _sups([poly for *_, poly in cases], M, _torus_sups)
-        for (kind, index, lhs, poly), (grid_sup, pad, sup_upper, exact) in zip(cases, sups):
-            verdict = _verdict(lhs, grid_sup, sup_upper, tol)
-            report = VnReport(lhs, grid_sup, pad, sup_upper, exact, verdict)
-            if grid_sup > 0:
-                max_ratio = max(max_ratio, lhs / grid_sup)
+    # A trial's largest share of a chunk is its d members' four powers.
+    parts = _batches(trials, 4 * d * dim * dim) or [slice(0)]
+    for part in parts:
+        cases = drawn(range(trials)[part]) if trials else []
+        if part is parts[-1]:
+            cases += extras
+        decided = _decide([case[2] for case in cases], [case[3] for case in cases], M, tol, lattice)
+        for (kind, index, _, poly), report in zip(cases, decided):
+            if report.grid_sup > 0:
+                max_ratio = max(max_ratio, report.lhs / report.grid_sup)
             reports.append({"kind": kind, "index": index, "report": report.to_json()})
             if report.verdict == "VIOLATED":
                 if kind == "fixture":

@@ -29,6 +29,7 @@ from .linalg import (
     InputError,
     _batches,
     _check_cap,
+    _integer,
     _listed,
     _matrix_payload,
     _max_op_norm,
@@ -101,9 +102,9 @@ class ContractionTuple:
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed tuple JSON: {exc}") from exc
         tup = cls(mats, tol=tol)
-        if "d" in obj and int(obj["d"]) != tup.d:
+        if "d" in obj and _integer(obj["d"], "tuple d") != tup.d:
             raise InputError(f"tuple JSON declares d={obj['d']} but has {tup.d} matrices")
-        if "dim" in obj and int(obj["dim"]) != tup.dim:
+        if "dim" in obj and _integer(obj["dim"], "tuple dim") != tup.dim:
             raise InputError(
                 f"tuple JSON declares dim={obj['dim']} but matrices are {tup.dim}x{tup.dim}"
             )

@@ -340,10 +340,22 @@ def matrix_to_json(a) -> dict:
     return _listed(_matrix_payload(a))
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int, refused unless it equals one: 2 and 2.0 pass,
+    2.5, "2" and null do not."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or number != value:
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return number
+
+
 def matrix_from_json(obj) -> np.ndarray:
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
+        rows = _integer(obj["rows"], "rows")
+        cols = _integer(obj["cols"], "cols")
         data = obj["data"]
         count = len(data)
     except (KeyError, TypeError, ValueError) as exc:

@@ -33,12 +33,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GridTime:
-    """A vector of exact rational times k_i/N with one shared denominator.
-
-    Floor and fractional parts are integer arithmetic on the numerators:
-    floor(t_i) = k_i // N and frac(t_i) = (k_i % N)/N, so t = floor + frac
-    holds exactly.
-    """
+    """A vector of exact rational times k_i/N with one shared denominator."""
 
     N: int
     nums: tuple[int, ...]
@@ -55,10 +50,6 @@ class GridTime:
     @property
     def d(self) -> int:
         return len(self.nums)
-
-    @property
-    def frac_nums(self) -> tuple[int, ...]:
-        return tuple(k % self.N for k in self.nums)
 
     def values(self) -> tuple[float, ...]:
         return tuple(k / self.N for k in self.nums)

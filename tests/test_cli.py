@@ -729,6 +729,13 @@ def test_interp_eval_memory_stays_near_the_dense_matrix(tmp_path):
         # a table of 101 roots > 100 entries
         ["DILATIONS_MAX_ENTRIES=100", "vn-search", "--d", "1", "--dim", "2", "--trials", "1",
          "--seed", "1", "--grid", "101"],
+        # integer fields that are not integers: "x", null, 1.5 and 2.5
+        ["vn", "--tuple", "{tuple_d_x}", "--poly", "{poly1}"],
+        ["preserve", "--tuple", "{tuple_d_x}", "--N", "2"],
+        ["vn", "--tuple", "{tuple_dim_null}", "--poly", "{poly1}"],
+        ["preserve", "--tuple", "{tuple_dim_null}", "--N", "2"],
+        ["vn", "--tuple", "{tuple}", "--poly", "{poly_d_frac}"],
+        ["structure", "--matrix", "{rows_frac}"],
     ],
 )
 def test_bad_input_exits_2(runner, tmp_path, args):
@@ -742,6 +749,12 @@ def test_bad_input_exits_2(runner, tmp_path, args):
         "half": matrix_to_json(np.diag([0.5, 0.5])),
         "scalar_data": {"rows": 1, "cols": 1, "data": 5},
         "poly_frac": {"d": 1, "terms": [{"alpha": [1.5], "coeff": [1.0, 0.0]}]},
+        "poly1": {"d": 1, "terms": [{"alpha": [1], "coeff": [1.0, 0.0]}]},
+        "poly_d_frac": {"d": 1.5, "terms": [{"alpha": [1], "coeff": [1.0, 0.0]}]},
+        "tuple_d_x": {"d": "x", "matrices": [matrix_to_json(shift_matrix(2))]},
+        "tuple_dim_null": {"dim": None, "matrices": [matrix_to_json(shift_matrix(2))]},
+        "rows_frac": {"rows": 2.5, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0],
+                                                       [1.0, 0.0]]},
     }
     paths = {"tuple": write_tuple(tmp_path / "tup.json", [shift_matrix(2)])}
     for name, obj in files.items():

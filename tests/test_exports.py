@@ -6,7 +6,9 @@ and in an ``__all__`` list; the package's ``__init__`` does not count.
 Likewise every top-level private function of a library module: a helper
 only the tests call is dead library code.  And every name a library
 module imports must be used in that module; the package's ``__init__``,
-which imports only to re-export, is exempt.
+which imports only to re-export, is exempt.  And every public method,
+property and classmethod of an exported class must be read as
+``.name`` somewhere in those callers; dunders are exempt.
 """
 
 import ast
@@ -64,6 +66,29 @@ PRIVATE = sorted(
 )
 
 
+def public_members(cls):
+    """Names of the public methods, properties and classmethods ``cls`` defines."""
+    kinds = (property, classmethod, staticmethod)
+    return [
+        name
+        for name, value in vars(cls).items()
+        if not name.startswith("_") and (inspect.isfunction(value) or isinstance(value, kinds))
+    ]
+
+
+MEMBERS = sorted(
+    (name, member)
+    for name in EXPORTS
+    if inspect.isclass(getattr(dilations, name))
+    for member in public_members(getattr(dilations, name))
+)
+
+
+def attribute_uses(member, text):
+    """The ``.member`` reads in ``text``."""
+    return re.findall(rf"\.{re.escape(member)}\b", text)
+
+
 def uses(name, text):
     """Lines of ``text`` naming ``name`` other than its definition or an
     ``__all__`` entry."""
@@ -79,6 +104,7 @@ def uses(name, text):
 
 def test_callers_found():
     assert len(CALLERS) >= 8 and len(EXPORTS) >= 20 and len(PRIVATE) >= 20
+    assert len(MEMBERS) >= 10
     assert len(MODULES) >= 7
 
 
@@ -109,6 +135,41 @@ def test_uncalled_private_function_is_caught():
     assert private_functions(text) == ["_orphan"]
     assert uses("_orphan", text) == []
     assert uses("_orphan", text + "\nvalue = _orphan(1)\n") == ["value = _orphan(1)"]
+
+
+@pytest.mark.parametrize("cls, member", MEMBERS)
+def test_public_member_has_a_caller(cls, member):
+    texts = [path.read_text() for path in CALLERS]
+    assert any(attribute_uses(member, text) for text in texts), f"{cls}.{member} is never used"
+
+
+def test_uncalled_member_is_caught():
+    """Mutant check: a property, classmethod or method never read as
+    ``.name`` fails, its definition does not count, and dunders and
+    private methods are not listed."""
+
+    class Orphan:
+        @property
+        def lost(self):
+            return 1
+
+        @classmethod
+        def make(cls):
+            return cls()
+
+        def run(self):
+            return self
+
+        def _helper(self):
+            return self
+
+        def __add__(self, other):
+            return self
+
+    assert public_members(Orphan) == ["lost", "make", "run"]
+    assert attribute_uses("lost", "def lost(self):\n    return lost\n") == []
+    assert attribute_uses("lost", "value = orphan.lost\n") == [".lost"]
+    assert attribute_uses("lost", "value = orphan.lost_count\n") == []
 
 
 @pytest.mark.parametrize("module", MODULES)

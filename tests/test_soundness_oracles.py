@@ -30,11 +30,11 @@ from conftest import random_commuting_unitaries, random_contraction, random_unit
 from dilations.dilation import (
     DEGREE_CAP,
     MultiPolynomial,
+    _decide,
     _image,
+    _lattice_max,
     _random_commuting_tuple,
     _random_polynomial,
-    _sups,
-    _torus_sups,
     _verdict,
     torus_sup,
     vn_check,
@@ -154,8 +154,13 @@ def test_violated_never_meets_holds_at_another_lattice():
 
 
 def exact_sup(poly, M):
-    """(grid_sup, lipschitz_pad, sup_upper, exact_sup) of ``vn_check``'s rule."""
-    return _sups([poly], M, _torus_sups)[0]
+    """(grid_sup, lipschitz_pad, sup_upper, exact_sup) of ``vn_check``'s rule,
+    read from the report ``_decide`` builds (lhs 0)."""
+    [report] = _decide(
+        [0.0], [poly], M, DEFAULT_TOL,
+        lambda polys, images: _lattice_max([image[:2] for image in images], M),
+    )
+    return report.grid_sup, report.lipschitz_pad, report.sup_upper, report.exact_sup
 
 
 def test_exact_sup_is_attained_where_the_terms_align():
@@ -239,6 +244,38 @@ def test_independent_rows_evaluate_no_lattice(monkeypatch):
     report = vn_check(_random_commuting_tuple(rng, 3, 4), poly, 256)
     assert calls == []
     assert report.exact_sup and report.verdict == "HOLDS"
+
+
+# Dependent rows (1) and (3), so the lattice and its pad decide; lhs is
+# |p| at its maximiser theta*, the argmax of |p| over 10^6 equally
+# spaced angles: lhs = 3.5598, and sup_upper = 4.4556 at M = 3.
+PAD_CASE = MultiPolynomial(d=1, terms={(0,): -0.06 - 2.67j, (1,): -0.25 - 0.17j,
+                                       (3,): -0.09 + 0.58j})
+PAD_THETA = 0.9873146064289715
+
+
+def pad_case_verdicts():
+    """The verdict at M = 2, 3, 4, 8 of PAD_CASE at S = [e^(i theta*)]."""
+    tup = ContractionTuple((np.array([[np.exp(1j * PAD_THETA)]]),))
+    return {M: vn_check(tup, PAD_CASE, M).verdict for M in (2, 3, 4, 8)}
+
+
+def test_pad_keeps_a_near_maximiser_from_violating():
+    # A 1 x 1 unitary satisfies the inequality, and lhs is within 1e-11
+    # of sup |p|: every coarse lattice misses the maximiser by enough
+    # that only the full pad keeps the verdict sound.
+    assert pad_case_verdicts() == dict.fromkeys((2, 3, 4, 8), "INCONCLUSIVE")
+
+
+def test_a_smaller_pad_is_caught(monkeypatch):
+    """Mutant check: a pad of half its size makes M = 3 VIOLATED (bound
+    3.3754 < lhs), and a quarter makes M = 3 and 4 VIOLATED."""
+    pad = dilations.dilation._lipschitz_pad
+    for factor, violated in ((2, {3}), (4, {3, 4})):
+        monkeypatch.setattr(dilations.dilation, "_lipschitz_pad",
+                            lambda poly, M, factor=factor: pad(poly, M) / factor)
+        verdicts = pad_case_verdicts()
+        assert {M for M, verdict in verdicts.items() if verdict == "VIOLATED"} == violated
 
 
 def rotated_and_permuted(poly, M, shift, perm):

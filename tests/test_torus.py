@@ -4,9 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
 from click.testing import CliRunner
-from hypothesis import strategies as st
 
 from dilations import torus
 from dilations.cli import main
@@ -27,13 +25,6 @@ def motion(N, nums):
 
 
 class TestGridTime:
-    @given(st.integers(1, 20), st.lists(st.integers(0, 100), min_size=1, max_size=4))
-    def test_floor_plus_frac_identity(self, N, nums):
-        t = GridTime(N, tuple(nums))
-        for k, fr in zip(t.nums, t.frac_nums):
-            assert k // N * N + fr == k
-            assert 0 <= fr < N
-
     def test_parse_roundtrip(self):
         t = GridTime.parse("3/4,7/4,0", 4)
         assert t.nums == (3, 7, 0)

@@ -29,6 +29,7 @@ from .linalg import (
     InputError,
     _batches,
     _check_cap,
+    _complex_pairs,
     _integer,
     _isometry_deviations,
     _matrix_payload,
@@ -72,13 +73,7 @@ class MultiPolynomial:
             raise InputError(f"polynomial arity must be >= 1, got {self.d}")
         cleaned = {}
         for alpha, coeff in self.terms.items():
-            try:
-                exps = tuple(int(a) for a in alpha)
-            except (TypeError, ValueError, OverflowError):
-                exps = None
-            if exps != tuple(alpha):
-                raise InputError(f"exponent vector {alpha} must hold integers")
-            alpha = exps
+            alpha = tuple(_integer(a, "exponent") for a in alpha)
             if len(alpha) != self.d:
                 raise InputError(
                     f"exponent vector {alpha} has length {len(alpha)}, expected {self.d}"
@@ -109,11 +104,10 @@ class MultiPolynomial:
     def from_json(cls, obj) -> "MultiPolynomial":
         try:
             d = _integer(obj["d"], "polynomial d")
-            terms = {
-                tuple(item["alpha"]): complex(item["coeff"][0], item["coeff"][1])
-                for item in obj["terms"]
-            }
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            items = obj["terms"]
+            coeffs = _complex_pairs([item["coeff"] for item in items], "coefficient")
+            terms = {tuple(item["alpha"]): coeff for item, coeff in zip(items, coeffs)}
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed polynomial JSON: {exc}") from exc
         return cls(d=d, terms=terms)
 
@@ -358,52 +352,16 @@ def _lattice_max(polys: list, M: int) -> list:
     one, for R streamed rows and B block points.  It makes the same BLAS
     call per member as the member's own product would, so each polynomial
     gets the float it gets alone; its chunk maxima fold by a Python max
-    from 0.0.  Chunks hold _LATTICE_BLOCK // max(G, B) rows, so R rows in
-    more than one chunk make max(R, G) max(G, B) exceed _LATTICE_BLOCK:
-    each sub-batch is then one polynomial, screened by ``_screen`` first.
+    from 0.0.  Every chunk of every stack takes that product: one route
+    through the lattice, with nothing selected or skipped.
 
-    The screen uses |p|^2 = sum_g |q_g|^2 + sum_(g<h) 2 Re(w^(l .
-    (beta_g - beta_h)) q_g q_h*): one real product A @ B per chunk.
-    A's rows hold 1 and the real and imaginary parts of the table
-    entries at l . (beta_g - beta_h) mod M, gathered by exact integer
-    index; B, built once, holds the rows sum_g |q_g|^2, 2 Re(q_g q_h*)
-    and -2 Im(q_g q_h*).  That costs m = 1 + G(G - 1) real multiply-adds
-    per point for G groups, with no complex product and no modulus.  |p|
-    is then evaluated exactly, by ``_chunk_max`` as without the screen,
-    only on the chunks whose screened maximum lies within the margin
-    below of the largest, chunk boundaries unchanged; so the result is
-    the float the plain stream returns.
-
-    Why the margin suffices.  Scale Q by 2^e, exactly, so that the
-    merged sum S = sum_a |c_a| lies in [1/2, 1): no square in B
-    overflows, and what underflows is below 2^-1074.  Let V(l) = |sum_g
-    w^(l . beta_g) q_g| with exact roots and the computed Q, so sum_g
-    |q_g| <= S + rho with rho = 32 (r + n) (u S + 2^-1074) (u = 2^-53,
-    n terms; the rounding term of ``torus_sup``, which also bounds the
-    stream's value E(l) within rho of V(l)).  With P = sum_g |q_g|^2
-    and X = sum_(g<h) |q_g| |q_h|, so P + 2X = (sum_g |q_g|)^2 <= (S +
-    rho)^2, the screened value Y(l) errs from V(l)^2 by at most: (G + 2)
-    u P in the row sum_g |q_g|^2; 8u |q_g| |q_h| per pair in B's two
-    rows, each within 4u |q_g| |q_h| and met by table entries of modulus
-    at most 1 + 28u; 56u |q_g| |q_h| per pair from the table entries,
-    each within 28u of its root; and m u (P + 3X) in the sum of the m
-    products.  As m >= G, that is at most gamma (S + rho)^2 with gamma =
-    (2m + 64) u, less a spare of 32u (S + rho)^2, which covers the
-    second-order terms, the scaling's underflow, and the roundings of S,
-    the margin and the comparison.  Let chunk b hold the stream's
-    largest value E*.  Any chunk c screens at most (E* + rho)^2 + gamma
-    (S + rho)^2, and b at least max(E* - rho, 0)^2 - gamma (S + rho)^2,
-    so b's screened maximum lies within the margin 4 rho (S + 2 rho) + 2
-    gamma (S + rho)^2 of the largest (E* <= S + 2 rho), and b is
-    evaluated.  The code takes the margin in the scaled units, where S,
-    rho and E are 2^e times larger, so rho's 2^-1074 there reads 2^(e -
-    1074).
-
-    Memory, whatever the arity: each product, W, A and B hold at most
-    max(_LATTICE_BLOCK, M, groups) values per member and a sub-batch no
-    more, Q one row of at most max(M, sqrt(_LATTICE_BLOCK)) values per
-    group, and the screen's A and product at most one block of reals,
-    however many chunks A spans.
+    Memory, whatever the arity: chunks hold _LATTICE_BLOCK // max(G, B)
+    rows, and the sub-batch rule, which serves memory alone, keeps each
+    product and W within max(_LATTICE_BLOCK, M, groups) values per member
+    and a sub-batch no more; R rows in more than one chunk make max(R, G)
+    max(G, B) exceed _LATTICE_BLOCK, so such a stack runs one member at a
+    time.  Q holds one row of at most max(M, sqrt(_LATTICE_BLOCK)) values
+    per group.
     """
     roots = np.exp(2j * np.pi * np.arange(M) / M)
     best = [0.0] * len(polys)
@@ -433,10 +391,7 @@ def _lattice_max(polys: list, M: int) -> list:
             part = members[first : first + step]
             q = _q_rows(roots, sizes, s, [(terms, groups) for _, terms, groups in part])
             beta = np.array([list(groups) for _, _, groups in part], dtype=np.int64)
-            run = chunks
-            if len(chunks) > 1:  # so part is one member
-                run = _screen(roots, sizes, beta[0], q[0], chunks, part[0][1])
-            tops = [_chunk_max(roots, sizes[:s], beta, q, *chunk).tolist() for chunk in run]
+            tops = [_chunk_max(roots, sizes[:s], beta, q, *chunk).tolist() for chunk in chunks]
             for (index, _, _), column in zip(part, zip(*tops)):
                 best[index] = max(0.0, *column)
     return best
@@ -476,44 +431,6 @@ def _chunk_max(roots: np.ndarray, shape: tuple, beta, q, start: int, stop: int) 
     for i in range(1, beta.shape[2]):
         w = w * roots[ks[i][:, None] * beta[:, None, :, i] % M]
     return np.abs(w @ q).max(axis=(1, 2))
-
-
-def _screen(roots, sizes: tuple, beta, q, chunks: list, terms: dict) -> list:
-    """The chunks of ``_lattice_max`` whose screened maximum of |p|^2 lies
-    within the margin of the largest, for one polynomial ``terms`` on
-    ``sizes`` (beta (G, s), q (G, block)); all of them when A for one
-    chunk or B would outgrow a block, or 2 S overflows.  A is gathered for
-    as many consecutive chunks as fit in one block and sliced per chunk."""
-    M, G, rows = len(roots), len(q), chunks[0][1] - chunks[0][0]
-    m = 1 + G * (G - 1)
-    total = math.fsum(abs(coeff) for coeff in terms.values())
-    if m * max(rows, q.shape[1]) > _LATTICE_BLOCK or not math.isfinite(2 * total):
-        return chunks
-    e = -math.frexp(total)[1]
-    qr, qi = np.ldexp(q.real, e), np.ldexp(q.imag, e)
-    g, h = np.triu_indices(G, 1)
-    # B's rows: sum_g |q_g|^2, then per pair 2 Re(q_g q_h*) and -2 Im(q_g q_h*).
-    b = np.empty((m, q.shape[1]))
-    b[0] = (qr * qr + qi * qi).sum(axis=0)
-    b[1::2] = 2 * (qr[g] * qr[h] + qi[g] * qi[h])
-    b[2::2] = 2 * (qr[g] * qi[h] - qi[g] * qr[h])
-    steps = (beta[g] - beta[h]).T
-    per = max(1, _LATTICE_BLOCK // (rows * m))
-    tops = []
-    for first in range(0, len(chunks), per):
-        run = chunks[first : first + per]
-        base = run[0][0]
-        ks = np.stack(np.unravel_index(np.arange(base, run[-1][1]), sizes[: beta.shape[1]]), axis=1)
-        a = np.empty((len(ks), m))
-        a[:, 0] = 1.0
-        a[:, 1:] = roots[ks @ steps % M].view(np.float64)
-        tops += [float((a[start - base : stop - base] @ b).max()) for start, stop in run]
-    u = 2.0**-53
-    scaled = math.ldexp(total, e)
-    rho = 32 * (len(sizes) + len(terms)) * (u * scaled + math.ldexp(1.0, e - 1074))
-    gamma = (2 * m + 64) * u
-    floor = max(tops) - (4 * rho * (scaled + 2 * rho) + 2 * gamma * (scaled + rho) ** 2)
-    return [chunk for chunk, top in zip(chunks, tops) if top >= floor]
 
 
 @dataclass(frozen=True)
@@ -653,8 +570,9 @@ def vn_search(
     their own when there are no trials.  The result equals the
     one-trial-at-a-time route's (``vn_check`` per case) bit for bit.  An
     arity past DEGREE_CAP // 3, a lattice size past the root-table cap
-    and M^d past the point cap are refused before any trial is drawn,
-    each extra case's lattice after its ||p(S)||.
+    and M^d past the point cap are refused before any trial is drawn; an
+    extra case, like a ``vn_check`` case, has only its image capped, by
+    ``_decide``.
     """
     if d < 1:
         raise InputError(f"d must be >= 1, got {d}")
@@ -674,10 +592,7 @@ def vn_search(
     _check_lattice(M)
     _check_points("M^d", M**d)
     extra_cases = list(extra_cases)
-    extras = []
-    for index, (tup, poly) in enumerate(extra_cases):
-        extras.append(("fixture", index, op_norm(eval_poly(tup, poly)), poly))
-        _check_points("M^d", M**poly.d)
+    extras = [("fixture", k, op_norm(eval_poly(*c)), c[1]) for k, c in enumerate(extra_cases)]
 
     def drawn(indices):
         """(kind, index, lhs, poly) of the trials ``indices``; their stacks

@@ -14,6 +14,7 @@ Round-trips preserve binary64 values exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 
@@ -342,14 +343,25 @@ def matrix_to_json(a) -> dict:
 
 def _integer(value, what: str) -> int:
     """``value`` as an int, refused unless it equals one: 2 and 2.0 pass,
-    2.5, "2" and null do not."""
+    2.5, "2", true and null do not."""
     try:
-        number = int(value)
+        number = None if isinstance(value, bool) else int(value)
     except (TypeError, ValueError, OverflowError):
         number = None
     if number is None or number != value:
         raise InputError(f"{what} must be an integer, got {value!r}")
     return number
+
+
+def _complex_pairs(pairs, what: str) -> list:
+    """Each [re, im] of ``pairs`` as a complex, refused unless both are
+    numbers: an int or a float, not a bool, a string or null."""
+    try:
+        if set(map(type, itertools.chain.from_iterable(pairs))) <= {int, float}:
+            return [complex(re, im) for re, im in pairs]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"malformed {what}: {exc}") from exc
+    raise InputError(f"every {what} must be a pair of numbers")
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -365,8 +377,5 @@ def matrix_from_json(obj) -> np.ndarray:
     if count != rows * cols:
         raise InputError(f"matrix JSON has {count} entries, expected {rows * cols}")
     _check_cap(rows, cols)
-    try:
-        flat = [complex(float(re), float(im)) for re, im in data]
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"malformed matrix entry: {exc}") from exc
+    flat = _complex_pairs(data, "matrix entry")
     return as_matrix(np.array(flat, dtype=np.complex128).reshape(rows, cols))

@@ -245,6 +245,18 @@ class TestVnSearch:
         payload = json.loads(result.output)
         assert len(payload["violations"]) == 1
 
+    def test_fixture_is_capped_on_its_image(self, runner):
+        # The fixture's M^3 = 2^30 lattice at M = 1024 is past the point
+        # cap, its M^2 image is not: ``vn --grid 1024`` decides it, and so
+        # does the search.
+        args = ["vn-search", "--d", "1", "--dim", "2", "--trials", "0", "--seed", "1",
+                "--grid", "1024", "--include-fixture"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        [violation] = json.loads(result.output)["violations"]
+        assert violation["kind"] == "fixture"
+        assert violation["report"]["verdict"] == "VIOLATED"
+
 
 class TestDilate:
     def test_verified_dilation(self, runner, tmp_path):
@@ -736,6 +748,18 @@ def test_interp_eval_memory_stays_near_the_dense_matrix(tmp_path):
         ["preserve", "--tuple", "{tuple_dim_null}", "--N", "2"],
         ["vn", "--tuple", "{tuple}", "--poly", "{poly_d_frac}"],
         ["structure", "--matrix", "{rows_frac}"],
+        # JSON booleans and numeric strings where numbers belong
+        ["vn", "--tuple", "{tuple_d_true}", "--poly", "{poly1}"],
+        ["structure", "--matrix", "{rows_true}"],
+        ["structure", "--matrix", "{data_bools}"],
+        ["structure", "--matrix", "{data_strings}"],
+        ["vn", "--tuple", "{tuple}", "--poly", "{poly_d_true}"],
+        ["vn", "--tuple", "{tuple1}", "--poly", "{poly_alpha_true}"],
+        ["vn", "--tuple", "{tuple1}", "--poly", "{poly_coeff_bools}"],
+        ["vn", "--tuple", "{tuple_all_bools}", "--poly", "{poly_all_bools}"],
+        # integers past the float range
+        ["structure", "--matrix", "{data_huge}"],
+        ["vn", "--tuple", "{tuple1}", "--poly", "{poly_coeff_huge}"],
     ],
 )
 def test_bad_input_exits_2(runner, tmp_path, args):
@@ -755,8 +779,24 @@ def test_bad_input_exits_2(runner, tmp_path, args):
         "tuple_dim_null": {"dim": None, "matrices": [matrix_to_json(shift_matrix(2))]},
         "rows_frac": {"rows": 2.5, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0],
                                                        [1.0, 0.0]]},
+        "tuple_d_true": {"d": True, "matrices": [matrix_to_json(np.diag([0.5]))]},
+        "rows_true": {"rows": True, "cols": 1, "data": [[0.5, 0.0]]},
+        "data_bools": {"rows": 1, "cols": 1, "data": [[True, False]]},
+        "data_strings": {"rows": 1, "cols": 1, "data": [["0.5", "0"]]},
+        "poly_d_true": {"d": True, "terms": [{"alpha": [1], "coeff": [1.0, 0.0]}]},
+        "poly_alpha_true": {"d": 1, "terms": [{"alpha": [True], "coeff": [1.0, 0.0]}]},
+        "poly_coeff_bools": {"d": 1, "terms": [{"alpha": [1], "coeff": [True, False]}]},
+        # every field at once: read as numbers, vn would exit 0 with lhs 1.0
+        "tuple_all_bools": {"d": True, "matrices": [{"rows": True, "cols": True,
+                                                     "data": [[True, False]]}]},
+        "poly_all_bools": {"d": True, "terms": [{"alpha": [True], "coeff": [True, False]}]},
+        "data_huge": {"rows": 1, "cols": 1, "data": [[10**400, 0]]},
+        "poly_coeff_huge": {"d": 1, "terms": [{"alpha": [1], "coeff": [10**400, 0]}]},
     }
-    paths = {"tuple": write_tuple(tmp_path / "tup.json", [shift_matrix(2)])}
+    paths = {
+        "tuple": write_tuple(tmp_path / "tup.json", [shift_matrix(2)]),
+        "tuple1": write_tuple(tmp_path / "tup1.json", [np.diag([0.5])]),
+    }
     for name, obj in files.items():
         paths[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))

@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -305,13 +306,23 @@ class TestTorusSup:
 BENCH_ALPHAS = [(1, 1, 1), (2, 0, 1), (0, 3, 0), (1, 2, 3)]
 
 
+def bench_image(seed):
+    """(sizes, terms) of ``_image`` at M = 256 for BENCH_ALPHAS with
+    coefficients drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    sizes, terms, _ = _image({a: complex(*rng.standard_normal(2)) for a in BENCH_ALPHAS}, 256)
+    assert sizes == (256, 256, 256)
+    return sizes, terms
+
+
 def chunk_calls(monkeypatch):
-    """The list of (start, stop) chunks ``_lattice_max`` evaluates exactly."""
+    """The list of (start, stop, members) of each ``_chunk_max`` call of
+    ``_lattice_max``: its streamed rows and the size of its stack."""
     calls = []
     chunk_max = dilations.dilation._chunk_max
 
     def counting(roots, shape, beta, q, start, stop):
-        calls.append((start, stop))
+        calls.append((start, stop, len(beta)))
         return chunk_max(roots, shape, beta, q, start, stop)
 
     monkeypatch.setattr(dilations.dilation, "_chunk_max", counting)
@@ -350,9 +361,9 @@ def merged_batches(draw):
     Most batches also hold twins at M = 16 or 32: a polynomial of 2-3
     axes and 3 terms of unit-sized coefficients, so of few groups, and
     the same moved by half its leading axis, p(l_0 + sizes_0 / 2, ...).
-    Both have one (sizes, s, G) stack key.  Where they span many chunks
-    and are screened, the twin's maximum mostly lies in other chunks than
-    the first's, so each must be screened and evaluated on its own."""
+    Both have one (sizes, s, G) stack key.  Where they span many chunks,
+    the twin's maximum mostly lies in other chunks than the first's, so
+    both match the plain stream only if every chunk of each is evaluated."""
     twins = draw(st.integers(0, 3)) > 0
     M = draw(st.sampled_from([16, 32] if twins else [2, 3, 4, 6, 8, 16, 32]))
     batch = [draw(image_polys(M, st.integers(0, 3))) for _ in range(draw(st.integers(0, 7)))]
@@ -416,50 +427,36 @@ class TestLatticeBatch:
         assert len(calls) == products
         assert got == [reference_lattice_max(*poly, 16, block) for poly in batch]
 
-    def test_multi_chunk_members_are_screened_one_at_a_time(self, monkeypatch):
+    def test_multi_chunk_members_are_evaluated_one_at_a_time(self, monkeypatch):
         # Block 2^8 at M = 32: two polynomials of 2 groups on 32 x 32 (one
         # key, 32 leading rows in 4 chunks of 8) between three of 2 groups
         # on 8 x 8 (another key, one chunk, one stacked product).  Each
-        # multi-chunk member is screened once and evaluated on its own.
+        # multi-chunk member is evaluated on its own, chunk by chunk.
         rng = np.random.default_rng(9)
         coeffs = (rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))).tolist()
         wide = [((32, 32), {(0, 0): a, (0, 5): b, (3, 7): c}) for a, b, c in coeffs[:2]]
         small = [((8, 8), {(0, 0): a, (4, 4): b, (12, 20): c}) for a, b, c in coeffs[2:]]
         batch = [small[0], wide[0], small[1], wide[1], small[2]]
         monkeypatch.setattr(dilations.dilation, "_LATTICE_BLOCK", 2**8)
-        screen, screened = dilations.dilation._screen, []
-
-        def counting_screen(roots, sizes, beta, q, chunks, terms):
-            screened.append(terms)
-            return screen(roots, sizes, beta, q, chunks, terms)
-
-        monkeypatch.setattr(dilations.dilation, "_screen", counting_screen)
-        chunk_max, members = dilations.dilation._chunk_max, []
-
-        def counting_chunks(roots, shape, beta, q, start, stop):
-            members.append((shape, len(beta)))
-            return chunk_max(roots, shape, beta, q, start, stop)
-
-        monkeypatch.setattr(dilations.dilation, "_chunk_max", counting_chunks)
+        calls = chunk_calls(monkeypatch)
         got = _lattice_max(batch, 32)
-        assert screened == [wide[0][1], wide[1][1]]
-        assert members.count(((8,), 3)) == 1
-        assert {call for call in members if call != ((8,), 3)} == {((32,), 1)}
+        assert calls == [(0, 8, 3)] + [(start, start + 8, 1) for start in range(0, 32, 8)] * 2
         assert got == [reference_lattice_max(*poly, 32, 2**8) for poly in batch]
 
 
 class TestLatticeScreen:
+    """The lattice of one polynomial, streamed in chunks."""
+
     @given(merged_cases())
     # A tie: every exponent on axis 0 even on a full 32 x 32 lattice, so
     # chunks l_0 and l_0 + 16 hold equal exact values (``_image`` would
-    # halve that axis).  With no margin the screen keeps the one whose
-    # computed maximum is an ulp lower.
+    # halve that axis), whose computed maxima differ by an ulp.
     @example(((32, 32), {(0, 1): -1 - 1j, (4, 1): -2 + 2j, (6, 2): -1}, 32, 2**8))
     # Unequal sizes, the leading one streamed in chunks.
     @example(((16, 4, 8), {(0, 0, 0): 1.5, (1, 4, 0): -1j, (2, 0, 2): 0.5 + 0.5j}, 16, 2**6))
-    # Coefficients near 1e300, whose squares would overflow unscaled.
+    # Coefficients near 1e300, where |p|^2 overflows.
     @example(((32, 32), {(0, 1): 1e300, (2, 0): -3e300j, (1, 3): 2e300 + 1e300j}, 32, 2**8))
-    # Subnormal coefficients, whose squares would underflow unscaled.
+    # Subnormal coefficients, where |p|^2 underflows.
     @example(((32, 32), {(0, 1): 5e-324, (2, 0): -1.5e-323j, (1, 3): 1e-322 + 5e-324j}, 32, 2**8))
     @example(
         ((16, 16, 16), dict(zip(BENCH_ALPHAS, [1 - 0.5j, 0.3 + 1j, -0.8, 0.6 - 0.2j])), 16, 2**8)
@@ -471,18 +468,29 @@ class TestLatticeScreen:
             got = _lattice_max([(sizes, terms)], M)
         assert got == [reference_lattice_max(sizes, terms, M, block)]
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_screen_skips_most_chunks(self, monkeypatch, seed):
-        rng = np.random.default_rng(seed)
-        terms = {a: complex(*rng.standard_normal(2)) for a in BENCH_ALPHAS}
-        sizes, terms, full = _image(terms, 256)
-        # Full row rank: ``vn_check`` takes the exact sup and skips this lattice.
-        assert sizes == (256, 256, 256) and full
+    @pytest.mark.parametrize(
+        "sizes, terms, M, block",
+        [
+            # 32 leading rows in 4 chunks of 8.
+            ((32, 32), {(0, 0): 1 - 1j, (0, 5): 0.5j, (3, 7): -0.75}, 32, 2**8),
+            # |1 + w^(l_0 + 1) + w^(3 l_1) / 2| is 2.5 at l = (31, 0) alone,
+            # a point of the last chunk.
+            ((32, 32), {(0, 0): 1.0, (1, 0): np.exp(2j * np.pi / 32), (0, 3): 0.5}, 32, 2**8),
+            # The image of the certify benchmark's exponents at M = 256, seed
+            # 1: 256^3 points, 256 chunks of 256 rows.
+            (*bench_image(1), 256, _LATTICE_BLOCK),
+        ],
+        ids=["block-2^8", "last-chunk", "bench-256^3"],
+    )
+    def test_every_chunk_is_evaluated_once(self, monkeypatch, sizes, terms, M, block):
+        monkeypatch.setattr(dilations.dilation, "_LATTICE_BLOCK", block)
         calls = chunk_calls(monkeypatch)
-        grid_sup = _lattice_max([(sizes, terms)], 256)[0]
-        # 256^3 points in chunks of 2^16: 256 chunks, of which a few are evaluated.
-        assert 1 <= len(calls) <= 4
-        assert grid_sup == reference_lattice_max(sizes, terms, 256, _LATTICE_BLOCK)
+        grid_sup = _lattice_max([(sizes, terms)], M)[0]
+        streamed = math.prod(sizes[:-1])  # the block is the last axis in each case
+        assert len(calls) > 1 and {members for _, _, members in calls} == {1}
+        assert [start for start, _, _ in calls] == [0] + [stop for _, stop, _ in calls[:-1]]
+        assert all(start < stop for start, stop, _ in calls) and calls[-1][1] == streamed
+        assert grid_sup == reference_lattice_max(sizes, terms, M, block)
 
     def test_rank_deficient_lattice_is_its_image(self, monkeypatch):
         # Differences (1, 1, 0) and (2, 0, 1) have rank 2 and invariant
@@ -492,7 +500,7 @@ class TestLatticeScreen:
         assert _image(poly.terms, 128)[0] == (128, 128)
         calls = chunk_calls(monkeypatch)
         grid_sup = torus_sup(poly, 128)[0]
-        assert calls == [(0, 128)]
+        assert calls == [(0, 128, 1)]
         assert abs(grid_sup - reference_torus_sup(poly, 128)[0]) <= 2 * rounding_bound(poly)
 
 
@@ -621,6 +629,16 @@ class TestVnSearch:
         args = dict(d=2, dim=4, trials=20, seed=70, M=32, extra_cases=[load_crabb_davie()])
         out = vn_search(**args)
         assert out["reports"][-1]["kind"] == "fixture"
+        assert json.dumps(out) == json.dumps(reference_vn_search(**args))
+
+    def test_extra_case_is_capped_on_its_image(self, monkeypatch):
+        # At 128 * 1024 points the fixture's M^3 = 2^18 lattice at M = 64
+        # is past the point cap, its 64^2 image is not, so ``vn_check``
+        # decides the case and the search must too.
+        monkeypatch.setenv("DILATIONS_MAX_ENTRIES", "1024")
+        args = dict(d=1, dim=2, trials=0, seed=1, M=64, extra_cases=[load_crabb_davie()])
+        out = vn_search(**args)
+        assert [r["report"]["verdict"] for r in out["reports"]] == ["INCONCLUSIVE"]
         assert json.dumps(out) == json.dumps(reference_vn_search(**args))
 
     def test_search_memory(self):

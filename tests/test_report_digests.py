@@ -45,3 +45,23 @@ def test_fields_digest_each_top_level_field(tmp_path):
     # Every report has a config field.
     reports = len(list(tmp_path.glob("*-out.json")))
     assert sum(line.endswith(" [config]") for line in lines) == reports
+
+
+def test_calls_count_each_name_per_job(tmp_path):
+    names = ["linalg.matrix_exp", "dilation._lattice_max"]
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), "--workload", "approx", "--seed", "1",
+         "--dir", str(tmp_path), "--calls", names[0], "--calls", names[1]],
+        capture_output=True, text=True, check=True,
+    )
+    lines = done.stdout.splitlines()
+    jobs = len(list(tmp_path.glob("*-out.json")))
+    assert jobs and len(lines) == 2 * jobs
+    counts = {name: [] for name in names}
+    for line in lines:
+        match = re.fullmatch(r"(\d+)  approx .+ \[(\S+)\]", line)
+        assert match, line
+        counts[match[2]].append(int(match[1]))
+    # Every approx job exponentiates, and none evaluates a torus lattice.
+    assert len(counts[names[0]]) == jobs and all(calls > 0 for calls in counts[names[0]])
+    assert counts[names[1]] == [0] * jobs

@@ -31,12 +31,12 @@ powers every term on each slice of the first axis.  The separable
 maximum to agree within the rounding bound its docstring states.
 
 ``reference_lattice_max`` is the plain stream of the separable lattice
-that ``_image`` reduces p to: every chunk of leading rows of its prod
-sizes points evaluated as W @ Q and its modulus maximum taken.  The
-library's ``_lattice_max`` stacks one-chunk polynomials and screens the
-chunks of the others by |p|^2 first, and evaluates exactly, by the same
-products on the same chunks, only those that can hold the maximum, so
-the tests require both to return the same float.
+that ``_image`` reduces p to, one polynomial at a time: every chunk of
+leading rows of its prod sizes points evaluated as W @ Q and its modulus
+maximum taken.  The library's ``_lattice_max`` stacks polynomials of one
+shape and evaluates every chunk of the stack by one stacked product,
+the same BLAS call per member on the same chunks, so the tests require
+both to return the same float.
 
 ``reference_vn_search`` is the one-trial-at-a-time search: for each
 trial its own generator ``reference_commuting_tuple`` draws the tuple

@@ -11,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import dilations.dilation
-from conftest import random_contraction, random_unitary
+from conftest import random_commuting_unitaries, random_contraction, random_unitary
 from dilations.dilation import (
     _LATTICE_BLOCK,
     DEGREE_CAP,
@@ -39,6 +39,7 @@ from dilations.linalg import (
 from unbatched_reference import (
     reference_commuting_tuple,
     reference_lattice_max,
+    reference_power_dilation_verify,
     reference_torus_sup,
     reference_vn_search,
 )
@@ -316,13 +317,13 @@ def bench_image(seed):
 
 
 def chunk_calls(monkeypatch):
-    """The list of (start, stop, members) of each ``_chunk_max`` call of
-    ``_lattice_max``: its streamed rows and the size of its stack."""
+    """The list of (start, stop) of each ``_chunk_max`` call of
+    ``_lattice_max``: its streamed rows."""
     calls = []
     chunk_max = dilations.dilation._chunk_max
 
     def counting(roots, shape, beta, q, start, stop):
-        calls.append((start, stop, len(beta)))
+        calls.append((start, stop))
         return chunk_max(roots, shape, beta, q, start, stop)
 
     monkeypatch.setattr(dilations.dilation, "_chunk_max", counting)
@@ -330,118 +331,19 @@ def chunk_calls(monkeypatch):
 
 
 @st.composite
-def image_polys(draw, M, arities):
-    """(sizes, terms) in the form ``_image`` gives: per-axis sizes that
-    divide M, unequal ones included, and 1-5 terms whose exponent on an
-    axis of size m is a multiple of M/m below M."""
-    sizes = tuple(
-        draw(st.sampled_from([m for m in range(2, M + 1) if M % m == 0]))
-        for _ in range(draw(arities))
-    )
+def merged_cases(draw):
+    """(sizes, terms, M, block): a reduced polynomial in the form
+    ``_image`` gives, 1-3 axes whose sizes divide M, unequal ones
+    included, and 1-5 terms whose exponent on an axis of size m is a
+    multiple of M/m below M; and a lattice block small enough that an
+    M <= 32 lattice spans many chunks."""
+    M = draw(st.sampled_from([2, 3, 4, 6, 8, 16, 32]))
+    divisors = [m for m in range(2, M + 1) if M % m == 0]
+    sizes = tuple(draw(st.sampled_from(divisors)) for _ in range(draw(st.integers(1, 3))))
     exponent = st.tuples(*[st.integers(0, m - 1).map(lambda x, m=m: x * (M // m)) for m in sizes])
     coeff = st.complex_numbers(max_magnitude=1e300, allow_nan=False, allow_infinity=False)
-    return sizes, draw(st.dictionaries(exponent, coeff, min_size=1, max_size=5))
-
-
-@st.composite
-def merged_cases(draw):
-    """(sizes, terms, M, block): a reduced polynomial of arity 1-3 and a
-    lattice block small enough that an M <= 32 lattice spans many chunks."""
-    M = draw(st.sampled_from([2, 3, 4, 6, 8, 16, 32]))
-    sizes, terms = draw(image_polys(M, st.integers(1, 3)))
+    terms = draw(st.dictionaries(exponent, coeff, min_size=1, max_size=5))
     return sizes, terms, M, 2 ** draw(st.integers(6, 8))
-
-
-@st.composite
-def merged_batches(draw):
-    """(batch, M, block): 0-7 reduced polynomials of arity 0-3, plus one
-    empty one (a polynomial merged to nothing) at a drawn place, and a
-    lattice block small enough that some of them span many chunks.
-
-    Most batches also hold twins at M = 16 or 32: a polynomial of 2-3
-    axes and 3 terms of unit-sized coefficients, so of few groups, and
-    the same moved by half its leading axis, p(l_0 + sizes_0 / 2, ...).
-    Both have one (sizes, s, G) stack key.  Where they span many chunks,
-    the twin's maximum mostly lies in other chunks than the first's, so
-    both match the plain stream only if every chunk of each is evaluated."""
-    twins = draw(st.integers(0, 3)) > 0
-    M = draw(st.sampled_from([16, 32] if twins else [2, 3, 4, 6, 8, 16, 32]))
-    batch = [draw(image_polys(M, st.integers(0, 3))) for _ in range(draw(st.integers(0, 7)))]
-    if twins:
-        sizes = draw(st.tuples(*[st.sampled_from([M // 2, M])] * draw(st.integers(2, 3))))
-        exponent = st.tuples(*[st.integers(0, m - 1).map(lambda x, m=m: x * M // m) for m in sizes])
-        coeff = st.complex_numbers(min_magnitude=0.5, max_magnitude=2)
-        terms = draw(st.dictionaries(exponent, coeff, min_size=3, max_size=3))
-        roots = np.exp(2j * np.pi * np.arange(M) / M)
-        twin = {a: c * roots[a[0] * (sizes[0] // 2) % M] for a, c in terms.items()}
-        for poly in (sizes, terms), (sizes, twin):
-            batch.insert(draw(st.integers(0, len(batch))), poly)
-    batch.insert(draw(st.integers(0, len(batch))), ((), {}))
-    return batch, M, 2 ** draw(st.integers(6, 12))
-
-
-# At M = 16: two pairs on a 16 x 16 lattice (2 groups, 16 streamed
-# rows), the same shape on 8 x 16 and 16 x 4 lattices, a one-term
-# polynomial, one of arity 0, a d = 1 and a d = 3 one, the empty one,
-# and three terms in one group whose sum at l = 0 is 1 in term order and
-# 1 + 2u in reverse order.
-MIXED_BATCH = [
-    ((16, 16), {(0, 0): 1.0, (0, 1): 1e-16, (0, 2): 1e-16}),
-    ((16, 16), {(0, 1): 1 - 1j, (1, 0): 0.5}),
-    ((16, 16), {(0, 0): 2j, (1, 2): -1.0}),
-    ((8, 16), {(6, 2): 0.25 + 1j, (2, 3): -0.75}),
-    ((16, 4), {(0, 0): -0.3, (2, 4): 0.8 + 0.1j}),
-    ((), {}),
-    ((16, 16), {(4, 4): 1.5}),
-    ((), {(): -0.5 + 2j}),
-    ((2,), {(0,): 1.0, (8,): -0.5}),
-    ((16, 16, 16), {(1, 1, 1): 1 - 0.5j, (2, 0, 1): 0.3 + 1j, (0, 3, 0): -0.8}),
-]
-
-
-class TestLatticeBatch:
-    @given(merged_batches())
-    @example((MIXED_BATCH, 16, 2**6))
-    @example((MIXED_BATCH, 16, 2**12))
-    def test_matches_the_plain_stream(self, case):
-        batch, M, block = case
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dilations.dilation, "_LATTICE_BLOCK", block)
-            got = _lattice_max(batch, M)
-        assert got == [reference_lattice_max(sizes, terms, M, block) for sizes, terms in batch]
-
-    @pytest.mark.parametrize("block, products", [(2**16, 1), (2**10, 4)])
-    def test_stacks_polynomials_of_one_shape(self, monkeypatch, block, products):
-        # Thirteen polynomials of 2 groups on the 16 x 16 lattice: 16 x 16
-        # values each, all in one product, or in products of 4, 4, 4 and 1
-        # within a block of 2^10 values.
-        rng = np.random.default_rng(5)
-        coeffs = rng.standard_normal((13, 2)) + 1j * rng.standard_normal((13, 2))
-        batch = [
-            ((16, 16), {(0, 0): a, (k % 2 * 2 + 1, 2): b})
-            for k, (a, b) in enumerate(coeffs.tolist())
-        ]
-        monkeypatch.setattr(dilations.dilation, "_LATTICE_BLOCK", block)
-        calls = chunk_calls(monkeypatch)
-        got = _lattice_max(batch, 16)
-        assert len(calls) == products
-        assert got == [reference_lattice_max(*poly, 16, block) for poly in batch]
-
-    def test_multi_chunk_members_are_evaluated_one_at_a_time(self, monkeypatch):
-        # Block 2^8 at M = 32: two polynomials of 2 groups on 32 x 32 (one
-        # key, 32 leading rows in 4 chunks of 8) between three of 2 groups
-        # on 8 x 8 (another key, one chunk, one stacked product).  Each
-        # multi-chunk member is evaluated on its own, chunk by chunk.
-        rng = np.random.default_rng(9)
-        coeffs = (rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))).tolist()
-        wide = [((32, 32), {(0, 0): a, (0, 5): b, (3, 7): c}) for a, b, c in coeffs[:2]]
-        small = [((8, 8), {(0, 0): a, (4, 4): b, (12, 20): c}) for a, b, c in coeffs[2:]]
-        batch = [small[0], wide[0], small[1], wide[1], small[2]]
-        monkeypatch.setattr(dilations.dilation, "_LATTICE_BLOCK", 2**8)
-        calls = chunk_calls(monkeypatch)
-        got = _lattice_max(batch, 32)
-        assert calls == [(0, 8, 3)] + [(start, start + 8, 1) for start in range(0, 32, 8)] * 2
-        assert got == [reference_lattice_max(*poly, 32, 2**8) for poly in batch]
 
 
 class TestLatticeScreen:
@@ -461,12 +363,21 @@ class TestLatticeScreen:
     @example(
         ((16, 16, 16), dict(zip(BENCH_ALPHAS, [1 - 0.5j, 0.3 + 1j, -0.8, 0.6 - 0.2j])), 16, 2**8)
     )
+    # Arity 0: the lattice is one point, and the empty polynomial reads 0.0.
+    @example(((), {(): -0.5 + 2j}, 16, 2**6))
+    @example(((), {}, 16, 2**6))
+    # Three terms in one group, whose sum at l = 0 is 1 in term order and
+    # 1 + 2u in reverse order.
+    @example(((16, 16), {(0, 0): 1.0, (0, 1): 1e-16, (0, 2): 1e-16}, 16, 2**12))
+    # d = 1, and d = 3 in many chunks.
+    @example(((2,), {(0,): 1.0, (8,): -0.5}, 16, 2**6))
+    @example(((16, 16, 16), {(1, 1, 1): 1 - 0.5j, (2, 0, 1): 0.3 + 1j, (0, 3, 0): -0.8}, 16, 2**6))
     def test_matches_the_plain_stream(self, case):
         sizes, terms, M, block = case
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dilations.dilation, "_LATTICE_BLOCK", block)
-            got = _lattice_max([(sizes, terms)], M)
-        assert got == [reference_lattice_max(sizes, terms, M, block)]
+            got = _lattice_max(sizes, terms, M)
+        assert got == reference_lattice_max(sizes, terms, M, block)
 
     @pytest.mark.parametrize(
         "sizes, terms, M, block",
@@ -485,11 +396,11 @@ class TestLatticeScreen:
     def test_every_chunk_is_evaluated_once(self, monkeypatch, sizes, terms, M, block):
         monkeypatch.setattr(dilations.dilation, "_LATTICE_BLOCK", block)
         calls = chunk_calls(monkeypatch)
-        grid_sup = _lattice_max([(sizes, terms)], M)[0]
+        grid_sup = _lattice_max(sizes, terms, M)
         streamed = math.prod(sizes[:-1])  # the block is the last axis in each case
-        assert len(calls) > 1 and {members for _, _, members in calls} == {1}
-        assert [start for start, _, _ in calls] == [0] + [stop for _, stop, _ in calls[:-1]]
-        assert all(start < stop for start, stop, _ in calls) and calls[-1][1] == streamed
+        assert len(calls) > 1
+        assert [start for start, _ in calls] == [0] + [stop for _, stop in calls[:-1]]
+        assert all(start < stop for start, stop in calls) and calls[-1][1] == streamed
         assert grid_sup == reference_lattice_max(sizes, terms, M, block)
 
     def test_rank_deficient_lattice_is_its_image(self, monkeypatch):
@@ -500,7 +411,7 @@ class TestLatticeScreen:
         assert _image(poly.terms, 128)[0] == (128, 128)
         calls = chunk_calls(monkeypatch)
         grid_sup = torus_sup(poly, 128)[0]
-        assert calls == [(0, 128, 1)]
+        assert calls == [(0, 128)]
         assert abs(grid_sup - reference_torus_sup(poly, 128)[0]) <= 2 * rounding_bound(poly)
 
 
@@ -640,6 +551,47 @@ class TestVnSearch:
         out = vn_search(**args)
         assert [r["report"]["verdict"] for r in out["reports"]] == ["INCONCLUSIVE"]
         assert json.dumps(out) == json.dumps(reference_vn_search(**args))
+
+    def test_extra_case_is_refused_before_drawing_a_trial(self, monkeypatch):
+        # The fixture's 512^2 image is past a point cap of 128 * 1024; the
+        # search refuses it before the first of 20000 trials is drawn.
+        def draw(*args):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(dilations.dilation, "_commuting_stack", draw)
+        monkeypatch.setenv("DILATIONS_MAX_ENTRIES", "1024")
+        args = dict(d=1, dim=2, trials=20000, seed=1, M=512, extra_cases=[load_crabb_davie()])
+        with pytest.raises(InputError, match=r"lattice of prod M/g_i = 262144 points"):
+            vn_search(**args)
+
+    def test_every_lattice_is_one_torus_sup_call(self, monkeypatch):
+        # Each case without the exact supremum, the fixture included, makes
+        # one torus_sup call, and each lattice is evaluated inside one.
+        inside, calls, lattices = [], [], []
+        sup, lattice_max = dilations.dilation.torus_sup, dilations.dilation._lattice_max
+
+        def traced_sup(poly, M, *, image=None):
+            calls.append(poly)
+            inside.append(True)
+            try:
+                return sup(poly, M, image=image)
+            finally:
+                inside.pop()
+
+        def traced_lattice(*args):
+            lattices.append(bool(inside))
+            return lattice_max(*args)
+
+        monkeypatch.setattr(dilations.dilation, "torus_sup", traced_sup)
+        monkeypatch.setattr(dilations.dilation, "_lattice_max", traced_lattice)
+        fixture = load_crabb_davie()
+        out = vn_search(d=2, dim=4, trials=200, seed=1, M=32, extra_cases=[fixture])
+        lattice_cases = [r for r in out["reports"] if not r["report"]["exact_sup"]]
+        assert 1 < len(calls) == len(lattice_cases) == len(lattices)
+        assert all(lattices)
+        # The extra case is decided first, and reported last.
+        assert calls[0] == fixture[1] and all(poly.d == 2 for poly in calls[1:])
+        assert lattice_cases[-1]["kind"] == "fixture"
 
     def test_search_memory(self):
         # The per-case route (one torus_sup per case) peaked at 2 373 424
@@ -802,6 +754,62 @@ class TestDilation:
         check = power_dilation_verify(ContractionTuple((other,)), cand, tol=1e-8)
         assert not check["passed"]
         assert check["worst_index"] is not None
+
+    def test_matches_reference_route_at_d1(self):
+        # Egervary dilations of 1x1 to 4x4 contractions at m up to 40, and
+        # the same candidates checked against another contraction, so that
+        # most deviations and worst indices are not 0 and None.
+        rng = np.random.default_rng(59)
+        for case in range(24):
+            dim, m = 1 + case % 4, int(rng.integers(1, 41))
+            s, other = random_contraction(rng, dim), random_contraction(rng, dim)
+            cand = egervary_dilation(s, m)
+            for tup in ContractionTuple((s,)), ContractionTuple((other,)):
+                got = power_dilation_verify(tup, cand, tol=1e-8)
+                assert got == reference_power_dilation_verify(tup, cand, tol=1e-8)
+
+    def test_matches_reference_route_at_d2(self):
+        # Commuting unitaries on C^6 and an isometry from C^2, checked
+        # against commuting contractions on C^2: both routes take products
+        # of at most 2 n_max + 2 factors of norm at most 1, associated
+        # differently, so their deviations differ by rounding alone.
+        rng = np.random.default_rng(60)
+        for n_max in (1, 3, 6):
+            vs = random_commuting_unitaries(rng, 2, 6).mats
+            cand = DilationCandidate(vs=vs, r=random_unitary(rng, 6)[:, :2], n_max=n_max)
+            tup = _random_commuting_tuple(rng, 2, 2)
+            got = power_dilation_verify(tup, cand)
+            want = reference_power_dilation_verify(tup, cand)
+            assert abs(got["max_deviation"] - want["max_deviation"]) <= 64 * (n_max + 1) * 6 * U
+            assert got["worst_index"] == want["worst_index"]
+
+    def test_unitaries_dilate_themselves_exactly(self):
+        # With r = I both sides form the same products from the identity.
+        vs = random_commuting_unitaries(np.random.default_rng(61), 2, 3).mats
+        cand = DilationCandidate(vs=vs, r=identity(3), n_max=5)
+        check = power_dilation_verify(ContractionTuple(vs), cand)
+        assert check["max_deviation"] == 0.0 and check["worst_index"] is None
+
+    def test_verify_memory(self):
+        # m = 80 on C^4: every power of the 324 x 324 unitary would be
+        # 81 * 324^2 complex values, 136 MB; the walk holds the 81 x 4 rows
+        # of r* V^n, 1.7 MB, and may hold them twice.
+        s = random_contraction(np.random.default_rng(62), 4)
+        cand = egervary_dilation(s, 80)
+        check, peak = traced_peak(power_dilation_verify, ContractionTuple((s,)), cand)
+        assert check["passed"]
+        assert peak <= 2 * 16 * 81 * 4 * 324
+
+    def test_verify_is_capped_before_any_product(self, monkeypatch):
+        # 21^2 indices of 2 x 8 rows of r* V^n: 7056 entries past a cap of 1024.
+        rng = np.random.default_rng(63)
+        vs = random_commuting_unitaries(rng, 2, 8).mats
+        cand = DilationCandidate(vs=vs, r=random_unitary(rng, 8)[:, :2], n_max=20)
+        tup = _random_commuting_tuple(rng, 2, 2)
+        monkeypatch.setenv("DILATIONS_MAX_ENTRIES", "1024")
+        monkeypatch.setattr(dilations.dilation, "_walk", None)
+        with pytest.raises(InputError, match="matrix of shape 882x8 exceeds the size cap"):
+            power_dilation_verify(tup, cand)
 
 
 

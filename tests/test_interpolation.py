@@ -518,7 +518,8 @@ class TestSemigroupSuite:
     def test_size_cap_slices_match_default_cap(self, monkeypatch):
         # At a cap of 1000 entries the 16 suite times of d=2, N=2, dim 2,
         # max_num 4 take 256 entries of keys and products each: 6 slices
-        # of at most 3, against one at the default cap.
+        # of at most 3, against one at the default cap.  The 10
+        # interpolation times, of 16 entries each, are read first, in one.
         tup = _random_commuting_tuple(np.random.default_rng(88), 2, 2)
         expected = semigroup_suite(tup, 2, 4)
         batches, slices = interpolation._batches, []
@@ -530,8 +531,68 @@ class TestSemigroupSuite:
         monkeypatch.setattr(interpolation, "_batches", counting)
         monkeypatch.setenv("DILATIONS_MAX_ENTRIES", "1000")
         got = semigroup_suite(tup, 2, 4)
-        assert [len(parts) for parts in slices] == [6]
+        assert [len(parts) for parts in slices] == [1, 6]
         assert got == expected
+
+    def test_interpolation_slices_match_default_cap(self, monkeypatch):
+        # d=1, N=4, dim 1, max_num 1: at a cap of 9 entries, the largest
+        # floor 2N = 8 still passes, and the 9 interpolation times of 4
+        # grid points each are read in 5 slices of at most 2.
+        tup = _random_commuting_tuple(np.random.default_rng(89), 1, 1)
+        expected = semigroup_suite(tup, 4, 1)
+        calls, grid_forms = [], interpolation._grid_forms
+
+        def counting(semi, nums):
+            calls.append(len(nums))
+            return grid_forms(semi, nums)
+
+        monkeypatch.setattr(interpolation, "_grid_forms", counting)
+        monkeypatch.setenv("DILATIONS_MAX_ENTRIES", "9")
+        assert semigroup_suite(tup, 4, 1) == expected
+        assert calls == [1, 2, 2, 2, 2, 1]
+
+    # Every integer time of at least 4 sent to the identity block: the sum
+    # times stop below 4, so only the interpolation times n N e_i, n <= 2N,
+    # meet the mutant.
+    @pytest.mark.parametrize("d, N", [(1, 2), (2, 2), (1, 4)])
+    def test_identity_blocks_past_time_4_fail_interpolation(self, monkeypatch, d, N):
+        grid_forms = interpolation._grid_forms
+
+        def mutant(semi, nums):
+            targets, exponents = grid_forms(semi, nums)
+            late = [k for k, t in enumerate(nums) if not any(x % N for x in t) and max(t) >= 4 * N]
+            exponents = exponents.copy()
+            exponents[late] = 0
+            return targets, exponents
+
+        tup = _random_commuting_tuple(np.random.default_rng([90, d, N]), d, 2)
+        assert semigroup_suite(tup, N, 2 * N)["passed"]
+        monkeypatch.setattr(interpolation, "_grid_forms", mutant)
+        out = semigroup_suite(tup, N, 2 * N)
+        assert not out["checks"]["interpolation"]
+        assert out["deviations"]["interpolation"] > 1e-3
+        assert all(ok for name, ok in out["checks"].items() if name != "interpolation")
+
+    def test_moved_point_at_an_interpolation_time_fails(self, monkeypatch):
+        # Time 2N e_1, past the sum times, swaps grid points 0 and 1 and
+        # keeps every block: the deviation stays at rounding, and only the
+        # integer check sees it.
+        N, u = 2, (8, 0)
+        grid_forms = interpolation._grid_forms
+
+        def swapped(semi, nums):
+            targets, exponents = grid_forms(semi, nums)
+            if u in nums:
+                targets = targets.copy()
+                targets[nums.index(u), [0, 1]] = [1, 0]
+            return targets, exponents
+
+        monkeypatch.setattr(interpolation, "_grid_forms", swapped)
+        tup = _random_commuting_tuple(np.random.default_rng(91), 2, 2)
+        out = semigroup_suite(tup, N, 2 * N)
+        assert out["deviations"]["interpolation"] <= 1e-12
+        assert not out["checks"]["interpolation"]
+        assert all(ok for name, ok in out["checks"].items() if name != "interpolation")
 
     def test_holds_less_than_all_pairs(self):
         # d=2, N=4, dim 8, max_num 8: the suite's sum times fit the size

@@ -32,7 +32,6 @@ from dilations.dilation import (
     MultiPolynomial,
     _decide,
     _image,
-    _lattice_max,
     _random_commuting_tuple,
     _random_polynomial,
     _verdict,
@@ -156,10 +155,7 @@ def test_violated_never_meets_holds_at_another_lattice():
 def exact_sup(poly, M):
     """(grid_sup, lipschitz_pad, sup_upper, exact_sup) of ``vn_check``'s rule,
     read from the report ``_decide`` builds (lhs 0)."""
-    [report] = _decide(
-        [0.0], [poly], M, DEFAULT_TOL,
-        lambda polys, images: _lattice_max([image[:2] for image in images], M),
-    )
+    report = _decide(0.0, poly, M, DEFAULT_TOL)
     return report.grid_sup, report.lipschitz_pad, report.sup_upper, report.exact_sup
 
 

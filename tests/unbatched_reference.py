@@ -31,22 +31,36 @@ powers every term on each slice of the first axis.  The separable
 maximum to agree within the rounding bound its docstring states.
 
 ``reference_lattice_max`` is the plain stream of the separable lattice
-that ``_image`` reduces p to, one polynomial at a time: every chunk of
-leading rows of its prod sizes points evaluated as W @ Q and its modulus
-maximum taken.  The library's ``_lattice_max`` stacks polynomials of one
-shape and evaluates every chunk of the stack by one stacked product,
-the same BLAS call per member on the same chunks, so the tests require
-both to return the same float.
+that ``_image`` reduces p to: Q built one term at a time by outer
+products, then every chunk of leading rows of its prod sizes points
+evaluated as W @ Q and its modulus maximum taken.  The library's
+``_lattice_max`` builds Q by vectorised gathers and one unbuffered
+``np.add.at`` in term order, and makes the same BLAS call on the same
+chunks, so the tests require both to return the same float.
 
 ``reference_vn_search`` is the one-trial-at-a-time search: for each
 trial its own generator ``reference_commuting_tuple`` draws the tuple
 with one-matrix norms, a ``ContractionTuple`` validates it, the
 library's ``_random_polynomial`` draws the polynomial and ``vn_check``
 decides the case, by the exact supremum where the rows alpha - alpha_0
-are independent and by ``torus_sup`` elsewhere.  The library draws every trial first and validates and
-norms them as stacks, by the same per-member LAPACK and BLAS calls in the
-same order, so the tests require both routes' results to be equal byte
-for byte as JSON.
+are independent and by ``torus_sup`` elsewhere.  The library draws the
+trials of a chunk first and validates and norms them as stacks, by the
+same per-member LAPACK and BLAS calls in the same order, then decides
+each case by the rule ``vn_check`` uses, extra cases before any trial,
+so the tests require both routes' results to be equal byte for byte as
+JSON.
+
+``reference_power_dilation_verify`` is the per-index dilation check:
+every power of each S_i and of each big x big V_i held at once, and for
+each index of {0..n_max}^d in lexicographic order the products of
+powers formed, r* (prod V_i^n_i) r taken and the difference normed by
+its own SVD.  The library's ``power_dilation_verify`` walks the index
+grid by repeated right multiplication, the big side from the dim rows
+of r*, and norms every difference in one stacked SVD.  An Egervary
+dilation has r* = [I 0], so at d = 1 the library's rows r* V^k are the
+first dim rows of the reference's V^k, formed by the same sums, and the
+tests require equal results; at d = 2 the products associate
+differently, so they require the deviations to agree within rounding.
 
 ``reference_eval_discretized`` assembles the grid semigroup one source
 point at a time, with the power selector
@@ -105,7 +119,15 @@ from dilations.interpolation import (
     multilinear_compress,
     scaled_blend,
 )
-from dilations.linalg import InputError, _check_cap, identity, matrix_exp, op_norm
+from dilations.linalg import (
+    InputError,
+    _check_cap,
+    _powers,
+    dagger,
+    identity,
+    matrix_exp,
+    op_norm,
+)
 from dilations.structure import _CLASSES, structure_report
 from dilations.torus import GridTime
 
@@ -314,6 +336,33 @@ def reference_vn_search(d, dim, trials, seed, M, extra_cases=(), tol=1e-10):
         "max_ratio": max_ratio,
         "violations": violations,
         "reports": reports,
+    }
+
+
+def reference_power_dilation_verify(tup, cand, tol=1e-10):
+    """The dilation check one index of {0..n_max}^d at a time, from the
+    held powers of every S_i and V_i."""
+    s_pows = [_powers(s_i, range(cand.n_max + 1)) for s_i in tup.mats]
+    v_pows = [_powers(v, range(cand.n_max + 1)) for v in cand.vs]
+    r_dag = dagger(cand.r)
+    max_dev = 0.0
+    worst = None
+    for ns in itertools.product(range(cand.n_max + 1), repeat=tup.d):
+        lhs = s_pows[0][ns[0]]
+        big_op = v_pows[0][ns[0]]
+        for i in range(1, tup.d):
+            lhs = lhs @ s_pows[i][ns[i]]
+            big_op = big_op @ v_pows[i][ns[i]]
+        dev = op_norm(lhs - r_dag @ big_op @ cand.r)
+        if dev > max_dev:
+            max_dev = dev
+            worst = ns
+    return {
+        "max_deviation": max_dev,
+        "worst_index": list(worst) if worst is not None else None,
+        "n_max": cand.n_max,
+        "passed": max_dev <= tol,
+        "tol": tol,
     }
 
 

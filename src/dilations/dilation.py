@@ -160,24 +160,47 @@ def _require_unitary(m: np.ndarray, name: str, tol: float) -> None:
 
 
 def eval_poly(tup: ContractionTuple, poly: MultiPolynomial) -> np.ndarray:
-    """Functional calculus sum_alpha c_alpha prod_i S_i^alpha_i."""
+    """Functional calculus sum_alpha c_alpha prod_i S_i^alpha_i: the stack
+    of one of ``_poly_matrix``, from the powers of each S_i up to its top
+    exponent."""
     if poly.d != tup.d:
         raise InputError(
             f"polynomial arity {poly.d} does not match tuple d={tup.d}"
         )
     tops = [max((alpha[i] for alpha in poly.terms), default=0) for i in range(tup.d)]
-    return _poly_matrix([_powers(s_i, range(top + 1)) for s_i, top in zip(tup.mats, tops)], poly)
+    powers = [_powers(s_i, range(top + 1)) for s_i, top in zip(tup.mats, tops)]
+    return _poly_matrix(powers, [poly])[0]
 
 
-def _poly_matrix(powers, poly: MultiPolynomial) -> np.ndarray:
-    """p(S) from the powers of each S_i, powers[i][k] = S_i^k, arity
-    unchecked: each term's product of powers, multiplied in axis order,
-    added to a zero matrix in the order of the polynomial's terms."""
-    out = np.zeros(powers[0][0].shape, dtype=np.complex128)
-    for alpha, coeff in poly.terms.items():
-        term = powers[0][alpha[0]]
-        for i in range(1, len(powers)):
-            term = term @ powers[i][alpha[i]]
+def _poly_matrix(powers, polys) -> np.ndarray:
+    """(K, n, n): p_k(S_k) for K tuples and K polynomials, from the powers
+    of each axis i stacked as powers[i][a K + k] = S_(k,i)^a, arity
+    unchecked.
+
+    Each polynomial's terms are padded to the largest term count with
+    zero coefficients on exponent 0.  Term slot j is then one stacked
+    product of the members' powers per axis, multiplied in axis order,
+    and the slots are added to a zero stack in term order.  A padded
+    slot adds a finite product times zero, a signed zero, which leaves
+    every entry as it was: a sum begun at +0.0 is never -0.0, as x + (-x)
+    and +0.0 + (-0.0) round to +0.0.  So member k is bit-identical to
+    the stack of one of its own polynomial.
+    """
+    counts = [len(poly.terms) for poly in polys]
+    members, width = len(polys), max(counts, default=0)
+    held = np.arange(width) < np.array(counts)[:, None]
+    alphas = np.zeros((members, width, len(powers)), dtype=np.intp)
+    terms = [alpha for poly in polys for alpha in poly.terms]
+    alphas[held] = np.array(terms, dtype=np.intp).reshape(-1, len(powers))
+    coeffs = np.zeros((members, width), dtype=np.complex128)
+    coeffs[held] = [coeff for poly in polys for coeff in poly.terms.values()]
+    # rows[j, i, k]: the row of S_(k,i)^alpha for member k's term in slot j.
+    rows = (alphas * members + np.arange(members)[:, None, None]).transpose(1, 2, 0)
+    out = np.zeros((members, *powers[0].shape[1:]), dtype=np.complex128)
+    for slot, coeff in zip(rows, coeffs.T[:, :, None, None]):
+        term = powers[0].take(slot[0], axis=0)
+        for axis, index in zip(powers[1:], slot[1:]):
+            term = term @ axis.take(index, axis=0)
         out += coeff * term
     return out
 
@@ -458,24 +481,26 @@ def _verdict(lhs: float, grid_sup: float, sup_upper: float, tol: float) -> str:
     return "INCONCLUSIVE"
 
 
-def _commuting_stack(rngs, d: int, dim: int) -> np.ndarray:
-    """Stack (K, d, dim, dim) of commuting contraction tuples, tuple k drawn
-    from rngs[k]: each member is a cubic polynomial in one random
-    contraction z, rescaled into the unit ball when its norm exceeds 1.
+def _commuting_stack(normals: np.ndarray, d: int, dim: int) -> np.ndarray:
+    """Stack (K, d, dim, dim) of commuting contraction tuples from the
+    standard normals (K, 2 dim^2 + 8 d), row k one tuple's draws: each
+    member is a cubic polynomial in one random contraction z, rescaled
+    into the unit ball when its norm exceeds 1.
 
-    Each generator draws z, then the d coefficient vectors.  Norms,
-    powers and members are then formed for the whole stack, by the same
+    A row holds the real and then the imaginary parts of z, then for each
+    member the real and then the imaginary parts of its 4 coefficients:
+    the order in which one generator's calls would draw them.  Norms,
+    powers and members are formed for the whole stack, by the same
     per-member operations in the same order as for a stack of one: each
     norm by the stacked SVD, powers from the identity, the sum
     0 + c_0 z^0 + ... + c_3 z^3, and one division per rescaled matrix.
-    So tuple k is bit-identical to the one rngs[k] alone would give.
+    So tuple k is bit-identical to the one row k alone would give.
     """
-    z = np.empty((len(rngs), dim, dim), dtype=np.complex128)
-    coeffs = np.empty((len(rngs), d, 4), dtype=np.complex128)
-    for k, rng in enumerate(rngs):
-        z[k] = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        for i in range(d):
-            coeffs[k, i] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    square = dim * dim
+    parts = normals[:, : 2 * square].reshape(-1, 2, dim, dim)
+    z = parts[:, 0] + 1j * parts[:, 1]
+    parts = normals[:, 2 * square :].reshape(-1, d, 2, 4)
+    coeffs = parts[:, :, 0] + 1j * parts[:, :, 1]
     z = z / np.maximum(1.0, _op_norms(z) * (1 + 1e-12))[:, None, None]
     z_pows = _powers(z, range(4))
     mats = sum(coeffs[:, :, j, None, None] * z_pows[j][:, None] for j in range(4))
@@ -487,19 +512,21 @@ def _commuting_stack(rngs, d: int, dim: int) -> np.ndarray:
 
 def _random_commuting_tuple(rng: np.random.Generator, d: int, dim: int) -> ContractionTuple:
     """Commuting by construction: each member is a polynomial in one
-    contraction (the stack of one from ``_commuting_stack``)."""
-    return ContractionTuple(tuple(_commuting_stack([rng], d, dim)[0]), tol=1e-9)
+    contraction (``_commuting_stack`` of one row of 2 dim^2 + 8 d normals
+    drawn from ``rng``)."""
+    normals = rng.standard_normal((1, 2 * dim * dim + 8 * d))
+    return ContractionTuple(tuple(_commuting_stack(normals, d, dim)[0]), tol=1e-9)
 
 
 def _random_polynomial(rng: np.random.Generator, d: int) -> MultiPolynomial:
+    """One to four terms, each d exponents below 4 and a complex
+    coefficient of standard normal parts; terms drawn twice add up."""
     terms = {}
-    n_terms = int(rng.integers(1, 5))
-    for _ in range(n_terms):
-        alpha = tuple(int(a) for a in rng.integers(0, 4, size=d))
-        coeff = complex(rng.standard_normal(), rng.standard_normal())
-        terms[alpha] = terms.get(alpha, 0) + coeff
-    if not terms:
-        terms = {(0,) * d: 1.0}
+    for _ in range(rng.integers(1, 5)):
+        # Scalar draws give the values of one size-d draw, without its overhead.
+        alpha = tuple([int(rng.integers(0, 4)) for _ in range(d)])
+        re, im = rng.standard_normal(2).tolist()
+        terms[alpha] = terms.get(alpha, 0) + complex(re, im)
     return MultiPolynomial(d=d, terms=terms)
 
 
@@ -520,15 +547,22 @@ def vn_search(
     pairs appended to the pool, e.g. known literature counterexamples.
     Deterministic for a fixed seed; trial i uses seed + i.
 
-    Trials run in chunks whose stacks stay within the size cap: a chunk
-    draws its tuples and polynomials, checks its tuples as
-    ``ContractionTuple`` would and takes every ||p(S)|| in one stacked
-    SVD; ``_decide`` then gives each case ``vn_check``'s report.  The
-    result equals the one-trial-at-a-time route's (``vn_check`` per case)
-    bit for bit.  An arity past DEGREE_CAP // 3, a lattice size past the
-    root-table cap and M^d past the point cap are refused before any
-    trial is drawn, and so is an extra case whose image is past the point
-    cap: the extra cases are decided first, and reported after the trials.
+    Trials run in chunks within the size cap.  A chunk draws its trials
+    in one loop: trial i's generator draws the 2 dim^2 + 8 d normals of
+    its tuple in one call, then its polynomial, and is dropped before the
+    next trial's.  The chunk then forms its tuples from the normals
+    (``_commuting_stack``), checks them as ``ContractionTuple`` would,
+    forms every p(S) by stacked products (``_poly_matrix``) and takes
+    every ||p(S)|| in one stacked SVD; ``_decide`` then gives each case
+    ``vn_check``'s report.  A chunk holds its normals, stacks and
+    polynomials, each trial's share counted as its d members' four powers
+    plus 64 entries for its polynomial; the result holds one report per
+    case.  The result equals the one-trial-at-a-time route's
+    (``vn_check`` per case) bit for bit.  An arity past DEGREE_CAP // 3,
+    a lattice size past the root-table cap and M^d past the point cap are
+    refused before any trial is drawn, and so is an extra case whose
+    image is past the point cap: the extra cases are decided first, and
+    reported after the trials.
     """
     if d < 1:
         raise InputError(f"d must be >= 1, got {d}")
@@ -555,25 +589,26 @@ def vn_search(
 
     def drawn(indices):
         """(index, lhs, poly) of the trials ``indices``, their stacks freed."""
-        rngs = [np.random.default_rng(seed + index) for index in indices]
-        stack = _commuting_stack(rngs, d, dim)
-        polys = [_random_polynomial(rng, d) for rng in rngs]
+        normals = np.empty((len(indices), 2 * dim * dim + 8 * d))
+        polys = []
+        for k, index in enumerate(indices):
+            rng = np.random.default_rng(seed + index)
+            rng.standard_normal(out=normals[k])
+            polys.append(_random_polynomial(rng, d))
+        stack = _commuting_stack(normals, d, dim)
         _require_contractions(stack, 1e-9)
         # Every member's powers at once: a trial's own route forms the
         # same products, and the powers it would not form go unused.
         top = max((max(alpha) for poly in polys for alpha in poly.terms), default=0)
-        powers = [_powers(stack[:, i], range(top + 1)) for i in range(d)]
-        values = _op_norms(
-            np.stack(
-                [_poly_matrix([p[:, k] for p in powers], poly) for k, poly in enumerate(polys)]
-            )
-        )
+        powers = [_powers(stack[:, i], range(top + 1)).reshape(-1, dim, dim) for i in range(d)]
+        values = _op_norms(_poly_matrix(powers, polys))
         return zip(indices, values.tolist(), polys)
 
-    # A trial's largest share of a chunk is its d members' four powers.
+    # A trial's share of a chunk: its d members' four powers, and its
+    # polynomial, under 1 KiB (64 entries) at four terms of arity 5.
     trial_cases = (
         ("random", index, poly, _decide(lhs, poly, M, tol))
-        for part in _batches(trials, 4 * d * dim * dim)
+        for part in _batches(trials, 4 * d * dim * dim + 64)
         for index, lhs, poly in drawn(range(trials)[part])
     )
     max_ratio = 0.0

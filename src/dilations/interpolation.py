@@ -237,21 +237,30 @@ def compress_discretized(semi: DiscretizedSemigroup, t: GridTime) -> np.ndarray:
 def multilinear_compress(tup: ContractionTuple, t) -> np.ndarray:
     """Product over axes of (1-frac(t_i)) S_i^floor(t_i) + frac(t_i) S_i^(floor(t_i)+1).
 
+    ``t`` is one time vector of arity d, or a (K, d) stack of them, for
+    which the result is the (K, dim, dim) stack of their values.  Each
+    axis forms its distinct powers once, only those asked for, walking
+    from the identity; each member is multiplied across the axes from the
+    identity in axis order, so it is bit-identical to its one-time call.
     Accepts finite nonnegative real times, floors bounded as in ``_grid_form``.
     """
-    times = [float(x) for x in t]
-    if len(times) != tup.d:
-        raise InputError(f"time vector has arity {len(times)}, tuple has d={tup.d}")
-    if any(not math.isfinite(x) or x < 0 for x in times):
-        raise InputError(f"times must be finite and nonnegative: {times}")
-    floors = [math.floor(x) for x in times]
-    _check_floor(max(floors), tup.dim)
+    times = np.array(t, dtype=float)
+    single = times.ndim == 1
+    stack = times[None] if single else times
+    if stack.ndim != 2 or stack.shape[1] != tup.d:
+        raise InputError(f"times of shape {times.shape} are not d={tup.d} vectors")
+    if not (np.isfinite(times).all() and (times >= 0).all()):
+        raise InputError(f"times must be finite and nonnegative: {times.tolist()}")
+    if times.size:
+        _check_floor(math.floor(times.max()), tup.dim)
+    floors = np.floor(stack).astype(np.int64)
     out = identity(tup.dim)
-    for s_i, x, fl in zip(tup.mats, times, floors):
-        fr = x - fl
-        low, high = _powers(s_i, (fl, fl + 1))
+    for s_i, x, fl in zip(tup.mats, stack.T, floors.T):
+        ks, which = np.unique(np.concatenate([fl, fl + 1]), return_inverse=True)
+        low, high = np.split(_powers(s_i, ks)[which], 2)
+        fr = (x - fl)[:, None, None]
         out = out @ ((1 - fr) * low + fr * high)
-    return out
+    return out[0] if single else out
 
 
 def _misfit(left: np.ndarray, right: np.ndarray, apart: np.ndarray) -> float:
@@ -357,7 +366,7 @@ def semigroup_suite(tup: ContractionTuple, N: int, max_num: int) -> dict:
         comm_dev = _misfit(blocks[p] @ blocks[q], blocks[r] @ blocks[u], apart.astype(bool))
 
     times = list(itertools.product(range(max_num), repeat=d))
-    closed = np.stack([multilinear_compress(tup, GridTime(N, t).values()) for t in times])
+    closed = multilinear_compress(tup, np.array(times) / N)
     compress_dev = float(
         np.linalg.norm(blocks[picks[rows]].mean(axis=1) - closed, 2, axis=(-2, -1)).max()
     )

@@ -19,7 +19,9 @@ from dilations.dilation import (
     MultiPolynomial,
     _image,
     _lattice_max,
+    _poly_matrix,
     _random_commuting_tuple,
+    _random_polynomial,
     egervary_dilation,
     eval_poly,
     parrott_tuple,
@@ -33,13 +35,16 @@ from dilations.interpolation import ContractionTuple
 from dilations.linalg import (
     InputError,
     _batches,
+    _powers,
     identity,
     op_norm,
 )
 from unbatched_reference import (
     reference_commuting_tuple,
+    reference_eval_poly,
     reference_lattice_max,
     reference_power_dilation_verify,
+    reference_random_polynomial,
     reference_torus_sup,
     reference_vn_search,
 )
@@ -162,6 +167,29 @@ class TestEvalPoly:
         tup = ContractionTuple((identity(2),))
         with pytest.raises(InputError):
             eval_poly(tup, MultiPolynomial(d=2, terms={(1, 1): 1.0}))
+
+    @pytest.mark.parametrize("d, dim", [(1, 1), (1, 3), (2, 4), (3, 2), (5, 1)])
+    def test_stacked_members_match_their_own_calls(self, d, dim):
+        # K polynomials of 0 to 4 terms, each with its own tuple; the
+        # shorter ones are padded to 4 slots in the stacked call.
+        rng = np.random.default_rng(60 + 10 * d + dim)
+        tuples = [_random_commuting_tuple(rng, d, dim) for _ in range(12)]
+        polys = [MultiPolynomial(d=d, terms={})] + [
+            MultiPolynomial(
+                d=d,
+                terms={
+                    tuple(np.unravel_index(k, (4,) * d)): complex(*rng.standard_normal(2))
+                    for k in rng.choice(4**d, n, replace=False).tolist()
+                },
+            )
+            for n in [1, 2, 3, 4] * 2 + [4, 1, 4]
+        ]
+        stack = np.stack([t.mats for t in tuples])
+        powers = [_powers(stack[:, i], range(4)).reshape(-1, dim, dim) for i in range(d)]
+        got = _poly_matrix(powers, polys)
+        for member, tup, poly in zip(got, tuples, polys):
+            want = reference_eval_poly(tup, poly).tobytes()
+            assert member.tobytes() == eval_poly(tup, poly).tobytes() == want
 
 
 class TestTorusSup:
@@ -623,15 +651,38 @@ class TestVnSearch:
         # Both leave their generator at the same point of its stream.
         assert rng.standard_normal() == ref_rng.standard_normal()
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123, 20_260_002])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_polynomial_generator_matches_reference(self, seed, d):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _random_polynomial(rng, d)
+        want = reference_random_polynomial(ref_rng, d)
+        assert list(got.terms.items()) == list(want.terms.items())
+        # Both leave their generator at the same point of its stream.
+        assert rng.standard_normal() == ref_rng.standard_normal()
+
     def test_chunks_give_the_unchunked_result(self, monkeypatch):
         # tol=-1 makes cases VIOLATED, so violating tuples are drawn again too.
         args = dict(d=2, dim=4, trials=37, seed=11, M=16, tol=-1.0)
         whole = json.dumps(vn_search(**args))
         assert json.loads(whole)["violations"]
-        # Each trial's chunk share is 4 d dim^2 = 128 entries: chunks of 10.
+        # Each trial's chunk share is 4 d dim^2 + 64 = 192 entries: chunks of 6.
         monkeypatch.setenv("DILATIONS_MAX_ENTRIES", "1280")
-        assert len(_batches(37, 4 * 2 * 4 * 4)) == 4
+        assert len(_batches(37, 4 * 2 * 4 * 4 + 64)) == 7
         assert json.dumps(vn_search(**args)) == whole
+
+    def test_search_memory_per_trial(self, monkeypatch):
+        # At d = dim = 1 and a cap of 2^16 entries a chunk is 963 trials.
+        # The result keeps one report per case, about 570 B here; a chunk
+        # holds its trials' normals, stacks and polynomials (about 480 B
+        # each), within the cap, and no generator (939 B each).  One chunk
+        # of all 6000 trials' polynomials, or of their generators, would
+        # go past the bound.
+        monkeypatch.setenv("DILATIONS_MAX_ENTRIES", str(2**16))
+        trials = 6000
+        out, peak = traced_peak(lambda: vn_search(d=1, dim=1, trials=trials, seed=1, M=2))
+        assert out["cases"] == trials
+        assert peak <= 700 * trials + 2 * 16 * 2**16
 
     def test_rejects_bad_args(self):
         with pytest.raises(InputError):

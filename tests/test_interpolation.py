@@ -38,6 +38,7 @@ import unbatched_reference
 from unbatched_reference import (
     reference_blockwise_suite,
     reference_eval_discretized,
+    reference_multilinear_compress,
     reference_product_sweep,
     reference_semigroup_suite,
     reference_sweep,
@@ -398,6 +399,22 @@ class TestCompression:
         out = multilinear_compress(tup, (2.0, 1.0))
         expected = np.linalg.matrix_power(tup.mats[0], 2) @ tup.mats[1]
         assert np.abs(out - expected).max() < 1e-13
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_multilinear_stack_matches_one_time_calls(self, d):
+        # Floors 0 to 5, shared and distinct across members and axes, on
+        # and off the grid; each axis forms its distinct powers once.
+        rng = np.random.default_rng(39 + d)
+        tup = _random_commuting_tuple(rng, d, 3)
+        times = np.vstack(
+            [rng.integers(0, 6, (8, d)) + rng.uniform(0, 1, (8, d)), rng.integers(2, 6, (4, d)) / 2]
+        )
+        assert math.floor(times.max()) > 1
+        stacked = multilinear_compress(tup, times)
+        assert stacked.shape == (12, 3, 3)
+        for member, t in zip(stacked, times.tolist()):
+            want = reference_multilinear_compress(tup, t).tobytes()
+            assert member.tobytes() == multilinear_compress(tup, t).tobytes() == want
 
     def test_multilinear_rejects_bad_times(self):
         tup = ContractionTuple((shift_matrix(2),))

@@ -40,15 +40,33 @@ chunks, so the tests require both to return the same float.
 
 ``reference_vn_search`` is the one-trial-at-a-time search: for each
 trial its own generator ``reference_commuting_tuple`` draws the tuple
-with one-matrix norms, a ``ContractionTuple`` validates it, the
-library's ``_random_polynomial`` draws the polynomial and ``vn_check``
+with one generator call per matrix and coefficient vector and
+one-matrix norms, a ``ContractionTuple`` validates it,
+``reference_random_polynomial`` draws the polynomial with one size-d
+exponent draw and two scalar normal draws per term, and ``vn_check``
 decides the case, by the exact supremum where the rows alpha - alpha_0
-are independent and by ``torus_sup`` elsewhere.  The library draws the
-trials of a chunk first and validates and norms them as stacks, by the
-same per-member LAPACK and BLAS calls in the same order, then decides
-each case by the rule ``vn_check`` uses, extra cases before any trial,
-so the tests require both routes' results to be equal byte for byte as
-JSON.
+are independent and by ``torus_sup`` elsewhere.  The library draws each
+trial's tuple as one row of normals and each exponent by a scalar draw,
+which give the same values and leave the generator at the same point;
+it validates and norms a chunk's tuples as stacks, by the same
+per-member LAPACK and BLAS calls in the same order, forms their p(S) by
+stacked products, then decides each case by the rule ``vn_check`` uses,
+extra cases before any trial, so the tests require both routes' results
+to be equal byte for byte as JSON.
+
+``reference_eval_poly`` is the functional calculus one term at a time:
+each term's product of one-matrix powers, multiplied in axis order, added
+to a zero matrix in term order.  The library's ``_poly_matrix`` forms
+each term slot for a stack of tuples and polynomials at once, the
+missing terms of shorter polynomials padded with zero coefficients, so
+the tests require every member to equal the reference bit for bit.
+
+``reference_multilinear_compress`` is the closed multilinear form at one
+time: each axis's two powers walked from the identity, blended and
+multiplied in axis order.  The library's ``multilinear_compress`` takes
+a stack of times and forms each axis's distinct powers once, by the same
+walk, so the tests require every member to equal the reference bit for
+bit.
 
 ``reference_power_dilation_verify`` is the per-index dilation check:
 every power of each S_i and of each big x big V_i held at once, and for
@@ -108,7 +126,7 @@ import math
 
 import numpy as np
 
-from dilations.dilation import _random_polynomial, vn_check
+from dilations.dilation import MultiPolynomial, vn_check
 from dilations.interpolation import (
     ContractionTuple,
     DiscretizedSemigroup,
@@ -298,13 +316,42 @@ def reference_commuting_tuple(rng, d, dim):
     return ContractionTuple(tuple(mats), tol=1e-9)
 
 
+def reference_random_polynomial(rng, d):
+    """One to four terms, each exponent vector drawn in one call and each
+    coefficient's parts in two; terms drawn twice add up."""
+    terms = {}
+    n_terms = int(rng.integers(1, 5))
+    for _ in range(n_terms):
+        alpha = tuple(int(a) for a in rng.integers(0, 4, size=d))
+        coeff = complex(rng.standard_normal(), rng.standard_normal())
+        terms[alpha] = terms.get(alpha, 0) + coeff
+    return MultiPolynomial(d=d, terms=terms)
+
+
+def reference_eval_poly(tup, poly):
+    """p(S), each term's product of one-matrix powers added in term order."""
+    powers = []
+    for i, s_i in enumerate(tup.mats):
+        walk = [identity(tup.dim)]
+        for _ in range(max((alpha[i] for alpha in poly.terms), default=0)):
+            walk.append(walk[-1] @ s_i)
+        powers.append(walk)
+    out = np.zeros((tup.dim, tup.dim), dtype=np.complex128)
+    for alpha, coeff in poly.terms.items():
+        term = powers[0][alpha[0]]
+        for i in range(1, tup.d):
+            term = term @ powers[i][alpha[i]]
+        out += coeff * term
+    return out
+
+
 def reference_vn_search(d, dim, trials, seed, M, extra_cases=(), tol=1e-10):
     """The search with one tuple, one polynomial and one ``vn_check`` per trial."""
     cases = []
     for index in range(trials):
         rng = np.random.default_rng(seed + index)
         tup = reference_commuting_tuple(rng, d, dim)
-        cases.append(("random", index, tup, _random_polynomial(rng, d)))
+        cases.append(("random", index, tup, reference_random_polynomial(rng, d)))
     for index, (tup, poly) in enumerate(extra_cases):
         cases.append(("fixture", index, tup, poly))
 
@@ -364,6 +411,18 @@ def reference_power_dilation_verify(tup, cand, tol=1e-10):
         "passed": max_dev <= tol,
         "tol": tol,
     }
+
+
+def reference_multilinear_compress(tup, t):
+    """The closed multilinear form at one time vector t: per axis the
+    blend of S_i^floor(t_i) and S_i^(floor(t_i)+1), in axis order."""
+    out = identity(tup.dim)
+    for s_i, x in zip(tup.mats, map(float, t)):
+        fl = math.floor(x)
+        fr = x - fl
+        low, high = _powers(s_i, (fl, fl + 1))
+        out = out @ ((1 - fr) * low + fr * high)
+    return out
 
 
 def reference_eval_discretized(semi, t):

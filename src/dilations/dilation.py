@@ -34,6 +34,7 @@ from .linalg import (
     _isometry_deviations,
     _matrix_payload,
     _op_norms,
+    _power_products,
     _powers,
     _require_commuting,
     as_matrix,
@@ -71,7 +72,7 @@ class MultiPolynomial:
     def __post_init__(self):
         if self.d < 1:
             raise InputError(f"polynomial arity must be >= 1, got {self.d}")
-        cleaned = {}
+        cleaned, bound = {}, 0.0
         for alpha, coeff in self.terms.items():
             alpha = tuple(_integer(a, "exponent") for a in alpha)
             if len(alpha) != self.d:
@@ -87,8 +88,12 @@ class MultiPolynomial:
             coeff = complex(coeff)
             if not cmath.isfinite(coeff):
                 raise InputError(f"coefficient of {alpha} must be finite, got {coeff}")
+            bound += math.hypot(coeff.real, coeff.imag) * (1 + sum(alpha))
             if coeff != 0:
                 cleaned[alpha] = coeff
+        # Every reported number stays below 2 bound: the pad is at most pi/2 its part.
+        if not math.isfinite(2 * bound):
+            raise InputError("coefficients too large: 2 sum |c_alpha| (1 + |alpha|) overflows")
         object.__setattr__(self, "terms", cleaned)
 
     def to_json(self) -> dict:
@@ -160,48 +165,30 @@ def _require_unitary(m: np.ndarray, name: str, tol: float) -> None:
 
 
 def eval_poly(tup: ContractionTuple, poly: MultiPolynomial) -> np.ndarray:
-    """Functional calculus sum_alpha c_alpha prod_i S_i^alpha_i: the stack
-    of one of ``_poly_matrix``, from the powers of each S_i up to its top
-    exponent."""
+    """Functional calculus sum_alpha c_alpha prod_i S_i^alpha_i: the
+    ``_poly_matrix`` of its terms, unpadded."""
     if poly.d != tup.d:
         raise InputError(
             f"polynomial arity {poly.d} does not match tuple d={tup.d}"
         )
-    tops = [max((alpha[i] for alpha in poly.terms), default=0) for i in range(tup.d)]
-    powers = [_powers(s_i, range(top + 1)) for s_i, top in zip(tup.mats, tops)]
-    return _poly_matrix(powers, [poly])[0]
+    alphas = np.array(list(poly.terms), dtype=np.intp).reshape(-1, tup.d)
+    coeffs = np.array(list(poly.terms.values()), dtype=np.complex128)
+    return _poly_matrix(tup.mats, alphas, coeffs)
 
 
-def _poly_matrix(powers, polys) -> np.ndarray:
-    """(K, n, n): p_k(S_k) for K tuples and K polynomials, from the powers
-    of each axis i stacked as powers[i][a K + k] = S_(k,i)^a, arity
-    unchecked.
-
-    Each polynomial's terms are padded to the largest term count with
-    zero coefficients on exponent 0.  Term slot j is then one stacked
-    product of the members' powers per axis, multiplied in axis order,
-    and the slots are added to a zero stack in term order.  A padded
-    slot adds a finite product times zero, a signed zero, which leaves
-    every entry as it was: a sum begun at +0.0 is never -0.0, as x + (-x)
-    and +0.0 + (-0.0) round to +0.0.  So member k is bit-identical to
-    the stack of one of its own polynomial.
+def _poly_matrix(axes, alphas: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """p(S) = sum_j coeffs[..., j] prod_i A_i^alphas[..., j, i], arity
+    unchecked, for the axes of ``_power_products`` and T terms (..., T, d):
+    the products added to zeros in term order.  In a stack of K tuples,
+    shorter polynomials come padded with zero coefficients on exponent 0;
+    such a slot adds a signed zero, which leaves every entry as it was, as
+    a sum begun at +0.0 is never -0.0.  So member k is bit-identical to
+    its own polynomial's call.
     """
-    counts = [len(poly.terms) for poly in polys]
-    members, width = len(polys), max(counts, default=0)
-    held = np.arange(width) < np.array(counts)[:, None]
-    alphas = np.zeros((members, width, len(powers)), dtype=np.intp)
-    terms = [alpha for poly in polys for alpha in poly.terms]
-    alphas[held] = np.array(terms, dtype=np.intp).reshape(-1, len(powers))
-    coeffs = np.zeros((members, width), dtype=np.complex128)
-    coeffs[held] = [coeff for poly in polys for coeff in poly.terms.values()]
-    # rows[j, i, k]: the row of S_(k,i)^alpha for member k's term in slot j.
-    rows = (alphas * members + np.arange(members)[:, None, None]).transpose(1, 2, 0)
-    out = np.zeros((members, *powers[0].shape[1:]), dtype=np.complex128)
-    for slot, coeff in zip(rows, coeffs.T[:, :, None, None]):
-        term = powers[0].take(slot[0], axis=0)
-        for axis, index in zip(powers[1:], slot[1:]):
-            term = term @ axis.take(index, axis=0)
-        out += coeff * term
+    products = _power_products(axes, alphas)
+    out = np.zeros((*products.shape[:-3], *products.shape[-2:]), dtype=np.complex128)
+    for slot in range(coeffs.shape[-1]):
+        out += coeffs[..., slot, None, None] * products[..., slot, :, :]
     return out
 
 
@@ -300,12 +287,12 @@ def _image(terms: dict, M: int) -> tuple:
     a common unimodular factor, as a polynomial on prod sizes points,
     and whether D, the rows alpha - alpha_0, has full row rank.
 
-    Unimodular row and column operations on Python ints bring D to a
-    diagonal form R D C = diag(s_i); column i of D C is s_i times column
-    i of R^-1.  With k = C j, D k = sum_i (D C)[:, i] j_i, and s_i j_i
-    mod M runs over the multiples g_i l_i of g_i = gcd(s_i, M), l_i <
-    M/g_i, each l a distinct point as R^-1 is invertible mod M.  So axis
-    i has size M/g_i (dropped at 1), term a gets exponent (D C)[a, i]
+    Unimodular row and column operations on Python ints bring D to its
+    Smith form R D C = diag(s_i), s_i | s_(i+1); column i of D C is s_i
+    times column i of R^-1.  With k = C j, D k = sum_i (D C)[:, i] j_i;
+    s_i j_i mod M runs over the multiples g_i l_i of g_i = gcd(s_i, M),
+    l_i < M/g_i, each l a distinct point as R^-1 is invertible mod M.  So
+    axis i has size M/g_i (dropped at 1), term a gets exponent (D C)[a, i]
     g_i / s_i mod M on it, and terms equal mod M merge in term order.
     The elimination ends with p = rank(D) pivots, so D has full row rank
     exactly when p = n - 1 for n terms (row alpha_0 of D is zero).
@@ -331,9 +318,13 @@ def _image(terms: dict, M: int) -> tuple:
             quotient = diag[p][j] // pivot
             for row in diag + dc:
                 row[j] -= quotient * row[p]
-        # A nonzero remainder is smaller than the pivot and becomes the next one.
+        # A nonzero remainder, or one of a row the pivot does not divide added
+        # to its row, is smaller and the next pivot: so s_i | s_(i+1), fewest axes.
         if not any(diag[p][p + 1 :]) and not any(row[p] for row in diag[p + 1 :]):
-            p += 1
+            rest = [row for row in diag[p + 1 :] if abs(pivot) > 1 and any(x % pivot for x in row)]
+            for row in rest[:1]:
+                diag[p] = [x + y for x, y in zip(diag[p], row)]
+            p += not rest
     axes = [(i, g) for i in range(p) if (g := math.gcd(diag[i][i], M)) < M]
     reduced = {}
     for row, coeff in zip(dc, terms.values()):
@@ -552,17 +543,17 @@ def vn_search(
     its tuple in one call, then its polynomial, and is dropped before the
     next trial's.  The chunk then forms its tuples from the normals
     (``_commuting_stack``), checks them as ``ContractionTuple`` would,
-    forms every p(S) by stacked products (``_poly_matrix``) and takes
-    every ||p(S)|| in one stacked SVD; ``_decide`` then gives each case
-    ``vn_check``'s report.  A chunk holds its normals, stacks and
-    polynomials, each trial's share counted as its d members' four powers
-    plus 64 entries for its polynomial; the result holds one report per
-    case.  The result equals the one-trial-at-a-time route's
-    (``vn_check`` per case) bit for bit.  An arity past DEGREE_CAP // 3,
-    a lattice size past the root-table cap and M^d past the point cap are
-    refused before any trial is drawn, and so is an extra case whose
-    image is past the point cap: the extra cases are decided first, and
-    reported after the trials.
+    forms every p(S) by one ``_poly_matrix`` call on the padded
+    polynomials and takes every ||p(S)|| in one stacked SVD; ``_decide``
+    then gives each case ``vn_check``'s report.  A trial's share of a
+    chunk counts its d members' four powers, two stacks of its (up to
+    four) term products and 64 entries for its polynomial; the result
+    holds one report per case.  The result equals the one-trial-at-a-time
+    route's (``vn_check`` per case) bit for bit.  An arity past
+    DEGREE_CAP // 3, a lattice size past the root-table cap and M^d past
+    the point cap are refused before any trial is drawn, and so is an
+    extra case whose image is past the point cap: the extra cases are
+    decided first, and reported after the trials.
     """
     if d < 1:
         raise InputError(f"d must be >= 1, got {d}")
@@ -597,18 +588,20 @@ def vn_search(
             polys.append(_random_polynomial(rng, d))
         stack = _commuting_stack(normals, d, dim)
         _require_contractions(stack, 1e-9)
-        # Every member's powers at once: a trial's own route forms the
-        # same products, and the powers it would not form go unused.
-        top = max((max(alpha) for poly in polys for alpha in poly.terms), default=0)
-        powers = [_powers(stack[:, i], range(top + 1)).reshape(-1, dim, dim) for i in range(d)]
-        values = _op_norms(_poly_matrix(powers, polys))
+        counts = [len(poly.terms) for poly in polys]
+        held = np.arange(max(counts)) < np.array(counts)[:, None]
+        alphas = np.zeros((*held.shape, d), dtype=np.intp)
+        alphas[held] = np.array([a for poly in polys for a in poly.terms]).reshape(-1, d)
+        coeffs = np.zeros(held.shape, dtype=np.complex128)
+        coeffs[held] = [coeff for poly in polys for coeff in poly.terms.values()]
+        values = _op_norms(_poly_matrix(stack.swapaxes(0, 1), alphas, coeffs))
         return zip(indices, values.tolist(), polys)
 
-    # A trial's share of a chunk: its d members' four powers, and its
-    # polynomial, under 1 KiB (64 entries) at four terms of arity 5.
+    # The running product and its next factor are the two stacks of term
+    # products; 64 entries (1 KiB) hold four terms of arity 5.
     trial_cases = (
         ("random", index, poly, _decide(lhs, poly, M, tol))
-        for part in _batches(trials, 4 * d * dim * dim + 64)
+        for part in _batches(trials, 4 * (d + 2) * dim * dim + 64)
         for index, lhs, poly in drawn(range(trials)[part])
     )
     max_ratio = 0.0
@@ -728,7 +721,8 @@ def power_dilation_verify(
 
 
 def _walk(stack: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:
-    """(K n, p, q): X A^k for each X of ``stack`` (K, p, q) and k < n, k fastest."""
+    """(K n, p, q): X A^k for each X of ``stack`` (K, p, q) and k < n, k fastest;
+    not ``_power_products``, which would hold all n powers of each big V_i."""
     out = np.empty((len(stack), n, *stack.shape[1:]), dtype=np.complex128)
     out[:, 0] = stack
     for k in range(1, n):

@@ -8,7 +8,7 @@ base factor by the block prod_i S_i^(floor(t_i) + carry_i), carry_i = 1
 when frac(t_i) + m_i/N >= 1.  So T(t) is one target index and one
 exponent row floor(t) + carry(m) per grid point, at most 2^d distinct
 rows, one per carry pattern; every routine here works on that form, and
-``_blocks`` alone turns exponent rows into blocks.
+``linalg._power_products`` alone turns exponent rows into blocks.
 
 Also here: the averaged compression of that evaluation, its closed
 multilinear form, the lattice-sample blending operator, and the
@@ -34,7 +34,7 @@ from .linalg import (
     _matrix_payload,
     _max_op_norm,
     _op_norms,
-    _powers,
+    _power_products,
     _require_commuting,
     as_matrix,
     identity,
@@ -198,17 +198,6 @@ def _distinct_rows(exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[starts], picks
 
 
-def _blocks(mats, rows: np.ndarray) -> np.ndarray:
-    """prod_i mats[i]^rows[m, i] for every row m given, multiplied in axis
-    order from the identity, from each axis's distinct powers formed once.
-    Callers pass the distinct rows of ``_distinct_rows`` and gather."""
-    out = identity(mats[0].shape[0])
-    for s_i, column in zip(mats, rows.T):
-        ks, which = np.unique(column, return_inverse=True)
-        out = out @ _powers(s_i, ks)[which]
-    return out
-
-
 def eval_discretized(semi: DiscretizedSemigroup, t: GridTime) -> np.ndarray:
     """Dense matrix of the semigroup at grid time t: the blocks of its
     grid form scattered to (target, source) block positions, capped at its
@@ -218,7 +207,7 @@ def eval_discretized(semi: DiscretizedSemigroup, t: GridTime) -> np.ndarray:
     rows, picks = _distinct_rows(exponents)
     grid, dim = len(targets), semi.base.dim
     out = np.zeros((grid, dim, grid, dim), dtype=np.complex128)
-    out[targets, :, np.arange(grid), :] = _blocks(semi.base.mats, rows)[picks]
+    out[targets, :, np.arange(grid), :] = _power_products(semi.base.mats, rows)[picks]
     return out.reshape(semi.total_dim, semi.total_dim)
 
 
@@ -231,7 +220,7 @@ def compress_discretized(semi: DiscretizedSemigroup, t: GridTime) -> np.ndarray:
     """
     _check_cap(semi.N**semi.base.d * semi.base.dim, semi.base.dim)
     rows, picks = _distinct_rows(_grid_form(semi, t)[1])
-    return _blocks(semi.base.mats, rows)[picks].mean(axis=0)
+    return _power_products(semi.base.mats, rows)[picks].mean(axis=0)
 
 
 def multilinear_compress(tup: ContractionTuple, t) -> np.ndarray:
@@ -239,9 +228,9 @@ def multilinear_compress(tup: ContractionTuple, t) -> np.ndarray:
 
     ``t`` is one time vector of arity d, or a (K, d) stack of them, for
     which the result is the (K, dim, dim) stack of their values.  Each
-    axis forms its distinct powers once, only those asked for, walking
-    from the identity; each member is multiplied across the axes from the
-    identity in axis order, so it is bit-identical to its one-time call.
+    axis takes its floor and ceiling powers from one ``_power_products``
+    call; each member is multiplied across the axes from the identity in
+    axis order, so it is bit-identical to its one-time call.
     Accepts finite nonnegative real times, floors bounded as in ``_grid_form``.
     """
     times = np.array(t, dtype=float)
@@ -256,8 +245,7 @@ def multilinear_compress(tup: ContractionTuple, t) -> np.ndarray:
     floors = np.floor(stack).astype(np.int64)
     out = identity(tup.dim)
     for s_i, x, fl in zip(tup.mats, stack.T, floors.T):
-        ks, which = np.unique(np.concatenate([fl, fl + 1]), return_inverse=True)
-        low, high = np.split(_powers(s_i, ks)[which], 2)
+        low, high = _power_products([s_i], np.stack([fl, fl + 1])[..., None])
         fr = (x - fl)[:, None, None]
         out = out @ ((1 - fr) * low + fr * high)
     return out[0] if single else out
@@ -286,11 +274,11 @@ def semigroup_suite(tup: ContractionTuple, N: int, max_num: int) -> dict:
     interpolation and compression and 1e-10 for the others.
 
     The grid forms of all sum times s + t come from one ``_grid_forms``
-    call; ``_blocks`` builds the table B of their R distinct exponent
-    rows.  T(s)T(t) moves point m to targets_s[targets_t[m]] with the
-    block B[a] B[b] (a the row of s at targets_t[m], b that of t at m),
-    and T(s+t) moves it to targets_{s+t}[m] with B[c].  Per ``_batches``
-    slice of s, within the size cap, the targets are compared exactly, in
+    call; ``_power_products`` builds the table B of their R distinct rows.
+    T(s)T(t) moves point m to targets_s[targets_t[m]] with the block
+    B[a] B[b] (a the row of s at targets_t[m], b that of t at m), and
+    T(s+t) moves it to targets_{s+t}[m] with B[c].  Per ``_batches`` slice
+    of s, within the size cap, the targets are compared exactly, in
     integers, and the row triples are keyed (a R + b) R + c, so B[a] B[b]
     - B[c] is formed once per distinct triple of the slice.  Where the
     targets differ, the dense difference holds both blocks, and the
@@ -300,7 +288,8 @@ def semigroup_suite(tup: ContractionTuple, N: int, max_num: int) -> dict:
     ||B_m||: contractivity takes SVDs of the distinct blocks of the suite
     times.  Interpolation reads the grid forms of the times n N e_i, per
     ``_batches`` slice of them: each must move no grid point, checked in
-    integers, and each of its distinct blocks is compared with S_i^n.
+    integers, and each of its distinct blocks is compared with S_i^n by
+    ``np.linalg.matrix_power``, a route independent of ``_power_products``.
     """
     semi = DiscretizedSemigroup(tup, N)
     if max_num < 1:
@@ -319,14 +308,14 @@ def semigroup_suite(tup: ContractionTuple, N: int, max_num: int) -> dict:
         which = np.repeat(np.arange(len(nums)), N**d)[:, None]
         pairs = _distinct_rows(np.hstack([which, lift_rows.reshape(-1, d)]))[0]
         powers = np.stack([np.linalg.matrix_power(tup.mats[i], n) for i, n in lifts[part]])
-        diffs = _blocks(tup.mats, pairs[:, 1:]) - powers[pairs[:, 0]]
+        diffs = _power_products(tup.mats, pairs[:, 1:]) - powers[pairs[:, 0]]
         interp_dev = max(interp_dev, float(_op_norms(diffs).max()))
 
     table, picks = _distinct_rows(exponents.reshape(-1, d))
     R = len(table)
     if R**3 > np.iinfo(np.int64).max:
         raise InputError(f"{R} distinct exponent rows: their triples overflow 64-bit keys")
-    blocks = _blocks(tup.mats, table)
+    blocks = _power_products(tup.mats, table)
     picks = picks.reshape(targets.shape)
     # The index of a suite time t among the sum times; the index of s + t
     # is that of s plus that of t, as no coordinate of s + t reaches span.

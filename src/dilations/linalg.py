@@ -232,6 +232,22 @@ def _powers(a: np.ndarray, exponents) -> np.ndarray:
     return out
 
 
+def _power_products(axes, rows) -> np.ndarray:
+    """(..., n, n): prod_i A_i^rows[..., i] for the d matrices (n, n) of
+    ``axes``, in axis order from the identity; with d stacks (K, n, n),
+    rows[k] takes member k.  Each axis walks its distinct exponents once
+    (by ``set``: ``np.unique``'s inverse costs more than a short product)."""
+    out = identity(axes[0].shape[-1])
+    for i, a in enumerate(axes):
+        column = rows[..., i]
+        ks = sorted(set(column.ravel().tolist()))
+        which = np.searchsorted(ks, column)
+        if a.ndim == 3:
+            which = (which, np.indices(column.shape)[0])
+        out = out @ _powers(a, ks)[which]
+    return out
+
+
 def psd_sqrt(a, eps: float = DEFAULT_TOL) -> np.ndarray:
     """Hermitian PSD square root, clamping eigenvalues in [-eps, 0) to zero."""
     a = as_matrix(a)

@@ -38,7 +38,6 @@ import numpy as np
 from .interpolation import (
     ContractionTuple,
     DiscretizedSemigroup,
-    _blocks,
     _distinct_rows,
     _grid_forms,
 )
@@ -47,6 +46,7 @@ from .linalg import (
     InputError,
     _check_cap,
     _isometry_deviations,
+    _power_products,
     as_matrix,
     dagger,
     op_norm,
@@ -170,11 +170,11 @@ def preservation_suite(tup: ContractionTuple, N: int, tol: float = DEFAULT_TOL) 
     folded one axis per row.  No evaluation is assembled: the grid forms
     of every time and unit time come from one ``_grid_forms`` call.  When
     a class is held, the exponent rows of all times are deduplicated once,
-    each distinct block is built and measured once for the held classes'
-    flags, and one ``_class_deviations`` call folds them into every time's
-    deviations, as the module docstring shows.  The converse is checked in
-    integers.  The (2N)^d times, and the grid forms they stand for, are
-    capped at (2N)^d N^d dim^2 block entries.
+    each distinct block is built (``_power_products``) and measured once
+    for the held classes' flags, and one ``_class_deviations`` call folds
+    them into every time's deviations, as the module docstring shows.
+    The converse is checked in integers.  The (2N)^d times, and the grid
+    forms they stand for, are capped at (2N)^d N^d dim^2 block entries.
     """
     semi = DiscretizedSemigroup(tup, N)
     d, dim = tup.d, tup.dim
@@ -192,7 +192,7 @@ def preservation_suite(tup: ContractionTuple, N: int, tol: float = DEFAULT_TOL) 
     if held:
         rows, picks = _distinct_rows(exponents[:-d].reshape(-1, d))
         flags = {flag for cls in held for flag in _CLASSES[cls]}
-        measures = _block_measures(_blocks(tup.mats, rows), flags)
+        measures = _block_measures(_power_products(tup.mats, rows), flags)
         deviations = _class_deviations(measures, picks.reshape(len(times), N**d))
         for cls in held:
             values = np.stack([deviations[flag] for flag in _CLASSES[cls]])

@@ -209,6 +209,42 @@ class TestVn:
         assert "input error: coefficient of (1,) must be finite" in result.output
         assert "Warning" not in result.output
 
+    @pytest.mark.parametrize(
+        "d, terms",
+        [
+            # sum |c_alpha| overflows the exact supremum's fsum
+            (2, [{"alpha": [1, 0], "coeff": [1e308, 0]}, {"alpha": [0, 1], "coeff": [1e308, 0]}]),
+            # dependent rows: the lattice values and the pad overflow
+            (1, [{"alpha": [k], "coeff": [1e308, 0]} for k in range(3)]),
+        ],
+        ids=["exact", "lattice"],
+    )
+    def test_coefficients_whose_sums_overflow_exit_2(self, runner, tmp_path, d, terms):
+        tup = write_tuple(tmp_path / "tup.json", [np.diag([0.5])] * d)
+        poly = tmp_path / "p.json"
+        poly.write_text(json.dumps({"d": d, "terms": terms}))
+        result = runner.invoke(main, ["vn", "--tuple", tup, "--poly", str(poly)])
+        assert result.exit_code == 2
+        assert "input error: coefficients too large" in result.output
+        assert "Traceback" not in result.output
+        assert "Infinity" not in result.output
+
+    def test_coefficients_inside_the_bound_give_finite_numbers(self, runner, tmp_path):
+        # 2 sum |c_alpha| (1 + |alpha|) = 1.68e308 is finite.  At grid 2 the
+        # pad is pi/2 sum |c_alpha| |alpha|, its largest, and sup_upper =
+        # 4.2e307 + 6.6e307 stays finite.
+        tup = write_tuple(tmp_path / "tup.json", [np.diag([0.5])])
+        poly = tmp_path / "p.json"
+        terms = [{"alpha": [k], "coeff": [1.4e307, 0]} for k in range(3)]
+        poly.write_text(json.dumps({"d": 1, "terms": terms}))
+        result = runner.invoke(main, ["vn", "--tuple", tup, "--poly", str(poly), "--grid", "2"])
+        assert result.exit_code == 0
+        report = json.loads(result.output)
+        assert not report["exact_sup"]
+        for field in ("lhs", "grid_sup", "lipschitz_pad", "sup_upper"):
+            assert math.isfinite(report[field]), field
+        assert report["sup_upper"] > 1e308
+
 
 class TestVnSearch:
     def test_deterministic_output(self, runner):

@@ -35,7 +35,6 @@ from dilations.interpolation import ContractionTuple
 from dilations.linalg import (
     InputError,
     _batches,
-    _powers,
     identity,
     op_norm,
 )
@@ -184,9 +183,12 @@ class TestEvalPoly:
             )
             for n in [1, 2, 3, 4] * 2 + [4, 1, 4]
         ]
-        stack = np.stack([t.mats for t in tuples])
-        powers = [_powers(stack[:, i], range(4)).reshape(-1, dim, dim) for i in range(d)]
-        got = _poly_matrix(powers, polys)
+        alphas = np.zeros((len(polys), 4, d), dtype=np.intp)
+        coeffs = np.zeros((len(polys), 4), dtype=np.complex128)
+        for k, poly in enumerate(polys):
+            alphas[k, : len(poly.terms)] = np.reshape(list(poly.terms), (-1, d))
+            coeffs[k, : len(poly.terms)] = list(poly.terms.values())
+        got = _poly_matrix(np.stack([t.mats for t in tuples], axis=1), alphas, coeffs)
         for member, tup, poly in zip(got, tuples, polys):
             want = reference_eval_poly(tup, poly).tobytes()
             assert member.tobytes() == eval_poly(tup, poly).tobytes() == want
@@ -666,13 +668,14 @@ class TestVnSearch:
         args = dict(d=2, dim=4, trials=37, seed=11, M=16, tol=-1.0)
         whole = json.dumps(vn_search(**args))
         assert json.loads(whole)["violations"]
-        # Each trial's chunk share is 4 d dim^2 + 64 = 192 entries: chunks of 6.
+        # Each trial's chunk share is 4 (d + 2) dim^2 + 64 = 320 entries:
+        # chunks of 4.
         monkeypatch.setenv("DILATIONS_MAX_ENTRIES", "1280")
-        assert len(_batches(37, 4 * 2 * 4 * 4 + 64)) == 7
+        assert len(_batches(37, 4 * (2 + 2) * 4 * 4 + 64)) == 10
         assert json.dumps(vn_search(**args)) == whole
 
     def test_search_memory_per_trial(self, monkeypatch):
-        # At d = dim = 1 and a cap of 2^16 entries a chunk is 963 trials.
+        # At d = dim = 1 and a cap of 2^16 entries a chunk is 862 trials.
         # The result keeps one report per case, about 570 B here; a chunk
         # holds its trials' normals, stacks and polynomials (about 480 B
         # each), within the cap, and no generator (939 B each).  One chunk

@@ -169,28 +169,6 @@ class TestGridForm:
             assert len(distinct) == 2 ** sum(num % N > 0 for num in nums), nums
 
 
-class TestBlocks:
-    @pytest.mark.parametrize("d, dim, seed", [(1, 3, 1), (2, 2, 2), (3, 4, 3), (4, 1, 4)])
-    def test_matches_per_row_multiplication(self, d, dim, seed):
-        # Bit for bit the block of each row multiplied from the identity in
-        # axis order, each power by its own repeated multiplication; rows
-        # repeat and exponents skip.
-        rng = np.random.default_rng(seed)
-        tup = _random_commuting_tuple(rng, d, dim)
-        exponents = rng.integers(0, 6, (20, d))
-        exponents = np.concatenate([exponents, exponents[:5], np.zeros((1, d), int)])
-        got = interpolation._blocks(tup.mats, exponents)
-        assert got.shape == (len(exponents), dim, dim)
-        for row, block in zip(exponents, got):
-            expected = identity(dim)
-            for s_i, k in zip(tup.mats, row):
-                power = identity(dim)
-                for _ in range(k):
-                    power = power @ s_i
-                expected = expected @ power
-            assert block.tobytes() == expected.tobytes(), row
-
-
 class TestDistinctRows:
     @pytest.mark.parametrize(
         "exponents",

@@ -12,6 +12,7 @@ from dilations.linalg import (
     _matrix_payload,
     _max_op_norm,
     _op_norms,
+    _power_products,
     _powers,
     dagger,
     identity,
@@ -22,7 +23,8 @@ from dilations.linalg import (
     op_norm,
     psd_sqrt,
 )
-from unbatched_reference import reference_matrix_exp
+from dilations.dilation import _random_commuting_tuple
+from unbatched_reference import reference_matrix_exp, reference_power_product
 
 
 def rand_matrix(rng, n, m=None):
@@ -211,6 +213,66 @@ class TestPowers:
         for k, power in zip(ks, got):
             assert power.tobytes() == walk[k].tobytes(), k
         assert _powers(a, []).shape == (0, 4, 4)
+
+
+class TestPowerProducts:
+    @pytest.mark.parametrize("d, dim, seed", [(1, 3, 1), (2, 2, 2), (3, 4, 3), (4, 1, 4)])
+    def test_matches_per_row_multiplication(self, d, dim, seed):
+        # Bit for bit the product of each row multiplied from the identity
+        # in axis order, each power by its own repeated multiplication;
+        # rows repeat and exponents skip.
+        rng = np.random.default_rng(seed)
+        tup = _random_commuting_tuple(rng, d, dim)
+        exponents = rng.integers(0, 6, (20, d))
+        exponents = np.concatenate([exponents, exponents[:5], np.zeros((1, d), int)])
+        got = _power_products(tup.mats, exponents)
+        assert got.shape == (len(exponents), dim, dim)
+        for row, block in zip(exponents, got):
+            expected = identity(dim)
+            for s_i, k in zip(tup.mats, row):
+                power = identity(dim)
+                for _ in range(k):
+                    power = power @ s_i
+                expected = expected @ power
+            assert block.tobytes() == expected.tobytes(), row
+
+    def test_walks_each_axis_once_over_unsorted_repeated_exponents(self, monkeypatch):
+        # Each axis walks its distinct exponents once, in increasing order,
+        # whatever the order and repetition of the rows.
+        walks, powers = [], linalg._powers
+
+        def tracked(a, ks):
+            walks.append(list(ks))
+            return powers(a, ks)
+
+        monkeypatch.setattr(linalg, "_powers", tracked)
+        tup = _random_commuting_tuple(np.random.default_rng(5), 2, 3)
+        rows = np.array([[5, 0], [0, 3], [5, 0], [2, 3], [0, 0], [5, 3], [2, 1]])
+        got = _power_products(tup.mats, rows.reshape(7, 1, 2))
+        assert got.shape == (7, 1, 3, 3)
+        assert walks == [[0, 2, 5], [0, 1, 3]]
+        for row, block in zip(rows, got[:, 0]):
+            assert block.tobytes() == reference_power_product(tup.mats, row).tobytes(), row
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_zero_rows(self, d):
+        mats = _random_commuting_tuple(np.random.default_rng(d), d, 2).mats
+        assert _power_products(mats, np.zeros((0, d), dtype=int)).shape == (0, 2, 2)
+        stacks = np.stack([mats, mats], axis=1)
+        assert _power_products(stacks, np.zeros((2, 0, d), dtype=int)).shape == (2, 0, 2, 2)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_stacked_members_match_their_own_calls(self, d):
+        # Member k of d stacks takes the rows rows[k]: bit for bit the call
+        # on its own tuple, though the stack walks the exponents of all.
+        rng = np.random.default_rng(20 + d)
+        tuples = [_random_commuting_tuple(rng, d, 3).mats for _ in range(5)]
+        rows = rng.integers(0, 5, (5, 6, d))
+        rows[0] = 0
+        got = _power_products(np.stack(tuples, axis=1), rows)
+        assert got.shape == (5, 6, 3, 3)
+        for member, mats, own in zip(got, tuples, rows):
+            assert member.tobytes() == _power_products(mats, own).tobytes()
 
 
 class TestIsometryDeviations:

@@ -83,6 +83,9 @@ def image_cases(draw):
 @example(({(0, 0, 0): 1, (2, 2, 0): 0.5j, (3, 0, 3): -0.75}, 12))
 # Full rank, determinant 275, prime to 32: all of the 32^3 lattice.
 @example(({(5, 0, 0): 1, (0, 5, 0): 1, (0, 0, 5): 1, (16, 0, 0): 1}, 32))
+# A cyclic image of 6 points on one axis: without each s_i dividing the
+# next, the elimination ended at axes of 3 and 2, one more than the rank.
+@example(({(7, 0): 1j, (3, 6): 1j, (0, 0): 1j}, 6))
 def test_image_is_the_lattice_image(case):
     terms, M = case
     sizes, reduced, full = _image(terms, M)

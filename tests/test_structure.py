@@ -9,8 +9,8 @@ from conftest import (
     random_commuting_unitaries,
 )
 from dilations.dilation import _random_commuting_tuple
-from dilations.interpolation import DiscretizedSemigroup, _blocks, _grid_form, eval_discretized
-from dilations.linalg import InputError, identity
+from dilations.interpolation import DiscretizedSemigroup, _grid_form, eval_discretized
+from dilations.linalg import InputError, _power_products, identity
 from dilations.structure import (
     _CLASSES,
     _block_measures,
@@ -161,13 +161,13 @@ class TestPreservationSuite:
         assert calls == []
 
     def test_measures_each_distinct_block_once(self, monkeypatch):
-        # One _blocks call per run, on the distinct exponent rows of every
+        # One _power_products call per run, on the distinct exponent rows of every
         # time, measured in one stack next to the one stack of the base.
         # The converse unit times are checked in integers and build no block.
         import dilations.structure as structure
 
         built, measured = [], []
-        blocks, block_measures = structure._blocks, structure._block_measures
+        blocks, block_measures = structure._power_products, structure._block_measures
 
         def tracked_blocks(mats, exponents):
             built.append(exponents.copy())
@@ -177,7 +177,7 @@ class TestPreservationSuite:
             measured.append(len(stack))
             return block_measures(stack, *flags)
 
-        monkeypatch.setattr(structure, "_blocks", tracked_blocks)
+        monkeypatch.setattr(structure, "_power_products", tracked_blocks)
         monkeypatch.setattr(structure, "_block_measures", tracked_measures)
         rng = np.random.default_rng(66)
         for tup in (random_commuting_unitaries(rng, 2, 2),
@@ -204,7 +204,7 @@ class TestPreservationSuite:
             measured.append(len(stack))
             return block_measures(stack, *flags)
 
-        monkeypatch.setattr(structure, "_blocks", None)
+        monkeypatch.setattr(structure, "_power_products", None)
         monkeypatch.setattr(structure, "_block_measures", tracked_measures)
         tup = _random_commuting_tuple(np.random.default_rng(63), 2, 3)
         out = preservation_suite(tup, 2, tol=1e-9)
@@ -389,12 +389,13 @@ class TestBlockRouteMatchesDense:
         for nums, expected in zip(times, dense):
             _, exponents = _grid_form(semi, GridTime(N, nums))
             rows, picks = np.unique(exponents, axis=0, return_inverse=True)
-            got = _class_deviations(_block_measures(_blocks(tup.mats, rows)), picks.reshape(1, -1))
+            blocks = _power_products(tup.mats, rows)
+            got = _class_deviations(_block_measures(blocks), picks.reshape(1, -1))
             close(got, expected, nums)
         exponents = np.stack([_grid_form(semi, GridTime(N, nums))[1] for nums in times])
         rows, picks = np.unique(exponents.reshape(-1, d), axis=0, return_inverse=True)
         folded = _class_deviations(
-            _block_measures(_blocks(tup.mats, rows)), picks.reshape(len(times), N**d)
+            _block_measures(_power_products(tup.mats, rows)), picks.reshape(len(times), N**d)
         )
         for k, (nums, expected) in enumerate(zip(times, dense)):
             close({flag: values[k : k + 1] for flag, values in folded.items()}, expected, nums)

@@ -54,19 +54,28 @@ stacked products, then decides each case by the rule ``vn_check`` uses,
 extra cases before any trial, so the tests require both routes' results
 to be equal byte for byte as JSON.
 
+``reference_powers`` walks the powers of one matrix from the identity,
+each the last times A, and ``reference_power_product`` multiplies one
+exponent row's powers, each walked on its own, into the identity in axis
+order; ``reference_blocks`` does so one row at a time.  None of them
+uses the library's ``_powers`` or ``_power_products``, which walk each
+axis's distinct exponents once and gather them for every row.
+
 ``reference_eval_poly`` is the functional calculus one term at a time:
 each term's product of one-matrix powers, multiplied in axis order, added
-to a zero matrix in term order.  The library's ``_poly_matrix`` forms
-each term slot for a stack of tuples and polynomials at once, the
-missing terms of shorter polynomials padded with zero coefficients, so
-the tests require every member to equal the reference bit for bit.
+to a zero matrix in term order.  The library's ``_poly_matrix`` takes
+every term's product from ``_power_products``, for one polynomial or
+for a stack of tuples and polynomials at once, the missing terms of
+shorter polynomials padded with zero coefficients, and starts each
+product from the identity, which changes no nonzero entry; so the tests
+require every member to equal the reference bit for bit.
 
 ``reference_multilinear_compress`` is the closed multilinear form at one
-time: each axis's two powers walked from the identity, blended and
-multiplied in axis order.  The library's ``multilinear_compress`` takes
-a stack of times and forms each axis's distinct powers once, by the same
-walk, so the tests require every member to equal the reference bit for
-bit.
+time: each axis's two powers from ``reference_power_product``, blended
+and multiplied in axis order.  The library's ``multilinear_compress``
+takes a stack of times and each axis's floor and ceiling powers from one
+``_power_products`` call, by the same products, so the tests require
+every member to equal the reference bit for bit.
 
 ``reference_power_dilation_verify`` is the per-index dilation check:
 every power of each S_i and of each big x big V_i held at once, and for
@@ -90,9 +99,10 @@ targets and exponent rows, so the tests require the dense matrix to agree
 bit for bit and the suite's deviations within 1e-14.
 
 ``reference_blockwise_suite`` is the property suite block by block: the
-grid form of each sum time from its own ``_grid_form`` call, and for
-every pair (s, t) the N^d block products compared with the blocks of
-s + t, targets never composed.  The library's ``semigroup_suite`` takes
+grid form of each sum time from its own ``_grid_form`` call, each
+point's block from ``reference_blocks``, and for every pair (s, t) the
+N^d block products compared with the blocks of s + t, targets never
+composed.  The library's ``semigroup_suite`` takes
 the grid forms in one call, forms each distinct product of a row triple
 once and compares targets in integers; where the targets compose, as
 they do in every unmutated grid form, it computes the same per-member
@@ -130,7 +140,6 @@ from dilations.dilation import MultiPolynomial, vn_check
 from dilations.interpolation import (
     ContractionTuple,
     DiscretizedSemigroup,
-    _blocks,
     _distinct_rows,
     _grid_form,
     eval_discretized,
@@ -140,7 +149,6 @@ from dilations.interpolation import (
 from dilations.linalg import (
     InputError,
     _check_cap,
-    _powers,
     dagger,
     identity,
     matrix_exp,
@@ -328,14 +336,34 @@ def reference_random_polynomial(rng, d):
     return MultiPolynomial(d=d, terms=terms)
 
 
+def reference_powers(a, top):
+    """The list A^0, ..., A^top, each the last times A, from the identity."""
+    powers = [identity(a.shape[0])]
+    for _ in range(top):
+        powers.append(powers[-1] @ a)
+    return powers
+
+
+def reference_power_product(mats, row):
+    """prod_i mats[i]^row[i]: each power walked from the identity on its
+    own, multiplied into the identity in axis order."""
+    out = identity(mats[0].shape[0])
+    for s_i, k in zip(mats, row):
+        out = out @ reference_powers(s_i, int(k))[-1]
+    return out
+
+
+def reference_blocks(mats, rows):
+    """The stack of ``reference_power_product`` of every row, one row at a time."""
+    return np.stack([reference_power_product(mats, row) for row in rows])
+
+
 def reference_eval_poly(tup, poly):
     """p(S), each term's product of one-matrix powers added in term order."""
-    powers = []
-    for i, s_i in enumerate(tup.mats):
-        walk = [identity(tup.dim)]
-        for _ in range(max((alpha[i] for alpha in poly.terms), default=0)):
-            walk.append(walk[-1] @ s_i)
-        powers.append(walk)
+    powers = [
+        reference_powers(s_i, max((alpha[i] for alpha in poly.terms), default=0))
+        for i, s_i in enumerate(tup.mats)
+    ]
     out = np.zeros((tup.dim, tup.dim), dtype=np.complex128)
     for alpha, coeff in poly.terms.items():
         term = powers[0][alpha[0]]
@@ -389,8 +417,8 @@ def reference_vn_search(d, dim, trials, seed, M, extra_cases=(), tol=1e-10):
 def reference_power_dilation_verify(tup, cand, tol=1e-10):
     """The dilation check one index of {0..n_max}^d at a time, from the
     held powers of every S_i and V_i."""
-    s_pows = [_powers(s_i, range(cand.n_max + 1)) for s_i in tup.mats]
-    v_pows = [_powers(v, range(cand.n_max + 1)) for v in cand.vs]
+    s_pows = [reference_powers(s_i, cand.n_max) for s_i in tup.mats]
+    v_pows = [reference_powers(v, cand.n_max) for v in cand.vs]
     r_dag = dagger(cand.r)
     max_dev = 0.0
     worst = None
@@ -420,7 +448,7 @@ def reference_multilinear_compress(tup, t):
     for s_i, x in zip(tup.mats, map(float, t)):
         fl = math.floor(x)
         fr = x - fl
-        low, high = _powers(s_i, (fl, fl + 1))
+        low, high = (reference_power_product([s_i], [k]) for k in (fl, fl + 1))
         out = out @ ((1 - fr) * low + fr * high)
     return out
 
@@ -536,7 +564,8 @@ def reference_blockwise_suite(tup, N, max_num):
     _check_cap(span**d * N**d * dim, dim)
     sums = list(itertools.product(range(span), repeat=d))
     targets, exponents = map(np.stack, zip(*(_grid_form(semi, GridTime(N, u)) for u in sums)))
-    blocks = _blocks(tup.mats, exponents.reshape(-1, d)).reshape(len(sums), N**d, dim, dim)
+    blocks = reference_blocks(tup.mats, exponents.reshape(-1, d))
+    blocks = blocks.reshape(len(sums), N**d, dim, dim)
     row = {u: k for k, u in enumerate(sums)}
     times = list(itertools.product(range(max_num), repeat=d))
     rows = np.array([row[t] for t in times])
@@ -554,7 +583,7 @@ def reference_blockwise_suite(tup, N, max_num):
         for n in range(2 * N + 1):
             nums = tuple(n * N if j == i else 0 for j in range(d))
             distinct = _distinct_rows(_grid_form(semi, GridTime(N, nums))[1])[0]
-            diff = _blocks(tup.mats, distinct) - np.linalg.matrix_power(s_i, n)
+            diff = reference_blocks(tup.mats, distinct) - np.linalg.matrix_power(s_i, n)
             interp_dev = max(interp_dev, float(np.linalg.norm(diff, 2, axis=(-2, -1)).max()))
 
     axis_rows = [

@@ -351,7 +351,6 @@ def vn_search_cmd(arity, dim, trials, seed, grid_m, include_fixture, tol):
     """Randomized violation search over commuting tuples (seeded)."""
     extra = [fixtures.load_crabb_davie()] if include_fixture else []
     report = vn_search(arity, dim, trials, seed, grid_m, extra_cases=extra, tol=tol)
-    report.pop("reports")
     report["config"] = {
         "command": "vn-search",
         "d": arity,

@@ -545,15 +545,14 @@ def vn_search(
     (``_commuting_stack``), checks them as ``ContractionTuple`` would,
     forms every p(S) by one ``_poly_matrix`` call on the padded
     polynomials and takes every ||p(S)|| in one stacked SVD; ``_decide``
-    then gives each case ``vn_check``'s report.  A trial's share of a
-    chunk counts its d members' four powers, two stacks of its (up to
-    four) term products and 64 entries for its polynomial; the result
-    holds one report per case.  The result equals the one-trial-at-a-time
-    route's (``vn_check`` per case) bit for bit.  An arity past
-    DEGREE_CAP // 3, a lattice size past the root-table cap and M^d past
-    the point cap are refused before any trial is drawn, and so is an
-    extra case whose image is past the point cap: the extra cases are
-    decided first, and reported after the trials.
+    then gives each case ``vn_check``'s report, which ``verdicts`` counts
+    (``exact`` where ``exact_sup``, ``lattice`` elsewhere) and drops, so
+    memory does not grow with the trials.  The result equals the
+    one-trial-at-a-time route's (``vn_check`` per case) bit for bit.  An
+    arity past DEGREE_CAP // 3, a lattice size past the root-table cap
+    and M^d past the point cap are refused before any trial is drawn, and
+    so is an extra case whose image is past the point cap: the extra
+    cases are decided first, and reported after the trials.
     """
     if d < 1:
         raise InputError(f"d must be >= 1, got {d}")
@@ -597,20 +596,21 @@ def vn_search(
         values = _op_norms(_poly_matrix(stack.swapaxes(0, 1), alphas, coeffs))
         return zip(indices, values.tolist(), polys)
 
-    # The running product and its next factor are the two stacks of term
-    # products; 64 entries (1 KiB) hold four terms of arity 5.
+    # A trial's share: its d members' four powers, the running product and
+    # its next factor (two stacks of its up to four term products), and 64
+    # entries (1 KiB), which hold its polynomial's four terms of arity 5.
     trial_cases = (
         ("random", index, poly, _decide(lhs, poly, M, tol))
         for part in _batches(trials, 4 * (d + 2) * dim * dim + 64)
         for index, lhs, poly in drawn(range(trials)[part])
     )
     max_ratio = 0.0
+    verdicts = {v: {"exact": 0, "lattice": 0} for v in ("HOLDS", "INCONCLUSIVE", "VIOLATED")}
     violations = []
-    reports = []
     for kind, index, poly, report in itertools.chain(trial_cases, extras):
         if report.grid_sup > 0:
             max_ratio = max(max_ratio, report.lhs / report.grid_sup)
-        reports.append({"kind": kind, "index": index, "report": report.to_json()})
+        verdicts[report.verdict]["exact" if report.exact_sup else "lattice"] += 1
         if report.verdict == "VIOLATED":
             if kind == "fixture":
                 tup = extra_cases[index][0]
@@ -632,10 +632,10 @@ def vn_search(
         "trials": trials,
         "seed": seed,
         "M": M,
-        "cases": len(reports),
+        "cases": trials + len(extras),
+        "verdicts": verdicts,
         "max_ratio": max_ratio,
         "violations": violations,
-        "reports": reports,
     }
 
 

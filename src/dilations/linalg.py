@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -178,11 +179,11 @@ def _max_op_norm(a: np.ndarray) -> np.floating:
     return _op_norms(a[frobenius * (1 + delta) >= lower * (1 - delta)]).max()
 
 
-def _batches(count: int, entries_each: int) -> list[slice]:
-    """Consecutive slices covering range(count), each of as many items of
-    ``entries_each`` entries as fit in the size cap, and at least one."""
+def _batches(count: int, entries_each: int) -> Iterator[slice]:
+    """Consecutive slices covering range(count), made as they are reached,
+    each of as many items of ``entries_each`` entries as fit in the cap (>= 1)."""
     step = max(1, max_entries() // max(1, entries_each))
-    return [slice(start, start + step) for start in range(0, count, step)]
+    return (slice(start, start + step) for start in range(0, count, step))
 
 
 def _require_commuting(mats: np.ndarray, noun: str, tol: float) -> None:

@@ -173,12 +173,12 @@ def preservation_suite(tup: ContractionTuple, N: int, tol: float = DEFAULT_TOL) 
     each distinct block is built (``_power_products``) and measured once
     for the held classes' flags, and one ``_class_deviations`` call folds
     them into every time's deviations, as the module docstring shows.
-    The converse is checked in integers.  The (2N)^d times, and the grid
-    forms they stand for, are capped at (2N)^d N^d dim^2 block entries.
+    The converse is checked in integers.  The (2N)^d times' blocks and
+    exponent rows are capped at (2N)^d N^d max(dim^2, d) entries.
     """
     semi = DiscretizedSemigroup(tup, N)
     d, dim = tup.d, tup.dim
-    _check_cap((2 * N) ** d * N**d * dim, dim)
+    _check_cap((2 * N) ** d * N**d, max(dim * dim, d))
 
     base = _class_deviations(_block_measures(np.stack(tup.mats)), np.arange(d)[:, None])
     held = [cls for cls in _CLASSES if all((base[flag] <= tol).all() for flag in _CLASSES[cls])]

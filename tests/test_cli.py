@@ -281,6 +281,19 @@ class TestVnSearch:
         payload = json.loads(result.output)
         assert len(payload["violations"]) == 1
 
+    def test_verdict_counts_add_up_to_the_cases(self, runner):
+        # At seed 1 all 500 cases hold: 412 by the exact supremum and 88 on
+        # a lattice.
+        args = ["vn-search", "--d", "2", "--dim", "4", "--trials", "500", "--seed", "1",
+                "--grid", "64"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        verdicts = payload["verdicts"]
+        assert list(verdicts) == ["HOLDS", "INCONCLUSIVE", "VIOLATED"]
+        assert sum(n for split in verdicts.values() for n in split.values()) == payload["cases"]
+        assert verdicts["HOLDS"] == {"exact": 412, "lattice": 88}
+
     def test_fixture_is_capped_on_its_image(self, runner):
         # The fixture's M^3 = 2^30 lattice at M = 1024 is past the point
         # cap, its M^2 image is not: ``vn --grid 1024`` decides it, and so
@@ -509,7 +522,7 @@ REPORT_SHAPES = [
     (
         ["vn-search", "--d", "1", "--dim", "2", "--trials", "2", "--seed", "3",
          "--grid", "8"],
-        ["d", "dim", "trials", "seed", "M", "cases", "max_ratio", "violations",
+        ["d", "dim", "trials", "seed", "M", "cases", "verdicts", "max_ratio", "violations",
          "config"],
         ["command", "d", "dim", "trials", "seed", "grid", "include_fixture", "tol"],
     ),
@@ -796,6 +809,8 @@ def test_interp_eval_memory_stays_near_the_dense_matrix(tmp_path):
         # integers past the float range
         ["structure", "--matrix", "{data_huge}"],
         ["vn", "--tuple", "{tuple1}", "--poly", "{poly_coeff_huge}"],
+        # 2^20 times of 20 exponents each: refused before the rows are built
+        ["preserve", "--tuple", "{d20}", "--N", "1"],
     ],
 )
 def test_bad_input_exits_2(runner, tmp_path, args):
@@ -806,6 +821,7 @@ def test_bad_input_exits_2(runner, tmp_path, args):
         "gens2": {"matrices": [matrix_to_json(np.diag([-1.0, -2.0])),
                                matrix_to_json(np.diag([-0.5, 0.0]))]},
         "d40": {"matrices": [matrix_to_json(np.diag([0.5]))] * 40},
+        "d20": {"matrices": [matrix_to_json(np.diag([0.5]))] * 20},
         "half": matrix_to_json(np.diag([0.5, 0.5])),
         "scalar_data": {"rows": 1, "cols": 1, "data": 5},
         "poly_frac": {"d": 1, "terms": [{"alpha": [1.5], "coeff": [1.0, 0.0]}]},

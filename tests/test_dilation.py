@@ -1,4 +1,5 @@
 import ast
+import gc
 import json
 import math
 import tracemalloc
@@ -69,6 +70,19 @@ def traced_peak(fn, *args):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def decided_cases(monkeypatch):
+    """The (poly, report) of every ``_decide`` call from now on, in call
+    order: ``vn_search`` decides its extra cases before its trials."""
+    cases, decide = [], dilations.dilation._decide
+
+    def spy(lhs, poly, M, tol):
+        cases.append((poly, decide(lhs, poly, M, tol)))
+        return cases[-1][1]
+
+    monkeypatch.setattr(dilations.dilation, "_decide", spy)
+    return cases
 
 
 def aligned_poly(M, target, exponents):
@@ -525,7 +539,13 @@ class TestVnSearch:
         # by the per-term lattice loop; it is reached by the trials whose
         # rows alpha - alpha_0 are dependent, and only by them.
         configs = [dict(d=d, dim=4, trials=200, seed=20_260_000 + d, M=64) for d in (1, 2)]
-        library = [vn_search(**args)["reports"] for args in configs]
+        decided = decided_cases(monkeypatch)
+        library = []
+        for args in configs:
+            decided.clear()
+            out = vn_search(**args)
+            library.append([(report.verdict, report.lhs) for _, report in decided])
+            assert len(decided) == out["cases"] == 200
         calls = []
 
         def per_case(poly, M, image):
@@ -540,14 +560,13 @@ class TestVnSearch:
         reference = []
         for args in configs:
             calls.clear()
-            reference.append(reference_vn_search(**args)["reports"])
-            exact = [r["report"]["exact_sup"] for r in reference[-1]]
+            decided.clear()
+            reference_vn_search(**args)
+            reference.append([(report.verdict, report.lhs) for _, report in decided])
+            exact = [report.exact_sup for _, report in decided]
             assert 0 < len(calls) == exact.count(False)
             assert all(dependent(poly) for poly in calls)
-        for lib_reports, ref_reports in zip(library, reference):
-            lib = [(r["report"]["verdict"], r["report"]["lhs"]) for r in lib_reports]
-            ref = [(r["report"]["verdict"], r["report"]["lhs"]) for r in ref_reports]
-            assert lib == ref
+        assert library == reference
 
     @pytest.mark.parametrize("trials", [0, 1, 37])
     @pytest.mark.parametrize("d, dim", [(1, 1), (1, 4), (2, 4), (3, 2)])
@@ -561,15 +580,18 @@ class TestVnSearch:
         assert [v["kind"] for v in out["violations"]] == ["fixture"]
         assert json.dumps(out) == json.dumps(reference_vn_search(**args))
 
-    def test_extra_case_of_another_arity_matches_reference_route(self):
+    def test_extra_case_of_another_arity_matches_reference_route(self, monkeypatch):
         # The fixture has arity 3 in a d = 2 search, and joins the last
         # chunk's lattice call.  At M = 32 its lattice streams 32 rows of 4
         # groups in one chunk, as do those of trials 2 and 18, but over
         # two leading axes instead of one: a stack keyed without the
         # arity would mix them.
-        args = dict(d=2, dim=4, trials=20, seed=70, M=32, extra_cases=[load_crabb_davie()])
+        fixture = load_crabb_davie()
+        args = dict(d=2, dim=4, trials=20, seed=70, M=32, extra_cases=[fixture])
+        decided = decided_cases(monkeypatch)
         out = vn_search(**args)
-        assert out["reports"][-1]["kind"] == "fixture"
+        assert [poly.d for poly, _ in decided] == [3] + [2] * 20
+        assert decided[0][0] is fixture[1]
         assert json.dumps(out) == json.dumps(reference_vn_search(**args))
 
     def test_extra_case_is_capped_on_its_image(self, monkeypatch):
@@ -578,8 +600,10 @@ class TestVnSearch:
         # decides the case and the search must too.
         monkeypatch.setenv("DILATIONS_MAX_ENTRIES", "1024")
         args = dict(d=1, dim=2, trials=0, seed=1, M=64, extra_cases=[load_crabb_davie()])
+        decided = decided_cases(monkeypatch)
         out = vn_search(**args)
-        assert [r["report"]["verdict"] for r in out["reports"]] == ["INCONCLUSIVE"]
+        assert [report.verdict for _, report in decided] == ["INCONCLUSIVE"]
+        assert out["verdicts"]["INCONCLUSIVE"] == {"exact": 0, "lattice": 1}
         assert json.dumps(out) == json.dumps(reference_vn_search(**args))
 
     def test_extra_case_is_refused_before_drawing_a_trial(self, monkeypatch):
@@ -615,13 +639,15 @@ class TestVnSearch:
         monkeypatch.setattr(dilations.dilation, "torus_sup", traced_sup)
         monkeypatch.setattr(dilations.dilation, "_lattice_max", traced_lattice)
         fixture = load_crabb_davie()
+        decided = decided_cases(monkeypatch)
         out = vn_search(d=2, dim=4, trials=200, seed=1, M=32, extra_cases=[fixture])
-        lattice_cases = [r for r in out["reports"] if not r["report"]["exact_sup"]]
-        assert 1 < len(calls) == len(lattice_cases) == len(lattices)
+        lattice_cases = [poly for poly, report in decided if not report.exact_sup]
+        assert 1 < len(calls) == len(lattices)
+        assert len(calls) == sum(split["lattice"] for split in out["verdicts"].values())
         assert all(lattices)
-        # The extra case is decided first, and reported last.
+        # The extra case is decided first.
+        assert calls == lattice_cases
         assert calls[0] == fixture[1] and all(poly.d == 2 for poly in calls[1:])
-        assert lattice_cases[-1]["kind"] == "fixture"
 
     def test_search_memory(self):
         # The per-case route (one torus_sup per case) peaked at 2 373 424
@@ -671,21 +697,49 @@ class TestVnSearch:
         # Each trial's chunk share is 4 (d + 2) dim^2 + 64 = 320 entries:
         # chunks of 4.
         monkeypatch.setenv("DILATIONS_MAX_ENTRIES", "1280")
-        assert len(_batches(37, 4 * (2 + 2) * 4 * 4 + 64)) == 10
+        assert len(list(_batches(37, 4 * (2 + 2) * 4 * 4 + 64))) == 10
         assert json.dumps(vn_search(**args)) == whole
 
     def test_search_memory_per_trial(self, monkeypatch):
         # At d = dim = 1 and a cap of 2^16 entries a chunk is 862 trials.
-        # The result keeps one report per case, about 570 B here; a chunk
-        # holds its trials' normals, stacks and polynomials (about 480 B
-        # each), within the cap, and no generator (939 B each).  One chunk
-        # of all 6000 trials' polynomials, or of their generators, would
-        # go past the bound.
+        # A chunk holds its trials' normals, stacks and polynomials (about
+        # 480 B each), within the cap, and no generator (939 B each).  One
+        # chunk of all 6000 trials' polynomials, or of their generators,
+        # would go past the first bound.  No report outlives its case, so
+        # the peak does not grow with the trials once a chunk is full: a
+        # report per case (about 570 B) would add 2.5 MiB from 1500 to 6000.
+        # CPython's free lists keep freed tuples, which tracemalloc counts
+        # as held, and a full collection empties them: the collector is off
+        # while measuring, after a warm-up call fills them, so both peaks
+        # start from the same lists.
         monkeypatch.setenv("DILATIONS_MAX_ENTRIES", str(2**16))
-        trials = 6000
-        out, peak = traced_peak(lambda: vn_search(d=1, dim=1, trials=trials, seed=1, M=2))
-        assert out["cases"] == trials
-        assert peak <= 700 * trials + 2 * 16 * 2**16
+
+        def peak(trials):
+            out, peak = traced_peak(lambda: vn_search(d=1, dim=1, trials=trials, seed=1, M=2))
+            assert out["cases"] == trials
+            return peak
+
+        gc.disable()
+        try:
+            vn_search(d=1, dim=1, trials=1500, seed=1, M=2)
+            few, many = peak(1500), peak(6000)
+        finally:
+            gc.enable()
+        assert many <= 700 * 6000 + 2 * 16 * 2**16
+        assert many <= few + 64 * 1024
+
+    def test_huge_trial_count_draws_its_first_chunk(self, monkeypatch):
+        # 10^20 trials are about 7e15 chunks at the default cap; each is made
+        # when it is reached, so the first chunk is drawn at once.
+        class Drawn(Exception):
+            pass
+
+        def draw(*args):
+            raise Drawn
+
+        monkeypatch.setattr(dilations.dilation, "_commuting_stack", draw)
+        with pytest.raises(Drawn):
+            vn_search(d=1, dim=1, trials=10**20, seed=0, M=4)
 
     def test_rejects_bad_args(self):
         with pytest.raises(InputError):

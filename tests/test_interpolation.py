@@ -520,7 +520,7 @@ class TestSemigroupSuite:
         batches, slices = interpolation._batches, []
 
         def counting(count, entries_each):
-            slices.append(batches(count, entries_each))
+            slices.append(list(batches(count, entries_each)))
             return slices[-1]
 
         monkeypatch.setattr(interpolation, "_batches", counting)

@@ -51,8 +51,10 @@ which give the same values and leave the generator at the same point;
 it validates and norms a chunk's tuples as stacks, by the same
 per-member LAPACK and BLAS calls in the same order, forms their p(S) by
 stacked products, then decides each case by the rule ``vn_check`` uses,
-extra cases before any trial, so the tests require both routes' results
-to be equal byte for byte as JSON.
+extra cases before any trial.  The reference keeps every case's report
+in a list and counts the ``verdicts`` histogram from it at the end; the
+library counts each case as it is decided and keeps no report.  So the
+tests require both routes' results to be equal byte for byte as JSON.
 
 ``reference_powers`` walks the powers of one matrix from the identity,
 each the last times A, and ``reference_power_product`` multiplies one
@@ -133,6 +135,7 @@ an exact small integer or an entry of f.
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -390,7 +393,7 @@ def reference_vn_search(d, dim, trials, seed, M, extra_cases=(), tol=1e-10):
         report = vn_check(tup, poly, M, tol=tol)
         if report.grid_sup > 0:
             max_ratio = max(max_ratio, report.lhs / report.grid_sup)
-        reports.append({"kind": kind, "index": index, "report": report.to_json()})
+        reports.append(report)
         if report.verdict == "VIOLATED":
             violations.append(
                 {
@@ -401,16 +404,20 @@ def reference_vn_search(d, dim, trials, seed, M, extra_cases=(), tol=1e-10):
                     "report": report.to_json(),
                 }
             )
+    counts = Counter((report.verdict, report.exact_sup) for report in reports)
     return {
         "d": d,
         "dim": dim,
         "trials": trials,
         "seed": seed,
         "M": M,
-        "cases": len(cases),
+        "cases": len(reports),
+        "verdicts": {
+            verdict: {"exact": counts[verdict, True], "lattice": counts[verdict, False]}
+            for verdict in ("HOLDS", "INCONCLUSIVE", "VIOLATED")
+        },
         "max_ratio": max_ratio,
         "violations": violations,
-        "reports": reports,
     }
 
 

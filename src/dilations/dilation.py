@@ -552,7 +552,7 @@ def vn_search(
     arity past DEGREE_CAP // 3, a lattice size past the root-table cap
     and M^d past the point cap are refused before any trial is drawn, and
     so is an extra case whose image is past the point cap: the extra
-    cases are decided first, and reported after the trials.
+    cases are decided first, by ``vn_check``, and reported after the trials.
     """
     if d < 1:
         raise InputError(f"d must be >= 1, got {d}")
@@ -573,7 +573,7 @@ def vn_search(
     _check_points("M^d", M**d)
     extra_cases = list(extra_cases)
     extras = [
-        ("fixture", k, poly, _decide(op_norm(eval_poly(tup, poly)), poly, M, tol))
+        ("fixture", k, poly, vn_check(tup, poly, M, tol))
         for k, (tup, poly) in enumerate(extra_cases)
     ]
 

@@ -151,9 +151,9 @@ def _check_floor(floor: int, dim: int) -> None:
         )
 
 
-def _grid_forms(semi: DiscretizedSemigroup, nums) -> tuple[np.ndarray, np.ndarray]:
-    """(targets, exponents) of the semigroup at K grid times, given as rows
-    of Python-int numerators of arity d: arrays (K, N^d) and (K, N^d, d).
+def _grid_forms(semi: DiscretizedSemigroup, nums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(targets, exponents) of the semigroup at K grid times, given as a
+    (K, d) int64 array of numerators: arrays (K, N^d) and (K, N^d, d).
 
     Grid points are indexed lexicographically, axis 1 slowest.  At time t,
     point m goes to targets[m], the index of m + t (mod 1), and carries
@@ -161,23 +161,23 @@ def _grid_forms(semi: DiscretizedSemigroup, nums) -> tuple[np.ndarray, np.ndarra
     carry(m); targets and carries are the grid motion of
     ``torus._grid_motion``.  With a the number of axes where
     frac(t_i) > 0, a time's rows take 2^a distinct values, each at some
-    grid point.  ``_check_floor`` bounds the largest floor first, on the
-    Python ints, before the numerators meet numpy.
+    grid point.  ``_check_floor`` bounds the largest floor first.
     """
-    _check_floor(max(map(max, nums)) // semi.N, semi.base.dim)
-    nums = np.array(nums, dtype=np.int64)
+    _check_floor(int(nums.max()) // semi.N, semi.base.dim)
     targets, carries = _grid_motion(semi.N, nums % semi.N)
     return targets, carries + (nums // semi.N)[:, None, :]
 
 
 def _grid_form(semi: DiscretizedSemigroup, t: GridTime) -> tuple[np.ndarray, np.ndarray]:
     """(targets, exponents) of the semigroup at grid time t: the one-time
-    case of ``_grid_forms``."""
+    case of ``_grid_forms``, its floor bounded on the Python ints before
+    they meet numpy."""
     if t.N != semi.N:
         raise InputError(f"grid time has denominator {t.N}, semigroup uses {semi.N}")
     if t.d != semi.base.d:
         raise InputError(f"grid time has arity {t.d}, tuple has d={semi.base.d}")
-    targets, exponents = _grid_forms(semi, [t.nums])
+    _check_floor(max(t.nums) // semi.N, semi.base.dim)
+    targets, exponents = _grid_forms(semi, np.array([t.nums], dtype=np.int64))
     return targets[0], exponents[0]
 
 
@@ -187,15 +187,20 @@ def _distinct_rows(exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``np.unique(exponents, axis=0, return_inverse=True)`` gives them.
 
     One ``lexsort`` over the columns and a comparison of neighbouring
-    sorted rows, without ``np.unique``'s structured-dtype sort.
+    sorted rows, without ``np.unique``'s structured-dtype sort.  Rows are
+    compared one sorted column at a time and runs numbered by ``np.repeat``,
+    a fraction of the time of a row-wise ``any`` and a ``cumsum``.
     """
     order = np.lexsort(exponents.T[::-1])
-    ordered = exponents[order]
-    starts = np.ones(len(ordered), dtype=bool)
-    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    picks = np.empty(len(ordered), dtype=np.intp)
-    picks[order] = np.cumsum(starts) - 1
-    return ordered[starts], picks
+    starts = np.zeros(len(order), dtype=bool)
+    starts[:1] = True
+    for column in exponents.T:
+        ordered = column[order]
+        starts[1:] |= ordered[1:] != ordered[:-1]
+    firsts = np.flatnonzero(starts)
+    picks = np.empty(len(order), dtype=np.intp)
+    picks[order] = np.repeat(np.arange(len(firsts)), np.diff(firsts, append=len(order)))
+    return exponents[order[firsts]], picks
 
 
 def eval_discretized(semi: DiscretizedSemigroup, t: GridTime) -> np.ndarray:
@@ -274,21 +279,21 @@ def semigroup_suite(tup: ContractionTuple, N: int, max_num: int) -> dict:
     interpolation and compression and 1e-10 for the others.
 
     The grid forms of all sum times s + t come from one ``_grid_forms``
-    call; ``_power_products`` builds the table B of their R distinct rows.
+    call; ``_power_products`` builds the table B of their distinct rows.
     T(s)T(t) moves point m to targets_s[targets_t[m]] with the block
     B[a] B[b] (a the row of s at targets_t[m], b that of t at m), and
     T(s+t) moves it to targets_{s+t}[m] with B[c].  Per ``_batches`` slice
     of s, within the size cap, the targets are compared exactly, in
-    integers, and the row triples are keyed (a R + b) R + c, so B[a] B[b]
-    - B[c] is formed once per distinct triple of the slice.  Where the
+    integers, and the distinct rows (a, b, c, apart) of the slice's index
+    columns (``_distinct_rows``) give each B[a] B[b] - B[c] once.  Where the
     targets differ, the dense difference holds both blocks, and the
-    deviation there is the larger entry modulus of the two.  Commutation
-    reads the row quadruples and targets of its axis pairs the same way.
-    As T(t) is a permutation times a block diagonal, ||T(t)|| = max_m
-    ||B_m||: contractivity takes SVDs of the distinct blocks of the suite
-    times.  Interpolation reads the grid forms of the times n N e_i, per
-    ``_batches`` slice of them: each must move no grid point, checked in
-    integers, and each of its distinct blocks is compared with S_i^n by
+    deviation there is the larger entry modulus of the two (``_misfit``).
+    Commutation reads the row quadruples and targets of its axis pairs the
+    same way.  As T(t) is a permutation times a block diagonal, ||T(t)|| =
+    max_m ||B_m||: contractivity takes SVDs of the distinct blocks of the
+    suite times.  Interpolation reads the grid forms of the times n N e_i,
+    per ``_batches`` slice of them: each must move no grid point, checked
+    in integers, and each of its distinct blocks is compared with S_i^n by
     ``np.linalg.matrix_power``, a route independent of ``_power_products``.
     """
     semi = DiscretizedSemigroup(tup, N)
@@ -298,44 +303,38 @@ def semigroup_suite(tup: ContractionTuple, N: int, max_num: int) -> dict:
     span = 2 * max_num - 1
     # The grid forms of every sum time, span^d stacks of N^d dim x dim blocks.
     _check_cap(span**d * N**d * dim, dim)
-    targets, exponents = _grid_forms(semi, list(itertools.product(range(span), repeat=d)))
-    lifts = [(i, n) for i in range(d) for n in range(2 * N + 1)]
+    targets, exponents = _grid_forms(semi, np.indices((span,) * d).reshape(d, -1).T)
+    axes, powers = np.divmod(np.arange(d * (2 * N + 1)), 2 * N + 1)
+    lifts = np.eye(d, dtype=np.int64)[axes] * (powers * N)[:, None]
     interp_dev, fixed = 0.0, True
     for part in _batches(len(lifts), N**d * dim * dim):
-        nums = [tuple(n * N * (j == i) for j in range(d)) for i, n in lifts[part]]
-        lift_targets, lift_rows = _grid_forms(semi, nums)
+        lift_targets, lift_rows = _grid_forms(semi, lifts[part])
         fixed = fixed and bool((lift_targets == np.arange(N**d)).all())
-        which = np.repeat(np.arange(len(nums)), N**d)[:, None]
+        which = np.repeat(np.arange(len(lift_rows)), N**d)[:, None]
         pairs = _distinct_rows(np.hstack([which, lift_rows.reshape(-1, d)]))[0]
-        powers = np.stack([np.linalg.matrix_power(tup.mats[i], n) for i, n in lifts[part]])
-        diffs = _power_products(tup.mats, pairs[:, 1:]) - powers[pairs[:, 0]]
+        exact = [np.linalg.matrix_power(tup.mats[i], n) for i, n in zip(axes[part], powers[part])]
+        diffs = _power_products(tup.mats, pairs[:, 1:]) - np.stack(exact)[pairs[:, 0]]
         interp_dev = max(interp_dev, float(_op_norms(diffs).max()))
 
     table, picks = _distinct_rows(exponents.reshape(-1, d))
-    R = len(table)
-    if R**3 > np.iinfo(np.int64).max:
-        raise InputError(f"{R} distinct exponent rows: their triples overflow 64-bit keys")
     blocks = _power_products(tup.mats, table)
-    picks = picks.reshape(targets.shape)
+    # In the smallest type that holds them: lexsort sorts 8- and 16-bit keys by radix.
+    picks = picks.reshape(targets.shape).astype(np.min_scalar_type(len(table)))
     # The index of a suite time t among the sum times; the index of s + t
     # is that of s plus that of t, as no coordinate of s + t reaches span.
     strides = span ** np.arange(d - 1, -1, -1)
-    rows = np.indices((max_num,) * d).reshape(d, -1).T @ strides
+    times = np.indices((max_num,) * d).reshape(d, -1).T
+    rows = times @ strides
 
-    def triples(keys, apart: bool) -> float:
-        """``_misfit`` of B[a] B[b] against B[c] over the triple keys."""
-        a, rest = np.divmod(keys, R * R)
-        b, c = np.divmod(rest, R)
-        return _misfit(blocks[a] @ blocks[b], blocks[c], np.full(len(keys), apart))
-
-    # Per slice of s, every (s, t, m): t's targets and rows, and s + t's.
+    # Per slice of s, every (s, t, m): t's targets and rows, and s + t's,
+    # four index columns and a dim x dim product per key.
     sources, hom_dev = targets[rows], 0.0
-    for part in _batches(len(rows), sources.size * dim * dim):
+    for part in _batches(len(rows), sources.size * (dim * dim + 4)):
         s, sums = rows[part, None, None], rows[part, None] + rows
-        keys = (picks[s, sources] * R + picks[rows]) * R + picks[sums]
-        apart = targets[s, sources] != targets[sums]
-        hom_dev = max(hom_dev, triples(np.unique(keys[apart]), True))
-        hom_dev = max(hom_dev, triples(np.unique(keys[~apart]), False))
+        sides = [picks[s, sources], picks[rows], picks[sums], targets[s, sources] != targets[sums]]
+        keys = np.stack(np.broadcast_arrays(*sides), axis=-1).reshape(-1, 4)
+        a, b, c, apart = _distinct_rows(keys)[0].T
+        hom_dev = max(hom_dev, _misfit(blocks[a] @ blocks[b], blocks[c], apart.astype(bool)))
 
     held = np.unique(picks[rows])
     contraction_dev = max(0.0, float(_op_norms(blocks[held]).max()) - 1.0)
@@ -354,8 +353,7 @@ def semigroup_suite(tup: ContractionTuple, N: int, max_num: int) -> dict:
         p, q, r, u, apart = _distinct_rows(np.stack(sides, axis=-1).reshape(-1, 5))[0].T
         comm_dev = _misfit(blocks[p] @ blocks[q], blocks[r] @ blocks[u], apart.astype(bool))
 
-    times = list(itertools.product(range(max_num), repeat=d))
-    closed = multilinear_compress(tup, np.array(times) / N)
+    closed = multilinear_compress(tup, times / N)
     compress_dev = float(
         np.linalg.norm(blocks[picks[rows]].mean(axis=1) - closed, 2, axis=(-2, -1)).max()
     )

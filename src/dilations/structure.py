@@ -30,7 +30,6 @@ measures of all times in one ``_class_deviations`` call over their
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,9 +185,8 @@ def preservation_suite(tup: ContractionTuple, N: int, tol: float = DEFAULT_TOL) 
         cls: {"base_holds": False, "preserved": None, "max_deviation": 0.0} for cls in _CLASSES
     }
 
-    times = list(itertools.product(range(2 * N), repeat=d)) if held else []
-    units = [tuple(N * (j == i) for j in range(d)) for i in range(d)]
-    targets, exponents = _grid_forms(semi, times + units)
+    times = np.indices((2 * N,) * d).reshape(d, -1).T if held else np.empty((0, d), int)
+    targets, exponents = _grid_forms(semi, np.vstack([times, N * np.eye(d, dtype=int)]))
     if held:
         rows, picks = _distinct_rows(exponents[:-d].reshape(-1, d))
         flags = {flag for cls in held for flag in _CLASSES[cls]}
@@ -209,10 +207,8 @@ def preservation_suite(tup: ContractionTuple, N: int, tol: float = DEFAULT_TOL) 
     passed = all(
         entry["preserved"] is not False for entry in results.values()
     ) and all(item["matches"] for item in converse)
-    labels = [f"{k}/{N}" for k in range(2 * N)]
     return {
         "N": N,
-        "times": [",".join(t) for t in itertools.product(labels, repeat=d)],
         "classes": results,
         "converse_unit_times": converse,
         "passed": passed,

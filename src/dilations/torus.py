@@ -51,16 +51,6 @@ class GridTime:
     def d(self) -> int:
         return len(self.nums)
 
-    def values(self) -> tuple[float, ...]:
-        return tuple(k / self.N for k in self.nums)
-
-    def __add__(self, other: "GridTime") -> "GridTime":
-        if not isinstance(other, GridTime):
-            return NotImplemented
-        if other.N != self.N or other.d != self.d:
-            raise InputError("grid times must share denominator and arity")
-        return GridTime(self.N, tuple(a + b for a, b in zip(self.nums, other.nums)))
-
     @classmethod
     def parse(cls, text: str, N: int) -> "GridTime":
         """Parse "k1/N,k2/N,..." (plain integers allowed) onto denominator N."""

@@ -115,7 +115,7 @@ def test_criterion_2_semigroup_laws(capsys, corpus):
         extended = dict(evals)
         for s in times:
             for t in times:
-                st = s + t
+                st = GridTime(semi.N, tuple(np.add(s.nums, t.nums)))
                 target = extended.get(st.nums)
                 if target is None:
                     target = eval_discretized(semi, st)
@@ -169,7 +169,7 @@ def test_criterion_4_compression_identity(capsys, corpus):
     for tup, semi, times, _ in corpus:
         for t in times:
             lhs = compress_discretized(semi, t)
-            rhs = multilinear_compress(tup, t.values())
+            rhs = multilinear_compress(tup, [k / t.N for k in t.nums])
             worst = max(worst, float(np.abs(lhs - rhs).max()))
     ok = worst <= 1e-12
     report(capsys, 4, "compression identity", ok, f"max deviation {worst:.2e}")

@@ -8,7 +8,10 @@ only the tests call is dead library code.  And every name a library
 module imports must be used in that module; the package's ``__init__``,
 which imports only to re-export, is exempt.  And every public method,
 property and classmethod of an exported class must be read as
-``.name`` somewhere in those callers; dunders are exempt.
+``.name`` somewhere in those callers; dunders are exempt.  A member
+named like a ``dict``, ``list`` or ``str`` attribute would pass that
+check on the reads of the builtin's attribute (``.values`` on a dict),
+so no member may share such a name.
 """
 
 import ast
@@ -84,6 +87,10 @@ MEMBERS = sorted(
 )
 
 
+# Attributes of the builtins the callers read everywhere.
+BUILTIN_ATTRIBUTES = frozenset(dir(dict)) | frozenset(dir(list)) | frozenset(dir(str))
+
+
 def attribute_uses(member, text):
     """The ``.member`` reads in ``text``."""
     return re.findall(rf"\.{re.escape(member)}\b", text)
@@ -141,6 +148,11 @@ def test_uncalled_private_function_is_caught():
 def test_public_member_has_a_caller(cls, member):
     texts = [path.read_text() for path in CALLERS]
     assert any(attribute_uses(member, text) for text in texts), f"{cls}.{member} is never used"
+
+
+@pytest.mark.parametrize("cls, member", MEMBERS)
+def test_public_member_is_not_named_like_a_builtin_attribute(cls, member):
+    assert member not in BUILTIN_ATTRIBUTES, f"{cls}.{member} shares its name with a builtin's"
 
 
 def test_uncalled_member_is_caught():

@@ -179,8 +179,9 @@ class TestDistinctRows:
             np.array([[4, 1, 7]]),
             np.full((9, 2), 3),
             np.array([[2**62, 0], [0, 2**62], [2**62, 0]]),
+            np.random.default_rng(10).integers(0, 3, (500, 4)).astype(np.uint8),
         ],
-        ids=["random d=3", "random d=2", "d=1", "single row", "all equal", "large"],
+        ids=["random d=3", "random d=2", "d=1", "single row", "all equal", "large", "uint8"],
     )
     def test_matches_np_unique(self, exponents):
         rows, picks = interpolation._distinct_rows(exponents)
@@ -228,7 +229,7 @@ class TestEvalDiscretized:
         for s in times:
             for t in times:
                 lhs = evals[s.nums] @ evals[t.nums]
-                rhs = eval_discretized(semi, s + t)
+                rhs = eval_discretized(semi, GridTime(2, tuple(np.add(s.nums, t.nums))))
                 assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_product_form_oracle(self):
@@ -362,7 +363,7 @@ class TestCompression:
             for nums in itertools.product(range(2 * N), repeat=d):
                 t = GridTime(N, nums)
                 lhs = compress_discretized(semi, t)
-                rhs = multilinear_compress(tup, t.values())
+                rhs = multilinear_compress(tup, [k / N for k in nums])
                 assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_multilinear_off_grid(self):
@@ -440,10 +441,10 @@ class TestSemigroupSuite:
 
         def perturbed(semi, nums):
             targets, exponents = grid_forms(semi, nums)
-            if (2, 1) in nums:
+            if [2, 1] in nums.tolist():
                 # grid point 1 alone gets one more power of S_1
                 exponents = exponents.copy()
-                exponents[nums.index((2, 1)), 1, 0] += 1
+                exponents[nums.tolist().index([2, 1]), 1, 0] += 1
             return targets, exponents
 
         monkeypatch.setattr(interpolation, "_grid_forms", perturbed)
@@ -463,9 +464,10 @@ class TestSemigroupSuite:
 
         def permuted(semi, nums):
             targets, exponents = grid_forms(semi, nums)
-            if u in nums:
+            if list(u) in nums.tolist():
+                k = nums.tolist().index(list(u))
                 targets = targets.copy()
-                targets[nums.index(u), [0, 1]] = targets[nums.index(u), [1, 0]]
+                targets[k, [0, 1]] = targets[k, [1, 0]]
             return targets, exponents
 
         dense = unbatched_reference.reference_eval_discretized
@@ -511,10 +513,11 @@ class TestSemigroupSuite:
         assert semigroup_suite(tup, 2, 3) == reference_blockwise_suite(tup, 2, 3)
 
     def test_size_cap_slices_match_default_cap(self, monkeypatch):
-        # At a cap of 1000 entries the 16 suite times of d=2, N=2, dim 2,
-        # max_num 4 take 256 entries of keys and products each: 6 slices
-        # of at most 3, against one at the default cap.  The 10
-        # interpolation times, of 16 entries each, are read first, in one.
+        # At a cap of 1000 entries each of the 16 suite times s of d=2, N=2,
+        # dim 2, max_num 4 takes 64 keys (t, m) of four index columns and a
+        # 2x2 product, 512 entries: 16 slices of one, against one at the
+        # default cap.  The 10 interpolation times, of 16 entries each, are
+        # read first, in one.
         tup = _random_commuting_tuple(np.random.default_rng(88), 2, 2)
         expected = semigroup_suite(tup, 2, 4)
         batches, slices = interpolation._batches, []
@@ -526,7 +529,7 @@ class TestSemigroupSuite:
         monkeypatch.setattr(interpolation, "_batches", counting)
         monkeypatch.setenv("DILATIONS_MAX_ENTRIES", "1000")
         got = semigroup_suite(tup, 2, 4)
-        assert [len(parts) for parts in slices] == [1, 6]
+        assert [len(parts) for parts in slices] == [1, 16]
         assert got == expected
 
     def test_interpolation_slices_match_default_cap(self, monkeypatch):
@@ -577,9 +580,9 @@ class TestSemigroupSuite:
 
         def swapped(semi, nums):
             targets, exponents = grid_forms(semi, nums)
-            if u in nums:
+            if list(u) in nums.tolist():
                 targets = targets.copy()
-                targets[nums.index(u), [0, 1]] = [1, 0]
+                targets[nums.tolist().index(list(u)), [0, 1]] = [1, 0]
             return targets, exponents
 
         monkeypatch.setattr(interpolation, "_grid_forms", swapped)
@@ -603,6 +606,20 @@ class TestSemigroupSuite:
         finally:
             tracemalloc.stop()
         assert peak < 16 * max_entries() / 4
+
+    def test_wide_tuple_keys_fit_their_slices(self):
+        # d=10, N=1, dim 1, max_num 2: 3^10 sum times and 2^10 x 2^10 pairs
+        # (s, t).  Each slice of s is sized by its keys' four index columns
+        # as well as their products, and the suite peaks near 29 MiB.
+        tup = ContractionTuple((np.array([[0.5]]),) * 10)
+        tracemalloc.start()
+        try:
+            out = semigroup_suite(tup, 1, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out["passed"]
+        assert peak <= 64 << 20, peak
 
 
 def corner_weights(eps, times):

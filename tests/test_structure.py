@@ -300,7 +300,6 @@ class TestPreservationSuite:
         finally:
             tracemalloc.stop()
         assert out["passed"]
-        assert len(out["times"]) == 256
         assert peak < 4 << 20, peak
 
     def test_converse_unit_times(self):
@@ -309,17 +308,17 @@ class TestPreservationSuite:
         out = preservation_suite(tup, 2, tol=1e-9)
         assert all(item["matches"] for item in out["converse_unit_times"])
 
-    def test_time_labels(self):
+    def test_report_holds_no_time_labels(self):
+        # The times are {0, ..., 2N-1}^d / N, which N and d give.
         from dilations.interpolation import ContractionTuple
 
         out = preservation_suite(ContractionTuple((shift_matrix(3),)), 2, tol=1e-10)
-        assert out["times"] == ["0/2", "1/2", "2/2", "3/2"]
+        assert list(out) == ["N", "classes", "converse_unit_times", "passed"]
         assert out["passed"]
         tup = random_commuting_unitaries(np.random.default_rng(72), 3, 1)
         out = preservation_suite(tup, 2, tol=1e-9)
-        assert out["times"] == [
-            str(GridTime(2, nums)) for nums in itertools.product(range(4), repeat=3)
-        ]
+        assert list(out) == ["N", "classes", "converse_unit_times", "passed"]
+        assert out["passed"]
 
     @pytest.mark.parametrize("d, N", [(1, 1), (1, 4), (2, 2), (4, 1), (3, 3)])
     def test_one_fold_for_the_base_and_one_for_every_time(self, monkeypatch, d, N):
@@ -358,7 +357,7 @@ class TestBlockRouteMatchesDense:
         out = preservation_suite(tup, N, tol=1e-9)
         ref = reference_preservation_suite(tup, N, tol=1e-9)
         assert out["passed"] == ref["passed"]
-        assert out["times"] == ref["times"]
+        assert list(out) == list(ref)
         assert out["converse_unit_times"] == ref["converse_unit_times"]
         assert list(out["classes"]) == list(ref["classes"])
         for cls, entry in out["classes"].items():

@@ -51,16 +51,6 @@ class TestGridTime:
         with pytest.raises(InputError):
             GridTime(4, (-1,))
 
-    def test_add(self):
-        a = GridTime(4, (1, 2))
-        b = GridTime(4, (3, 5))
-        assert (a + b).nums == (4, 7)
-        with pytest.raises(InputError):
-            a + GridTime(3, (1, 1))
-
-    def test_values(self):
-        assert GridTime(4, (1, 6)).values() == (0.25, 1.5)
-
 
 class TestKoopman:
     """U(t) as the grid motion's targets: basis vector m goes to targets[m]."""

@@ -106,7 +106,7 @@ point's block from ``reference_blocks``, and for every pair (s, t) the
 N^d block products compared with the blocks of s + t, targets never
 composed.  The library's ``semigroup_suite`` takes
 the grid forms in one call, forms each distinct product of a row triple
-once and compares targets in integers; where the targets compose, as
+once per slice and compares targets in integers; where the targets compose, as
 they do in every unmutated grid form, it computes the same per-member
 LAPACK and BLAS values and takes the same maxima, so the tests require
 both routes' deviations to be equal.
@@ -115,7 +115,8 @@ both routes' deviations to be equal.
 evaluations: one ``structure_report(eval_discretized(...))`` per time and
 per converse unit time.  The library measures the same class deviations
 on the distinct blocks of the grid forms and folds them over each time's
-block picks, never assembling T(t), so the tests require every verdict to be equal and
+block picks, never assembling T(t), so the tests require the same report
+keys, every verdict to be equal and
 each ``max_deviation`` to agree within 1e-13: both routes compute the
 same quantities by the identities of the ``structure`` docstring, and the
 deviations of a held class are rounding-sized, so only rounding of a few
@@ -541,7 +542,7 @@ def reference_semigroup_suite(tup, N, max_num):
     for nums in times:
         blocks = evals[nums].reshape(grid, tup.dim, grid, tup.dim)
         lhs = blocks.sum(axis=(0, 2)) / grid
-        rhs = multilinear_compress(tup, GridTime(N, nums).values())
+        rhs = multilinear_compress(tup, [k / N for k in nums])
         compress_dev = max(compress_dev, op_norm(lhs - rhs))
 
     deviations = {
@@ -605,7 +606,7 @@ def reference_blockwise_suite(tup, N, max_num):
         yx = blocks[ys[:, None], targets[xs]] @ blocks[xs]
         comm_dev = float(np.abs(xy - yx).max())
 
-    closed = np.stack([multilinear_compress(tup, GridTime(N, t).values()) for t in times])
+    closed = np.stack([multilinear_compress(tup, [k / N for k in t]) for t in times])
     compress_dev = float(
         np.linalg.norm(blocks[rows].mean(axis=1) - closed, 2, axis=(-2, -1)).max()
     )
@@ -665,7 +666,6 @@ def reference_preservation_suite(tup, N, tol=1e-10):
     ) and all(item["matches"] for item in converse)
     return {
         "N": N,
-        "times": [str(t) for t in times],
         "classes": results,
         "converse_unit_times": converse,
         "passed": passed,

@@ -160,7 +160,7 @@ def parrott_tuple(
 
 def _require_unitary(m: np.ndarray, name: str, tol: float) -> None:
     dev = float(_isometry_deviations(np.stack([m, dagger(m)])).max())
-    if dev > tol:
+    if not dev <= tol:
         raise InputError(f"{name} is not unitary (deviation {dev:.3e})")
 
 
@@ -346,7 +346,9 @@ def _lattice_max(sizes: tuple, terms: dict, M: int) -> float:
 
     The trailing t axes form a block.  Each group of terms that share
     their leading s = r - t exponents beta_g is summed on the block once,
-    as one row q_g of Q (``_q_rows``).  The leading axes are streamed in
+    as one row q_g of Q: term by term, in term order, each term adds its
+    coefficient times the outer product of its factors w^(a_i l_i) on the
+    trailing axes, taken in axis order.  The leading axes are streamed in
     chunks of rows, each valued as W[rows, groups] @ Q[groups, block],
     where W holds the leading factors w^(l . beta_g) of each group
     (``_chunk_max``); the chunk maxima fold by a Python max from 0.0.
@@ -369,33 +371,16 @@ def _lattice_max(sizes: tuple, terms: dict, M: int) -> float:
     for alpha in terms:
         groups.setdefault(alpha[:s], len(groups))
     roots = np.exp(2j * np.pi * np.arange(M) / M)
-    q = _q_rows(roots, sizes, s, terms, groups)
+    q = np.zeros((len(groups), math.prod(sizes[s:])), dtype=np.complex128)
+    for alpha, coeff in terms.items():
+        row = np.array([coeff], dtype=np.complex128)
+        for a, size in zip(alpha[s:], sizes[s:]):
+            row = np.multiply.outer(row, roots[np.arange(size) * a % M]).ravel()
+        q[groups[alpha[:s]]] += row
     beta = np.array(list(groups), dtype=np.int64)
     streamed, rows = math.prod(sizes[:s]), max(1, _LATTICE_BLOCK // max(q.shape))
     chunks = [(start, min(start + rows, streamed)) for start in range(0, streamed, rows)]
     return max(0.0, *(_chunk_max(roots, sizes[:s], beta, q, *chunk) for chunk in chunks))
-
-
-def _q_rows(roots: np.ndarray, sizes: tuple, s: int, terms: dict, groups: dict) -> np.ndarray:
-    """Q (G, prod sizes[s:]) of ``_lattice_max``: row g adds, to zeros and
-    in term order, each term of group g as its coefficient times w^(l_s
-    a_s) ... w^(l_(r-1) a_(r-1)) on the block, multiplied in axis order.
-    Terms are taken in parts of at most _LATTICE_BLOCK values."""
-    M = len(roots)
-    coeffs = np.array(list(terms.values()), dtype=np.complex128)
-    alphas = np.array([a[s:] for a in terms], dtype=np.int64)
-    group = np.array([groups[a[:s]] for a in terms])
-    q = np.zeros((len(groups), math.prod(sizes[s:])), dtype=np.complex128)
-    step = max(1, _LATTICE_BLOCK // q.shape[1])
-    for first in range(0, len(coeffs), step):
-        part = slice(first, first + step)
-        row = coeffs[part, None]
-        for a, size in zip(alphas[part].T, sizes[s:]):
-            factors = roots[a[:, None] * np.arange(size) % M]
-            row = (row[:, :, None] * factors[:, None, :]).reshape(len(row), -1)
-        # Unbuffered and in index order, so a group's terms add in term order.
-        np.add.at(q, group[part], row)
-    return q
 
 
 def _chunk_max(roots: np.ndarray, shape: tuple, beta, q, start: int, stop: int) -> float:
@@ -667,7 +652,7 @@ class DilationCandidate:
                 f"embedding maps into dimension {self.r.shape[0]}, unitaries act on {big}"
             )
         dev = float(_isometry_deviations(self.r[None])[0])
-        if dev > self.tol:
+        if not dev <= self.tol:
             raise InputError(f"r is not an isometry (deviation {dev:.3e})")
 
     @property

@@ -354,9 +354,7 @@ def semigroup_suite(tup: ContractionTuple, N: int, max_num: int) -> dict:
         comm_dev = _misfit(blocks[p] @ blocks[q], blocks[r] @ blocks[u], apart.astype(bool))
 
     closed = multilinear_compress(tup, times / N)
-    compress_dev = float(
-        np.linalg.norm(blocks[picks[rows]].mean(axis=1) - closed, 2, axis=(-2, -1)).max()
-    )
+    compress_dev = float(_op_norms(blocks[picks[rows]].mean(axis=1) - closed).max())
 
     deviations = {
         "homomorphism": hom_dev,
@@ -505,8 +503,10 @@ def approx_error_sweep(generators, eps_list, axes, tol: float = DEFAULT_TOL):
             raise InputError(f"eps values must be finite and positive, got {eps}")
         if not math.isfinite(t_max / eps):
             raise InputError(f"t_max / eps overflows for eps={eps}")
-    tops = np.linalg.eigvalsh((stack + stack.conj().transpose(0, 2, 1)) / 2)[:, -1]
-    failing = np.flatnonzero(tops > tol)
+    # Where A + A* overflows its eigenvalues are NaN: they fail the check, with no warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        tops = np.linalg.eigvalsh((stack + stack.conj().transpose(0, 2, 1)) / 2)[:, -1]
+    failing = np.flatnonzero(~(tops <= tol))
     if len(failing):
         i = failing[0]
         raise InputError(

@@ -120,11 +120,7 @@ def kron(a, b) -> np.ndarray:
 
 def op_norm(a) -> float:
     """Largest singular value."""
-    a = as_matrix(a)
-    try:
-        return float(np.linalg.norm(a, 2))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular value computation failed: {exc}") from exc
+    return float(_op_norms(as_matrix(a)))
 
 
 def _op_norms(a: np.ndarray) -> np.ndarray:
@@ -212,10 +208,12 @@ def _require_commuting(mats: np.ndarray, noun: str, tol: float) -> None:
 def _isometry_deviations(a: np.ndarray) -> np.ndarray:
     """||A*A - 1|| of every member of a stack (K, r, c), the identity of
     size c.  The co-isometry deviation ||AA* - 1|| is that of the adjoints;
-    A is unitary when both vanish."""
-    return np.linalg.norm(
-        a.conj().swapaxes(-1, -2) @ a - identity(a.shape[-1]), 2, axis=(-2, -1)
-    )
+    A is unitary when both vanish.  Where A*A overflows the deviation is
+    NaN, with no warning: a check must refuse unless it is <= tol."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linalg.norm(
+            a.conj().swapaxes(-1, -2) @ a - identity(a.shape[-1]), 2, axis=(-2, -1)
+        )
 
 
 def _powers(a: np.ndarray, exponents) -> np.ndarray:

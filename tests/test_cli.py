@@ -739,81 +739,147 @@ def test_interp_eval_memory_stays_near_the_dense_matrix(tmp_path):
     assert peak <= 2 * dense, (peak, dense)
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["bscr", "--N", "0"],
-        ["bscr", "--N", "-3"],
-        ["interp", "check", "--tuple", "{tuple}", "--N", "2", "--max-num", "0"],
-        ["approx", "--generators", "{gens}", "--eps-list", "0.5", "--steps", "0"],
-        ["vn-search", "--d", "1", "--dim", "2", "--trials", "1", "--seed", "-1"],
-        ["vn-search", "--d", "0", "--dim", "2", "--trials", "1", "--seed", "3"],
-        ["vn-search", "--d", "2", "--dim", "-1", "--trials", "3", "--seed", "1"],
-        ["vn-search", "--d", "2", "--dim", "0", "--trials", "0", "--seed", "1"],
-        ["vn-search", "--d", "2", "--dim", "4", "--trials", "0", "--seed", "1", "--grid", "1"],
-        ["vn", "--tuple", "{tuple}", "--poly", "{poly17}", "--grid", "8"],
-        ["DILATIONS_MAX_ENTRIES=abc", "interp", "eval", "--tuple", "{tuple}", "--N", "2",
-         "--t", "0"],
-        ["approx", "--generators", "{gens}", "--eps-list", "0"],
-        ["interp", "check", "--tuple", "{empty}", "--N", "2"],
-        # (40+1)^2 grid points x 2x2 = 6724 entries > 1000
-        ["DILATIONS_MAX_ENTRIES=1000", "approx", "--generators", "{gens2}",
-         "--eps-list", "0.5"],
-        # (2*4-1)^1 sum times x 2 grid points x 2x2 = 56 block entries > 50,
-        # while the 4x4 evaluations stay under the cap
-        ["DILATIONS_MAX_ENTRIES=50", "interp", "check", "--tuple", "{tuple}", "--N", "2"],
-        # (2*1)^40 times: refused before the time list is built
-        ["preserve", "--tuple", "{d40}", "--N", "1"],
-        # (2*2)^1 times x 2 grid points x 2x2 = 32 block entries > 20,
-        # while the 4x4 semigroup stays under the cap
-        ["DILATIONS_MAX_ENTRIES=20", "preserve", "--tuple", "{tuple}", "--N", "2"],
-        # N^2 = 10^10 entries: refused before the (2N)^2 checks start
-        ["bscr", "--N", "100000"],
-        # (2 x 100001)^2 entries, refused before the allocation
-        ["dilate", "--matrix", "{half}", "--m", "100000"],
-        ["structure", "--matrix", "{scalar_data}"],
-        ["vn", "--tuple", "{tuple}", "--poly", "{poly_frac}"],
-        # floor(t) = 5 * 10^10 powers of a 2x2 matrix, refused before the walk
-        ["interp", "eval", "--tuple", "{tuple}", "--N", "2", "--t", "100000000000/2"],
-        # a 24-digit numerator, past int64
-        ["interp", "eval", "--tuple", "{tuple}", "--N", "2",
-         "--t", "123456789012345678901234/2"],
-        # 20x20 matrices = 400 entries > 100
-        ["DILATIONS_MAX_ENTRIES=100", "vn-search", "--d", "1", "--dim", "20", "--trials", "2",
-         "--seed", "1", "--grid", "8"],
-        # exponents up to 3 on 6 axes may pass the degree cap 16: refused at
-        # any --trials, not only once a trial draws such a term
-        ["vn-search", "--d", "6", "--dim", "2", "--trials", "50", "--seed", "1", "--grid", "4"],
-        # 10^10 lattice points: refused before any trial is drawn
-        ["vn-search", "--d", "2", "--dim", "4", "--trials", "500", "--seed", "1",
-         "--grid", "100000"],
-        # a table of 101 roots > 100 entries
-        ["DILATIONS_MAX_ENTRIES=100", "vn-search", "--d", "1", "--dim", "2", "--trials", "1",
-         "--seed", "1", "--grid", "101"],
-        # integer fields that are not integers: "x", null, 1.5 and 2.5
-        ["vn", "--tuple", "{tuple_d_x}", "--poly", "{poly1}"],
-        ["preserve", "--tuple", "{tuple_d_x}", "--N", "2"],
-        ["vn", "--tuple", "{tuple_dim_null}", "--poly", "{poly1}"],
-        ["preserve", "--tuple", "{tuple_dim_null}", "--N", "2"],
-        ["vn", "--tuple", "{tuple}", "--poly", "{poly_d_frac}"],
-        ["structure", "--matrix", "{rows_frac}"],
-        # JSON booleans and numeric strings where numbers belong
-        ["vn", "--tuple", "{tuple_d_true}", "--poly", "{poly1}"],
-        ["structure", "--matrix", "{rows_true}"],
-        ["structure", "--matrix", "{data_bools}"],
-        ["structure", "--matrix", "{data_strings}"],
-        ["vn", "--tuple", "{tuple}", "--poly", "{poly_d_true}"],
-        ["vn", "--tuple", "{tuple1}", "--poly", "{poly_alpha_true}"],
-        ["vn", "--tuple", "{tuple1}", "--poly", "{poly_coeff_bools}"],
-        ["vn", "--tuple", "{tuple_all_bools}", "--poly", "{poly_all_bools}"],
-        # integers past the float range
-        ["structure", "--matrix", "{data_huge}"],
-        ["vn", "--tuple", "{tuple1}", "--poly", "{poly_coeff_huge}"],
-        # 2^20 times of 20 exponents each: refused before the rows are built
-        ["preserve", "--tuple", "{d20}", "--N", "1"],
-    ],
-)
-def test_bad_input_exits_2(runner, tmp_path, args):
+BAD_INPUTS = [
+    (["bscr", "--N", "0"], "N must be >= 1, got 0"),
+    (["bscr", "--N", "-3"], "N must be >= 1, got -3"),
+    (["interp", "check", "--tuple", "{tuple}", "--N", "2", "--max-num", "0"],
+     "max_num must be >= 1, got 0"),
+    (["approx", "--generators", "{gens}", "--eps-list", "0.5", "--steps", "0"],
+     "--steps must be >= 1, got 0"),
+    (["vn-search", "--d", "1", "--dim", "2", "--trials", "1", "--seed", "-1"],
+     "seed must be nonnegative, got -1"),
+    (["vn-search", "--d", "0", "--dim", "2", "--trials", "1", "--seed", "3"],
+     "d must be >= 1, got 0"),
+    (["vn-search", "--d", "2", "--dim", "-1", "--trials", "3", "--seed", "1"],
+     "dim must be >= 1, got -1"),
+    (["vn-search", "--d", "2", "--dim", "0", "--trials", "0", "--seed", "1"],
+     "dim must be >= 1, got 0"),
+    (["vn-search", "--d", "2", "--dim", "4", "--trials", "0", "--seed", "1", "--grid", "1"],
+     "lattice size M must be >= 2, got 1"),
+    (["vn", "--tuple", "{tuple}", "--poly", "{poly17}", "--grid", "8"],
+     "total degree of (17,) exceeds the cap 16"),
+    (["DILATIONS_MAX_ENTRIES=abc", "interp", "eval", "--tuple", "{tuple}", "--N", "2",
+     "--t", "0"], "DILATIONS_MAX_ENTRIES is not an integer: 'abc'"),
+    (["approx", "--generators", "{gens}", "--eps-list", "0"],
+     "eps values must be finite and positive, got 0.0"),
+    (["interp", "check", "--tuple", "{empty}", "--N", "2"],
+     "a contraction tuple needs at least one operator"),
+    # (40+1)^2 grid points x 2x2 = 6724 entries > 1000
+    (["DILATIONS_MAX_ENTRIES=1000", "approx", "--generators", "{gens2}",
+     "--eps-list", "0.5"], "matrix of shape 3362x2 exceeds the size cap of 1000 entries"),
+    # (2*4-1)^1 sum times x 2 grid points x 2x2 = 56 block entries > 50,
+    # while the 4x4 evaluations stay under the cap
+    (["DILATIONS_MAX_ENTRIES=50", "interp", "check", "--tuple", "{tuple}", "--N", "2"],
+     "matrix of shape 28x2 exceeds the size cap of 50 entries"),
+    # (2*1)^40 times: refused before the time list is built
+    (["preserve", "--tuple", "{d40}", "--N", "1"],
+     "matrix of shape 1099511627776x40 exceeds the size cap"),
+    # (2*2)^1 times x 2 grid points x 2x2 = 32 block entries > 20,
+    # while the 4x4 semigroup stays under the cap
+    (["DILATIONS_MAX_ENTRIES=20", "preserve", "--tuple", "{tuple}", "--N", "2"],
+     "matrix of shape 8x4 exceeds the size cap of 20 entries"),
+    # N^2 = 10^10 entries: refused before the (2N)^2 checks start
+    (["bscr", "--N", "100000"], "matrix of shape 100000x100000 exceeds the size cap"),
+    # (2 x 100001)^2 entries, refused before the allocation
+    (["dilate", "--matrix", "{half}", "--m", "100000"],
+     "matrix of shape 200002x200002 exceeds the size cap"),
+    (["structure", "--matrix", "{scalar_data}"],
+     "malformed matrix JSON: object of type 'int' has no len()"),
+    (["vn", "--tuple", "{tuple}", "--poly", "{poly_frac}"],
+     "exponent must be an integer, got 1.5"),
+    # floor(t) = 5 * 10^10 powers of a 2x2 matrix, refused before the walk
+    (["interp", "eval", "--tuple", "{tuple}", "--N", "2", "--t", "100000000000/2"],
+     "time with floor 50000000000 needs powers up to 50000000001"),
+    # a 24-digit numerator, past int64
+    (["interp", "eval", "--tuple", "{tuple}", "--N", "2",
+     "--t", "123456789012345678901234/2"],
+     "time with floor 61728394506172839450617 needs powers"),
+    # 20x20 matrices = 400 entries > 100
+    (["DILATIONS_MAX_ENTRIES=100", "vn-search", "--d", "1", "--dim", "20", "--trials", "2",
+     "--seed", "1", "--grid", "8"],
+     "matrix of shape 20x20 exceeds the size cap of 100 entries"),
+    # exponents up to 3 on 6 axes may pass the degree cap 16: refused at
+    # any --trials, not only once a trial draws such a term
+    (["vn-search", "--d", "6", "--dim", "2", "--trials", "50", "--seed", "1", "--grid", "4"],
+     "d = 6 exceeds DEGREE_CAP // 3 = 5"),
+    # 10^10 lattice points: refused before any trial is drawn
+    (["vn-search", "--d", "2", "--dim", "4", "--trials", "500", "--seed", "1",
+     "--grid", "100000"], "lattice of M^d = 10000000000 points exceeds the size cap"),
+    # a table of 101 roots > 100 entries
+    (["DILATIONS_MAX_ENTRIES=100", "vn-search", "--d", "1", "--dim", "2", "--trials", "1",
+     "--seed", "1", "--grid", "101"],
+     "lattice size M = 101 exceeds the size cap of 100 entries"),
+    # integer fields that are not integers: "x", null, 1.5 and 2.5
+    (["vn", "--tuple", "{tuple_d_x}", "--poly", "{poly1}"],
+     "tuple d must be an integer, got 'x'"),
+    (["preserve", "--tuple", "{tuple_d_x}", "--N", "2"], "tuple d must be an integer, got 'x'"),
+    (["vn", "--tuple", "{tuple_dim_null}", "--poly", "{poly1}"],
+     "tuple dim must be an integer, got None"),
+    (["preserve", "--tuple", "{tuple_dim_null}", "--N", "2"],
+     "tuple dim must be an integer, got None"),
+    (["vn", "--tuple", "{tuple}", "--poly", "{poly_d_frac}"],
+     "polynomial d must be an integer, got 1.5"),
+    (["structure", "--matrix", "{rows_frac}"], "rows must be an integer, got 2.5"),
+    # JSON booleans and numeric strings where numbers belong
+    (["vn", "--tuple", "{tuple_d_true}", "--poly", "{poly1}"],
+     "tuple d must be an integer, got True"),
+    (["structure", "--matrix", "{rows_true}"], "rows must be an integer, got True"),
+    (["structure", "--matrix", "{data_bools}"], "every matrix entry must be a pair of numbers"),
+    (["structure", "--matrix", "{data_strings}"],
+     "every matrix entry must be a pair of numbers"),
+    (["vn", "--tuple", "{tuple}", "--poly", "{poly_d_true}"],
+     "polynomial d must be an integer, got True"),
+    (["vn", "--tuple", "{tuple1}", "--poly", "{poly_alpha_true}"],
+     "exponent must be an integer, got True"),
+    (["vn", "--tuple", "{tuple1}", "--poly", "{poly_coeff_bools}"],
+     "every coefficient must be a pair of numbers"),
+    (["vn", "--tuple", "{tuple_all_bools}", "--poly", "{poly_all_bools}"],
+     "rows must be an integer, got True"),
+    # integers past the float range
+    (["structure", "--matrix", "{data_huge}"],
+     "malformed matrix entry: int too large to convert to float"),
+    (["vn", "--tuple", "{tuple1}", "--poly", "{poly_coeff_huge}"],
+     "malformed coefficient: int too large to convert to float"),
+    # 2^20 times of 20 exponents each: refused before the rows are built
+    (["preserve", "--tuple", "{d20}", "--N", "1"],
+     "matrix of shape 1048576x20 exceeds the size cap"),
+    (["vn", "--tuple", "{missing}", "--poly", "{poly1}"], "cannot read"),
+    (["approx", "--generators", "{no_fields}", "--eps-list", "0.5"],
+     "malformed generators JSON"),
+    (["approx", "--generators", "{empty}", "--eps-list", "0.5"], "need at least one generator"),
+    (["approx", "--generators", "{gens_two_shapes}", "--eps-list", "0.5"],
+     "generator 2 has shape (1, 1)"),
+    (["approx", "--generators", "{gens}", "--eps-list", ","], "--eps-list is empty"),
+    # A + A* overflows: a NaN eigenvalue is not dissipative, and no
+    # RuntimeWarning reaches stderr.
+    (["approx", "--generators", "{gens_overflow}", "--eps-list", "0.5"],
+     "generator 1 is not dissipative (largest eigenvalue of (A + A*)/2 is nan)"),
+    (["vn", "--tuple", "{tuple1}", "--poly", "{poly_d0}"],
+     "polynomial arity must be >= 1, got 0"),
+    (["vn", "--tuple", "{tuple1}", "--poly", "{poly_negative}"], "negative exponent in (-1,)"),
+    (["parrott", "--r1", "{unitary}", "--r2", "{unitary1}"],
+     "R1 and R2 must be square and of equal size"),
+    (["parrott", "--r1", "{unitary}", "--r2", "{twice}", "--allow-contraction-r2"],
+     "R2 must be a contraction"),
+    # R1* R1 overflows: a NaN deviation is not unitary.
+    (["parrott", "--r1", "{huge}", "--r2", "{unitary}"], "R1 is not unitary (deviation nan)"),
+    (["dilate", "--matrix", "{wide}", "--m", "2"], "dilation requires a square matrix"),
+    (["interp", "check", "--tuple", "{no_fields}", "--N", "2"],
+     "malformed tuple JSON: 'matrices'"),
+    (["interp", "check", "--tuple", "{tuple_dim3}", "--N", "2"],
+     "tuple JSON declares dim=3 but matrices are 2x2"),
+    (["DILATIONS_MAX_ENTRIES=0", "interp", "eval", "--tuple", "{tuple}", "--N", "2",
+      "--t", "0"], "DILATIONS_MAX_ENTRIES must be positive"),
+    (["DILATIONS_TOL=abc", "interp", "eval", "--tuple", "{tuple}", "--N", "2", "--t", "0"],
+     "DILATIONS_TOL is not a number: 'abc'"),
+    (["structure", "--matrix", "{rows0}"], "matrix dimensions must be positive"),
+]
+# The cases' ids are args0, args1, ... in list order.
+BAD_INPUT_IDS = [f"args{i}" for i in range(len(BAD_INPUTS))]
+
+
+@pytest.mark.parametrize("args, message", BAD_INPUTS, ids=BAD_INPUT_IDS)
+def test_bad_input_exits_2(runner, tmp_path, args, message):
     files = {
         "gens": {"matrices": [matrix_to_json(np.diag([-1.0]))]},
         "poly17": {"d": 1, "terms": [{"alpha": [17], "coeff": [1.0, 0.0]}]},
@@ -844,10 +910,25 @@ def test_bad_input_exits_2(runner, tmp_path, args):
         "poly_all_bools": {"d": True, "terms": [{"alpha": [True], "coeff": [True, False]}]},
         "data_huge": {"rows": 1, "cols": 1, "data": [[10**400, 0]]},
         "poly_coeff_huge": {"d": 1, "terms": [{"alpha": [1], "coeff": [10**400, 0]}]},
+        "no_fields": {},
+        "gens_two_shapes": {"matrices": [matrix_to_json(np.diag([-1.0, -2.0])),
+                                         matrix_to_json(np.diag([-1.0]))]},
+        "gens_overflow": {"matrices": [matrix_to_json(np.array([[-1.0, 1.5e308],
+                                                                [1.5e308, -1.0]]))]},
+        "poly_d0": {"d": 0, "terms": [{"alpha": [], "coeff": [1.0, 0.0]}]},
+        "poly_negative": {"d": 1, "terms": [{"alpha": [-1], "coeff": [1.0, 0.0]}]},
+        "unitary": matrix_to_json(shift_matrix(2)),
+        "unitary1": matrix_to_json(np.diag([1.0])),
+        "twice": matrix_to_json(np.diag([2.0, 2.0])),
+        "huge": matrix_to_json(np.diag([1e200, 1e200])),
+        "wide": matrix_to_json(np.zeros((2, 3))),
+        "tuple_dim3": {"dim": 3, "matrices": [matrix_to_json(shift_matrix(2))]},
+        "rows0": {"rows": 0, "cols": 1, "data": []},
     }
     paths = {
         "tuple": write_tuple(tmp_path / "tup.json", [shift_matrix(2)]),
         "tuple1": write_tuple(tmp_path / "tup1.json", [np.diag([0.5])]),
+        "missing": str(tmp_path / "missing.json"),
     }
     for name, obj in files.items():
         paths[name] = str(tmp_path / f"{name}.json")
@@ -857,7 +938,9 @@ def test_bad_input_exits_2(runner, tmp_path, args):
     args = args[len(env):]
     result = runner.invoke(main, [a.format(**paths) for a in args], env=env)
     assert result.exit_code == 2
-    assert "input error:" in result.output
+    # One line: the message, and no warning or traceback before it.
+    assert result.stderr.startswith("input error: ") and result.stderr.count("\n") == 1
+    assert message in result.stderr
     assert "Traceback" not in result.output
 
 

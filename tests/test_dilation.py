@@ -413,6 +413,8 @@ class TestLatticeScreen:
     # Three terms in one group, whose sum at l = 0 is 1 in term order and
     # 1 + 2u in reverse order.
     @example(((16, 16), {(0, 0): 1.0, (0, 1): 1e-16, (0, 2): 1e-16}, 16, 2**12))
+    # Two trailing axes in the block, whose factors multiply in axis order.
+    @example(((8, 8, 8), {(1, 1, 1): 1 - 0.5j, (0, 1, 2): 0.3 + 1j}, 8, 2**12))
     # d = 1, and d = 3 in many chunks.
     @example(((2,), {(0,): 1.0, (8,): -0.5}, 16, 2**6))
     @example(((16, 16, 16), {(1, 1, 1): 1 - 0.5j, (2, 0, 1): 0.3 + 1j, (0, 3, 0): -0.8}, 16, 2**6))
@@ -852,6 +854,32 @@ class TestDilation:
             DilationCandidate(
                 vs=(identity(4),), r=np.ones((4, 2), dtype=complex), n_max=1
             )
+        e1 = identity(2)[:, :1]
+        for vs, r, n_max, message in [
+            ((identity(2),), e1, 0, r"^n_max must be >= 1, got 0$"),
+            ((), e1, 1, "^a dilation candidate needs at least one unitary$"),
+            ((identity(2), identity(3)), e1, 1, r"^unitary 2 has shape \(3, 3\)$"),
+            ((identity(2),), identity(3)[:, :1], 1,
+             "^embedding maps into dimension 3, unitaries act on 2$"),
+        ]:
+            with pytest.raises(InputError, match=message):
+                DilationCandidate(vs=vs, r=r, n_max=n_max)
+        cand = DilationCandidate(vs=(identity(2), identity(2)), r=e1, n_max=1)
+        with pytest.raises(InputError, match="^candidate has 2 unitaries, tuple has d=1$"):
+            power_dilation_verify(ContractionTuple((identity(1),)), cand)
+        with pytest.raises(InputError, match="^embedding domain has dimension 1, tuple dim is 2$"):
+            power_dilation_verify(ContractionTuple((identity(2), identity(2))), cand)
+
+    def test_overflowing_unitary_check_refuses(self):
+        # V* V overflows to a NaN deviation, which must not pass as <= tol;
+        # the check warns of nothing, whatever the warning filter.
+        vs, r = (np.diag([1e200, 1.0]),), identity(2)[:, 1:]
+        with pytest.raises(InputError, match=r"^V_1 is not unitary \(deviation nan\)$"):
+            DilationCandidate(vs=vs, r=r, n_max=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(InputError, match="^V_1 is not unitary"):
+                DilationCandidate(vs=vs, r=r, n_max=3)
 
     def test_verify_flags_wrong_candidate(self):
         # A dilation of S misreports powers of a different contraction.

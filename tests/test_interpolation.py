@@ -683,6 +683,20 @@ class TestScaledBlend:
         with pytest.raises(InputError):
             scaled_blend({(0,): identity(2)}, eps, times)
 
+    @pytest.mark.parametrize(
+        "samples, times, message",
+        [
+            ({(0,): identity(2)}, (), "^blend needs at least one time coordinate$"),
+            ({(0,): identity(2)}, (-0.5,), r"^times must be finite and nonnegative: \[-0\.5\]$"),
+            ({(0,): identity(2), (1,): identity(3)}, (0.5,),
+             r"^sample at \(1,\) has shape \(3, 3\), expected \(2, 2\)$"),
+        ],
+        ids=["no-time", "negative-time", "sample-shape"],
+    )
+    def test_names_bad_times_and_samples(self, samples, times, message):
+        with pytest.raises(InputError, match=message):
+            scaled_blend(samples, 1.0, times)
+
     @given(
         st.floats(1e-3, 10.0),
         st.lists(st.floats(0.0, 20.0), min_size=1, max_size=3),

@@ -14,6 +14,7 @@ from dilations.linalg import (
     _op_norms,
     _power_products,
     _powers,
+    as_matrix,
     dagger,
     identity,
     kron,
@@ -89,6 +90,10 @@ class TestOpNorm:
 
     def test_scaled_nilpotent(self):
         assert op_norm([[0, 2], [0, 0]]) == pytest.approx(2.0, abs=1e-12)
+
+    def test_rejects_a_vector(self):
+        with pytest.raises(InputError, match=r"^expected a 2-d matrix, got shape \(2,\)$"):
+            as_matrix([1.0, 2.0])
 
 
 def svd_counts(monkeypatch):
@@ -321,6 +326,8 @@ class TestPsdSqrt:
     def test_rejects_non_hermitian(self):
         with pytest.raises(InputError):
             psd_sqrt([[0, 1], [0, 0]])
+        with pytest.raises(InputError, match="^psd_sqrt requires a square matrix$"):
+            psd_sqrt(np.zeros((2, 3)))
 
     def test_rejects_negative(self):
         with pytest.raises(InputError):

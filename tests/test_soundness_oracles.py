@@ -22,6 +22,7 @@ stay put.  Entrywise classes depend on the basis and are left out.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +30,7 @@ import dilations.dilation
 from conftest import random_commuting_unitaries, random_contraction, random_unitary
 from dilations.dilation import (
     DEGREE_CAP,
+    DilationCandidate,
     MultiPolynomial,
     _decide,
     _image,
@@ -40,7 +42,7 @@ from dilations.dilation import (
 )
 from dilations.fixtures import load_crabb_davie
 from dilations.interpolation import ContractionTuple, approx_error_sweep, semigroup_suite
-from dilations.linalg import DEFAULT_TOL, identity, kron, op_norm
+from dilations.linalg import DEFAULT_TOL, InputError, identity, kron, op_norm
 from dilations.structure import preservation_suite
 from test_dilation import BENCH_ALPHAS, rounding_bound
 from test_interpolation import dissipative_generators, uniform_axes
@@ -231,6 +233,22 @@ def test_exact_sup_for_dependent_rows_is_caught(monkeypatch):
     report = vn_check(*load_crabb_davie(), 256)
     assert report.exact_sup and report.sup_upper == 4.0
     assert report.verdict == "HOLDS"
+
+
+def test_nan_deviation_is_refused(monkeypatch):
+    """Mutant check: an isometry deviation of NaN, as an overflowing A*A
+    gives, passes no check; both of ``DilationCandidate``'s refuse it."""
+    deviations = dilations.dilation._isometry_deviations
+    def mutant(a):
+        # NaN for the members with a column count in nan_cols: V is 2x2, r 2x1.
+        return np.full(len(a), np.nan) if a.shape[-1] in nan_cols else deviations(a)
+
+    e1 = identity(2)[:, :1]
+    for nan_cols, message in (({1, 2}, r"^V_1 is not unitary \(deviation nan\)$"),
+                              ({1}, r"^r is not an isometry \(deviation nan\)$")):
+        monkeypatch.setattr(dilations.dilation, "_isometry_deviations", mutant)
+        with pytest.raises(InputError, match=message):
+            DilationCandidate(vs=(identity(2),), r=e1, n_max=1)
 
 
 def test_independent_rows_evaluate_no_lattice(monkeypatch):

@@ -50,6 +50,10 @@ class TestGridTime:
     def test_rejects_negative(self):
         with pytest.raises(InputError):
             GridTime(4, (-1,))
+        with pytest.raises(InputError, match="^grid denominator must be >= 1, got 0$"):
+            GridTime(0, (1,))
+        with pytest.raises(InputError, match="^grid time needs at least one coordinate$"):
+            GridTime(4, ())
 
 
 class TestKoopman:

@@ -34,9 +34,9 @@ maximum to agree within the rounding bound its docstring states.
 that ``_image`` reduces p to: Q built one term at a time by outer
 products, then every chunk of leading rows of its prod sizes points
 evaluated as W @ Q and its modulus maximum taken.  The library's
-``_lattice_max`` builds Q by vectorised gathers and one unbuffered
-``np.add.at`` in term order, and makes the same BLAS call on the same
-chunks, so the tests require both to return the same float.
+``_lattice_max`` now builds Q by the same per-term loop and makes the
+same BLAS call on the same chunks; this one stays the frozen bit-level
+reference, so the tests require both to return the same float.
 
 ``reference_vn_search`` is the one-trial-at-a-time search: for each
 trial its own generator ``reference_commuting_tuple`` draws the tuple

@@ -31,8 +31,10 @@ from .linalg import (
     _check_cap,
     _complex_pairs,
     _integer,
+    _isometric,
     _isometry_deviations,
     _matrix_payload,
+    _max_op_norm,
     _op_norms,
     _power_products,
     _powers,
@@ -133,7 +135,9 @@ def parrott_tuple(
     is never verified here; only the stated algebra is.)
 
     With ``allow_contraction_r2`` the second factor may be any
-    contraction instead of a unitary.
+    contraction instead of a unitary.  Unitarity is ``_require_unitary``'s
+    check; the contraction bound 1 + tol and the commutation of the pair,
+    to within tol, are decided by ``_max_op_norm``.
     """
     r1 = as_matrix(r1)
     r2 = as_matrix(r2)
@@ -142,11 +146,11 @@ def parrott_tuple(
     n = r1.shape[0]
     _require_unitary(r1, "R1", tol)
     if allow_contraction_r2:
-        if op_norm(r2) > 1 + tol:
+        if not _max_op_norm(r2[None], 1 + tol):
             raise InputError("R2 must be a contraction")
     else:
         _require_unitary(r2, "R2", tol)
-    if op_norm(r1 @ r2 - r2 @ r1) <= tol:
+    if _max_op_norm((r1 @ r2 - r2 @ r1)[None], tol):
         warnings.warn(
             "R1 and R2 commute; the resulting tuple has no non-dilatability "
             "guarantee",
@@ -159,8 +163,12 @@ def parrott_tuple(
 
 
 def _require_unitary(m: np.ndarray, name: str, tol: float) -> None:
-    dev = float(_isometry_deviations(np.stack([m, dagger(m)])).max())
-    if not dev <= tol:
+    """Raise unless ||M*M - 1|| and ||MM* - 1|| are both at most tol, as
+    ``_isometric`` decides on M and M*; only a refusal takes both SVDs,
+    for the message, which gives the larger deviation."""
+    pair = np.stack([m, dagger(m)])
+    if not _isometric(pair, tol):
+        dev = float(_isometry_deviations(pair).max())
         raise InputError(f"{name} is not unitary (deviation {dev:.3e})")
 
 
@@ -521,7 +529,9 @@ def vn_search(
     contraction, rescaled to the unit ball) and a random polynomial,
     then runs the checker.  ``extra_cases`` are (tuple, polynomial)
     pairs appended to the pool, e.g. known literature counterexamples.
-    Deterministic for a fixed seed; trial i uses seed + i.
+    Deterministic for a fixed seed; trial i draws from the generator of
+    seed + i, ``Generator(PCG64(seed + i))``: ``default_rng``'s own
+    construction, in the same state, without its argument dispatch.
 
     Trials run in chunks within the size cap.  A chunk draws its trials
     in one loop: trial i's generator draws the 2 dim^2 + 8 d normals of
@@ -567,7 +577,7 @@ def vn_search(
         normals = np.empty((len(indices), 2 * dim * dim + 8 * d))
         polys = []
         for k, index in enumerate(indices):
-            rng = np.random.default_rng(seed + index)
+            rng = np.random.Generator(np.random.PCG64(seed + index))
             rng.standard_normal(out=normals[k])
             polys.append(_random_polynomial(rng, d))
         stack = _commuting_stack(normals, d, dim)
@@ -601,7 +611,8 @@ def vn_search(
                 tup = extra_cases[index][0]
             else:
                 # Drawn again from its seed: bit-identical to its stack member.
-                tup = _random_commuting_tuple(np.random.default_rng(seed + index), d, dim)
+                rng = np.random.Generator(np.random.PCG64(seed + index))
+                tup = _random_commuting_tuple(rng, d, dim)
             violations.append(
                 {
                     "kind": kind,
@@ -626,7 +637,13 @@ def vn_search(
 
 @dataclass(frozen=True)
 class DilationCandidate:
-    """Commuting unitaries V_i on a larger space with an isometric embedding r."""
+    """Commuting unitaries V_i on a larger space with an isometric embedding r.
+
+    Each V_i is checked by ``_require_unitary``, the tuple by
+    ``_require_commuting`` and r by ``_isometric``, all to within tol: the
+    SVD of a gap or commutator runs only where ``_max_op_norm``'s bounds
+    cannot decide, so a 100 x 100 V whose gaps are rounding-sized takes none.
+    """
 
     vs: tuple[np.ndarray, ...]
     r: np.ndarray
@@ -651,8 +668,8 @@ class DilationCandidate:
             raise InputError(
                 f"embedding maps into dimension {self.r.shape[0]}, unitaries act on {big}"
             )
-        dev = float(_isometry_deviations(self.r[None])[0])
-        if not dev <= self.tol:
+        if not _isometric(self.r[None], self.tol):
+            dev = float(_isometry_deviations(self.r[None])[0])
             raise InputError(f"r is not an isometry (deviation {dev:.3e})")
 
     @property
@@ -723,7 +740,8 @@ def egervary_dilation(s, m: int, tol: float = DEFAULT_TOL) -> DilationCandidate:
     second row collects the defect of S, and the remaining rows shift.
     Correctness is defined by the power dilation verification up to
     n_max = m; construction does not run it, ``dilate --verify`` does.
-    The (n(m+1))^2 entries of the unitary are capped.
+    The (n(m+1))^2 entries of the unitary are capped.  S must have norm
+    at most 1 + tol, as ``_max_op_norm`` decides.
     """
     s = as_matrix(s)
     if s.shape[0] != s.shape[1]:
@@ -733,7 +751,7 @@ def egervary_dilation(s, m: int, tol: float = DEFAULT_TOL) -> DilationCandidate:
     n = s.shape[0]
     big = n * (m + 1)
     _check_cap(big, big)
-    if op_norm(s) > 1 + tol:
+    if not _max_op_norm(s[None], 1 + tol):
         raise InputError("dilation input must be a contraction")
     defect = psd_sqrt(identity(n) - dagger(s) @ s, eps=max(tol, 1e-9))
     defect_adj = psd_sqrt(identity(n) - s @ dagger(s), eps=max(tol, 1e-9))

@@ -114,13 +114,14 @@ class ContractionTuple:
 def _require_contractions(stack: np.ndarray, tol: float) -> None:
     """Raise unless every tuple of the stack (K, d, n, n) is a commuting
     tuple of contractions to within tol: each member's norm at most
-    1 + tol, from one stacked SVD, then ``_require_commuting``.  This is
-    the check ``ContractionTuple`` runs on itself (K = 1); ``vn_search``
-    runs it on its random tuples without building one per trial."""
-    norms = _op_norms(stack)
-    failing = np.argwhere(norms > 1 + tol)
-    if len(failing):
-        k, i = failing[0]
+    1 + tol, by one ``_max_op_norm`` call, then ``_require_commuting``.
+    Only a failing stack is normed whole, for the message, which names the
+    first member over.  This is the check ``ContractionTuple`` runs on
+    itself (K = 1); ``vn_search`` runs it on its random tuples without
+    building one per trial."""
+    if not _max_op_norm(stack, 1 + tol):
+        norms = _op_norms(stack)
+        k, i = np.argwhere(norms > 1 + tol)[0]
         raise InputError(f"operator {i + 1} has norm {norms[k, i]:.12g} > 1 + tol")
     _require_commuting(stack, "operators", tol)
 
@@ -290,8 +291,10 @@ def semigroup_suite(tup: ContractionTuple, N: int, max_num: int) -> dict:
     deviation there is the larger entry modulus of the two (``_misfit``).
     Commutation reads the row quadruples and targets of its axis pairs the
     same way.  As T(t) is a permutation times a block diagonal, ||T(t)|| =
-    max_m ||B_m||: contractivity takes SVDs of the distinct blocks of the
-    suite times.  Interpolation reads the grid forms of the times n N e_i,
+    max_m ||B_m||: contractivity takes the largest norm of the distinct
+    blocks of the suite times by ``_max_op_norm``, which takes SVDs only of
+    the blocks that can hold it, as do the interpolation and compression
+    maxima.  Interpolation reads the grid forms of the times n N e_i,
     per ``_batches`` slice of them: each must move no grid point, checked
     in integers, and each of its distinct blocks is compared with S_i^n by
     ``np.linalg.matrix_power``, a route independent of ``_power_products``.
@@ -314,7 +317,7 @@ def semigroup_suite(tup: ContractionTuple, N: int, max_num: int) -> dict:
         pairs = _distinct_rows(np.hstack([which, lift_rows.reshape(-1, d)]))[0]
         exact = [np.linalg.matrix_power(tup.mats[i], n) for i, n in zip(axes[part], powers[part])]
         diffs = _power_products(tup.mats, pairs[:, 1:]) - np.stack(exact)[pairs[:, 0]]
-        interp_dev = max(interp_dev, float(_op_norms(diffs).max()))
+        interp_dev = max(interp_dev, float(_max_op_norm(diffs)))
 
     table, picks = _distinct_rows(exponents.reshape(-1, d))
     blocks = _power_products(tup.mats, table)
@@ -337,7 +340,7 @@ def semigroup_suite(tup: ContractionTuple, N: int, max_num: int) -> dict:
         hom_dev = max(hom_dev, _misfit(blocks[a] @ blocks[b], blocks[c], apart.astype(bool)))
 
     held = np.unique(picks[rows])
-    contraction_dev = max(0.0, float(_op_norms(blocks[held]).max()) - 1.0)
+    contraction_dev = max(0.0, float(_max_op_norm(blocks[held])) - 1.0)
 
     axis_rows = [[a * stride for a in range(1, max_num)] for stride in strides]
     pairs = [(x, y) for xs, ys in itertools.combinations(axis_rows, 2) for x in xs for y in ys]
@@ -354,7 +357,7 @@ def semigroup_suite(tup: ContractionTuple, N: int, max_num: int) -> dict:
         comm_dev = _misfit(blocks[p] @ blocks[q], blocks[r] @ blocks[u], apart.astype(bool))
 
     closed = multilinear_compress(tup, times / N)
-    compress_dev = float(_op_norms(blocks[picks[rows]].mean(axis=1) - closed).max())
+    compress_dev = float(_max_op_norm(blocks[picks[rows]].mean(axis=1) - closed))
 
     deviations = {
         "homomorphism": hom_dev,

@@ -135,44 +135,60 @@ def _op_norms(a: np.ndarray) -> np.ndarray:
         raise NumericalError(f"singular value computation failed: {exc}") from exc
 
 
-def _max_op_norm(a: np.ndarray) -> np.floating:
-    """``_op_norms(a).max()`` for a nonempty stack (..., r, c), taking the
-    SVD only of the members whose norm can be the largest.
+def _max_op_norm(a: np.ndarray, limit: float | None = None):
+    """``_op_norms(a).max()`` for a nonempty stack (..., r, c), or with a
+    ``limit`` the answer ``bool((_op_norms(a) <= limit).all())``, taking
+    the SVD only of the members that cheap bounds leave undecided.
 
-    For every member ||A|| <= ||A||_F, and every column 2-norm of every
-    member is at most the largest norm; so with L the largest column
-    norm over the stack, a member with ||A||_F < L cannot hold the max.
-    The SVD runs on the members with F (1 + delta) >= L (1 - delta), F
-    and L computed from the entry moduli divided by the largest one, and
-    the max of those members' ``_op_norms`` is returned: the same
-    per-member LAPACK values, so the same max bit for bit.
+    Every member A has ||A||_col <= ||A|| <= ||A||_F, ||A||_col its
+    largest column 2-norm.  Let F and C be these bounds computed from the
+    entry moduli divided by the largest modulus of the stack, widened to
+    F (1 + delta) and C (1 - delta), and L the largest widened C.  The
+    max takes the SVD of the members with widened F at least L: a member
+    below it cannot hold the max, so the max of the candidates'
+    ``_op_norms`` is the same per-member LAPACK value, bit for bit.  The
+    answer against a limit, b = limit over the largest modulus: False if
+    L exceeds b, as the member holding it fails; else True if every
+    widened F is at most b; else the SVD of the members whose widened F
+    is not at most b decides, a NaN limit leaving them all to it.
 
     The margin delta = 1e-10 + 8 (r + c)^2 u, u the unit roundoff, covers
-    the rounding of the three computed quantities.  F and L are square
-    roots of sums of at most r c squared, divided moduli: each is within
-    (r c + 4) u of its exact value, in relative terms, and moduli below
-    2^-500 of the largest, whose squares may underflow, move them by far
-    less, as L >= 1 after the division.  A computed singular value
-    is within p u ||A|| of the exact one, p a modest function of r and c
-    (backward-stable bidiagonalisation), taken here at most 6 (r + c)^2.
-    Then the member attaining L is a candidate, and an excluded member's
-    computed norm stays strictly below that member's computed norm, when
-    2 delta exceeds the sum of the three relative errors plus the SVD's,
-    which it does by at least 1e-10.
+    the rounding of the computed quantities.  F and C are square roots of
+    sums of at most r c squared, divided moduli: each is within (r c + 4) u
+    of its exact value, in relative terms, the widening and b adding 3 u.
+    A computed singular value is within p u ||A|| of the exact one, p a
+    modest function of r and c (backward-stable bidiagonalisation), taken
+    here at most 6 (r + c)^2.  Moduli below 2^-500 of the largest, whose
+    squares may underflow, move F and C by under 2^-500 r c; that is far
+    below delta relative to the quantity compared with, which is at least
+    1/2: for the max, the largest C is at least 1 after the division; for
+    a limit, the member holding the largest modulus has C >= 1, so where
+    b < 1 - 2 delta it fails at once, rightly, as its computed norm is
+    at least that modulus less p u of it.  So the max's excluded members
+    stay strictly below the member attaining the largest C, and each
+    member decided by a bound is decided as its computed norm would be,
+    since delta exceeds the relative errors summed by at least 1e-10.
+    A non-finite entry is an ``InputError``, as in ``_op_norms``.
     """
     a = a.reshape(-1, *a.shape[-2:])
     if not np.isfinite(a).all():
         raise InputError("matrix contains non-finite entries")
     squares = np.abs(a)
-    peak = squares.max()
+    peak = squares.max(initial=0.0)
     if peak > 0:
         squares /= peak
     squares *= squares
-    frobenius = np.sqrt(squares.sum(axis=(-2, -1)))
-    lower = np.sqrt(squares.sum(axis=-2)).max()
     rows, cols = a.shape[-2:]
     delta = 1e-10 + 8 * (rows + cols) ** 2 * np.finfo(float).eps / 2
-    return _op_norms(a[frobenius * (1 + delta) >= lower * (1 - delta)]).max()
+    upper = np.sqrt(squares.sum(axis=(-2, -1))) * (1 + delta)
+    lower = np.sqrt(squares.sum(axis=-2)).max(initial=0.0) * (1 - delta)
+    if limit is None:
+        return _op_norms(a[upper >= lower]).max()
+    bound = limit / float(peak) if peak > 0 else limit  # a float: inf on overflow, no warning
+    if lower > bound:
+        return False
+    undecided = ~(upper <= bound)
+    return not undecided.any() or bool((_op_norms(a[undecided]) <= limit).all())
 
 
 def _batches(count: int, entries_each: int) -> Iterator[slice]:
@@ -186,34 +202,61 @@ def _require_commuting(mats: np.ndarray, noun: str, tol: float) -> None:
     """Raise unless, in every tuple of the stack ``mats`` (..., d, n, n),
     each pair of members commutes to within tol in operator norm.
 
-    The commutators of all pairs are normed in one stacked SVD, or in
-    batches of pairs within the size cap when they would not fit.  The
-    message names the first failing pair of the first failing tuple.
+    The commutators of all pairs, or of batches of pairs within the size
+    cap when they would not fit, are checked against tol by one
+    ``_max_op_norm`` call, which takes SVDs only where its bounds cannot
+    decide.  Only a batch that fails is normed whole, for the message,
+    which names the first failing pair of the first failing tuple.
     """
     tuples = mats.reshape(-1, *mats.shape[-3:])
     order = np.arange(tuples.shape[1])
     first, second = np.nonzero(order[:, None] < order)  # pairs i < j, i slowest
     for part in _batches(len(first), tuples.shape[0] * mats.shape[-1] ** 2):
         a, b = tuples[:, first[part]], tuples[:, second[part]]
-        devs = _op_norms(a @ b - b @ a)
-        failing = np.argwhere(devs > tol)
-        if len(failing):
-            k, pair = failing[0]
-            i, j = first[part][pair], second[part][pair]
-            raise InputError(
-                f"{noun} {i + 1} and {j + 1} do not commute (deviation {devs[k, pair]:.3e})"
-            )
+        commutators = a @ b - b @ a
+        if _max_op_norm(commutators, tol):
+            continue
+        devs = _op_norms(commutators)
+        k, pair = np.argwhere(devs > tol)[0]
+        i, j = first[part][pair], second[part][pair]
+        raise InputError(
+            f"{noun} {i + 1} and {j + 1} do not commute (deviation {devs[k, pair]:.3e})"
+        )
+
+
+def _isometry_gaps(a: np.ndarray) -> np.ndarray:
+    """A*A - 1 of every member of a stack (K, r, c), the identity of size
+    c; where A*A overflows, the entries are NaN or inf, with no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return a.conj().swapaxes(-1, -2) @ a - identity(a.shape[-1])
+
+
+def _deviation_norms(x: np.ndarray) -> np.ndarray:
+    """``_op_norms`` of a stack of deviations (..., r, c), NaN for each
+    member with a non-finite entry, as where a product overflowed: no SVD
+    runs on such a member, which LAPACK may fail on, and no warning is
+    raised.  A check must refuse unless the deviation is <= tol."""
+    out = np.full(x.shape[:-2], np.nan)
+    finite = np.isfinite(x).all(axis=(-2, -1))
+    out[finite] = _op_norms(x[finite])
+    return out
 
 
 def _isometry_deviations(a: np.ndarray) -> np.ndarray:
-    """||A*A - 1|| of every member of a stack (K, r, c), the identity of
-    size c.  The co-isometry deviation ||AA* - 1|| is that of the adjoints;
-    A is unitary when both vanish.  Where A*A overflows the deviation is
-    NaN, with no warning: a check must refuse unless it is <= tol."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.linalg.norm(
-            a.conj().swapaxes(-1, -2) @ a - identity(a.shape[-1]), 2, axis=(-2, -1)
-        )
+    """||A*A - 1|| of every member of a stack (K, r, c), by
+    ``_deviation_norms``: NaN where A*A overflows.  The co-isometry
+    deviation ||AA* - 1|| is that of the adjoints; A is unitary when both
+    vanish."""
+    return _deviation_norms(_isometry_gaps(a))
+
+
+def _isometric(a: np.ndarray, tol: float) -> bool:
+    """``bool((_isometry_deviations(a) <= tol).all())``: whether every
+    member of the stack (K, r, c) is an isometry to within tol, by
+    ``_max_op_norm`` of the gaps A*A - 1.  Where A*A overflows, the
+    deviation is NaN, which is not <= tol: the answer is False."""
+    gaps = _isometry_gaps(a)
+    return bool(np.isfinite(gaps).all()) and _max_op_norm(gaps, tol)
 
 
 def _powers(a: np.ndarray, exponents) -> np.ndarray:

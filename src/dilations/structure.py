@@ -44,6 +44,8 @@ from .linalg import (
     DEFAULT_TOL,
     InputError,
     _check_cap,
+    _deviation_norms,
+    _isometric,
     _isometry_deviations,
     _power_products,
     as_matrix,
@@ -133,24 +135,32 @@ def structure_report(a, tol: float = DEFAULT_TOL) -> StructureReport:
     picked once; this adds ``is_contraction`` and ``is_projection``.  Each
     flag is its deviation <= tol, except ``is_contraction``, which is
     ||A|| <= 1 + tol as in ``ContractionTuple``: ``max(0, ||A|| - 1) <= tol``
-    rounds differently near the boundary.
+    rounds differently near the boundary.  Entries so large that a
+    deviation overflows (A*A, A A or a unity residual past the float
+    range) are an ``InputError`` naming those deviations, with no warning.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise InputError("structure report requires a square matrix")
 
     norm = op_norm(a)
-    picked = _class_deviations(_block_measures(a[None]), np.zeros((1, 1), dtype=int))
+    with np.errstate(over="ignore", invalid="ignore"):
+        picked = _class_deviations(_block_measures(a[None]), np.zeros((1, 1), dtype=int))
+        projection = _deviation_norms(np.stack([a @ a - a, a - dagger(a)]))
     classes = {flag: float(values[0]) for flag, values in picked.items()}
     deviations = {
         "is_contraction": max(0.0, norm - 1.0),
         "is_isometry": classes["is_isometry"],
         "is_unitary": classes["is_unitary"],
-        "is_projection": max(op_norm(a @ a - a), op_norm(a - dagger(a))),
+        "is_projection": float(projection.max()),
         "is_entrywise_nonneg": classes["is_entrywise_nonneg"],
         "preserves_unity": classes["preserves_unity"],
         "adjoint_preserves_unity": classes["adjoint_preserves_unity"],
     }
+    overflowed = [name for name, dev in deviations.items() if not np.isfinite(dev)]
+    if overflowed:
+        raise InputError(f"matrix entries too large: the deviations of {', '.join(overflowed)} "
+                         "overflow the float range")
     flags = {name: bool(dev <= tol) for name, dev in deviations.items()}
     flags["is_contraction"] = bool(norm <= 1 + tol)
     return StructureReport(flags=flags, deviations=deviations)
@@ -166,7 +176,11 @@ def preservation_suite(tup: ContractionTuple, N: int, tol: float = DEFAULT_TOL) 
     evaluation must be the identity tensor S_i, and so carry its classes.
 
     The base is classified by one ``_block_measures`` of the stacked S_i,
-    folded one axis per row.  No evaluation is assembled: the grid forms
+    folded one axis per row, for the entrywise and unity flags.  Its
+    isometry flag is ``_isometric`` of the stack, which takes SVDs of the
+    gaps S_i* S_i - 1 only where their Frobenius and column bounds cannot
+    decide; the unitary flag adds ``_isometric`` of the adjoints only where
+    the isometry flag holds.  No evaluation is assembled: the grid forms
     of every time and unit time come from one ``_grid_forms`` call.  When
     a class is held, the exponent rows of all times are deduplicated once,
     each distinct block is built (``_power_products``) and measured once
@@ -179,8 +193,13 @@ def preservation_suite(tup: ContractionTuple, N: int, tol: float = DEFAULT_TOL) 
     d, dim = tup.d, tup.dim
     _check_cap((2 * N) ** d * N**d, max(dim * dim, d))
 
-    base = _class_deviations(_block_measures(np.stack(tup.mats)), np.arange(d)[:, None])
-    held = [cls for cls in _CLASSES if all((base[flag] <= tol).all() for flag in _CLASSES[cls])]
+    mats = np.stack(tup.mats)
+    measures = _block_measures(mats, _FLAGS - {"is_isometry", "is_unitary"})
+    base = {flag: bool((values <= tol).all())
+            for flag, values in _class_deviations(measures, np.arange(d)[:, None]).items()}
+    base["is_isometry"] = _isometric(mats, tol)
+    base["is_unitary"] = base["is_isometry"] and _isometric(mats.conj().swapaxes(-1, -2), tol)
+    held = [cls for cls in _CLASSES if all(base[flag] for flag in _CLASSES[cls])]
     results = {
         cls: {"base_holds": False, "preserved": None, "max_deviation": 0.0} for cls in _CLASSES
     }

@@ -15,6 +15,7 @@ from dilations.cli import main
 from dilations.dilation import _random_commuting_tuple
 from dilations.linalg import InputError, NumericalError, _listed, _matrix_payload, matrix_to_json
 from dilations.torus import bscr_trace, trace_to_csv_rows
+from test_linalg import svd_shapes
 
 
 @pytest.fixture
@@ -322,6 +323,19 @@ class TestDilate:
         mat = write_matrix(tmp_path / "s.json", 2.0 * np.eye(2))
         result = runner.invoke(main, ["dilate", "--matrix", mat, "--m", "3"])
         assert result.exit_code == 2
+
+    def test_verify_at_m24_takes_no_svd_of_the_unitary(self, runner, tmp_path, monkeypatch):
+        # The benchmark's dilate job: V is 100 x 100, and its unitarity,
+        # like the 100 x 4 embedding's isometry, is settled by the bounds
+        # of the gaps V*V - 1 and VV* - 1, whose entries are rounding-sized.
+        rng = np.random.default_rng(24)
+        s = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        mat = write_matrix(tmp_path / "s.json", s / (np.linalg.norm(s, 2) * (1 + 1e-12)))
+        shapes = svd_shapes(monkeypatch)
+        result = runner.invoke(main, ["dilate", "--matrix", mat, "--m", "24", "--verify"])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["verification"]["passed"] is True
+        assert shapes and all(shape[-2:] == (4, 4) for shape in shapes)
 
     def test_failed_verification_exits_1(self, runner, tmp_path, monkeypatch):
         # A valid dilation, but of another contraction: only --verify sees it.
@@ -873,6 +887,11 @@ BAD_INPUTS = [
     (["DILATIONS_TOL=abc", "interp", "eval", "--tuple", "{tuple}", "--N", "2", "--t", "0"],
      "DILATIONS_TOL is not a number: 'abc'"),
     (["structure", "--matrix", "{rows0}"], "matrix dimensions must be positive"),
+    # finite entries whose A*A, A A and unity residuals overflow, with no
+    # RuntimeWarning on stderr
+    (["structure", "--matrix", "{huge}"],
+     "matrix entries too large: the deviations of is_isometry, is_unitary, is_projection, "
+     "preserves_unity, adjoint_preserves_unity overflow the float range"),
 ]
 # The cases' ids are args0, args1, ... in list order.
 BAD_INPUT_IDS = [f"args{i}" for i in range(len(BAD_INPUTS))]

@@ -12,6 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import dilations.dilation
+import dilations.interpolation
 from conftest import random_commuting_unitaries, random_contraction, random_unitary
 from dilations.dilation import (
     _LATTICE_BLOCK,
@@ -39,6 +40,7 @@ from dilations.linalg import (
     identity,
     op_norm,
 )
+from test_linalg import svd_shapes
 from unbatched_reference import (
     reference_commuting_tuple,
     reference_eval_poly,
@@ -569,6 +571,36 @@ class TestVnSearch:
             assert 0 < len(calls) == exact.count(False)
             assert all(dependent(poly) for poly in calls)
         assert library == reference
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1001, 10**20])
+    def test_trial_generators_are_default_rngs(self, monkeypatch, seed):
+        # Each trial's generator, built from PCG64 directly, starts in the
+        # state default_rng(seed + i) starts in.
+        states, generator = [], np.random.Generator
+
+        def spy(bit_generator):
+            states.append(bit_generator.state)
+            return generator(bit_generator)
+
+        monkeypatch.setattr(np.random, "Generator", spy)
+        vn_search(d=1, dim=2, trials=3, seed=seed, M=8)
+        monkeypatch.undo()
+        assert states == [np.random.default_rng(seed + i).bit_generator.state for i in range(3)]
+
+    def test_commutation_check_takes_no_svd(self, monkeypatch):
+        # The drawn tuples commute up to rounding: the Frobenius bound of
+        # every commutator is far below tol, so none is SVD'd.
+        shapes, inside = svd_shapes(monkeypatch), []
+        check = dilations.interpolation._require_commuting
+
+        def tracked(*args):
+            before = len(shapes)
+            check(*args)
+            inside.append(len(shapes) - before)
+
+        monkeypatch.setattr(dilations.interpolation, "_require_commuting", tracked)
+        vn_search(d=3, dim=4, trials=100, seed=35, M=8)
+        assert inside == [0]
 
     @pytest.mark.parametrize("trials", [0, 1, 37])
     @pytest.mark.parametrize("d, dim", [(1, 1), (1, 4), (2, 4), (3, 2)])

@@ -2,11 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dilations import linalg
 from dilations.linalg import (
     InputError,
     NumericalError,
+    _isometric,
     _isometry_deviations,
     _listed,
     _matrix_payload,
@@ -24,8 +27,17 @@ from dilations.linalg import (
     op_norm,
     psd_sqrt,
 )
-from dilations.dilation import _random_commuting_tuple
-from unbatched_reference import reference_matrix_exp, reference_power_product
+from dilations.dilation import DilationCandidate, _random_commuting_tuple, _require_unitary
+from dilations.interpolation import _require_contractions
+from unbatched_reference import (
+    reference_matrix_exp,
+    reference_norms_within,
+    reference_power_product,
+    reference_require_commuting,
+    reference_require_contractions,
+    reference_require_isometry,
+    reference_require_unitary,
+)
 
 
 def rand_matrix(rng, n, m=None):
@@ -106,6 +118,72 @@ def svd_counts(monkeypatch):
 
     monkeypatch.setattr(linalg, "_op_norms", spy)
     return counts
+
+
+def svd_shapes(monkeypatch):
+    """Record the shape of every stack whose matrix 2-norms
+    ``np.linalg.norm`` takes, by SVD, whichever routine asks for them."""
+    shapes, norm = [], np.linalg.norm
+
+    def spy(x, ord=None, axis=None, keepdims=False):
+        if ord == 2 and isinstance(axis, tuple):
+            shapes.append(np.shape(x))
+        return norm(x, ord, axis, keepdims)
+
+    monkeypatch.setattr(np.linalg, "norm", spy)
+    return shapes
+
+
+def margin(shape):
+    """The delta of ``_max_op_norm`` for members of ``shape`` (..., r, c)."""
+    return 1e-10 + 8 * (shape[-2] + shape[-1]) ** 2 * np.finfo(float).eps / 2
+
+
+def limit_near(stack, rng, k):
+    """A limit k deltas from one random member's computed 2-norm, or from
+    its Frobenius or largest column norm, the screen's two bounds."""
+    member = stack.reshape(-1, *stack.shape[-2:])[rng.integers(stack.size // np.prod(
+        stack.shape[-2:]))]
+    peak = np.abs(member).max()
+    scaled = member / peak if peak > 0 else member  # Frobenius norms with no overflow
+    anchor = [op_norm(member), peak * np.linalg.norm(scaled),
+              peak * np.linalg.norm(scaled, axis=0).max()][rng.integers(3)]
+    return float(anchor * (1 + k * margin(stack.shape)))
+
+
+def outcome(check, *args):
+    """The refusal message of ``check(*args)``, or None when it passes;
+    products of non-finite members warn on either route, so no warning
+    is raised."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            check(*args)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+# A one-column operator, so its norm equals its Frobenius norm.  Computed,
+# the Frobenius norm is 1.0000000001 = 1 + tol, both by numpy and by the
+# screen's scaled sum, an ulp below the LAPACK norm 1.0000000001000002.
+# Only the margin keeps the screen from passing it at the limit 1 + tol.
+ONE_ULP_COLUMN = (
+    np.array([[0.578713690154567 - 0.7908242877495123j, 0],
+              [-0.012663319259399716 - 0.1988141123725755j, 0]]),
+    1.000000082740371e-10,
+)
+# And one whose largest column norm, computed by the screen's scaled sum,
+# is an ulp above its LAPACK norm 1.0000000001000002 = 1 + tol: only the
+# margin keeps the screen from failing it.
+ONE_ULP_OVER_COLUMN = (
+    np.array([[0.8322625813547108 + 0.32756113487325716j, 0],
+              [0.18604680772257504 + 0.40672998922328907j, 0]]),
+    1.0000023031864202e-10,
+)
+
+# Where the screen decides: k deltas off a norm or one of its bounds,
+# exactly on it (k = 0) and one rounding either side of it.
+STEPS = st.sampled_from([-3, -2, -1.5, -1, -0.5, -1e-6, 0, 1e-6, 0.5, 1, 1.5, 2, 3])
 
 
 class TestMaxOpNorm:
@@ -196,6 +274,143 @@ class TestMaxOpNorm:
         monkeypatch.setattr(np.linalg, "norm", fail)
         with pytest.raises(NumericalError, match="did not converge"):
             _max_op_norm(np.ones((2, 2, 2), dtype=complex))
+
+
+class TestMaxOpNormLimit:
+    """``_max_op_norm(a, limit)`` is the all-SVD decision
+    ``reference_norms_within(a, limit)``, with SVDs only where undecided."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.sampled_from([(1, 1, 1), (5, 1, 1), (1, 100, 4), (6, 3, 5), (4, 2, 2, 2),
+                            (3, 6, 1)]),
+           st.sampled_from([0.0, 1e-300, 1e-12, 1.0, 1e150, 1e300]), STEPS)
+    def test_matches_the_all_svd_decision(self, seed, shape, scale, k):
+        rng = np.random.default_rng(seed)
+        stack = rand_matrix_stack(rng, shape) * 10.0 ** rng.uniform(-1, 1, (*shape[:-2], 1, 1))
+        stack *= scale
+        flat = stack.reshape(-1, *shape[-2:])
+        column, peak = flat[0, :, 0], np.abs(flat[0, :, 0]).max()
+        if rng.random() < 0.3 and peak > 0:
+            # A rank-one member: its norm meets both of its bounds.
+            flat[0] = np.outer(column / peak, flat[0, 0].conj())
+        limit = limit_near(stack, rng, k)
+        assert _max_op_norm(stack, limit) is reference_norms_within(stack, limit)
+
+    @pytest.mark.parametrize("limit", [0.0, -0.0, 1e-300, 1.0, -1e-300, np.inf, -np.inf])
+    def test_zero_stacks(self, limit):
+        for shape in ((1, 1, 1), (3, 2, 2), (2, 100, 4)):
+            zeros = np.zeros(shape, dtype=complex)
+            assert _max_op_norm(zeros, limit) is reference_norms_within(zeros, limit)
+
+    def test_nan_limit_is_decided_by_the_svd(self, monkeypatch):
+        # A NaN limit passes no member, as x <= nan is false.
+        counts = svd_counts(monkeypatch)
+        assert _max_op_norm(np.eye(2, dtype=complex)[None], np.nan) is False
+        assert counts == [1]
+
+    def test_extreme_limits(self):
+        # limit / peak overflows to inf, or is subnormal: no warning, and
+        # the decision of the SVD.
+        tiny = np.full((2, 3, 3), 1e-320, dtype=complex)
+        huge = np.full((2, 3, 3), 1e300, dtype=complex)
+        for stack, limit in ((tiny, 1e-10), (tiny, 1e-330), (huge, 1e-10), (huge, 1e-320),
+                             (huge, 3e300), (huge, np.inf)):
+            assert _max_op_norm(stack, limit) is reference_norms_within(stack, limit)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_member_is_input_error(self, bad):
+        stack = np.zeros((3, 2, 2), dtype=complex)
+        stack[1, 0, 1] = bad
+        for check in (_max_op_norm, reference_norms_within):
+            with pytest.raises(InputError, match="^matrix contains non-finite entries$"):
+                check(stack, 1.0)
+
+    def test_one_ulp_columns_are_left_to_the_svd(self, monkeypatch):
+        s, tol = ONE_ULP_COLUMN
+        assert np.linalg.norm(s) == 1 + tol < op_norm(s)
+        over, over_tol = ONE_ULP_OVER_COLUMN
+        assert op_norm(over) == 1 + over_tol
+        counts = svd_counts(monkeypatch)
+        assert _max_op_norm(s[None], 1 + tol) is False
+        assert _max_op_norm(over[None], 1 + over_tol) is True
+        assert counts == [1, 1]
+
+    def test_svd_only_on_undecided_members(self, monkeypatch):
+        # Members 0 and 1 sit at the limit, the rest far below it: only
+        # the two are SVD'd.  A member far above it fails the stack at
+        # once, and a stack far below it passes, with no SVD.
+        rng = np.random.default_rng(21)
+        stack = rand_matrix_stack(rng, (10, 4, 4))
+        stack /= _op_norms(stack)[:, None, None]
+        stack[2:] *= 1e-3
+        counts = svd_counts(monkeypatch)
+        assert _max_op_norm(stack, 1.0) is True
+        assert counts == [2]
+        stack[5] *= 1e4
+        assert _max_op_norm(stack, 1.0) is False
+        assert _max_op_norm(stack[6:], 1.0) is True
+        assert counts == [2]
+
+
+def stack_near(rng, exact, bad=(1e200, np.inf, np.nan)):
+    """``exact`` (a stack of commuting tuples, a unitary or an isometry)
+    moved off by noise of a random size; one time in ten, one entry is
+    set to a value of ``bad``, past the float range when squared or not
+    finite."""
+    stack = exact + 10.0 ** rng.uniform(-15, -1) * rand_matrix_stack(rng, exact.shape)
+    if rng.random() < 0.1:
+        stack[tuple(rng.integers(n) for n in exact.shape)] = bad[rng.integers(len(bad))]
+    return stack
+
+
+class TestScreenedChecks:
+    """Each check that ``_max_op_norm(a, limit)`` now decides gives the
+    decision and refusal message of its all-SVD route in
+    ``unbatched_reference``, at tolerances a few deltas off its norms."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(1, 2, 1), (3, 3, 2), (2, 4, 3)]),
+           STEPS)
+    def test_commuting_and_contraction_checks(self, seed, shape, k):
+        rng = np.random.default_rng(seed)
+        tuples = np.stack([_random_commuting_tuple(rng, shape[1], shape[2]).mats
+                           for _ in range(shape[0])])
+        stack = stack_near(rng, tuples)
+        a, b = stack[:, :, None], stack[:, None, :]
+        with np.errstate(over="ignore", invalid="ignore"):
+            commutators = (a @ b - b @ a).reshape(-1, shape[2], shape[2])
+        finite = np.isfinite(commutators).all()
+        tol = limit_near(commutators, rng, k) if finite else 1e-10
+        assert outcome(linalg._require_commuting, stack, "operators", tol) == outcome(
+            reference_require_commuting, stack, "operators", tol)
+        tol = limit_near(stack, rng, k) - 1 if finite else 1e-10
+        assert outcome(_require_contractions, stack, tol) == outcome(
+            reference_require_contractions, stack, tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 5]), STEPS)
+    def test_unitary_and_isometry_checks(self, seed, n, k):
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(rand_matrix(rng, n))[0]
+        m = stack_near(rng, q)
+        pair = np.stack([m, dagger(m)])
+        gaps = linalg._isometry_gaps(pair)
+        tol = limit_near(gaps, rng, k) if np.isfinite(gaps).all() else 1e-10
+        assert _isometric(pair, tol) is bool((_isometry_deviations(pair) <= tol).all())
+        assert outcome(_require_unitary, m, "V_1", tol) == outcome(
+            reference_require_unitary, m, "V_1", tol)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), STEPS)
+    def test_embedding_check(self, seed, k):
+        # The 100 x 4 embedding of an m = 24 dilation of a 4 x 4 contraction.
+        rng = np.random.default_rng(seed)
+        r = stack_near(rng, np.linalg.qr(rand_matrix(rng, 100, 4))[0], bad=(1e200,))
+        gaps = linalg._isometry_gaps(r[None])
+        tol = limit_near(gaps, rng, k) if np.isfinite(gaps).all() else 1e-10
+        assert outcome(DilationCandidate, (identity(100),), r, 1, tol) == outcome(
+            reference_require_isometry, r, tol)
 
 
 class TestPowers:

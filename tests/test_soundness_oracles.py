@@ -27,6 +27,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dilations.dilation
+import dilations.interpolation
+import dilations.linalg
 from conftest import random_commuting_unitaries, random_contraction, random_unitary
 from dilations.dilation import (
     DEGREE_CAP,
@@ -46,6 +48,7 @@ from dilations.linalg import DEFAULT_TOL, InputError, identity, kron, op_norm
 from dilations.structure import preservation_suite
 from test_dilation import BENCH_ALPHAS, rounding_bound
 from test_interpolation import dissipative_generators, uniform_axes
+from test_linalg import ONE_ULP_COLUMN
 from unbatched_reference import reference_torus_sup
 
 
@@ -236,19 +239,39 @@ def test_exact_sup_for_dependent_rows_is_caught(monkeypatch):
 
 
 def test_nan_deviation_is_refused(monkeypatch):
-    """Mutant check: an isometry deviation of NaN, as an overflowing A*A
-    gives, passes no check; both of ``DilationCandidate``'s refuse it."""
-    deviations = dilations.dilation._isometry_deviations
+    """Mutant check: an isometry gap A*A - 1 of NaN, as an overflowing A*A
+    gives, passes no check: ``_isometric``, which decides both of
+    ``DilationCandidate``'s checks, refuses it, and the refusal reads the
+    NaN deviation off the same gaps."""
+    gaps = dilations.linalg._isometry_gaps
     def mutant(a):
-        # NaN for the members with a column count in nan_cols: V is 2x2, r 2x1.
-        return np.full(len(a), np.nan) if a.shape[-1] in nan_cols else deviations(a)
+        # NaN gaps for the members with a column count in nan_cols: V is 2x2, r 2x1.
+        return np.full_like(gaps(a), np.nan) if a.shape[-1] in nan_cols else gaps(a)
 
     e1 = identity(2)[:, :1]
     for nan_cols, message in (({1, 2}, r"^V_1 is not unitary \(deviation nan\)$"),
                               ({1}, r"^r is not an isometry \(deviation nan\)$")):
-        monkeypatch.setattr(dilations.dilation, "_isometry_deviations", mutant)
+        monkeypatch.setattr(dilations.linalg, "_isometry_gaps", mutant)
         with pytest.raises(InputError, match=message):
             DilationCandidate(vs=(identity(2),), r=e1, n_max=1)
+
+
+def test_a_screen_without_its_margin_is_caught(monkeypatch):
+    """Mutant check: a screen that passes a stack once every member has
+    F <= limit, with no margin for rounding, accepts as a contraction an
+    operator whose computed norm is over 1 + tol; the screen with its
+    margin leaves the operator to the SVD, which refuses it."""
+    s, tol = ONE_ULP_COLUMN
+    with pytest.raises(InputError, match=r"^operator 1 has norm 1.0000000001 > 1 \+ tol$"):
+        ContractionTuple((s,), tol=tol)
+    screen = dilations.linalg._max_op_norm
+    def mutant(a, limit=None):
+        if limit is not None and (np.linalg.norm(a, axis=(-2, -1)) <= limit).all():
+            return True
+        return screen(a, limit)
+
+    monkeypatch.setattr(dilations.interpolation, "_max_op_norm", mutant)
+    assert op_norm(ContractionTuple((s,), tol=tol).mats[0]) > 1 + tol
 
 
 def test_independent_rows_evaluate_no_lattice(monkeypatch):

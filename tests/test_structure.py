@@ -19,6 +19,7 @@ from dilations.structure import (
     structure_report,
 )
 from dilations.torus import GridTime
+from test_linalg import svd_shapes
 from unbatched_reference import reference_preservation_suite
 
 
@@ -213,30 +214,33 @@ class TestPreservationSuite:
         assert measured == [2]
 
     def test_bimarkov_runs_no_unitarity_svd_on_blocks(self, monkeypatch):
-        # Circulant tuples hold bi-Markov but not isometry: the SVDs of
-        # the unitarity flags run on the base stack and its adjoints only.
+        # Circulant tuples hold bi-Markov but not isometry.  The base's
+        # isometry flag fails on a column bound of its gaps S*S - 1, so no
+        # SVD runs at all: none on the base, whose co-isometry check is
+        # skipped, and none on the blocks.
         import dilations.structure as structure
 
         seen = []
-        deviations = structure._isometry_deviations
+        isometric = structure._isometric
 
-        def tracked(stack):
+        def tracked(stack, tol):
             seen.append(stack.copy())
-            return deviations(stack)
+            return isometric(stack, tol)
 
-        monkeypatch.setattr(structure, "_isometry_deviations", tracked)
+        monkeypatch.setattr(structure, "_isometric", tracked)
+        shapes = svd_shapes(monkeypatch)
         rng = np.random.default_rng(68)
-        for d, N, dim in ((1, 3, 4), (2, 2, 3)):
+        for d, N, dim in ((1, 3, 4), (2, 2, 3), (1, 2, 128)):
             tup = random_circulant_bistochastic(rng, d, dim)
             seen.clear()
+            shapes.clear()
             out = preservation_suite(tup, N, tol=1e-9)
             assert out["passed"]
             assert out["classes"]["bimarkov"]["base_holds"]
             assert not out["classes"]["isometry"]["base_holds"]
-            base = np.stack(tup.mats)
-            assert len(seen) == 2
-            np.testing.assert_array_equal(seen[0], base)
-            np.testing.assert_array_equal(seen[1], base.conj().swapaxes(-1, -2))
+            assert shapes == []
+            assert len(seen) == 1
+            np.testing.assert_array_equal(seen[0], np.stack(tup.mats))
 
     def test_block_measures_takes_only_the_asked_flags(self):
         rng = np.random.default_rng(69)

@@ -79,6 +79,18 @@ takes a stack of times and each axis's floor and ceiling powers from one
 ``_power_products`` call, by the same products, so the tests require
 every member to equal the reference bit for bit.
 
+``reference_norms_within`` is the all-SVD decision
+``(_op_norms(a) <= limit).all()``, and ``reference_require_commuting``,
+``reference_require_contractions``, ``reference_require_unitary`` and
+``reference_require_isometry`` are the norm checks as they were before
+they were screened: every commutator, member or gap A*A - 1 normed by
+its own stacked SVD, the isometry gaps by ``_isometry_deviations``, and
+the refusal read off those norms.  The library decides each of them by
+``_max_op_norm(a, limit)``, which takes SVDs only of the members its
+Frobenius and column bounds leave undecided, and norms the whole stack
+only to word a refusal; the tests require the same decision and the
+same refusal message, non-finite members included.
+
 ``reference_power_dilation_verify`` is the per-index dilation check:
 every power of each S_i and of each big x big V_i held at once, and for
 each index of {0..n_max}^d in lexicographic order the products of
@@ -153,6 +165,8 @@ from dilations.interpolation import (
 from dilations.linalg import (
     InputError,
     _check_cap,
+    _isometry_deviations,
+    _op_norms,
     dagger,
     identity,
     matrix_exp,
@@ -420,6 +434,46 @@ def reference_vn_search(d, dim, trials, seed, M, extra_cases=(), tol=1e-10):
         "max_ratio": max_ratio,
         "violations": violations,
     }
+
+
+def reference_norms_within(a, limit):
+    return bool((_op_norms(a) <= limit).all())
+
+
+def reference_require_commuting(mats, noun, tol):
+    """Every pair's commutator in each tuple of (..., d, n, n), normed in one
+    stacked SVD; the first failing pair of the first failing tuple is named."""
+    tuples = mats.reshape(-1, *mats.shape[-3:])
+    order = np.arange(tuples.shape[1])
+    first, second = np.nonzero(order[:, None] < order)
+    a, b = tuples[:, first], tuples[:, second]
+    devs = _op_norms(a @ b - b @ a)
+    failing = np.argwhere(devs > tol)
+    if len(failing):
+        k, pair = failing[0]
+        raise InputError(f"{noun} {first[pair] + 1} and {second[pair] + 1} do not commute "
+                         f"(deviation {devs[k, pair]:.3e})")
+
+
+def reference_require_contractions(stack, tol):
+    norms = _op_norms(stack)
+    failing = np.argwhere(norms > 1 + tol)
+    if len(failing):
+        k, i = failing[0]
+        raise InputError(f"operator {i + 1} has norm {norms[k, i]:.12g} > 1 + tol")
+    reference_require_commuting(stack, "operators", tol)
+
+
+def reference_require_unitary(m, name, tol):
+    dev = float(_isometry_deviations(np.stack([m, dagger(m)])).max())
+    if not dev <= tol:
+        raise InputError(f"{name} is not unitary (deviation {dev:.3e})")
+
+
+def reference_require_isometry(r, tol):
+    dev = float(_isometry_deviations(r[None])[0])
+    if not dev <= tol:
+        raise InputError(f"r is not an isometry (deviation {dev:.3e})")
 
 
 def reference_power_dilation_verify(tup, cand, tol=1e-10):

@@ -54,6 +54,7 @@ from .interpolation import (
 from .linalg import (
     InputError,
     NumericalError,
+    _check_cap,
     _check_tol,
     _listed,
     _matrix_payload,
@@ -290,6 +291,7 @@ def bscr(n_grid, trace_text):
     """Exhaustive commutation-relation check on the grid; optional trace CSV."""
     if n_grid < 1:
         raise InputError(f"N must be >= 1, got {n_grid}")
+    _check_cap(n_grid, n_grid)  # bscr_check's cap, before the 2N times are listed
     nums = np.arange(2 * n_grid)
     worst = bscr_check(n_grid, nums[:, None], nums)
     code = EXIT_OK if worst == 0.0 else EXIT_CHECK_FAILED
@@ -409,6 +411,8 @@ def approx(gen_path, eps_text, tmax, steps, tol):
         raise InputError(f"--steps must be >= 1, got {steps}")
     if not (math.isfinite(tmax) and tmax >= 0):
         raise InputError(f"--tmax must be finite and nonnegative, got {tmax}")
+    if gens:  # the sweep's cap on its grid values, before the axis is listed
+        _check_cap((steps + 1) ** len(gens) * gens[0].shape[0], gens[0].shape[0])
     axis = [tmax * k / steps for k in range(steps + 1)]
     sweep = approx_error_sweep(gens, eps_list, [axis] * len(gens), tol=tol)
     config = {

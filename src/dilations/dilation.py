@@ -31,14 +31,14 @@ from .linalg import (
     _check_cap,
     _complex_pairs,
     _integer,
-    _isometric,
-    _isometry_deviations,
     _matrix_payload,
+    _max_deviation,
     _max_op_norm,
     _op_norms,
     _power_products,
     _powers,
     _require_commuting,
+    _require_isometries,
     as_matrix,
     dagger,
     identity,
@@ -135,22 +135,24 @@ def parrott_tuple(
     is never verified here; only the stated algebra is.)
 
     With ``allow_contraction_r2`` the second factor may be any
-    contraction instead of a unitary.  Unitarity is ``_require_unitary``'s
-    check; the contraction bound 1 + tol and the commutation of the pair,
-    to within tol, are decided by ``_max_op_norm``.
+    contraction instead of a unitary.  R is unitary when the stack [R, R*]
+    passes ``_require_isometries``: its gaps R*R - 1 and RR* - 1 are decided
+    by ``_max_deviation``, which refuses a gap that overflowed.  The
+    contraction bound 1 + tol is decided by ``_max_op_norm``, and the
+    commutation of the pair, to within tol, by ``_max_deviation``.
     """
     r1 = as_matrix(r1)
     r2 = as_matrix(r2)
     if r1.shape != r2.shape or r1.shape[0] != r1.shape[1]:
         raise InputError("R1 and R2 must be square and of equal size")
     n = r1.shape[0]
-    _require_unitary(r1, "R1", tol)
+    _require_isometries(np.stack([r1, dagger(r1)]), "R1 is not unitary", tol)
     if allow_contraction_r2:
         if not _max_op_norm(r2[None], 1 + tol):
             raise InputError("R2 must be a contraction")
     else:
-        _require_unitary(r2, "R2", tol)
-    if _max_op_norm((r1 @ r2 - r2 @ r1)[None], tol):
+        _require_isometries(np.stack([r2, dagger(r2)]), "R2 is not unitary", tol)
+    if _max_deviation((r1 @ r2 - r2 @ r1)[None], tol):
         warnings.warn(
             "R1 and R2 commute; the resulting tuple has no non-dilatability "
             "guarantee",
@@ -160,16 +162,6 @@ def parrott_tuple(
     e21[1, 0] = 1.0
     mats = (kron(r1, e21), kron(r2, e21), kron(identity(n), e21))
     return ContractionTuple(mats, tol=tol)
-
-
-def _require_unitary(m: np.ndarray, name: str, tol: float) -> None:
-    """Raise unless ||M*M - 1|| and ||MM* - 1|| are both at most tol, as
-    ``_isometric`` decides on M and M*; only a refusal takes both SVDs,
-    for the message, which gives the larger deviation."""
-    pair = np.stack([m, dagger(m)])
-    if not _isometric(pair, tol):
-        dev = float(_isometry_deviations(pair).max())
-        raise InputError(f"{name} is not unitary (deviation {dev:.3e})")
 
 
 def eval_poly(tup: ContractionTuple, poly: MultiPolynomial) -> np.ndarray:
@@ -639,10 +631,12 @@ def vn_search(
 class DilationCandidate:
     """Commuting unitaries V_i on a larger space with an isometric embedding r.
 
-    Each V_i is checked by ``_require_unitary``, the tuple by
-    ``_require_commuting`` and r by ``_isometric``, all to within tol: the
-    SVD of a gap or commutator runs only where ``_max_op_norm``'s bounds
-    cannot decide, so a 100 x 100 V whose gaps are rounding-sized takes none.
+    Each V_i, as the stack [V_i, V_i*], and r are checked by
+    ``_require_isometries``, and the tuple by ``_require_commuting``, all to
+    within tol.  Both decide by ``_max_deviation``: the SVD of a gap or
+    commutator runs only where ``_max_op_norm``'s bounds cannot decide, so
+    a 100 x 100 V whose gaps are rounding-sized takes none, and a gap that
+    overflowed is refused with deviation nan.
     """
 
     vs: tuple[np.ndarray, ...]
@@ -662,15 +656,13 @@ class DilationCandidate:
         for i, v in enumerate(vs):
             if v.shape != (big, big):
                 raise InputError(f"unitary {i + 1} has shape {v.shape}")
-            _require_unitary(v, f"V_{i + 1}", self.tol)
+            _require_isometries(np.stack([v, dagger(v)]), f"V_{i + 1} is not unitary", self.tol)
         _require_commuting(np.stack(vs), "unitaries", self.tol)
         if self.r.shape[0] != big:
             raise InputError(
                 f"embedding maps into dimension {self.r.shape[0]}, unitaries act on {big}"
             )
-        if not _isometric(self.r[None], self.tol):
-            dev = float(_isometry_deviations(self.r[None])[0])
-            raise InputError(f"r is not an isometry (deviation {dev:.3e})")
+        _require_isometries(self.r[None], "r is not an isometry", self.tol)
 
     @property
     def d(self) -> int:

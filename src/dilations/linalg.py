@@ -198,65 +198,68 @@ def _batches(count: int, entries_each: int) -> Iterator[slice]:
     return (slice(start, start + step) for start in range(0, count, step))
 
 
+def _max_deviation(x: np.ndarray, limit: float | None = None):
+    """``_max_op_norm(x, limit)`` of a nonempty stack of deviations
+    (..., r, c), such as gaps A*A - 1 or commutators; where an entry is
+    not finite, as where a product overflowed, NaN, or with a limit False,
+    and no SVD runs, which LAPACK may fail on.  So a deviation that
+    overflowed passes no check, and a refusal reads it as ``nan``."""
+    if not np.isfinite(x).all():
+        return np.nan if limit is None else False
+    return _max_op_norm(x, limit)
+
+
 def _require_commuting(mats: np.ndarray, noun: str, tol: float) -> None:
     """Raise unless, in every tuple of the stack ``mats`` (..., d, n, n),
     each pair of members commutes to within tol in operator norm.
 
     The commutators of all pairs, or of batches of pairs within the size
     cap when they would not fit, are checked against tol by one
-    ``_max_op_norm`` call, which takes SVDs only where its bounds cannot
-    decide.  Only a batch that fails is normed whole, for the message,
-    which names the first failing pair of the first failing tuple.
+    ``_max_deviation`` call, which takes SVDs only where its bounds cannot
+    decide.  Only a batch that fails is examined further, for the message:
+    it names the first pair of the first tuple whose commutator overflows
+    the float range, with no warning, or else the first failing pair of
+    the first failing tuple, normed whole.  A non-finite member is refused
+    first, as in ``as_matrix``, so a commutator that is not finite has
+    overflowed.
     """
+    if not np.isfinite(mats).all():
+        raise InputError("matrix contains non-finite entries")
     tuples = mats.reshape(-1, *mats.shape[-3:])
     order = np.arange(tuples.shape[1])
     first, second = np.nonzero(order[:, None] < order)  # pairs i < j, i slowest
     for part in _batches(len(first), tuples.shape[0] * mats.shape[-1] ** 2):
         a, b = tuples[:, first[part]], tuples[:, second[part]]
-        commutators = a @ b - b @ a
-        if _max_op_norm(commutators, tol):
+        with np.errstate(over="ignore", invalid="ignore"):
+            commutators = a @ b - b @ a
+        if _max_deviation(commutators, tol):
             continue
-        devs = _op_norms(commutators)
-        k, pair = np.argwhere(devs > tol)[0]
-        i, j = first[part][pair], second[part][pair]
-        raise InputError(
-            f"{noun} {i + 1} and {j + 1} do not commute (deviation {devs[k, pair]:.3e})"
-        )
+        finite = np.isfinite(commutators).all(axis=(-2, -1))
+        devs = _op_norms(commutators) if finite.all() else None
+        k, pair = np.argwhere(~finite if devs is None else devs > tol)[0]
+        i, j = first[part][pair] + 1, second[part][pair] + 1
+        if devs is None:
+            raise InputError(f"the commutator of {noun} {i} and {j} overflows the float range")
+        raise InputError(f"{noun} {i} and {j} do not commute (deviation {devs[k, pair]:.3e})")
 
 
 def _isometry_gaps(a: np.ndarray) -> np.ndarray:
     """A*A - 1 of every member of a stack (K, r, c), the identity of size
-    c; where A*A overflows, the entries are NaN or inf, with no warning."""
+    c; where A*A overflows, the entries are NaN or inf, with no warning.
+    The co-isometry gaps AA* - 1 are those of the adjoints; A is unitary
+    when both vanish."""
     with np.errstate(over="ignore", invalid="ignore"):
         return a.conj().swapaxes(-1, -2) @ a - identity(a.shape[-1])
 
 
-def _deviation_norms(x: np.ndarray) -> np.ndarray:
-    """``_op_norms`` of a stack of deviations (..., r, c), NaN for each
-    member with a non-finite entry, as where a product overflowed: no SVD
-    runs on such a member, which LAPACK may fail on, and no warning is
-    raised.  A check must refuse unless the deviation is <= tol."""
-    out = np.full(x.shape[:-2], np.nan)
-    finite = np.isfinite(x).all(axis=(-2, -1))
-    out[finite] = _op_norms(x[finite])
-    return out
-
-
-def _isometry_deviations(a: np.ndarray) -> np.ndarray:
-    """||A*A - 1|| of every member of a stack (K, r, c), by
-    ``_deviation_norms``: NaN where A*A overflows.  The co-isometry
-    deviation ||AA* - 1|| is that of the adjoints; A is unitary when both
-    vanish."""
-    return _deviation_norms(_isometry_gaps(a))
-
-
-def _isometric(a: np.ndarray, tol: float) -> bool:
-    """``bool((_isometry_deviations(a) <= tol).all())``: whether every
-    member of the stack (K, r, c) is an isometry to within tol, by
-    ``_max_op_norm`` of the gaps A*A - 1.  Where A*A overflows, the
-    deviation is NaN, which is not <= tol: the answer is False."""
+def _require_isometries(a: np.ndarray, what: str, tol: float) -> None:
+    """Raise unless every member of the stack (K, r, c) is an isometry to
+    within tol, as ``_max_deviation`` of its gaps decides: the refusal is
+    "<what> (deviation <largest gap norm>)", nan where a gap overflowed.
+    A stack [M, M*] checks that M is unitary."""
     gaps = _isometry_gaps(a)
-    return bool(np.isfinite(gaps).all()) and _max_op_norm(gaps, tol)
+    if not _max_deviation(gaps, tol):
+        raise InputError(f"{what} (deviation {_max_deviation(gaps):.3e})")
 
 
 def _powers(a: np.ndarray, exponents) -> np.ndarray:

@@ -21,11 +21,15 @@ conjugation by P keeps norms and block diagonals have the largest block
 norm); the entries of T are those of the blocks plus zeros, which change
 neither the most negative real part (clamped at 0) nor the largest
 imaginary part; and ||T 1 - 1|| and ||T* 1 - 1|| are the 2-norms of the
-stacked block residuals, P being an isometry.  ``preservation_suite``
-measures the flags of the classes the base holds this way, once per
-distinct block of the grid forms (at most 2^d per time), and folds the
-measures of all times in one ``_class_deviations`` call over their
-(times, grid points) block picks, without assembling T(t).
+stacked block residuals, P being an isometry.  So a class's deviation
+over every time at once is read off the distinct blocks of the grid
+forms (at most 2^d per time), without assembling T(t).
+``_class_deviations`` takes each flag's largest deviation over all times
+in one call: the isometry, unitary and entrywise flags from the blocks
+alone, the isometry and unitary ones by ``_max_deviation`` of the gaps,
+which takes SVDs only where its bounds cannot decide, and the unity
+flags from each time's block picks.  No per-block or per-time array
+leaves it.
 """
 
 from __future__ import annotations
@@ -44,9 +48,8 @@ from .linalg import (
     DEFAULT_TOL,
     InputError,
     _check_cap,
-    _deviation_norms,
-    _isometric,
-    _isometry_deviations,
+    _isometry_gaps,
+    _max_deviation,
     _power_products,
     as_matrix,
     dagger,
@@ -79,52 +82,39 @@ class StructureReport:
         return {"flags": dict(self.flags), "deviations": dict(self.deviations)}
 
 
-def _block_measures(blocks: np.ndarray, flags=_FLAGS) -> dict:
-    """Per block of a stack, what ``_class_deviations`` folds for the flags
-    in ``flags`` (by default every flag of ``_CLASSES``), keyed by flag:
-    ||B*B - 1||, the larger of that and ||BB* - 1||, max(0, -min Re B,
-    max |Im B|), and the unity residual norms ||B 1 - 1|| and ||B* 1 - 1||.
-    A flag not asked for is not measured; the unitary flag also keeps
-    ||B*B - 1||.
+def _class_deviations(blocks: np.ndarray, picks: np.ndarray, flags=_FLAGS) -> dict:
+    """The largest deviation, one float per flag of ``flags`` (by default
+    every flag of ``_CLASSES``), over K operators T_k = P_k diag(B): the
+    diagonal holds block picks[k, m] of the stack ``blocks`` at position
+    m, P_k permutes the block positions, and the picks (K, M) take every
+    block at least once.
+
+    The isometry, unitary and entrywise flags take the largest measure of
+    any block, so they read the blocks, not the picks: ``_max_deviation``
+    of the gaps B*B - 1; the larger of that and ``_max_deviation`` of the
+    co-isometry gaps BB* - 1; max(0, -min Re B, max |Im B|).  The unity
+    flags take, per row k, the root of the summed squared residual norms,
+    ||(B_m 1 - 1)_m||_2 and the same with B*, and the largest over the
+    rows.  These are exact, by the identities of the module docstring, as
+    the grid motion m -> m + t (mod 1) is a bijection.  A deviation that
+    overflowed is NaN, and NaN wins every maximum here, as in ``np.max``.
     """
-    ones = np.ones(blocks.shape[-1], dtype=np.complex128)
     adjoints = blocks.conj().swapaxes(-1, -2)
     out = {}
     if "is_isometry" in flags or "is_unitary" in flags:
-        out["is_isometry"] = _isometry_deviations(blocks)
-    if "is_entrywise_nonneg" in flags:
-        worst = np.maximum(
-            -blocks.real.min(axis=(-2, -1)), np.abs(blocks.imag).max(axis=(-2, -1))
-        )
-        # +0.0, never -0.0, where nothing is negative: reports print the sign.
-        out["is_entrywise_nonneg"] = np.where(worst > 0.0, worst, 0.0)
-    if "preserves_unity" in flags:
-        out["preserves_unity"] = np.linalg.norm(blocks @ ones - ones, axis=-1)
+        out["is_isometry"] = float(_max_deviation(_isometry_gaps(blocks)))
     if "is_unitary" in flags:
-        out["is_unitary"] = np.maximum(out["is_isometry"], _isometry_deviations(adjoints))
-    if "adjoint_preserves_unity" in flags:
-        out["adjoint_preserves_unity"] = np.linalg.norm(adjoints @ ones - ones, axis=-1)
-    return out
-
-
-def _class_deviations(measures: dict, picks: np.ndarray) -> dict:
-    """Deviations of the class flags of K operators T_k = P_k diag(B), the
-    diagonal holding block picks[k, m] of ``measures`` (``_block_measures``)
-    at position m and P_k a permutation of the block positions: per flag
-    of ``measures``, an array of length K for picks of shape (K, M).
-
-    The isometry, unitary and entrywise flags take the largest measure of
-    a row's blocks; the unity flags take the root of the summed squared
-    residual norms, ||(B_m 1 - 1)_m||_2 and the same with B*.  These are
-    exact, by the identities of the module docstring, as the grid motion
-    m -> m + t (mod 1) is a bijection.
-    """
-    out = {}
-    for flag, values in measures.items():
-        if flag in ("preserves_unity", "adjoint_preserves_unity"):
-            out[flag] = np.linalg.norm(values[picks], axis=-1)
-        else:
-            out[flag] = values[picks].max(axis=-1)
+        out["is_unitary"] = float(
+            np.maximum(out["is_isometry"], _max_deviation(_isometry_gaps(adjoints))))
+    if "is_entrywise_nonneg" in flags:
+        worst = float(np.maximum(-blocks.real.min(), np.abs(blocks.imag).max()))
+        # +0.0, never -0.0, where nothing is negative: reports print the sign.
+        out["is_entrywise_nonneg"] = worst if worst > 0.0 else 0.0
+    ones = np.ones(blocks.shape[-1], dtype=np.complex128)
+    for flag, side in (("preserves_unity", blocks), ("adjoint_preserves_unity", adjoints)):
+        if flag in flags:
+            residuals = np.linalg.norm(side @ ones - ones, axis=-1)
+            out[flag] = float(np.linalg.norm(residuals[picks], axis=-1).max())
     return out
 
 
@@ -132,12 +122,13 @@ def structure_report(a, tol: float = DEFAULT_TOL) -> StructureReport:
     """Measure operator class membership of a square matrix at tolerance tol.
 
     The class deviations are ``_class_deviations`` of the one block a,
-    picked once; this adds ``is_contraction`` and ``is_projection``.  Each
-    flag is its deviation <= tol, except ``is_contraction``, which is
-    ||A|| <= 1 + tol as in ``ContractionTuple``: ``max(0, ||A|| - 1) <= tol``
-    rounds differently near the boundary.  Entries so large that a
-    deviation overflows (A*A, A A or a unity residual past the float
-    range) are an ``InputError`` naming those deviations, with no warning.
+    picked once; this adds ``is_contraction`` and ``is_projection``, the
+    ``_max_deviation`` of A A - A and A - A*.  Each flag is its deviation
+    <= tol, except ``is_contraction``, which is ||A|| <= 1 + tol as in
+    ``ContractionTuple``: ``max(0, ||A|| - 1) <= tol`` rounds differently
+    near the boundary.  Entries so large that a deviation overflows (A*A,
+    A A or a unity residual past the float range) are an ``InputError``
+    naming those deviations, with no warning.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
@@ -145,14 +136,13 @@ def structure_report(a, tol: float = DEFAULT_TOL) -> StructureReport:
 
     norm = op_norm(a)
     with np.errstate(over="ignore", invalid="ignore"):
-        picked = _class_deviations(_block_measures(a[None]), np.zeros((1, 1), dtype=int))
-        projection = _deviation_norms(np.stack([a @ a - a, a - dagger(a)]))
-    classes = {flag: float(values[0]) for flag, values in picked.items()}
+        classes = _class_deviations(a[None], np.zeros((1, 1), dtype=int))
+        projection = _max_deviation(np.stack([a @ a - a, a - dagger(a)]))
     deviations = {
         "is_contraction": max(0.0, norm - 1.0),
         "is_isometry": classes["is_isometry"],
         "is_unitary": classes["is_unitary"],
-        "is_projection": float(projection.max()),
+        "is_projection": float(projection),
         "is_entrywise_nonneg": classes["is_entrywise_nonneg"],
         "preserves_unity": classes["preserves_unity"],
         "adjoint_preserves_unity": classes["adjoint_preserves_unity"],
@@ -175,30 +165,33 @@ def preservation_suite(tup: ContractionTuple, N: int, tol: float = DEFAULT_TOL) 
     in the class; the converse spot-check inspects t = e_i, whose
     evaluation must be the identity tensor S_i, and so carry its classes.
 
-    The base is classified by one ``_block_measures`` of the stacked S_i,
-    folded one axis per row, for the entrywise and unity flags.  Its
-    isometry flag is ``_isometric`` of the stack, which takes SVDs of the
-    gaps S_i* S_i - 1 only where their Frobenius and column bounds cannot
-    decide; the unitary flag adds ``_isometric`` of the adjoints only where
-    the isometry flag holds.  No evaluation is assembled: the grid forms
-    of every time and unit time come from one ``_grid_forms`` call.  When
-    a class is held, the exponent rows of all times are deduplicated once,
-    each distinct block is built (``_power_products``) and measured once
-    for the held classes' flags, and one ``_class_deviations`` call folds
-    them into every time's deviations, as the module docstring shows.
-    The converse is checked in integers.  The (2N)^d times' blocks and
-    exponent rows are capped at (2N)^d N^d max(dim^2, d) entries.
+    The base's entrywise and unity flags are one ``_class_deviations``
+    call on the stacked S_i, one axis per row.  Its isometry flag is
+    ``_max_deviation`` of the gaps S_i* S_i - 1 against tol, which takes
+    SVDs only where their Frobenius and column bounds cannot decide; the
+    unitary flag adds that of the adjoints only where the isometry flag
+    holds.  So a circulant base, whose gaps fail a column bound, takes no
+    SVD.  No evaluation is assembled: the grid forms of every time and
+    unit time come from one ``_grid_forms`` call.  When a class is held,
+    the exponent rows of all times are deduplicated once, each distinct
+    block is built once (``_power_products``), and one
+    ``_class_deviations`` call gives the held classes' largest deviations
+    over every time, as the module docstring shows.  A class's
+    ``max_deviation`` is the ``np.max`` of its flags' deviations, which
+    keeps a NaN.  The converse is checked in integers.  The (2N)^d times'
+    blocks and exponent rows are capped at (2N)^d N^d max(dim^2, d) entries.
     """
     semi = DiscretizedSemigroup(tup, N)
     d, dim = tup.d, tup.dim
     _check_cap((2 * N) ** d * N**d, max(dim * dim, d))
 
     mats = np.stack(tup.mats)
-    measures = _block_measures(mats, _FLAGS - {"is_isometry", "is_unitary"})
-    base = {flag: bool((values <= tol).all())
-            for flag, values in _class_deviations(measures, np.arange(d)[:, None]).items()}
-    base["is_isometry"] = _isometric(mats, tol)
-    base["is_unitary"] = base["is_isometry"] and _isometric(mats.conj().swapaxes(-1, -2), tol)
+    measured = _FLAGS - {"is_isometry", "is_unitary"}
+    base = {flag: bool(dev <= tol) for flag, dev in
+            _class_deviations(mats, np.arange(d)[:, None], measured).items()}
+    base["is_isometry"] = _max_deviation(_isometry_gaps(mats), tol)
+    base["is_unitary"] = base["is_isometry"] and _max_deviation(
+        _isometry_gaps(mats.conj().swapaxes(-1, -2)), tol)
     held = [cls for cls in _CLASSES if all(base[flag] for flag in _CLASSES[cls])]
     results = {
         cls: {"base_holds": False, "preserved": None, "max_deviation": 0.0} for cls in _CLASSES
@@ -209,12 +202,12 @@ def preservation_suite(tup: ContractionTuple, N: int, tol: float = DEFAULT_TOL) 
     if held:
         rows, picks = _distinct_rows(exponents[:-d].reshape(-1, d))
         flags = {flag for cls in held for flag in _CLASSES[cls]}
-        measures = _block_measures(_power_products(tup.mats, rows), flags)
-        deviations = _class_deviations(measures, picks.reshape(len(times), N**d))
+        deviations = _class_deviations(
+            _power_products(tup.mats, rows), picks.reshape(len(times), N**d), flags)
         for cls in held:
-            values = np.stack([deviations[flag] for flag in _CLASSES[cls]])
-            results[cls] = {"base_holds": True, "preserved": bool((values <= tol).all()),
-                            "max_deviation": float(values.max())}
+            worst = float(np.max([deviations[flag] for flag in _CLASSES[cls]]))
+            results[cls] = {"base_holds": True, "preserved": worst <= tol,
+                            "max_deviation": worst}
 
     # T(e_i) is 1 tensor S_i exactly when its grid motion is the identity
     # and every exponent row is e_i.

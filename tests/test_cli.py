@@ -735,6 +735,24 @@ def test_writer_streams_matrix_payloads(tmp_path):
     assert peak <= 2 * size, (peak, size)
 
 
+def test_approx_refuses_steps_past_the_cap_before_listing_them(tmp_path):
+    """``approx --steps 1000000`` on a 2 x 2 generator asks for 4 * 10^6 grid
+    entries, past the default cap: it is refused before the 10^6 + 1 times
+    of its axis are listed, so the call allocates next to nothing."""
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps({"matrices": [matrix_to_json(np.diag([-1.0, -2.0]))]}))
+    args = ["approx", "--generators", str(path), "--eps-list", "0.5", "--steps", "1000000"]
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as exit_info:
+            main(args, standalone_mode=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exit_info.value.code == 2
+    assert peak < 1 << 20, peak
+
+
 def test_interp_eval_memory_stays_near_the_dense_matrix(tmp_path):
     """``interp eval`` at total_dim 512 peaks at most at twice its 4 MiB dense matrix."""
     mats = [np.diag([0.5, -0.25j]), np.diag([0.75, 0.5])]
@@ -892,6 +910,12 @@ BAD_INPUTS = [
     (["structure", "--matrix", "{huge}"],
      "matrix entries too large: the deviations of is_isometry, is_unitary, is_projection, "
      "preserves_unity, adjoint_preserves_unity overflow the float range"),
+    # finite generators whose commutator overflows, with no RuntimeWarning on stderr
+    (["approx", "--generators", "{gens_commutator_overflow}", "--eps-list", "0.5"],
+     "the commutator of generators 1 and 2 overflows the float range"),
+    # N^2 = 10^24 entries: refused before the 2N times are listed
+    (["bscr", "--N", "1000000000000"],
+     "matrix of shape 1000000000000x1000000000000 exceeds the size cap"),
 ]
 # The cases' ids are args0, args1, ... in list order.
 BAD_INPUT_IDS = [f"args{i}" for i in range(len(BAD_INPUTS))]
@@ -934,6 +958,9 @@ def test_bad_input_exits_2(runner, tmp_path, args, message):
                                          matrix_to_json(np.diag([-1.0]))]},
         "gens_overflow": {"matrices": [matrix_to_json(np.array([[-1.0, 1.5e308],
                                                                 [1.5e308, -1.0]]))]},
+        "gens_commutator_overflow": {"matrices": [
+            matrix_to_json(np.array([[-1e200, 1e200], [0.0, -1e200]])),
+            matrix_to_json(np.array([[-1e200, 0.0], [1e200, -1e200]]))]},
         "poly_d0": {"d": 0, "terms": [{"alpha": [], "coeff": [1.0, 0.0]}]},
         "poly_negative": {"d": 1, "terms": [{"alpha": [-1], "coeff": [1.0, 0.0]}]},
         "unitary": matrix_to_json(shift_matrix(2)),

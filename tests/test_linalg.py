@@ -9,14 +9,14 @@ from dilations import linalg
 from dilations.linalg import (
     InputError,
     NumericalError,
-    _isometric,
-    _isometry_deviations,
     _listed,
     _matrix_payload,
+    _max_deviation,
     _max_op_norm,
     _op_norms,
     _power_products,
     _powers,
+    _require_isometries,
     as_matrix,
     dagger,
     identity,
@@ -27,7 +27,7 @@ from dilations.linalg import (
     op_norm,
     psd_sqrt,
 )
-from dilations.dilation import DilationCandidate, _random_commuting_tuple, _require_unitary
+from dilations.dilation import DilationCandidate, _random_commuting_tuple
 from dilations.interpolation import _require_contractions
 from unbatched_reference import (
     reference_matrix_exp,
@@ -35,6 +35,7 @@ from unbatched_reference import (
     reference_power_product,
     reference_require_commuting,
     reference_require_contractions,
+    reference_isometry_deviations,
     reference_require_isometry,
     reference_require_unitary,
 )
@@ -397,8 +398,10 @@ class TestScreenedChecks:
         pair = np.stack([m, dagger(m)])
         gaps = linalg._isometry_gaps(pair)
         tol = limit_near(gaps, rng, k) if np.isfinite(gaps).all() else 1e-10
-        assert _isometric(pair, tol) is bool((_isometry_deviations(pair) <= tol).all())
-        assert outcome(_require_unitary, m, "V_1", tol) == outcome(
+        devs = reference_isometry_deviations(pair)
+        assert _max_deviation(gaps, tol) is bool((devs <= tol).all())
+        np.testing.assert_array_equal(_max_deviation(gaps), np.max(devs))  # NaN matches NaN
+        assert outcome(_require_isometries, pair, "V_1 is not unitary", tol) == outcome(
             reference_require_unitary, m, "V_1", tol)
 
     @settings(max_examples=30, deadline=None)
@@ -497,18 +500,32 @@ class TestPowerProducts:
 
 class TestIsometryDeviations:
     def test_stack_matches_per_matrix_norms(self):
+        # The largest of the per-matrix norms of the gaps A*A - 1, bit for bit.
         rng = np.random.default_rng(18)
         stack = np.array([rand_matrix(rng, 3) for _ in range(4)])
-        got = _isometry_deviations(stack)
-        for a, dev in zip(stack, got):
-            assert dev == op_norm(dagger(a) @ a - identity(3))
+        got = _max_deviation(linalg._isometry_gaps(stack))
+        assert got == max(op_norm(dagger(a) @ a - identity(3)) for a in stack)
 
     def test_rectangular_sides(self):
         # An isometry r: r*r = 1 on the small side, while rr* is a
         # projection of rank 3 on the large side, at distance 1 from 1.
         q, _ = np.linalg.qr(rand_matrix(np.random.default_rng(19), 5, 3))
-        assert _isometry_deviations(q[None])[0] < 1e-14
-        assert abs(_isometry_deviations(dagger(q)[None])[0] - 1) < 1e-14
+        assert _max_deviation(linalg._isometry_gaps(q[None])) < 1e-14
+        assert abs(_max_deviation(linalg._isometry_gaps(dagger(q)[None])) - 1) < 1e-14
+
+
+class TestMaxDeviation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+    def test_non_finite_entry_is_nan_or_false_with_no_svd(self, monkeypatch, bad):
+        # One bad entry in one member: the max is NaN and every limit,
+        # even inf, is failed, with no SVD and no error.
+        stack = np.zeros((3, 2, 2), dtype=complex)
+        stack[1, 0, 1] = bad
+        shapes = svd_shapes(monkeypatch)
+        assert np.isnan(_max_deviation(stack))
+        for limit in (0.0, 1.0, np.inf):
+            assert _max_deviation(stack, limit) is False
+        assert shapes == []
 
 
 class TestPsdSqrt:

@@ -240,9 +240,9 @@ def test_exact_sup_for_dependent_rows_is_caught(monkeypatch):
 
 def test_nan_deviation_is_refused(monkeypatch):
     """Mutant check: an isometry gap A*A - 1 of NaN, as an overflowing A*A
-    gives, passes no check: ``_isometric``, which decides both of
-    ``DilationCandidate``'s checks, refuses it, and the refusal reads the
-    NaN deviation off the same gaps."""
+    gives, passes no check: ``_max_deviation``, which decides both of
+    ``DilationCandidate``'s checks through ``_require_isometries``, refuses
+    it, and the refusal reads the NaN deviation off the same gaps."""
     gaps = dilations.linalg._isometry_gaps
     def mutant(a):
         # NaN gaps for the members with a column count in nan_cols: V is 2x2, r 2x1.

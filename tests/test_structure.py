@@ -10,17 +10,21 @@ from conftest import (
 )
 from dilations.dilation import _random_commuting_tuple
 from dilations.interpolation import DiscretizedSemigroup, _grid_form, eval_discretized
-from dilations.linalg import InputError, _power_products, identity
+from dilations.linalg import InputError, _isometry_gaps, _power_products, identity
 from dilations.structure import (
     _CLASSES,
-    _block_measures,
+    _FLAGS,
     _class_deviations,
     preservation_suite,
     structure_report,
 )
 from dilations.torus import GridTime
 from test_linalg import svd_shapes
-from unbatched_reference import reference_preservation_suite
+from unbatched_reference import (
+    reference_held_deviations,
+    reference_preservation_suite,
+    reference_structure_deviations,
+)
 
 
 def shift_matrix(n):
@@ -168,18 +172,18 @@ class TestPreservationSuite:
         import dilations.structure as structure
 
         built, measured = [], []
-        blocks, block_measures = structure._power_products, structure._block_measures
+        blocks, class_deviations = structure._power_products, structure._class_deviations
 
         def tracked_blocks(mats, exponents):
             built.append(exponents.copy())
             return blocks(mats, exponents)
 
-        def tracked_measures(stack, *flags):
+        def tracked_measures(stack, *args):
             measured.append(len(stack))
-            return block_measures(stack, *flags)
+            return class_deviations(stack, *args)
 
         monkeypatch.setattr(structure, "_power_products", tracked_blocks)
-        monkeypatch.setattr(structure, "_block_measures", tracked_measures)
+        monkeypatch.setattr(structure, "_class_deviations", tracked_measures)
         rng = np.random.default_rng(66)
         for tup in (random_commuting_unitaries(rng, 2, 2),
                     random_circulant_bistochastic(rng, 1, 2)):
@@ -199,14 +203,14 @@ class TestPreservationSuite:
         import dilations.structure as structure
 
         measured = []
-        block_measures = structure._block_measures
+        class_deviations = structure._class_deviations
 
-        def tracked_measures(stack, *flags):
+        def tracked_measures(stack, *args):
             measured.append(len(stack))
-            return block_measures(stack, *flags)
+            return class_deviations(stack, *args)
 
         monkeypatch.setattr(structure, "_power_products", None)
-        monkeypatch.setattr(structure, "_block_measures", tracked_measures)
+        monkeypatch.setattr(structure, "_class_deviations", tracked_measures)
         tup = _random_commuting_tuple(np.random.default_rng(63), 2, 3)
         out = preservation_suite(tup, 2, tol=1e-9)
         assert not any(entry["base_holds"] for entry in out["classes"].values())
@@ -217,17 +221,17 @@ class TestPreservationSuite:
         # Circulant tuples hold bi-Markov but not isometry.  The base's
         # isometry flag fails on a column bound of its gaps S*S - 1, so no
         # SVD runs at all: none on the base, whose co-isometry check is
-        # skipped, and none on the blocks.
+        # skipped, and none on the blocks, whose gaps are never formed.
         import dilations.structure as structure
 
         seen = []
-        isometric = structure._isometric
+        max_deviation = structure._max_deviation
 
-        def tracked(stack, tol):
-            seen.append(stack.copy())
-            return isometric(stack, tol)
+        def tracked(stack, *limit):
+            seen.append((stack.copy(), limit))
+            return max_deviation(stack, *limit)
 
-        monkeypatch.setattr(structure, "_isometric", tracked)
+        monkeypatch.setattr(structure, "_max_deviation", tracked)
         shapes = svd_shapes(monkeypatch)
         rng = np.random.default_rng(68)
         for d, N, dim in ((1, 3, 4), (2, 2, 3), (1, 2, 128)):
@@ -240,18 +244,27 @@ class TestPreservationSuite:
             assert not out["classes"]["isometry"]["base_holds"]
             assert shapes == []
             assert len(seen) == 1
-            np.testing.assert_array_equal(seen[0], np.stack(tup.mats))
+            np.testing.assert_array_equal(seen[0][0], _isometry_gaps(np.stack(tup.mats)))
+            assert seen[0][1] == (1e-9,)
 
-    def test_block_measures_takes_only_the_asked_flags(self):
+    def test_block_measures_takes_only_the_asked_flags(self, monkeypatch):
+        # _class_deviations measures the blocks for the flags asked for,
+        # and only those (the unitary flag also keeps the isometry one),
+        # each a float equal to its value when every flag is asked for.
+        # No flag asked for forms no gap and takes no SVD.
         rng = np.random.default_rng(69)
         stack = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
-        every = _block_measures(stack)
-        assert _block_measures(stack, ()) == {}
+        picks = np.array([[0, 1, 2], [2, 2, 0]])
+        every = _class_deviations(stack, picks)
+        assert set(every) == _FLAGS
+        shapes = svd_shapes(monkeypatch)
+        assert _class_deviations(stack, picks, ()) == {}
+        assert shapes == []
         for cls, flags in _CLASSES.items():
-            some = _block_measures(stack, set(flags))
+            some = _class_deviations(stack, picks, set(flags))
             assert set(flags) <= set(some) <= set(flags) | {"is_isometry"}, cls
-            for flag, values in some.items():
-                np.testing.assert_array_equal(values, every[flag])
+            for flag, value in some.items():
+                assert type(value) is float and value == every[flag], (cls, flag)
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_corrupted_unit_time_row_fails_its_converse(self, monkeypatch, axis):
@@ -326,14 +339,16 @@ class TestPreservationSuite:
 
     @pytest.mark.parametrize("d, N", [(1, 1), (1, 4), (2, 2), (4, 1), (3, 3)])
     def test_one_fold_for_the_base_and_one_for_every_time(self, monkeypatch, d, N):
+        # One _class_deviations call on the base, one axis per row, and one
+        # on the distinct blocks for the (times, grid points) picks of all times.
         import dilations.structure as structure
 
         calls = []
         class_deviations = structure._class_deviations
 
-        def tracked(measures, picks):
+        def tracked(blocks, picks, flags):
             calls.append(picks.shape)
-            return class_deviations(measures, picks)
+            return class_deviations(blocks, picks, flags)
 
         monkeypatch.setattr(structure, "_class_deviations", tracked)
         tup = random_commuting_unitaries(np.random.default_rng(73), d, 2)
@@ -376,7 +391,8 @@ class TestBlockRouteMatchesDense:
     def test_class_deviations_per_time(self, d, N, dim):
         # Generic tuples: the unity deviations are O(1), so the weight of each
         # pattern's multiplicity shows in them.
-        # Each time is folded on its own, then all times in one (T, N^d) call.
+        # Each time is folded on its own, then all times in one (T, N^d)
+        # call, which gives each flag's largest deviation over the times.
         tup = _random_commuting_tuple(np.random.default_rng(2000 + 100 * d + 10 * N + dim), d, dim)
         semi = DiscretizedSemigroup(tup, N)
         times = list(itertools.product(range(2 * N + 1), repeat=d))
@@ -384,21 +400,63 @@ class TestBlockRouteMatchesDense:
                  for nums in times]
 
         def close(got, expected, where):
-            for flag, values in got.items():
-                assert values.shape == (1,), where
-                assert abs(values[0] - expected[flag]) <= 1e-13 * max(1.0, expected[flag]), (
+            assert set(got) == _FLAGS, where
+            for flag, value in got.items():
+                assert type(value) is float, (where, flag)
+                assert abs(value - expected[flag]) <= 1e-13 * max(1.0, expected[flag]), (
                     where, flag)
 
         for nums, expected in zip(times, dense):
             _, exponents = _grid_form(semi, GridTime(N, nums))
             rows, picks = np.unique(exponents, axis=0, return_inverse=True)
             blocks = _power_products(tup.mats, rows)
-            got = _class_deviations(_block_measures(blocks), picks.reshape(1, -1))
-            close(got, expected, nums)
+            close(_class_deviations(blocks, picks.reshape(1, -1)), expected, nums)
         exponents = np.stack([_grid_form(semi, GridTime(N, nums))[1] for nums in times])
         rows, picks = np.unique(exponents.reshape(-1, d), axis=0, return_inverse=True)
         folded = _class_deviations(
-            _block_measures(_power_products(tup.mats, rows)), picks.reshape(len(times), N**d)
+            _power_products(tup.mats, rows), picks.reshape(len(times), N**d)
         )
-        for k, (nums, expected) in enumerate(zip(times, dense)):
-            close({flag: values[k : k + 1] for flag, values in folded.items()}, expected, nums)
+        close(folded, {flag: max(devs[flag] for devs in dense) for flag in _FLAGS}, "all")
+
+
+def same_bits(got, expected):
+    return np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
+class TestDeviationsMatchPerBlockReference:
+    """``_max_deviation`` of a stack of gaps takes the SVD only of the
+    members that can hold the maximum, which is the same per-member LAPACK
+    value, so the reports equal the block-by-block references bit for bit."""
+
+    @pytest.mark.parametrize("d, N, dim", SHAPES)
+    def test_held_isometry_and_unitary(self, d, N, dim):
+        tup = random_commuting_unitaries(np.random.default_rng(3000 + 100 * d + 10 * N + dim),
+                                         d, dim)
+        out = preservation_suite(tup, N, tol=1e-9)
+        ref = reference_held_deviations(tup, N)
+        for cls in ("isometry", "unitary"):
+            entry = out["classes"][cls]
+            assert entry["base_holds"] and entry["preserved"], cls
+            assert same_bits(entry["max_deviation"], ref[cls]), (cls, entry, ref[cls])
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("kind", ["generic", "unitary", "projection", "bistochastic",
+                                      "scaled", "zero"])
+    def test_structure_report(self, kind, seed):
+        rng = np.random.default_rng(4000 + seed)
+        dim = 1 + seed % 5
+        generic = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        q = np.linalg.qr(generic)[0]
+        a = {
+            "generic": generic,
+            "unitary": q,
+            "projection": q[:, : dim // 2 + 1] @ q[:, : dim // 2 + 1].conj().T,
+            "bistochastic": random_circulant_bistochastic(rng, 1, dim).mats[0],
+            "scaled": 1e150 * generic,
+            "zero": np.zeros((dim, dim), dtype=complex),
+        }[kind]
+        got = structure_report(a, tol=1e-9).deviations
+        expected = reference_structure_deviations(a)
+        assert list(got) == list(expected)
+        for flag, value in got.items():
+            assert same_bits(value, expected[flag]), (flag, value, expected[flag])

@@ -84,12 +84,24 @@ every member to equal the reference bit for bit.
 ``reference_require_contractions``, ``reference_require_unitary`` and
 ``reference_require_isometry`` are the norm checks as they were before
 they were screened: every commutator, member or gap A*A - 1 normed by
-its own stacked SVD, the isometry gaps by ``_isometry_deviations``, and
-the refusal read off those norms.  The library decides each of them by
-``_max_op_norm(a, limit)``, which takes SVDs only of the members its
+its own stacked SVD, the isometry gaps by ``reference_isometry_deviations``,
+and the refusal read off those norms.  The library decides each of them
+by ``_max_op_norm(a, limit)``, or ``_max_deviation(a, limit)`` for
+deviations that may overflow, which takes SVDs only of the members its
 Frobenius and column bounds leave undecided, and norms the whole stack
 only to word a refusal; the tests require the same decision and the
 same refusal message, non-finite members included.
+
+``reference_deviation_norms`` and ``reference_isometry_deviations`` norm
+each member of a stack of deviations, or of isometry gaps A*A - 1, by
+its own SVD, NaN for a member that is not finite.  On them,
+``reference_structure_deviations`` is ``structure_report``'s deviations
+one block at a time, and ``reference_held_deviations`` the isometry and
+unitary ``max_deviation`` of ``preservation_suite``, every block of
+every time and point built by ``reference_power_product`` and normed on
+its own.  The library takes ``_max_deviation`` of each stack of gaps,
+whose maximum is the same per-member LAPACK value, so the tests require
+the values bit for bit.
 
 ``reference_power_dilation_verify`` is the per-index dilation check:
 every power of each S_i and of each big x big V_i held at once, and for
@@ -165,7 +177,6 @@ from dilations.interpolation import (
 from dilations.linalg import (
     InputError,
     _check_cap,
-    _isometry_deviations,
     _op_norms,
     dagger,
     identity,
@@ -442,12 +453,22 @@ def reference_norms_within(a, limit):
 
 def reference_require_commuting(mats, noun, tol):
     """Every pair's commutator in each tuple of (..., d, n, n), normed in one
-    stacked SVD; the first failing pair of the first failing tuple is named."""
+    stacked SVD; a non-finite member is refused, then the first pair of the
+    first tuple whose commutator overflows is named, or else the first
+    failing pair of the first failing tuple."""
+    if not np.isfinite(mats).all():
+        raise InputError("matrix contains non-finite entries")
     tuples = mats.reshape(-1, *mats.shape[-3:])
     order = np.arange(tuples.shape[1])
     first, second = np.nonzero(order[:, None] < order)
     a, b = tuples[:, first], tuples[:, second]
-    devs = _op_norms(a @ b - b @ a)
+    commutators = a @ b - b @ a
+    overflowed = np.argwhere(~np.isfinite(commutators).all(axis=(-2, -1)))
+    if len(overflowed):
+        pair = overflowed[0][1]
+        raise InputError(f"the commutator of {noun} {first[pair] + 1} and {second[pair] + 1} "
+                         "overflows the float range")
+    devs = _op_norms(commutators)
     failing = np.argwhere(devs > tol)
     if len(failing):
         k, pair = failing[0]
@@ -464,14 +485,64 @@ def reference_require_contractions(stack, tol):
     reference_require_commuting(stack, "operators", tol)
 
 
+def reference_deviation_norms(x):
+    """The operator norm of each member of a stack of deviations (K, r, c),
+    one SVD per member, NaN for a member with a non-finite entry."""
+    return np.array([float(_op_norms(m)) if np.isfinite(m).all() else np.nan for m in x])
+
+
+def reference_isometry_deviations(a):
+    """||A*A - 1|| of each member of a stack (K, r, c), one product and one
+    SVD per member, NaN where A*A overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = [dagger(m) @ m - identity(m.shape[1]) for m in a]
+    return reference_deviation_norms(gaps)
+
+
+def reference_structure_deviations(a):
+    """The deviations of ``structure_report`` one block at a time: each
+    isometry, co-isometry and projection deviation normed by its own SVD
+    and the largest taken, NaN where a product overflowed."""
+    ones = np.ones(a.shape[0])
+    isometry = reference_isometry_deviations([a])[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        projection = reference_deviation_norms([a @ a - a, a - dagger(a)])
+        return {
+            "is_contraction": max(0.0, op_norm(a) - 1.0),
+            "is_isometry": isometry,
+            "is_unitary": np.max([isometry, reference_isometry_deviations([dagger(a)])[0]]),
+            "is_projection": np.max(projection),
+            "is_entrywise_nonneg": max(0.0, -a.real.min(), np.abs(a.imag).max()),
+            # The residuals' 2-norms summed as the library sums them, along an axis.
+            "preserves_unity": np.linalg.norm(a @ ones - ones, axis=-1),
+            "adjoint_preserves_unity": np.linalg.norm(dagger(a) @ ones - ones, axis=-1),
+        }
+
+
+def reference_held_deviations(tup, N):
+    """The isometry and unitary ``max_deviation`` of ``preservation_suite``
+    block by block: every time's grid form from its own ``_grid_form``
+    call, each point's block from ``reference_power_product``, and each
+    block's gaps B*B - 1 and BB* - 1 normed by their own SVDs."""
+    semi = DiscretizedSemigroup(tup, N)
+    blocks = [
+        reference_power_product(tup.mats, row)
+        for nums in itertools.product(range(2 * N), repeat=tup.d)
+        for row in _grid_form(semi, GridTime(N, nums))[1]
+    ]
+    isometry = reference_isometry_deviations(blocks)
+    coisometry = reference_isometry_deviations([dagger(b) for b in blocks])
+    return {"isometry": np.max(isometry), "unitary": np.max([isometry, coisometry])}
+
+
 def reference_require_unitary(m, name, tol):
-    dev = float(_isometry_deviations(np.stack([m, dagger(m)])).max())
+    dev = float(np.max(reference_isometry_deviations([m, dagger(m)])))
     if not dev <= tol:
         raise InputError(f"{name} is not unitary (deviation {dev:.3e})")
 
 
 def reference_require_isometry(r, tol):
-    dev = float(_isometry_deviations(r[None])[0])
+    dev = float(reference_isometry_deviations([r])[0])
     if not dev <= tol:
         raise InputError(f"r is not an isometry (deviation {dev:.3e})")
 

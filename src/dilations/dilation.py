@@ -34,6 +34,7 @@ from .linalg import (
     _matrix_payload,
     _max_deviation,
     _max_op_norm,
+    _norm_margin,
     _op_norms,
     _power_products,
     _powers,
@@ -457,11 +458,12 @@ def _verdict(lhs: float, grid_sup: float, sup_upper: float, tol: float) -> str:
     return "INCONCLUSIVE"
 
 
-def _commuting_stack(normals: np.ndarray, d: int, dim: int) -> np.ndarray:
-    """Stack (K, d, dim, dim) of commuting contraction tuples from the
-    standard normals (K, 2 dim^2 + 8 d), row k one tuple's draws: each
-    member is a cubic polynomial in one random contraction z, rescaled
-    into the unit ball when its norm exceeds 1.
+def _commuting_stack(normals: np.ndarray, d: int, dim: int) -> tuple:
+    """(mats, known): the stack (K, d, dim, dim) of commuting contraction
+    tuples from the standard normals (K, 2 dim^2 + 8 d), row k one tuple's
+    draws, and for each member (K, d) an upper bound on every computed
+    norm of it.  Each member is a cubic polynomial in one random
+    contraction z, rescaled into the unit ball when its norm exceeds 1.
 
     A row holds the real and then the imaginary parts of z, then for each
     member the real and then the imaginary parts of its 4 coefficients:
@@ -471,6 +473,20 @@ def _commuting_stack(normals: np.ndarray, d: int, dim: int) -> np.ndarray:
     norm by the stacked SVD, powers from the identity, the sum
     0 + c_0 z^0 + ... + c_3 z^3, and one division per rescaled matrix.
     So tuple k is bit-identical to the one row k alone would give.
+
+    The bound of a member that was not rescaled is its computed norm n:
+    the SVD of the same matrix gives the same value.  A rescaled member is
+    m' = m / s, s = n (1 + 1e-12) rounded, each part of each entry within
+    3 u of its exact quotient, relatively (numpy divides by way of a
+    rounded reciprocal), u the unit roundoff.  With e = 6 (2 dim)^2 u the
+    relative error of a computed singular value (the premise of
+    ``_max_op_norm``), ||m|| <= n / (1 - e), s >= n (1 + 1e-12) (1 - u) and
+    ||m' - m / s|| <= 3 u sqrt(dim) ||m|| / s, so every computed norm of m'
+    is at most (1 + e) (1 + 3 sqrt(dim) u) / ((1 - e) (1 - u) (1 + 1e-12)).
+    With ``_norm_margin``'s delta = 1e-10 + 32 dim^2 u, 1 + 2 delta exceeds
+    that numerator by over 1e-10 while e < 0.1 (dim below 6e6), which
+    covers the rounding of the bound itself: the bound is
+    (1 + 2 delta) / (1 + 1e-12).
     """
     square = dim * dim
     parts = normals[:, : 2 * square].reshape(-1, 2, dim, dim)
@@ -483,26 +499,24 @@ def _commuting_stack(normals: np.ndarray, d: int, dim: int) -> np.ndarray:
     norms = _op_norms(mats)
     over = norms > 1
     mats[over] = mats[over] / (norms[over] * (1 + 1e-12))[:, None, None]
-    return mats
+    norms[over] = (1 + 2 * _norm_margin(dim, dim)) / (1 + 1e-12)
+    return mats, norms
 
 
-def _random_commuting_tuple(rng: np.random.Generator, d: int, dim: int) -> ContractionTuple:
-    """Commuting by construction: each member is a polynomial in one
-    contraction (``_commuting_stack`` of one row of 2 dim^2 + 8 d normals
-    drawn from ``rng``)."""
-    normals = rng.standard_normal((1, 2 * dim * dim + 8 * d))
-    return ContractionTuple(tuple(_commuting_stack(normals, d, dim)[0]), tol=1e-9)
+def _row_tuple(row: np.ndarray, d: int, dim: int) -> ContractionTuple:
+    """The tuple of one row of 2 dim^2 + 8 d normals: its
+    ``_commuting_stack`` member, bit-identical in any stack holding the row."""
+    return ContractionTuple(tuple(_commuting_stack(row[None], d, dim)[0][0]), tol=1e-9)
 
 
-def _random_polynomial(rng: np.random.Generator, d: int) -> MultiPolynomial:
-    """One to four terms, each d exponents below 4 and a complex
-    coefficient of standard normal parts; terms drawn twice add up."""
+def _row_polynomial(draws: list, parts: list, d: int) -> MultiPolynomial:
+    """The polynomial of one trial's 1 + 4 d integer draws and 8 normals:
+    1 + draws[0] terms, term k with exponents draws[1 + k d : 1 + (k + 1) d]
+    and coefficient parts[2 k] + i parts[2 k + 1]; terms drawn twice add up."""
     terms = {}
-    for _ in range(rng.integers(1, 5)):
-        # Scalar draws give the values of one size-d draw, without its overhead.
-        alpha = tuple([int(rng.integers(0, 4)) for _ in range(d)])
-        re, im = rng.standard_normal(2).tolist()
-        terms[alpha] = terms.get(alpha, 0) + complex(re, im)
+    for k in range(draws[0] + 1):
+        alpha = tuple(draws[1 + k * d : 1 + (k + 1) * d])
+        terms[alpha] = terms.get(alpha, 0) + complex(parts[2 * k], parts[2 * k + 1])
     return MultiPolynomial(d=d, terms=terms)
 
 
@@ -518,28 +532,36 @@ def vn_search(
     """Randomized search for inequality violations over commuting tuples.
 
     Each trial draws a commuting tuple (polynomials of one random
-    contraction, rescaled to the unit ball) and a random polynomial,
-    then runs the checker.  ``extra_cases`` are (tuple, polynomial)
-    pairs appended to the pool, e.g. known literature counterexamples.
-    Deterministic for a fixed seed; trial i draws from the generator of
-    seed + i, ``Generator(PCG64(seed + i))``: ``default_rng``'s own
-    construction, in the same state, without its argument dispatch.
+    contraction, rescaled to the unit ball) and a random polynomial of one
+    to four terms with exponents below 4, then runs the checker.
+    ``extra_cases`` are (tuple, polynomial) pairs appended to the pool,
+    e.g. known literature counterexamples.
 
-    Trials run in chunks within the size cap.  A chunk draws its trials
-    in one loop: trial i's generator draws the 2 dim^2 + 8 d normals of
-    its tuple in one call, then its polynomial, and is dropped before the
-    next trial's.  The chunk then forms its tuples from the normals
-    (``_commuting_stack``), checks them as ``ContractionTuple`` would,
-    forms every p(S) by one ``_poly_matrix`` call on the padded
-    polynomials and takes every ||p(S)|| in one stacked SVD; ``_decide``
-    then gives each case ``vn_check``'s report, which ``verdicts`` counts
-    (``exact`` where ``exact_sup``, ``lattice`` elsewhere) and drops, so
-    memory does not grow with the trials.  The result equals the
-    one-trial-at-a-time route's (``vn_check`` per case) bit for bit.  An
-    arity past DEGREE_CAP // 3, a lattice size past the root-table cap
+    Deterministic for a fixed seed.  The search draws from two streams,
+    the generators of ``SeedSequence(seed).spawn(2)``, and trial i takes
+    row i of each: from the first, the 2 dim^2 + 8 d normals of its tuple
+    (``_commuting_stack``'s row), then the real and imaginary parts of 4
+    coefficients; from the second, 1 + 4 d integers in [0, 4), its term
+    count less one, then 4 exponent vectors (``_row_polynomial``).  So the
+    trials of two seeds are drawn independently, and the first N trials
+    of a search are those of any longer search of the same seed.
+
+    Trials run in chunks within the size cap.  A chunk draws its rows as
+    one block from each stream, in trial order, so the result does not
+    depend on the chunking.  It forms its tuples from the normals
+    (``_commuting_stack``), checks them as ``ContractionTuple`` would, the
+    contraction check reading the norms the draw already knows, forms every
+    p(S) by one ``_poly_matrix`` call on the padded polynomials and takes
+    every ||p(S)|| in one stacked SVD; ``_decide`` then gives each case
+    ``vn_check``'s report, which ``verdicts`` counts (``exact`` where
+    ``exact_sup``, ``lattice`` elsewhere) and drops, so memory does not
+    grow with the trials.  A VIOLATED trial's tuple is formed again from
+    its row (``_row_tuple``) while its chunk is held.  The result equals
+    the one-trial-at-a-time route's (``vn_check`` per case) bit for bit.
+    An arity past DEGREE_CAP // 3, a lattice size past the root-table cap
     and M^d past the point cap are refused before any trial is drawn, and
-    so is an extra case whose image is past the point cap: the extra
-    cases are decided first, by ``vn_check``, and reported after the trials.
+    so is an extra case whose image is past the point cap: the extra cases
+    are decided first, by ``vn_check``, and reported after the trials.
     """
     if d < 1:
         raise InputError(f"d must be >= 1, got {d}")
@@ -558,22 +580,27 @@ def vn_search(
         raise InputError(f"seed must be nonnegative, got {seed}")
     _check_lattice(M)
     _check_points("M^d", M**d)
-    extra_cases = list(extra_cases)
     extras = [
-        ("fixture", k, poly, vn_check(tup, poly, M, tol))
+        ("fixture", k, poly, vn_check(tup, poly, M, tol), tup)
         for k, (tup, poly) in enumerate(extra_cases)
     ]
+    normal_draws, integer_draws = (
+        np.random.Generator(np.random.PCG64(stream))
+        for stream in np.random.SeedSequence(seed).spawn(2)
+    )
+    width = 2 * dim * dim + 8 * d
 
-    def drawn(indices):
-        """(index, lhs, poly) of the trials ``indices``, their stacks freed."""
-        normals = np.empty((len(indices), 2 * dim * dim + 8 * d))
-        polys = []
-        for k, index in enumerate(indices):
-            rng = np.random.Generator(np.random.PCG64(seed + index))
-            rng.standard_normal(out=normals[k])
-            polys.append(_random_polynomial(rng, d))
-        stack = _commuting_stack(normals, d, dim)
-        _require_contractions(stack, 1e-9)
+    def drawn(count):
+        """The lhs values, polynomials and rows of tuple normals of the next
+        ``count`` trials, their stacks freed."""
+        normals = normal_draws.standard_normal((count, width + 8))
+        draws = integer_draws.integers(0, 4, (count, 1 + 4 * d))
+        polys = [
+            _row_polynomial(row.tolist(), parts.tolist(), d)
+            for row, parts in zip(draws, normals[:, width:])
+        ]
+        stack, known = _commuting_stack(normals[:, :width], d, dim)
+        _require_contractions(stack, 1e-9, known)
         counts = [len(poly.terms) for poly in polys]
         held = np.arange(max(counts)) < np.array(counts)[:, None]
         alphas = np.zeros((*held.shape, d), dtype=np.intp)
@@ -581,30 +608,32 @@ def vn_search(
         coeffs = np.zeros(held.shape, dtype=np.complex128)
         coeffs[held] = [coeff for poly in polys for coeff in poly.terms.values()]
         values = _op_norms(_poly_matrix(stack.swapaxes(0, 1), alphas, coeffs))
-        return zip(indices, values.tolist(), polys)
+        return values.tolist(), polys, normals[:, :width]
+
+    def decided(part):
+        """The cases of the trials ``part``, one chunk; a VIOLATED trial
+        carries its tuple, the others None, so no row outlives the chunk."""
+        indices = range(trials)[part]
+        for index, lhs, poly, row in zip(indices, *drawn(len(indices))):
+            report = _decide(lhs, poly, M, tol)
+            tup = _row_tuple(row, d, dim) if report.verdict == "VIOLATED" else None
+            yield "random", index, poly, report, tup
 
     # A trial's share: its d members' four powers, the running product and
     # its next factor (two stacks of its up to four term products), and 64
-    # entries (1 KiB), which hold its polynomial's four terms of arity 5.
+    # entries (1 KiB), which hold its polynomial's four terms of arity 5
+    # and its 8 coefficient normals and 1 + 4 d integers.
     trial_cases = (
-        ("random", index, poly, _decide(lhs, poly, M, tol))
-        for part in _batches(trials, 4 * (d + 2) * dim * dim + 64)
-        for index, lhs, poly in drawn(range(trials)[part])
+        case for part in _batches(trials, 4 * (d + 2) * dim * dim + 64) for case in decided(part)
     )
     max_ratio = 0.0
     verdicts = {v: {"exact": 0, "lattice": 0} for v in ("HOLDS", "INCONCLUSIVE", "VIOLATED")}
     violations = []
-    for kind, index, poly, report in itertools.chain(trial_cases, extras):
+    for kind, index, poly, report, tup in itertools.chain(trial_cases, extras):
         if report.grid_sup > 0:
             max_ratio = max(max_ratio, report.lhs / report.grid_sup)
         verdicts[report.verdict]["exact" if report.exact_sup else "lattice"] += 1
         if report.verdict == "VIOLATED":
-            if kind == "fixture":
-                tup = extra_cases[index][0]
-            else:
-                # Drawn again from its seed: bit-identical to its stack member.
-                rng = np.random.Generator(np.random.PCG64(seed + index))
-                tup = _random_commuting_tuple(rng, d, dim)
             violations.append(
                 {
                     "kind": kind,

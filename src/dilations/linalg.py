@@ -178,8 +178,7 @@ def _max_op_norm(a: np.ndarray, limit: float | None = None):
     if peak > 0:
         squares /= peak
     squares *= squares
-    rows, cols = a.shape[-2:]
-    delta = 1e-10 + 8 * (rows + cols) ** 2 * np.finfo(float).eps / 2
+    delta = _norm_margin(*a.shape[-2:])
     upper = np.sqrt(squares.sum(axis=(-2, -1))) * (1 + delta)
     lower = np.sqrt(squares.sum(axis=-2)).max(initial=0.0) * (1 - delta)
     if limit is None:
@@ -189,6 +188,14 @@ def _max_op_norm(a: np.ndarray, limit: float | None = None):
         return False
     undecided = ~(upper <= bound)
     return not undecided.any() or bool((_op_norms(a[undecided]) <= limit).all())
+
+
+def _norm_margin(rows: int, cols: int) -> float:
+    """The margin delta = 1e-10 + 8 (r + c)^2 u of ``_max_op_norm`` for
+    members (r, c), u the unit roundoff: it exceeds by at least 1e-10 the
+    relative rounding of a computed singular value, at most 6 (r + c)^2 u,
+    plus that of the screen's bounds."""
+    return 1e-10 + 8 * (rows + cols) ** 2 * np.finfo(float).eps / 2
 
 
 def _batches(count: int, entries_each: int) -> Iterator[slice]:

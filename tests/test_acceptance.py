@@ -17,12 +17,12 @@ import pytest
 
 from conftest import (
     random_circulant_bistochastic,
+    random_commuting_tuple,
     random_commuting_unitaries,
     random_contraction,
     random_unitary,
 )
 from dilations.dilation import (
-    _random_commuting_tuple,
     egervary_dilation,
     parrott_tuple,
     power_dilation_verify,
@@ -74,7 +74,7 @@ def corpus():
     for index in range(50):
         d, N, dim = _CORPUS_SHAPES[index % len(_CORPUS_SHAPES)]
         rng = np.random.default_rng(1000 + index)
-        tup = _random_commuting_tuple(rng, d, dim)
+        tup = random_commuting_tuple(rng, d, dim)
         semi = DiscretizedSemigroup(tup, N)
         assert semi.total_dim <= 512
         times = [
@@ -181,7 +181,7 @@ def test_criterion_5_oracle_equivalence(capsys):
         rng = np.random.default_rng(2000 + case)
         N = int(rng.integers(2, 4))
         dim = int(rng.integers(1, 3))
-        tup = _random_commuting_tuple(rng, 1, dim)
+        tup = random_commuting_tuple(rng, 1, dim)
         s = tup.mats[0]
         semi = DiscretizedSemigroup(tup, N)
         for t_num in range(2 * N):

@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import random_unitary
+from conftest import random_commuting_tuple, random_unitary
 from dilations import cli
 from dilations.cli import main
-from dilations.dilation import _random_commuting_tuple
 from dilations.linalg import InputError, NumericalError, _listed, _matrix_payload, matrix_to_json
 from dilations.torus import bscr_trace, trace_to_csv_rows
 from test_linalg import svd_shapes
@@ -65,7 +64,7 @@ class TestInterp:
 
     def test_check_passes(self, runner, tmp_path):
         rng = np.random.default_rng(70)
-        mats = _random_commuting_tuple(rng, 2, 2).mats
+        mats = random_commuting_tuple(rng, 2, 2).mats
         tup = write_tuple(tmp_path / "tup.json", mats)
         out = tmp_path / "report.json"
         result = runner.invoke(
@@ -162,7 +161,7 @@ class TestVn:
     def test_holds(self, runner, tmp_path):
         rng = np.random.default_rng(73)
         tup = write_tuple(
-            tmp_path / "tup.json", _random_commuting_tuple(rng, 1, 3).mats
+            tmp_path / "tup.json", random_commuting_tuple(rng, 1, 3).mats
         )
         poly = tmp_path / "p.json"
         poly.write_text(
@@ -283,7 +282,7 @@ class TestVnSearch:
         assert len(payload["violations"]) == 1
 
     def test_verdict_counts_add_up_to_the_cases(self, runner):
-        # At seed 1 all 500 cases hold: 412 by the exact supremum and 88 on
+        # At seed 1 all 500 cases hold: 397 by the exact supremum and 103 on
         # a lattice.
         args = ["vn-search", "--d", "2", "--dim", "4", "--trials", "500", "--seed", "1",
                 "--grid", "64"]
@@ -293,7 +292,7 @@ class TestVnSearch:
         verdicts = payload["verdicts"]
         assert list(verdicts) == ["HOLDS", "INCONCLUSIVE", "VIOLATED"]
         assert sum(n for split in verdicts.values() for n in split.values()) == payload["cases"]
-        assert verdicts["HOLDS"] == {"exact": 412, "lattice": 88}
+        assert verdicts["HOLDS"] == {"exact": 397, "lattice": 103}
 
     def test_fixture_is_capped_on_its_image(self, runner):
         # The fixture's M^3 = 2^30 lattice at M = 1024 is past the point

@@ -13,17 +13,23 @@ from hypothesis import strategies as st
 
 import dilations.dilation
 import dilations.interpolation
-from conftest import random_commuting_unitaries, random_contraction, random_unitary
+from conftest import (
+    random_commuting_tuple,
+    random_commuting_unitaries,
+    random_contraction,
+    random_polynomial,
+    random_unitary,
+)
 from dilations.dilation import (
     _LATTICE_BLOCK,
     DEGREE_CAP,
     DilationCandidate,
     MultiPolynomial,
+    _commuting_stack,
     _image,
     _lattice_max,
     _poly_matrix,
-    _random_commuting_tuple,
-    _random_polynomial,
+    _row_tuple,
     egervary_dilation,
     eval_poly,
     parrott_tuple,
@@ -37,6 +43,7 @@ from dilations.interpolation import ContractionTuple
 from dilations.linalg import (
     InputError,
     _batches,
+    _op_norms,
     identity,
     op_norm,
 )
@@ -188,7 +195,7 @@ class TestEvalPoly:
         # K polynomials of 0 to 4 terms, each with its own tuple; the
         # shorter ones are padded to 4 slots in the stacked call.
         rng = np.random.default_rng(60 + 10 * d + dim)
-        tuples = [_random_commuting_tuple(rng, d, dim) for _ in range(12)]
+        tuples = [random_commuting_tuple(rng, d, dim) for _ in range(12)]
         polys = [MultiPolynomial(d=d, terms={})] + [
             MultiPolynomial(
                 d=d,
@@ -574,8 +581,10 @@ class TestVnSearch:
 
     @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1001, 10**20])
     def test_trial_generators_are_default_rngs(self, monkeypatch, seed):
-        # Each trial's generator, built from PCG64 directly, starts in the
-        # state default_rng(seed + i) starts in.
+        # A search makes two generators, the normals' and then the
+        # integers', built from PCG64 directly in the states default_rng
+        # gives the streams of SeedSequence(seed).spawn(2); trial 0 takes
+        # the first row of each.
         states, generator = [], np.random.Generator
 
         def spy(bit_generator):
@@ -583,9 +592,78 @@ class TestVnSearch:
             return generator(bit_generator)
 
         monkeypatch.setattr(np.random, "Generator", spy)
-        vn_search(d=1, dim=2, trials=3, seed=seed, M=8)
+        out = vn_search(d=1, dim=2, trials=3, seed=seed, M=8, tol=-100.0)
         monkeypatch.undo()
-        assert states == [np.random.default_rng(seed + i).bit_generator.state for i in range(3)]
+        streams = np.random.SeedSequence(seed).spawn(2)
+        assert states == [np.random.default_rng(stream).bit_generator.state for stream in streams]
+        normals, integers = (np.random.default_rng(stream) for stream in streams)
+        row = normals.standard_normal(2 * 2 * 2 + 8 * 1 + 8)
+        count, *exponents = integers.integers(0, 4, 1 + 4 * 1).tolist()
+        first = out["violations"][0]
+        assert first["tuple"] == _row_tuple(row[:-8], 1, 2).to_json()
+        parts, terms = row[-8:].tolist(), {}
+        for k in range(count + 1):
+            alpha = (exponents[k],)
+            terms[alpha] = terms.get(alpha, 0) + complex(parts[2 * k], parts[2 * k + 1])
+        assert first["polynomial"] == MultiPolynomial(d=1, terms=terms).to_json()
+
+    def test_searches_of_neighbouring_seeds_share_no_tuple(self):
+        # Each seed has its own streams, so the searches of seeds s and
+        # s + 1 share no trial.  A negative tol lists every case's tuple.
+        tuples = [
+            json.dumps(violation["tuple"])
+            for seed in (1, 2, 3)
+            for violation in vn_search(d=2, dim=2, trials=40, seed=seed, M=8, tol=-100.0)[
+                "violations"
+            ]
+        ]
+        assert len(tuples) == 120
+        assert len(set(tuples)) == 120
+
+    @pytest.mark.parametrize("entries", [None, "1280"])
+    def test_first_trials_are_those_of_a_longer_search(self, monkeypatch, entries):
+        # Both streams are read in trial order, so a search's cases are the
+        # first of any longer search of its seed, whatever the chunks (at
+        # 1280 entries, 4 trials each).
+        if entries is not None:
+            monkeypatch.setenv("DILATIONS_MAX_ENTRIES", entries)
+        args = dict(d=2, dim=4, seed=9, M=16, tol=-100.0)
+        short, long = vn_search(trials=13, **args), vn_search(trials=37, **args)
+        assert len(short["violations"]) == 13
+        assert short["violations"] == long["violations"][:13]
+
+    def test_contraction_check_takes_no_svd(self, monkeypatch):
+        # Of the 1000 members of this search, most are rescaled into the
+        # unit ball, and their Frobenius norms are past 1 + tol, which the
+        # screen would leave to the SVD; the norms the draw knows decide
+        # every member, and the commutators take no SVD either.
+        shapes, inside, past_frobenius = svd_shapes(monkeypatch), [], []
+        check = dilations.dilation._require_contractions
+
+        def tracked(stack, tol, known=None):
+            past_frobenius.append(int((np.sqrt((np.abs(stack) ** 2).sum(axis=(-2, -1))) > 1 + tol).sum()))
+            before = len(shapes)
+            check(stack, tol, known)
+            inside.append(len(shapes) - before)
+
+        monkeypatch.setattr(dilations.dilation, "_require_contractions", tracked)
+        vn_search(d=2, dim=4, trials=500, seed=1, M=64)
+        assert inside == [0]
+        assert past_frobenius[0] > 900
+
+    @pytest.mark.parametrize("d, dim", [(1, 1), (2, 4), (3, 3), (5, 8)])
+    def test_known_norms_bound_the_computed_norms(self, d, dim):
+        # A member that was not rescaled knows its own computed norm; a
+        # rescaled one knows a bound within 1 + 1e-9, the search's tol, at
+        # least every computed norm of it.
+        normals = np.random.default_rng(10 * d + dim).standard_normal((400, 2 * dim * dim + 8 * d))
+        stack, known = _commuting_stack(normals, d, dim)
+        norms = _op_norms(stack)
+        kept = known <= 1
+        assert kept.any() and not kept.all()
+        assert (norms[kept] == known[kept]).all()
+        assert (norms <= known).all()
+        assert (known[~kept] <= 1 + 1e-9).all()
 
     def test_commutation_check_takes_no_svd(self, monkeypatch):
         # The drawn tuples commute up to rounding: the Frobenius bound of
@@ -707,7 +785,7 @@ class TestVnSearch:
     @pytest.mark.parametrize("d, dim", [(1, 1), (2, 4), (3, 3)])
     def test_generator_matches_reference(self, seed, d, dim):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _random_commuting_tuple(rng, d, dim).mats
+        got = random_commuting_tuple(rng, d, dim).mats
         want = reference_commuting_tuple(ref_rng, d, dim).mats
         assert [m.tobytes() for m in got] == [m.tobytes() for m in want]
         # Both leave their generator at the same point of its stream.
@@ -717,7 +795,7 @@ class TestVnSearch:
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_polynomial_generator_matches_reference(self, seed, d):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _random_polynomial(rng, d)
+        got = random_polynomial(rng, d)
         want = reference_random_polynomial(ref_rng, d)
         assert list(got.terms.items()) == list(want.terms.items())
         # Both leave their generator at the same point of its stream.
@@ -945,7 +1023,7 @@ class TestDilation:
         for n_max in (1, 3, 6):
             vs = random_commuting_unitaries(rng, 2, 6).mats
             cand = DilationCandidate(vs=vs, r=random_unitary(rng, 6)[:, :2], n_max=n_max)
-            tup = _random_commuting_tuple(rng, 2, 2)
+            tup = random_commuting_tuple(rng, 2, 2)
             got = power_dilation_verify(tup, cand)
             want = reference_power_dilation_verify(tup, cand)
             assert abs(got["max_deviation"] - want["max_deviation"]) <= 64 * (n_max + 1) * 6 * U
@@ -973,7 +1051,7 @@ class TestDilation:
         rng = np.random.default_rng(63)
         vs = random_commuting_unitaries(rng, 2, 8).mats
         cand = DilationCandidate(vs=vs, r=random_unitary(rng, 8)[:, :2], n_max=20)
-        tup = _random_commuting_tuple(rng, 2, 2)
+        tup = random_commuting_tuple(rng, 2, 2)
         monkeypatch.setenv("DILATIONS_MAX_ENTRIES", "1024")
         monkeypatch.setattr(dilations.dilation, "_walk", None)
         with pytest.raises(InputError, match="matrix of shape 882x8 exceeds the size cap"):

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_unitary
-from dilations.dilation import _random_commuting_tuple
+from conftest import random_commuting_tuple, random_unitary
 from dilations import interpolation, torus
 from dilations.interpolation import (
     ContractionTuple,
@@ -128,14 +127,14 @@ class TestContractionTuple:
 
     def test_json_roundtrip(self):
         rng = np.random.default_rng(31)
-        tup = _random_commuting_tuple(rng, 2, 3)
+        tup = random_commuting_tuple(rng, 2, 3)
         back = ContractionTuple.from_json(tup.to_json(), tol=1e-9)
         for a, b in zip(tup.mats, back.mats):
             np.testing.assert_array_equal(a, b)
 
     def test_json_is_the_array_form_listed(self):
         # to_json keeps stdlib-JSON lists; the CLI writes the array form.
-        tup = _random_commuting_tuple(np.random.default_rng(32), 2, 3)
+        tup = random_commuting_tuple(np.random.default_rng(32), 2, 3)
         obj = tup.to_json()
         assert list(obj) == ["d", "dim", "matrices"]
         assert obj == _listed(tup._payload())
@@ -203,7 +202,7 @@ class TestEvalDiscretized:
 
     def test_time_zero_is_identity(self):
         rng = np.random.default_rng(32)
-        tup = _random_commuting_tuple(rng, 2, 2)
+        tup = random_commuting_tuple(rng, 2, 2)
         semi = DiscretizedSemigroup(tup, 3)
         np.testing.assert_array_equal(
             eval_discretized(semi, GridTime(3, (0, 0))), identity(semi.total_dim)
@@ -211,7 +210,7 @@ class TestEvalDiscretized:
 
     def test_integer_time_is_tensor_power(self):
         rng = np.random.default_rng(33)
-        tup = _random_commuting_tuple(rng, 1, 3)
+        tup = random_commuting_tuple(rng, 1, 3)
         semi = DiscretizedSemigroup(tup, 3)
         for n in range(4):
             mat = eval_discretized(semi, GridTime(3, (3 * n,)))
@@ -222,7 +221,7 @@ class TestEvalDiscretized:
 
     def test_homomorphism(self):
         rng = np.random.default_rng(34)
-        tup = _random_commuting_tuple(rng, 2, 2)
+        tup = random_commuting_tuple(rng, 2, 2)
         semi = DiscretizedSemigroup(tup, 2)
         times = [GridTime(2, nums) for nums in itertools.product(range(4), repeat=2)]
         evals = {t.nums: eval_discretized(semi, t) for t in times}
@@ -237,7 +236,7 @@ class TestEvalDiscretized:
         # from scratch rather than via the torus module.
         rng = np.random.default_rng(35)
         N = 3
-        tup = _random_commuting_tuple(rng, 1, 2)
+        tup = random_commuting_tuple(rng, 1, 2)
         s = tup.mats[0]
         semi = DiscretizedSemigroup(tup, N)
         for t_num in range(2 * N):
@@ -254,7 +253,7 @@ class TestEvalDiscretized:
 
     def test_contractive(self):
         rng = np.random.default_rng(36)
-        tup = _random_commuting_tuple(rng, 2, 2)
+        tup = random_commuting_tuple(rng, 2, 2)
         semi = DiscretizedSemigroup(tup, 2)
         for nums in itertools.product(range(4), repeat=2):
             assert op_norm(eval_discretized(semi, GridTime(2, nums))) <= 1 + 1e-10
@@ -330,7 +329,7 @@ class TestEvalDiscretized:
     @pytest.mark.parametrize("N", [1, 2, 3, 4])
     def test_matches_unbatched_reference(self, d, N):
         rng = np.random.default_rng(100 + 10 * d + N)
-        semi = DiscretizedSemigroup(_random_commuting_tuple(rng, d, 2), N)
+        semi = DiscretizedSemigroup(random_commuting_tuple(rng, d, 2), N)
         for nums in itertools.product(range(2 * N + 1), repeat=d):
             t = GridTime(N, nums)
             mat = eval_discretized(semi, t)
@@ -358,7 +357,7 @@ class TestCompression:
     def test_matches_multilinear_on_grid(self):
         rng = np.random.default_rng(37)
         for d, N in ((1, 4), (2, 3), (3, 2)):
-            tup = _random_commuting_tuple(rng, d, 2)
+            tup = random_commuting_tuple(rng, d, 2)
             semi = DiscretizedSemigroup(tup, N)
             for nums in itertools.product(range(2 * N), repeat=d):
                 t = GridTime(N, nums)
@@ -374,7 +373,7 @@ class TestCompression:
 
     def test_multilinear_integer_times(self):
         rng = np.random.default_rng(38)
-        tup = _random_commuting_tuple(rng, 2, 2)
+        tup = random_commuting_tuple(rng, 2, 2)
         out = multilinear_compress(tup, (2.0, 1.0))
         expected = np.linalg.matrix_power(tup.mats[0], 2) @ tup.mats[1]
         assert np.abs(out - expected).max() < 1e-13
@@ -384,7 +383,7 @@ class TestCompression:
         # Floors 0 to 5, shared and distinct across members and axes, on
         # and off the grid; each axis forms its distinct powers once.
         rng = np.random.default_rng(39 + d)
-        tup = _random_commuting_tuple(rng, d, 3)
+        tup = random_commuting_tuple(rng, d, 3)
         times = np.vstack(
             [rng.integers(0, 6, (8, d)) + rng.uniform(0, 1, (8, d)), rng.integers(2, 6, (4, d)) / 2]
         )
@@ -427,7 +426,7 @@ class TestSemigroupSuite:
         [(1, 3, 6, 2, 80), (1, 1, 3, 3, 81), (2, 2, 4, 2, 82), (2, 3, 2, 1, 83), (3, 2, 2, 2, 84)],
     )
     def test_matches_dense_reference(self, d, N, max_num, dim, seed):
-        tup = _random_commuting_tuple(np.random.default_rng(seed), d, dim)
+        tup = random_commuting_tuple(np.random.default_rng(seed), d, dim)
         assert_suite_matches_reference(tup, N, max_num)
 
     def test_expansion_matches_dense_reference(self):
@@ -448,7 +447,7 @@ class TestSemigroupSuite:
             return targets, exponents
 
         monkeypatch.setattr(interpolation, "_grid_forms", perturbed)
-        tup = _random_commuting_tuple(np.random.default_rng(85), 2, 2)
+        tup = random_commuting_tuple(np.random.default_rng(85), 2, 2)
         out = semigroup_suite(tup, 2, 2)
         assert not out["checks"]["homomorphism"]
         assert out["deviations"]["homomorphism"] > 1e-7
@@ -484,7 +483,7 @@ class TestSemigroupSuite:
 
         monkeypatch.setattr(interpolation, "_grid_forms", permuted)
         monkeypatch.setattr(unbatched_reference, "reference_eval_discretized", swapped)
-        tup = _random_commuting_tuple(np.random.default_rng(86), 2, 2)
+        tup = random_commuting_tuple(np.random.default_rng(86), 2, 2)
         out = semigroup_suite(tup, N, 2)
         assert not out["checks"]["homomorphism"]
         assert all(ok for name, ok in out["checks"].items() if name != "homomorphism")
@@ -496,7 +495,7 @@ class TestSemigroupSuite:
         [(1, 8, 2), (2, 2, 4), (3, 2, 2), (1, 16, 4), (2, 4, 4), (3, 2, 8), (1, 16, 8)],
     )
     def test_equals_blockwise_route_on_benchmark_shapes(self, d, N, dim):
-        tup = _random_commuting_tuple(np.random.default_rng([d, N, dim]), d, dim)
+        tup = random_commuting_tuple(np.random.default_rng([d, N, dim]), d, dim)
         assert semigroup_suite(tup, N, 2 * N) == reference_blockwise_suite(tup, N, 2 * N)
 
     @settings(max_examples=30, deadline=None)
@@ -505,7 +504,7 @@ class TestSemigroupSuite:
         st.integers(0, 2**32 - 1),
     )
     def test_equals_blockwise_route(self, d, N, max_num, dim, seed):
-        tup = _random_commuting_tuple(np.random.default_rng(seed), d, dim)
+        tup = random_commuting_tuple(np.random.default_rng(seed), d, dim)
         assert semigroup_suite(tup, N, max_num) == reference_blockwise_suite(tup, N, max_num)
 
     def test_equals_blockwise_route_on_an_expansion(self):
@@ -518,7 +517,7 @@ class TestSemigroupSuite:
         # 2x2 product, 512 entries: 16 slices of one, against one at the
         # default cap.  The 10 interpolation times, of 16 entries each, are
         # read first, in one.
-        tup = _random_commuting_tuple(np.random.default_rng(88), 2, 2)
+        tup = random_commuting_tuple(np.random.default_rng(88), 2, 2)
         expected = semigroup_suite(tup, 2, 4)
         batches, slices = interpolation._batches, []
 
@@ -536,7 +535,7 @@ class TestSemigroupSuite:
         # d=1, N=4, dim 1, max_num 1: at a cap of 9 entries, the largest
         # floor 2N = 8 still passes, and the 9 interpolation times of 4
         # grid points each are read in 5 slices of at most 2.
-        tup = _random_commuting_tuple(np.random.default_rng(89), 1, 1)
+        tup = random_commuting_tuple(np.random.default_rng(89), 1, 1)
         expected = semigroup_suite(tup, 4, 1)
         calls, grid_forms = [], interpolation._grid_forms
 
@@ -563,7 +562,7 @@ class TestSemigroupSuite:
             exponents[late] = 0
             return targets, exponents
 
-        tup = _random_commuting_tuple(np.random.default_rng([90, d, N]), d, 2)
+        tup = random_commuting_tuple(np.random.default_rng([90, d, N]), d, 2)
         assert semigroup_suite(tup, N, 2 * N)["passed"]
         monkeypatch.setattr(interpolation, "_grid_forms", mutant)
         out = semigroup_suite(tup, N, 2 * N)
@@ -586,7 +585,7 @@ class TestSemigroupSuite:
             return targets, exponents
 
         monkeypatch.setattr(interpolation, "_grid_forms", swapped)
-        tup = _random_commuting_tuple(np.random.default_rng(91), 2, 2)
+        tup = random_commuting_tuple(np.random.default_rng(91), 2, 2)
         out = semigroup_suite(tup, N, 2 * N)
         assert out["deviations"]["interpolation"] <= 1e-12
         assert not out["checks"]["interpolation"]
@@ -598,7 +597,7 @@ class TestSemigroupSuite:
         # over s holds a quarter of a cap-sized array at most.
         d, N, max_num, dim = 2, 4, 8, 8
         assert max_num ** (2 * d) * N**d * dim * dim > max_entries()
-        tup = _random_commuting_tuple(np.random.default_rng(87), d, dim)
+        tup = random_commuting_tuple(np.random.default_rng(87), d, dim)
         tracemalloc.start()
         try:
             semigroup_suite(tup, N, max_num)

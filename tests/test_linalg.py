@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_commuting_tuple
 from dilations import linalg
 from dilations.linalg import (
     InputError,
@@ -27,7 +28,7 @@ from dilations.linalg import (
     op_norm,
     psd_sqrt,
 )
-from dilations.dilation import DilationCandidate, _random_commuting_tuple
+from dilations.dilation import DilationCandidate, _commuting_stack
 from dilations.interpolation import _require_contractions
 from unbatched_reference import (
     reference_matrix_exp,
@@ -375,7 +376,7 @@ class TestScreenedChecks:
            STEPS)
     def test_commuting_and_contraction_checks(self, seed, shape, k):
         rng = np.random.default_rng(seed)
-        tuples = np.stack([_random_commuting_tuple(rng, shape[1], shape[2]).mats
+        tuples = np.stack([random_commuting_tuple(rng, shape[1], shape[2]).mats
                            for _ in range(shape[0])])
         stack = stack_near(rng, tuples)
         a, b = stack[:, :, None], stack[:, None, :]
@@ -388,6 +389,33 @@ class TestScreenedChecks:
         tol = limit_near(stack, rng, k) - 1 if finite else 1e-10
         assert outcome(_require_contractions, stack, tol) == outcome(
             reference_require_contractions, stack, tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(5, 1, 1), (4, 2, 4), (3, 3, 2)]),
+           STEPS, st.booleans())
+    def test_contraction_check_with_known_norms(self, seed, shape, k, at_bound):
+        # The norms ``_commuting_stack`` knows, at tolerances a few deltas
+        # off a member's norms or off the rescaled members' bound.
+        count, d, dim = shape
+        rng = np.random.default_rng(seed)
+        stack, known = _commuting_stack(rng.standard_normal((count, 2 * dim * dim + 8 * d)), d, dim)
+        if at_bound:
+            tol = float(known.max() * (1 + k * margin(stack.shape))) - 1
+        else:
+            tol = limit_near(stack, rng, k) - 1
+        assert outcome(_require_contractions, stack, tol, known) == outcome(
+            reference_require_contractions, stack, tol)
+
+    @pytest.mark.parametrize("slack", [0.0, 0.5, np.nan])
+    def test_known_norms_refuse_a_member_over(self, slack):
+        # One member scaled to norm 1.5 and known by its norm, by a looser
+        # bound, or by none (NaN): the check goes to its SVD and names it.
+        stack, known = _commuting_stack(np.random.default_rng(3).standard_normal((6, 34)), 2, 3)
+        stack[4, 1] *= 1.5 / op_norm(stack[4, 1])
+        known[4, 1] = op_norm(stack[4, 1]) + slack
+        message = outcome(reference_require_contractions, stack, 1e-9)
+        assert message.startswith("operator 2 has norm 1.5")
+        assert outcome(_require_contractions, stack, 1e-9, known) == message
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 5]), STEPS)
@@ -445,7 +473,7 @@ class TestPowerProducts:
         # in axis order, each power by its own repeated multiplication;
         # rows repeat and exponents skip.
         rng = np.random.default_rng(seed)
-        tup = _random_commuting_tuple(rng, d, dim)
+        tup = random_commuting_tuple(rng, d, dim)
         exponents = rng.integers(0, 6, (20, d))
         exponents = np.concatenate([exponents, exponents[:5], np.zeros((1, d), int)])
         got = _power_products(tup.mats, exponents)
@@ -469,7 +497,7 @@ class TestPowerProducts:
             return powers(a, ks)
 
         monkeypatch.setattr(linalg, "_powers", tracked)
-        tup = _random_commuting_tuple(np.random.default_rng(5), 2, 3)
+        tup = random_commuting_tuple(np.random.default_rng(5), 2, 3)
         rows = np.array([[5, 0], [0, 3], [5, 0], [2, 3], [0, 0], [5, 3], [2, 1]])
         got = _power_products(tup.mats, rows.reshape(7, 1, 2))
         assert got.shape == (7, 1, 3, 3)
@@ -479,7 +507,7 @@ class TestPowerProducts:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_zero_rows(self, d):
-        mats = _random_commuting_tuple(np.random.default_rng(d), d, 2).mats
+        mats = random_commuting_tuple(np.random.default_rng(d), d, 2).mats
         assert _power_products(mats, np.zeros((0, d), dtype=int)).shape == (0, 2, 2)
         stacks = np.stack([mats, mats], axis=1)
         assert _power_products(stacks, np.zeros((2, 0, d), dtype=int)).shape == (2, 0, 2, 2)
@@ -489,7 +517,7 @@ class TestPowerProducts:
         # Member k of d stacks takes the rows rows[k]: bit for bit the call
         # on its own tuple, though the stack walks the exponents of all.
         rng = np.random.default_rng(20 + d)
-        tuples = [_random_commuting_tuple(rng, d, 3).mats for _ in range(5)]
+        tuples = [random_commuting_tuple(rng, d, 3).mats for _ in range(5)]
         rows = rng.integers(0, 5, (5, 6, d))
         rows[0] = 0
         got = _power_products(np.stack(tuples, axis=1), rows)

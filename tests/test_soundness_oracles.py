@@ -29,27 +29,37 @@ from hypothesis import strategies as st
 import dilations.dilation
 import dilations.interpolation
 import dilations.linalg
-from conftest import random_commuting_unitaries, random_contraction, random_unitary
+from conftest import (
+    random_commuting_tuple,
+    random_commuting_unitaries,
+    random_contraction,
+    random_polynomial,
+    random_unitary,
+)
 from dilations.dilation import (
     DEGREE_CAP,
     DilationCandidate,
     MultiPolynomial,
+    _commuting_stack,
     _decide,
     _image,
-    _random_commuting_tuple,
-    _random_polynomial,
     _verdict,
     torus_sup,
     vn_check,
 )
 from dilations.fixtures import load_crabb_davie
-from dilations.interpolation import ContractionTuple, approx_error_sweep, semigroup_suite
+from dilations.interpolation import (
+    ContractionTuple,
+    _require_contractions,
+    approx_error_sweep,
+    semigroup_suite,
+)
 from dilations.linalg import DEFAULT_TOL, InputError, identity, kron, op_norm
 from dilations.structure import preservation_suite
 from test_dilation import BENCH_ALPHAS, rounding_bound
 from test_interpolation import dissipative_generators, uniform_axes
 from test_linalg import ONE_ULP_COLUMN
-from unbatched_reference import reference_torus_sup
+from unbatched_reference import reference_require_contractions, reference_torus_sup
 
 
 def lattice_codes(exponents, shape, M):
@@ -141,8 +151,8 @@ def test_violated_never_meets_holds_at_another_lattice():
     cases = [load_crabb_davie()]
     for d in (1, 2, 3):
         for _ in range(4):
-            cases.append((_random_commuting_tuple(rng, d, 3), _random_polynomial(rng, d)))
-            poly = _random_polynomial(rng, d)
+            cases.append((random_commuting_tuple(rng, d, 3), random_polynomial(rng, d)))
+            poly = random_polynomial(rng, d)
             cases.append(diagonal_maximiser_case(rng, poly, 24 if d < 3 else 12))
     # Most of the random polynomials above have independent rows, so their
     # bound is exact and their verdict cannot move; these can.
@@ -274,6 +284,26 @@ def test_a_screen_without_its_margin_is_caught(monkeypatch):
     assert op_norm(ContractionTuple((s,), tol=tol).mats[0]) > 1 + tol
 
 
+def test_a_known_norm_without_its_margin_is_caught(monkeypatch):
+    """Mutant check: the norm ``_commuting_stack`` knows for a rescaled
+    member, taken as 1 / (1 + 1e-12) with no margin for rounding, is below
+    the computed norm of some members.  At 1 + tol = 1 / (1 + 1e-12) the
+    SVD refuses such a member, and the check with the margin leaves it to
+    the SVD; the mutant's bound passes it on to the commutation check,
+    which this negative tol fails."""
+    normals = np.random.default_rng(37).standard_normal((200, 2 * 4 * 4 + 8 * 2))
+    tol = 1 / (1 + 1e-12) - 1
+    stack, known = _commuting_stack(normals, 2, 4)
+    with pytest.raises(InputError, match=r"^operator \d has norm 0.999999999999 > 1 \+ tol$"):
+        reference_require_contractions(stack, tol)
+    with pytest.raises(InputError, match=r"^operator \d has norm 0.999999999999 > 1 \+ tol$"):
+        _require_contractions(stack, tol, known)
+    monkeypatch.setattr(dilations.dilation, "_norm_margin", lambda rows, cols: 0.0)
+    stack, known = _commuting_stack(normals, 2, 4)
+    with pytest.raises(InputError, match=r"^operators \d and \d do not commute"):
+        _require_contractions(stack, tol, known)
+
+
 def test_independent_rows_evaluate_no_lattice(monkeypatch):
     # The certify benchmark's d = 3 shape: its image at M = 256 is all
     # 256^3 points, and none of them is evaluated.
@@ -281,7 +311,7 @@ def test_independent_rows_evaluate_no_lattice(monkeypatch):
     monkeypatch.setattr(dilations.dilation, "_lattice_max", lambda *args: calls.append(args))
     rng = np.random.default_rng(87)
     poly = MultiPolynomial(d=3, terms={a: complex(*rng.standard_normal(2)) for a in BENCH_ALPHAS})
-    report = vn_check(_random_commuting_tuple(rng, 3, 4), poly, 256)
+    report = vn_check(random_commuting_tuple(rng, 3, 4), poly, 256)
     assert calls == []
     assert report.exact_sup and report.verdict == "HOLDS"
 
@@ -377,7 +407,7 @@ def test_doubly_commuting_tensor_tuples_are_never_violated():
             kron(kron(one, one), factors[2]),
         )
         tup = ContractionTuple(mats, tol=1e-9)
-        poly = _random_polynomial(rng, 3)
+        poly = random_polynomial(rng, 3)
         for M in (4, 8, 16):
             verdicts.append(vn_check(tup, poly, M).verdict)
     assert "VIOLATED" not in verdicts
@@ -415,7 +445,7 @@ def test_approx_errors_move_within_rounding_under_unitary_conjugation():
 def test_interp_check_passes_under_unitary_conjugation():
     rng = np.random.default_rng(84)
     for d, dim, N, max_num in [(1, 3, 3, 3), (2, 3, 2, 2), (3, 2, 2, 2)]:
-        tup = _random_commuting_tuple(rng, d, dim)
+        tup = random_commuting_tuple(rng, d, dim)
         moved = ContractionTuple(conjugated(tup.mats, random_unitary(rng, dim)), tol=1e-9)
         suite, other = semigroup_suite(tup, N, max_num), semigroup_suite(moved, N, max_num)
         assert suite["passed"] and other["passed"], (d, other["deviations"])

@@ -6,9 +6,9 @@ import pytest
 
 from conftest import (
     random_circulant_bistochastic,
+    random_commuting_tuple,
     random_commuting_unitaries,
 )
-from dilations.dilation import _random_commuting_tuple
 from dilations.interpolation import DiscretizedSemigroup, _grid_form, eval_discretized
 from dilations.linalg import InputError, _isometry_gaps, _power_products, identity
 from dilations.structure import (
@@ -140,7 +140,7 @@ class TestPreservationSuite:
 
     def test_generic_base_skips_classes(self):
         rng = np.random.default_rng(63)
-        tup = _random_commuting_tuple(rng, 1, 2)
+        tup = random_commuting_tuple(rng, 1, 2)
         out = preservation_suite(tup, 2, tol=1e-9)
         assert out["passed"]
         assert out["classes"]["unitary"]["base_holds"] is False
@@ -211,7 +211,7 @@ class TestPreservationSuite:
 
         monkeypatch.setattr(structure, "_power_products", None)
         monkeypatch.setattr(structure, "_class_deviations", tracked_measures)
-        tup = _random_commuting_tuple(np.random.default_rng(63), 2, 3)
+        tup = random_commuting_tuple(np.random.default_rng(63), 2, 3)
         out = preservation_suite(tup, 2, tol=1e-9)
         assert not any(entry["base_holds"] for entry in out["classes"].values())
         assert out["passed"]
@@ -359,7 +359,7 @@ class TestPreservationSuite:
 FAMILIES = {
     "unitary": random_commuting_unitaries,
     "circulant": random_circulant_bistochastic,
-    "generic": _random_commuting_tuple,
+    "generic": random_commuting_tuple,
 }
 # (d, N, dim): d 1-3, N 1-3, dim 1-4
 SHAPES = [(1, 1, 1), (1, 3, 4), (2, 1, 3), (2, 2, 2), (2, 3, 1), (3, 1, 4), (3, 2, 3), (3, 3, 1)]
@@ -393,7 +393,7 @@ class TestBlockRouteMatchesDense:
         # pattern's multiplicity shows in them.
         # Each time is folded on its own, then all times in one (T, N^d)
         # call, which gives each flag's largest deviation over the times.
-        tup = _random_commuting_tuple(np.random.default_rng(2000 + 100 * d + 10 * N + dim), d, dim)
+        tup = random_commuting_tuple(np.random.default_rng(2000 + 100 * d + 10 * N + dim), d, dim)
         semi = DiscretizedSemigroup(tup, N)
         times = list(itertools.product(range(2 * N + 1), repeat=d))
         dense = [structure_report(eval_discretized(semi, GridTime(N, nums))).deviations

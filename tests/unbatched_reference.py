@@ -38,23 +38,33 @@ evaluated as W @ Q and its modulus maximum taken.  The library's
 same BLAS call on the same chunks; this one stays the frozen bit-level
 reference, so the tests require both to return the same float.
 
-``reference_vn_search`` is the one-trial-at-a-time search: for each
-trial its own generator ``reference_commuting_tuple`` draws the tuple
-with one generator call per matrix and coefficient vector and
-one-matrix norms, a ``ContractionTuple`` validates it,
-``reference_random_polynomial`` draws the polynomial with one size-d
-exponent draw and two scalar normal draws per term, and ``vn_check``
-decides the case, by the exact supremum where the rows alpha - alpha_0
-are independent and by ``torus_sup`` elsewhere.  The library draws each
-trial's tuple as one row of normals and each exponent by a scalar draw,
-which give the same values and leave the generator at the same point;
-it validates and norms a chunk's tuples as stacks, by the same
-per-member LAPACK and BLAS calls in the same order, forms their p(S) by
-stacked products, then decides each case by the rule ``vn_check`` uses,
-extra cases before any trial.  The reference keeps every case's report
-in a list and counts the ``verdicts`` histogram from it at the end; the
-library counts each case as it is decided and keeps no report.  So the
-tests require both routes' results to be equal byte for byte as JSON.
+``reference_vn_search`` is the one-trial-at-a-time search.  It makes
+the two generators of ``SeedSequence(seed).spawn(2)`` and, for each
+trial, ``reference_commuting_tuple`` draws the tuple from the first with
+one generator call per matrix and coefficient vector and one-matrix
+norms, a ``ContractionTuple`` validates it, and
+``reference_row_polynomial`` draws the polynomial term by term: its
+term count from the second generator, then each of the four exponent
+vectors from the second and its two coefficient parts from the first,
+one call each, the unused terms drawn and dropped.  ``vn_check`` decides
+the case, by the exact supremum where the rows alpha - alpha_0 are
+independent and by ``torus_sup`` elsewhere.  The library draws each
+chunk's rows as one block per generator, which gives the same values in
+the same order; it validates and norms a chunk's tuples as stacks, by
+the same per-member LAPACK and BLAS calls in the same order, its
+contraction check reading the norms the draw already knows, forms their
+p(S) by stacked products, then decides each case by the rule
+``vn_check`` uses, extra cases before any trial, and forms a violating
+trial's tuple again from its row.  The reference keeps every case's
+report in a list and counts the ``verdicts`` histogram from it at the
+end; the library counts each case as it is decided and keeps no report.
+So the tests require both routes' results to be equal byte for byte as
+JSON.
+
+``reference_random_polynomial`` draws a polynomial from one generator
+with one size-d exponent draw and two scalar normal draws per term; the
+tests' ``random_polynomial`` draws each exponent by a scalar draw, which
+gives the same values and leaves the generator at the same point.
 
 ``reference_powers`` walks the powers of one matrix from the identity,
 each the last times A, and ``reference_power_product`` multiplies one
@@ -402,13 +412,30 @@ def reference_eval_poly(tup, poly):
     return out
 
 
+def reference_row_polynomial(normals, integers, d):
+    """One trial's polynomial, drawn term by term after its tuple: the
+    term count less one, then for each of four terms its exponent vector
+    from ``integers`` and its coefficient's parts from ``normals``, kept
+    for the first terms of the count; terms drawn twice add up."""
+    terms = {}
+    n_terms = int(integers.integers(0, 4)) + 1
+    for k in range(4):
+        alpha = tuple(int(a) for a in integers.integers(0, 4, size=d))
+        re, im = normals.standard_normal(), normals.standard_normal()
+        if k < n_terms:
+            terms[alpha] = terms.get(alpha, 0) + complex(re, im)
+    return MultiPolynomial(d=d, terms=terms)
+
+
 def reference_vn_search(d, dim, trials, seed, M, extra_cases=(), tol=1e-10):
-    """The search with one tuple, one polynomial and one ``vn_check`` per trial."""
+    """The search with one tuple, one polynomial and one ``vn_check`` per
+    trial, each trial's draws taken one call at a time from the seed's two
+    spawned generators."""
+    normals, integers = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
     cases = []
     for index in range(trials):
-        rng = np.random.default_rng(seed + index)
-        tup = reference_commuting_tuple(rng, d, dim)
-        cases.append(("random", index, tup, reference_random_polynomial(rng, d)))
+        tup = reference_commuting_tuple(normals, d, dim)
+        cases.append(("random", index, tup, reference_row_polynomial(normals, integers, d)))
     for index, (tup, poly) in enumerate(extra_cases):
         cases.append(("fixture", index, tup, poly))
 

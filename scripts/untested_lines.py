@@ -12,7 +12,8 @@ statement counts as executed when any line of its head (the whole of a
 simple statement, up to its body for a compound one) ran.  Statements
 that compile to no bytecode, such as docstrings, and the
 ``if __name__ == "__main__"`` block, which runs only as a script, are
-not listed.
+not listed.  The script exits 1 when it lists any statement, and 0 when
+Tier-1 runs them all.
 
 The script reports lines, not test verdicts: the tracer slows the suite,
 and its own allocations can make the tests that measure memory with
@@ -83,6 +84,7 @@ def main(argv: list) -> int:
     finally:
         sys.settrace(None)
 
+    listed = False
     for path in sorted(LIBRARY.glob("*.py")):
         ran = executed.get(str(path), set())
         missed = sorted(
@@ -90,7 +92,8 @@ def main(argv: list) -> int:
         )
         if missed:
             print(f"{path.name}: {', '.join(map(str, missed))}")
-    return 0
+            listed = True
+    return 1 if listed else 0
 
 
 if __name__ == "__main__":

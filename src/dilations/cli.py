@@ -3,10 +3,12 @@
 Every command is registered through one skeleton, ``_report_command``,
 which owns what the commands share: the ``--out`` option and, for all
 but ``bscr``, ``--tol``; resolving ``--tol`` by the DILATIONS_TOL rule;
+building the report's ``config`` from the command's own options;
 mapping input and numerical errors to their exit codes and a message on
-stderr; writing the report to stdout or ``--out``; and exiting with the
-code the command returns.  A command body only loads its inputs, calls
-the library and returns ``(report, exit_code)``.
+stderr, and library warnings to ``warning:`` lines there; writing the
+report to stdout or ``--out``; and exiting with the code the command
+returns.  A command body only loads its inputs, calls the library, puts
+``config`` in its report and returns ``(report, exit_code)``.
 
 Reports are written byte-identically to ``json.dumps(report, indent=2)``
 plus a newline, for the report with every array replaced by its
@@ -31,6 +33,7 @@ import inspect
 import json
 import math
 import sys
+import warnings
 
 import click
 import numpy as np
@@ -72,11 +75,11 @@ EXIT_NUMERICAL_ERROR = 3
 
 def _load_json(path):
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -185,13 +188,20 @@ def _report_pieces(report):
 def _report_command(group, name=None, tol=True):
     """Register the decorated body as command ``name`` of ``group``.
 
-    The body receives its own options, and the resolved ``tol`` unless
-    ``tol`` is false, and returns ``(report, exit_code)``.  A dict report
-    is written as indented JSON, byte-identical to
-    ``json.dumps(report, indent=2)`` plus a newline, with its matrix
-    payloads streamed in chunks (see ``_report_pieces``); a list report is
-    written as text lines.  ``--help`` lists the options in the order of
-    the body's parameters, then ``--out``.
+    The body receives its own options, the resolved ``tol`` unless ``tol``
+    is false, and ``config``, and returns ``(report, exit_code)``.
+    ``config`` is the command path under ``"command"``, then each option
+    but ``--out`` in the body's parameter order, keyed by its long flag
+    without dashes and with inner dashes as underscores, holding its parsed
+    value (for ``tol``, the resolved one); the body may refine a resolved
+    value and puts ``config`` in its report.  Each warning the body raises
+    is one ``warning: <message>`` line on stderr.  A dict report is written
+    as indented JSON, byte-identical to ``json.dumps(report, indent=2)``
+    plus a newline, with its matrix payloads streamed in chunks (see
+    ``_report_pieces``); a list report is written as text lines.  ``--out``
+    is opened once the report is encoded, and one that cannot be written
+    is an input error.  ``--help`` lists the options in the order of the
+    body's parameters, then ``--out``.
     """
 
     def register(body):
@@ -202,6 +212,9 @@ def _report_command(group, name=None, tol=True):
         params = sorted(
             [*body.__click_params__, *shared], key=lambda p: order.index(p.name)
         )
+        leaf = name or body.__name__
+        path = leaf if group is main else f"{group.name} {leaf}"
+        keys = {p.name: p.opts[0][2:].replace("-", "_") for p in params if p.name != "out"}
 
         def command(out, **options):
             try:
@@ -210,25 +223,33 @@ def _report_command(group, name=None, tol=True):
                     options["tol"] = (
                         default_tol() if given is None else _check_tol(given, "--tol")
                     )
-                report, code = body(**options)
+                config = {"command": path, **{key: options[name] for name, key in keys.items()}}
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always", UserWarning)
+                    try:
+                        report, code = body(**options, config=config)
+                    finally:
+                        for warning in caught:
+                            click.echo(f"warning: {warning.message}", err=True)
+                pieces = _report_pieces(report)
+                if out is None:
+                    sys.stdout.writelines(pieces)
+                    sys.stdout.flush()
+                else:
+                    try:
+                        with open(out, "w") as handle:
+                            handle.writelines(pieces)
+                    except OSError as exc:
+                        raise InputError(f"cannot write {out}: {exc}") from exc
             except InputError as exc:
                 click.echo(f"input error: {exc}", err=True)
                 sys.exit(EXIT_INPUT_ERROR)
             except NumericalError as exc:
                 click.echo(f"numerical error: {exc}", err=True)
                 sys.exit(EXIT_NUMERICAL_ERROR)
-            pieces = _report_pieces(report)
-            if out is None:
-                sys.stdout.writelines(pieces)
-                sys.stdout.flush()
-            else:
-                with open(out, "w") as handle:
-                    handle.writelines(pieces)
             sys.exit(code)
 
-        return group.command(name or body.__name__, params=params, help=body.__doc__)(
-            command
-        )
+        return group.command(leaf, params=params, help=body.__doc__)(command)
 
     return register
 
@@ -248,18 +269,12 @@ def interp():
 @click.option("--tuple", "tuple_path", required=True, type=click.Path())
 @click.option("--N", "n_grid", required=True, type=int)
 @click.option("--t", "time_text", required=True)
-def interp_eval(tuple_path, n_grid, time_text, tol):
+def interp_eval(tuple_path, n_grid, time_text, tol, config):
     """Evaluate the grid semigroup at one grid time."""
     tup = _load_tuple(tuple_path, tol)
     t = GridTime.parse(time_text, n_grid)
     mat = eval_discretized(DiscretizedSemigroup(tup, n_grid), t)
-    config = {
-        "command": "interp eval",
-        "tuple": str(tuple_path),
-        "N": n_grid,
-        "t": str(t),
-        "tol": tol,
-    }
+    config["t"] = str(t)
     return {"config": config, "result": _matrix_payload(mat)}, EXIT_OK
 
 
@@ -267,19 +282,13 @@ def interp_eval(tuple_path, n_grid, time_text, tol):
 @click.option("--tuple", "tuple_path", required=True, type=click.Path())
 @click.option("--N", "n_grid", required=True, type=int)
 @click.option("--max-num", type=int, default=None, help="Numerator bound (default 2N).")
-def interp_check(tuple_path, n_grid, max_num, tol):
+def interp_check(tuple_path, n_grid, max_num, tol, config):
     """Full property suite: homomorphism, interpolation, contractivity,
     commutation, and the compression identity."""
     tup = _load_tuple(tuple_path, tol)
     bound = max_num if max_num is not None else 2 * n_grid
+    config["max_num"] = bound
     suite = semigroup_suite(tup, n_grid, bound)
-    config = {
-        "command": "interp check",
-        "tuple": str(tuple_path),
-        "N": n_grid,
-        "max_num": bound,
-        "tol": tol,
-    }
     code = EXIT_OK if suite["passed"] else EXIT_CHECK_FAILED
     return {"config": config, **suite}, code
 
@@ -287,7 +296,7 @@ def interp_check(tuple_path, n_grid, max_num, tol):
 @_report_command(main, tol=False)
 @click.option("--N", "n_grid", required=True, type=int)
 @click.option("--trace", "trace_text", default=None, help="Pair s,t of grid times for a trace.")
-def bscr(n_grid, trace_text):
+def bscr(n_grid, trace_text, config):
     """Exhaustive commutation-relation check on the grid; optional trace CSV."""
     if n_grid < 1:
         raise InputError(f"N must be >= 1, got {n_grid}")
@@ -296,8 +305,8 @@ def bscr(n_grid, trace_text):
     worst = bscr_check(n_grid, nums[:, None], nums)
     code = EXIT_OK if worst == 0.0 else EXIT_CHECK_FAILED
     if trace_text is None:
-        report = {"config": {"command": "bscr", "N": n_grid}, "max_deviation": worst}
-        return {**report, "passed": worst == 0.0}, code
+        del config["trace"]
+        return {"config": config, "max_deviation": worst, "passed": worst == 0.0}, code
     pair = GridTime.parse(trace_text, n_grid)
     if pair.d != 2:
         raise InputError("--trace expects exactly two grid times s,t")
@@ -310,14 +319,13 @@ def bscr(n_grid, trace_text):
 @click.option("--r1", "r1_path", required=True, type=click.Path())
 @click.option("--r2", "r2_path", required=True, type=click.Path())
 @click.option("--allow-contraction-r2", is_flag=True, default=False)
-def parrott(r1_path, r2_path, tol, allow_contraction_r2):
+def parrott(r1_path, r2_path, tol, allow_contraction_r2, config):
     """Build the commuting triple (R1 x E21, R2 x E21, I x E21)."""
     r1 = _load_matrix(r1_path)
     r2 = _load_matrix(r2_path)
     tup = parrott_tuple(
         r1, r2, tol=tol, allow_contraction_r2=allow_contraction_r2
     )
-    config = {"command": "parrott", "r1": str(r1_path), "r2": str(r2_path), "tol": tol}
     return {**tup._payload(), "config": config}, EXIT_OK
 
 
@@ -325,18 +333,11 @@ def parrott(r1_path, r2_path, tol, allow_contraction_r2):
 @click.option("--tuple", "tuple_path", required=True, type=click.Path())
 @click.option("--poly", "poly_path", required=True, type=click.Path())
 @click.option("--grid", "grid_m", type=int, default=64)
-def vn(tuple_path, poly_path, grid_m, tol):
+def vn(tuple_path, poly_path, grid_m, tol, config):
     """Check the polynomial inequality with a certified torus bound."""
     tup = _load_tuple(tuple_path, tol)
     poly = MultiPolynomial.from_json(_load_json(poly_path))
     report = vn_check(tup, poly, grid_m, tol=tol)
-    config = {
-        "command": "vn",
-        "tuple": str(tuple_path),
-        "poly": str(poly_path),
-        "grid": grid_m,
-        "tol": tol,
-    }
     code = EXIT_OK if report.verdict == "HOLDS" else EXIT_CHECK_FAILED
     return {**report.to_json(), "config": config}, code
 
@@ -349,20 +350,11 @@ def vn(tuple_path, poly_path, grid_m, tol):
 @click.option("--grid", "grid_m", type=int, default=64)
 @click.option("--include-fixture", is_flag=True, default=False,
               help="Append the shipped dim-8 counterexample to the pool.")
-def vn_search_cmd(arity, dim, trials, seed, grid_m, include_fixture, tol):
+def vn_search_cmd(arity, dim, trials, seed, grid_m, include_fixture, tol, config):
     """Randomized violation search over commuting tuples (seeded)."""
     extra = [fixtures.load_crabb_davie()] if include_fixture else []
     report = vn_search(arity, dim, trials, seed, grid_m, extra_cases=extra, tol=tol)
-    report["config"] = {
-        "command": "vn-search",
-        "d": arity,
-        "dim": dim,
-        "trials": trials,
-        "seed": seed,
-        "grid": grid_m,
-        "include_fixture": include_fixture,
-        "tol": tol,
-    }
+    report["config"] = config
     return report, EXIT_CHECK_FAILED if report["violations"] else EXIT_OK
 
 
@@ -370,18 +362,11 @@ def vn_search_cmd(arity, dim, trials, seed, grid_m, include_fixture, tol):
 @click.option("--matrix", "matrix_path", required=True, type=click.Path())
 @click.option("--m", "steps", required=True, type=int)
 @click.option("--verify", is_flag=True, default=False)
-def dilate(matrix_path, steps, verify, tol):
+def dilate(matrix_path, steps, verify, tol, config):
     """Unitary m-dilation of a single contraction, optionally verified."""
     s = _load_matrix(matrix_path)
     cand = egervary_dilation(s, steps, tol=tol)
-    report = cand._payload()
-    report["config"] = {
-        "command": "dilate",
-        "matrix": str(matrix_path),
-        "m": steps,
-        "verify": verify,
-        "tol": tol,
-    }
+    report = {**cand._payload(), "config": config}
     if not verify:
         return report, EXIT_OK
     check = power_dilation_verify(ContractionTuple((s,), tol=tol), cand, tol=tol)
@@ -394,7 +379,7 @@ def dilate(matrix_path, steps, verify, tol):
 @click.option("--eps-list", "eps_text", required=True)
 @click.option("--tmax", type=float, default=2.0)
 @click.option("--steps", type=int, default=40)
-def approx(gen_path, eps_text, tmax, steps, tol):
+def approx(gen_path, eps_text, tmax, steps, tol, config):
     """Blend-vs-true-semigroup error sweep on a uniform time grid."""
     obj = _load_json(gen_path)
     try:
@@ -405,6 +390,7 @@ def approx(gen_path, eps_text, tmax, steps, tol):
         eps_list = [float(x) for x in eps_text.split(",") if x.strip()]
     except ValueError as exc:
         raise InputError(f"bad --eps-list: {exc}") from exc
+    config["eps_list"] = eps_list
     if not eps_list:
         raise InputError("--eps-list is empty")
     if steps < 1:
@@ -415,41 +401,28 @@ def approx(gen_path, eps_text, tmax, steps, tol):
         _check_cap((steps + 1) ** len(gens) * gens[0].shape[0], gens[0].shape[0])
     axis = [tmax * k / steps for k in range(steps + 1)]
     sweep = approx_error_sweep(gens, eps_list, [axis] * len(gens), tol=tol)
-    config = {
-        "command": "approx",
-        "generators": str(gen_path),
-        "eps_list": eps_list,
-        "tmax": tmax,
-        "steps": steps,
-        "tol": tol,
-    }
     return {"config": config, "sweep": sweep}, EXIT_OK
 
 
 @_report_command(main)
 @click.option("--matrix", "matrix_path", required=True, type=click.Path())
-def structure(matrix_path, tol):
+def structure(matrix_path, tol, config):
     """Operator class report for one matrix."""
     report = structure_report(_load_matrix(matrix_path), tol=tol)
     payload = report.to_json()
     payload["bimarkov"] = report.holds("bimarkov")
-    payload["config"] = {"command": "structure", "matrix": str(matrix_path), "tol": tol}
+    payload["config"] = config
     return payload, EXIT_OK
 
 
 @_report_command(main)
 @click.option("--tuple", "tuple_path", required=True, type=click.Path())
 @click.option("--N", "n_grid", required=True, type=int)
-def preserve(tuple_path, n_grid, tol):
+def preserve(tuple_path, n_grid, tol, config):
     """Preservation suite for the grid semigroup of a tuple."""
     tup = _load_tuple(tuple_path, tol)
     report = preservation_suite(tup, n_grid, tol=tol)
-    report["config"] = {
-        "command": "preserve",
-        "tuple": str(tuple_path),
-        "N": n_grid,
-        "tol": tol,
-    }
+    report["config"] = config
     return report, EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 
 

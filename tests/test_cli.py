@@ -3,6 +3,7 @@ import json
 import math
 import time
 import tracemalloc
+import warnings
 
 import click
 import numpy as np
@@ -12,7 +13,15 @@ from click.testing import CliRunner
 from conftest import random_commuting_tuple, random_unitary
 from dilations import cli
 from dilations.cli import main
-from dilations.linalg import InputError, NumericalError, _listed, _matrix_payload, matrix_to_json
+from dilations.linalg import (
+    DEFAULT_TOL,
+    InputError,
+    NumericalError,
+    _listed,
+    _matrix_payload,
+    matrix_to_json,
+    psd_sqrt,
+)
 from dilations.torus import bscr_trace, trace_to_csv_rows
 from test_linalg import svd_shapes
 
@@ -139,22 +148,26 @@ class TestParrott:
         assert payload["dim"] == 4
 
     def test_rejects_contraction_without_flag(self, runner, tmp_path):
-        import warnings
-
         rng = np.random.default_rng(72)
         r1 = write_matrix(tmp_path / "r1.json", random_unitary(rng, 2))
         r2 = write_matrix(tmp_path / "r2.json", 0.5 * np.eye(2))
         result = runner.invoke(main, ["parrott", "--r1", r1, "--r2", r2])
         assert result.exit_code == 2
-        with warnings.catch_warnings():
-            # scalar R2 commutes with R1; the commuting-factors warning
-            # is expected here
-            warnings.simplefilter("ignore")
-            result = runner.invoke(
-                main,
-                ["parrott", "--r1", r1, "--r2", r2, "--allow-contraction-r2"],
-            )
+        result = runner.invoke(
+            main,
+            ["parrott", "--r1", r1, "--r2", r2, "--allow-contraction-r2"],
+        )
         assert result.exit_code == 0
+
+    def test_commuting_factors_warn_on_one_stderr_line(self, runner, tmp_path):
+        r = write_matrix(tmp_path / "r.json", shift_matrix(2))
+        result = runner.invoke(main, ["parrott", "--r1", r, "--r2", r])
+        assert result.exit_code == 0
+        assert result.stderr == (
+            "warning: R1 and R2 commute; the resulting tuple has no "
+            "non-dilatability guarantee\n"
+        )
+        assert json.loads(result.stdout)["d"] == 3
 
 
 class TestVn:
@@ -525,7 +538,7 @@ REPORT_SHAPES = [
     (
         ["parrott", "--r1", "{unitary}", "--r2", "{unitary2}"],
         ["d", "dim", "matrices", "config"],
-        ["command", "r1", "r2", "tol"],
+        ["command", "r1", "r2", "tol", "allow_contraction_r2"],
     ),
     (
         ["vn", "--tuple", "{pair}", "--poly", "{poly2}", "--grid", "8"],
@@ -571,6 +584,31 @@ def test_report_key_shape(runner, inputs):
         payload = json.loads(result.output)
         assert list(payload) == top_keys, args
         assert list(payload["config"]) == config_keys, args
+        assert payload["config"]["command"] == command_name(args)
+
+
+def test_config_echoes_each_option(runner, inputs):
+    """A report's config holds the value each option was given."""
+    cases = [
+        (["parrott", "--r1", "{unitary}", "--r2", "{unitary2}", "--allow-contraction-r2"],
+         {"command": "parrott", "r1": "{unitary}", "r2": "{unitary2}", "tol": DEFAULT_TOL,
+          "allow_contraction_r2": True}),
+        (["vn-search", "--d", "3", "--dim", "8", "--trials", "0", "--seed", "0",
+          "--grid", "16", "--include-fixture"],
+         {"command": "vn-search", "d": 3, "dim": 8, "trials": 0, "seed": 0, "grid": 16,
+          "include_fixture": True, "tol": DEFAULT_TOL}),
+        (["dilate", "--matrix", "{matrix}", "--m", "2"],
+         {"command": "dilate", "matrix": "{matrix}", "m": 2, "verify": False,
+          "tol": DEFAULT_TOL}),
+    ]
+    for args, config in cases:
+        result = runner.invoke(main, [a.format(**inputs) for a in args])
+        expected = {k: v.format(**inputs) if isinstance(v, str) else v
+                    for k, v in config.items()}
+        assert json.loads(result.stdout)["config"] == expected, args
+    args = ["structure", "--matrix", inputs["matrix"]]
+    result = runner.invoke(main, args, env={"DILATIONS_TOL": "1e-3"})
+    assert json.loads(result.stdout)["config"]["tol"] == 1e-3
 
 
 @pytest.mark.parametrize(
@@ -915,6 +953,15 @@ BAD_INPUTS = [
     # N^2 = 10^24 entries: refused before the 2N times are listed
     (["bscr", "--N", "1000000000000"],
      "matrix of shape 1000000000000x1000000000000 exceeds the size cap"),
+    # an --out that cannot be written: a directory, a file in a missing one
+    (["vn", "--tuple", "{tuple1}", "--poly", "{poly1}", "--out", "{directory}"],
+     "cannot write"),
+    (["structure", "--matrix", "{half}", "--out", "{no_parent}"], "cannot write"),
+    # input files that are not UTF-8: UTF-16, starting with the bytes ff fe
+    (["structure", "--matrix", "{utf16}"], "utf16.json is not valid JSON"),
+    (["vn", "--tuple", "{tuple1}", "--poly", "{utf16}"], "utf16.json is not valid JSON"),
+    (["approx", "--generators", "{utf16}", "--eps-list", "0.5"],
+     "utf16.json is not valid JSON"),
 ]
 # The cases' ids are args0, args1, ... in list order.
 BAD_INPUT_IDS = [f"args{i}" for i in range(len(BAD_INPUTS))]
@@ -974,7 +1021,11 @@ def test_bad_input_exits_2(runner, tmp_path, args, message):
         "tuple": write_tuple(tmp_path / "tup.json", [shift_matrix(2)]),
         "tuple1": write_tuple(tmp_path / "tup1.json", [np.diag([0.5])]),
         "missing": str(tmp_path / "missing.json"),
+        "directory": str(tmp_path),
+        "no_parent": str(tmp_path / "missing" / "report.json"),
+        "utf16": str(tmp_path / "utf16.json"),
     }
+    (tmp_path / "utf16.json").write_bytes(json.dumps(files["half"]).encode("utf-16"))
     for name, obj in files.items():
         paths[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))
@@ -1052,6 +1103,42 @@ def test_errors_map_to_exit_codes(runner, inputs, tmp_path, monkeypatch, error, 
     assert result.stderr == f"{prefix} forced\n"
     assert result.stdout == ""
     assert not out.exists()
+
+
+def test_failing_command_keeps_an_existing_out_file(runner, inputs, tmp_path):
+    out = tmp_path / "report.json"
+    out.write_text("earlier report\n")
+    args = ["structure", "--matrix", inputs["matrix"], "--out", str(out), "--tol", "-1"]
+    assert runner.invoke(main, args).exit_code == 2
+    assert out.read_text() == "earlier report\n"
+
+
+def test_eigh_failure_is_a_numerical_error(runner, inputs, monkeypatch):
+    """psd_sqrt refuses a failed eigendecomposition, and dilate exits 3 on it."""
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NumericalError, match="eigendecomposition failed"):
+        psd_sqrt(np.eye(2))
+    result = runner.invoke(main, ["dilate", "--matrix", inputs["matrix"], "--m", "2"])
+    assert result.exit_code == 3
+    assert result.stderr == (
+        "numerical error: eigendecomposition failed: Eigenvalues did not converge\n"
+    )
+
+
+def test_runtime_warnings_keep_their_filter(runner, inputs, monkeypatch):
+    """Only UserWarnings become stderr lines: under this suite's
+    error::RuntimeWarning filter a numpy-style warning still raises."""
+
+    def warn(*args, **kwargs):
+        warnings.warn("overflow encountered", RuntimeWarning)
+
+    monkeypatch.setattr(cli, "structure_report", warn)
+    result = runner.invoke(main, ["structure", "--matrix", inputs["matrix"]])
+    assert isinstance(result.exception, RuntimeWarning)
 
 
 def test_root_table_cap_exits_2(runner, inputs, monkeypatch):

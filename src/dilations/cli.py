@@ -6,9 +6,10 @@ but ``bscr``, ``--tol``; resolving ``--tol`` by the DILATIONS_TOL rule;
 building the report's ``config`` from the command's own options;
 mapping input and numerical errors to their exit codes and a message on
 stderr, and library warnings to ``warning:`` lines there; writing the
-report to stdout or ``--out``; and exiting with the code the command
-returns.  A command body only loads its inputs, calls the library, puts
-``config`` in its report and returns ``(report, exit_code)``.
+report to stdout or ``--out``, either of which is an input error when it
+cannot be written; and exiting with the code the command returns.  A
+command body only loads its inputs, calls the library, puts ``config``
+in its report and returns ``(report, exit_code)``.
 
 Reports are written byte-identically to ``json.dumps(report, indent=2)``
 plus a newline, for the report with every array replaced by its
@@ -24,14 +25,16 @@ a violation was found (report still written); 2 input or format error;
 3 numerical error.
 
 Environment overrides: DILATIONS_TOL (default comparison tolerance) and
-DILATIONS_MAX_ENTRIES (matrix size cap).
+DILATIONS_MAX_ENTRIES (the size cap on the entries one step holds).
 """
 
 from __future__ import annotations
 
+import contextlib
 import inspect
 import json
 import math
+import os
 import sys
 import warnings
 
@@ -185,6 +188,23 @@ def _report_pieces(report):
     return _spliced(parts, held)
 
 
+def _write_report(pieces, out) -> None:
+    """Write the pieces to ``out``, or to stdout when it is None.  An output
+    that cannot be written, such as a closed pipe or a full disk, is an
+    input error; stdout is then pointed at ``os.devnull``, so the
+    interpreter's flush at exit drops what is still buffered, silently."""
+    try:
+        with contextlib.nullcontext(sys.stdout) if out is None else open(out, "w") as handle:
+            handle.writelines(pieces)
+            handle.flush()
+    except OSError as exc:
+        if out is None:
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        raise InputError(f"cannot write {'stdout' if out is None else out}: {exc}") from exc
+
+
 def _report_command(group, name=None, tol=True):
     """Register the decorated body as command ``name`` of ``group``.
 
@@ -199,9 +219,9 @@ def _report_command(group, name=None, tol=True):
     as indented JSON, byte-identical to ``json.dumps(report, indent=2)``
     plus a newline, with its matrix payloads streamed in chunks (see
     ``_report_pieces``); a list report is written as text lines.  ``--out``
-    is opened once the report is encoded, and one that cannot be written
-    is an input error.  ``--help`` lists the options in the order of the
-    body's parameters, then ``--out``.
+    is opened once the report is encoded, and stdout or an ``--out`` that
+    cannot be written is an input error (``_write_report``).  ``--help``
+    lists the options in the order of the body's parameters, then ``--out``.
     """
 
     def register(body):
@@ -231,16 +251,7 @@ def _report_command(group, name=None, tol=True):
                     finally:
                         for warning in caught:
                             click.echo(f"warning: {warning.message}", err=True)
-                pieces = _report_pieces(report)
-                if out is None:
-                    sys.stdout.writelines(pieces)
-                    sys.stdout.flush()
-                else:
-                    try:
-                        with open(out, "w") as handle:
-                            handle.writelines(pieces)
-                    except OSError as exc:
-                        raise InputError(f"cannot write {out}: {exc}") from exc
+                _write_report(_report_pieces(report), out)
             except InputError as exc:
                 click.echo(f"input error: {exc}", err=True)
                 sys.exit(EXIT_INPUT_ERROR)
@@ -300,7 +311,8 @@ def bscr(n_grid, trace_text, config):
     """Exhaustive commutation-relation check on the grid; optional trace CSV."""
     if n_grid < 1:
         raise InputError(f"N must be >= 1, got {n_grid}")
-    _check_cap(n_grid, n_grid)  # bscr_check's cap, before the 2N times are listed
+    # bscr_check's cap, before the 2N times are listed
+    _check_cap(n_grid * n_grid, f"the {n_grid}x{n_grid} grid motion table")
     nums = np.arange(2 * n_grid)
     worst = bscr_check(n_grid, nums[:, None], nums)
     code = EXIT_OK if worst == 0.0 else EXIT_CHECK_FAILED
@@ -398,7 +410,7 @@ def approx(gen_path, eps_text, tmax, steps, tol, config):
     if not (math.isfinite(tmax) and tmax >= 0):
         raise InputError(f"--tmax must be finite and nonnegative, got {tmax}")
     if gens:  # the sweep's cap on its grid values, before the axis is listed
-        _check_cap((steps + 1) ** len(gens) * gens[0].shape[0], gens[0].shape[0])
+        _check_cap((steps + 1) ** len(gens) * gens[0].shape[0] ** 2, "the sweep's value grid")
     axis = [tmax * k / steps for k in range(steps + 1)]
     sweep = approx_error_sweep(gens, eps_list, [axis] * len(gens), tol=tol)
     return {"config": config, "sweep": sweep}, EXIT_OK

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interpolation import ContractionTuple, _require_contractions
+from .interpolation import ContractionTuple
 from .linalg import (
     DEFAULT_TOL,
     InputError,
@@ -32,14 +32,15 @@ from .linalg import (
     _complex_pairs,
     _integer,
     _matrix_payload,
-    _max_deviation,
     _max_op_norm,
     _norm_margin,
     _op_norms,
     _power_products,
     _powers,
     _require_commuting,
+    _require_contractions,
     _require_isometries,
+    _square_stack,
     as_matrix,
     dagger,
     identity,
@@ -114,7 +115,12 @@ class MultiPolynomial:
             d = _integer(obj["d"], "polynomial d")
             items = obj["terms"]
             coeffs = _complex_pairs([item["coeff"] for item in items], "coefficient")
-            terms = {tuple(item["alpha"]): coeff for item, coeff in zip(items, coeffs)}
+            terms = {}
+            for item, coeff in zip(items, coeffs):
+                alpha = tuple(item["alpha"])
+                if alpha in terms:
+                    raise ValueError(f"exponent {alpha} is listed twice")
+                terms[alpha] = coeff
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed polynomial JSON: {exc}") from exc
         return cls(d=d, terms=terms)
@@ -136,16 +142,13 @@ def parrott_tuple(
     is never verified here; only the stated algebra is.)
 
     With ``allow_contraction_r2`` the second factor may be any
-    contraction instead of a unitary.  R is unitary when the stack [R, R*]
-    passes ``_require_isometries``: its gaps R*R - 1 and RR* - 1 are decided
-    by ``_max_deviation``, which refuses a gap that overflowed.  The
-    contraction bound 1 + tol is decided by ``_max_op_norm``, and the
-    commutation of the pair, to within tol, by ``_max_deviation``.
+    contraction instead of a unitary.  ``_square_stack`` checks that R1 and
+    R2 are square and of one size; R is unitary when the stack [R, R*]
+    passes ``_require_isometries``.  Its gaps R*R - 1 and RR* - 1, the
+    contraction bound 1 + tol and the pair's commutator, within tol, are
+    all decided by ``_max_op_norm``, which fails one that overflowed.
     """
-    r1 = as_matrix(r1)
-    r2 = as_matrix(r2)
-    if r1.shape != r2.shape or r1.shape[0] != r1.shape[1]:
-        raise InputError("R1 and R2 must be square and of equal size")
+    r1, r2 = _square_stack([r1, r2], "factor")
     n = r1.shape[0]
     _require_isometries(np.stack([r1, dagger(r1)]), "R1 is not unitary", tol)
     if allow_contraction_r2:
@@ -153,7 +156,7 @@ def parrott_tuple(
             raise InputError("R2 must be a contraction")
     else:
         _require_isometries(np.stack([r2, dagger(r2)]), "R2 is not unitary", tol)
-    if _max_deviation((r1 @ r2 - r2 @ r1)[None], tol):
+    if _max_op_norm((r1 @ r2 - r2 @ r1)[None], tol):
         warnings.warn(
             "R1 and R2 commute; the resulting tuple has no non-dilatability "
             "guarantee",
@@ -194,23 +197,17 @@ def _poly_matrix(axes, alphas: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 
 def _check_lattice(M: int) -> None:
-    """Refuse a lattice size M below 2 or a table of M roots beyond the
-    size cap."""
+    """Refuse a lattice size M below 2 or a table of M roots, held whole,
+    beyond the size cap."""
     if M < 2:
         raise InputError(f"lattice size M must be >= 2, got {M}")
-    # The table of M roots is held whole; at d = 1 the point cap allows
-    # 128 times more points than any matrix may have entries.
-    if M > max_entries():
-        raise InputError(
-            f"lattice size M = {M} exceeds the size cap of {max_entries()} "
-            "entries (set DILATIONS_MAX_ENTRIES to override)"
-        )
+    _check_cap(M, f"the table of M = {M} roots of unity")
 
 
 def _check_points(name: str, points: int) -> None:
-    """Refuse a lattice of more points than 128 times the size cap."""
-    # Only block-sized temporaries are held, so the cap on total points
-    # can sit well above the dense-matrix entry cap.
+    """Refuse a lattice of more points than 128 times the size cap: a cap
+    on work, not memory, as the points are streamed in block-sized chunks,
+    so it is not ``_check_cap``'s cap on what one step holds."""
     if points > 128 * max_entries():
         raise InputError(
             f"lattice of {name} = {points} points exceeds the size cap; "
@@ -573,7 +570,7 @@ def vn_search(
         )
     if dim < 1:
         raise InputError(f"dim must be >= 1, got {dim}")
-    _check_cap(dim, dim)
+    _check_cap(dim * dim, f"a {dim}x{dim} tuple member")
     if trials < 0:
         raise InputError("trials must be nonnegative")
     if seed < 0:
@@ -662,10 +659,10 @@ class DilationCandidate:
 
     Each V_i, as the stack [V_i, V_i*], and r are checked by
     ``_require_isometries``, and the tuple by ``_require_commuting``, all to
-    within tol.  Both decide by ``_max_deviation``: the SVD of a gap or
-    commutator runs only where ``_max_op_norm``'s bounds cannot decide, so
-    a 100 x 100 V whose gaps are rounding-sized takes none, and a gap that
-    overflowed is refused with deviation nan.
+    within tol.  Both decide by ``_max_op_norm``: the SVD of a gap or
+    commutator runs only where its bounds cannot decide, so a 100 x 100 V
+    whose gaps are rounding-sized takes none, and a gap that overflowed is
+    refused with deviation nan.  ``_square_stack`` checks the shapes.
     """
 
     vs: tuple[np.ndarray, ...]
@@ -676,17 +673,13 @@ class DilationCandidate:
     def __post_init__(self):
         if self.n_max < 1:
             raise InputError(f"n_max must be >= 1, got {self.n_max}")
-        vs = tuple(as_matrix(v) for v in self.vs)
-        object.__setattr__(self, "vs", vs)
+        vs = _square_stack(self.vs, "unitary")
+        object.__setattr__(self, "vs", tuple(vs))
         object.__setattr__(self, "r", as_matrix(self.r))
-        if len(vs) < 1:
-            raise InputError("a dilation candidate needs at least one unitary")
-        big = vs[0].shape[0]
         for i, v in enumerate(vs):
-            if v.shape != (big, big):
-                raise InputError(f"unitary {i + 1} has shape {v.shape}")
             _require_isometries(np.stack([v, dagger(v)]), f"V_{i + 1} is not unitary", self.tol)
-        _require_commuting(np.stack(vs), "unitaries", self.tol)
+        _require_commuting(vs, "unitaries", self.tol)
+        big = vs.shape[-1]
         if self.r.shape[0] != big:
             raise InputError(
                 f"embedding maps into dimension {self.r.shape[0]}, unitaries act on {big}"
@@ -727,7 +720,7 @@ def power_dilation_verify(
             f"embedding domain has dimension {cand.r.shape[1]}, tuple dim is {tup.dim}"
         )
     n = cand.n_max + 1
-    _check_cap(n**tup.d * tup.dim, cand.r.shape[0])
+    _check_cap(n**tup.d * tup.dim * cand.r.shape[0], "the big side of the power walk")
     small, big = identity(tup.dim)[None], dagger(cand.r)[None]
     for s_i, v_i in zip(tup.mats, cand.vs):
         small, big = _walk(small, s_i, n), _walk(big, v_i, n)
@@ -771,7 +764,7 @@ def egervary_dilation(s, m: int, tol: float = DEFAULT_TOL) -> DilationCandidate:
         raise InputError(f"m must be >= 1, got {m}")
     n = s.shape[0]
     big = n * (m + 1)
-    _check_cap(big, big)
+    _check_cap(big * big, f"the {big}x{big} dilation unitary")
     if not _max_op_norm(s[None], 1 + tol):
         raise InputError("dilation input must be a contraction")
     defect = psd_sqrt(identity(n) - dagger(s) @ s, eps=max(tol, 1e-9))

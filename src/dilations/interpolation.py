@@ -33,14 +33,14 @@ from .linalg import (
     _listed,
     _matrix_payload,
     _max_op_norm,
-    _op_norms,
     _power_products,
     _require_commuting,
+    _require_contractions,
+    _square_stack,
     as_matrix,
     identity,
     matrix_exp,
     matrix_from_json,
-    max_entries,
 )
 from .torus import GridTime, _grid_motion
 
@@ -64,17 +64,9 @@ class ContractionTuple:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        if len(self.mats) < 1:
-            raise InputError("a contraction tuple needs at least one operator")
-        mats = tuple(as_matrix(m) for m in self.mats)
-        object.__setattr__(self, "mats", mats)
-        dim = mats[0].shape[0]
-        for i, m in enumerate(mats):
-            if m.shape != (dim, dim):
-                raise InputError(
-                    f"operator {i + 1} has shape {m.shape}, expected ({dim}, {dim})"
-                )
-        _require_contractions(np.stack(mats)[None], self.tol)
+        stack = _square_stack(self.mats, "operator")
+        object.__setattr__(self, "mats", tuple(stack))
+        _require_contractions(stack[None], self.tol)
 
     @property
     def d(self) -> int:
@@ -111,27 +103,6 @@ class ContractionTuple:
         return tup
 
 
-def _require_contractions(stack: np.ndarray, tol: float, known=None) -> None:
-    """Raise unless every tuple of the stack (K, d, n, n) is a commuting
-    tuple of contractions to within tol: each member's norm at most
-    1 + tol, by one ``_max_op_norm`` call, then ``_require_commuting``.
-    Only a failing stack is normed whole, for the message, which names the
-    first member over.  This is the check ``ContractionTuple`` runs on
-    itself (K = 1); ``vn_search`` runs it on its random tuples without
-    building one per trial.
-
-    ``known`` (K, d), when given, bounds from above every computed norm of
-    each member, as ``_commuting_stack`` returns: a member whose bound is
-    at most 1 + tol passes as its computed norm would, and only the others
-    go to ``_max_op_norm``.  A NaN bound leaves its member to it."""
-    unknown = stack if known is None else stack[~(known <= 1 + tol)]
-    if unknown.size and not _max_op_norm(unknown, 1 + tol):
-        norms = _op_norms(stack)
-        k, i = np.argwhere(norms > 1 + tol)[0]
-        raise InputError(f"operator {i + 1} has norm {norms[k, i]:.12g} > 1 + tol")
-    _require_commuting(stack, "operators", tol)
-
-
 @dataclass(frozen=True)
 class DiscretizedSemigroup:
     """The exact discrete semigroup of a contraction tuple on the 1/N grid."""
@@ -148,16 +119,6 @@ class DiscretizedSemigroup:
         return self.N**self.base.d * self.base.dim
 
 
-def _check_floor(floor: int, dim: int) -> None:
-    """Refuse walking to S^(floor + 1) of a dim x dim S when (floor + 1) dim^2
-    exceeds the size cap; checked on the Python int, before it meets numpy."""
-    if (floor + 1) * dim * dim > max_entries():
-        raise InputError(
-            f"time with floor {floor} needs powers up to {floor + 1} of a {dim}x{dim} "
-            f"matrix, beyond the size cap of {max_entries()} entries"
-        )
-
-
 def _grid_forms(semi: DiscretizedSemigroup, nums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(targets, exponents) of the semigroup at K grid times, given as a
     (K, d) int64 array of numerators: arrays (K, N^d) and (K, N^d, d).
@@ -168,9 +129,10 @@ def _grid_forms(semi: DiscretizedSemigroup, nums: np.ndarray) -> tuple[np.ndarra
     carry(m); targets and carries are the grid motion of
     ``torus._grid_motion``.  With a the number of axes where
     frac(t_i) > 0, a time's rows take 2^a distinct values, each at some
-    grid point.  ``_check_floor`` bounds the largest floor first.
+    grid point.  The walk to power floor + 1 of the largest floor is capped first.
     """
-    _check_floor(int(nums.max()) // semi.N, semi.base.dim)
+    top, dim = int(nums.max()) // semi.N + 1, semi.base.dim
+    _check_cap(top * dim * dim, f"the walk to power {top} of a {dim}x{dim} matrix")
     targets, carries = _grid_motion(semi.N, nums % semi.N)
     return targets, carries + (nums // semi.N)[:, None, :]
 
@@ -183,7 +145,8 @@ def _grid_form(semi: DiscretizedSemigroup, t: GridTime) -> tuple[np.ndarray, np.
         raise InputError(f"grid time has denominator {t.N}, semigroup uses {semi.N}")
     if t.d != semi.base.d:
         raise InputError(f"grid time has arity {t.d}, tuple has d={semi.base.d}")
-    _check_floor(max(t.nums) // semi.N, semi.base.dim)
+    top, dim = max(t.nums) // semi.N + 1, semi.base.dim
+    _check_cap(top * dim * dim, f"the walk to power {top} of a {dim}x{dim} matrix")
     targets, exponents = _grid_forms(semi, np.array([t.nums], dtype=np.int64))
     return targets[0], exponents[0]
 
@@ -214,7 +177,7 @@ def eval_discretized(semi: DiscretizedSemigroup, t: GridTime) -> np.ndarray:
     """Dense matrix of the semigroup at grid time t: the blocks of its
     grid form scattered to (target, source) block positions, capped at its
     total_dim^2 entries."""
-    _check_cap(semi.total_dim, semi.total_dim)
+    _check_cap(semi.total_dim**2, f"the dense {semi.total_dim}x{semi.total_dim} evaluation")
     targets, exponents = _grid_form(semi, t)
     rows, picks = _distinct_rows(exponents)
     grid, dim = len(targets), semi.base.dim
@@ -230,7 +193,7 @@ def compress_discretized(semi: DiscretizedSemigroup, t: GridTime) -> np.ndarray:
     multilinear form is deliberately not used here so the two routes stay
     independent.  The blocks are capped at N^d dim^2 entries.
     """
-    _check_cap(semi.N**semi.base.d * semi.base.dim, semi.base.dim)
+    _check_cap(semi.N**semi.base.d * semi.base.dim**2, "the compression's block stack")
     rows, picks = _distinct_rows(_grid_form(semi, t)[1])
     return _power_products(semi.base.mats, rows)[picks].mean(axis=0)
 
@@ -253,7 +216,8 @@ def multilinear_compress(tup: ContractionTuple, t) -> np.ndarray:
     if not (np.isfinite(times).all() and (times >= 0).all()):
         raise InputError(f"times must be finite and nonnegative: {times.tolist()}")
     if times.size:
-        _check_floor(math.floor(times.max()), tup.dim)
+        top = math.floor(times.max()) + 1
+        _check_cap(top * tup.dim**2, f"the walk to power {top} of a {tup.dim}x{tup.dim} matrix")
     floors = np.floor(stack).astype(np.int64)
     out = identity(tup.dim)
     for s_i, x, fl in zip(tup.mats, stack.T, floors.T):
@@ -311,7 +275,7 @@ def semigroup_suite(tup: ContractionTuple, N: int, max_num: int) -> dict:
     d, dim = tup.d, tup.dim
     span = 2 * max_num - 1
     # The grid forms of every sum time, span^d stacks of N^d dim x dim blocks.
-    _check_cap(span**d * N**d * dim, dim)
+    _check_cap(span**d * N**d * dim * dim, "the sum times' block stack")
     targets, exponents = _grid_forms(semi, np.indices((span,) * d).reshape(d, -1).T)
     axes, powers = np.divmod(np.arange(d * (2 * N + 1)), 2 * N + 1)
     lifts = np.eye(d, dtype=np.int64)[axes] * (powers * N)[:, None]
@@ -485,14 +449,8 @@ def approx_error_sweep(generators, eps_list, axes, tol: float = DEFAULT_TOL):
     unit roundoff, for scaling and squaring (error ~ n u ||t A||) and a few
     n u per product and blend.
     """
-    gens = [as_matrix(g) for g in generators]
-    d = len(gens)
-    if d < 1:
-        raise InputError("need at least one generator")
-    dim = gens[0].shape[0]
-    for i, g in enumerate(gens):
-        if g.shape != (dim, dim):
-            raise InputError(f"generator {i + 1} has shape {g.shape}")
+    stack = _square_stack(generators, "generator")
+    d, dim = stack.shape[:2]
     coords = [np.asarray(axis, dtype=float) for axis in axes]
     if len(coords) != d:
         raise InputError(f"{len(coords)} time axes for {d} generators")
@@ -502,8 +460,7 @@ def approx_error_sweep(generators, eps_list, axes, tol: float = DEFAULT_TOL):
         bad = tau[~(np.isfinite(tau) & (tau >= 0))]
         if len(bad):
             raise InputError(f"times must be finite and nonnegative: axis {i + 1} has {bad[0]}")
-    _check_cap(math.prod(len(tau) for tau in coords) * dim, dim)
-    stack = np.stack(gens)
+    _check_cap(math.prod(len(tau) for tau in coords) * dim * dim, "the sweep's value grid")
     _require_commuting(stack, "generators", tol)
     t_max = max(float(tau.max()) for tau in coords)
     eps_values = [float(eps) for eps in eps_list]
@@ -542,7 +499,8 @@ def approx_error_sweep(generators, eps_list, axes, tol: float = DEFAULT_TOL):
             looked.append((at, hit))
         sizes = [int((~hit).sum()) for _, hit in looked]
         fresh = np.concatenate([s[~hit] for s, (_, hit) in zip(times, looked)])
-        members = fresh[:, None, None] * np.repeat(stack, sizes, axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):  # matrix_exp refuses an overflow
+            members = fresh[:, None, None] * np.repeat(stack, sizes, axis=0)
         for part in _batches(len(members), dim * dim):
             members[part] = matrix_exp(members[part])
         out = [np.empty((len(s), dim, dim), dtype=members.dtype) for s in times]

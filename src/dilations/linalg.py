@@ -1,9 +1,11 @@
 """Dense complex matrix arithmetic and spectral utilities.
 
-Matrices are plain ``numpy.ndarray`` values of dtype complex128.  Every
-public routine validates its inputs (shape, finiteness, size caps) and
-raises :class:`InputError` on bad data, so callers can rely on the
-arrays being well formed downstream.
+Matrices are plain ``numpy.ndarray`` values of dtype complex128.  The
+rules on whether an operator stack is acceptable, and the size cap, live
+here, one routine each, raising :class:`InputError` on bad data: shapes
+and finiteness (``as_matrix``, ``_square_stack``), the size cap
+(``_check_cap``), and contractions, commutation and isometries
+(``_require_*``, decided by ``_max_op_norm``).
 
 Wire format for a single matrix::
 
@@ -84,11 +86,14 @@ def _check_tol(value: float, source: str) -> float:
     return value
 
 
-def _check_cap(rows: int, cols: int) -> None:
-    if rows * cols > max_entries():
+def _check_cap(entries: int, what: str) -> None:
+    """Refuse a step that holds ``entries`` entries at once past the size
+    cap; the refusal names them as ``what``."""
+    cap = max_entries()
+    if entries > cap:
         raise InputError(
-            f"matrix of shape {rows}x{cols} exceeds the size cap of "
-            f"{max_entries()} entries (set DILATIONS_MAX_ENTRIES to override)"
+            f"{what} needs {entries} entries, beyond the size cap of {cap} "
+            "(set DILATIONS_MAX_ENTRIES to override)"
         )
 
 
@@ -100,6 +105,20 @@ def as_matrix(a) -> np.ndarray:
     if not np.isfinite(m).all():
         raise InputError("matrix contains non-finite entries")
     return m
+
+
+def _square_stack(mats, noun: str) -> np.ndarray:
+    """The (K, n, n) stack of the matrices ``mats``, refused when there is
+    none ("need at least one <noun>"), as ``as_matrix`` refuses a member,
+    or when a member's shape is not the first one's (n, n), naming it."""
+    stack = [as_matrix(m) for m in mats]
+    if not stack:
+        raise InputError(f"need at least one {noun}")
+    n = stack[0].shape[0]
+    for i, m in enumerate(stack):
+        if m.shape != (n, n):
+            raise InputError(f"{noun} {i + 1} has shape {m.shape}, expected ({n}, {n})")
+    return np.stack(stack)
 
 
 def identity(n: int) -> np.ndarray:
@@ -114,7 +133,7 @@ def kron(a, b) -> np.ndarray:
     """Kronecker product with entry ((i*rows_b+k),(j*cols_b+l)) = a[i,j]*b[k,l]."""
     a = as_matrix(a)
     b = as_matrix(b)
-    _check_cap(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    _check_cap(a.size * b.size, f"the Kronecker product of shapes {a.shape} and {b.shape}")
     return np.kron(a, b)
 
 
@@ -168,11 +187,13 @@ def _max_op_norm(a: np.ndarray, limit: float | None = None):
     stay strictly below the member attaining the largest C, and each
     member decided by a bound is decided as its computed norm would be,
     since delta exceeds the relative errors summed by at least 1e-10.
-    A non-finite entry is an ``InputError``, as in ``_op_norms``.
+    A non-finite entry, as where a gap A*A - 1 or a commutator overflowed,
+    gives NaN, or False against a limit, with no SVD, which LAPACK may
+    fail on: such a deviation passes no check, and a refusal reads nan.
     """
     a = a.reshape(-1, *a.shape[-2:])
     if not np.isfinite(a).all():
-        raise InputError("matrix contains non-finite entries")
+        return np.nan if limit is None else False
     squares = np.abs(a)
     peak = squares.max(initial=0.0)
     if peak > 0:
@@ -205,24 +226,13 @@ def _batches(count: int, entries_each: int) -> Iterator[slice]:
     return (slice(start, start + step) for start in range(0, count, step))
 
 
-def _max_deviation(x: np.ndarray, limit: float | None = None):
-    """``_max_op_norm(x, limit)`` of a nonempty stack of deviations
-    (..., r, c), such as gaps A*A - 1 or commutators; where an entry is
-    not finite, as where a product overflowed, NaN, or with a limit False,
-    and no SVD runs, which LAPACK may fail on.  So a deviation that
-    overflowed passes no check, and a refusal reads it as ``nan``."""
-    if not np.isfinite(x).all():
-        return np.nan if limit is None else False
-    return _max_op_norm(x, limit)
-
-
 def _require_commuting(mats: np.ndarray, noun: str, tol: float) -> None:
     """Raise unless, in every tuple of the stack ``mats`` (..., d, n, n),
     each pair of members commutes to within tol in operator norm.
 
     The commutators of all pairs, or of batches of pairs within the size
     cap when they would not fit, are checked against tol by one
-    ``_max_deviation`` call, which takes SVDs only where its bounds cannot
+    ``_max_op_norm`` call, which takes SVDs only where its bounds cannot
     decide.  Only a batch that fails is examined further, for the message:
     it names the first pair of the first tuple whose commutator overflows
     the float range, with no warning, or else the first failing pair of
@@ -239,7 +249,7 @@ def _require_commuting(mats: np.ndarray, noun: str, tol: float) -> None:
         a, b = tuples[:, first[part]], tuples[:, second[part]]
         with np.errstate(over="ignore", invalid="ignore"):
             commutators = a @ b - b @ a
-        if _max_deviation(commutators, tol):
+        if _max_op_norm(commutators, tol):
             continue
         finite = np.isfinite(commutators).all(axis=(-2, -1))
         devs = _op_norms(commutators) if finite.all() else None
@@ -248,6 +258,27 @@ def _require_commuting(mats: np.ndarray, noun: str, tol: float) -> None:
         if devs is None:
             raise InputError(f"the commutator of {noun} {i} and {j} overflows the float range")
         raise InputError(f"{noun} {i} and {j} do not commute (deviation {devs[k, pair]:.3e})")
+
+
+def _require_contractions(stack: np.ndarray, tol: float, known=None) -> None:
+    """Raise unless every tuple of the stack (K, d, n, n) is a commuting
+    tuple of contractions to within tol: each member's norm at most
+    1 + tol, by one ``_max_op_norm`` call, then ``_require_commuting``.
+    Only a failing stack is normed whole, for the message, which names the
+    first member over.  This is the check ``ContractionTuple`` runs on
+    itself (K = 1); ``vn_search`` runs it on its random tuples without
+    building one per trial.
+
+    ``known`` (K, d), when given, bounds from above every computed norm of
+    each member, as ``_commuting_stack`` returns: a member whose bound is
+    at most 1 + tol passes as its computed norm would, and only the others
+    go to ``_max_op_norm``.  A NaN bound leaves its member to it."""
+    unknown = stack if known is None else stack[~(known <= 1 + tol)]
+    if unknown.size and not _max_op_norm(unknown, 1 + tol):
+        norms = _op_norms(stack)
+        k, i = np.argwhere(norms > 1 + tol)[0]
+        raise InputError(f"operator {i + 1} has norm {norms[k, i]:.12g} > 1 + tol")
+    _require_commuting(stack, "operators", tol)
 
 
 def _isometry_gaps(a: np.ndarray) -> np.ndarray:
@@ -261,12 +292,12 @@ def _isometry_gaps(a: np.ndarray) -> np.ndarray:
 
 def _require_isometries(a: np.ndarray, what: str, tol: float) -> None:
     """Raise unless every member of the stack (K, r, c) is an isometry to
-    within tol, as ``_max_deviation`` of its gaps decides: the refusal is
+    within tol, as ``_max_op_norm`` of its gaps decides: the refusal is
     "<what> (deviation <largest gap norm>)", nan where a gap overflowed.
     A stack [M, M*] checks that M is unitary."""
     gaps = _isometry_gaps(a)
-    if not _max_deviation(gaps, tol):
-        raise InputError(f"{what} (deviation {_max_deviation(gaps):.3e})")
+    if not _max_op_norm(gaps, tol):
+        raise InputError(f"{what} (deviation {_max_op_norm(gaps):.3e})")
 
 
 def _powers(a: np.ndarray, exponents) -> np.ndarray:
@@ -341,10 +372,13 @@ def matrix_exp(a, t: float = 1.0) -> np.ndarray:
         raise InputError(f"expected a matrix or a stack of matrices, got shape {a.shape}")
     if stack.shape[1] != stack.shape[2]:
         raise InputError("matrix_exp requires a square matrix")
-    ta = t * stack
+    with np.errstate(over="ignore", invalid="ignore"):
+        ta = t * stack
+    if not np.isfinite(ta).all():
+        raise InputError(f"t*A overflows the float range, beyond the norm cap {_EXP_NORM_CAP}")
     norms = _op_norms(ta).tolist()
     for norm in norms:
-        if norm > _EXP_NORM_CAP:
+        if not norm <= _EXP_NORM_CAP:  # a NaN norm is refused too
             raise InputError(
                 f"norm of t*A is {norm:.3g}, beyond the cap {_EXP_NORM_CAP}"
             )
@@ -444,6 +478,6 @@ def matrix_from_json(obj) -> np.ndarray:
         raise InputError("matrix dimensions must be positive")
     if count != rows * cols:
         raise InputError(f"matrix JSON has {count} entries, expected {rows * cols}")
-    _check_cap(rows, cols)
+    _check_cap(rows * cols, f"a {rows}x{cols} matrix")
     flat = _complex_pairs(data, "matrix entry")
     return as_matrix(np.array(flat, dtype=np.complex128).reshape(rows, cols))

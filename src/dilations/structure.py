@@ -26,7 +26,7 @@ over every time at once is read off the distinct blocks of the grid
 forms (at most 2^d per time), without assembling T(t).
 ``_class_deviations`` takes each flag's largest deviation over all times
 in one call: the isometry, unitary and entrywise flags from the blocks
-alone, the isometry and unitary ones by ``_max_deviation`` of the gaps,
+alone, the isometry and unitary ones by ``_max_op_norm`` of the gaps,
 which takes SVDs only where its bounds cannot decide, and the unity
 flags from each time's block picks.  No per-block or per-time array
 leaves it.
@@ -49,7 +49,7 @@ from .linalg import (
     InputError,
     _check_cap,
     _isometry_gaps,
-    _max_deviation,
+    _max_op_norm,
     _power_products,
     as_matrix,
     dagger,
@@ -90,8 +90,8 @@ def _class_deviations(blocks: np.ndarray, picks: np.ndarray, flags=_FLAGS) -> di
     block at least once.
 
     The isometry, unitary and entrywise flags take the largest measure of
-    any block, so they read the blocks, not the picks: ``_max_deviation``
-    of the gaps B*B - 1; the larger of that and ``_max_deviation`` of the
+    any block, so they read the blocks, not the picks: ``_max_op_norm``
+    of the gaps B*B - 1; the larger of that and ``_max_op_norm`` of the
     co-isometry gaps BB* - 1; max(0, -min Re B, max |Im B|).  The unity
     flags take, per row k, the root of the summed squared residual norms,
     ||(B_m 1 - 1)_m||_2 and the same with B*, and the largest over the
@@ -102,10 +102,10 @@ def _class_deviations(blocks: np.ndarray, picks: np.ndarray, flags=_FLAGS) -> di
     adjoints = blocks.conj().swapaxes(-1, -2)
     out = {}
     if "is_isometry" in flags or "is_unitary" in flags:
-        out["is_isometry"] = float(_max_deviation(_isometry_gaps(blocks)))
+        out["is_isometry"] = float(_max_op_norm(_isometry_gaps(blocks)))
     if "is_unitary" in flags:
         out["is_unitary"] = float(
-            np.maximum(out["is_isometry"], _max_deviation(_isometry_gaps(adjoints))))
+            np.maximum(out["is_isometry"], _max_op_norm(_isometry_gaps(adjoints))))
     if "is_entrywise_nonneg" in flags:
         worst = float(np.maximum(-blocks.real.min(), np.abs(blocks.imag).max()))
         # +0.0, never -0.0, where nothing is negative: reports print the sign.
@@ -123,7 +123,7 @@ def structure_report(a, tol: float = DEFAULT_TOL) -> StructureReport:
 
     The class deviations are ``_class_deviations`` of the one block a,
     picked once; this adds ``is_contraction`` and ``is_projection``, the
-    ``_max_deviation`` of A A - A and A - A*.  Each flag is its deviation
+    ``_max_op_norm`` of A A - A and A - A*.  Each flag is its deviation
     <= tol, except ``is_contraction``, which is ||A|| <= 1 + tol as in
     ``ContractionTuple``: ``max(0, ||A|| - 1) <= tol`` rounds differently
     near the boundary.  Entries so large that a deviation overflows (A*A,
@@ -137,7 +137,7 @@ def structure_report(a, tol: float = DEFAULT_TOL) -> StructureReport:
     norm = op_norm(a)
     with np.errstate(over="ignore", invalid="ignore"):
         classes = _class_deviations(a[None], np.zeros((1, 1), dtype=int))
-        projection = _max_deviation(np.stack([a @ a - a, a - dagger(a)]))
+        projection = _max_op_norm(np.stack([a @ a - a, a - dagger(a)]))
     deviations = {
         "is_contraction": max(0.0, norm - 1.0),
         "is_isometry": classes["is_isometry"],
@@ -167,7 +167,7 @@ def preservation_suite(tup: ContractionTuple, N: int, tol: float = DEFAULT_TOL) 
 
     The base's entrywise and unity flags are one ``_class_deviations``
     call on the stacked S_i, one axis per row.  Its isometry flag is
-    ``_max_deviation`` of the gaps S_i* S_i - 1 against tol, which takes
+    ``_max_op_norm`` of the gaps S_i* S_i - 1 against tol, which takes
     SVDs only where their Frobenius and column bounds cannot decide; the
     unitary flag adds that of the adjoints only where the isometry flag
     holds.  So a circulant base, whose gaps fail a column bound, takes no
@@ -183,14 +183,14 @@ def preservation_suite(tup: ContractionTuple, N: int, tol: float = DEFAULT_TOL) 
     """
     semi = DiscretizedSemigroup(tup, N)
     d, dim = tup.d, tup.dim
-    _check_cap((2 * N) ** d * N**d, max(dim * dim, d))
+    _check_cap((2 * N) ** d * N**d * max(dim * dim, d), "the suite times' block stack")
 
     mats = np.stack(tup.mats)
     measured = _FLAGS - {"is_isometry", "is_unitary"}
     base = {flag: bool(dev <= tol) for flag, dev in
             _class_deviations(mats, np.arange(d)[:, None], measured).items()}
-    base["is_isometry"] = _max_deviation(_isometry_gaps(mats), tol)
-    base["is_unitary"] = base["is_isometry"] and _max_deviation(
+    base["is_isometry"] = _max_op_norm(_isometry_gaps(mats), tol)
+    base["is_unitary"] = base["is_isometry"] and _max_op_norm(
         _isometry_gaps(mats.conj().swapaxes(-1, -2)), tol)
     held = [cls for cls in _CLASSES if all(base[flag] for flag in _CLASSES[cls])]
     results = {

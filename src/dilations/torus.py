@@ -117,7 +117,7 @@ def bscr_check(N: int, s_num, t_num) -> float:
     s_num, t_num = np.asarray(s_num), np.asarray(t_num)
     if (s_num < 0).any() or (t_num < 0).any():
         raise InputError("grid numerators must be nonnegative")
-    _check_cap(N, N)  # admitted as the dense N x N relation; the motion table is N x N
+    _check_cap(N * N, f"the {N}x{N} grid motion table")
     pairs = np.zeros((N, N), dtype=bool)
     pairs[s_num % N, t_num % N] = True
     s_frac, t_frac = np.nonzero(pairs)

@@ -1,9 +1,13 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import click
 import numpy as np
@@ -478,7 +482,7 @@ class TestEnvironmentOverrides:
             main, ["interp", "eval", "--tuple", tup, "--N", "8", "--t", "1/8"], env=env
         )
         assert dense.exit_code == 2
-        assert "matrix of shape 16x16 exceeds the size cap" in dense.output
+        assert "the dense 16x16 evaluation needs 256 entries, beyond the size cap" in dense.output
 
     def test_tol_override_loosens_validation(self, runner, tmp_path):
         mat = (1 + 1e-6) * shift_matrix(2)
@@ -832,41 +836,44 @@ BAD_INPUTS = [
     (["approx", "--generators", "{gens}", "--eps-list", "0"],
      "eps values must be finite and positive, got 0.0"),
     (["interp", "check", "--tuple", "{empty}", "--N", "2"],
-     "a contraction tuple needs at least one operator"),
+     "need at least one operator"),
     # (40+1)^2 grid points x 2x2 = 6724 entries > 1000
     (["DILATIONS_MAX_ENTRIES=1000", "approx", "--generators", "{gens2}",
-     "--eps-list", "0.5"], "matrix of shape 3362x2 exceeds the size cap of 1000 entries"),
+     "--eps-list", "0.5"],
+     "the sweep's value grid needs 6724 entries, beyond the size cap of 1000 "
+     "(set DILATIONS_MAX_ENTRIES to override)"),
     # (2*4-1)^1 sum times x 2 grid points x 2x2 = 56 block entries > 50,
     # while the 4x4 evaluations stay under the cap
     (["DILATIONS_MAX_ENTRIES=50", "interp", "check", "--tuple", "{tuple}", "--N", "2"],
-     "matrix of shape 28x2 exceeds the size cap of 50 entries"),
+     "the sum times' block stack needs 56 entries, beyond the size cap of 50"),
     # (2*1)^40 times: refused before the time list is built
     (["preserve", "--tuple", "{d40}", "--N", "1"],
-     "matrix of shape 1099511627776x40 exceeds the size cap"),
+     "the suite times' block stack needs 43980465111040 entries, beyond the size cap"),
     # (2*2)^1 times x 2 grid points x 2x2 = 32 block entries > 20,
     # while the 4x4 semigroup stays under the cap
     (["DILATIONS_MAX_ENTRIES=20", "preserve", "--tuple", "{tuple}", "--N", "2"],
-     "matrix of shape 8x4 exceeds the size cap of 20 entries"),
+     "the suite times' block stack needs 32 entries, beyond the size cap of 20"),
     # N^2 = 10^10 entries: refused before the (2N)^2 checks start
-    (["bscr", "--N", "100000"], "matrix of shape 100000x100000 exceeds the size cap"),
+    (["bscr", "--N", "100000"],
+     "the 100000x100000 grid motion table needs 10000000000 entries, beyond the size cap"),
     # (2 x 100001)^2 entries, refused before the allocation
     (["dilate", "--matrix", "{half}", "--m", "100000"],
-     "matrix of shape 200002x200002 exceeds the size cap"),
+     "the 200002x200002 dilation unitary needs 40000800004 entries, beyond the size cap"),
     (["structure", "--matrix", "{scalar_data}"],
      "malformed matrix JSON: object of type 'int' has no len()"),
     (["vn", "--tuple", "{tuple}", "--poly", "{poly_frac}"],
      "exponent must be an integer, got 1.5"),
     # floor(t) = 5 * 10^10 powers of a 2x2 matrix, refused before the walk
     (["interp", "eval", "--tuple", "{tuple}", "--N", "2", "--t", "100000000000/2"],
-     "time with floor 50000000000 needs powers up to 50000000001"),
+     "the walk to power 50000000001 of a 2x2 matrix needs 200000000004 entries"),
     # a 24-digit numerator, past int64
     (["interp", "eval", "--tuple", "{tuple}", "--N", "2",
      "--t", "123456789012345678901234/2"],
-     "time with floor 61728394506172839450617 needs powers"),
+     "the walk to power 61728394506172839450618 of a 2x2 matrix needs"),
     # 20x20 matrices = 400 entries > 100
     (["DILATIONS_MAX_ENTRIES=100", "vn-search", "--d", "1", "--dim", "20", "--trials", "2",
      "--seed", "1", "--grid", "8"],
-     "matrix of shape 20x20 exceeds the size cap of 100 entries"),
+     "a 20x20 tuple member needs 400 entries, beyond the size cap of 100"),
     # exponents up to 3 on 6 axes may pass the degree cap 16: refused at
     # any --trials, not only once a trial draws such a term
     (["vn-search", "--d", "6", "--dim", "2", "--trials", "50", "--seed", "1", "--grid", "4"],
@@ -877,7 +884,7 @@ BAD_INPUTS = [
     # a table of 101 roots > 100 entries
     (["DILATIONS_MAX_ENTRIES=100", "vn-search", "--d", "1", "--dim", "2", "--trials", "1",
      "--seed", "1", "--grid", "101"],
-     "lattice size M = 101 exceeds the size cap of 100 entries"),
+     "the table of M = 101 roots of unity needs 101 entries, beyond the size cap of 100"),
     # integer fields that are not integers: "x", null, 1.5 and 2.5
     (["vn", "--tuple", "{tuple_d_x}", "--poly", "{poly1}"],
      "tuple d must be an integer, got 'x'"),
@@ -911,7 +918,7 @@ BAD_INPUTS = [
      "malformed coefficient: int too large to convert to float"),
     # 2^20 times of 20 exponents each: refused before the rows are built
     (["preserve", "--tuple", "{d20}", "--N", "1"],
-     "matrix of shape 1048576x20 exceeds the size cap"),
+     "the suite times' block stack needs 20971520 entries, beyond the size cap"),
     (["vn", "--tuple", "{missing}", "--poly", "{poly1}"], "cannot read"),
     (["approx", "--generators", "{no_fields}", "--eps-list", "0.5"],
      "malformed generators JSON"),
@@ -927,7 +934,7 @@ BAD_INPUTS = [
      "polynomial arity must be >= 1, got 0"),
     (["vn", "--tuple", "{tuple1}", "--poly", "{poly_negative}"], "negative exponent in (-1,)"),
     (["parrott", "--r1", "{unitary}", "--r2", "{unitary1}"],
-     "R1 and R2 must be square and of equal size"),
+     "factor 2 has shape (1, 1), expected (2, 2)"),
     (["parrott", "--r1", "{unitary}", "--r2", "{twice}", "--allow-contraction-r2"],
      "R2 must be a contraction"),
     # R1* R1 overflows: a NaN deviation is not unitary.
@@ -952,7 +959,7 @@ BAD_INPUTS = [
      "the commutator of generators 1 and 2 overflows the float range"),
     # N^2 = 10^24 entries: refused before the 2N times are listed
     (["bscr", "--N", "1000000000000"],
-     "matrix of shape 1000000000000x1000000000000 exceeds the size cap"),
+     "the 1000000000000x1000000000000 grid motion table needs 1" + "0" * 24 + " entries"),
     # an --out that cannot be written: a directory, a file in a missing one
     (["vn", "--tuple", "{tuple1}", "--poly", "{poly1}", "--out", "{directory}"],
      "cannot write"),
@@ -962,6 +969,12 @@ BAD_INPUTS = [
     (["vn", "--tuple", "{tuple1}", "--poly", "{utf16}"], "utf16.json is not valid JSON"),
     (["approx", "--generators", "{utf16}", "--eps-list", "0.5"],
      "utf16.json is not valid JSON"),
+    # t A past the float range for a finite t and A, with no RuntimeWarning on stderr
+    (["approx", "--generators", "{gens_large}", "--eps-list", "0.5", "--tmax", "1e300",
+      "--steps", "1"], "t*A overflows the float range, beyond the norm cap 50.0"),
+    # one exponent twice: a dict of the terms would keep only the last coefficient
+    (["vn", "--tuple", "{tuple1}", "--poly", "{poly_twice}"],
+     "malformed polynomial JSON: exponent (1,) is listed twice"),
 ]
 # The cases' ids are args0, args1, ... in list order.
 BAD_INPUT_IDS = [f"args{i}" for i in range(len(BAD_INPUTS))]
@@ -981,6 +994,8 @@ def test_bad_input_exits_2(runner, tmp_path, args, message):
         "scalar_data": {"rows": 1, "cols": 1, "data": 5},
         "poly_frac": {"d": 1, "terms": [{"alpha": [1.5], "coeff": [1.0, 0.0]}]},
         "poly1": {"d": 1, "terms": [{"alpha": [1], "coeff": [1.0, 0.0]}]},
+        "poly_twice": {"d": 1, "terms": [{"alpha": [1], "coeff": [1.0, 0.0]},
+                                         {"alpha": [1], "coeff": [2.0, 0.0]}]},
         "poly_d_frac": {"d": 1.5, "terms": [{"alpha": [1], "coeff": [1.0, 0.0]}]},
         "tuple_d_x": {"d": "x", "matrices": [matrix_to_json(shift_matrix(2))]},
         "tuple_dim_null": {"dim": None, "matrices": [matrix_to_json(shift_matrix(2))]},
@@ -1002,6 +1017,7 @@ def test_bad_input_exits_2(runner, tmp_path, args, message):
         "no_fields": {},
         "gens_two_shapes": {"matrices": [matrix_to_json(np.diag([-1.0, -2.0])),
                                          matrix_to_json(np.diag([-1.0]))]},
+        "gens_large": {"matrices": [matrix_to_json(np.diag([-1e10]))]},
         "gens_overflow": {"matrices": [matrix_to_json(np.array([[-1.0, 1.5e308],
                                                                 [1.5e308, -1.0]]))]},
         "gens_commutator_overflow": {"matrices": [
@@ -1105,6 +1121,48 @@ def test_errors_map_to_exit_codes(runner, inputs, tmp_path, monkeypatch, error, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sink", ["closed pipe", "full device"])
+def test_unwritable_stdout_exits_2(tmp_path, sink):
+    """A stdout that cannot be written, a pipe whose reader is gone or a
+    full device, is an input error: exit 2, not click's exit 1, which is
+    the VIOLATED code, and one stderr line, with no traceback and no
+    "Exception ignored" line from the interpreter's flush at exit."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    args = [sys.executable, "-m", "dilations.cli", "bscr", "--N", "4"]
+    if sink == "closed pipe":
+        reader, writer = os.pipe()
+        os.close(reader)
+        stdout, reason = os.fdopen(writer, "wb"), "[Errno 32] Broken pipe"
+    else:
+        stdout, reason = open("/dev/full", "wb"), "[Errno 28] No space left on device"
+    with stdout:
+        done = subprocess.run(args, stdout=stdout, stderr=subprocess.PIPE, env=env, text=True)
+    assert done.returncode == 2
+    assert done.stderr == f"input error: cannot write stdout: {reason}\n"
+
+
+def test_unwritable_stdout_is_pointed_at_devnull(tmp_path, monkeypatch):
+    """In-process: after a failed write, stdout's descriptor refers to
+    os.devnull, so what stays buffered is dropped at exit without error."""
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+    class ClosedPipe:
+        def fileno(self):
+            return fd
+
+        def writelines(self, pieces):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    try:
+        with pytest.raises(InputError, match=r"^cannot write stdout: \[Errno 32\] Broken pipe$"):
+            cli._write_report(["{}\n"], None)
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+
+
 def test_failing_command_keeps_an_existing_out_file(runner, inputs, tmp_path):
     out = tmp_path / "report.json"
     out.write_text("earlier report\n")
@@ -1149,7 +1207,8 @@ def test_root_table_cap_exits_2(runner, inputs, monkeypatch):
     assert runner.invoke(main, args + ["--grid", "1024"]).exit_code == 0
     result = runner.invoke(main, args + ["--grid", "2048"])
     assert result.exit_code == 2
-    assert "input error: lattice size M = 2048 exceeds the size cap" in result.stderr
+    assert ("input error: the table of M = 2048 roots of unity needs 2048 entries, "
+            "beyond the size cap of 1024" in result.stderr)
 
 
 def test_lattice_image_cap_exits_2(runner, tmp_path):

@@ -271,7 +271,7 @@ class TestTorusSup:
         monkeypatch.setenv("DILATIONS_MAX_ENTRIES", "1024")
         p = MultiPolynomial(d=1, terms={(1,): 1.0})
         assert torus_sup(p, 1024)[0] == pytest.approx(1.0)
-        with pytest.raises(InputError, match="lattice size M = 1025 exceeds"):
+        with pytest.raises(InputError, match="^the table of M = 1025 roots of unity needs 1025 "):
             torus_sup(p, 1025)
 
     @given(lattice_cases())
@@ -669,14 +669,14 @@ class TestVnSearch:
         # The drawn tuples commute up to rounding: the Frobenius bound of
         # every commutator is far below tol, so none is SVD'd.
         shapes, inside = svd_shapes(monkeypatch), []
-        check = dilations.interpolation._require_commuting
+        check = dilations.linalg._require_commuting
 
         def tracked(*args):
             before = len(shapes)
             check(*args)
             inside.append(len(shapes) - before)
 
-        monkeypatch.setattr(dilations.interpolation, "_require_commuting", tracked)
+        monkeypatch.setattr(dilations.linalg, "_require_commuting", tracked)
         vn_search(d=3, dim=4, trials=100, seed=35, M=8)
         assert inside == [0]
 
@@ -868,7 +868,8 @@ class TestVnSearch:
         [
             (6, 4, None, r"d = 6 exceeds DEGREE_CAP // 3 = 5: .* the cap 16"),
             (2, 100_000, None, r"lattice of M\^d = 10000000000 points exceeds the size cap"),
-            (1, 101, "100", "lattice size M = 101 exceeds the size cap of 100"),
+            (1, 101, "100", "the table of M = 101 roots of unity needs 101 entries, beyond the "
+                            "size cap of 100"),
         ],
         ids=["degree", "points", "roots"],
     )
@@ -967,8 +968,9 @@ class TestDilation:
         e1 = identity(2)[:, :1]
         for vs, r, n_max, message in [
             ((identity(2),), e1, 0, r"^n_max must be >= 1, got 0$"),
-            ((), e1, 1, "^a dilation candidate needs at least one unitary$"),
-            ((identity(2), identity(3)), e1, 1, r"^unitary 2 has shape \(3, 3\)$"),
+            ((), e1, 1, "^need at least one unitary$"),
+            ((identity(2), identity(3)), e1, 1,
+             r"^unitary 2 has shape \(3, 3\), expected \(2, 2\)$"),
             ((identity(2),), identity(3)[:, :1], 1,
              "^embedding maps into dimension 3, unitaries act on 2$"),
         ]:
@@ -1054,7 +1056,7 @@ class TestDilation:
         tup = random_commuting_tuple(rng, 2, 2)
         monkeypatch.setenv("DILATIONS_MAX_ENTRIES", "1024")
         monkeypatch.setattr(dilations.dilation, "_walk", None)
-        with pytest.raises(InputError, match="matrix of shape 882x8 exceeds the size cap"):
+        with pytest.raises(InputError, match="^the big side of the power walk needs 7056 entries"):
             power_dilation_verify(tup, cand)
 
 

@@ -270,11 +270,11 @@ class TestEvalDiscretized:
         # the N^d dim^2 = 4096-entry gather of its compression are not.
         semi = DiscretizedSemigroup(ContractionTuple((shift_matrix(2),)), 1024)
         t = GridTime(1024, (1,))
-        with pytest.raises(InputError, match="matrix of shape 2048x2048"):
+        with pytest.raises(InputError, match="^the dense 2048x2048 evaluation needs 4194304 "):
             eval_discretized(semi, t)
         compress_discretized(semi, t)
         monkeypatch.setenv("DILATIONS_MAX_ENTRIES", "4095")
-        with pytest.raises(InputError, match="matrix of shape 2048x2"):
+        with pytest.raises(InputError, match="^the compression's block stack needs 4096 entries"):
             compress_discretized(semi, t)
 
     def test_holds_two_powers_per_axis(self):
@@ -304,25 +304,29 @@ class TestEvalDiscretized:
         monkeypatch.setenv("DILATIONS_MAX_ENTRIES", "40")
         eval_discretized(semi, GridTime(2, (19,)))
         multilinear_compress(tup, (9.5,))
-        with pytest.raises(InputError, match="floor 10 needs powers up to 11"):
+        message = "^the walk to power 11 of a 2x2 matrix needs 44 entries, beyond the size cap"
+        with pytest.raises(InputError, match=message):
             eval_discretized(semi, GridTime(2, (20,)))
-        with pytest.raises(InputError, match="floor 10 needs powers up to 11"):
+        with pytest.raises(InputError, match=message):
             multilinear_compress(tup, (10.0,))
-        with pytest.raises(InputError, match="floor 10"):
+        with pytest.raises(InputError, match=message):
             compress_discretized(semi, GridTime(2, (21,)))
 
     def test_closed_form_checks_the_largest_floor_once(self, monkeypatch):
         # One cap check per call, on the largest floor, whichever axis holds it.
         tup = ContractionTuple((shift_matrix(2),) * 3)
-        floors = []
-        check = interpolation._check_floor
-        monkeypatch.setattr(
-            interpolation, "_check_floor", lambda fl, dim: floors.append(fl) or check(fl, dim)
-        )
+        whats = []
+        check = interpolation._check_cap
+
+        def spy(entries, what):
+            whats.append(what)
+            check(entries, what)
+
+        monkeypatch.setattr(interpolation, "_check_cap", spy)
         multilinear_compress(tup, (0.5, 9.25, 3.0))
-        assert floors == [9]
+        assert whats == ["the walk to power 10 of a 2x2 matrix"]
         monkeypatch.setenv("DILATIONS_MAX_ENTRIES", "40")
-        with pytest.raises(InputError, match="floor 10 needs powers up to 11"):
+        with pytest.raises(InputError, match="^the walk to power 11 of a 2x2 matrix needs 44 "):
             multilinear_compress(tup, (0.5, 10.0, 3.0))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -825,7 +829,8 @@ class TestApproxSweep:
         approx_error_sweep(gens, [0.5], axes)
         monkeypatch.setattr(interpolation, "matrix_exp", None)
         monkeypatch.setenv("DILATIONS_MAX_ENTRIES", "99")
-        with pytest.raises(InputError, match="matrix of shape 50x2 exceeds the size cap of 99"):
+        with pytest.raises(InputError, match="^the sweep's value grid needs 100 entries, beyond "
+                                             "the size cap of 99"):
             approx_error_sweep(gens, [0.5], axes)
 
     @pytest.mark.parametrize(

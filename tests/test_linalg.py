@@ -12,11 +12,11 @@ from dilations.linalg import (
     NumericalError,
     _listed,
     _matrix_payload,
-    _max_deviation,
     _max_op_norm,
     _op_norms,
     _power_products,
     _powers,
+    _require_contractions,
     _require_isometries,
     as_matrix,
     dagger,
@@ -29,7 +29,6 @@ from dilations.linalg import (
     psd_sqrt,
 )
 from dilations.dilation import DilationCandidate, _commuting_stack
-from dilations.interpolation import _require_contractions
 from unbatched_reference import (
     reference_matrix_exp,
     reference_norms_within,
@@ -264,10 +263,12 @@ class TestMaxOpNorm:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_member_is_input_error(self, bad):
+        # The max is NaN, with no SVD; the per-member norms refuse the stack.
         stack = np.zeros((3, 2, 2), dtype=complex)
         stack[1, 0, 1] = bad
-        with pytest.raises(InputError, match="non-finite"):
-            _max_op_norm(stack)
+        assert np.isnan(_max_op_norm(stack))
+        with pytest.raises(InputError, match="^matrix contains non-finite entries$"):
+            _op_norms(stack)
 
     def test_svd_failure_is_numerical_error(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -322,11 +323,14 @@ class TestMaxOpNormLimit:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_member_is_input_error(self, bad):
+        # The screen fails the stack, with no SVD; the contraction check
+        # built on it refuses it, as its all-SVD route does.
         stack = np.zeros((3, 2, 2), dtype=complex)
         stack[1, 0, 1] = bad
-        for check in (_max_op_norm, reference_norms_within):
+        assert _max_op_norm(stack, 1.0) is False
+        for check in (_require_contractions, reference_require_contractions):
             with pytest.raises(InputError, match="^matrix contains non-finite entries$"):
-                check(stack, 1.0)
+                check(stack[None], 1e-9)
 
     def test_one_ulp_columns_are_left_to_the_svd(self, monkeypatch):
         s, tol = ONE_ULP_COLUMN
@@ -427,8 +431,8 @@ class TestScreenedChecks:
         gaps = linalg._isometry_gaps(pair)
         tol = limit_near(gaps, rng, k) if np.isfinite(gaps).all() else 1e-10
         devs = reference_isometry_deviations(pair)
-        assert _max_deviation(gaps, tol) is bool((devs <= tol).all())
-        np.testing.assert_array_equal(_max_deviation(gaps), np.max(devs))  # NaN matches NaN
+        assert _max_op_norm(gaps, tol) is bool((devs <= tol).all())
+        np.testing.assert_array_equal(_max_op_norm(gaps), np.max(devs))  # NaN matches NaN
         assert outcome(_require_isometries, pair, "V_1 is not unitary", tol) == outcome(
             reference_require_unitary, m, "V_1", tol)
 
@@ -531,15 +535,15 @@ class TestIsometryDeviations:
         # The largest of the per-matrix norms of the gaps A*A - 1, bit for bit.
         rng = np.random.default_rng(18)
         stack = np.array([rand_matrix(rng, 3) for _ in range(4)])
-        got = _max_deviation(linalg._isometry_gaps(stack))
+        got = _max_op_norm(linalg._isometry_gaps(stack))
         assert got == max(op_norm(dagger(a) @ a - identity(3)) for a in stack)
 
     def test_rectangular_sides(self):
         # An isometry r: r*r = 1 on the small side, while rr* is a
         # projection of rank 3 on the large side, at distance 1 from 1.
         q, _ = np.linalg.qr(rand_matrix(np.random.default_rng(19), 5, 3))
-        assert _max_deviation(linalg._isometry_gaps(q[None])) < 1e-14
-        assert abs(_max_deviation(linalg._isometry_gaps(dagger(q)[None])) - 1) < 1e-14
+        assert _max_op_norm(linalg._isometry_gaps(q[None])) < 1e-14
+        assert abs(_max_op_norm(linalg._isometry_gaps(dagger(q)[None])) - 1) < 1e-14
 
 
 class TestMaxDeviation:
@@ -550,9 +554,9 @@ class TestMaxDeviation:
         stack = np.zeros((3, 2, 2), dtype=complex)
         stack[1, 0, 1] = bad
         shapes = svd_shapes(monkeypatch)
-        assert np.isnan(_max_deviation(stack))
+        assert np.isnan(_max_op_norm(stack))
         for limit in (0.0, 1.0, np.inf):
-            assert _max_deviation(stack, limit) is False
+            assert _max_op_norm(stack, limit) is False
         assert shapes == []
 
 

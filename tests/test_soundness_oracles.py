@@ -250,7 +250,7 @@ def test_exact_sup_for_dependent_rows_is_caught(monkeypatch):
 
 def test_nan_deviation_is_refused(monkeypatch):
     """Mutant check: an isometry gap A*A - 1 of NaN, as an overflowing A*A
-    gives, passes no check: ``_max_deviation``, which decides both of
+    gives, passes no check: ``_max_op_norm``, which decides both of
     ``DilationCandidate``'s checks through ``_require_isometries``, refuses
     it, and the refusal reads the NaN deviation off the same gaps."""
     gaps = dilations.linalg._isometry_gaps
@@ -280,7 +280,7 @@ def test_a_screen_without_its_margin_is_caught(monkeypatch):
             return True
         return screen(a, limit)
 
-    monkeypatch.setattr(dilations.interpolation, "_max_op_norm", mutant)
+    monkeypatch.setattr(dilations.linalg, "_max_op_norm", mutant)
     assert op_norm(ContractionTuple((s,), tol=tol).mats[0]) > 1 + tol
 
 

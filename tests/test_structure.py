@@ -225,13 +225,13 @@ class TestPreservationSuite:
         import dilations.structure as structure
 
         seen = []
-        max_deviation = structure._max_deviation
+        max_op_norm = structure._max_op_norm
 
         def tracked(stack, *limit):
             seen.append((stack.copy(), limit))
-            return max_deviation(stack, *limit)
+            return max_op_norm(stack, *limit)
 
-        monkeypatch.setattr(structure, "_max_deviation", tracked)
+        monkeypatch.setattr(structure, "_max_op_norm", tracked)
         shapes = svd_shapes(monkeypatch)
         rng = np.random.default_rng(68)
         for d, N, dim in ((1, 3, 4), (2, 2, 3), (1, 2, 128)):
